@@ -16,6 +16,8 @@
 #include <memory>
 #include <new>
 
+#include "vodsim/admission/controller.h"
+#include "vodsim/admission/migration.h"
 #include "vodsim/des/event_queue.h"
 #include "vodsim/des/simulator.h"
 #include "vodsim/engine/experiment.h"
@@ -23,9 +25,11 @@
 #include "vodsim/engine/sweep_context.h"
 #include "vodsim/engine/vod_simulation.h"
 #include "vodsim/obs/trace.h"
+#include "vodsim/placement/placement.h"
 #include "vodsim/sched/eftf.h"
 #include "vodsim/sched/finish_order.h"
 #include "vodsim/util/rng.h"
+#include "vodsim/workload/catalog.h"
 #include "vodsim/workload/zipf.h"
 
 // --- global allocation instrumentation --------------------------------------
@@ -394,6 +398,92 @@ void BM_TraceRecorderRecord(benchmark::State& state) {
   report_allocs_per_op(state, allocs_before, 1);
 }
 BENCHMARK(BM_TraceRecorderRecord);
+
+/// A saturated large-system cluster for the migration-search benches: the
+/// paper's large system (20 x 300 Mb/s, 200 titles of 1-2 h at 3 Mb/s, 2.2
+/// copies per title, even placement), each server filled to its link with
+/// 100 streams drawn by theta = -0.5 popularity over the titles it holds.
+/// No holder can admit anything directly and no target has room, so every
+/// search is a failing DRM fallback, as 99.5% of them are on a
+/// theta = -0.5 chain-2 run. Members are declared so that the requests die
+/// before the servers whose lanes they are bound to.
+struct SaturatedCluster {
+  VideoCatalog catalog;
+  std::vector<Server> servers;
+  std::vector<std::unique_ptr<Request>> requests;
+  ReplicaDirectory directory;
+
+  SaturatedCluster() {
+    const SystemConfig system = SystemConfig::large_system();
+    Rng rng(2001);
+    catalog = generate_catalog(CatalogSpec{system.num_videos, system.video_min_duration,
+                                           system.video_max_duration,
+                                           system.view_bandwidth},
+                               rng);
+    servers.reserve(static_cast<std::size_t>(system.num_servers));
+    for (int s = 0; s < system.num_servers; ++s) {
+      servers.emplace_back(static_cast<ServerId>(s), system.server_bandwidth,
+                           system.server_storage);
+    }
+    const ZipfDistribution zipf(system.num_videos, -0.5);
+    make_placement(PlacementKind::kEven)
+        ->place(catalog, zipf.probabilities(), system.avg_copies, servers, rng);
+    const ClientProfile client{0.2 * catalog.mean_size(), 30.0};
+    std::vector<double> weights;
+    for (Server& server : servers) {
+      weights.clear();
+      for (VideoId video : server.replicas()) {
+        weights.push_back(zipf.pmf(static_cast<std::size_t>(video)));
+      }
+      while (!weights.empty() && server.can_admit(system.view_bandwidth)) {
+        const VideoId video = server.replicas()[rng.weighted_index(weights)];
+        requests.push_back(std::make_unique<Request>(
+            static_cast<RequestId>(requests.size()), catalog[video], 0.0, client));
+        requests.back()->begin_streaming(0.0, server.id());
+        server.attach(*requests.back());
+      }
+    }
+    directory = ReplicaDirectory(catalog.size(), servers);
+  }
+};
+
+void migration_search(benchmark::State& state, int chain) {
+  // One find_migration_plan per op, cycling through every title, through
+  // one persistent scratch as the admission controller holds it.
+  // nodes_per_op is the (victim, target) pairs charged to the budget.
+  const SaturatedCluster cluster;
+  MigrationConfig config;
+  config.enabled = true;
+  config.max_chain_length = chain;
+  MigrationSearchScratch scratch;
+  const std::size_t titles = cluster.catalog.size();
+  auto search = [&](std::size_t i) {
+    const auto video = static_cast<VideoId>(i % titles);
+    return find_migration_plan(video, cluster.catalog[video].view_bandwidth, config,
+                               cluster.servers, cluster.directory.all(), scratch)
+        .has_value();
+  };
+  for (std::size_t i = 0; i < titles; ++i) search(i);  // warm the scratch
+  std::size_t cursor = 0;
+  std::int64_t nodes = 0;
+  const std::uint64_t allocs_before = heap_allocs();
+  for (auto _ : state) {
+    bool found = search(cursor++);
+    benchmark::DoNotOptimize(found);
+    nodes += scratch.nodes_explored;
+  }
+  state.SetItemsProcessed(state.iterations());
+  report_allocs_per_op(state, allocs_before, 1);  // before adding a counter allocates
+  state.counters["nodes_per_op"] = benchmark::Counter(
+      static_cast<double>(nodes) / static_cast<double>(std::max<std::int64_t>(
+                                       state.iterations(), 1)));
+}
+
+void BM_MigrationSearchChain1(benchmark::State& state) { migration_search(state, 1); }
+BENCHMARK(BM_MigrationSearchChain1);
+
+void BM_MigrationSearchChain2(benchmark::State& state) { migration_search(state, 2); }
+BENCHMARK(BM_MigrationSearchChain2);
 
 void BM_ZipfSample(benchmark::State& state) {
   ZipfDistribution zipf(static_cast<std::size_t>(state.range(0)), 0.271);

@@ -166,16 +166,10 @@ int main(int argc, char** argv) {
   config.client.receive_bandwidth =
       receive > 0.0 ? receive : std::numeric_limits<double>::infinity();
 
-  config.placement.kind = placement_kind_from_string(cli.get_string("placement"));
-  config.admission.assignment =
-      assignment_kind_from_string(cli.get_string("assignment"));
-  config.scheduler = scheduler_kind_from_string(cli.get_string("scheduler"));
   config.admission.migration.enabled = cli.get_bool("migration");
   config.admission.migration.max_chain_length = static_cast<int>(cli.get_long("chain"));
   config.admission.migration.max_hops_per_request =
       static_cast<int>(cli.get_long("hops"));
-  config.admission.migration.victim =
-      victim_strategy_from_string(cli.get_string("victim"));
   config.admission.migration.switch_latency = cli.get_double("switch-latency");
   config.admission.buffer_aware = cli.get_bool("buffer-aware");
 
@@ -276,7 +270,15 @@ int main(int argc, char** argv) {
   config.shards = static_cast<int>(cli.get_long("shards"));
   config.shard_threads = static_cast<int>(cli.get_long("shard-threads"));
 
+  // The enum parsers throw on unknown names; report them like any other
+  // invalid configuration.
   try {
+    config.placement.kind = placement_kind_from_string(cli.get_string("placement"));
+    config.admission.assignment =
+        assignment_kind_from_string(cli.get_string("assignment"));
+    config.scheduler = scheduler_kind_from_string(cli.get_string("scheduler"));
+    config.admission.migration.victim =
+        victim_strategy_from_string(cli.get_string("victim"));
     config.validate();
   } catch (const std::exception& error) {
     std::cerr << "invalid configuration: " << error.what() << "\n";

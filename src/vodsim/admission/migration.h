@@ -11,6 +11,7 @@
 /// both are knobs here, and chains longer than 1 are supported via
 /// depth-limited search for the ablation bench.
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -46,11 +47,15 @@ struct MigrationConfig {
 
   VictimStrategy victim = VictimStrategy::kFirstFit;
 
-  /// Upper bound on (victim, target) pairs examined per admission attempt.
+  /// Upper bound on (victim, target) pairs examined per holder tried.
   /// Chains longer than 1 explore a tree whose fan-out is the per-server
   /// active count times the replica degree; the budget keeps worst-case
-  /// admission latency bounded (a real controller would, too). Chain-1
-  /// searches rarely hit the default.
+  /// admission latency bounded (a real controller would, too). A chain-1
+  /// search examines about (active count × replica degree) pairs per
+  /// holder, well under the default; a failing chain-2 search on a
+  /// saturated cluster exhausts it. The budget counts pairs as a plain
+  /// pair-by-pair walk would, including last-level pairs that the search
+  /// replays from its per-call memo instead of re-examining.
   int max_search_nodes = 1024;
 
   /// Stream pause while switching servers. A victim is only eligible if its
@@ -74,6 +79,17 @@ struct MigrationPlan {
   ServerId admit_on = kNoServer;
 };
 
+/// Outcome of the last level of the migration search on one server: the
+/// walk over its (victim, target) pairs in search order, up to the first
+/// pair that frees the requested rate.
+struct LeafOutcome {
+  std::uint64_t generation = 0;  ///< find_migration_plan call that computed it
+  Mbps rate = 0.0;               ///< rate the walk had to free
+  int pairs = 0;                 ///< pairs up to and including the success, or all
+  Request* victim = nullptr;     ///< the successful victim; nullptr = none
+  ServerId target = kNoServer;   ///< where the successful victim moves
+};
+
 /// Reusable working buffers for find_migration_plan. The search runs on
 /// every congested arrival, so the admission hot path holds one scratch and
 /// threads it through; after warmup a search performs no heap allocations
@@ -85,6 +101,12 @@ struct MigrationSearchScratch {
   std::vector<const Request*> used;         ///< victims already in the plan
   std::vector<MigrationStep> steps;         ///< plan under construction
   std::vector<std::vector<Request*>> victims;  ///< one candidate list per depth
+
+  /// Last-level outcomes, one slot per server. A slot is valid only while
+  /// its generation equals `generation`, which every find_migration_plan
+  /// call bumps, so nothing is cleared between searches.
+  std::vector<LeafOutcome> leaves;
+  std::uint64_t generation = 0;
 
   /// (victim, target) pairs examined by the most recent search — an
   /// observability output (the admission controller traces it), reset on

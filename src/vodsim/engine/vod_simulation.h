@@ -164,7 +164,8 @@ class VodSimulation {
   /// Events executed across all shard queues (the predicted per-stream
   /// events: tx-complete, buffer-full, buffer-low). 0 in single mode.
   /// coordinator_events()/shard_events() is the measured serial/parallel
-  /// work split of a sharded run (the Amdahl numbers in BENCH_pr8.json).
+  /// work split of a sharded run (no million-stream headline of it has been
+  /// recorded yet).
   std::uint64_t shard_events() const;
 
   /// All trace events from every recorder (coordinator + shards), merged

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Unit tests for tools/bench_diff.py and tools/validate_trace.py.
+"""Unit tests for tools/bench_diff.py and tools/validate_trace.py, the
+vodsim_cli usage-error contract, and the bench citations in the docs.
 
 Run directly or via ctest (registered as `tools_py`). Stdlib only; the
 tools are exercised as subprocesses, exactly as CI invokes them, so exit
@@ -8,15 +9,28 @@ codes and stderr contracts are part of what is tested.
 
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
 import unittest
 
-TOOLS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                         os.pardir, "tools")
+REPO_DIR = os.path.normpath(os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), os.pardir))
+TOOLS_DIR = os.path.join(REPO_DIR, "tools")
 BENCH_DIFF = os.path.join(TOOLS_DIR, "bench_diff.py")
 VALIDATE_TRACE = os.path.join(TOOLS_DIR, "validate_trace.py")
+
+
+def find_cli():
+    """vodsim_cli from the build tree: ctest runs this file in
+    <build>/tests; a direct run from the repository root uses ./build."""
+    for build in (os.path.join(os.getcwd(), os.pardir), os.getcwd(),
+                  os.path.join(REPO_DIR, "build")):
+        path = os.path.join(build, "examples", "vodsim_cli")
+        if os.access(path, os.X_OK):
+            return path
+    return None
 
 
 def run_tool(script, *args):
@@ -266,6 +280,54 @@ class ValidateTraceTest(unittest.TestCase):
     def test_nothing_to_validate_is_an_error(self):
         result = run_tool(VALIDATE_TRACE)
         self.assertNotEqual(result.returncode, 0)
+
+
+class CliUsageErrorTest(unittest.TestCase):
+    def test_unknown_enum_values_are_usage_errors(self):
+        cli = find_cli()
+        if cli is None:
+            self.skipTest("vodsim_cli not built")
+        for flag in ("--scheduler", "--placement", "--assignment", "--victim"):
+            with self.subTest(flag=flag):
+                result = subprocess.run(
+                    [cli, flag, "bogus", "--hours", "0.01",
+                     "--warmup-hours", "0"],
+                    capture_output=True, text=True, timeout=60)
+                self.assertEqual(result.returncode, 2, result.stderr)
+                self.assertIn("invalid configuration: ", result.stderr)
+                self.assertIn("bogus", result.stderr)
+
+
+class DocCitationTest(unittest.TestCase):
+    """Every bench record and EXPERIMENTS.md section that README.md,
+    DESIGN.md or ci.yml names must exist."""
+
+    CITING = ("README.md", "DESIGN.md",
+              os.path.join(".github", "workflows", "ci.yml"))
+
+    def read(self, name):
+        with open(os.path.join(REPO_DIR, name), encoding="utf-8") as handle:
+            return handle.read()
+
+    def test_bench_records_and_experiment_sections_resolve(self):
+        sections = set(re.findall(r"^## (M\d+)\b", self.read("EXPERIMENTS.md"),
+                                  re.MULTILINE))
+        checked = 0
+        for name in self.CITING:
+            text = self.read(name)
+            # BENCH_<name>.json, or the bare BENCH_prN shorthand in prose.
+            for record in re.findall(r"\b(BENCH_\w+)\.json|\b(BENCH_pr\d+)\b",
+                                     text):
+                path = os.path.join(REPO_DIR, "bench",
+                                    (record[0] or record[1]) + ".json")
+                self.assertTrue(os.path.exists(path),
+                                f"{name} cites missing {os.path.basename(path)}")
+                checked += 1
+            for section in re.findall(r"EXPERIMENTS\.md (M\d+)\b", text):
+                self.assertIn(section, sections,
+                              f"{name} cites missing EXPERIMENTS.md {section}")
+                checked += 1
+        self.assertGreater(checked, 0)
 
 
 if __name__ == "__main__":
