@@ -494,13 +494,13 @@ void BM_ZipfSample(benchmark::State& state) {
 BENCHMARK(BM_ZipfSample)->Arg(200)->Arg(2000);
 
 void BM_FluidAdvanceBatch(benchmark::State& state) {
-  // The tentpole kernel in isolation: one server's fluid advance across all
-  // active streams. batched=0 is the exact-mode inner loop — one
-  // Request::advance plus one metering interval per stream, in active
-  // order; batched=1 is FluidLane::advance_batch — the same per-slot
-  // formulas in one pass over the struct-of-arrays with a single batch
-  // metering sum. Any per-stream numeric difference between the two would
-  // fail FluidLane.BatchAdvanceIsBitIdenticalToPerStream, so this measures
+  // The fluid kernel in isolation: one server's fluid advance across all
+  // active streams. batched=0 is a per-stream loop — one Request::advance
+  // plus one metering interval per stream, in active order; batched=1 is
+  // FluidLane::advance_batch — the same per-slot formulas and the same
+  // metering additions in one pass over the struct-of-arrays. Any numeric
+  // difference between the two would fail
+  // FluidLane.BatchAdvanceIsBitIdenticalToPerStream, so this measures
   // layout and loop structure, nothing else.
   const auto n = static_cast<std::size_t>(state.range(0));
   const bool batched = state.range(1) != 0;
@@ -523,24 +523,22 @@ void BM_FluidAdvanceBatch(benchmark::State& state) {
   }
   std::vector<Megabits> scratch;
   Seconds now = 600.0;
+  Megabits transmitted = 0.0;
 
   const std::uint64_t allocs_before = heap_allocs();
   for (auto _ : state) {
     now += 1e-4;  // small fluid step keeps the population in steady state
     if (batched) {
-      const FluidLane::BatchResult batch =
-          server.lane().advance_batch(now, 0.0, 1e18, scratch);
-      benchmark::DoNotOptimize(batch.transmitted_in_window);
+      server.lane().advance_batch(now, 0.0, 1e18, transmitted, scratch);
     } else {
-      Megabits transmitted = 0.0;
       for (Request* request : server.active_requests()) {
         const Seconds start = request->last_update();
         const Mbps rate = request->allocation();
         request->advance(now);
         if (rate > 0.0 && now > start) transmitted += rate * (now - start);
       }
-      benchmark::DoNotOptimize(transmitted);
     }
+    benchmark::DoNotOptimize(transmitted);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
@@ -697,13 +695,9 @@ void BM_EndToEndSmallSystemHour(benchmark::State& state) {
 }
 BENCHMARK(BM_EndToEndSmallSystemHour)->Unit(benchmark::kMillisecond);
 
-void BM_EndToEndFastMath(benchmark::State& state) {
-  // Whole-engine throughput at 300-stream scale (5 servers x 180 Mb/s at a
-  // 3 Mb/s view rate = 300 concurrent streams at full load), exact
-  // (fast=0) vs fast_math (fast=1). Only SimulationConfig::fast_math
-  // differs; run both args in one binary invocation so the speedup ratio
-  // comes from interleaved measurements on the same machine state.
-  const bool fast = state.range(0) != 0;
+void BM_EndToEnd300Streams(benchmark::State& state) {
+  // Whole-engine throughput at 300-stream scale: 5 servers x 180 Mb/s at a
+  // 3 Mb/s view rate = 300 concurrent streams at full load.
   std::uint64_t events = 0;
   std::uint64_t seed = 1;
   for (auto _ : state) {
@@ -717,7 +711,6 @@ void BM_EndToEndFastMath(benchmark::State& state) {
     config.duration = hours(1);
     config.warmup = 0.0;
     config.seed = seed++;
-    config.fast_math = fast;
     VodSimulation simulation(config);
     simulation.run();
     events += simulation.simulator().executed_count();
@@ -725,11 +718,7 @@ void BM_EndToEndFastMath(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
   state.SetLabel("items = simulator events");
 }
-BENCHMARK(BM_EndToEndFastMath)
-    ->Arg(0)
-    ->Arg(1)
-    ->ArgNames({"fast"})
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_EndToEnd300Streams)->Unit(benchmark::kMillisecond);
 
 void BM_ShardedEndToEnd(benchmark::State& state) {
   // Sharded engine (DESIGN.md §12) vs the single-queue baseline on a
@@ -738,8 +727,8 @@ void BM_ShardedEndToEnd(benchmark::State& state) {
   // shards>1 adds the coordinator/window machinery, so the {4,1} row
   // isolates the protocol's serial overhead and the multi-thread rows show
   // whatever parallelism the host actually has. The serial_frac counter is
-  // the measured coordinator share of executed events — the Amdahl ceiling
-  // for this workload, independent of host core count.
+  // the coordinator share of executed events — a share of event counts,
+  // not of time, so it does not bound the speedup.
   const int shards = static_cast<int>(state.range(0));
   const int threads = static_cast<int>(state.range(1));
   std::uint64_t events = 0;
@@ -911,7 +900,6 @@ void BM_TournamentSmall(benchmark::State& state) {
       config.zipf_theta = 0.271;
       config.duration = hours(0.5);
       config.warmup = 0.0;
-      config.fast_math = true;
       configs.push_back(apply_tournament_spec(std::move(config), spec));
     }
     SweepContext context;

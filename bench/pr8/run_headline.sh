@@ -1,7 +1,8 @@
 #!/bin/sh
 # PR8 headline: 100 servers x 15000 Mb/s, 1.5 Mb/s views => 1M concurrent
-# streams at full load; 1200 s simulated, fast-math, intermittent +
-# buffer-aware. One run per (shards, threads) point; wall seconds printed.
+# streams at full load; 1200 s simulated, intermittent + buffer-aware.
+# One run per (shards, threads) point; wall seconds printed. Expects the
+# project built into <repo>/build.
 #
 # Hardened after the first capture attempt truncated: output now streams
 # through tee into $HEADLINE_LOG line by line (a killed run keeps every
@@ -12,10 +13,11 @@
 # on the order of hours of wall time on a single-core host, which is what
 # killed the original attempt mid-baseline.
 set -e
-cd /root/repo/build
+SCRIPT_DIR=$(cd "$(dirname "$0")" && pwd)
+cd "$SCRIPT_DIR/../../build"
 
 CLI="${VODSIM_CLI:-./examples/vodsim_cli}"
-LOG="${HEADLINE_LOG:-/root/repo/bench/pr8/headline.log}"
+LOG="${HEADLINE_LOG:-$SCRIPT_DIR/headline.log}"
 HOURS="${HEADLINE_HOURS:-0.3333}"
 POINTS="${HEADLINE_POINTS:-baseline sharded-t1 sharded-t2 sharded-t4}"
 
@@ -31,7 +33,7 @@ run() {
   "$CLI" \
     --system custom --servers 100 --bandwidth 15000 \
     --view-bw 1.5 --receive-bw 4.5 --staging 0.25 \
-    --scheduler intermittent --buffer-aware true --fast-math true \
+    --scheduler intermittent --buffer-aware true \
     --load 1.0 --hours "$HOURS" --warmup-hours 0 --seed 42 \
     --shards "$shards" --shard-threads "$threads" 2>&1 | tee -a "$LOG"
   end=$(date +%s)

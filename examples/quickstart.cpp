@@ -27,9 +27,6 @@ int main(int argc, char** argv) {
   cli.add_flag("staging", "0.2", "client staging buffer as a fraction of the "
                                  "average video size");
   cli.add_flag("migration", "true", "enable dynamic request migration");
-  cli.add_flag("fast-math", "false",
-               "batched SoA fluid advance (counts identical to exact mode, "
-               "fluid aggregates within 1e-9)");
   cli.add_flag("seed", "1", "RNG seed");
   cli.add_flag("trace-out", "", "write a chrome://tracing JSON trace here");
   cli.add_flag("probe-out", "", "write the probe time series CSV here");
@@ -56,7 +53,6 @@ int main(int argc, char** argv) {
   config.duration = vodsim::hours(cli.get_double("hours"));
   config.warmup = vodsim::hours(cli.get_double("hours") / 12.0);
   config.seed = static_cast<std::uint64_t>(cli.get_long("seed"));
-  config.fast_math = cli.get_bool("fast-math");
 
   // Optional observability: tracing observes only, so these artifacts come
   // from the exact run reported below.

@@ -12,7 +12,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 
@@ -21,24 +20,6 @@
 #include "vodsim/obs/exporters.h"
 #include "vodsim/util/cli.h"
 #include "vodsim/util/table.h"
-
-namespace {
-
-/// Mirrors VodSimulation::build_world's engine-mode resolution (flags, env
-/// overrides, sharded fast-by-default) so the banner reports the mode the
-/// engine will actually run, not just the flag values.
-bool resolved_fast_math(const vodsim::SimulationConfig& config) {
-  const auto env_set = [](const char* name) {
-    const char* const value = std::getenv(name);
-    return value != nullptr && std::strtol(value, nullptr, 10) != 0;
-  };
-  const bool exact_requested =
-      config.exact_math || env_set("VODSIM_EXACT_MATH");
-  return !exact_requested && (config.fast_math ||
-                              env_set("VODSIM_FAST_MATH") || config.shards > 1);
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace vodsim;
@@ -118,13 +99,6 @@ int main(int argc, char** argv) {
   cli.add_flag("warmup-hours", "5", "discarded warmup");
   cli.add_flag("trials", "1", "independent trials (mean ± 95% CI if > 1)");
   cli.add_flag("seed", "42", "master seed");
-  cli.add_flag("fast-math", "false",
-               "batched SoA fluid advance (reproducible; fluid aggregates "
-               "within 1e-9 of exact mode, counts identical); the default "
-               "when --shards > 1");
-  cli.add_flag("exact-math", "false",
-               "opt sharded runs out of the fast-math default (no-op at "
-               "--shards 1, where exact is already the default)");
   cli.add_flag("shards", "1",
                "server-group shards draining predicted events in parallel "
                "(1 = classic single-queue engine; fixed shard count is "
@@ -265,8 +239,6 @@ int main(int argc, char** argv) {
   config.duration = hours(cli.get_double("hours"));
   config.warmup = hours(cli.get_double("warmup-hours"));
   config.seed = static_cast<std::uint64_t>(cli.get_long("seed"));
-  config.fast_math = cli.get_bool("fast-math");
-  config.exact_math = cli.get_bool("exact-math");
   config.shards = static_cast<int>(cli.get_long("shards"));
   config.shard_threads = static_cast<int>(cli.get_long("shard-threads"));
 
@@ -293,8 +265,7 @@ int main(int argc, char** argv) {
             << config.system.num_servers << " servers x "
             << config.system.server_bandwidth << " Mb/s, theta "
             << config.zipf_theta << ", " << trials << " trial(s) x "
-            << cli.get_double("hours") << " h"
-            << (resolved_fast_math(config) ? " [fast-math]" : "");
+            << cli.get_double("hours") << " h";
   if (config.shards > 1) std::cout << " [shards=" << config.shards << "]";
   std::cout << "\n\n";
 
@@ -411,8 +382,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Sharded-engine block: the coordinator/shard event split measures the
-  // run's serial fraction — the Amdahl ceiling for this exact workload.
+  // Sharded-engine block: the coordinator/shard event split. The share is
+  // of event counts, not of wall time — a coordinator event (admission,
+  // migration search) costs far more than a predicted per-stream event.
   if (config.shards > 1) {
     std::uint64_t coordinator = 0, sharded = 0;
     for (const TrialResult& trial : point.trials) {
@@ -427,7 +399,7 @@ int main(int argc, char** argv) {
                   total > 0 ? static_cast<double>(coordinator) /
                                   static_cast<double>(total)
                             : 1.0);
-    table.add_row({"serial fraction (Amdahl)", frac});
+    table.add_row({"coordinator event share", frac});
   }
   table.print(std::cout);
 

@@ -268,7 +268,7 @@ SimulationConfig random_scenario(Rng& rng) {
       }
     }
     // Glitch dedupe: mostly the 1 s default, sometimes disabled, sometimes
-    // a wide window — the fast/sharded differentials must agree under all.
+    // a wide window — the sharded differential must agree under all.
     if (rng.uniform() < 0.25) {
       config.failure.glitch_dedupe_window =
           rng.uniform() < 0.5 ? 0.0 : rng.uniform(0.5, 5.0);
@@ -359,8 +359,8 @@ SimulationConfig random_fault_scenario(Rng& rng) {
 
   // Domain-scoped chaos: half the chaos scenarios (re)build a topology and
   // arm at least one domain fault class, so rack outages, zone brownouts,
-  // and partitions all flow through the sanitizer smoke and the fast/
-  // sharded differentials routinely, not only when random_scenario happened
+  // and partitions all flow through the sanitizer smoke and the sharded
+  // differential routinely, not only when random_scenario happened
   // to draw them.
   if (rng.uniform() < 0.5) {
     config.topology.enabled = true;
@@ -708,7 +708,7 @@ std::vector<SimulationConfig> pathology_corpus() {
   // whose shard boundaries coincide with the racks — the capacity-loss
   // interval handoffs (down <-> brownout <-> partition are mutually
   // exclusive per server) and the glitch-dedupe window all under the
-  // sharded/single and fast/exact differentials at once. Shrunk from a
+  // sharded/single differential at once. Shrunk from a
   // domain-chaos run that double-charged capacity loss when a partition
   // began during a zone brownout.
   {
@@ -745,9 +745,9 @@ std::vector<SimulationConfig> pathology_corpus() {
 
 namespace {
 
-/// Shared diff core for the cross-mode differentials (fast-vs-exact and
-/// sharded-vs-single): discrete counters must match exactly, fluid
-/// integrals within the reference oracle's relative tolerance.
+/// Diff core for the sharded-vs-single differential: discrete counters
+/// must match exactly, fluid integrals within the reference oracle's
+/// relative tolerance.
 std::string diff_runs(const VodSimulation& a, const VodSimulation& b,
                       const char* a_label, const char* b_label) {
   std::ostringstream oss;
@@ -807,7 +807,6 @@ FuzzResult run_scenario(const SimulationConfig& config) {
   FuzzResult result;
   SimulationConfig audited = config;
   audited.paranoid = true;
-  audited.fast_math = false;
   // The baseline/auditor leg is always the single-queue engine (the auditor
   // requires whole-cluster quiescence after every event); drawn shard
   // counts apply to the sharded differential leg below.
@@ -826,32 +825,13 @@ FuzzResult run_scenario(const SimulationConfig& config) {
       }
     }
     if (result.passed) {
-      // Dual-exactness enforcement: re-run the identical arrival trace in
-      // fast_math mode (auditor still attached) and diff it against the
-      // exact run. Every scenario goes through this — chaos fault configs
-      // included — so the batched kernel is exercised across the whole
-      // feature cross-product, not just the oracle's supported subset.
-      SimulationConfig fast_config = audited;
-      fast_config.fast_math = true;
-      VodSimulation fast_engine(fast_config, trace);
-      fast_engine.run();
-      result.fast_checked = true;
-      const std::string diff = compare_fast_vs_exact(engine, fast_engine);
-      if (!diff.empty()) {
-        result.passed = false;
-        result.failure = "fast/exact mismatch: " + diff;
-      }
-    }
-    if (result.passed) {
       // Sharded/single differential: re-run the identical arrival trace on
       // the sharded engine and diff against the audited single-queue run.
       // A scenario that drew a shard count uses it; otherwise one shard
       // per server, the maximally hostile partition (every migration,
       // recovery, and replication crosses a shard boundary). Two drain
       // workers exercise the parallel window path even on small worlds —
-      // the thread count cannot change results, only interleaving. Sharded
-      // runs default to fast math (build_world), so this leg is also the
-      // sharded+fast differential the production default now takes.
+      // the thread count cannot change results, only interleaving.
       SimulationConfig shard_config = audited;
       shard_config.paranoid = false;  // ignored when sharded; explicit
       shard_config.shards =
@@ -866,35 +846,12 @@ FuzzResult run_scenario(const SimulationConfig& config) {
         result.passed = false;
         result.failure = "shard/single mismatch: " + diff;
       }
-      if (result.passed && config.seed % 4 == 0) {
-        // Exact-math opt-out coverage: a quarter of the scenarios re-run
-        // the sharded leg with exact_math set, keeping the sharded+exact
-        // combination (no longer the default) under the differential too.
-        SimulationConfig exact_shard_config = shard_config;
-        exact_shard_config.exact_math = true;
-        VodSimulation exact_shard_engine(exact_shard_config, trace);
-        exact_shard_engine.run();
-        const std::string exact_diff =
-            diff_runs(engine, exact_shard_engine, "single", "sharded-exact");
-        if (!exact_diff.empty()) {
-          result.passed = false;
-          result.failure = "shard/single mismatch (exact opt-out): " + exact_diff;
-        }
-      }
     }
   } catch (const std::exception& error) {
     result.passed = false;
     result.failure = error.what();
   }
   return result;
-}
-
-std::string compare_fast_vs_exact(const VodSimulation& exact,
-                                  const VodSimulation& fast) {
-  // Same tolerance discipline as compare_against_engine: fast mode regroups
-  // the metering summation, so fluid aggregates may drift at ulp scale but
-  // never past the oracle's relative bound.
-  return diff_runs(exact, fast, "exact", "fast");
 }
 
 void clamp_to_servers(SimulationConfig& config) {

@@ -6,11 +6,13 @@
 /// The fuzzer samples small randomized SimulationConfigs across the whole
 /// feature cross-product — schedulers × placement × migration × failures ×
 /// replication × drift × interactivity × heterogeneity — and runs each one
-/// through two independent harnesses:
+/// through three independent harnesses:
 ///
-///   1. the engine with the invariant auditor attached (every scenario), and
+///   1. the engine with the invariant auditor attached (every scenario),
 ///   2. the naive reference oracle (scenarios within `oracle_supports`),
-///      diffing end-of-run counters and fluid integrals.
+///      diffing end-of-run counters and fluid integrals, and
+///   3. the sharded engine on the same arrival trace (every scenario),
+///      diffed against the single-queue run.
 ///
 /// On a failure, `shrink_scenario` greedily minimizes the configuration —
 /// disabling features, halving sizes — while the failure reproduces, and
@@ -35,17 +37,13 @@ struct FuzzResult {
   /// True when the scenario was also cross-checked against the reference
   /// oracle (i.e. oracle_supports() held), not just audited.
   bool oracle_checked = false;
-  /// True when the scenario was additionally re-run under fast_math and
-  /// differentially compared against the exact engine (every passing
-  /// scenario — both modes carry the auditor).
-  bool fast_checked = false;
   /// True when the scenario was additionally re-run on the sharded engine
   /// (config.shards when drawn > 1, else one shard per server) and
   /// differentially compared against the single-queue run (every passing
   /// scenario; the single-mode leg carries the auditor).
   bool shard_checked = false;
   /// Empty when passed; otherwise the auditor's message, the oracle diff,
-  /// the fast-vs-exact diff, or the shard-vs-single diff.
+  /// or the shard-vs-single diff.
   std::string failure;
 };
 
@@ -70,30 +68,14 @@ std::vector<SimulationConfig> pathology_corpus();
 
 /// Runs \p config through the engine with the auditor forced on, and — when
 /// the oracle supports it — diffs the run against the reference oracle.
-/// Every scenario (chaos configs included) is then re-run with
-/// `fast_math = true` on the same arrival trace and diffed against the
-/// exact run via compare_fast_vs_exact — the dual-exactness contract's
-/// enforcement point — and finally re-run on the *sharded* engine
+/// Every scenario (chaos configs included) is then re-run on the *sharded*
+/// engine with the same arrival trace
 /// (config.shards when > 1, else one shard per server so every
 /// cross-server interaction crosses a shard boundary) and diffed against
 /// the single-queue run with the same discipline: discrete counters exact,
 /// fluid integrals within the oracle tolerance. Exceptions (AuditFailure
 /// included) are captured into the result, never propagated.
 FuzzResult run_scenario(const SimulationConfig& config);
-
-class VodSimulation;
-
-/// Diffs a fast-math run against the exact run of the same configuration
-/// and arrival trace, with the reference oracle's tolerance discipline:
-/// discrete counters (arrivals, accepts, rejects, migrations, completions,
-/// drops, underflow events, replications, continuity violations, pauses)
-/// must match exactly — fast mode shares the per-stream formulas, so
-/// trajectories and every discrete decision coincide — while fluid
-/// integrals (transmitted, utilization, rejection ratio, underflow
-/// megabits) may differ within 1e-9 relative (metering summation order).
-/// Returns an empty string on agreement, a diff description otherwise.
-std::string compare_fast_vs_exact(const VodSimulation& exact,
-                                  const VodSimulation& fast);
 
 /// Greedily minimizes a failing \p config: repeatedly applies shrinking
 /// transforms (disable a feature, halve a size, drop a policy back to its

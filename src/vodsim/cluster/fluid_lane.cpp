@@ -272,7 +272,7 @@ void FluidLane::swap_remove(std::size_t index) {
 
 FluidLane::BatchResult FluidLane::advance_batch(
     Seconds now, Seconds window_start, Seconds window_end,
-    std::vector<Megabits>& underflow_scratch) {
+    Megabits& transmitted, std::vector<Megabits>& underflow_scratch) {
   const std::size_t n = size_;
   // resize, not assign: advance_states stores every slot unconditionally,
   // so pre-zeroing would be a wasted O(n) pass.
@@ -303,7 +303,10 @@ FluidLane::BatchResult FluidLane::advance_batch(
   //     bit-equivalent, including at level == +0.0.
   //   - A dt <= 0 stream therefore contributes +0.0 to every accumulator
   //     and rewrites its own state with the same bits, matching the scalar
-  //     path's early-out exactly.
+  //     path's early-out exactly. Likewise a zero-rate or out-of-window
+  //     stream adds +0.0 to the meter, which leaves its bits unchanged
+  //     (the meter starts at +0.0 and never holds -0.0) — exactly the
+  //     no-op Metrics::record_transmission's early returns make.
   //   - The playback gate `if (!paused)` becomes a multiply by the 1.0/0.0
   //     playing mask; the baseline build has no FMA, so no contraction can
   //     fuse these multiplies differently from the scalar path.
@@ -314,16 +317,19 @@ FluidLane::BatchResult FluidLane::advance_batch(
   // only last_update/allocation, both still pre-update), the heavy
   // per-stream state arithmetic runs reduction-free and vectorized in
   // advance_states, and a final scan folds the scratch into any_underflow.
-  // The split changes no operation or order: the metering terms are summed
-  // in slot order either way, and the passes touch disjoint values.
-  Megabits transmitted = 0.0;
+  // The split changes no operation or order: the metering terms are added
+  // to the running meter in slot order (= active order), one per stream,
+  // just as one record_transmission call per stream adds them, and the
+  // passes touch disjoint values.
+  Megabits meter = transmitted;
   std::size_t advanced = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const Seconds start = last_update[i];
     advanced += static_cast<std::size_t>(now - start > 0.0);
-    transmitted +=
+    meter +=
         allocation[i] * std::max(0.0, meter_hi - std::max(start, window_start));
   }
+  transmitted = meter;
 
   advance_states(n, now, last_update_, remaining_, buffer_level_,
                  buffer_capacity_, allocation_, view_bandwidth_, arrival_,
@@ -333,7 +339,6 @@ FluidLane::BatchResult FluidLane::advance_batch(
   for (std::size_t i = 0; i < n; ++i) {
     max_underflow = std::max(max_underflow, underflow_out[i]);
   }
-  result.transmitted_in_window = transmitted;
   result.advanced = advanced;
   result.any_underflow = max_underflow > 0.0;
   return result;

@@ -25,20 +25,20 @@
 /// Storage (PR 9): all arrays live in ONE 64-byte-aligned arena, laid out
 /// hot-to-cold at a shared stride so every array starts on a cache-line
 /// boundary. The batch kernels get aligned, peel-free vector loads; the
-/// exact-mode scalar walk touches a compact block of lines instead of ten
-/// scattered heap allocations (the "gather tax" the PR 6 SoA split paid).
+/// single-slot scalar path touches a compact block of lines instead of ten
+/// scattered heap allocations.
 /// The hot block leads with the three kernel-mutated arrays (last-update,
 /// remaining, buffer level), then the six kernel-read parameters; the cold
 /// tail holds the receive bandwidth, read only by workahead eligibility.
 ///
-/// Both engine modes use the lane. Exact mode advances streams one at a
-/// time in active order through `advance_one`, which calls the identical
-/// single-stream formulas as the original Request::advance — so the 29
-/// hexfloat determinism goldens pin the lane plumbing itself. Fast-math
-/// mode calls `advance_batch`, which runs the same per-stream arithmetic
-/// in one vectorizable loop and aggregates the transmission metering into
-/// a per-batch sum (the only numeric divergence between modes: summation
-/// grouping of the metering, at ulp scale).
+/// One fluid path. A server recompute advances all of its streams with
+/// `advance_batch`, which runs the single-stream arithmetic in one
+/// vectorizable loop and continues the caller's transmission meter in
+/// slot order; a single-request event (pause, resume, shed, migrate, ...)
+/// advances its one stream through `advance_one`, the same formulas. Both
+/// are bit-identical to advancing the streams one at a time in active
+/// order, so the 29 hexfloat determinism goldens pin the batch kernel and
+/// the lane plumbing directly.
 
 #include <algorithm>
 #include <cstddef>
@@ -55,8 +55,8 @@ namespace vodsim {
 class Request;
 
 /// Single-stream fluid formulas, defined exactly once. The scalar path
-/// (Request::advance, StagingBuffer::apply) and the exact-mode lane path
-/// call these directly; the fast-math batch kernel (fluid_lane.cpp) is a
+/// (Request::advance, StagingBuffer::apply) and the lane's advance_one
+/// call these directly; the batch kernel (fluid_lane.cpp) is a
 /// branchless re-expression of the same operations, proven bit-identical
 /// per stream (the argument is spelled out at the kernel), so restructuring
 /// storage cannot change a single floating-point result per stream.
@@ -154,8 +154,9 @@ class FluidLane {
   }
   void set_playback_end(std::size_t i, Seconds end) { playback_end_[i] = end; }
 
-  /// Exact-mode advancement of one slot: identical formulas, per-stream
-  /// call order preserved by the caller. Returns playback underflow (Mb).
+  /// Advancement of one slot (Request::advance on an attached request, for
+  /// single-request events): identical formulas to the batch kernel.
+  /// Returns playback underflow (Mb).
   Megabits advance_one(std::size_t i, Seconds now) {
     return fluid_detail::advance_stream(
         now, last_update_[i], remaining_[i], buffer_level_[i],
@@ -163,26 +164,25 @@ class FluidLane {
         playback_end_[i], view_bandwidth_[i]);
   }
 
-  /// Aggregate outcome of one fast-math batch.
+  /// Aggregate outcome of one batch.
   struct BatchResult {
-    /// Σ allocation · dt over the batch, clipped per stream to the
-    /// metering window — the batch equivalent of one
-    /// Metrics::record_transmission call per stream, summed locally.
-    Megabits transmitted_in_window = 0.0;
     std::size_t advanced = 0;  ///< streams with dt > 0
     bool any_underflow = false;
   };
 
-  /// Fast-math kernel: advances every slot to \p now in one branchless,
-  /// vectorizable loop free of per-stream call order. Per-stream state
-  /// updates are bit-identical to advance_one (see the kernel for the
-  /// proof sketch), so trajectories — and therefore all discrete outcomes —
-  /// match exact mode; only the metering summation is regrouped.
+  /// Advances every slot to \p now in one branchless, vectorizable loop.
+  /// Per-stream state updates are bit-identical to advance_one (see the
+  /// kernel for the proof sketch). \p transmitted is the caller's running
+  /// transmission meter, continued in place: each slot's allocation · dt,
+  /// clipped to [window_start, window_end] exactly as
+  /// Metrics::record_transmission clips it, is added to it in slot order —
+  /// the same additions in the same order as one record_transmission call
+  /// per stream, so the meter comes out bit-identical too.
   /// \p underflow_scratch is resized to size() and receives
   /// each slot's playback underflow (0 for almost every stream — the
   /// engine walks it only when the result says any_underflow).
   BatchResult advance_batch(Seconds now, Seconds window_start,
-                            Seconds window_end,
+                            Seconds window_end, Megabits& transmitted,
                             std::vector<Megabits>& underflow_scratch);
 
   // --- scheduler-facing batch passes ------------------------------------
@@ -191,7 +191,7 @@ class FluidLane {
   // on every recompute; walking the arrays beats chasing Request pointers.
   // Every pass below is an exact replica of the corresponding Request
   // formula on the same authoritative values, so using them changes no
-  // result bit in either engine mode — the determinism goldens pin that.
+  // result bit — the determinism goldens pin that.
 
   /// Fills \p rates with each slot's minimum rate (Request::minimum_rate
   /// semantics: the view bandwidth, or 0 for a paused client with a full

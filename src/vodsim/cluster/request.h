@@ -181,7 +181,7 @@ class Request {
   /// Interruption-dedupe key (FailureConfig::glitch_dedupe_window): index
   /// of the last dedupe window in which this stream logged a counted
   /// interruption, -1 = never (engine-managed, like active_index). Lives
-  /// on the request so single/sharded/fast-math modes dedupe identically.
+  /// on the request so single-queue and sharded runs dedupe identically.
   std::int64_t last_glitch_window = -1;
 
   /// Last server that hosted this stream. Unlike server(), it survives

@@ -78,8 +78,8 @@ class Server {
 
   /// Struct-of-arrays fluid state of the active streams, maintained by
   /// attach/detach in lock-step with the active list: slot i holds the
-  /// fluid fields of active_requests()[i]. Both engine modes advance
-  /// streams through the lane (cluster/fluid_lane.h).
+  /// fluid fields of active_requests()[i]. The engine advances streams
+  /// through the lane (cluster/fluid_lane.h).
   FluidLane& lane() { return lane_; }
   const FluidLane& lane() const { return lane_; }
 

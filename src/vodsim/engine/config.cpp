@@ -238,9 +238,6 @@ void SimulationConfig::validate() const {
     fail("shards must not exceed num_servers (a shard owns >= 1 server)");
   }
   if (shard_threads < 0) fail("shard_threads must be >= 0");
-  if (fast_math && exact_math) {
-    fail("fast_math and exact_math are contradictory; pick one");
-  }
 }
 
 std::vector<double> normalize_profile(const std::vector<double>& profile,

@@ -197,8 +197,8 @@ struct FailureConfig {
   /// glitch_seconds). Without it, a shed-then-readmitted stream whose
   /// retry fires inside the same window double-counts the same
   /// viewer-facing gap (one glitch at shed, another at readmission).
-  /// 0 disables dedupe. Engine-mode neutral: the window key lives on the
-  /// Request, so exact/fast/sharded runs count identically.
+  /// 0 disables dedupe. Shard-count neutral: the window key lives on the
+  /// Request, so single-queue and sharded runs count identically.
   Seconds glitch_dedupe_window = 1.0;
 };
 
@@ -263,36 +263,6 @@ struct SimulationConfig {
   Seconds duration = hours(1000);
   Seconds warmup = hours(20);
   std::uint64_t seed = 1;
-
-  /// Opt-in fluid fast path. When set, each recompute advances all of a
-  /// server's streams in one batched loop over the server's FluidLane
-  /// (struct-of-arrays, cluster/fluid_lane.h) and meters the transmitted
-  /// megabits as one per-batch sum instead of one call per stream.
-  /// Per-stream trajectories run the identical single-stream formulas, so
-  /// every discrete outcome (admissions, migrations, completions,
-  /// underflow counts) matches the default mode exactly; only the metering
-  /// summation is regrouped, which moves fluid aggregates (transmitted,
-  /// utilization) at ulp scale.
-  ///
-  /// Dual-exactness contract: the default (exact) mode is pinned
-  /// bit-for-bit by the hexfloat determinism goldens; fast mode promises
-  /// reproducibility (same config + build ⇒ same bits) plus agreement with
-  /// exact mode within the reference-oracle tolerance — check/fuzzer.h
-  /// runs every scenario through both modes and diffs them. The
-  /// VODSIM_FAST_MATH environment variable (nonzero) forces it on.
-  ///
-  /// Defaults: single-queue runs (shards == 1) are exact unless this flag
-  /// (or the env var) opts in. Sharded runs (shards > 1) default to fast
-  /// math — their aggregates already live under the differential tolerance
-  /// rather than the hexfloat goldens, so exact mode buys them nothing;
-  /// set exact_math to opt back out.
-  bool fast_math = false;
-
-  /// Opt sharded runs out of the fast-math default (and rejects a
-  /// contradictory fast_math=true via validate()). The VODSIM_EXACT_MATH
-  /// environment variable (nonzero) forces it on. At shards == 1 this is a
-  /// no-op: single-queue runs are exact by default.
-  bool exact_math = false;
 
   /// Shard count for the parallel sharded engine (DESIGN.md §12). 1 (the
   /// default) runs the classic single-queue engine — that path is pinned

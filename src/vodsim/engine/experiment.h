@@ -68,8 +68,9 @@ struct TrialResult {
   std::vector<double> zone_glitch_seconds;
 
   // Sharded-engine block (DESIGN.md §12; shard_events is 0 when shards=1).
-  // coordinator / (coordinator + shard) is the run's measured serial
-  // fraction — the Amdahl ceiling for parallel speedup on this workload.
+  // coordinator / (coordinator + shard) is the coordinator's share of
+  // events — a count share, not a time share, so it does not bound the
+  // parallel speedup (a coordinator event costs far more than a shard one).
   std::uint64_t coordinator_events = 0;  ///< events on the coordinator queue
   std::uint64_t shard_events = 0;        ///< events drained by all shards
 

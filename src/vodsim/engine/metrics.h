@@ -27,11 +27,11 @@ class Metrics {
   /// A request transmitted at \p rate during [t0, t1] (clipped to window).
   void record_transmission(Seconds t0, Seconds t1, Mbps rate);
 
-  /// Adds an already window-clipped megabit sum to the transmission meter.
-  /// Fast-math batch path: the fluid kernel clips each stream's interval
-  /// exactly like record_transmission and sums the batch locally, so this
-  /// differs from per-stream recording only in summation grouping (ulps).
-  void record_transmitted_sum(Megabits megabits) { transmitted_ += megabits; }
+  /// The transmission meter itself, for FluidLane::advance_batch to
+  /// continue in place: it adds each stream's interval, clipped exactly
+  /// like record_transmission, in active order — the same additions one
+  /// record_transmission call per stream would make.
+  Megabits& transmission_meter() { return transmitted_; }
 
   void record_arrival(Seconds t);
   void record_acceptance(Seconds t, bool via_migration);
@@ -114,9 +114,9 @@ class Metrics {
   /// admissions, migrations, faults, retries, replication, capacity loss)
   /// is recorded by the coordinator on the root instance directly and
   /// must NOT be merged. Integer counts add exactly; the FP sums are
-  /// regrouped shard-major — the same ulp-scale regrouping the fast-math
-  /// metering contract already tolerates. \p transmitted_scale is 1.0
-  /// except under the VODSIM_TEST_SHARD_BUG negative test, which biases
+  /// regrouped shard-major, an ulp-scale difference from the single-queue
+  /// run that the shard/single differential tolerates. \p transmitted_scale
+  /// is 1.0 except under the VODSIM_TEST_SHARD_BUG negative test, which biases
   /// the merge to prove the sharded/single differential fires.
   void merge_shard(const Metrics& shard, double transmitted_scale = 1.0);
 

@@ -209,8 +209,9 @@ void VodSimulation::build_world() {
   sharded_ = config_.shards > 1;
   // Test-only: deliberately mis-scale the shard-metrics merge so the
   // sharded/single differential harness provably catches a cross-mode
-  // aggregation bug (tests/check_fuzz_test.cpp). Same shape as the
-  // fast-math seeded bug: biased low, caught by the differential.
+  // aggregation bug (tests/check_fuzz_test.cpp). Biased low, not high, so
+  // the invariant auditor's flow-conservation check is not the one that
+  // trips first.
   shard_seeded_bug_ = env_long("VODSIM_TEST_SHARD_BUG", 0) != 0;
 
   // Request storage: one pool per shard plus the coordinator pool, so shard
@@ -240,24 +241,6 @@ void VodSimulation::build_world() {
   retime_tx_.reserve(per_server);
   retime_full_.reserve(per_server);
   retime_low_.reserve(per_server);
-
-  // Engine mode (SimulationConfig::fast_math documents the dual-exactness
-  // contract). The env overrides mirror VODSIM_PARANOID. Sharded runs
-  // default to fast math — their aggregates already live under the
-  // differential tolerance, not the hexfloat goldens, so there is nothing
-  // exact mode buys them; config.exact_math (or VODSIM_EXACT_MATH) opts
-  // back out. Single-queue runs stay exact by default, keeping the 29
-  // goldens binding.
-  const bool exact_requested =
-      config_.exact_math || env_long("VODSIM_EXACT_MATH", 0) != 0;
-  fast_math_ = !exact_requested &&
-               (config_.fast_math || env_long("VODSIM_FAST_MATH", 0) != 0 ||
-                sharded_);
-  // Test-only: deliberately mis-aggregate the batch metering so the
-  // fast-vs-exact differential harness provably catches a batching bug
-  // (tests/check_test.cpp). Biased low, not high, so the invariant
-  // auditor's flow-conservation check is not the one that trips first.
-  fast_math_seeded_bug_ = env_long("VODSIM_TEST_FAST_MATH_BUG", 0) != 0;
 
   if (!arrivals_) {
     arrivals_ = std::make_unique<RequestGenerator>(
@@ -1184,13 +1167,7 @@ void VodSimulation::recompute_server(ServerId server_id) {
   const std::vector<Request*>& active = server.active_requests();
   note(TraceEventType::kRecompute, kTraceSched, server_id, -1, -1,
        static_cast<double>(active.size()), server.schedulable_bandwidth());
-  if (fast_math_) {
-    batch_advance_server(server);
-  } else {
-    // Exact mode: per-stream advancement in active order. The FP operation
-    // order here is semantics — pinned by the hexfloat determinism goldens.
-    for (Request* request : active) advance_and_account(*request, now);
-  }
+  batch_advance_server(server);
 
   BandwidthScheduler& scheduler =
       shard != nullptr ? *shard->scheduler : *scheduler_;
@@ -1274,37 +1251,7 @@ void VodSimulation::advance_and_account(Request& request, Seconds now) {
   metrics.record_transmission(interval_start, now, request.allocation());
   if (auditor_) auditor_->on_advance(request, interval_start, now);
   const Megabits underflow = request.advance(now);
-  if (underflow > 0.0) {
-    ++(shard != nullptr ? shard->continuity_violations : continuity_violations_);
-    metrics.record_underflow(now, underflow);
-    // Viewer-facing resilience accounting: the megabits short translate to
-    // seconds of starved playback at the view rate. One counted
-    // interruption per stream per dedupe window: a shed-then-readmitted
-    // stream whose retry glitch lands in the same window as its shed
-    // glitch reads as one viewer-visible interruption, not two (the
-    // glitch-seconds still accrue in full).
-    const Seconds dedupe = config_.failure.glitch_dedupe_window;
-    const std::int64_t window_idx =
-        dedupe > 0.0 ? static_cast<std::int64_t>(now / dedupe) : -1;
-    // Attribution uses last_server, not server(): a parked orphan (server()
-    // == kNoServer) still charges its glitch to the domain that lost it.
-    if (dedupe > 0.0 && request.last_glitch_window == window_idx) {
-      metrics.record_glitch_seconds(now, underflow / request.view_bandwidth(),
-                                    request.last_server);
-    } else {
-      metrics.record_glitch(now, underflow / request.view_bandwidth(),
-                            request.last_server);
-      request.last_glitch_window = window_idx;
-    }
-    note(TraceEventType::kUnderflow, kTraceBuffer, request.server(),
-         request.id(), request.video_id(), underflow);
-    VODSIM_DEBUG << "continuity violation: request " << request.id() << " short "
-                 << underflow << " Mb over [" << interval_start << ", " << now
-                 << "] at rate " << request.allocation() << " (state "
-                 << static_cast<int>(request.state()) << ", server "
-                 << request.server() << ", urgent "
-                 << request.workahead_urgent << ")";
-  }
+  if (underflow > 0.0) account_underflow(request, now, underflow);
 }
 
 void VodSimulation::batch_advance_server(Server& server) {
@@ -1313,57 +1260,65 @@ void VodSimulation::batch_advance_server(Server& server) {
   Metrics& metrics = shard != nullptr ? *shard->metrics : *metrics_;
   std::vector<Megabits>& underflow_scratch =
       shard != nullptr ? shard->underflow_scratch : underflow_scratch_;
-  FluidLane& lane = server.lane();
   const std::vector<Request*>& active = server.active_requests();
 
   if (auditor_) {
     // The auditor observes per-stream intervals (its flow integral sums in
-    // active order, matching exact mode); read the start times before the
-    // kernel overwrites them. Gating matches advance_and_account's
-    // now <= last_update early-return.
+    // active order); read the start times before the kernel overwrites
+    // them. Gating matches advance_and_account's now <= last_update
+    // early-return.
     for (Request* request : active) {
       const Seconds start = request->last_update();
       if (now > start) auditor_->on_advance(*request, start, now);
     }
   }
 
-  const FluidLane::BatchResult batch =
-      lane.advance_batch(now, config_.warmup, config_.duration, underflow_scratch);
+  const FluidLane::BatchResult batch = server.lane().advance_batch(
+      now, config_.warmup, config_.duration, metrics.transmission_meter(),
+      underflow_scratch);
   if (batch.advanced > 0) mark_server_dirty(server.id());
-
-  Megabits metered = batch.transmitted_in_window;
-  if (fast_math_seeded_bug_) metered *= 0.999;  // test-only, see build_world
-  metrics.record_transmitted_sum(metered);
-
-  if (batch.any_underflow) {
-    // Rare path: per-stream accounting identical to advance_and_account's.
-    for (Request* request : active) {
-      const Megabits underflow = underflow_scratch[request->active_index];
-      if (underflow <= 0.0) continue;
-      ++(shard != nullptr ? shard->continuity_violations
-                          : continuity_violations_);
-      metrics.record_underflow(now, underflow);
-      // Same per-stream interruption dedupe as advance_and_account: the
-      // window key lives on the Request, so both engine modes (and every
-      // shard) count identically.
-      const Seconds dedupe = config_.failure.glitch_dedupe_window;
-      const std::int64_t window_idx =
-          dedupe > 0.0 ? static_cast<std::int64_t>(now / dedupe) : -1;
-      if (dedupe > 0.0 && request->last_glitch_window == window_idx) {
-        metrics.record_glitch_seconds(
-            now, underflow / request->view_bandwidth(), request->last_server);
-      } else {
-        metrics.record_glitch(now, underflow / request->view_bandwidth(),
-                              request->last_server);
-        request->last_glitch_window = window_idx;
-      }
-      note(TraceEventType::kUnderflow, kTraceBuffer, request->server(),
-           request->id(), request->video_id(), underflow);
-      VODSIM_DEBUG << "continuity violation: request " << request->id()
-                   << " short " << underflow << " Mb at " << now
-                   << " (fast-math batch, server " << server.id() << ")";
-    }
+  if (!batch.any_underflow) return;
+  // Rare path: per-stream accounting in active order, as
+  // advance_and_account would do it stream by stream.
+  for (Request* request : active) {
+    const Megabits underflow = underflow_scratch[request->active_index];
+    if (underflow > 0.0) account_underflow(*request, now, underflow);
   }
+}
+
+void VodSimulation::account_underflow(Request& request, Seconds now,
+                                      Megabits underflow) {
+  detail::EngineShard* const shard = t_shard;
+  Metrics& metrics = shard != nullptr ? *shard->metrics : *metrics_;
+  ++(shard != nullptr ? shard->continuity_violations : continuity_violations_);
+  metrics.record_underflow(now, underflow);
+  // Viewer-facing resilience accounting: the megabits short translate to
+  // seconds of starved playback at the view rate. One counted
+  // interruption per stream per dedupe window: a shed-then-readmitted
+  // stream whose retry glitch lands in the same window as its shed
+  // glitch reads as one viewer-visible interruption, not two (the
+  // glitch-seconds still accrue in full).
+  const Seconds dedupe = config_.failure.glitch_dedupe_window;
+  const std::int64_t window_idx =
+      dedupe > 0.0 ? static_cast<std::int64_t>(now / dedupe) : -1;
+  // Attribution uses last_server, not server(): a parked orphan (server()
+  // == kNoServer) still charges its glitch to the domain that lost it.
+  if (dedupe > 0.0 && request.last_glitch_window == window_idx) {
+    metrics.record_glitch_seconds(now, underflow / request.view_bandwidth(),
+                                  request.last_server);
+  } else {
+    metrics.record_glitch(now, underflow / request.view_bandwidth(),
+                          request.last_server);
+    request.last_glitch_window = window_idx;
+  }
+  note(TraceEventType::kUnderflow, kTraceBuffer, request.server(),
+       request.id(), request.video_id(), underflow);
+  VODSIM_DEBUG << "continuity violation: request " << request.id() << " short "
+               << underflow << " Mb at " << now << " at rate "
+               << request.allocation() << " (state "
+               << static_cast<int>(request.state()) << ", server "
+               << request.server() << ", urgent " << request.workahead_urgent
+               << ")";
 }
 
 void VodSimulation::schedule_next_pause(Request& request) {

@@ -11,6 +11,9 @@
 /// a server's rates are recomputed (EFTF by default) on every event that
 /// changes its active set or a client's ability to absorb workahead:
 /// arrival, transmission completion, buffer full, migration, failure.
+/// Each recomputation first advances all of the server's streams to now in
+/// one batched pass over its FluidLane (cluster/fluid_lane.h), bit-identical
+/// to advancing them one at a time in active order.
 /// Between recomputations, each request carries two *predicted* events —
 /// transmission-complete and buffer-full — which are rescheduled only when
 /// its allocation actually changes, keeping event churn near-linear in the
@@ -137,11 +140,6 @@ class VodSimulation {
   /// way.
   const RequestArena& requests() const { return requests_; }
 
-  /// Resolved engine mode after build_world: fast_math config/env/sharded
-  /// default, minus an exact_math opt-out. Exposed for tests pinning the
-  /// fast-by-default policy.
-  bool fast_math_enabled() const { return fast_math_; }
-
   /// Playback continuity violations observed (should be 0 except under
   /// failure injection or nonzero switch latency). Sums the per-shard
   /// counters in sharded mode.
@@ -249,15 +247,23 @@ class VodSimulation {
   void mark_server_dirty(ServerId server);
 
   /// Accounts the transmission interval [request.last_update(), now] to the
-  /// metrics and integrates the request's fluid state.
+  /// metrics and integrates the request's fluid state. For single-request
+  /// events (pause, resume, shed, migrate, ...); recompute_server advances
+  /// a whole server through batch_advance_server instead.
   void advance_and_account(Request& request, Seconds now);
 
-  /// Fast-math replacement for recompute_server's per-stream advance loop:
-  /// one batched kernel over the server's FluidLane, metering aggregated
-  /// per batch. Per-stream trajectories are identical to the exact loop
-  /// (shared single-stream formulas); see SimulationConfig::fast_math for
-  /// the contract.
+  /// recompute_server's fluid step: one batched kernel over the server's
+  /// FluidLane (FluidLane::advance_batch). Bit-identical to calling
+  /// advance_and_account for every active request in active order — state,
+  /// metering and underflow accounting alike — which the hexfloat
+  /// determinism goldens pin.
   void batch_advance_server(Server& server);
+
+  /// Continuity-violation accounting for \p underflow megabits a request's
+  /// client came up short at \p now: the violation counter, the underflow
+  /// meter, glitch seconds with per-stream interruption dedupe, and the
+  /// trace event.
+  void account_underflow(Request& request, Seconds now, Megabits underflow);
 
   void cancel_predicted_events(Request& request);
   void reschedule_predicted_events(Request& request);
@@ -363,12 +369,6 @@ class VodSimulation {
   std::uint64_t continuity_violations_ = 0;
   std::uint64_t pauses_started_ = 0;
   bool ran_ = false;
-  /// Resolved engine mode: config.fast_math or VODSIM_FAST_MATH override.
-  bool fast_math_ = false;
-  /// Test-only backdoor (VODSIM_TEST_FAST_MATH_BUG): biases the fast-math
-  /// batch metering low so the differential harness's negative test can
-  /// prove a seeded batching bug is caught. Never set outside tests.
-  bool fast_math_seeded_bug_ = false;
 
   /// True when config.shards > 1. The single-shard path takes the exact
   /// code the pre-sharding engine ran — its bit-identity to the hexfloat
@@ -393,7 +393,7 @@ class VodSimulation {
   /// events; the steady-state loop performs no per-event heap allocations).
   std::vector<Mbps> rates_scratch_;
   AllocationScratch sched_scratch_;
-  /// Per-slot playback underflow from the last fast-math batch (reused;
+  /// Per-slot playback underflow from the last fluid batch (reused;
   /// written wholesale by FluidLane::advance_batch).
   std::vector<Megabits> underflow_scratch_;
   /// Slots whose allocation changed in the current recompute pass; decides

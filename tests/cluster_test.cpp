@@ -11,6 +11,7 @@
 #include "vodsim/cluster/request.h"
 #include "vodsim/cluster/server.h"
 #include "vodsim/cluster/video.h"
+#include "vodsim/engine/metrics.h"
 #include "vodsim/util/stable_vector.h"
 
 namespace vodsim {
@@ -273,12 +274,13 @@ TEST(Server, TotalAttachedCounts) {
 
 // ---------------------------------------------------------------- fluid lane
 
-// The batched kernel must be BIT-identical per stream to the per-stream
-// advance path: both call the same fluid_detail formulas in the same order
-// per slot, so exact doubles compare equal — only the *metering sum* is
-// grouped differently. Three regimes in one batch: workahead (buffer
-// fills), exact-rate (buffer stays empty), starved (buffer empty, drains
-// into underflow).
+// The batched kernel must be BIT-identical to the per-stream advance path:
+// both call the same fluid_detail formulas in the same order per slot, and
+// the batch continues the running meter with the same additions, in slot
+// order, as one Metrics::record_transmission per stream — so exact doubles
+// compare equal, meter included. Three regimes in one batch: workahead
+// (buffer fills), exact-rate (buffer stays empty), starved (buffer empty,
+// drains into underflow).
 TEST(FluidLane, BatchAdvanceIsBitIdenticalToPerStream) {
   ClientProfile client{120.0, 30.0};
   Server per_stream_server(0, 1000.0, 1e6);
@@ -300,14 +302,24 @@ TEST(FluidLane, BatchAdvanceIsBitIdenticalToPerStream) {
     batched[i]->set_allocation(0.0, rates[i]);
   }
 
+  // Both meters start from the same nonzero running total and clip to a
+  // window opening at t=0.1, chosen so that a regrouped batch sum (adding
+  // the batch's terms to each other first) rounds differently from the
+  // per-stream additions: 188.20000000000002 vs 188.2.
+  Metrics per_stream_meter(0.1, 100.0, 1000.0);
+  per_stream_meter.record_transmission(0.0, 0.2, 1.0);
+  Megabits batch_meter = per_stream_meter.transmitted();
+
   Megabits per_stream_underflow[3];
   for (int i = 0; i < 3; ++i) {
+    per_stream_meter.record_transmission(per_stream[i]->last_update(), 10.0,
+                                         per_stream[i]->allocation());
     per_stream_underflow[i] = per_stream[i]->advance(10.0);
   }
 
   std::vector<Megabits> scratch;
-  const FluidLane::BatchResult batch =
-      batched_server.lane().advance_batch(10.0, 0.0, 100.0, scratch);
+  const FluidLane::BatchResult batch = batched_server.lane().advance_batch(
+      10.0, 0.1, 100.0, batch_meter, scratch);
   EXPECT_EQ(batch.advanced, 3u);
   EXPECT_TRUE(batch.any_underflow);
 
@@ -321,8 +333,8 @@ TEST(FluidLane, BatchAdvanceIsBitIdenticalToPerStream) {
   }
   // The starved stream (rate 1 vs view 3, empty buffer): 10 in, 30 out.
   EXPECT_DOUBLE_EQ(per_stream_underflow[2], 20.0);
-  // Batch metering: every stream live across [0,10] inside the window.
-  EXPECT_NEAR(batch.transmitted_in_window, (15.0 + 3.0 + 1.0) * 10.0, 1e-9);
+  // Batch metering: every stream live across [0.1,10] inside the window.
+  EXPECT_EQ(batch_meter, per_stream_meter.transmitted());
 }
 
 TEST(FluidLane, BatchMeteringClipsToWindow) {
@@ -332,20 +344,31 @@ TEST(FluidLane, BatchMeteringClipsToWindow) {
   request.begin_streaming(0.0, 0);
   server.attach(request);
   request.set_allocation(0.0, 3.0);
+  // Two slots that must add exactly +0.0 to the meter: a zero-rate stream
+  // live across the whole window, and a stream whose last update is
+  // already `now` (dt == 0).
+  Request idle(3, make_video(2), 0.0, client);
+  idle.begin_streaming(0.0, 0);
+  server.attach(idle);
+  Request fresh(4, make_video(3), 30.0, client);
+  fresh.begin_streaming(30.0, 0);
+  server.attach(fresh);
+  fresh.set_allocation(30.0, 3.0);
 
   std::vector<Megabits> scratch;
+  Megabits meter = 0.5;  // a running total from earlier batches
   // Window starts at t=20: the advance over [0,30] must meter only [20,30].
   const FluidLane::BatchResult batch =
-      server.lane().advance_batch(30.0, 20.0, 100.0, scratch);
-  EXPECT_NEAR(batch.transmitted_in_window, 3.0 * 10.0, 1e-12);
+      server.lane().advance_batch(30.0, 20.0, 100.0, meter, scratch);
+  EXPECT_EQ(batch.advanced, 2u);  // `fresh` has dt == 0
+  EXPECT_EQ(meter, 0.5 + 3.0 * 10.0);
   // And an advance wholly before the window meters nothing... (new stream)
   Request early(2, make_video(1), 0.0, client);
   early.begin_streaming(30.0, 0);
   server.attach(early);
   early.set_allocation(30.0, 3.0);
-  const FluidLane::BatchResult clipped =
-      server.lane().advance_batch(40.0, 50.0, 100.0, scratch);
-  EXPECT_DOUBLE_EQ(clipped.transmitted_in_window, 0.0);
+  server.lane().advance_batch(40.0, 50.0, 100.0, meter, scratch);
+  EXPECT_EQ(meter, 0.5 + 3.0 * 10.0);
 }
 
 TEST(FluidLane, SwapRemoveKeepsSlotsCoherent) {
@@ -395,12 +418,13 @@ TEST(FluidLane, MutatorsWriteThroughToLane) {
   // must see the paused flag or the batched advance would keep draining.
   request.pause_viewing(10.0);
   std::vector<Megabits> scratch;
-  server.lane().advance_batch(15.0, 0.0, 1e9, scratch);
+  Megabits meter = 0.0;
+  server.lane().advance_batch(15.0, 0.0, 1e9, meter, scratch);
   EXPECT_DOUBLE_EQ(request.buffer_level(), 60.0);  // +6*5 in, nothing out
 
   request.resume_viewing(15.0);
   request.set_allocation(15.0, 0.0);
-  server.lane().advance_batch(25.0, 0.0, 1e9, scratch);
+  server.lane().advance_batch(25.0, 0.0, 1e9, meter, scratch);
   EXPECT_DOUBLE_EQ(request.buffer_level(), 30.0);  // -3*10 out, nothing in
 }
 
@@ -535,7 +559,8 @@ TEST(FluidLane, ChurnKeepsColdFieldsAndWriteThroughCoherent) {
   // stop the batched drain of r3's buffer, not r2's.
   r3.pause_viewing(10.0);
   std::vector<Megabits> scratch;
-  server.lane().advance_batch(20.0, 0.0, 1e9, scratch);
+  Megabits meter = 0.0;
+  server.lane().advance_batch(20.0, 0.0, 1e9, meter, scratch);
   EXPECT_DOUBLE_EQ(r3.buffer_level(), 30.0 + 6.0 * 10.0);  // inflow only
   EXPECT_DOUBLE_EQ(r2.buffer_level(), 30.0 + (6.0 - 3.0) * 10.0);
 }
@@ -568,7 +593,8 @@ TEST(FluidLaneAvx512, WideLaneBatchesMatchScalar) {
 
   for (Request& request : scalar_requests) request.advance(10.0);
   std::vector<Megabits> scratch;
-  batched_server.lane().advance_batch(10.0, 0.0, 1e9, scratch);
+  Megabits meter = 0.0;
+  batched_server.lane().advance_batch(10.0, 0.0, 1e9, meter, scratch);
 
   std::vector<Seconds> keys, tx, full, low;
   batched_server.lane().fill_projected_finish(10.0, keys);

@@ -167,58 +167,6 @@ TEST(GoldenDeterminism, ParanoidRunIsBitIdentical) {
   expect_bit_identical(run_once(plain), run_once(paranoid));
 }
 
-// --- fast-math dual-exactness contract -----------------------------------
-// Exact mode is pinned bit-for-bit by the hexfloat goldens below; fast mode
-// promises (a) reproducibility — same config + build => same bits — and
-// (b) agreement with exact mode: identical discrete counters, fluid
-// aggregates within the reference-oracle tolerance. These two tests pin the
-// contract per mode; check_fuzz_test.cpp enforces (b) across the whole
-// randomized feature cross-product.
-
-TEST(GoldenDeterminism, FastMathIsReproducible) {
-  for (const PolicySpec& policy : figure6_policies()) {
-    SimulationConfig config = golden_config(policy, 7);
-    config.fast_math = true;
-    const TrialResult first = run_once(config);
-    const TrialResult second = run_once(config);
-    SCOPED_TRACE(policy.label);
-    ASSERT_GT(first.arrivals, 0u);
-    expect_bit_identical(first, second);
-  }
-}
-
-TEST(GoldenDeterminism, FastMathAgreesWithExactMode) {
-  for (const PolicySpec& policy : figure6_policies()) {
-    const SimulationConfig exact_config = golden_config(policy, 7);
-    SimulationConfig fast_config = exact_config;
-    fast_config.fast_math = true;
-
-    const TrialResult exact = run_once(exact_config);
-    const TrialResult fast = run_once(fast_config);
-    SCOPED_TRACE(policy.label);
-
-    // Per-stream trajectories run the identical formulas, so every discrete
-    // decision coincides exactly.
-    EXPECT_EQ(exact.arrivals, fast.arrivals);
-    EXPECT_EQ(exact.accepts, fast.accepts);
-    EXPECT_EQ(exact.rejects, fast.rejects);
-    EXPECT_EQ(exact.migration_steps, fast.migration_steps);
-    EXPECT_EQ(exact.drops, fast.drops);
-    EXPECT_EQ(exact.underflow_events, fast.underflow_events);
-    EXPECT_EQ(exact.continuity_violations, fast.continuity_violations);
-
-    // The metering summation is regrouped (one per-batch sum instead of one
-    // call per stream), so fluid aggregates may drift at ulp scale — bounded
-    // by the oracle's relative tolerance, never more.
-    EXPECT_NEAR(exact.utilization, fast.utilization,
-                1e-9 + 1e-9 * std::abs(exact.utilization));
-    EXPECT_NEAR(exact.rejection_ratio, fast.rejection_ratio,
-                1e-9 + 1e-9 * std::abs(exact.rejection_ratio));
-    EXPECT_NEAR(exact.migrations_per_arrival, fast.migrations_per_arrival,
-                1e-9 + 1e-9 * std::abs(exact.migrations_per_arrival));
-  }
-}
-
 // --- sharded determinism contract ----------------------------------------
 // The sharded engine's promise is weaker than bit-identity with the
 // single-queue run (the shard/single differential in check_fuzz_test.cpp
@@ -250,32 +198,11 @@ TEST(GoldenDeterminism, ShardedIsReproducibleAcrossThreadCounts) {
   }
 }
 
-TEST(GoldenDeterminism, ShardedRunsDefaultToFastMath) {
-  // PR 9 policy: sharding already opts out of bit-identity with the
-  // single-queue run, so sharded runs take the batched engine unless the
-  // user explicitly opts back out; single-queue runs stay exact unless
-  // fast-math is explicitly requested (the hexfloat goldens depend on it).
-  SimulationConfig config = golden_config(figure6_policies().front(), 7);
-  EXPECT_FALSE(VodSimulation(config).fast_math_enabled());
-
-  config.shards = 4;
-  EXPECT_TRUE(VodSimulation(config).fast_math_enabled());
-
-  config.exact_math = true;
-  EXPECT_FALSE(VodSimulation(config).fast_math_enabled());
-
-  config.exact_math = false;
-  config.shards = 1;
-  config.fast_math = true;
-  EXPECT_TRUE(VodSimulation(config).fast_math_enabled());
-}
-
 TEST(GoldenDeterminism, ShardedArenaMatchesSingleArenaExactly) {
-  // The request arena's pool split is pure storage: with exact_math opting
-  // the sharded run out of the fast-math default, the only remaining
-  // difference from the single-queue run is shard scheduling — so counters
-  // must match exactly and fluid aggregates within merge-order tolerance,
-  // same contract the fuzzer's shard differential enforces.
+  // The request arena's pool split is pure storage: the only difference
+  // from the single-queue run is shard scheduling — so counters must match
+  // exactly and fluid aggregates within merge-order tolerance, same
+  // contract the fuzzer's shard differential enforces.
   for (const PolicySpec& policy :
        {figure6_policies().front(), figure6_policies()[3]}) {
     SCOPED_TRACE(policy.label);
@@ -285,7 +212,6 @@ TEST(GoldenDeterminism, ShardedArenaMatchesSingleArenaExactly) {
 
     config.shards = 4;
     config.shard_threads = 2;
-    config.exact_math = true;
     const TrialResult sharded = run_once(config);
 
     EXPECT_EQ(single.arrivals, sharded.arrivals);

@@ -339,12 +339,6 @@ TEST(Config, EveryRejectableFieldRejectsWithAUsefulMessage) {
          c.probe.period = 0.0;
        },
        "probe period"},
-      {"fast_math vs exact_math",
-       [](SimulationConfig& c) {
-         c.fast_math = true;
-         c.exact_math = true;
-       },
-       "contradictory"},
   };
 
   for (const Row& row : rows) {

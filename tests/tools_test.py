@@ -329,6 +329,35 @@ class DocCitationTest(unittest.TestCase):
                 checked += 1
         self.assertGreater(checked, 0)
 
+    def test_env_vars_named_in_docs_exist_in_code(self):
+        """A VODSIM_* variable the docs name must still appear in some
+        source, tool, example, test (this file excluded) or CMakeLists.txt,
+        so deleted switches cannot linger in the prose."""
+        env_var = re.compile(r"\bVODSIM_[A-Z0-9_]+\b")
+        paths = []
+        for top in ("src", "tools", "examples", "tests"):
+            for root, _, files in os.walk(os.path.join(REPO_DIR, top)):
+                paths += [os.path.join(root, name) for name in files
+                          if name != "tools_test.py"]
+        for root, dirs, files in os.walk(REPO_DIR):
+            # Skip hidden directories and build trees (they hold a cache).
+            dirs[:] = [d for d in dirs if not d.startswith(".") and
+                       not os.path.exists(os.path.join(root, d,
+                                                       "CMakeCache.txt"))]
+            if "CMakeLists.txt" in files:
+                paths.append(os.path.join(root, "CMakeLists.txt"))
+        in_code = set()
+        for path in paths:
+            with open(path, encoding="utf-8", errors="replace") as handle:
+                in_code.update(env_var.findall(handle.read()))
+        named = set()
+        for name in self.CITING:
+            for var in env_var.findall(self.read(name)):
+                named.add(var)
+                self.assertIn(var, in_code,
+                              f"{name} names {var}, which no code contains")
+        self.assertGreater(len(named), 0)
+
 
 if __name__ == "__main__":
     unittest.main()

@@ -121,7 +121,6 @@ int main(int argc, char** argv) {
   base.load_factor = cli.get_double("load");
   base.duration = hours(hours_per_trial);
   base.warmup = hours(warmup_hours);
-  base.fast_math = true;  // batched fluid advance; counts identical to exact
 
   ExperimentRunner runner;
   std::ostringstream markdown;
