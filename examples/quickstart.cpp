@@ -90,7 +90,8 @@ int main(int argc, char** argv) {
 
   if (!trace_out.empty()) {
     std::ofstream out(trace_out);
-    vodsim::write_chrome_trace(out, *simulation.trace(), simulation.probes(),
+    vodsim::write_chrome_trace(out, simulation.merged_trace_events(),
+                               simulation.trace_totals(), simulation.probes(),
                                simulation.servers().size());
     std::cout << "\nwrote Chrome trace to " << trace_out
               << " — load it in chrome://tracing\n";

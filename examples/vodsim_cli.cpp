@@ -441,7 +441,8 @@ int main(int argc, char** argv) {
     std::cout << "\n";
     if (!trace_out.empty()) {
       if (auto out = open(trace_out)) {
-        write_chrome_trace(out, *simulation.trace(), simulation.probes(),
+        write_chrome_trace(out, simulation.merged_trace_events(),
+                           simulation.trace_totals(), simulation.probes(),
                            simulation.servers().size());
         std::cout << "wrote Chrome trace (load in chrome://tracing) to "
                   << trace_out << "\n";
@@ -449,7 +450,8 @@ int main(int argc, char** argv) {
     }
     if (!trace_jsonl.empty()) {
       if (auto out = open(trace_jsonl)) {
-        write_trace_jsonl(out, *simulation.trace());
+        write_trace_jsonl(out, simulation.merged_trace_events(),
+                          simulation.trace_totals());
         std::cout << "wrote JSONL trace to " << trace_jsonl << "\n";
       }
     }
@@ -465,8 +467,8 @@ int main(int argc, char** argv) {
         std::cout << "wrote probe series to " << probe_out << "\n";
       }
     }
-    if (simulation.trace() != nullptr && simulation.trace()->dropped() > 0) {
-      std::cout << "note: ring dropped " << simulation.trace()->dropped()
+    if (const std::uint64_t dropped = simulation.trace_totals().dropped; dropped > 0) {
+      std::cout << "note: ring dropped " << dropped
                 << " events; raise VODSIM_TRACE_CAPACITY or narrow "
                    "--trace-categories\n";
     }

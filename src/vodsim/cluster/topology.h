@@ -14,7 +14,7 @@
 /// [r*N/racks, (r+1)*N/racks) and zone z covers racks [z*R/zones,
 /// (z+1)*R/zones) — the same near-even block formula the sharded engine
 /// uses for its server blocks, so a rack-aligned shard layout falls out
-/// naturally (engine/vod_simulation.cpp build_shards). A
+/// naturally (engine/vod_simulation.cpp build_world). A
 /// default-constructed (or disabled) Topology is the trivial one-rack,
 /// one-zone tree; every consumer treats it as "no topology".
 

@@ -264,27 +264,30 @@ struct SimulationConfig {
   Seconds warmup = hours(20);
   std::uint64_t seed = 1;
 
-  /// Shard count for the parallel sharded engine (DESIGN.md §12). 1 (the
-  /// default) runs the classic single-queue engine — that path is pinned
-  /// bit-for-bit by the hexfloat determinism goldens. shards > 1 splits
-  /// the cluster into contiguous server blocks, each with its own event
-  /// queue, Metrics shard, scheduler instance, and scratch arenas; the
-  /// coordinator executes every coupling event (arrivals, admission,
-  /// migration, replication, faults, retry, pause/resume, playback end)
-  /// serially in global time order, and between coupling events the
-  /// shards drain their predicted per-stream events (tx-complete,
-  /// buffer-full, buffer-low) in parallel under a conservative-lookahead
-  /// window. Sharded mode has its own determinism contract: a fixed
-  /// shard count is bit-reproducible at any worker-thread count; counts
-  /// match single-engine runs exactly and fluid aggregates agree within
-  /// the oracle tolerance (enforced by check/fuzzer.h differentially).
-  /// Must satisfy 1 <= shards <= system.num_servers.
+  /// Shard count for the parallel sharded engine (DESIGN.md §12). The
+  /// engine runs on execution contexts, each an event queue with its own
+  /// Metrics, scheduler instance, trace recorder and scratch arenas; the
+  /// coordinator context executes every coupling event (arrivals,
+  /// admission, migration, replication, faults, retry, pause/resume,
+  /// playback end) serially in global time order. 1 (the default) is the
+  /// single-queue engine: the coordinator owns every server and runs every
+  /// event, pinned bit-for-bit by the hexfloat determinism goldens.
+  /// shards > 1 adds one context per contiguous server block; between
+  /// coupling events the shard contexts drain their predicted per-stream
+  /// events (tx-complete, buffer-full, buffer-low) in parallel under a
+  /// conservative-lookahead window. A sharded run has its own determinism
+  /// contract: a fixed shard count is bit-reproducible at any
+  /// worker-thread count; counts match single-queue runs exactly and fluid
+  /// aggregates agree within the oracle tolerance (enforced by
+  /// check/fuzzer.h differentially). Must satisfy
+  /// 1 <= shards <= system.num_servers.
   int shards = 1;
 
   /// Worker threads for the sharded drain windows; 0 = hardware
-  /// concurrency. Ignored when shards == 1. Any value produces identical
-  /// bits for a fixed shard count (each shard drains serially; merges
-  /// happen in shard-index order).
+  /// concurrency. Ignored when shards == 1 (there are no shard contexts
+  /// to drain, and no thread pool is created). Any value produces
+  /// identical bits for a fixed shard count (each shard drains serially;
+  /// merges happen in shard-index order).
   int shard_threads = 0;
 
   /// Attach the runtime invariant auditor (check/invariant_auditor.h) to

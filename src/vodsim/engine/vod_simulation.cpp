@@ -19,59 +19,6 @@
 
 namespace vodsim {
 
-namespace detail {
-
-/// One shard of the parallel engine (DESIGN.md §12): a contiguous block of
-/// servers [first_server, end_server) with everything their predicted
-/// per-stream events (tx-complete, buffer-full, buffer-low) touch — an
-/// event queue, a Metrics shard, a scheduler instance, scratch arenas, a
-/// tagged trace recorder. Coordinator events (admission, migration,
-/// replication, faults, retries, pause/resume, playback end) run serially
-/// on the root simulator and may touch any shard's servers; between
-/// coordinator events, each shard drains its own queue with no shared
-/// mutable state, so the drains parallelize with no locks.
-struct EngineShard {
-  int index = 0;
-  int first_server = 0;
-  int end_server = 0;  ///< exclusive
-  Simulator sim;
-  std::unique_ptr<Metrics> metrics;
-  std::unique_ptr<TraceRecorder> trace;
-  std::unique_ptr<BandwidthScheduler> scheduler;
-  std::uint64_t continuity_violations = 0;
-  std::vector<Mbps> rates_scratch;
-  AllocationScratch sched_scratch;
-  std::vector<Megabits> underflow_scratch;
-  std::vector<std::size_t> changed_slots;
-  std::vector<Seconds> retime_tx;
-  std::vector<Seconds> retime_full;
-  std::vector<Seconds> retime_low;
-};
-
-}  // namespace detail
-
-namespace {
-
-/// The shard whose queue the calling thread is currently draining, or
-/// nullptr on the coordinator (and everywhere in single mode). The engine's
-/// context-dependent helpers (note, advance_and_account, recompute_server,
-/// ...) consult this to resolve "now", the metrics sink, the scheduler and
-/// the scratch arenas — so the same functions serve both modes, and the
-/// single-mode path never branches into shard state. thread_local because
-/// drains run on pool workers (and concurrent sweep trials may each be
-/// draining their own shards on the same pool).
-thread_local detail::EngineShard* t_shard = nullptr;
-
-/// RAII current-shard marker for one drain.
-struct ScopedShard {
-  explicit ScopedShard(detail::EngineShard& shard) { t_shard = &shard; }
-  ~ScopedShard() { t_shard = nullptr; }
-  ScopedShard(const ScopedShard&) = delete;
-  ScopedShard& operator=(const ScopedShard&) = delete;
-};
-
-}  // namespace
-
 VodSimulation::VodSimulation(SimulationConfig config) : config_(std::move(config)) {
   build_world();
 }
@@ -180,33 +127,47 @@ void VodSimulation::build_world() {
   }
 
   controller_ = std::make_unique<AdmissionController>(config_.admission, directory_);
-  if (config_.scheduler == SchedulerKind::kIntermittent) {
-    scheduler_ = std::make_unique<IntermittentScheduler>(
-        config_.intermittent_safety_cover);
-  } else {
-    scheduler_ = make_scheduler(config_.scheduler);
-  }
   replication_ = std::make_unique<ReplicationManager>(config_.replication);
   replication_->set_topology(&topology_);
 
   client_profile_.buffer_capacity = config_.staging_capacity();
   client_profile_.receive_bandwidth = config_.client.receive_bandwidth;
 
-  metrics_ = std::make_unique<Metrics>(config_.warmup, config_.duration,
-                                       config_.system.total_bandwidth());
-  metrics_->set_bounds(bounds_.utilization_upper, bounds_.rejection_lower);
-  if (topology_.enabled()) {
-    std::vector<Mbps> server_bandwidth;
-    server_bandwidth.reserve(servers_.size());
-    for (const Server& server : servers_) {
-      server_bandwidth.push_back(server.bandwidth());
+  // Tracing and probes are observers: they read state, schedule no
+  // simulator events, and touch no RNG, so a traced/probed run is
+  // bit-identical to a plain one (pinned by determinism_test).
+  // VODSIM_TRACE: a plain number turns every category on (0 = leave off), a
+  // name list ("admission,migration") selects categories.
+  TraceConfig trace_config = config_.trace;
+  const std::string env_trace = env_string("VODSIM_TRACE", "");
+  if (!env_trace.empty()) {
+    char* end = nullptr;
+    const long numeric = std::strtol(env_trace.c_str(), &end, 0);
+    if (end != nullptr && *end == '\0') {
+      if (numeric != 0) {
+        trace_config.enabled = true;
+        trace_config.categories = kTraceAllCategories;
+      }
+    } else {
+      trace_config.enabled = true;
+      trace_config.categories = parse_trace_categories(env_trace);
     }
-    metrics_->set_topology(&topology_, server_bandwidth);
   }
+  trace_config.capacity = static_cast<std::size_t>(env_long(
+      "VODSIM_TRACE_CAPACITY", static_cast<long>(trace_config.capacity)));
+
+  // The coordinator context owns every server unless the run is sharded;
+  // the shard contexts are built last, below.
+  const bool sharded = config_.shards > 1;
+  const int num_servers = config_.system.num_servers;
+  const int shards = sharded ? config_.shards : 0;
+  owner_of_server_.assign(static_cast<std::size_t>(num_servers), 0);
+  build_context(0, sharded ? 0 : num_servers, trace_config);
+  controller_->set_trace(coordinator().trace.get());
+
   occupancy_.assign(servers_.size(), TimeWeighted(config_.warmup, config_.duration));
   recompute_state_.assign(servers_.size(), ServerRecomputeState{});
 
-  sharded_ = config_.shards > 1;
   // Test-only: deliberately mis-scale the shard-metrics merge so the
   // sharded/single differential harness provably catches a cross-mode
   // aggregation bug (tests/check_fuzz_test.cpp). Biased low, not high, so
@@ -214,33 +175,10 @@ void VodSimulation::build_world() {
   // trips first.
   shard_seeded_bug_ = env_long("VODSIM_TEST_SHARD_BUG", 0) != 0;
 
-  // Request storage: one pool per shard plus the coordinator pool, so shard
-  // workers stop interleaving their streams' cache lines in one shared
-  // StableVector (engine/request_arena.h). Single mode keeps exactly one
-  // pool — the old single-arena layout, byte for byte.
-  requests_.reset(sharded_ ? static_cast<std::size_t>(config_.shards) + 1 : 1);
-
-  // Pre-size the hot-path buffers so the steady-state event loop never
-  // allocates: up to ~3 predicted events per concurrent stream plus
-  // playback-end/arrival bookkeeping, and one rate per stream per server.
-  // Sharded mode partitions the predicted-event share across the shard
-  // queues (build_shards); the root queue keeps the coordinator's share.
-  const std::size_t max_streams = static_cast<std::size_t>(
-      config_.system.total_bandwidth() / config_.system.view_bandwidth);
-  // Coordinator share: playback-end plus (with interactivity) one pending
-  // pause/resume per stream; shards hold the three predicted events.
-  sim_.reserve_events((sharded_ ? 2 : 4) * max_streams + 64);
-  const std::size_t per_server =
-      static_cast<std::size_t>(config_.system.server_bandwidth /
-                               config_.system.view_bandwidth) + 8;
-  rates_scratch_.reserve(per_server);
-  sched_scratch_.order.reserve(per_server);
-  sched_scratch_.aux.reserve(per_server);
-  underflow_scratch_.reserve(per_server);
-  changed_slots_.reserve(per_server);
-  retime_tx_.reserve(per_server);
-  retime_full_.reserve(per_server);
-  retime_low_.reserve(per_server);
+  // Request storage: one pool per context, so shard workers stop
+  // interleaving their streams' cache lines in one shared StableVector
+  // (engine/request_arena.h).
+  requests_.reset(1 + static_cast<std::size_t>(shards));
 
   if (!arrivals_) {
     arrivals_ = std::make_unique<RequestGenerator>(
@@ -264,43 +202,15 @@ void VodSimulation::build_world() {
     retry_queue_ = std::make_unique<RetryQueue>(config_.failure.retry);
   }
 
-  // The auditor is a pure observer: it reads state after each event and
+  // The auditor is a pure observer too: it reads state after each event and
   // throws AuditFailure on a violated invariant, never mutating anything,
   // so enabling it cannot perturb results (pinned by determinism_test).
   // Sharded runs ignore it (its audits assume the whole cluster quiesces
   // after every event, which only the coordinator queue provides); the
-  // single-mode half of the sharded/single differential carries the
+  // single-queue half of the sharded/single differential carries the
   // auditor instead (check/fuzzer.cpp).
-  if (!sharded_ && (config_.paranoid || env_long("VODSIM_PARANOID", 0) != 0)) {
+  if (!sharded && (config_.paranoid || env_long("VODSIM_PARANOID", 0) != 0)) {
     auditor_ = std::make_unique<InvariantAuditor>(*this);
-  }
-
-  // Tracing and probes are observers too: they read state, schedule no
-  // simulator events, and touch no RNG, so a traced/probed run is
-  // bit-identical to a plain one (also pinned by determinism_test).
-  // VODSIM_TRACE: a plain number turns every category on (0 = leave off), a
-  // name list ("admission,migration") selects categories.
-  TraceConfig trace_config = config_.trace;
-  const std::string env_trace = env_string("VODSIM_TRACE", "");
-  if (!env_trace.empty()) {
-    char* end = nullptr;
-    const long numeric = std::strtol(env_trace.c_str(), &end, 0);
-    if (end != nullptr && *end == '\0') {
-      if (numeric != 0) {
-        trace_config.enabled = true;
-        trace_config.categories = kTraceAllCategories;
-      }
-    } else {
-      trace_config.enabled = true;
-      trace_config.categories = parse_trace_categories(env_trace);
-    }
-  }
-  trace_config.capacity = static_cast<std::size_t>(env_long(
-      "VODSIM_TRACE_CAPACITY", static_cast<long>(trace_config.capacity)));
-  if (trace_config.enabled) {
-    trace_ = std::make_unique<TraceRecorder>(trace_config);
-    controller_->set_trace(trace_.get());
-    scheduler_->set_trace(trace_.get());
   }
 
   ProbeConfig probe_config = config_.probe;
@@ -309,178 +219,174 @@ void VodSimulation::build_world() {
     probe_config.enabled = true;
     probe_config.period = env_probe;
   }
-  // Probes sample on the root post-event hook, which in sharded mode fires
-  // only on coordinator events and would read shard state mid-window-lag;
-  // disabled there (documented in DESIGN.md §12), like the auditor.
-  if (!sharded_ && probe_config.enabled) {
+  // Probes sample on the coordinator's post-event hook, which in a sharded
+  // run fires only on coordinator events and would read shard state
+  // mid-window-lag; disabled there (documented in DESIGN.md §12), like the
+  // auditor.
+  if (!sharded && probe_config.enabled) {
     probes_ = std::make_unique<ProbeSet>(probe_config, servers_.size());
   }
 
   if (auditor_ || probes_) {
-    sim_.set_post_event_hook([this](Seconds now) {
+    coordinator().sim.set_post_event_hook([this](Seconds now) {
       if (probes_) {
-        probes_->on_event(now, servers_, sim_.pending_count(),
+        probes_->on_event(now, servers_, coordinator().sim.pending_count(),
                           retry_queue_ ? retry_queue_->size() : 0);
       }
       if (auditor_) auditor_->on_event();
     });
   }
 
-  if (sharded_) build_shards(trace_config);
+  // Shard contexts own contiguous near-even blocks: consecutive servers
+  // share a shard, so the fault subsystem's correlated (rack/zone) groups
+  // of consecutive servers land inside one shard whenever group_size
+  // divides the block. With a failure-domain tree and shards <= racks,
+  // blocks snap to rack boundaries: each shard owns a whole rack range, so
+  // a rack outage or partition perturbs exactly one shard's servers and
+  // the shard protocol's coupling set matches the fault-group topology.
+  contexts_.reserve(1 + static_cast<std::size_t>(shards));
+  for (int k = 0; k < shards; ++k) {
+    if (topology_.enabled() && shards <= topology_.racks()) {
+      build_context(topology_.rack_first(k * topology_.racks() / shards),
+                    topology_.rack_end((k + 1) * topology_.racks() / shards - 1),
+                    trace_config);
+    } else {
+      build_context(k * num_servers / shards, (k + 1) * num_servers / shards,
+                    trace_config);
+    }
+  }
 }
 
-void VodSimulation::build_shards(const TraceConfig& trace_config) {
-  const int num_servers = config_.system.num_servers;
-  const int shards = config_.shards;
-  shard_of_server_.assign(static_cast<std::size_t>(num_servers), 0);
+void VodSimulation::build_context(int first_server, int end_server,
+                                  const TraceConfig& trace_config) {
+  auto ctx = std::make_unique<ExecContext>();
+  ctx->index = static_cast<int>(contexts_.size());
+  ctx->first_server = first_server;
+  ctx->end_server = end_server;
+  for (int s = first_server; s < end_server; ++s) {
+    owner_of_server_[static_cast<std::size_t>(s)] = ctx->index;
+  }
+  ctx->metrics = std::make_unique<Metrics>(config_.warmup, config_.duration,
+                                           config_.system.total_bandwidth());
+  ctx->metrics->set_bounds(bounds_.utilization_upper, bounds_.rejection_lower);
+  if (topology_.enabled()) {
+    // Every context attributes its glitches per domain; merge_shard folds
+    // the shard vectors into the coordinator's after the run.
+    std::vector<Mbps> server_bandwidth;
+    server_bandwidth.reserve(servers_.size());
+    for (const Server& server : servers_) {
+      server_bandwidth.push_back(server.bandwidth());
+    }
+    ctx->metrics->set_topology(&topology_, server_bandwidth);
+  }
+  if (config_.scheduler == SchedulerKind::kIntermittent) {
+    ctx->scheduler =
+        std::make_unique<IntermittentScheduler>(config_.intermittent_safety_cover);
+  } else {
+    ctx->scheduler = make_scheduler(config_.scheduler);
+  }
+  if (trace_config.enabled) {
+    ctx->trace = std::make_unique<TraceRecorder>(trace_config, ctx->index - 1);
+    ctx->scheduler->set_trace(ctx->trace.get());
+  }
+  // Pre-size the hot-path buffers so the steady-state event loop never
+  // allocates. The queue holds ~3 predicted events per concurrent stream on
+  // the owned servers; the coordinator's also holds playback-end plus (with
+  // interactivity) one pending pause/resume per stream.
   const std::size_t per_server =
       static_cast<std::size_t>(config_.system.server_bandwidth /
                                config_.system.view_bandwidth) + 8;
-  shards_.reserve(static_cast<std::size_t>(shards));
-  for (int k = 0; k < shards; ++k) {
-    auto shard = std::make_unique<detail::EngineShard>();
-    shard->index = k;
-    // Contiguous near-even blocks: consecutive servers share a shard, so
-    // the fault subsystem's correlated (rack/zone) groups of consecutive
-    // servers land inside one shard whenever group_size divides the block.
-    // With a failure-domain tree and shards <= racks, blocks snap to rack
-    // boundaries: each shard owns a whole rack range, so a rack outage or
-    // partition perturbs exactly one shard's servers and the shard
-    // protocol's coupling set matches the fault-group topology. shards == 1
-    // yields [0, N) either way, keeping the single-shard equivalence exact.
-    if (topology_.enabled() && shards <= topology_.racks()) {
-      shard->first_server = topology_.rack_first(k * topology_.racks() / shards);
-      shard->end_server =
-          topology_.rack_end((k + 1) * topology_.racks() / shards - 1);
-    } else {
-      shard->first_server = k * num_servers / shards;
-      shard->end_server = (k + 1) * num_servers / shards;
-    }
-    for (int s = shard->first_server; s < shard->end_server; ++s) {
-      shard_of_server_[static_cast<std::size_t>(s)] = k;
-    }
-    shard->metrics = std::make_unique<Metrics>(
-        config_.warmup, config_.duration, config_.system.total_bandwidth());
-    if (topology_.enabled()) {
-      // Shards attribute their glitches per domain too; merge_shard folds
-      // the vectors into the root instance after the run.
-      std::vector<Mbps> server_bandwidth;
-      server_bandwidth.reserve(servers_.size());
-      for (const Server& server : servers_) {
-        server_bandwidth.push_back(server.bandwidth());
-      }
-      shard->metrics->set_topology(&topology_, server_bandwidth);
-    }
-    // Per-shard scheduler instance: allocate() is const/deterministic, so
-    // replicas produce identical rates; owning one per shard keeps its
-    // trace emission on the shard's own recorder and off shared state.
-    if (config_.scheduler == SchedulerKind::kIntermittent) {
-      shard->scheduler = std::make_unique<IntermittentScheduler>(
-          config_.intermittent_safety_cover);
-    } else {
-      shard->scheduler = make_scheduler(config_.scheduler);
-    }
-    if (trace_config.enabled) {
-      shard->trace = std::make_unique<TraceRecorder>(trace_config, k);
-      shard->scheduler->set_trace(shard->trace.get());
-    }
-    // The shard's share of the predicted events (~3 per concurrent stream
-    // on its servers) and the per-server scratch arenas.
-    const std::size_t block =
-        static_cast<std::size_t>(shard->end_server - shard->first_server);
-    shard->sim.reserve_events(3 * block * per_server + 64);
-    shard->rates_scratch.reserve(per_server);
-    shard->sched_scratch.order.reserve(per_server);
-    shard->sched_scratch.aux.reserve(per_server);
-    shard->underflow_scratch.reserve(per_server);
-    shard->changed_slots.reserve(per_server);
-    shard->retime_tx.reserve(per_server);
-    shard->retime_full.reserve(per_server);
-    shard->retime_low.reserve(per_server);
-    shards_.push_back(std::move(shard));
-  }
+  const std::size_t max_streams = static_cast<std::size_t>(
+      config_.system.total_bandwidth() / config_.system.view_bandwidth);
+  ctx->sim.reserve_events(
+      3 * static_cast<std::size_t>(end_server - first_server) * per_server +
+      (ctx->index == 0 ? 2 * max_streams : 0) + 64);
+  ctx->rates_scratch.reserve(per_server);
+  ctx->sched_scratch.order.reserve(per_server);
+  ctx->sched_scratch.aux.reserve(per_server);
+  ctx->underflow_scratch.reserve(per_server);
+  ctx->changed_slots.reserve(per_server);
+  ctx->retime_tx.reserve(per_server);
+  ctx->retime_full.reserve(per_server);
+  ctx->retime_low.reserve(per_server);
+  contexts_.push_back(std::move(ctx));
 }
 
 const Metrics& VodSimulation::run() {
   assert(!ran_ && "VodSimulation::run() may be called only once");
   ran_ = true;
+  ExecContext& coord = coordinator();
 
   schedule_next_arrival();
   for (const FaultTransition& event : failure_timeline_) {
-    sim_.schedule_at(event.time, [this, event](Seconds) { apply_fault(event); });
+    coord.sim.schedule_at(event.time,
+                          [this, event](Seconds) { apply_fault(event); });
   }
 
-  if (sharded_) {
-    run_sharded_windows();
-  } else {
-    sim_.run_until(config_.duration);
-  }
+  run_windows();
 
-  // Flush in-flight transmissions into the measurement window. Sharded
-  // runs flush each shard's servers under that shard's context so the
-  // tail transmission lands in the shard's own Metrics (merged below).
-  if (sharded_) {
-    for (auto& shard : shards_) {
-      ScopedShard scoped(*shard);
-      for (int s = shard->first_server; s < shard->end_server; ++s) {
-        for (Request* request : servers_[static_cast<std::size_t>(s)]
-                                    .active_requests()) {
-          advance_and_account(*request, config_.duration);
-        }
-      }
-    }
-    for (Server& server : servers_) {
-      occupancy_[static_cast<std::size_t>(server.id())].flush(config_.duration);
-    }
-  } else {
-    for (Server& server : servers_) {
+  // Flush in-flight transmissions into the measurement window, each server
+  // under its owner context so the tail transmission lands in the owner's
+  // Metrics (merged below).
+  for (const auto& ctx : contexts_) {
+    for (int s = ctx->first_server; s < ctx->end_server; ++s) {
+      const Server& server = servers_[static_cast<std::size_t>(s)];
       for (Request* request : server.active_requests()) {
-        advance_and_account(*request, config_.duration);
+        advance_and_account(*ctx, *request, config_.duration);
       }
-      occupancy_[static_cast<std::size_t>(server.id())].flush(config_.duration);
     }
   }
+  for (TimeWeighted& occupancy : occupancy_) occupancy.flush(config_.duration);
   // Close still-open fault episodes into the availability integral.
   for (std::size_t s = 0; s < servers_.size(); ++s) {
     const auto id = static_cast<ServerId>(s);
     if (fault_down_since_[s] >= 0.0) {
-      metrics_->record_capacity_loss(fault_down_since_[s], config_.duration,
-                                     servers_[s].bandwidth(), id);
+      coord.metrics->record_capacity_loss(fault_down_since_[s], config_.duration,
+                                          servers_[s].bandwidth(), id);
     }
     if (brownout_since_[s] >= 0.0) {
-      metrics_->record_capacity_loss(
+      coord.metrics->record_capacity_loss(
           brownout_since_[s], config_.duration,
           servers_[s].bandwidth() * (1.0 - servers_[s].capacity_factor()), id);
     }
     if (partition_since_[s] >= 0.0) {
-      metrics_->record_capacity_loss(partition_since_[s], config_.duration,
-                                     servers_[s].bandwidth(), id);
+      coord.metrics->record_capacity_loss(partition_since_[s], config_.duration,
+                                          servers_[s].bandwidth(), id);
     }
   }
   if (probes_) {
-    probes_->finalize(config_.duration, servers_, sim_.pending_count(),
+    probes_->finalize(config_.duration, servers_, coord.sim.pending_count(),
                       retry_queue_ ? retry_queue_->size() : 0);
   }
   if (auditor_) auditor_->finalize();
 
-  // Fold the per-shard counters into the published Metrics. Integer counts
-  // add exactly; the fluid sums regroup shard-major, which is the sharded
-  // determinism contract's accepted FP regrouping (the sharded/single
-  // differential bounds it with the PR 6 oracle tolerance).
-  for (const auto& shard : shards_) {
-    metrics_->merge_shard(*shard->metrics, shard_seeded_bug_ ? 0.999 : 1.0);
+  // Fold the shard contexts' counters into the published Metrics. Integer
+  // counts add exactly; the fluid sums regroup shard-major, which is the
+  // sharded determinism contract's accepted FP regrouping (the
+  // sharded/single differential bounds it with the PR 6 oracle tolerance).
+  for (std::size_t k = 1; k < contexts_.size(); ++k) {
+    coord.metrics->merge_shard(*contexts_[k]->metrics,
+                               shard_seeded_bug_ ? 0.999 : 1.0);
   }
-  return *metrics_;
+  return *coord.metrics;
 }
 
-void VodSimulation::run_sharded_windows() {
-  // Lazily spawn the drain workers: construct-only call sites (tests
-  // probing configuration, bounds-only runs) never pay for threads.
-  if (!shard_pool_) {
+void VodSimulation::run_windows() {
+  ExecContext& coord = coordinator();
+  const std::size_t shards = contexts_.size() - 1;
+  if (shards > 0) {
     shard_pool_ = std::make_unique<ThreadPool>(
         static_cast<std::size_t>(config_.shard_threads));
   }
   const Seconds horizon = config_.duration;
+  // Shard k's drain for the window ending at window_end: every pending
+  // event strictly before it.
+  const auto drain = [this](std::size_t k, Seconds window_end) {
+    Simulator& sim = contexts_[k]->sim;
+    if (sim.pending_count() > 0 && sim.peek_time() < window_end) {
+      sim.run_before(window_end);
+    }
+  };
   while (true) {
     // Conservative lookahead: every pending shard event strictly before the
     // next coordinator event is causally independent of it (shard handlers
@@ -490,67 +396,58 @@ void VodSimulation::run_sharded_windows() {
     // the one documented (measure-zero) ordering divergence from the
     // single-queue engine (DESIGN.md §12).
     const bool coordinator_has_work =
-        sim_.pending_count() > 0 && sim_.peek_time() <= horizon;
-    const Seconds window_end = coordinator_has_work ? sim_.peek_time() : horizon;
+        coord.sim.pending_count() > 0 && coord.sim.peek_time() <= horizon;
+    const Seconds window_end =
+        coordinator_has_work ? coord.sim.peek_time() : horizon;
 
-    int busy = 0;
-    detail::EngineShard* last_busy = nullptr;
-    for (const auto& shard : shards_) {
-      if (shard->sim.pending_count() > 0 &&
-          shard->sim.peek_time() < window_end) {
+    std::size_t busy = 0;
+    std::size_t last_busy = 0;
+    for (std::size_t k = 1; k <= shards; ++k) {
+      const Simulator& sim = contexts_[k]->sim;
+      if (sim.pending_count() > 0 && sim.peek_time() < window_end) {
         ++busy;
-        last_busy = shard.get();
+        last_busy = k;
       }
     }
     if (busy == 1) {
       // Common small-window case: skip the fan-out/join round-trip.
-      ScopedShard scoped(*last_busy);
-      last_busy->sim.run_before(window_end);
+      drain(last_busy, window_end);
     } else if (busy > 1) {
       // Each shard drains serially on whichever worker picks it up, and the
       // parallel_for join gives every drain a happens-before edge to the
       // coordinator step below — so the result is bit-identical at any
       // thread count, and TSan-clean.
-      shard_pool_->parallel_for(
-          shards_.size(), [this, window_end](std::size_t i) {
-            detail::EngineShard& shard = *shards_[i];
-            if (shard.sim.pending_count() == 0 ||
-                shard.sim.peek_time() >= window_end) {
-              return;
-            }
-            ScopedShard scoped(shard);
-            shard.sim.run_before(window_end);
-          });
+      shard_pool_->parallel_for(shards, [&drain, window_end](std::size_t i) {
+        drain(i + 1, window_end);
+      });
     }
 
     if (!coordinator_has_work) break;
-    sim_.step();  // exactly one coupling event per window, serially
+    coord.sim.step();  // exactly one coupling event per window, serially
   }
-  // Tail: no coordinator events remain at or before the horizon, so each
-  // shard can run inclusively to it (run_until also clamps the shard
-  // clock there, matching single mode's end-of-run state).
-  shard_pool_->parallel_for(shards_.size(), [this, horizon](std::size_t i) {
-    ScopedShard scoped(*shards_[i]);
-    shards_[i]->sim.run_until(horizon);
-  });
-  sim_.run_until(horizon);
+  // Tail: no coordinator events remain at or before the horizon and every
+  // shard has drained strictly before it, so each context runs inclusively
+  // to the horizon (its events at exactly the horizon, if any) and clamps
+  // its clock there.
+  for (const auto& ctx : contexts_) ctx->sim.run_until(horizon);
 }
 
 void VodSimulation::schedule_next_arrival() {
   auto arrival = arrivals_->next();
   if (!arrival || arrival->time > config_.duration) return;
-  sim_.schedule_at(arrival->time, [this, a = *arrival](Seconds) {
+  coordinator().sim.schedule_at(arrival->time, [this, a = *arrival](Seconds) {
     handle_arrival(a);
     schedule_next_arrival();
   });
 }
 
 void VodSimulation::handle_arrival(const Arrival& arrival) {
-  const Seconds now = sim_.now();
-  metrics_->record_arrival(now);
+  ExecContext& ctx = coordinator();
+  const Seconds now = ctx.sim.now();
+  ctx.metrics->record_arrival(now);
 
   const Video& video = (*catalog_)[arrival.video];
-  note(TraceEventType::kArrival, kTraceAdmission, kNoServer, next_request_id_,
+  note(ctx, TraceEventType::kArrival, kTraceAdmission, kNoServer, next_request_id_,
        arrival.video);
   const AdmissionDecision decision =
       controller_->decide(now, arrival.video, video.view_bandwidth, servers_, rng_);
@@ -559,15 +456,15 @@ void VodSimulation::handle_arrival(const Arrival& arrival) {
   // so a stream's Request lands in the arena pool of the shard whose
   // worker will mutate it (engine/request_arena.h).
   Request& request =
-      requests_.create(request_pool(decision.accepted ? decision.server : kNoServer),
+      requests_.create(owner_index(decision.accepted ? decision.server : kNoServer),
                        next_request_id_++, video, now, client_profile_);
 
   if (!decision.accepted) {
-    note(TraceEventType::kReject, kTraceAdmission, kNoServer, request.id(),
+    note(ctx, TraceEventType::kReject, kTraceAdmission, kNoServer, request.id(),
          arrival.video,
          static_cast<double>(directory_.holders(arrival.video).size()));
     request.mark_rejected();
-    metrics_->record_rejection(now);
+    ctx.metrics->record_rejection(now);
     maybe_start_replication(arrival.video);
     if (retry_queue_ != nullptr) {
       // The viewer retries after a backoff rather than leaving for good; a
@@ -580,8 +477,8 @@ void VodSimulation::handle_arrival(const Arrival& arrival) {
       entry.attempts = 0;
       entry.next_attempt = now + retry_queue_->backoff(0);
       if (retry_queue_->push(entry)) {
-        metrics_->record_retry_enqueued(now);
-        note(TraceEventType::kRetryEnqueued, kTraceFailure, kNoServer, -1,
+        ctx.metrics->record_retry_enqueued(now);
+        note(ctx, TraceEventType::kRetryEnqueued, kTraceFailure, kNoServer, -1,
              arrival.video, static_cast<double>(retry_queue_->size()));
         arm_retry_tick();
       }
@@ -589,37 +486,38 @@ void VodSimulation::handle_arrival(const Arrival& arrival) {
     return;
   }
 
-  note(TraceEventType::kAdmit, kTraceAdmission, decision.server, request.id(),
+  note(ctx, TraceEventType::kAdmit, kTraceAdmission, decision.server, request.id(),
        arrival.video, static_cast<double>(decision.migrations.size()));
   if (decision.used_migration()) {
     for (const MigrationStep& step : decision.migrations) execute_migration(step);
-    metrics_->record_migration_chain(now, decision.migrations.size());
+    ctx.metrics->record_migration_chain(now, decision.migrations.size());
   }
-  metrics_->record_acceptance(now, decision.used_migration());
+  ctx.metrics->record_acceptance(now, decision.used_migration());
 
   request.begin_streaming(now, decision.server);
-  attach_to(decision.server, request);
+  attach_to(ctx, decision.server, request);
   request.playback_end_event =
-      sim_.schedule_at(request.playback_end(), [this, &request](Seconds) {
+      ctx.sim.schedule_at(request.playback_end(), [this, &request](Seconds) {
         request.playback_end_event = kInvalidEventId;
         on_playback_end(request);
       });
-  recompute_server(decision.server);
+  recompute_server(ctx, decision.server);
   if (config_.interactivity.enabled) schedule_next_pause(request);
 }
 
 void VodSimulation::execute_migration(const MigrationStep& step) {
-  const Seconds now = sim_.now();
+  ExecContext& ctx = coordinator();
+  const Seconds now = ctx.sim.now();
   Request& request = *step.request;
   assert(request.state() == RequestState::kStreaming);
   assert(request.server() == step.from);
 
-  note(TraceEventType::kMigrateBegin, kTraceMigration, step.from, request.id(),
+  note(ctx, TraceEventType::kMigrateBegin, kTraceMigration, step.from, request.id(),
        request.video_id(), static_cast<double>(step.to),
        request.buffer_level());
-  advance_and_account(request, now);
+  advance_and_account(ctx, request, now);
   cancel_predicted_events(request);
-  detach_from(step.from, request);
+  detach_from(ctx, step.from, request);
   request.begin_migration(now);
 
   const Seconds latency = config_.admission.migration.switch_latency;
@@ -632,7 +530,7 @@ void VodSimulation::execute_migration(const MigrationStep& step) {
     servers_[static_cast<std::size_t>(step.to)].reserve_bandwidth(
         request.view_bandwidth());
     mark_server_dirty(step.to);
-    sim_.schedule_in(latency, [this, &request, target = step.to](Seconds) {
+    ctx.sim.schedule_in(latency, [this, &ctx, &request, target = step.to](Seconds) {
       servers_[static_cast<std::size_t>(target)].release_reservation(
           request.view_bandwidth());
       mark_server_dirty(target);
@@ -646,7 +544,7 @@ void VodSimulation::execute_migration(const MigrationStep& step) {
       // its active list, so the crash-recovery sweep could not have seen
       // it; handle it here like any other crash victim — another replica
       // holder, else park for retry, else drop.
-      const Seconds now = sim_.now();
+      const Seconds now = ctx.sim.now();
       ServerId fallback = kNoServer;
       if (config_.failure.recover_via_migration) {
         for (ServerId candidate : directory_.holders(request.video_id())) {
@@ -661,71 +559,73 @@ void VodSimulation::execute_migration(const MigrationStep& step) {
         }
       }
       if (fallback != kNoServer) {
-        note(TraceEventType::kStreamRecovered, kTraceFailure, fallback,
+        note(ctx, TraceEventType::kStreamRecovered, kTraceFailure, fallback,
              request.id(), request.video_id());
         finish_migration(request, fallback);
       } else if (!park_for_retry(request)) {
-        note(TraceEventType::kStreamDropped, kTraceFailure, target,
+        note(ctx, TraceEventType::kStreamDropped, kTraceFailure, target,
              request.id(), request.video_id());
         request.mark_done(now);
-        metrics_->record_drop(now);
+        ctx.metrics->record_drop(now);
       }
     });
   }
-  recompute_server(step.from);
+  recompute_server(ctx, step.from);
 }
 
 void VodSimulation::finish_migration(Request& request, ServerId target) {
-  const Seconds now = sim_.now();
-  advance_and_account(request, now);  // drains the buffer over the pause
+  ExecContext& ctx = coordinator();
+  const Seconds now = ctx.sim.now();
+  advance_and_account(ctx, request, now);  // drains the buffer over the pause
   request.complete_migration(now, target);
-  attach_to(target, request);
-  note(TraceEventType::kMigrateEnd, kTraceMigration, target, request.id(),
+  attach_to(ctx, target, request);
+  note(ctx, TraceEventType::kMigrateEnd, kTraceMigration, target, request.id(),
        request.video_id());
-  recompute_server(target);
+  recompute_server(ctx, target);
 }
 
-void VodSimulation::on_tx_complete(Request& request) {
-  // Shard-local event: fires from the owning shard's drain (or from the
-  // root queue in single mode) and touches only the request, its server,
-  // and shard-context accounting — never another shard, never the RNG.
-  const Seconds now = t_shard != nullptr ? t_shard->sim.now() : sim_.now();
+void VodSimulation::on_tx_complete(ExecContext& ctx, Request& request) {
+  // Predicted event: runs on the owner context's queue and touches only the
+  // request, its server, and that context's accounting — never another
+  // shard, never the RNG.
+  const Seconds now = ctx.sim.now();
   const ServerId server = request.server();
   assert(server != kNoServer);
-  advance_and_account(request, now);
+  advance_and_account(ctx, request, now);
   if (!request.finished()) {
     // Floating-point drift between the predicted completion and the fluid
     // integration: let the reallocation pass reschedule a corrected event.
-    recompute_server(server);
+    recompute_server(ctx, server);
     return;
   }
   cancel_predicted_events(request);
-  detach_from(server, request);
+  detach_from(ctx, server, request);
   request.mark_tx_complete(now);
-  note(TraceEventType::kTxComplete, kTraceLifecycle, server, request.id(),
+  note(ctx, TraceEventType::kTxComplete, kTraceLifecycle, server, request.id(),
        request.video_id());
-  recompute_server(server);
+  recompute_server(ctx, server);
 }
 
-void VodSimulation::on_buffer_full(Request& request) {
+void VodSimulation::on_buffer_full(ExecContext& ctx, Request& request) {
   // The request is advanced (and its allocation corrected) as part of the
   // server-wide reallocation.
   assert(request.server() != kNoServer);
-  note(TraceEventType::kBufferFull, kTraceBuffer, request.server(), request.id(),
-       request.video_id(), request.buffer_level());
-  recompute_server(request.server());
+  note(ctx, TraceEventType::kBufferFull, kTraceBuffer, request.server(),
+       request.id(), request.video_id(), request.buffer_level());
+  recompute_server(ctx, request.server());
 }
 
 void VodSimulation::on_playback_end(Request& request) {
-  const Seconds now = sim_.now();
+  ExecContext& ctx = coordinator();
+  const Seconds now = ctx.sim.now();
   switch (request.state()) {
     case RequestState::kTxComplete: {
       // Drain the remaining buffered data through the fluid model so the
       // continuity audit covers the whole playback.
-      advance_and_account(request, now);
+      advance_and_account(ctx, request, now);
       request.mark_done(now);
-      metrics_->record_completion(now);
-      note(TraceEventType::kPlaybackEnd, kTraceLifecycle, kNoServer,
+      ctx.metrics->record_completion(now);
+      note(ctx, TraceEventType::kPlaybackEnd, kTraceLifecycle, kNoServer,
            request.id(), request.video_id());
       break;
     }
@@ -733,32 +633,32 @@ void VodSimulation::on_playback_end(Request& request) {
       // Viewing ended before the transfer did (possible only after pauses
       // or failures): the client leaves; unsent data is abandoned.
       const ServerId server = request.server();
-      advance_and_account(request, now);
+      advance_and_account(ctx, request, now);
       cancel_predicted_events(request);
-      detach_from(server, request);
+      detach_from(ctx, server, request);
       request.mark_done(now);
-      metrics_->record_completion(now);
-      note(TraceEventType::kPlaybackEnd, kTraceLifecycle, server, request.id(),
+      ctx.metrics->record_completion(now);
+      note(ctx, TraceEventType::kPlaybackEnd, kTraceLifecycle, server, request.id(),
            request.video_id());
-      recompute_server(server);
+      recompute_server(ctx, server);
       break;
     }
     case RequestState::kMigrating: {
-      advance_and_account(request, now);
+      advance_and_account(ctx, request, now);
       if (retry_queue_ != nullptr && retry_queue_->remove_request(request.id())) {
         // A parked orphan whose playback window closed before any retry
         // succeeded: the viewer is gone and the tail was never delivered —
         // a permanent loss, not a completion.
-        note(TraceEventType::kRetryAbandoned, kTraceFailure, kNoServer,
+        note(ctx, TraceEventType::kRetryAbandoned, kTraceFailure, kNoServer,
              request.id(), request.video_id());
-        metrics_->record_retry_abandoned(now);
+        ctx.metrics->record_retry_abandoned(now);
         request.mark_done(now);
-        metrics_->record_drop(now);
+        ctx.metrics->record_drop(now);
         break;
       }
       request.mark_done(now);
-      metrics_->record_completion(now);
-      note(TraceEventType::kPlaybackEnd, kTraceLifecycle, kNoServer,
+      ctx.metrics->record_completion(now);
+      note(ctx, TraceEventType::kPlaybackEnd, kTraceLifecycle, kNoServer,
            request.id(), request.video_id());
       break;
     }
@@ -771,7 +671,8 @@ void VodSimulation::on_playback_end(Request& request) {
 }
 
 void VodSimulation::apply_fault(const FaultTransition& event) {
-  const Seconds now = sim_.now();
+  ExecContext& ctx = coordinator();
+  const Seconds now = ctx.sim.now();
   const std::size_t s = static_cast<std::size_t>(event.server);
   Server& server = servers_[s];
   switch (event.kind) {
@@ -782,7 +683,7 @@ void VodSimulation::apply_fault(const FaultTransition& event) {
       if (brownout_since_[s] >= 0.0) {
         // The brownout loss interval ends here; the crash interval (full
         // bandwidth) takes over.
-        metrics_->record_capacity_loss(
+        ctx.metrics->record_capacity_loss(
             brownout_since_[s], now,
             server.bandwidth() * (1.0 - server.capacity_factor()),
             event.server);
@@ -791,16 +692,16 @@ void VodSimulation::apply_fault(const FaultTransition& event) {
       if (partition_since_[s] >= 0.0) {
         // Partition loss interval hands over to the crash interval too —
         // never both at once (both charge the full link).
-        metrics_->record_capacity_loss(partition_since_[s], now,
+        ctx.metrics->record_capacity_loss(partition_since_[s], now,
                                        server.bandwidth(), event.server);
         partition_since_[s] = -1.0;
       }
       fault_down_since_[s] = now;
-      metrics_->record_server_down(now);
-      note(TraceEventType::kServerDown, kTraceFailure, event.server);
+      ctx.metrics->record_server_down(now);
+      note(ctx, TraceEventType::kServerDown, kTraceFailure, event.server);
       recover_streams_of_failed_server(server);
       if (config_.failure.repair.enabled) {
-        sim_.schedule_at(now + config_.failure.repair.down_threshold,
+        ctx.sim.schedule_at(now + config_.failure.repair.down_threshold,
                          [this, id = event.server, since = now](Seconds) {
                            check_repair(id, since);
                          });
@@ -813,9 +714,9 @@ void VodSimulation::apply_fault(const FaultTransition& event) {
       server.set_available(true);
       const Seconds down_since = fault_down_since_[s];
       if (down_since >= 0.0) {
-        metrics_->record_capacity_loss(down_since, now, server.bandwidth(),
+        ctx.metrics->record_capacity_loss(down_since, now, server.bandwidth(),
                                        event.server);
-        metrics_->record_server_recovery(now, now - down_since);
+        ctx.metrics->record_server_recovery(now, now - down_since);
         fault_down_since_[s] = -1.0;
       }
       if (!server.reachable()) {
@@ -827,7 +728,7 @@ void VodSimulation::apply_fault(const FaultTransition& event) {
         // capacity again now that the server is back in service.
         brownout_since_[s] = now;
       }
-      note(TraceEventType::kServerUp, kTraceFailure, event.server);
+      note(ctx, TraceEventType::kServerUp, kTraceFailure, event.server);
       process_retries(/*force=*/true);
       break;
     }
@@ -839,7 +740,7 @@ void VodSimulation::apply_fault(const FaultTransition& event) {
       // serviceable.
       if (server.serviceable()) {
         if (brownout_since_[s] >= 0.0) {
-          metrics_->record_capacity_loss(
+          ctx.metrics->record_capacity_loss(
               brownout_since_[s], now,
               server.bandwidth() * (1.0 - server.capacity_factor()),
               event.server);
@@ -847,11 +748,11 @@ void VodSimulation::apply_fault(const FaultTransition& event) {
         brownout_since_[s] = now;
       }
       server.set_capacity_factor(event.capacity_factor);
-      note(TraceEventType::kBrownoutBegin, kTraceFailure, event.server, -1, -1,
+      note(ctx, TraceEventType::kBrownoutBegin, kTraceFailure, event.server, -1, -1,
            event.capacity_factor);
       if (server.available()) {
         shed_overload(server);
-        recompute_server(event.server);
+        recompute_server(ctx, event.server);
       }
       break;
     }
@@ -859,15 +760,15 @@ void VodSimulation::apply_fault(const FaultTransition& event) {
       if (server.capacity_factor() == 1.0) return;  // idempotent
       mark_server_dirty(event.server);
       if (brownout_since_[s] >= 0.0) {
-        metrics_->record_capacity_loss(
+        ctx.metrics->record_capacity_loss(
             brownout_since_[s], now,
             server.bandwidth() * (1.0 - server.capacity_factor()),
             event.server);
         brownout_since_[s] = -1.0;
       }
       server.set_capacity_factor(1.0);
-      note(TraceEventType::kBrownoutEnd, kTraceFailure, event.server);
-      if (server.available()) recompute_server(event.server);
+      note(ctx, TraceEventType::kBrownoutEnd, kTraceFailure, event.server);
+      if (server.available()) recompute_server(ctx, event.server);
       process_retries(/*force=*/true);
       break;
     }
@@ -876,15 +777,15 @@ void VodSimulation::apply_fault(const FaultTransition& event) {
       mark_server_dirty(event.server);
       server.set_reachable(false);
       partition_began_[s] = now;
-      metrics_->record_partition_begin(now);
-      note(TraceEventType::kPartitionBegin, kTraceFailure, event.server);
+      ctx.metrics->record_partition_begin(now);
+      note(ctx, TraceEventType::kPartitionBegin, kTraceFailure, event.server);
       if (server.available()) {
         // The server is up but the controller lost it: the open brownout
         // interval (partial loss) hands over to the partition interval
         // (full link), and every active stream is cut off from its client
         // — recover elsewhere, park, or drop, exactly like a crash.
         if (brownout_since_[s] >= 0.0) {
-          metrics_->record_capacity_loss(
+          ctx.metrics->record_capacity_loss(
               brownout_since_[s], now,
               server.bandwidth() * (1.0 - server.capacity_factor()),
               event.server);
@@ -900,12 +801,12 @@ void VodSimulation::apply_fault(const FaultTransition& event) {
       mark_server_dirty(event.server);
       server.set_reachable(true);
       if (partition_since_[s] >= 0.0) {
-        metrics_->record_capacity_loss(partition_since_[s], now,
+        ctx.metrics->record_capacity_loss(partition_since_[s], now,
                                        server.bandwidth(), event.server);
         partition_since_[s] = -1.0;
       }
       if (partition_began_[s] >= 0.0) {
-        metrics_->record_partition_heal(now, now - partition_began_[s]);
+        ctx.metrics->record_partition_heal(now, now - partition_began_[s]);
         partition_began_[s] = -1.0;
       }
       // A brownout that persisted through the partition starts costing
@@ -913,8 +814,8 @@ void VodSimulation::apply_fault(const FaultTransition& event) {
       if (server.available() && server.capacity_factor() < 1.0) {
         brownout_since_[s] = now;
       }
-      note(TraceEventType::kPartitionEnd, kTraceFailure, event.server);
-      if (server.available()) recompute_server(event.server);
+      note(ctx, TraceEventType::kPartitionEnd, kTraceFailure, event.server);
+      if (server.available()) recompute_server(ctx, event.server);
       process_retries(/*force=*/true);
       break;
     }
@@ -922,15 +823,16 @@ void VodSimulation::apply_fault(const FaultTransition& event) {
 }
 
 void VodSimulation::recover_streams_of_failed_server(Server& server) {
-  const Seconds now = sim_.now();
+  ExecContext& ctx = coordinator();
+  const Seconds now = ctx.sim.now();
   // Copy: we detach as we go.
   std::vector<Request*> victims(server.active_requests().begin(),
                                 server.active_requests().end());
   for (Request* victim : victims) {
     Request& request = *victim;
-    advance_and_account(request, now);
+    advance_and_account(ctx, request, now);
     cancel_predicted_events(request);
-    detach_from(server.id(), request);
+    detach_from(ctx, server.id(), request);
 
     ServerId target = kNoServer;
     if (config_.failure.recover_via_migration) {
@@ -947,25 +849,26 @@ void VodSimulation::recover_streams_of_failed_server(Server& server) {
       }
     }
     if (target != kNoServer) {
-      note(TraceEventType::kStreamRecovered, kTraceFailure, target,
+      note(ctx, TraceEventType::kStreamRecovered, kTraceFailure, target,
            request.id(), request.video_id());
       request.begin_migration(now);
       finish_migration(request, target);
     } else if (!park_for_retry(request)) {
-      note(TraceEventType::kStreamDropped, kTraceFailure, server.id(),
+      note(ctx, TraceEventType::kStreamDropped, kTraceFailure, server.id(),
            request.id(), request.video_id());
       request.mark_done(now);  // stream lost
-      metrics_->record_drop(now);
+      ctx.metrics->record_drop(now);
     }
   }
 }
 
 void VodSimulation::shed_overload(Server& server) {
-  const Seconds now = sim_.now();
+  ExecContext& ctx = coordinator();
+  const Seconds now = ctx.sim.now();
   // Advance everyone first so the buffer levels compared below are current
   // and detached victims carry no stale fluid state.
   for (Request* request : server.active_requests()) {
-    advance_and_account(*request, now);
+    advance_and_account(ctx, *request, now);
   }
   // 1e-9 Mb/s tolerance, matching the admission arithmetic: commitments a
   // rounding error over the degraded link are not worth an eviction.
@@ -983,7 +886,7 @@ void VodSimulation::shed_overload(Server& server) {
     Request& request = *victim;
     const Megabits buffered = request.buffer_level();
     cancel_predicted_events(request);
-    detach_from(server.id(), request);
+    detach_from(ctx, server.id(), request);
 
     // Migrate before dropping: least-loaded other replica holder with room.
     ServerId target = kNoServer;
@@ -997,19 +900,19 @@ void VodSimulation::shed_overload(Server& server) {
         target = candidate;
       }
     }
-    note(TraceEventType::kStreamShed, kTraceFailure, server.id(), request.id(),
+    note(ctx, TraceEventType::kStreamShed, kTraceFailure, server.id(), request.id(),
          request.video_id(), buffered);
     if (target != kNoServer) {
-      metrics_->record_shed(now, /*migrated=*/true);
+      ctx.metrics->record_shed(now, /*migrated=*/true);
       request.begin_migration(now);
       finish_migration(request, target);
     } else {
-      metrics_->record_shed(now, /*migrated=*/false);
+      ctx.metrics->record_shed(now, /*migrated=*/false);
       if (!park_for_retry(request)) {
-        note(TraceEventType::kStreamDropped, kTraceFailure, server.id(),
+        note(ctx, TraceEventType::kStreamDropped, kTraceFailure, server.id(),
              request.id(), request.video_id());
         request.mark_done(now);
-        metrics_->record_drop(now);
+        ctx.metrics->record_drop(now);
       }
     }
   }
@@ -1017,7 +920,8 @@ void VodSimulation::shed_overload(Server& server) {
 
 bool VodSimulation::park_for_retry(Request& request) {
   if (retry_queue_ == nullptr) return false;
-  const Seconds now = sim_.now();
+  ExecContext& ctx = coordinator();
+  const Seconds now = ctx.sim.now();
   RetryEntry entry;
   entry.request = request.id();
   entry.video = request.video_id();
@@ -1031,8 +935,8 @@ bool VodSimulation::park_for_retry(Request& request) {
   // A stream stranded by its migration target crashing mid-switch is
   // already in the migrating state.
   if (request.state() == RequestState::kStreaming) request.begin_migration(now);
-  metrics_->record_retry_enqueued(now);
-  note(TraceEventType::kRetryEnqueued, kTraceFailure, kNoServer, request.id(),
+  ctx.metrics->record_retry_enqueued(now);
+  note(ctx, TraceEventType::kRetryEnqueued, kTraceFailure, kNoServer, request.id(),
        request.video_id(), static_cast<double>(retry_queue_->size()));
   arm_retry_tick();
   return true;
@@ -1040,7 +944,8 @@ bool VodSimulation::park_for_retry(Request& request) {
 
 void VodSimulation::process_retries(bool force) {
   if (retry_queue_ == nullptr || retry_queue_->empty()) return;
-  const Seconds now = sim_.now();
+  ExecContext& ctx = coordinator();
+  const Seconds now = ctx.sim.now();
   std::vector<RetryEntry> due = retry_queue_->take_due(now, force);
   for (RetryEntry& entry : due) {
     const AdmissionDecision decision = controller_->decide(
@@ -1050,46 +955,46 @@ void VodSimulation::process_retries(bool force) {
         for (const MigrationStep& step : decision.migrations) {
           execute_migration(step);
         }
-        metrics_->record_migration_chain(now, decision.migrations.size());
+        ctx.metrics->record_migration_chain(now, decision.migrations.size());
       }
-      metrics_->record_readmission(now);
+      ctx.metrics->record_readmission(now);
       if (entry.request != kNoRetryRequest) {
         // Re-admit the parked orphan where capacity opened up.
         Request& request = requests_[static_cast<std::size_t>(entry.request)];
         assert(request.state() == RequestState::kMigrating);
-        note(TraceEventType::kRetryReadmitted, kTraceFailure, decision.server,
+        note(ctx, TraceEventType::kRetryReadmitted, kTraceFailure, decision.server,
              request.id(), request.video_id(),
              static_cast<double>(entry.attempts));
         finish_migration(request, decision.server);
       } else {
         // A rejected arrival returns: fresh stream, fresh playback window.
         const Video& video = (*catalog_)[entry.video];
-        Request& request = requests_.create(request_pool(decision.server),
+        Request& request = requests_.create(owner_index(decision.server),
                                             next_request_id_++, video, now,
                                             client_profile_);
-        note(TraceEventType::kRetryReadmitted, kTraceFailure, decision.server,
+        note(ctx, TraceEventType::kRetryReadmitted, kTraceFailure, decision.server,
              request.id(), entry.video, static_cast<double>(entry.attempts));
         request.begin_streaming(now, decision.server);
-        attach_to(decision.server, request);
+        attach_to(ctx, decision.server, request);
         request.playback_end_event =
-            sim_.schedule_at(request.playback_end(), [this, &request](Seconds) {
+            ctx.sim.schedule_at(request.playback_end(), [this, &request](Seconds) {
               request.playback_end_event = kInvalidEventId;
               on_playback_end(request);
             });
-        recompute_server(decision.server);
+        recompute_server(ctx, decision.server);
         if (config_.interactivity.enabled) schedule_next_pause(request);
       }
     } else {
       ++entry.attempts;
       if (entry.attempts >= config_.failure.retry.max_attempts) {
-        metrics_->record_retry_abandoned(now);
-        note(TraceEventType::kRetryAbandoned, kTraceFailure, kNoServer,
+        ctx.metrics->record_retry_abandoned(now);
+        note(ctx, TraceEventType::kRetryAbandoned, kTraceFailure, kNoServer,
              entry.request, entry.video, static_cast<double>(entry.attempts));
         if (entry.request != kNoRetryRequest) {
           Request& request = requests_[static_cast<std::size_t>(entry.request)];
-          advance_and_account(request, now);
+          advance_and_account(ctx, request, now);
           request.mark_done(now);
-          metrics_->record_drop(now);
+          ctx.metrics->record_drop(now);
         }
       } else {
         entry.next_attempt = now + retry_queue_->backoff(entry.attempts);
@@ -1103,14 +1008,15 @@ void VodSimulation::process_retries(bool force) {
 void VodSimulation::arm_retry_tick() {
   if (retry_queue_ == nullptr) return;
   const Seconds next = retry_queue_->next_attempt_time();
+  Simulator& sim = coordinator().sim;
   if (next == std::numeric_limits<Seconds>::infinity()) {
-    sim_.cancel(retry_tick_);
+    sim.cancel(retry_tick_);
     retry_tick_ = kInvalidEventId;
     return;
   }
-  const Seconds at = std::max(next, sim_.now());
-  if (!sim_.reschedule_at(at, retry_tick_)) {
-    retry_tick_ = sim_.schedule_at(at, [this](Seconds) {
+  const Seconds at = std::max(next, sim.now());
+  if (!sim.reschedule_at(at, retry_tick_)) {
+    retry_tick_ = sim.schedule_at(at, [this](Seconds) {
       retry_tick_ = kInvalidEventId;
       process_retries(/*force=*/false);
     });
@@ -1123,7 +1029,8 @@ void VodSimulation::check_repair(ServerId server_id, Seconds down_since) {
   // Exact compare: a repair-then-recrash starts a new episode (and a new
   // threshold timer); this timer belongs to the old one.
   if (fault_down_since_[s] != down_since) return;
-  const Seconds now = sim_.now();
+  ExecContext& ctx = coordinator();
+  const Seconds now = ctx.sim.now();
   // Re-replicate the titles this outage left with no available holder.
   for (VideoId video : servers_[s].replicas()) {
     bool reachable = false;
@@ -1137,24 +1044,22 @@ void VodSimulation::check_repair(ServerId server_id, Seconds down_since) {
     if (reachable) continue;
     auto job = replication_->plan_repair(video, *catalog_, servers_, directory_);
     if (!job) continue;
-    metrics_->record_repair(now);
-    note(TraceEventType::kRepairPlanned, kTraceFailure, job->destination, -1,
+    ctx.metrics->record_repair(now);
+    note(ctx, TraceEventType::kRepairPlanned, kTraceFailure, job->destination, -1,
          video, static_cast<double>(server_id));
     start_replication_job(*job);
   }
 }
 
-void VodSimulation::recompute_server(ServerId server_id) {
+void VodSimulation::recompute_server(ExecContext& ctx, ServerId server_id) {
   Server& server = servers_[static_cast<std::size_t>(server_id)];
   ServerRecomputeState& state = recompute_state_[static_cast<std::size_t>(server_id)];
-  // Executing context: a shard drain recomputes at its own clock with its
-  // own scheduler instance and scratch arenas (it only ever reaches its
-  // own servers); the coordinator — and all of single mode — uses the
-  // root set. Same code, same FP operation order either way.
-  detail::EngineShard* const shard = t_shard;
-  assert(shard == nullptr ||
-         (server_id >= shard->first_server && server_id < shard->end_server));
-  const Seconds now = shard != nullptr ? shard->sim.now() : sim_.now();
+  // The executing context recomputes at its own clock with its own
+  // scheduler instance and scratch arenas. A shard context only ever
+  // reaches its own servers; the coordinator may reach any.
+  assert(ctx.index == 0 ||
+         owner_index(server_id) == static_cast<std::size_t>(ctx.index));
+  const Seconds now = ctx.sim.now();
   // Memo: several events at one timestamp often recompute the same server.
   // A repeat with unchanged inputs is a pure no-op — advance would see dt=0,
   // allocate is deterministic in its inputs (including the intermittent
@@ -1165,31 +1070,25 @@ void VodSimulation::recompute_server(ServerId server_id) {
   if (state.clean_time == now && state.clean_epoch == state.epoch) return;
 
   const std::vector<Request*>& active = server.active_requests();
-  note(TraceEventType::kRecompute, kTraceSched, server_id, -1, -1,
+  note(ctx, TraceEventType::kRecompute, kTraceSched, server_id, -1, -1,
        static_cast<double>(active.size()), server.schedulable_bandwidth());
-  batch_advance_server(server);
+  batch_advance_server(ctx, server);
 
-  BandwidthScheduler& scheduler =
-      shard != nullptr ? *shard->scheduler : *scheduler_;
-  std::vector<Mbps>& rates =
-      shard != nullptr ? shard->rates_scratch : rates_scratch_;
-  AllocationScratch& scratch =
-      shard != nullptr ? shard->sched_scratch : sched_scratch_;
-  scheduler.allocate(now, server.schedulable_bandwidth(), active, rates,
-                     scratch, &state.sched_cache);
+  const std::vector<Mbps>& rates = ctx.rates_scratch;
+  ctx.scheduler->allocate(now, server.schedulable_bandwidth(), active,
+                          ctx.rates_scratch, ctx.sched_scratch, &state.sched_cache);
 
   // Phase 1: write the new allocations (ascending slot order, as the old
   // fused loop did) and collect the slots whose rate actually moved.
   // Exact comparison on purpose: the common case (rate == view bandwidth,
   // assigned from the same double every recomputation) stays bit-identical,
   // so unchanged requests keep their predicted events.
-  std::vector<std::size_t>& changed =
-      shard != nullptr ? shard->changed_slots : changed_slots_;
+  std::vector<std::size_t>& changed = ctx.changed_slots;
   changed.clear();
   for (std::size_t i = 0; i < active.size(); ++i) {
     Request& request = *active[i];
     if (rates[i] != request.allocation()) {
-      note(TraceEventType::kAllocationChange, kTraceAllocation, server_id,
+      note(ctx, TraceEventType::kAllocationChange, kTraceAllocation, server_id,
            request.id(), request.video_id(), request.allocation(),
            rates[i]);
       request.set_allocation(now, rates[i]);
@@ -1208,23 +1107,21 @@ void VodSimulation::recompute_server(ServerId server_id) {
   // the whole lane to retime two slots would waste the divisions the batch
   // amortizes.
   if (changed.size() >= 8 && changed.size() * 4 >= active.size()) {
-    std::vector<Seconds>& tx = shard != nullptr ? shard->retime_tx : retime_tx_;
-    std::vector<Seconds>& full =
-        shard != nullptr ? shard->retime_full : retime_full_;
-    std::vector<Seconds>& low = shard != nullptr ? shard->retime_low : retime_low_;
     server.lane().fill_predicted_times(now, config_.intermittent_safety_cover,
-                                       tx, full, low);
+                                       ctx.retime_tx, ctx.retime_full,
+                                       ctx.retime_low);
     for (const std::size_t i : changed) {
       Request& request = *active[i];
       if (request.state() != RequestState::kStreaming) {
         cancel_predicted_events(request);  // mirrors reschedule's early-out
       } else {
-        apply_predicted_times(request, tx[i], full[i], low[i]);
+        apply_predicted_times(request, ctx.retime_tx[i], ctx.retime_full[i],
+                              ctx.retime_low[i]);
       }
     }
   } else {
     for (const std::size_t i : changed) {
-      reschedule_predicted_events(*active[i]);
+      reschedule_predicted_events(ctx, *active[i]);
     }
   }
   // Record *after* the advances above bumped the epoch: the server is clean
@@ -1238,28 +1135,23 @@ void VodSimulation::mark_server_dirty(ServerId server_id) {
   ++recompute_state_[static_cast<std::size_t>(server_id)].epoch;
 }
 
-void VodSimulation::advance_and_account(Request& request, Seconds now) {
+void VodSimulation::advance_and_account(ExecContext& ctx, Request& request,
+                                        Seconds now) {
   if (now <= request.last_update()) return;
   // Real time elapsed: buffer level and remaining bytes moved, which feeds
   // eligibility and finish-time ordering on the hosting server.
   mark_server_dirty(request.server());
   const Seconds interval_start = request.last_update();
-  // A shard drain accounts into its own Metrics shard (merged after the
-  // run); the auditor is never active in sharded mode (build_world).
-  detail::EngineShard* const shard = t_shard;
-  Metrics& metrics = shard != nullptr ? *shard->metrics : *metrics_;
-  metrics.record_transmission(interval_start, now, request.allocation());
+  // A shard context accounts into its own Metrics (merged after the run);
+  // the auditor is never active in sharded runs (build_world).
+  ctx.metrics->record_transmission(interval_start, now, request.allocation());
   if (auditor_) auditor_->on_advance(request, interval_start, now);
   const Megabits underflow = request.advance(now);
-  if (underflow > 0.0) account_underflow(request, now, underflow);
+  if (underflow > 0.0) account_underflow(ctx, request, now, underflow);
 }
 
-void VodSimulation::batch_advance_server(Server& server) {
-  detail::EngineShard* const shard = t_shard;
-  const Seconds now = shard != nullptr ? shard->sim.now() : sim_.now();
-  Metrics& metrics = shard != nullptr ? *shard->metrics : *metrics_;
-  std::vector<Megabits>& underflow_scratch =
-      shard != nullptr ? shard->underflow_scratch : underflow_scratch_;
+void VodSimulation::batch_advance_server(ExecContext& ctx, Server& server) {
+  const Seconds now = ctx.sim.now();
   const std::vector<Request*>& active = server.active_requests();
 
   if (auditor_) {
@@ -1274,23 +1166,22 @@ void VodSimulation::batch_advance_server(Server& server) {
   }
 
   const FluidLane::BatchResult batch = server.lane().advance_batch(
-      now, config_.warmup, config_.duration, metrics.transmission_meter(),
-      underflow_scratch);
+      now, config_.warmup, config_.duration, ctx.metrics->transmission_meter(),
+      ctx.underflow_scratch);
   if (batch.advanced > 0) mark_server_dirty(server.id());
   if (!batch.any_underflow) return;
   // Rare path: per-stream accounting in active order, as
   // advance_and_account would do it stream by stream.
   for (Request* request : active) {
-    const Megabits underflow = underflow_scratch[request->active_index];
-    if (underflow > 0.0) account_underflow(*request, now, underflow);
+    const Megabits underflow = ctx.underflow_scratch[request->active_index];
+    if (underflow > 0.0) account_underflow(ctx, *request, now, underflow);
   }
 }
 
-void VodSimulation::account_underflow(Request& request, Seconds now,
-                                      Megabits underflow) {
-  detail::EngineShard* const shard = t_shard;
-  Metrics& metrics = shard != nullptr ? *shard->metrics : *metrics_;
-  ++(shard != nullptr ? shard->continuity_violations : continuity_violations_);
+void VodSimulation::account_underflow(ExecContext& ctx, Request& request,
+                                      Seconds now, Megabits underflow) {
+  Metrics& metrics = *ctx.metrics;
+  ++ctx.continuity_violations;
   metrics.record_underflow(now, underflow);
   // Viewer-facing resilience accounting: the megabits short translate to
   // seconds of starved playback at the view rate. One counted
@@ -1311,7 +1202,7 @@ void VodSimulation::account_underflow(Request& request, Seconds now,
                           request.last_server);
     request.last_glitch_window = window_idx;
   }
-  note(TraceEventType::kUnderflow, kTraceBuffer, request.server(),
+  note(ctx, TraceEventType::kUnderflow, kTraceBuffer, request.server(),
        request.id(), request.video_id(), underflow);
   VODSIM_DEBUG << "continuity violation: request " << request.id() << " short "
                << underflow << " Mb at " << now << " at rate "
@@ -1325,7 +1216,8 @@ void VodSimulation::schedule_next_pause(Request& request) {
   const Seconds gap =
       interactivity_rng_.exponential(config_.interactivity.pauses_per_hour /
                                      kSecondsPerHour);
-  sim_.schedule_in(gap, [this, &request](Seconds) { on_pause(request); });
+  coordinator().sim.schedule_in(gap,
+                                [this, &request](Seconds) { on_pause(request); });
 }
 
 void VodSimulation::on_pause(Request& request) {
@@ -1334,57 +1226,59 @@ void VodSimulation::on_pause(Request& request) {
       request.state() == RequestState::kRejected) {
     return;
   }
-  const Seconds now = sim_.now();
+  ExecContext& ctx = coordinator();
+  const Seconds now = ctx.sim.now();
   if (now >= request.playback_end() || request.viewing_paused()) return;
 
-  advance_and_account(request, now);
+  advance_and_account(ctx, request, now);
   request.pause_viewing(now);
   mark_server_dirty(request.server());  // drain stopped; minimum rate may be 0
   ++pauses_started_;
-  note(TraceEventType::kPause, kTraceLifecycle, request.server(), request.id(),
+  note(ctx, TraceEventType::kPause, kTraceLifecycle, request.server(), request.id(),
        request.video_id(), request.buffer_level());
 
   // The deadline is frozen until resume; the pending end-of-playback event
   // would fire at the stale time.
-  sim_.cancel(request.playback_end_event);
+  ctx.sim.cancel(request.playback_end_event);
   request.playback_end_event = kInvalidEventId;
 
   if (request.state() == RequestState::kStreaming) {
     // Drain stopped: buffer-full predictions changed even if the allocation
     // did not, and a full buffer now absorbs nothing (minimum rate 0).
-    recompute_server(request.server());
-    reschedule_predicted_events(request);
+    recompute_server(ctx, request.server());
+    reschedule_predicted_events(ctx, request);
   }
 
   const Seconds pause = interactivity_rng_.exponential(
       1.0 / config_.interactivity.mean_pause_duration);
-  sim_.schedule_in(pause, [this, &request](Seconds) { on_resume(request); });
+  ctx.sim.schedule_in(pause, [this, &request](Seconds) { on_resume(request); });
 }
 
 void VodSimulation::on_resume(Request& request) {
   if (request.state() == RequestState::kDone) return;  // dropped mid-pause
-  const Seconds now = sim_.now();
-  advance_and_account(request, now);
+  ExecContext& ctx = coordinator();
+  const Seconds now = ctx.sim.now();
+  advance_and_account(ctx, request, now);
   request.resume_viewing(now);
   mark_server_dirty(request.server());  // drain restarted
-  note(TraceEventType::kResume, kTraceLifecycle, request.server(), request.id(),
+  note(ctx, TraceEventType::kResume, kTraceLifecycle, request.server(), request.id(),
        request.video_id(), request.buffer_level());
 
   request.playback_end_event =
-      sim_.schedule_at(request.playback_end(), [this, &request](Seconds) {
+      ctx.sim.schedule_at(request.playback_end(), [this, &request](Seconds) {
         request.playback_end_event = kInvalidEventId;
         on_playback_end(request);
       });
 
   if (request.state() == RequestState::kStreaming) {
-    recompute_server(request.server());
-    reschedule_predicted_events(request);
+    recompute_server(ctx, request.server());
+    reschedule_predicted_events(ctx, request);
   }
   schedule_next_pause(request);
 }
 
 void VodSimulation::maybe_start_replication(VideoId video) {
-  const Seconds now = sim_.now();
+  const Seconds now = coordinator().sim.now();
   auto job =
       replication_->on_rejection(video, now, *catalog_, servers_, directory_);
   if (!job) return;
@@ -1392,7 +1286,8 @@ void VodSimulation::maybe_start_replication(VideoId video) {
 }
 
 void VodSimulation::start_replication_job(const ReplicationJob& planned) {
-  const Seconds now = sim_.now();
+  ExecContext& ctx = coordinator();
+  const Seconds now = ctx.sim.now();
   Server& destination = servers_[static_cast<std::size_t>(planned.destination)];
   const Mbps rate = config_.replication.transfer_bandwidth;
 
@@ -1403,25 +1298,26 @@ void VodSimulation::start_replication_job(const ReplicationJob& planned) {
   if (!planned.from_tertiary()) {
     servers_[static_cast<std::size_t>(planned.source)].reserve_bandwidth(rate);
     mark_server_dirty(planned.source);
-    recompute_server(planned.source);
+    recompute_server(ctx, planned.source);
   }
   destination.reserve_bandwidth(rate);
   mark_server_dirty(planned.destination);
   replication_->on_job_started();
-  note(TraceEventType::kReplicationBegin, kTraceReplication, planned.destination,
-       -1, planned.video,
+  note(ctx, TraceEventType::kReplicationBegin, kTraceReplication,
+       planned.destination, -1, planned.video,
        planned.from_tertiary() ? -2.0 : static_cast<double>(planned.source),
        rate);
-  recompute_server(planned.destination);
+  recompute_server(ctx, planned.destination);
 
-  sim_.schedule_in(planned.transfer_time, [this, job = planned, rate,
-                                           start = now](Seconds) {
-    const Seconds end = sim_.now();
+  ctx.sim.schedule_in(planned.transfer_time, [this, job = planned, rate,
+                                               start = now](Seconds) {
+    ExecContext& ctx = coordinator();
+    const Seconds end = ctx.sim.now();
     Server& dst = servers_[static_cast<std::size_t>(job.destination)];
     if (!job.from_tertiary()) {
       servers_[static_cast<std::size_t>(job.source)].release_reservation(rate);
       mark_server_dirty(job.source);
-      recompute_server(job.source);
+      recompute_server(ctx, job.source);
     }
     dst.release_reservation(rate);
     mark_server_dirty(job.destination);
@@ -1429,32 +1325,32 @@ void VodSimulation::start_replication_job(const ReplicationJob& planned) {
     // storage mid-run, so this cannot fail.
     const bool added = dst.add_replica((*catalog_)[job.video]);
     if (added) directory_.add_holder(job.video, job.destination);
-    metrics_->record_replication(start, end, rate);
+    ctx.metrics->record_replication(start, end, rate);
     replication_->on_job_finished(job.video);
-    note(TraceEventType::kReplicationEnd, kTraceReplication, job.destination,
+    note(ctx, TraceEventType::kReplicationEnd, kTraceReplication, job.destination,
          -1, job.video);
-    recompute_server(job.destination);
+    recompute_server(ctx, job.destination);
   });
 }
 
-void VodSimulation::attach_to(ServerId server_id, Request& request) {
+void VodSimulation::attach_to(ExecContext& ctx, ServerId server_id,
+                              Request& request) {
   Server& server = servers_[static_cast<std::size_t>(server_id)];
   mark_server_dirty(server_id);
   server.attach(request, /*enforce_capacity=*/!config_.admission.buffer_aware);
-  // Executing-context clock: a shard-drain detach (tx-complete) is ahead of
-  // the stale coordinator clock, and occupancy integrates real intervals.
-  const Seconds now = t_shard != nullptr ? t_shard->sim.now() : sim_.now();
+  // Executing-context clock: a shard-context detach (tx-complete) is ahead
+  // of the stale coordinator clock, and occupancy integrates real intervals.
   occupancy_[static_cast<std::size_t>(server_id)].update(
-      now, static_cast<double>(server.active_count()));
+      ctx.sim.now(), static_cast<double>(server.active_count()));
 }
 
-void VodSimulation::detach_from(ServerId server_id, Request& request) {
+void VodSimulation::detach_from(ExecContext& ctx, ServerId server_id,
+                                Request& request) {
   Server& server = servers_[static_cast<std::size_t>(server_id)];
   mark_server_dirty(server_id);
   server.detach(request);
-  const Seconds now = t_shard != nullptr ? t_shard->sim.now() : sim_.now();
   occupancy_[static_cast<std::size_t>(server_id)].update(
-      now, static_cast<double>(server.active_count()));
+      ctx.sim.now(), static_cast<double>(server.active_count()));
 }
 
 VodSimulation::OccupancySummary VodSimulation::occupancy() const {
@@ -1478,11 +1374,11 @@ VodSimulation::OccupancySummary VodSimulation::occupancy() const {
 }
 
 void VodSimulation::cancel_predicted_events(Request& request) {
-  // EventIds are queue-local: the handles below always live in the owning
-  // shard's queue (root queue in single mode). Every detach/migration path
-  // cancels *before* reassigning the server, so the id↔queue pairing
-  // cannot dangle across an ownership change.
-  Simulator& psim = predicted_sim(request.server());
+  // EventIds are queue-local: the handles below always live in the owner
+  // context's queue. Every detach/migration path cancels *before*
+  // reassigning the server, so the id↔queue pairing cannot dangle across
+  // an ownership change.
+  Simulator& psim = owner_of(request.server()).sim;
   psim.cancel(request.tx_complete_event);
   psim.cancel(request.buffer_full_event);
   psim.cancel(request.buffer_low_event);
@@ -1491,12 +1387,13 @@ void VodSimulation::cancel_predicted_events(Request& request) {
   request.buffer_low_event = kInvalidEventId;
 }
 
-void VodSimulation::reschedule_predicted_events(Request& request) {
+void VodSimulation::reschedule_predicted_events(ExecContext& ctx,
+                                                Request& request) {
   if (request.state() != RequestState::kStreaming) {
     cancel_predicted_events(request);
     return;
   }
-  const Seconds now = t_shard != nullptr ? t_shard->sim.now() : sim_.now();
+  const Seconds now = ctx.sim.now();
   const Mbps rate = request.allocation();
   constexpr Seconds kNever = std::numeric_limits<Seconds>::infinity();
 
@@ -1535,12 +1432,13 @@ void VodSimulation::reschedule_predicted_events(Request& request) {
 
 void VodSimulation::apply_predicted_times(Request& request, Seconds tx_at,
                                           Seconds full_at, Seconds low_at) {
-  // Predictions schedule into the owning shard's queue at the executing
-  // context's clock. A coordinator caller targets a shard queue whose own
-  // clock lags (it drained strictly below this event's time), so the
-  // schedule_at clamp-to-now can never fire backwards; a shard caller is
-  // always the owner itself.
-  Simulator& psim = predicted_sim(request.server());
+  // Predictions schedule into the owner context's queue, and their handlers
+  // run there. A coordinator caller of a sharded run targets a shard queue
+  // whose own clock lags (it drained strictly below this event's time), so
+  // the schedule_at clamp-to-now can never fire backwards; a shard caller
+  // is always the owner itself.
+  ExecContext& owner = owner_of(request.server());
+  Simulator& psim = owner.sim;
   constexpr Seconds kNever = std::numeric_limits<Seconds>::infinity();
 
   // Each prediction retimes its pending event in place when one is live (the
@@ -1560,9 +1458,9 @@ void VodSimulation::apply_predicted_times(Request& request, Seconds tx_at,
   if (request.allocation() > 0.0) {
     if (!psim.reschedule_at(tx_at, request.tx_complete_event)) {
       request.tx_complete_event =
-          psim.schedule_at(tx_at, [this, &request](Seconds) {
+          psim.schedule_at(tx_at, [this, &owner, &request](Seconds) {
             request.tx_complete_event = kInvalidEventId;
-            on_tx_complete(request);
+            on_tx_complete(owner, request);
           });
     }
   } else {
@@ -1573,9 +1471,9 @@ void VodSimulation::apply_predicted_times(Request& request, Seconds tx_at,
   if (full_at != kNever) {
     if (!psim.reschedule_at(full_at, request.buffer_full_event)) {
       request.buffer_full_event =
-          psim.schedule_at(full_at, [this, &request](Seconds) {
+          psim.schedule_at(full_at, [this, &owner, &request](Seconds) {
             request.buffer_full_event = kInvalidEventId;
-            on_buffer_full(request);
+            on_buffer_full(owner, request);
           });
     }
   } else {
@@ -1586,12 +1484,12 @@ void VodSimulation::apply_predicted_times(Request& request, Seconds tx_at,
   if (low_at != kNever) {
     if (!psim.reschedule_at(low_at, request.buffer_low_event)) {
       request.buffer_low_event =
-          psim.schedule_at(low_at, [this, &request](Seconds) {
+          psim.schedule_at(low_at, [this, &owner, &request](Seconds) {
             request.buffer_low_event = kInvalidEventId;
             if (request.state() == RequestState::kStreaming) {
-              note(TraceEventType::kBufferLow, kTraceBuffer, request.server(),
+              note(owner, TraceEventType::kBufferLow, kTraceBuffer, request.server(),
                    request.id(), request.video_id(), request.buffer_level());
-              recompute_server(request.server());
+              recompute_server(owner, request.server());
             }
           });
     }
@@ -1601,56 +1499,47 @@ void VodSimulation::apply_predicted_times(Request& request, Seconds tx_at,
   }
 }
 
-std::size_t VodSimulation::request_pool(ServerId server) const {
-  if (!sharded_ || server == kNoServer) return 0;
-  return 1 + static_cast<std::size_t>(
-                 shard_of_server_[static_cast<std::size_t>(server)]);
+std::size_t VodSimulation::owner_index(ServerId server) const {
+  if (server == kNoServer) return 0;
+  return static_cast<std::size_t>(
+      owner_of_server_[static_cast<std::size_t>(server)]);
 }
 
-Simulator& VodSimulation::predicted_sim(ServerId server) {
-  if (!sharded_ || server == kNoServer) return sim_;
-  return shards_[static_cast<std::size_t>(
-                     shard_of_server_[static_cast<std::size_t>(server)])]
-      ->sim;
-}
-
-void VodSimulation::note(TraceEventType type, std::uint32_t category,
-                         ServerId server, RequestId request, VideoId video,
-                         double a, double b) {
-  detail::EngineShard* const shard = t_shard;
-  TraceRecorder* recorder = shard != nullptr ? shard->trace.get() : trace_.get();
-  if (recorder == nullptr || !recorder->wants(category)) return;
-  const Seconds now = shard != nullptr ? shard->sim.now() : sim_.now();
-  recorder->record(now, type, server, request, video, a, b);
+void VodSimulation::note(ExecContext& ctx, TraceEventType type,
+                         std::uint32_t category, ServerId server,
+                         RequestId request, VideoId video, double a, double b) {
+  if (ctx.trace == nullptr || !ctx.trace->wants(category)) return;
+  ctx.trace->record(ctx.sim.now(), type, server, request, video, a, b);
 }
 
 std::uint64_t VodSimulation::continuity_violations() const {
-  std::uint64_t total = continuity_violations_;
-  for (const auto& shard : shards_) total += shard->continuity_violations;
+  std::uint64_t total = 0;
+  for (const auto& ctx : contexts_) total += ctx->continuity_violations;
   return total;
 }
 
 int VodSimulation::shard_of_server(ServerId server) const {
-  if (!sharded_ || server == kNoServer) return 0;
-  return shard_of_server_[static_cast<std::size_t>(server)];
+  // Shard k is context k + 1; with shards == 1 the coordinator owns all.
+  return std::max(static_cast<int>(owner_index(server)) - 1, 0);
 }
 
 std::uint64_t VodSimulation::coordinator_events() const {
-  return sim_.executed_count();
+  return coordinator().sim.executed_count();
 }
 
 std::uint64_t VodSimulation::shard_events() const {
   std::uint64_t total = 0;
-  for (const auto& shard : shards_) total += shard->sim.executed_count();
+  for (std::size_t k = 1; k < contexts_.size(); ++k) {
+    total += contexts_[k]->sim.executed_count();
+  }
   return total;
 }
 
 std::vector<TraceEvent> VodSimulation::merged_trace_events() const {
   std::vector<TraceEvent> out;
-  if (trace_) out = trace_->snapshot();
-  for (const auto& shard : shards_) {
-    if (!shard->trace) continue;
-    const std::vector<TraceEvent> events = shard->trace->snapshot();
+  for (const auto& ctx : contexts_) {
+    if (!ctx->trace) continue;
+    const std::vector<TraceEvent> events = ctx->trace->snapshot();
     out.insert(out.end(), events.begin(), events.end());
   }
   // (time, shard, seq): coordinator (-1) first within a timestamp, then
@@ -1663,6 +1552,17 @@ std::vector<TraceEvent> VodSimulation::merged_trace_events() const {
               return x.seq < y.seq;
             });
   return out;
+}
+
+TraceTotals VodSimulation::trace_totals() const {
+  TraceTotals totals;
+  for (const auto& ctx : contexts_) {
+    if (!ctx->trace) continue;
+    totals.emitted += ctx->trace->emitted();
+    totals.dropped += ctx->trace->dropped();
+    totals.categories = ctx->trace->categories();
+  }
+  return totals;
 }
 
 }  // namespace vodsim

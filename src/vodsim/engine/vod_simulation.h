@@ -18,6 +18,15 @@
 /// transmission-complete and buffer-full — which are rescheduled only when
 /// its allocation actually changes, keeping event churn near-linear in the
 /// number of arrivals.
+///
+/// Execution contexts (DESIGN.md §12): events run on a context — an event
+/// queue with its own metrics, trace recorder, scheduler instance and
+/// scratch arenas. The coordinator context runs every cross-server event;
+/// a request's predicted events run on the context owning its server.
+/// With shards == 1 the coordinator owns every server; with shards > 1
+/// each shard context owns a contiguous server block and drains its queue
+/// in parallel with the others between coordinator events. Every handler
+/// receives its executing context explicitly, so one code path serves both.
 
 #include <cstdint>
 #include <memory>
@@ -54,13 +63,6 @@ class InvariantAuditor;
 class SweepContext;
 class ThreadPool;
 
-namespace detail {
-/// One shard of the parallel engine: a contiguous server block with its own
-/// event queue, metrics shard, scheduler instance, trace recorder and
-/// scratch arenas. Defined in vod_simulation.cpp (DESIGN.md §12).
-struct EngineShard;
-}  // namespace detail
-
 class VodSimulation {
  public:
   /// Validates \p config (throws std::invalid_argument) and builds the
@@ -91,7 +93,9 @@ class VodSimulation {
   const std::vector<Server>& servers() const { return servers_; }
   const PlacementResult& placement_result() const { return placement_result_; }
   const ReplicaDirectory& directory() const { return directory_; }
-  const Metrics& metrics() const { return *metrics_; }
+  /// The published metrics: the coordinator context's, with every shard
+  /// context's counters folded in at the end of run().
+  const Metrics& metrics() const { return *coordinator().metrics; }
 
   /// The failure-domain tree (cluster/topology.h). Trivial (1 rack, 1 zone)
   /// unless config.topology.enabled.
@@ -103,8 +107,9 @@ class VodSimulation {
   /// reading it. The invariant auditor checks the run against it.
   const BoundsReport& bounds() const { return bounds_; }
 
-  const Simulator& simulator() const { return sim_; }
-  const BandwidthScheduler& scheduler() const { return *scheduler_; }
+  /// The coordinator context's event queue and scheduler instance.
+  const Simulator& simulator() const { return coordinator().sim; }
+  const BandwidthScheduler& scheduler() const { return *coordinator().scheduler; }
   const AdmissionController& controller() const { return *controller_; }
   /// The pre-generated fault schedule (empty unless failure injection or
   /// scripted faults are configured). Sorted by (time, server, kind).
@@ -125,10 +130,12 @@ class VodSimulation {
   /// The attached auditor, or nullptr unless paranoid mode is on.
   const InvariantAuditor* auditor() const { return auditor_.get(); }
 
-  /// The trace recorder, or nullptr unless tracing is on (config.trace /
-  /// VODSIM_TRACE). Observe-only: a traced run is bit-identical to an
-  /// untraced one.
-  const TraceRecorder* trace() const { return trace_.get(); }
+  /// The coordinator context's trace recorder, or nullptr unless tracing is
+  /// on (config.trace / VODSIM_TRACE). Observe-only: a traced run is
+  /// bit-identical to an untraced one. A sharded run's shard contexts
+  /// record into their own recorders; merged_trace_events() and
+  /// trace_totals() cover all of them.
+  const TraceRecorder* trace() const { return coordinator().trace.get(); }
 
   /// The probe set, or nullptr unless probing is on (config.probe /
   /// VODSIM_PROBE). Observe-only, like the trace recorder.
@@ -141,36 +148,42 @@ class VodSimulation {
   const RequestArena& requests() const { return requests_; }
 
   /// Playback continuity violations observed (should be 0 except under
-  /// failure injection or nonzero switch latency). Sums the per-shard
-  /// counters in sharded mode.
+  /// failure injection or nonzero switch latency). Sums the counters of
+  /// every execution context.
   std::uint64_t continuity_violations() const;
 
   // --- sharded engine introspection (DESIGN.md §12) ---------------------
-  /// Configured shard count; 1 = the classic single-queue engine.
+  /// Configured shard count; 1 = single-queue (the coordinator context
+  /// owns every server).
   int shard_count() const { return config_.shards; }
 
-  /// Shard owning \p server (0 when shards == 1). Contiguous blocks:
-  /// consecutive servers share a shard, aligning with the fault
-  /// subsystem's correlated (rack/zone) outage groups.
+  /// Shard owning \p server (0 when shards == 1, where the coordinator
+  /// context owns every server). Contiguous blocks: consecutive servers
+  /// share a shard, aligning with the fault subsystem's correlated
+  /// (rack/zone) outage groups.
   int shard_of_server(ServerId server) const;
 
   /// Events executed on the coordinator queue (arrivals, admission,
   /// migration, replication, faults, retries, pause/resume, playback
-  /// end). Valid after run(). In single mode this is every event.
+  /// end). Valid after run(). With shards == 1 this is every event.
   std::uint64_t coordinator_events() const;
 
   /// Events executed across all shard queues (the predicted per-stream
-  /// events: tx-complete, buffer-full, buffer-low). 0 in single mode.
+  /// events: tx-complete, buffer-full, buffer-low). 0 when shards == 1.
   /// coordinator_events()/shard_events() is the measured serial/parallel
   /// work split of a sharded run (no million-stream headline of it has been
   /// recorded yet).
   std::uint64_t shard_events() const;
 
-  /// All trace events from every recorder (coordinator + shards), merged
-  /// in (time, shard, seq) order — each tagged with its executing domain
-  /// (TraceEvent::shard: -1 = coordinator/single engine). Empty when
-  /// tracing is off.
+  /// All trace events from every context's recorder, merged in
+  /// (time, shard, seq) order — each tagged with its executing context
+  /// (TraceEvent::shard: -1 = the coordinator). Empty when tracing is off.
+  /// This, with trace_totals(), is what the exporters write.
   std::vector<TraceEvent> merged_trace_events() const;
+
+  /// Ring totals summed over every context's recorder (all zero when
+  /// tracing is off).
+  TraceTotals trace_totals() const;
 
   /// Time-weighted per-server stream occupancy over the measurement window.
   struct OccupancySummary {
@@ -188,13 +201,87 @@ class VodSimulation {
   std::uint64_t pauses_started() const { return pauses_started_; }
 
  private:
+  /// One execution context (DESIGN.md §12): an event queue plus everything
+  /// the events it runs account into — a Metrics instance, a trace
+  /// recorder, a scheduler instance, a continuity counter and scratch
+  /// arenas — and the contiguous server block [first_server, end_server)
+  /// whose predicted per-stream events (tx-complete, buffer-full,
+  /// buffer-low) it runs. contexts_[0] is the coordinator: it runs every
+  /// cross-server event (admission, migration, replication, faults,
+  /// retries, pause/resume, playback end) and, with shards == 1, owns
+  /// every server. With shards > 1, contexts_[1..K] own the shard blocks
+  /// and the coordinator owns none; between coordinator events each shard
+  /// context drains its queue with no shared mutable state, so the drains
+  /// parallelize with no locks.
+  struct ExecContext {
+    ExecContext() = default;
+    /// Pinned: predicted-event callbacks hold the owner's address.
+    ExecContext(const ExecContext&) = delete;
+    ExecContext& operator=(const ExecContext&) = delete;
+
+    int index = 0;  ///< position in contexts_; 0 = coordinator
+    int first_server = 0;
+    int end_server = 0;  ///< exclusive
+    Simulator sim;
+    std::unique_ptr<Metrics> metrics;
+    /// Present only when tracing is on; tagged index - 1 (-1 = coordinator).
+    std::unique_ptr<TraceRecorder> trace;
+    /// allocate() is const and deterministic, so every context's instance
+    /// produces identical rates; one per context keeps its trace emission
+    /// on the context's own recorder.
+    std::unique_ptr<BandwidthScheduler> scheduler;
+    std::uint64_t continuity_violations = 0;
+    /// Scratch buffers for scheduler output and working sets (reused
+    /// across events; the steady-state loop performs no per-event heap
+    /// allocations).
+    std::vector<Mbps> rates_scratch;
+    AllocationScratch sched_scratch;
+    /// Per-slot playback underflow from the last fluid batch (written
+    /// wholesale by FluidLane::advance_batch).
+    std::vector<Megabits> underflow_scratch;
+    /// Slots whose allocation changed in the current recompute pass;
+    /// decides scalar vs. batched predicted-event retiming.
+    std::vector<std::size_t> changed_slots;
+    /// Predicted-time outputs of FluidLane::fill_predicted_times (written
+    /// wholesale per batched retime pass).
+    std::vector<Seconds> retime_tx;
+    std::vector<Seconds> retime_full;
+    std::vector<Seconds> retime_low;
+  };
+
   void build_world();
+
+  /// Appends the context owning servers [first_server, end_server) to
+  /// contexts_; part of build_world.
+  void build_context(int first_server, int end_server,
+                     const TraceConfig& trace_config);
+
+  ExecContext& coordinator() { return *contexts_.front(); }
+  const ExecContext& coordinator() const { return *contexts_.front(); }
+
+  /// Index of the context owning \p server — the queue its requests'
+  /// predicted events live in and the RequestArena pool its requests are
+  /// created in (engine/request_arena.h). The coordinator (0) for
+  /// kNoServer.
+  std::size_t owner_index(ServerId server) const;
+
+  /// The context owning \p server. Predicted-event handles are only ever
+  /// scheduled/retimed/cancelled against its queue — EventIds are
+  /// queue-local, and a request's server never changes while its
+  /// predictions are live (every migration/recovery path cancels first).
+  ExecContext& owner_of(ServerId server) { return *contexts_[owner_index(server)]; }
+
+  /// Runs every context to the horizon: the conservative-lookahead window
+  /// loop (DESIGN.md §12). With no shard contexts it only steps the
+  /// coordinator queue.
+  void run_windows();
+
   void schedule_next_arrival();
   void handle_arrival(const Arrival& arrival);
   void execute_migration(const MigrationStep& step);
   void finish_migration(Request& request, ServerId target);
-  void on_tx_complete(Request& request);
-  void on_buffer_full(Request& request);
+  void on_tx_complete(ExecContext& ctx, Request& request);
+  void on_buffer_full(ExecContext& ctx, Request& request);
   void on_playback_end(Request& request);
   void apply_fault(const FaultTransition& event);
   void recover_streams_of_failed_server(Server& server);
@@ -233,11 +320,16 @@ class VodSimulation {
   void on_pause(Request& request);
   void on_resume(Request& request);
 
+  // The helpers below take the executing context: the coordinator for
+  // coordinator events, the owner for a shard context's predicted events.
+  // It supplies the clock, the metrics and trace sinks, the scheduler and
+  // the scratch arenas, so the same code serves every context.
+
   /// Advances all active requests on \p server to now, reallocates rates,
   /// and reschedules predicted events for requests whose rate changed.
   /// Memoized per server: a repeat call at the same timestamp with no
   /// intervening input change (see mark_server_dirty) is a no-op.
-  void recompute_server(ServerId server);
+  void recompute_server(ExecContext& ctx, ServerId server);
 
   /// Records that \p server's allocation inputs changed (active set,
   /// reservations, pause state, or fluid state advanced), invalidating the
@@ -250,27 +342,28 @@ class VodSimulation {
   /// metrics and integrates the request's fluid state. For single-request
   /// events (pause, resume, shed, migrate, ...); recompute_server advances
   /// a whole server through batch_advance_server instead.
-  void advance_and_account(Request& request, Seconds now);
+  void advance_and_account(ExecContext& ctx, Request& request, Seconds now);
 
   /// recompute_server's fluid step: one batched kernel over the server's
   /// FluidLane (FluidLane::advance_batch). Bit-identical to calling
   /// advance_and_account for every active request in active order — state,
   /// metering and underflow accounting alike — which the hexfloat
   /// determinism goldens pin.
-  void batch_advance_server(Server& server);
+  void batch_advance_server(ExecContext& ctx, Server& server);
 
   /// Continuity-violation accounting for \p underflow megabits a request's
   /// client came up short at \p now: the violation counter, the underflow
   /// meter, glitch seconds with per-stream interruption dedupe, and the
   /// trace event.
-  void account_underflow(Request& request, Seconds now, Megabits underflow);
+  void account_underflow(ExecContext& ctx, Request& request, Seconds now,
+                         Megabits underflow);
 
   void cancel_predicted_events(Request& request);
-  void reschedule_predicted_events(Request& request);
+  void reschedule_predicted_events(ExecContext& ctx, Request& request);
 
   /// The mechanics half of reschedule_predicted_events: given the three
   /// predicted times (+inf = no event), cancels/schedules/retimes the
-  /// request's handles against its owning queue. Split out so
+  /// request's handles against its owner's queue. Split out so
   /// recompute_server's batched path can compute the times with one
   /// vectorized lane pass (FluidLane::fill_predicted_times) and feed them
   /// here — the schedule/cancel sequence (and thus event-seq consumption)
@@ -278,44 +371,20 @@ class VodSimulation {
   void apply_predicted_times(Request& request, Seconds tx_at, Seconds full_at,
                              Seconds low_at);
 
-  /// The RequestArena pool a request created for \p server lives in:
-  /// pool 0 (coordinator) in single mode or for server-less requests,
-  /// 1 + shard index when sharded — each shard's streams get their own
-  /// StableVector chunks, ending cross-shard false sharing on Request
-  /// cache lines.
-  std::size_t request_pool(ServerId server) const;
-
-  /// Trace emission helper. The null check is the entire disabled-tracing
-  /// hot path (one load + branch per emission site); the category mask is
-  /// only consulted once a recorder is attached. Resolves the executing
-  /// context (coordinator vs. shard) for both the timestamp and the
-  /// recorder, so shard-drain events land shard-tagged in the shard's own
-  /// ring (defined in vod_simulation.cpp).
-  void note(TraceEventType type, std::uint32_t category,
+  /// Trace emission helper: stamps the event with \p ctx's clock into
+  /// \p ctx's recorder. The null check is the entire disabled-tracing hot
+  /// path (one load + branch per emission site); the category mask is only
+  /// consulted once a recorder is attached.
+  void note(ExecContext& ctx, TraceEventType type, std::uint32_t category,
             ServerId server = kNoServer, RequestId request = -1,
             VideoId video = -1, double a = 0.0, double b = 0.0);
 
-  /// The queue a request's predicted events (tx-complete, buffer-full,
-  /// buffer-low) belong to: the owning shard's simulator when sharded,
-  /// the root simulator otherwise. Predicted-event handles are only ever
-  /// scheduled/retimed/cancelled against this queue — EventIds are
-  /// queue-local, and a request's server never changes while its
-  /// predictions are live (every migration/recovery path cancels first).
-  Simulator& predicted_sim(ServerId server);
-
-  /// Builds the shard contexts (shards > 1 only); part of build_world.
-  void build_shards(const TraceConfig& trace_config);
-
-  /// The sharded replacement for run()'s sim_.run_until(duration): the
-  /// conservative-lookahead window loop (DESIGN.md §12).
-  void run_sharded_windows();
-
-  /// attach/detach wrappers that keep the occupancy statistics current.
-  void attach_to(ServerId server, Request& request);
-  void detach_from(ServerId server, Request& request);
+  /// attach/detach wrappers that keep the occupancy statistics current
+  /// (integrated at \p ctx's clock).
+  void attach_to(ExecContext& ctx, ServerId server, Request& request);
+  void detach_from(ExecContext& ctx, ServerId server, Request& request);
 
   SimulationConfig config_;
-  Simulator sim_;
   Rng rng_;                ///< decision randomness (assignment ties etc.)
   Rng interactivity_rng_;  ///< pause/resume timing
 
@@ -331,10 +400,8 @@ class VodSimulation {
   /// World-construction cache for sweeps; nullptr outside run_sweep.
   const SweepContext* sweep_context_ = nullptr;
   std::unique_ptr<AdmissionController> controller_;
-  std::unique_ptr<BandwidthScheduler> scheduler_;
   std::unique_ptr<ReplicationManager> replication_;
   std::unique_ptr<ArrivalSource> arrivals_;
-  std::unique_ptr<Metrics> metrics_;
   ClientProfile client_profile_;
   std::vector<FaultTransition> failure_timeline_;
   /// Present only when failure.retry.enabled.
@@ -362,48 +429,27 @@ class VodSimulation {
   RequestId next_request_id_ = 0;
   /// Present only in paranoid mode (config.paranoid or VODSIM_PARANOID).
   std::unique_ptr<InvariantAuditor> auditor_;
-  /// Present only when tracing is on (config.trace or VODSIM_TRACE).
-  std::unique_ptr<TraceRecorder> trace_;
   /// Present only when probing is on (config.probe or VODSIM_PROBE).
   std::unique_ptr<ProbeSet> probes_;
-  std::uint64_t continuity_violations_ = 0;
   std::uint64_t pauses_started_ = 0;
   bool ran_ = false;
 
-  /// True when config.shards > 1. The single-shard path takes the exact
-  /// code the pre-sharding engine ran — its bit-identity to the hexfloat
-  /// goldens holds by construction, not by tolerance.
-  bool sharded_ = false;
   /// Test-only backdoor (VODSIM_TEST_SHARD_BUG): biases the shard-metrics
   /// merge low so the sharded/single differential harness's negative test
   /// can prove a seeded cross-mode bug is caught. Never set outside tests.
   bool shard_seeded_bug_ = false;
-  /// Shard contexts, in shard-index order (empty when shards == 1). All
-  /// cross-shard coupling happens through coordinator events; between
-  /// coordinator events each shard's queue drains with no shared mutable
-  /// state (see detail::EngineShard in vod_simulation.cpp).
-  std::vector<std::unique_ptr<detail::EngineShard>> shards_;
-  /// server -> owning shard index (contiguous blocks).
-  std::vector<int> shard_of_server_;
-  /// Workers for the parallel drain windows; created lazily in run() so
-  /// construct-only call sites never spawn threads.
+  /// Execution contexts: the coordinator, then the shards in shard-index
+  /// order (none when shards == 1). All cross-shard coupling happens
+  /// through coordinator events. Heap-allocated so the predicted-event
+  /// callbacks can hold references to their owner.
+  std::vector<std::unique_ptr<ExecContext>> contexts_;
+  /// server -> index of the owning context (0 for every server when
+  /// shards == 1, 1 + shard index otherwise).
+  std::vector<int> owner_of_server_;
+  /// Workers for the parallel drain windows; created in run() only when
+  /// there are shard contexts, so construct-only call sites and
+  /// single-queue runs never spawn threads.
   std::unique_ptr<ThreadPool> shard_pool_;
-
-  /// Scratch buffers for scheduler output and working sets (reused across
-  /// events; the steady-state loop performs no per-event heap allocations).
-  std::vector<Mbps> rates_scratch_;
-  AllocationScratch sched_scratch_;
-  /// Per-slot playback underflow from the last fluid batch (reused;
-  /// written wholesale by FluidLane::advance_batch).
-  std::vector<Megabits> underflow_scratch_;
-  /// Slots whose allocation changed in the current recompute pass; decides
-  /// scalar vs. batched predicted-event retiming (reused across events).
-  std::vector<std::size_t> changed_slots_;
-  /// Predicted-time outputs of FluidLane::fill_predicted_times (reused;
-  /// written wholesale per batched retime pass).
-  std::vector<Seconds> retime_tx_;
-  std::vector<Seconds> retime_full_;
-  std::vector<Seconds> retime_low_;
 
   /// Per-server recompute memo. `epoch` counts input changes; a server is
   /// clean iff it was recomputed at exactly the current simulation time

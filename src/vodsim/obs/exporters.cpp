@@ -39,11 +39,12 @@ void write_event_args(std::ostream& out, const TraceEvent& event) {
 
 }  // namespace
 
-void write_chrome_trace(std::ostream& out, const TraceRecorder& trace,
-                        const ProbeSet* probes, std::size_t num_servers) {
+void write_chrome_trace(std::ostream& out, const std::vector<TraceEvent>& events,
+                        const TraceTotals& totals, const ProbeSet* probes,
+                        std::size_t num_servers) {
   out << "{\"displayTimeUnit\":\"ms\",\"otherData\":{"
-      << "\"schema\":\"vodsim-chrome-trace-v1\",\"emitted\":" << trace.emitted()
-      << ",\"dropped\":" << trace.dropped() << "},\"traceEvents\":[\n";
+      << "\"schema\":\"vodsim-chrome-trace-v1\",\"emitted\":" << totals.emitted
+      << ",\"dropped\":" << totals.dropped << "},\"traceEvents\":[\n";
 
   bool first = true;
   auto sep = [&]() -> std::ostream& {
@@ -71,8 +72,7 @@ void write_chrome_trace(std::ostream& out, const TraceRecorder& trace,
   std::map<std::pair<bool, RequestId>, int> open_spans;
   Seconds last_time = 0.0;
 
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    const TraceEvent& event = trace[i];
+  for (const TraceEvent& event : events) {
     const char* name = to_string(event.type);
     const char* cat = to_string(trace_event_category(event.type));
     if (event.time > last_time) last_time = event.time;
@@ -165,18 +165,18 @@ void write_chrome_trace(std::ostream& out, const TraceRecorder& trace,
   out << "\n]}\n";
 }
 
-void write_trace_jsonl(std::ostream& out, const TraceRecorder& trace) {
-  out << "{\"schema\":\"vodsim-trace-v1\",\"events\":" << trace.size()
-      << ",\"emitted\":" << trace.emitted() << ",\"dropped\":" << trace.dropped()
-      << ",\"categories\":" << trace.categories() << "}\n";
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    const TraceEvent& event = trace[i];
+void write_trace_jsonl(std::ostream& out, const std::vector<TraceEvent>& events,
+                       const TraceTotals& totals) {
+  out << "{\"schema\":\"vodsim-trace-v1\",\"events\":" << events.size()
+      << ",\"emitted\":" << totals.emitted << ",\"dropped\":" << totals.dropped
+      << ",\"categories\":" << totals.categories << "}\n";
+  for (const TraceEvent& event : events) {
     out << "{\"seq\":" << event.seq << ",\"t\":" << json_number(event.time)
         << ",\"type\":\"" << to_string(event.type) << "\",\"cat\":\""
         << to_string(trace_event_category(event.type)) << "\",\"server\":"
         << event.server << ",\"request\":" << event.request << ",\"video\":"
         << event.video << ",\"a\":" << json_number(event.a) << ",\"b\":"
-        << json_number(event.b) << "}\n";
+        << json_number(event.b) << ",\"shard\":" << event.shard << "}\n";
   }
 }
 

@@ -105,9 +105,9 @@ std::uint32_t parse_trace_categories(const std::string& spec);
 /// One recorded event. Plain data, fixed size; `request`/`video`/`server`
 /// are -1 when not applicable.
 struct TraceEvent {
-  std::uint64_t seq = 0;  ///< global emission index (monotone, gap-free
-                          ///< across drops — seq of the first retained event
-                          ///< equals dropped())
+  std::uint64_t seq = 0;  ///< the recorder's emission index (monotone,
+                          ///< gap-free across drops — seq of the first
+                          ///< retained event equals dropped())
   Seconds time = 0.0;
   TraceEventType type = TraceEventType::kArrival;
   ServerId server = kNoServer;
@@ -115,11 +115,20 @@ struct TraceEvent {
   VideoId video = -1;
   double a = 0.0;
   double b = 0.0;
-  /// Executing domain that emitted the event: -1 = the coordinator (or
-  /// the whole single-queue engine), >= 0 = that shard's drain. Stamped
-  /// by the recorder (each shard owns a tagged recorder); `seq` is
-  /// per-recorder in sharded runs. See VodSimulation::merged_trace_events.
+  /// Execution context that emitted the event: -1 = the coordinator (the
+  /// only context when shards == 1), >= 0 = that shard. Stamped by the
+  /// recorder (each context owns a tagged recorder); `seq` is per-recorder,
+  /// so it increases strictly per tag. See
+  /// VodSimulation::merged_trace_events.
   std::int32_t shard = -1;
+};
+
+/// Ring totals of the recorders behind an exported trace — one recorder per
+/// execution context in a sharded run (VodSimulation::trace_totals).
+struct TraceTotals {
+  std::uint64_t emitted = 0;  ///< events emitted (retained + dropped)
+  std::uint64_t dropped = 0;  ///< events overwritten by ring wrap-around
+  std::uint32_t categories = 0;
 };
 
 /// Tracing knobs carried by SimulationConfig. The VODSIM_TRACE environment
@@ -135,9 +144,9 @@ struct TraceConfig {
 
 class TraceRecorder {
  public:
-  /// \param shard the domain tag stamped on every recorded event: -1 for
-  /// the coordinator/single-engine recorder, the shard index for a
-  /// shard's own recorder.
+  /// \param shard the context tag stamped on every recorded event: -1 for
+  /// the coordinator's recorder, the shard index for a shard's own
+  /// recorder.
   explicit TraceRecorder(const TraceConfig& config, std::int32_t shard = -1);
 
   /// True when \p category is enabled — emission sites check this before

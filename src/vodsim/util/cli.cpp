@@ -3,8 +3,25 @@
 #include <cstdlib>
 #include <iostream>
 #include <stdexcept>
+#include <utility>
 
 namespace vodsim {
+
+namespace {
+
+/// True when \p text is exactly one number (strtod consumes all of it).
+bool is_number(const std::string& text) {
+  if (text.empty()) return false;
+  char* end = nullptr;
+  std::strtod(text.c_str(), &end);
+  return *end == '\0';
+}
+
+std::string invalid_value(const std::string& name, const std::string& value) {
+  return "invalid value for --" + name + ": '" + value + "'";
+}
+
+}  // namespace
 
 CliParser::CliParser(std::string program_name, std::string description)
     : program_name_(std::move(program_name)), description_(std::move(description)) {}
@@ -25,17 +42,19 @@ void CliParser::add_bool_flag(const std::string& name, const std::string& help) 
 bool CliParser::parse(int argc, const char* const* argv) {
   values_.clear();
   error_.clear();
+  const auto fail = [this](std::string message) {
+    error_ = std::move(message);
+    std::cerr << "error: " << error_ << "\n\n";
+    print_usage(std::cerr);
+    return false;
+  };
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg == "--help" || arg == "-h") {
       print_usage(std::cout);
       return false;
     }
-    if (arg.rfind("--", 0) != 0) {
-      error_ = "unexpected positional argument: " + arg;
-      print_usage(std::cerr);
-      return false;
-    }
+    if (arg.rfind("--", 0) != 0) return fail("unexpected positional argument: " + arg);
     std::string name = arg.substr(2);
     std::string value;
     bool has_value = false;
@@ -46,20 +65,17 @@ bool CliParser::parse(int argc, const char* const* argv) {
       has_value = true;
     }
     const auto it = flags_.find(name);
-    if (it == flags_.end()) {
-      error_ = "unknown flag: --" + name;
-      print_usage(std::cerr);
-      return false;
-    }
+    if (it == flags_.end()) return fail("unknown flag: --" + name);
     if (it->second.is_bool && !has_value) {
       value = "true";
     } else if (!has_value) {
-      if (i + 1 >= argc) {
-        error_ = "flag --" + name + " requires a value";
-        print_usage(std::cerr);
-        return false;
-      }
+      if (i + 1 >= argc) return fail("flag --" + name + " requires a value");
       value = argv[++i];
+    }
+    // A flag with a numeric default names a numeric quantity: "4x" or
+    // "abc" is a typo, not a value to read a prefix of.
+    if (is_number(it->second.default_value) && !is_number(value)) {
+      return fail(invalid_value(name, value));
     }
     values_[name] = value;
   }
@@ -75,7 +91,18 @@ std::string CliParser::get_string(const std::string& name) const {
 }
 
 long CliParser::get_long(const std::string& name) const {
-  return std::strtol(get_string(name).c_str(), nullptr, 10);
+  const std::string value = get_string(name);
+  char* end = nullptr;
+  const long parsed = std::strtol(value.c_str(), &end, 10);
+  if (value.empty() || *end != '\0') {
+    // parse() cannot tell integer flags from real-valued ones, so a
+    // fractional count ("--trials 2.9") is caught here, where the caller
+    // asks for an integer.
+    std::cerr << "error: " << invalid_value(name, value)
+              << " (expected an integer)\n";
+    std::exit(2);
+  }
+  return parsed;
 }
 
 double CliParser::get_double(const std::string& name) const {

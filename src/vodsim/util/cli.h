@@ -28,11 +28,15 @@ class CliParser {
   /// Registers a boolean flag (default false).
   void add_bool_flag(const std::string& name, const std::string& help);
 
-  /// Parses argv. Returns false (after printing usage) on `--help` or on a
-  /// malformed/unknown flag; callers should then exit.
+  /// Parses argv. Returns false on `--help` (after printing usage) or on an
+  /// error (after printing it and the usage to stderr): an unknown flag, a
+  /// missing value, or a value that is not a number for a flag whose
+  /// default is one. Callers should then exit.
   bool parse(int argc, const char* const* argv);
 
-  /// Accessors; flag must have been registered.
+  /// Accessors; flag must have been registered. get_long prints
+  /// `invalid value for --<flag>: '<v>'` and exits with status 2 when the
+  /// value is not an integer (e.g. "2.9"), matching a failed parse().
   std::string get_string(const std::string& name) const;
   long get_long(const std::string& name) const;
   double get_double(const std::string& name) const;

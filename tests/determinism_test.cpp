@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cinttypes>
 #include <cmath>
 #include <cstdint>
@@ -177,24 +178,80 @@ TEST(GoldenDeterminism, ParanoidRunIsBitIdentical) {
 // metrics merge in shard-index order — thread count only changes who runs a
 // drain, never what it computes or the order results are combined.
 
+/// A traced run: its results plus the merged trace of every context.
+struct TracedRun {
+  TrialResult result;
+  std::vector<TraceEvent> events;
+};
+
+/// Runs \p config with tracing on. Every event must carry the tag of the
+/// context that ran it: the coordinator (-1), or the shard owning the
+/// event's server. The predicted events (tx-complete, buffer-full,
+/// buffer-low) only ever run on their server's owner, so a callback that
+/// captured the wrong context records into the wrong ring and fails here.
+TracedRun run_traced(SimulationConfig config) {
+  config.trace.enabled = true;
+  VodSimulation simulation(config);
+  simulation.run();
+  TracedRun run{TrialResult::from(simulation), simulation.merged_trace_events()};
+  for (const TraceEvent& event : run.events) {
+    const int owner = config.shards > 1 && event.server != kNoServer
+                          ? simulation.shard_of_server(event.server)
+                          : -1;
+    const bool predicted = event.type == TraceEventType::kTxComplete ||
+                           event.type == TraceEventType::kBufferFull ||
+                           event.type == TraceEventType::kBufferLow;
+    EXPECT_TRUE(event.shard == owner || (!predicted && event.shard == -1))
+        << to_string(event.type) << " tagged " << event.shard << " on server "
+        << event.server << " at " << event.time;
+  }
+  return run;
+}
+
+void expect_same_trace(const std::vector<TraceEvent>& a,
+                       const std::vector<TraceEvent>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(a[i].seq, b[i].seq);
+    EXPECT_EQ(a[i].time, b[i].time);
+    EXPECT_EQ(a[i].type, b[i].type);
+    EXPECT_EQ(a[i].server, b[i].server);
+    EXPECT_EQ(a[i].request, b[i].request);
+    EXPECT_EQ(a[i].video, b[i].video);
+    EXPECT_EQ(a[i].a, b[i].a);
+    EXPECT_EQ(a[i].b, b[i].b);
+    EXPECT_EQ(a[i].shard, b[i].shard);
+  }
+}
+
 TEST(GoldenDeterminism, ShardedIsReproducibleAcrossThreadCounts) {
   for (const PolicySpec& policy :
        {figure6_policies().front(), figure6_policies()[2],
         figure6_policies()[3]}) {
-    SimulationConfig config = golden_config(policy, 7);
-    config.shards = 4;
-
-    config.shard_threads = 1;
-    const TrialResult serial = run_once(config);
     SCOPED_TRACE(policy.label);
-    ASSERT_GT(serial.arrivals, 0u);
+    SimulationConfig config = golden_config(policy, 7);
 
-    config.shard_threads = 2;
-    expect_bit_identical(serial, run_once(config));
+    // shards == 1: the coordinator owns every server and runs every event.
+    const TracedRun single = run_traced(config);
+    ASSERT_GT(single.events.size(), 0u);
 
-    config.shard_threads = 8;  // more workers than shards: some sit idle
-    expect_bit_identical(serial, run_once(config));
-    expect_bit_identical(serial, run_once(config));  // and repeat-run stable
+    config.shards = 4;
+    config.shard_threads = 1;
+    const TracedRun serial = run_traced(config);
+    ASSERT_GT(serial.result.arrivals, 0u);
+    EXPECT_TRUE(std::any_of(serial.events.begin(), serial.events.end(),
+                            [](const TraceEvent& e) { return e.shard >= 0; }));
+
+    // More workers than shards at 8: some sit idle. The repeat run pins
+    // repeat-run stability.
+    for (const int threads : {2, 8, 8}) {
+      SCOPED_TRACE(threads);
+      config.shard_threads = threads;
+      const TracedRun run = run_traced(config);
+      expect_bit_identical(serial.result, run.result);
+      expect_same_trace(serial.events, run.events);
+    }
   }
 }
 
@@ -512,11 +569,12 @@ TEST(GoldenDeterminism, ObserversMatchPinnedGoldensPerScheduler) {
 }
 
 TEST(GoldenDeterminism, ShardsOneMatchesPinnedHexfloatGoldens) {
-  // shards = 1 is not "sharded mode with one shard": it takes the literal
-  // pre-sharding code path (single event queue, root metrics, no shard
-  // structures built), so the full golden matrix must re-render bit-for-bit
-  // with the field set explicitly. Guards against the single-shard path
-  // ever being rerouted through the coordinator/window machinery.
+  // shards = 1 runs the shared engine path with one execution context: the
+  // coordinator owns every server, so the window loop only steps its queue
+  // and every handler gets context 0. The full golden matrix must
+  // re-render bit-for-bit with the field set explicitly (and an inert
+  // thread count), which pins that path — context routing, run loop and
+  // end-of-run flush — to the goldens.
   const auto matrix = golden_matrix();
   constexpr std::size_t kPinned =
       sizeof(kGoldenMatrix) / sizeof(kGoldenMatrix[0]);

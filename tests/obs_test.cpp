@@ -377,7 +377,8 @@ TEST(JsonlExport, SchemaAndMonotoneTimestamps) {
   VodSimulation simulation(golden_scenario());
   simulation.run();
   std::ostringstream out;
-  write_trace_jsonl(out, *simulation.trace());
+  write_trace_jsonl(out, simulation.merged_trace_events(),
+                    simulation.trace_totals());
 
   std::istringstream in(out.str());
   std::string line;
@@ -392,7 +393,8 @@ TEST(JsonlExport, SchemaAndMonotoneTimestamps) {
   double last_seq = -1.0;
   while (std::getline(in, line)) {
     ++events;
-    for (const char* key : {"seq", "t", "server", "request", "video", "a", "b"}) {
+    for (const char* key :
+         {"seq", "t", "server", "request", "video", "a", "b", "shard"}) {
       EXPECT_NE(line.find("\"" + std::string(key) + "\":"), std::string::npos)
           << "missing key " << key;
     }
@@ -416,7 +418,8 @@ TEST(ChromeExport, WellFormedAndSpansPair) {
   simulation.run();
 
   std::ostringstream out;
-  write_chrome_trace(out, *simulation.trace(), simulation.probes(),
+  write_chrome_trace(out, simulation.merged_trace_events(),
+                     simulation.trace_totals(), simulation.probes(),
                      simulation.servers().size());
   const std::string text = out.str();
 

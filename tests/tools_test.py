@@ -225,9 +225,11 @@ class ValidateTraceTest(unittest.TestCase):
     def jsonl_lines(self):
         events = [
             {"seq": 1, "t": 0.0, "type": "arrival", "cat": "admission",
-             "server": 0, "request": 1, "video": 2, "a": 0.0, "b": 0.0},
+             "server": 0, "request": 1, "video": 2, "a": 0.0, "b": 0.0,
+             "shard": -1},
             {"seq": 2, "t": 1.5, "type": "admit", "cat": "admission",
-             "server": 0, "request": 1, "video": 2, "a": 0.0, "b": 0.0},
+             "server": 0, "request": 1, "video": 2, "a": 0.0, "b": 0.0,
+             "shard": -1},
         ]
         header = {"schema": "vodsim-trace-v1", "events": len(events)}
         return [json.dumps(header)] + [json.dumps(e) for e in events]
@@ -250,6 +252,26 @@ class ValidateTraceTest(unittest.TestCase):
         result = run_tool(VALIDATE_TRACE, "--jsonl", swapped)
         self.assertEqual(result.returncode, 1)
         self.assertIn("FAIL", result.stderr)
+
+    def test_jsonl_seq_is_per_shard(self):
+        lines = self.jsonl_lines()
+        event = json.loads(lines[2])
+        # A shard's recorder numbers its own events: seq 0 after the
+        # coordinator's seq 2 is fine, a repeat within one tag is not.
+        shard_events = [dict(event, seq=0, t=2.0, shard=1),
+                        dict(event, seq=1, t=2.0, shard=1)]
+        header = json.dumps({"schema": "vodsim-trace-v1", "events": 4})
+        merged = self.write("m.jsonl", "\n".join(
+            [header] + lines[1:] + [json.dumps(e) for e in shard_events]) + "\n")
+        result = run_tool(VALIDATE_TRACE, "--jsonl", merged)
+        self.assertEqual(result.returncode, 0, result.stderr)
+
+        shard_events[1]["seq"] = 0
+        repeated = self.write("r.jsonl", "\n".join(
+            [header] + lines[1:] + [json.dumps(e) for e in shard_events]) + "\n")
+        result = run_tool(VALIDATE_TRACE, "--jsonl", repeated)
+        self.assertEqual(result.returncode, 1)
+        self.assertIn("for shard 1", result.stderr)
 
     def probe_rows(self):
         header = ("time,server,committed_mbps,reserved_mbps,active_streams,"
@@ -296,6 +318,40 @@ class CliUsageErrorTest(unittest.TestCase):
                 self.assertEqual(result.returncode, 2, result.stderr)
                 self.assertIn("invalid configuration: ", result.stderr)
                 self.assertIn("bogus", result.stderr)
+
+
+class ShardedTraceTest(unittest.TestCase):
+    """A sharded run's trace export holds every context's events, not just
+    the coordinator's: the same stream lifecycle as a single-queue run."""
+
+    def export(self, directory, name, *extra):
+        cli = find_cli()
+        path = os.path.join(directory, name)
+        result = subprocess.run(
+            [cli, "--hours", "1", "--warmup-hours", "0", "--trace-jsonl", path,
+             *extra], capture_output=True, text=True, timeout=120)
+        self.assertEqual(result.returncode, 0, result.stderr)
+        check = run_tool(VALIDATE_TRACE, "--jsonl", path)
+        self.assertEqual(check.returncode, 0, check.stderr)
+        with open(path, encoding="utf-8") as handle:
+            return [json.loads(line) for line in handle][1:]
+
+    def test_sharded_trace_has_shard_drain_events(self):
+        if find_cli() is None:
+            self.skipTest("vodsim_cli not built")
+        with tempfile.TemporaryDirectory() as directory:
+            single = self.export(directory, "single.jsonl")
+            sharded = self.export(directory, "sharded.jsonl",
+                                  "--shards", "4", "--shard-threads", "2")
+
+        def count(events, kind):
+            return sum(1 for event in events if event["type"] == kind)
+
+        self.assertGreater(count(single, "tx_complete"), 0)
+        self.assertEqual(count(single, "tx_complete"),
+                         count(sharded, "tx_complete"))
+        self.assertEqual({event["shard"] for event in single}, {-1})
+        self.assertTrue(any(event["shard"] >= 0 for event in sharded))
 
 
 class DocCitationTest(unittest.TestCase):

@@ -307,6 +307,53 @@ TEST(Cli, MissingValueFails) {
   EXPECT_FALSE(cli.parse(2, argv));
 }
 
+TEST(Cli, RejectsMalformedNumber) {
+  auto parser = [] {
+    CliParser cli("prog", "test");
+    cli.add_flag("shards", "1", "count");
+    cli.add_flag("hours", "60", "duration");
+    cli.add_flag("theta", "0.271", "skew");
+    cli.add_flag("system", "small", "preset");
+    cli.add_flag("out", "", "path");
+    return cli;
+  };
+  // A value that is not one complete number fails parse() for every flag
+  // whose default is a number, naming the flag and the value.
+  for (const char* bad : {"4x", "abc", "", "1e", "0.5.1"}) {
+    SCOPED_TRACE(bad);
+    CliParser cli = parser();
+    const char* argv[] = {"prog", "--shards", bad};
+    EXPECT_FALSE(cli.parse(3, argv));
+    EXPECT_EQ(cli.error(), std::string("invalid value for --shards: '") + bad + "'");
+  }
+  {
+    CliParser cli = parser();
+    const char* argv[] = {"prog", "--theta=0.3x"};
+    EXPECT_FALSE(cli.parse(2, argv));
+    EXPECT_EQ(cli.error(), "invalid value for --theta: '0.3x'");
+  }
+  // Real-valued quantities may take fractions and exponents even when the
+  // default is written as an integer; non-numeric defaults take anything.
+  {
+    CliParser cli = parser();
+    const char* argv[] = {"prog", "--hours", "0.5", "--theta", "-1e-1",
+                          "--shards", "-3", "--system", "4x", "--out", "x.csv"};
+    ASSERT_TRUE(cli.parse(11, argv)) << cli.error();
+    EXPECT_DOUBLE_EQ(cli.get_double("hours"), 0.5);
+    EXPECT_DOUBLE_EQ(cli.get_double("theta"), -0.1);
+    EXPECT_EQ(cli.get_long("shards"), -3);
+    EXPECT_EQ(cli.get_string("system"), "4x");
+  }
+  // A fractional count parses as a number but is not an integer: reading
+  // it as one exits with status 2 instead of truncating 2.9 to 2.
+  CliParser cli = parser();
+  const char* argv[] = {"prog", "--shards", "2.9"};
+  ASSERT_TRUE(cli.parse(3, argv));
+  EXPECT_DOUBLE_EQ(cli.get_double("shards"), 2.9);
+  EXPECT_EXIT(cli.get_long("shards"), ::testing::ExitedWithCode(2),
+              "invalid value for --shards: '2.9'");
+}
+
 // ---------------------------------------------------------------- env
 
 TEST(Env, FallbacksAndParsing) {

@@ -11,7 +11,9 @@ Checks (stdlib only, so CI needs nothing beyond python3):
     (cat, id); counter ("C") events carry numeric args.
   * JSONL trace: first line declares schema vodsim-trace-v1 and an event
     count matching the remaining lines; events carry the full key set, a
-    known `type`, non-decreasing `t` and strictly increasing `seq`.
+    known `type` and non-decreasing `t`, and `seq` increases strictly per
+    `shard` tag (each execution context numbers its own events; -1 is the
+    coordinator).
   * Probe CSV: exact expected header, every field parses as a float (the
     exporter normalizes non-finite values to inf/-inf/nan, which float()
     accepts), and timestamps are non-decreasing.
@@ -37,7 +39,8 @@ PROBE_HEADER = [
     "reachable",
 ]
 
-JSONL_EVENT_KEYS = {"seq", "t", "type", "cat", "server", "request", "video", "a", "b"}
+JSONL_EVENT_KEYS = {"seq", "t", "type", "cat", "server", "request", "video", "a", "b",
+                    "shard"}
 
 # Every event name the recorder can emit (obs/trace.cpp's to_string table).
 # An unknown `type` means the exporter and this validator have diverged.
@@ -117,7 +120,7 @@ def validate_jsonl(path):
         fail(f"{path}: header declares {declared} events, "
              f"file has {len(lines) - 1}")
     last_t = float("-inf")
-    last_seq = -1
+    last_seq = {}  # shard tag -> last seq seen
     for number, line in enumerate(lines[1:], start=2):
         event = json.loads(line)
         missing = JSONL_EVENT_KEYS - event.keys()
@@ -128,10 +131,12 @@ def validate_jsonl(path):
         if event["t"] < last_t:
             fail(f"{path}:{number}: time went backwards "
                  f"({event['t']} < {last_t})")
-        if event["seq"] <= last_seq:
-            fail(f"{path}:{number}: seq not strictly increasing")
+        shard = event["shard"]
+        if event["seq"] <= last_seq.get(shard, -1):
+            fail(f"{path}:{number}: seq not strictly increasing "
+                 f"for shard {shard}")
         last_t = event["t"]
-        last_seq = event["seq"]
+        last_seq[shard] = event["seq"]
     print(f"validate_trace: {path}: {len(lines) - 1} events ok")
 
 
