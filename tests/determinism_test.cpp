@@ -399,7 +399,8 @@ TEST(GoldenDeterminism, DistinctSeedsDiverge) {
 // Any bit of drift in any config fails the diff.
 //
 // To regenerate after an *intentional* output change, run this binary with
-// VODSIM_UPDATE_GOLDENS=/path/to/determinism_goldens.inc and commit the
+// VODSIM_UPDATE_GOLDENS=/path/to/determinism_goldens.inc (or
+// /path/to/fault_goldens.inc for the fault table below) and commit the
 // rewritten table (the test still compares, so an update run on an
 // unchanged build passes).
 
@@ -411,6 +412,40 @@ struct GoldenEntry {
 constexpr GoldenEntry kGoldenMatrix[] = {
 #include "determinism_goldens.inc"
 };
+
+/// Compares \p rendered against the pinned \p table, row by row and label
+/// by label. When VODSIM_UPDATE_GOLDENS names a path ending in \p file_name,
+/// first rewrites that file from \p rendered; \p matrix names the function
+/// listing the configs, for the file's header.
+template <std::size_t N>
+void expect_golden_table(const GoldenEntry (&table)[N], const std::string& file_name,
+                         const std::string& matrix,
+                         const std::vector<std::string>& labels,
+                         const std::vector<std::string>& rendered) {
+  const char* path = std::getenv("VODSIM_UPDATE_GOLDENS");
+  const std::string target = path != nullptr ? path : "";
+  if (target.size() >= file_name.size() &&
+      target.compare(target.size() - file_name.size(), file_name.size(),
+                     file_name) == 0) {
+    std::ofstream out(target);
+    ASSERT_TRUE(out) << "cannot open " << target;
+    out << "// Generated by determinism_test with VODSIM_UPDATE_GOLDENS.\n"
+        << "// One entry per " << matrix << " config, same order. Doubles are\n"
+        << "// hexfloats (printf %a): exact, locale-free, portable across\n"
+        << "// correctly-rounded libms.\n";
+    for (std::size_t i = 0; i < labels.size(); ++i) {
+      out << "{\"" << labels[i] << "\", \"" << rendered[i] << "\"},\n";
+    }
+    ASSERT_TRUE(out.good());
+  }
+
+  ASSERT_EQ(labels.size(), N) << "config matrix and golden table drifted apart";
+  for (std::size_t i = 0; i < N; ++i) {
+    SCOPED_TRACE(labels[i]);
+    EXPECT_STREQ(table[i].label, labels[i].c_str());
+    EXPECT_STREQ(table[i].expected, rendered[i].c_str());
+  }
+}
 
 /// Renders every TrialResult field exactly: doubles as hexfloats ("%a" is
 /// lossless — two doubles render equal iff they are the same bits, modulo
@@ -514,35 +549,15 @@ std::vector<std::pair<std::string, SimulationConfig>> golden_matrix() {
 
 TEST(GoldenDeterminism, MatrixMatchesPinnedHexfloatGoldens) {
   const auto matrix = golden_matrix();
+  std::vector<std::string> labels;
   std::vector<std::string> rendered;
-  rendered.reserve(matrix.size());
   for (const auto& [label, config] : matrix) {
     SCOPED_TRACE(label);
+    labels.push_back(label);
     rendered.push_back(render_result(run_once(config)));
   }
-
-  if (const char* path = std::getenv("VODSIM_UPDATE_GOLDENS")) {
-    std::ofstream out(path);
-    ASSERT_TRUE(out) << "cannot open " << path;
-    out << "// Generated by determinism_test with VODSIM_UPDATE_GOLDENS.\n"
-        << "// One entry per golden_matrix() config, same order. Doubles are\n"
-        << "// hexfloats (printf %a): exact, locale-free, portable across\n"
-        << "// correctly-rounded libms.\n";
-    for (std::size_t i = 0; i < matrix.size(); ++i) {
-      out << "{\"" << matrix[i].first << "\", \"" << rendered[i] << "\"},\n";
-    }
-    ASSERT_TRUE(out.good());
-  }
-
-  constexpr std::size_t kPinned =
-      sizeof(kGoldenMatrix) / sizeof(kGoldenMatrix[0]);
-  ASSERT_EQ(matrix.size(), kPinned)
-      << "config matrix and golden table drifted apart";
-  for (std::size_t i = 0; i < matrix.size(); ++i) {
-    SCOPED_TRACE(matrix[i].first);
-    EXPECT_STREQ(kGoldenMatrix[i].label, matrix[i].first.c_str());
-    EXPECT_STREQ(kGoldenMatrix[i].expected, rendered[i].c_str());
-  }
+  expect_golden_table(kGoldenMatrix, "determinism_goldens.inc", "golden_matrix()",
+                      labels, rendered);
 }
 
 TEST(GoldenDeterminism, ObserversMatchPinnedGoldensPerScheduler) {
@@ -587,6 +602,149 @@ TEST(GoldenDeterminism, ShardsOneMatchesPinnedHexfloatGoldens) {
     EXPECT_STREQ(kGoldenMatrix[i].expected,
                  render_result(run_once(config)).c_str());
   }
+}
+
+// --- pinned fault goldens -------------------------------------------------
+// TrialResult carries no resilience field, so the matrix above pins the
+// fault layer only through failure/seed11's crash-only utilization. This
+// table pins the fault path itself: the capacity-loss integral (cluster,
+// per rack, per zone), recovery and partition durations, glitches, and
+// every shed/drop/retry/repair counter, on configs that drive brownout
+// shedding, correlated crashes under switch latency and flap guards, and
+// all three domain fault classes with repair and replication (single-queue
+// and sharded). A crash interval split at a partition-begin inside it,
+// or a brownout charged over a crash, moves the availability bits here.
+
+constexpr GoldenEntry kFaultGoldens[] = {
+#include "fault_goldens.inc"
+};
+
+/// Renders the resilience side of a run exactly: doubles as hexfloats,
+/// per-domain availabilities in rack then zone order, counters in decimal.
+std::string render_resilience(const Metrics& m) {
+  std::string out;
+  char buf[64];
+  const auto add_double = [&](double value) {
+    std::snprintf(buf, sizeof(buf), "%a ", value);
+    out += buf;
+  };
+  const auto add_count = [&](std::uint64_t value) {
+    std::snprintf(buf, sizeof(buf), "%" PRIu64 " ", value);
+    out += buf;
+  };
+  add_double(m.utilization());
+  add_double(m.availability());
+  add_double(m.glitch_seconds());
+  add_double(m.recovery_time().mean());
+  add_double(m.partition_time().mean());
+  out += "racks ";
+  for (int rack = 0; rack < m.metric_racks(); ++rack) {
+    add_double(m.rack_availability(rack));
+  }
+  out += "zones ";
+  for (int zone = 0; zone < m.metric_zones(); ++zone) {
+    add_double(m.zone_availability(zone));
+  }
+  for (const std::uint64_t count :
+       {m.interruptions(), m.drops(), m.sheds(), m.sheds_migrated(),
+        m.retry_enqueued(), m.readmissions(), m.retry_abandoned(), m.repairs(),
+        m.server_downs(), m.partitions(), m.partition_heals()}) {
+    add_count(count);
+  }
+  out.pop_back();
+  return out;
+}
+
+/// The pinned fault configurations, in table order.
+std::vector<std::pair<std::string, SimulationConfig>> fault_matrix() {
+  std::vector<std::pair<std::string, SimulationConfig>> out;
+  const PolicySpec& staged_migration = figure6_policies()[3];  // P4
+
+  {
+    // Crashes plus frequent brownouts: shedding (migrate, park, drop) and
+    // forced retry drains on brownout-end and server-up.
+    SimulationConfig config = golden_config(staged_migration, 41);
+    config.duration = hours(1.0);
+    config.load_factor = 1.2;
+    config.failure.enabled = true;
+    config.failure.mean_time_between_failures = hours(0.5);
+    config.failure.mean_time_to_repair = hours(0.05);
+    config.failure.brownout.enabled = true;
+    config.failure.brownout.mean_time_between = hours(0.1);
+    config.failure.brownout.mean_duration = minutes(5);
+    config.failure.brownout.capacity_factor = 0.4;
+    config.failure.retry.enabled = true;
+    out.emplace_back("brownout-shed-retry/seed41", std::move(config));
+  }
+  {
+    // Correlated pair outages under break-before-make migration and flap
+    // guards: destinations crash mid-switch, and the stranded streams move
+    // to another holder, park or drop.
+    SimulationConfig config = golden_config(staged_migration, 43);
+    config.duration = hours(1.0);
+    config.load_factor = 1.2;
+    config.system.avg_copies = 3.0;
+    config.admission.migration.switch_latency = 30.0;
+    config.failure.enabled = true;
+    config.failure.mean_time_between_failures = hours(0.1);
+    config.failure.mean_time_to_repair = hours(0.05);
+    config.failure.min_dwell = 30.0;
+    config.failure.correlated.enabled = true;
+    config.failure.correlated.group_size = 2;
+    config.failure.correlated.mean_time_between = hours(0.3);
+    config.failure.correlated.mean_duration = minutes(5);
+    config.failure.retry.enabled = true;
+    out.emplace_back("correlated-switch-dwell-retry/seed43", std::move(config));
+  }
+  {
+    // 5 racks / 2 zones with every domain fault class, repair and dynamic
+    // replication on a domain-spread placement: crashes overlap rack
+    // outages, partitions and zone brownouts on the same servers.
+    SimulationConfig config = golden_config(staged_migration, 47);
+    config.duration = hours(1.0);
+    config.load_factor = 1.2;
+    config.system.avg_copies = 1.2;
+    config.placement.kind = PlacementKind::kDomainSpread;
+    config.topology.enabled = true;
+    config.topology.racks = 5;
+    config.topology.zones = 2;
+    config.replication.enabled = true;
+    config.failure.enabled = true;
+    config.failure.mean_time_between_failures = hours(0.5);
+    config.failure.mean_time_to_repair = hours(0.1);
+    config.failure.domains.rack_outage.enabled = true;
+    config.failure.domains.rack_outage.mean_time_between = hours(0.5);
+    config.failure.domains.rack_outage.mean_duration = minutes(10);
+    config.failure.domains.zone_brownout.enabled = true;
+    config.failure.domains.zone_brownout.mean_time_between = hours(0.25);
+    config.failure.domains.zone_brownout.mean_duration = minutes(8);
+    config.failure.domains.partition.enabled = true;
+    config.failure.domains.partition.mean_time_between = hours(0.2);
+    config.failure.domains.partition.mean_duration = minutes(6);
+    config.failure.repair.enabled = true;
+    config.failure.repair.down_threshold = minutes(3);
+    config.failure.retry.enabled = true;
+    out.emplace_back("domains-repair-replication/seed47", config);
+    config.shards = 5;
+    config.shard_threads = 2;
+    out.emplace_back("domains-repair-replication-shards5/seed47",
+                     std::move(config));
+  }
+  return out;
+}
+
+TEST(FaultGoldens, ResilienceMatchesPinnedHexfloatGoldens) {
+  const auto matrix = fault_matrix();
+  std::vector<std::string> labels;
+  std::vector<std::string> rendered;
+  for (const auto& [label, config] : matrix) {
+    SCOPED_TRACE(label);
+    VodSimulation simulation(config);
+    labels.push_back(label);
+    rendered.push_back(render_resilience(simulation.run()));
+  }
+  expect_golden_table(kFaultGoldens, "fault_goldens.inc", "fault_matrix()", labels,
+                      rendered);
 }
 
 }  // namespace
