@@ -77,14 +77,6 @@ struct ClientPolicy {
   Mbps receive_bandwidth = std::numeric_limits<double>::infinity();
 };
 
-/// Placement policy selection plus its tuning knobs.
-struct PlacementConfig {
-  PlacementKind kind = PlacementKind::kEven;
-  /// PartialPredictive only: see PartialPredictivePlacement.
-  double partial_head_fraction = 0.10;
-  double partial_tail_shift = 0.05;
-};
-
 /// Partial capacity loss: a server's link degrades to `capacity_factor`
 /// of nominal for an exponential interval. Degradation triggers
 /// staging-aware load shedding (most-buffered streams evicted first,

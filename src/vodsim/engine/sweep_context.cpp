@@ -3,8 +3,6 @@
 #include <cstdio>
 
 #include "vodsim/engine/experiment.h"
-#include "vodsim/placement/domain_spread.h"
-#include "vodsim/placement/partial_predictive.h"
 #include "vodsim/util/rng.h"
 #include "vodsim/workload/catalog.h"
 
@@ -141,17 +139,8 @@ void SweepContext::prepare(const std::vector<SimulationConfig>& configs,
         // Run the placement exactly as VodSimulation::build_world would —
         // same policy construction, same RNG stream, same fresh servers —
         // and record the install order for bit-exact replay.
-        std::unique_ptr<PlacementPolicy> placement;
-        if (config.placement.kind == PlacementKind::kPartialPredictive) {
-          placement = std::make_unique<PartialPredictivePlacement>(
-              config.placement.partial_head_fraction,
-              config.placement.partial_tail_shift);
-        } else if (config.placement.kind == PlacementKind::kDomainSpread) {
-          placement = std::make_unique<DomainSpreadPlacement>(
-              Topology(config.topology, config.system.num_servers));
-        } else {
-          placement = make_placement(config.placement.kind);
-        }
+        const auto placement = make_placement(
+            config.placement, Topology(config.topology, config.system.num_servers));
         Rng placement_rng(seeds.placement);
         std::vector<Server> servers = make_servers(config.system);
         auto blueprint = std::make_shared<PlacementBlueprint>();

@@ -8,8 +8,6 @@
 #include "vodsim/check/invariant_auditor.h"
 #include "vodsim/engine/sweep_context.h"
 #include "vodsim/fault/schedule.h"
-#include "vodsim/placement/domain_spread.h"
-#include "vodsim/placement/partial_predictive.h"
 #include "vodsim/sched/intermittent.h"
 #include "vodsim/util/env.h"
 #include "vodsim/util/log.h"
@@ -93,16 +91,7 @@ void VodSimulation::build_world() {
     }
     placement_result_ = blueprint->result;
   } else {
-    std::unique_ptr<PlacementPolicy> placement;
-    if (config_.placement.kind == PlacementKind::kPartialPredictive) {
-      placement = std::make_unique<PartialPredictivePlacement>(
-          config_.placement.partial_head_fraction,
-          config_.placement.partial_tail_shift);
-    } else if (config_.placement.kind == PlacementKind::kDomainSpread) {
-      placement = std::make_unique<DomainSpreadPlacement>(topology_);
-    } else {
-      placement = make_placement(config_.placement.kind);
-    }
+    const auto placement = make_placement(config_.placement, topology_);
     Rng placement_rng(seeds.placement);
     // Placement sees the popularity law as of t = 0 — a drifting workload
     // later invalidates a "perfect" prediction, which is exactly what the
@@ -194,9 +183,7 @@ void VodSimulation::build_world() {
     failure_timeline_ = generate_fault_schedule(config_.failure, topology_,
                                                 config_.duration, failure_rng);
   }
-  fault_down_since_.assign(servers_.size(), -1.0);
-  brownout_since_.assign(servers_.size(), -1.0);
-  partition_since_.assign(servers_.size(), -1.0);
+  capacity_loss_.assign(servers_.size(), CapacityLoss{});
   partition_began_.assign(servers_.size(), -1.0);
   if (config_.failure.retry.enabled) {
     retry_queue_ = std::make_unique<RetryQueue>(config_.failure.retry);
@@ -337,21 +324,12 @@ const Metrics& VodSimulation::run() {
     }
   }
   for (TimeWeighted& occupancy : occupancy_) occupancy.flush(config_.duration);
-  // Close still-open fault episodes into the availability integral.
+  // Close still-open capacity-loss intervals into the availability integral.
   for (std::size_t s = 0; s < servers_.size(); ++s) {
-    const auto id = static_cast<ServerId>(s);
-    if (fault_down_since_[s] >= 0.0) {
-      coord.metrics->record_capacity_loss(fault_down_since_[s], config_.duration,
-                                          servers_[s].bandwidth(), id);
-    }
-    if (brownout_since_[s] >= 0.0) {
-      coord.metrics->record_capacity_loss(
-          brownout_since_[s], config_.duration,
-          servers_[s].bandwidth() * (1.0 - servers_[s].capacity_factor()), id);
-    }
-    if (partition_since_[s] >= 0.0) {
-      coord.metrics->record_capacity_loss(partition_since_[s], config_.duration,
-                                          servers_[s].bandwidth(), id);
+    const CapacityLoss& open = capacity_loss_[s];
+    if (open.cause != LossCause::kNone) {
+      coord.metrics->record_capacity_loss(open.since, config_.duration, open.rate,
+                                          static_cast<ServerId>(s));
     }
   }
   if (probes_) {
@@ -488,21 +466,33 @@ void VodSimulation::handle_arrival(const Arrival& arrival) {
 
   note(ctx, TraceEventType::kAdmit, kTraceAdmission, decision.server, request.id(),
        arrival.video, static_cast<double>(decision.migrations.size()));
-  if (decision.used_migration()) {
-    for (const MigrationStep& step : decision.migrations) execute_migration(step);
-    ctx.metrics->record_migration_chain(now, decision.migrations.size());
-  }
+  execute_migrations(decision);
   ctx.metrics->record_acceptance(now, decision.used_migration());
+  start_stream(request, decision.server);
+}
 
-  request.begin_streaming(now, decision.server);
-  attach_to(ctx, decision.server, request);
-  request.playback_end_event =
-      ctx.sim.schedule_at(request.playback_end(), [this, &request](Seconds) {
+void VodSimulation::start_stream(Request& request, ServerId server) {
+  ExecContext& ctx = coordinator();
+  request.begin_streaming(ctx.sim.now(), server);
+  attach_to(ctx, server, request);
+  schedule_playback_end(request);
+  recompute_server(ctx, server);
+  if (config_.interactivity.enabled) schedule_next_pause(request);
+}
+
+void VodSimulation::schedule_playback_end(Request& request) {
+  request.playback_end_event = coordinator().sim.schedule_at(
+      request.playback_end(), [this, &request](Seconds) {
         request.playback_end_event = kInvalidEventId;
         on_playback_end(request);
       });
-  recompute_server(ctx, decision.server);
-  if (config_.interactivity.enabled) schedule_next_pause(request);
+}
+
+void VodSimulation::execute_migrations(const AdmissionDecision& decision) {
+  if (!decision.used_migration()) return;
+  for (const MigrationStep& step : decision.migrations) execute_migration(step);
+  ExecContext& ctx = coordinator();
+  ctx.metrics->record_migration_chain(ctx.sim.now(), decision.migrations.size());
 }
 
 void VodSimulation::execute_migration(const MigrationStep& step) {
@@ -540,34 +530,10 @@ void VodSimulation::execute_migration(const MigrationStep& step) {
         return;
       }
       // The destination crashed (or became unreachable) during the switch.
-      // The stream never reached
-      // its active list, so the crash-recovery sweep could not have seen
-      // it; handle it here like any other crash victim — another replica
-      // holder, else park for retry, else drop.
-      const Seconds now = ctx.sim.now();
-      ServerId fallback = kNoServer;
-      if (config_.failure.recover_via_migration) {
-        for (ServerId candidate : directory_.holders(request.video_id())) {
-          if (candidate == target) continue;
-          const Server& cs = servers_[static_cast<std::size_t>(candidate)];
-          if (!cs.can_admit(request.view_bandwidth())) continue;
-          if (fallback == kNoServer ||
-              cs.active_count() <
-                  servers_[static_cast<std::size_t>(fallback)].active_count()) {
-            fallback = candidate;
-          }
-        }
-      }
-      if (fallback != kNoServer) {
-        note(ctx, TraceEventType::kStreamRecovered, kTraceFailure, fallback,
-             request.id(), request.video_id());
-        finish_migration(request, fallback);
-      } else if (!park_for_retry(request)) {
-        note(ctx, TraceEventType::kStreamDropped, kTraceFailure, target,
-             request.id(), request.video_id());
-        request.mark_done(now);
-        ctx.metrics->record_drop(now);
-      }
+      // The stream never reached its active list, so the crash-recovery
+      // sweep could not have seen it; recover it here like any other crash
+      // victim.
+      recover_stream(ctx, request, target);
     });
   }
   recompute_server(ctx, step.from);
@@ -680,23 +646,7 @@ void VodSimulation::apply_fault(const FaultTransition& event) {
       if (!server.available()) return;  // idempotent: already down
       mark_server_dirty(event.server);
       server.set_available(false);
-      if (brownout_since_[s] >= 0.0) {
-        // The brownout loss interval ends here; the crash interval (full
-        // bandwidth) takes over.
-        ctx.metrics->record_capacity_loss(
-            brownout_since_[s], now,
-            server.bandwidth() * (1.0 - server.capacity_factor()),
-            event.server);
-        brownout_since_[s] = -1.0;
-      }
-      if (partition_since_[s] >= 0.0) {
-        // Partition loss interval hands over to the crash interval too —
-        // never both at once (both charge the full link).
-        ctx.metrics->record_capacity_loss(partition_since_[s], now,
-                                       server.bandwidth(), event.server);
-        partition_since_[s] = -1.0;
-      }
-      fault_down_since_[s] = now;
+      settle_capacity_loss(ctx, event.server);
       ctx.metrics->record_server_down(now);
       note(ctx, TraceEventType::kServerDown, kTraceFailure, event.server);
       recover_streams_of_failed_server(server);
@@ -712,22 +662,9 @@ void VodSimulation::apply_fault(const FaultTransition& event) {
       if (server.available()) return;  // idempotent: already up
       mark_server_dirty(event.server);
       server.set_available(true);
-      const Seconds down_since = fault_down_since_[s];
-      if (down_since >= 0.0) {
-        ctx.metrics->record_capacity_loss(down_since, now, server.bandwidth(),
-                                       event.server);
-        ctx.metrics->record_server_recovery(now, now - down_since);
-        fault_down_since_[s] = -1.0;
-      }
-      if (!server.reachable()) {
-        // Repaired into a live partition: the full link stays lost, now
-        // charged to the partition interval.
-        partition_since_[s] = now;
-      } else if (server.capacity_factor() < 1.0) {
-        // A brownout that began (or persisted) while down starts costing
-        // capacity again now that the server is back in service.
-        brownout_since_[s] = now;
-      }
+      const Seconds down_since = capacity_loss_[s].since;
+      settle_capacity_loss(ctx, event.server);
+      ctx.metrics->record_server_recovery(now, now - down_since);
       note(ctx, TraceEventType::kServerUp, kTraceFailure, event.server);
       process_retries(/*force=*/true);
       break;
@@ -735,19 +672,8 @@ void VodSimulation::apply_fault(const FaultTransition& event) {
     case FaultTransitionKind::kBrownoutBegin: {
       if (server.capacity_factor() == event.capacity_factor) return;
       mark_server_dirty(event.server);
-      // A partitioned server's whole link is already charged to the
-      // partition interval, so the brownout interval only accrues while
-      // serviceable.
-      if (server.serviceable()) {
-        if (brownout_since_[s] >= 0.0) {
-          ctx.metrics->record_capacity_loss(
-              brownout_since_[s], now,
-              server.bandwidth() * (1.0 - server.capacity_factor()),
-              event.server);
-        }
-        brownout_since_[s] = now;
-      }
       server.set_capacity_factor(event.capacity_factor);
+      settle_capacity_loss(ctx, event.server);
       note(ctx, TraceEventType::kBrownoutBegin, kTraceFailure, event.server, -1, -1,
            event.capacity_factor);
       if (server.available()) {
@@ -759,14 +685,8 @@ void VodSimulation::apply_fault(const FaultTransition& event) {
     case FaultTransitionKind::kBrownoutEnd: {
       if (server.capacity_factor() == 1.0) return;  // idempotent
       mark_server_dirty(event.server);
-      if (brownout_since_[s] >= 0.0) {
-        ctx.metrics->record_capacity_loss(
-            brownout_since_[s], now,
-            server.bandwidth() * (1.0 - server.capacity_factor()),
-            event.server);
-        brownout_since_[s] = -1.0;
-      }
       server.set_capacity_factor(1.0);
+      settle_capacity_loss(ctx, event.server);
       note(ctx, TraceEventType::kBrownoutEnd, kTraceFailure, event.server);
       if (server.available()) recompute_server(ctx, event.server);
       process_retries(/*force=*/true);
@@ -776,50 +696,47 @@ void VodSimulation::apply_fault(const FaultTransition& event) {
       if (!server.reachable()) return;  // idempotent: already partitioned
       mark_server_dirty(event.server);
       server.set_reachable(false);
+      settle_capacity_loss(ctx, event.server);
       partition_began_[s] = now;
       ctx.metrics->record_partition_begin(now);
       note(ctx, TraceEventType::kPartitionBegin, kTraceFailure, event.server);
-      if (server.available()) {
-        // The server is up but the controller lost it: the open brownout
-        // interval (partial loss) hands over to the partition interval
-        // (full link), and every active stream is cut off from its client
-        // — recover elsewhere, park, or drop, exactly like a crash.
-        if (brownout_since_[s] >= 0.0) {
-          ctx.metrics->record_capacity_loss(
-              brownout_since_[s], now,
-              server.bandwidth() * (1.0 - server.capacity_factor()),
-              event.server);
-          brownout_since_[s] = -1.0;
-        }
-        partition_since_[s] = now;
-        recover_streams_of_failed_server(server);
-      }
+      // An up server the controller lost: every active stream is cut off
+      // from its client, exactly like a crash.
+      if (server.available()) recover_streams_of_failed_server(server);
       break;
     }
     case FaultTransitionKind::kPartitionEnd: {
       if (server.reachable()) return;  // idempotent: already healed
       mark_server_dirty(event.server);
       server.set_reachable(true);
-      if (partition_since_[s] >= 0.0) {
-        ctx.metrics->record_capacity_loss(partition_since_[s], now,
-                                       server.bandwidth(), event.server);
-        partition_since_[s] = -1.0;
-      }
-      if (partition_began_[s] >= 0.0) {
-        ctx.metrics->record_partition_heal(now, now - partition_began_[s]);
-        partition_began_[s] = -1.0;
-      }
-      // A brownout that persisted through the partition starts costing
-      // capacity again now that the controller can use the link.
-      if (server.available() && server.capacity_factor() < 1.0) {
-        brownout_since_[s] = now;
-      }
+      settle_capacity_loss(ctx, event.server);
+      ctx.metrics->record_partition_heal(now, now - partition_began_[s]);
       note(ctx, TraceEventType::kPartitionEnd, kTraceFailure, event.server);
       if (server.available()) recompute_server(ctx, event.server);
       process_retries(/*force=*/true);
       break;
     }
   }
+}
+
+void VodSimulation::settle_capacity_loss(ExecContext& ctx, ServerId server_id) {
+  const Server& server = servers_[static_cast<std::size_t>(server_id)];
+  const Seconds now = ctx.sim.now();
+  CapacityLoss loss;
+  if (!server.available()) {
+    loss = {LossCause::kDown, now, server.bandwidth()};
+  } else if (!server.reachable()) {
+    loss = {LossCause::kPartition, now, server.bandwidth()};
+  } else if (server.capacity_factor() < 1.0) {
+    loss = {LossCause::kBrownout, now,
+            server.bandwidth() * (1.0 - server.capacity_factor())};
+  }
+  CapacityLoss& open = capacity_loss_[static_cast<std::size_t>(server_id)];
+  if (loss.cause == open.cause && loss.rate == open.rate) return;
+  if (open.cause != LossCause::kNone) {
+    ctx.metrics->record_capacity_loss(open.since, now, open.rate, server_id);
+  }
+  open = loss;
 }
 
 void VodSimulation::recover_streams_of_failed_server(Server& server) {
@@ -833,32 +750,7 @@ void VodSimulation::recover_streams_of_failed_server(Server& server) {
     advance_and_account(ctx, request, now);
     cancel_predicted_events(request);
     detach_from(ctx, server.id(), request);
-
-    ServerId target = kNoServer;
-    if (config_.failure.recover_via_migration) {
-      // DRM-based recovery: least-loaded other replica holder with room.
-      for (ServerId candidate : directory_.holders(request.video_id())) {
-        if (candidate == server.id()) continue;
-        const Server& cs = servers_[static_cast<std::size_t>(candidate)];
-        if (!cs.can_admit(request.view_bandwidth())) continue;
-        if (target == kNoServer ||
-            cs.active_count() <
-                servers_[static_cast<std::size_t>(target)].active_count()) {
-          target = candidate;
-        }
-      }
-    }
-    if (target != kNoServer) {
-      note(ctx, TraceEventType::kStreamRecovered, kTraceFailure, target,
-           request.id(), request.video_id());
-      request.begin_migration(now);
-      finish_migration(request, target);
-    } else if (!park_for_retry(request)) {
-      note(ctx, TraceEventType::kStreamDropped, kTraceFailure, server.id(),
-           request.id(), request.video_id());
-      request.mark_done(now);  // stream lost
-      ctx.metrics->record_drop(now);
-    }
+    recover_stream(ctx, request, server.id());
   }
 }
 
@@ -888,39 +780,56 @@ void VodSimulation::shed_overload(Server& server) {
     cancel_predicted_events(request);
     detach_from(ctx, server.id(), request);
 
-    // Migrate before dropping: least-loaded other replica holder with room.
-    ServerId target = kNoServer;
-    for (ServerId candidate : directory_.holders(request.video_id())) {
-      if (candidate == server.id()) continue;
-      const Server& cs = servers_[static_cast<std::size_t>(candidate)];
-      if (!cs.can_admit(request.view_bandwidth())) continue;
-      if (target == kNoServer ||
-          cs.active_count() <
-              servers_[static_cast<std::size_t>(target)].active_count()) {
-        target = candidate;
-      }
-    }
+    // Migrate before dropping. failure.recover_via_migration governs crash
+    // recovery only; shedding always tries another holder first.
+    const ServerId target = least_loaded_holder(request, server.id());
     note(ctx, TraceEventType::kStreamShed, kTraceFailure, server.id(), request.id(),
          request.video_id(), buffered);
+    ctx.metrics->record_shed(now, /*migrated=*/target != kNoServer);
     if (target != kNoServer) {
-      ctx.metrics->record_shed(now, /*migrated=*/true);
       request.begin_migration(now);
       finish_migration(request, target);
     } else {
-      ctx.metrics->record_shed(now, /*migrated=*/false);
-      if (!park_for_retry(request)) {
-        note(ctx, TraceEventType::kStreamDropped, kTraceFailure, server.id(),
-             request.id(), request.video_id());
-        request.mark_done(now);
-        ctx.metrics->record_drop(now);
-      }
+      park_or_drop(ctx, request, server.id());
     }
   }
 }
 
-bool VodSimulation::park_for_retry(Request& request) {
-  if (retry_queue_ == nullptr) return false;
-  ExecContext& ctx = coordinator();
+ServerId VodSimulation::least_loaded_holder(const Request& request,
+                                            ServerId exclude) const {
+  ServerId best = kNoServer;
+  for (ServerId candidate : directory_.holders(request.video_id())) {
+    if (candidate == exclude) continue;
+    const Server& holder = servers_[static_cast<std::size_t>(candidate)];
+    if (!holder.can_admit(request.view_bandwidth())) continue;
+    if (best == kNoServer ||
+        holder.active_count() <
+            servers_[static_cast<std::size_t>(best)].active_count()) {
+      best = candidate;
+    }
+  }
+  return best;
+}
+
+void VodSimulation::recover_stream(ExecContext& ctx, Request& request,
+                                   ServerId lost) {
+  const ServerId target = config_.failure.recover_via_migration
+                              ? least_loaded_holder(request, lost)
+                              : kNoServer;
+  if (target == kNoServer) {
+    park_or_drop(ctx, request, lost);
+    return;
+  }
+  note(ctx, TraceEventType::kStreamRecovered, kTraceFailure, target, request.id(),
+       request.video_id());
+  // A stream stranded mid-switch is already migrating.
+  if (request.state() == RequestState::kStreaming) {
+    request.begin_migration(ctx.sim.now());
+  }
+  finish_migration(request, target);
+}
+
+void VodSimulation::park_or_drop(ExecContext& ctx, Request& request, ServerId lost) {
   const Seconds now = ctx.sim.now();
   RetryEntry entry;
   entry.request = request.id();
@@ -929,17 +838,22 @@ bool VodSimulation::park_for_retry(Request& request) {
   entry.first_seen = now;
   entry.attempts = 0;
   entry.next_attempt = now;  // eligible immediately (capacity may exist elsewhere)
-  if (!retry_queue_->push(entry)) return false;
-  // Parked as a migration with unbounded latency: playback keeps draining
-  // the staging buffer, so a stream parked too long genuinely glitches.
-  // A stream stranded by its migration target crashing mid-switch is
-  // already in the migrating state.
-  if (request.state() == RequestState::kStreaming) request.begin_migration(now);
-  ctx.metrics->record_retry_enqueued(now);
-  note(ctx, TraceEventType::kRetryEnqueued, kTraceFailure, kNoServer, request.id(),
-       request.video_id(), static_cast<double>(retry_queue_->size()));
-  arm_retry_tick();
-  return true;
+  if (retry_queue_ != nullptr && retry_queue_->push(entry)) {
+    // Parked as a migration with unbounded latency: playback keeps draining
+    // the staging buffer, so a stream parked too long genuinely glitches.
+    // A stream stranded by its migration target crashing mid-switch is
+    // already in the migrating state.
+    if (request.state() == RequestState::kStreaming) request.begin_migration(now);
+    ctx.metrics->record_retry_enqueued(now);
+    note(ctx, TraceEventType::kRetryEnqueued, kTraceFailure, kNoServer, request.id(),
+         request.video_id(), static_cast<double>(retry_queue_->size()));
+    arm_retry_tick();
+    return;
+  }
+  note(ctx, TraceEventType::kStreamDropped, kTraceFailure, lost, request.id(),
+       request.video_id());
+  request.mark_done(now);
+  ctx.metrics->record_drop(now);
 }
 
 void VodSimulation::process_retries(bool force) {
@@ -951,12 +865,7 @@ void VodSimulation::process_retries(bool force) {
     const AdmissionDecision decision = controller_->decide(
         now, entry.video, entry.view_bandwidth, servers_, rng_);
     if (decision.accepted) {
-      if (decision.used_migration()) {
-        for (const MigrationStep& step : decision.migrations) {
-          execute_migration(step);
-        }
-        ctx.metrics->record_migration_chain(now, decision.migrations.size());
-      }
+      execute_migrations(decision);
       ctx.metrics->record_readmission(now);
       if (entry.request != kNoRetryRequest) {
         // Re-admit the parked orphan where capacity opened up.
@@ -974,15 +883,7 @@ void VodSimulation::process_retries(bool force) {
                                             client_profile_);
         note(ctx, TraceEventType::kRetryReadmitted, kTraceFailure, decision.server,
              request.id(), entry.video, static_cast<double>(entry.attempts));
-        request.begin_streaming(now, decision.server);
-        attach_to(ctx, decision.server, request);
-        request.playback_end_event =
-            ctx.sim.schedule_at(request.playback_end(), [this, &request](Seconds) {
-              request.playback_end_event = kInvalidEventId;
-              on_playback_end(request);
-            });
-        recompute_server(ctx, decision.server);
-        if (config_.interactivity.enabled) schedule_next_pause(request);
+        start_stream(request, decision.server);
       }
     } else {
       ++entry.attempts;
@@ -1028,7 +929,7 @@ void VodSimulation::check_repair(ServerId server_id, Seconds down_since) {
   if (servers_[s].available()) return;
   // Exact compare: a repair-then-recrash starts a new episode (and a new
   // threshold timer); this timer belongs to the old one.
-  if (fault_down_since_[s] != down_since) return;
+  if (capacity_loss_[s].since != down_since) return;
   ExecContext& ctx = coordinator();
   const Seconds now = ctx.sim.now();
   // Re-replicate the titles this outage left with no available holder.
@@ -1264,11 +1165,7 @@ void VodSimulation::on_resume(Request& request) {
   note(ctx, TraceEventType::kResume, kTraceLifecycle, request.server(), request.id(),
        request.video_id(), request.buffer_level());
 
-  request.playback_end_event =
-      ctx.sim.schedule_at(request.playback_end(), [this, &request](Seconds) {
-        request.playback_end_event = kInvalidEventId;
-        on_playback_end(request);
-      });
+  schedule_playback_end(request);
 
   if (request.state() == RequestState::kStreaming) {
     recompute_server(ctx, request.server());

@@ -278,12 +278,39 @@ class VodSimulation {
 
   void schedule_next_arrival();
   void handle_arrival(const Arrival& arrival);
+
+  /// Starts \p request streaming from \p server now: attaches it, schedules
+  /// its playback end, reallocates the server and (with interactivity)
+  /// draws its first pause. Serves arrivals and re-admitted rejections.
+  void start_stream(Request& request, ServerId server);
+
+  /// Schedules the coordinator event that ends \p request's playback at its
+  /// current playback_end().
+  void schedule_playback_end(Request& request);
+
+  /// Executes an accepted decision's DRM migration chain, if it has one,
+  /// and records the chain length.
+  void execute_migrations(const AdmissionDecision& decision);
   void execute_migration(const MigrationStep& step);
   void finish_migration(Request& request, ServerId target);
   void on_tx_complete(ExecContext& ctx, Request& request);
   void on_buffer_full(ExecContext& ctx, Request& request);
   void on_playback_end(Request& request);
+
+  /// Applies one fault transition: changes the server's state, settles the
+  /// capacity-loss ledger, then relocates, sheds or re-admits streams.
   void apply_fault(const FaultTransition& event);
+
+  /// The capacity-loss ledger's one transition. Derives \p server's loss
+  /// from its state, by cause precedence: down (whole link) when not
+  /// available, else partition (whole link) when not reachable, else
+  /// brownout (bandwidth * (1 - capacity_factor)) when degraded. When the
+  /// (cause, rate) pair differs from the open interval, charges the open
+  /// interval to the metrics and opens the new one at now; otherwise the
+  /// interval runs on, so a partition or brownout inside a crash never
+  /// splits it.
+  void settle_capacity_loss(ExecContext& ctx, ServerId server);
+
   void recover_streams_of_failed_server(Server& server);
 
   /// Brownout graceful degradation: evicts streams (most-buffered first,
@@ -291,10 +318,21 @@ class VodSimulation {
   /// degraded effective bandwidth.
   void shed_overload(Server& server);
 
-  /// Parks an already-detached stream in the retry queue as a migration
-  /// with unbounded latency. Returns false (caller must drop) when retry is
-  /// disabled or the queue is full.
-  bool park_for_retry(Request& request);
+  /// The least-loaded (fewest active streams, first on ties) replica holder
+  /// of \p request's video other than \p exclude that can admit it, or
+  /// kNoServer.
+  ServerId least_loaded_holder(const Request& request, ServerId exclude) const;
+
+  /// DRM recovery of a detached stream that \p lost can no longer serve (it
+  /// crashed or was partitioned away, before or during the switch to it):
+  /// moves it to the least-loaded other holder when
+  /// failure.recover_via_migration allows, else parks or drops it.
+  void recover_stream(ExecContext& ctx, Request& request, ServerId lost);
+
+  /// Parks a detached stream in the retry queue as a migration with
+  /// unbounded latency; when retry is disabled or the queue is full, drops
+  /// it as lost from \p lost.
+  void park_or_drop(ExecContext& ctx, Request& request, ServerId lost);
 
   /// Attempts re-admission of due retry entries (all entries when \p force
   /// — used on server-up / brownout-end).
@@ -305,7 +343,8 @@ class VodSimulation {
   void arm_retry_tick();
 
   /// Repair replication: if \p server is still in the same down episode
-  /// (started at \p down_since), re-replicates its unreachable titles.
+  /// (the ledger's open interval started at \p down_since), re-replicates
+  /// its unreachable titles.
   void check_repair(ServerId server, Seconds down_since);
 
   /// Dynamic replication: called on every rejection; may start a transfer.
@@ -407,21 +446,26 @@ class VodSimulation {
   /// Present only when failure.retry.enabled.
   std::unique_ptr<RetryQueue> retry_queue_;
   EventId retry_tick_ = kInvalidEventId;
-  /// Per server: sim time the current down episode began, -1 when up.
-  std::vector<Seconds> fault_down_since_;
-  /// Per server: sim time capacity loss accounting for the current brownout
-  /// began (only advances while the server is up), -1 when at full factor.
-  std::vector<Seconds> brownout_since_;
-  /// Per server: sim time capacity loss accounting for the current network
-  /// partition began (only advances while the server is up — a down,
-  /// partitioned server's loss is charged to the down episode), -1 when
-  /// reachable. A partitioned-but-up server loses its whole effective
-  /// bandwidth to the cluster: the hardware runs, the controller can't use
-  /// it.
-  std::vector<Seconds> partition_since_;
+
+  /// Why a server is losing capacity (settle_capacity_loss gives the
+  /// precedence). A partitioned but running server loses its whole link to
+  /// the cluster: the hardware runs, the controller cannot use it.
+  enum class LossCause { kNone, kDown, kPartition, kBrownout };
+
+  /// A server's open capacity-loss interval: `rate` Mb/s lost since
+  /// `since` for `cause`. For kDown, `since` is when the down episode began.
+  struct CapacityLoss {
+    LossCause cause = LossCause::kNone;
+    Seconds since = -1.0;
+    Mbps rate = 0.0;
+  };
+  /// The capacity-loss ledger, one open interval per server. Only
+  /// settle_capacity_loss writes it; run() charges what is still open at
+  /// the horizon.
+  std::vector<CapacityLoss> capacity_loss_;
   /// Per server: sim time the current partition episode began regardless of
-  /// up/down state (feeds the partition-duration distribution), -1 when
-  /// reachable.
+  /// up/down state (feeds the partition-duration distribution); meaningful
+  /// while the server is unreachable.
   std::vector<Seconds> partition_began_;
   std::vector<TimeWeighted> occupancy_;
 

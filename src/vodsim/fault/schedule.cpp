@@ -27,9 +27,9 @@ void sort_fault_schedule(std::vector<FaultTransition>& schedule) {
 
 namespace {
 
-/// Phase 1: per-server alternating crash/repair, draw-for-draw identical to
-/// the legacy generate_failure_timeline when min_dwell == 0 (the guard
-/// rewrites a gap only after the draw, never skips or adds one).
+/// Phase 1: per-server alternating crash/repair. The flap guard rewrites a
+/// gap only after the draw, never skips or adds one, so min_dwell leaves
+/// the draw sequence unchanged.
 void generate_binary(const FailureConfig& config, int num_servers,
                      Seconds horizon, Rng& rng,
                      std::vector<FaultTransition>& out) {
@@ -52,73 +52,11 @@ void generate_binary(const FailureConfig& config, int num_servers,
   }
 }
 
-/// Phase 2: per-server brownout episodes. Episodes never overlap on one
-/// server: the next inter-episode gap starts at the previous episode's end.
-void generate_brownouts(const FailureConfig& config, int num_servers,
-                        Seconds horizon, Rng& rng,
-                        std::vector<FaultTransition>& out) {
-  const BrownoutConfig& b = config.brownout;
-  for (int s = 0; s < num_servers; ++s) {
-    Seconds t = 0.0;
-    for (;;) {
-      Seconds gap = rng.exponential(1.0 / b.mean_time_between);
-      if (config.min_dwell > 0.0 && gap < config.min_dwell) gap = config.min_dwell;
-      const Seconds begin = t + gap;
-      if (begin >= horizon) break;
-      Seconds duration = rng.exponential(1.0 / b.mean_duration);
-      if (config.min_dwell > 0.0 && duration < config.min_dwell) {
-        duration = config.min_dwell;
-      }
-      const Seconds end = begin + duration;
-      out.push_back(FaultTransition{begin, static_cast<ServerId>(s),
-                                    FaultTransitionKind::kBrownoutBegin,
-                                    b.capacity_factor});
-      if (end < horizon) {
-        out.push_back(FaultTransition{end, static_cast<ServerId>(s),
-                                      FaultTransitionKind::kBrownoutEnd, 1.0});
-      }
-      t = end;
-    }
-  }
-}
-
-/// Phase 3: correlated outages over consecutive server groups. Each group
-/// draws its own episode sequence; every member gets the same down/up pair
-/// (same times), modelling a shared rack or switch.
-void generate_correlated(const FailureConfig& config, int num_servers,
-                         Seconds horizon, Rng& rng,
-                         std::vector<FaultTransition>& out) {
-  const CorrelatedFailureConfig& c = config.correlated;
-  const int group_size = std::min(c.group_size, num_servers);
-  for (int first = 0; first < num_servers; first += group_size) {
-    const int last = std::min(first + group_size, num_servers);
-    Seconds t = 0.0;
-    for (;;) {
-      Seconds gap = rng.exponential(1.0 / c.mean_time_between);
-      if (config.min_dwell > 0.0 && gap < config.min_dwell) gap = config.min_dwell;
-      const Seconds begin = t + gap;
-      if (begin >= horizon) break;
-      Seconds duration = rng.exponential(1.0 / c.mean_duration);
-      if (config.min_dwell > 0.0 && duration < config.min_dwell) {
-        duration = config.min_dwell;
-      }
-      const Seconds end = begin + duration;
-      for (int s = first; s < last; ++s) {
-        out.push_back(FaultTransition{begin, static_cast<ServerId>(s),
-                                      FaultTransitionKind::kDown, 1.0});
-        if (end < horizon) {
-          out.push_back(FaultTransition{end, static_cast<ServerId>(s),
-                                        FaultTransitionKind::kUp, 1.0});
-        }
-      }
-      t = end;
-    }
-  }
-}
-
-/// Draws one per-domain episode sequence (gap → duration, min_dwell
-/// stretches applied to both, same as every other phase) and emits a
-/// begin/end transition pair for each member of [first, last).
+/// Draws one episode sequence for the server range [first, last) (gap →
+/// duration, min_dwell stretches applied to both; the next gap starts at
+/// the previous episode's end, so episodes never overlap) and emits a
+/// begin/end transition pair for each member. Every phase but the binary
+/// one is a set of such sequences.
 void generate_domain_episodes(const FailureConfig& config, Seconds horizon,
                               Rng& rng, ServerId first, ServerId last,
                               Seconds mean_time_between, Seconds mean_duration,
@@ -143,6 +81,36 @@ void generate_domain_episodes(const FailureConfig& config, Seconds horizon,
       }
     }
     t = end;
+  }
+}
+
+/// Phase 2: per-server brownout episodes.
+void generate_brownouts(const FailureConfig& config, int num_servers,
+                        Seconds horizon, Rng& rng,
+                        std::vector<FaultTransition>& out) {
+  const BrownoutConfig& b = config.brownout;
+  for (ServerId s = 0; s < num_servers; ++s) {
+    generate_domain_episodes(config, horizon, rng, s, s + 1, b.mean_time_between,
+                             b.mean_duration, FaultTransitionKind::kBrownoutBegin,
+                             FaultTransitionKind::kBrownoutEnd, b.capacity_factor,
+                             out);
+  }
+}
+
+/// Phase 3: correlated outages over consecutive server groups. Each group
+/// draws its own episode sequence; every member gets the same down/up pair
+/// (same times), modelling a shared rack or switch.
+void generate_correlated(const FailureConfig& config, int num_servers,
+                         Seconds horizon, Rng& rng,
+                         std::vector<FaultTransition>& out) {
+  const CorrelatedFailureConfig& c = config.correlated;
+  const int group_size = std::min(c.group_size, num_servers);
+  for (ServerId first = 0; first < num_servers; first += group_size) {
+    generate_domain_episodes(config, horizon, rng, first,
+                             std::min(first + group_size, num_servers),
+                             c.mean_time_between, c.mean_duration,
+                             FaultTransitionKind::kDown, FaultTransitionKind::kUp,
+                             1.0, out);
   }
 }
 

@@ -25,9 +25,24 @@ std::unique_ptr<PlacementPolicy> make_placement(PlacementKind kind) {
     case PlacementKind::kBsr:
       return std::make_unique<BsrPlacement>();
     case PlacementKind::kDomainSpread:
-      return std::make_unique<DomainSpreadPlacement>(Topology{});
+      throw std::invalid_argument(
+          "domain_spread placement needs the topology: use "
+          "make_placement(PlacementConfig, Topology)");
   }
   throw std::invalid_argument("unknown PlacementKind");
+}
+
+std::unique_ptr<PlacementPolicy> make_placement(const PlacementConfig& config,
+                                                const Topology& topology) {
+  switch (config.kind) {
+    case PlacementKind::kPartialPredictive:
+      return std::make_unique<PartialPredictivePlacement>(
+          config.partial_head_fraction, config.partial_tail_shift);
+    case PlacementKind::kDomainSpread:
+      return std::make_unique<DomainSpreadPlacement>(topology);
+    default:
+      return make_placement(config.kind);
+  }
 }
 
 PlacementKind placement_kind_from_string(const std::string& name) {

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "vodsim/cluster/server.h"
+#include "vodsim/cluster/topology.h"
 #include "vodsim/cluster/video.h"
 #include "vodsim/util/rng.h"
 
@@ -65,15 +66,29 @@ enum class PlacementKind {
   kPartialPredictive,
   kBsr,
   /// Even copy counts, failure-domain anti-affinity install
-  /// (placement/domain_spread.h). The factory builds it with a trivial
-  /// topology; construct DomainSpreadPlacement directly to supply the real
-  /// tree (the engine does).
+  /// (placement/domain_spread.h). Needs the failure-domain tree, so only
+  /// the (config, topology) factory builds it.
   kDomainSpread,
 };
 
-/// Factory. PartialPredictive uses its default top-fraction; construct
-/// PartialPredictivePlacement directly to tune it.
+/// Placement policy selection plus its tuning knobs.
+struct PlacementConfig {
+  PlacementKind kind = PlacementKind::kEven;
+  /// PartialPredictive only: see PartialPredictivePlacement.
+  double partial_head_fraction = 0.10;
+  double partial_tail_shift = 0.05;
+};
+
+/// Factory for the policies that need nothing but their kind.
+/// PartialPredictive uses its default knobs. Throws std::invalid_argument
+/// for kDomainSpread, which needs the topology.
 std::unique_ptr<PlacementPolicy> make_placement(PlacementKind kind);
+
+/// Factory for any policy: PartialPredictive gets \p config's knobs and
+/// DomainSpread spreads across \p topology (which must cover the servers
+/// it will place onto).
+std::unique_ptr<PlacementPolicy> make_placement(const PlacementConfig& config,
+                                                const Topology& topology);
 
 /// Parses "even" | "predictive" | "partial" | "bsr" | "domain_spread".
 PlacementKind placement_kind_from_string(const std::string& name);

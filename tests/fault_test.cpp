@@ -2,7 +2,8 @@
 // flap guard, brownout pairing, correlated groups), the bounded retry queue,
 // config validation of the fault knobs, idempotent duplicate transitions,
 // crash-recovery outcomes (migrate / drop / park), brownout shedding under
-// the paranoid auditor, and the retry re-admission acceptance contract:
+// the paranoid auditor, capacity-loss hand-offs between crash, partition
+// and brownout, and the retry re-admission acceptance contract:
 // readmissions > 0 and strictly fewer permanent drops than retry-disabled.
 
 #include <gtest/gtest.h>
@@ -439,6 +440,42 @@ TEST(Brownout, ShedsOverloadAndRecoversUnderParanoidAudit) {
   EXPECT_EQ(count_events(*trace, TraceEventType::kStreamShed), metrics.sheds());
   EXPECT_EQ(count_events(*trace, TraceEventType::kBrownoutBegin, 0), 1u);
   EXPECT_EQ(count_events(*trace, TraceEventType::kBrownoutEnd, 0), 1u);
+}
+
+// Capacity-loss hand-offs on one server, against hand-computed integrals.
+// At most one cause charges at a time, by precedence down > partition >
+// brownout, and a crash interval runs unsplit through a partition that
+// begins inside it.
+TEST(CapacityLoss, HandOffsChargeOneCauseAtATime) {
+  SimulationConfig config = scripted_world(2.5);
+  config.topology.enabled = true;
+  config.topology.racks = 3;  // one server per rack
+  config.scripted_faults = {
+      {100.0, 0, FaultTransitionKind::kBrownoutBegin, 0.5},
+      {200.0, 0, FaultTransitionKind::kDown, 1.0},
+      {300.0, 0, FaultTransitionKind::kPartitionBegin, 1.0},  // while down
+      {400.0, 0, FaultTransitionKind::kUp, 1.0},  // up into the partition
+      {500.0, 0, FaultTransitionKind::kPartitionEnd, 1.0},  // brownout persists
+      {700.0, 0, FaultTransitionKind::kBrownoutEnd, 1.0},
+  };
+  VodSimulation simulation(config);
+  const Metrics& metrics = simulation.run();
+
+  // Server 0's 15 Mb/s link: brownout [100, 200) at 7.5, crash [200, 400)
+  // at 15, partition [400, 500) at 15, brownout [500, 700) at 7.5.
+  const Megabits lost = 7.5 * 100.0 + 15.0 * 200.0 + 15.0 * 100.0 + 7.5 * 200.0;
+  ASSERT_EQ(lost, 6750.0);
+  EXPECT_EQ(metrics.availability(), 1.0 - lost / (45.0 * 1200.0));  // 0.875
+  EXPECT_EQ(metrics.rack_availability(0), 1.0 - lost / (15.0 * 1200.0));  // 0.625
+  EXPECT_EQ(metrics.rack_availability(1), 1.0);
+  EXPECT_EQ(metrics.rack_availability(2), 1.0);
+  EXPECT_EQ(metrics.zone_availability(0), metrics.availability());
+  EXPECT_EQ(metrics.recovery_time().count(), 1u);
+  EXPECT_EQ(metrics.recovery_time().mean(), 200.0);
+  EXPECT_EQ(metrics.partition_time().mean(), 200.0);  // [300, 500)
+  EXPECT_EQ(metrics.server_downs(), 1u);
+  EXPECT_EQ(metrics.partitions(), 1u);
+  EXPECT_EQ(metrics.partition_heals(), 1u);
 }
 
 // ----------------------------------------------------- acceptance: retry wins

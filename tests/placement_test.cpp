@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <stdexcept>
 
 #include "vodsim/placement/bsr.h"
 #include "vodsim/placement/even.h"
@@ -207,12 +208,20 @@ TEST(BsrPlacement, HotTitlesSpreadAcrossServers) {
 // --------------------------------------------------------------- factory
 
 TEST(PlacementFactory, RoundTripNames) {
+  const Topology topology(TopologyConfig{true, 2, 1}, 4);
   for (PlacementKind kind : {PlacementKind::kEven, PlacementKind::kPredictive,
-                             PlacementKind::kPartialPredictive, PlacementKind::kBsr}) {
-    const auto policy = make_placement(kind);
-    EXPECT_EQ(policy->name(), to_string(kind));
+                             PlacementKind::kPartialPredictive, PlacementKind::kBsr,
+                             PlacementKind::kDomainSpread}) {
+    PlacementConfig config;
+    config.kind = kind;
+    EXPECT_EQ(make_placement(config, topology)->name(), to_string(kind));
+    if (kind != PlacementKind::kDomainSpread) {
+      EXPECT_EQ(make_placement(kind)->name(), to_string(kind));
+    }
     EXPECT_EQ(placement_kind_from_string(to_string(kind)), kind);
   }
+  // Without the topology a domain-spread policy would index an empty tree.
+  EXPECT_THROW(make_placement(PlacementKind::kDomainSpread), std::invalid_argument);
   EXPECT_THROW(placement_kind_from_string("nope"), std::invalid_argument);
 }
 
@@ -224,7 +233,9 @@ TEST_P(PlacementBudgetParity, AllPoliciesSpendTheSameBudget) {
   const VideoCatalog catalog = make_catalog(40);
   auto servers = make_servers(8);
   Rng rng(10);
-  const auto policy = make_placement(GetParam());
+  PlacementConfig config;
+  config.kind = GetParam();
+  const auto policy = make_placement(config, Topology(TopologyConfig{true, 4, 2}, 8));
   const auto result =
       policy->place(catalog, zipf_popularity(40, 0.271), 2.2, servers, rng);
   EXPECT_EQ(result.placed_total, placement_detail::copy_budget(40, 2.2));
@@ -237,7 +248,8 @@ INSTANTIATE_TEST_SUITE_P(AllPolicies, PlacementBudgetParity,
                          ::testing::Values(PlacementKind::kEven,
                                            PlacementKind::kPredictive,
                                            PlacementKind::kPartialPredictive,
-                                           PlacementKind::kBsr),
+                                           PlacementKind::kBsr,
+                                           PlacementKind::kDomainSpread),
                          [](const ::testing::TestParamInfo<PlacementKind>& info) {
                            return to_string(info.param);
                          });
