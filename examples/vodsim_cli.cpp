@@ -2,8 +2,17 @@
 /// \brief Full command-line front-end: every engine knob on flags.
 ///
 /// Runs one or more trials of an arbitrary configuration and prints a
-/// complete metrics report. Useful for exploring the design space without
-/// writing code, and as a reference for what the library exposes.
+/// complete metrics report. The config flags are the field-table rows
+/// (engine/config_schema.h) that carry a flag name; one loop each
+/// registers, parses, range-checks and documents them. A flag that is set
+/// either takes effect or the run exits 2 with a message naming it:
+///   - system flags (--servers ... --view-bw) override the --system preset;
+///   - a "0 = off" flag (--mtbf-hours, --brownout-hours, --racks, ...)
+///     switches its feature on when nonzero, and any fault process arms
+///     the fault subsystem (per-server crashes need --mtbf-hours > 0);
+///   - out-of-range values, and flags whose feature stays off
+///     (--brownout-factor without --brownout-hours, --zones without
+///     --racks), are errors.
 ///
 /// Examples:
 ///   vodsim_cli --system large --theta 0 --staging 0.2 --migration true
@@ -11,101 +20,168 @@
 ///   vodsim_cli --system small --buffer-aware true --scheduler intermittent
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <sstream>
+#include <stdexcept>
 
+#include "vodsim/engine/config_schema.h"
 #include "vodsim/engine/experiment.h"
 #include "vodsim/engine/vod_simulation.h"
 #include "vodsim/obs/exporters.h"
 #include "vodsim/util/cli.h"
 #include "vodsim/util/table.h"
 
+namespace {
+
+using namespace vodsim;
+
+std::string flag(const ConfigField& field) { return std::string("--") + field.cli.name; }
+
+/// The flags that switch the bool row \p gate on: its own flag, and the
+/// "0 = off" flags gated by it (directly or further up).
+std::string arming_flags(const ConfigField& gate) {
+  if (gate.path == std::string_view("probe.enabled")) return "--probe-out";
+  std::string flags;
+  for (const ConfigField& field : config_fields()) {
+    bool arms = &field == &gate;
+    for (const ConfigField* g = gate_of(field); field.cli.zero == CliZero::kOff && g;
+         g = gate_of(*g)) {
+      arms = arms || g == &gate;
+    }
+    if (arms && field.cli.name) flags += (flags.empty() ? "" : " or ") + flag(field);
+  }
+  return flags;
+}
+
+/// Reads \p field's flag into \p config through the row's C++-literal
+/// parser. A "0 = off" flag at 0 leaves the field and its gate alone; any
+/// other value switches its gates on.
+void apply(const CliParser& cli, const ConfigField& field, SimulationConfig& config) {
+  std::string text = cli.get_string(field.cli.name);
+  double value = std::strtod(text.c_str(), nullptr);  // parse() checked numbers
+  if (field.kind == FieldKind::kBool) {
+    value = text == "true";
+  } else if (field.kind == FieldKind::kEnum) {
+    value = enum_from_string<int>(field.enumerators, text, "value");
+    text = field.enumerators[static_cast<std::size_t>(value)].cpp;
+  }
+  if (value == 0.0 && field.cli.zero == CliZero::kOff) return;
+  if (field.kind == FieldKind::kReal) {
+    value = value == 0.0 && field.cli.zero == CliZero::kUnlimited
+                ? std::numeric_limits<double>::infinity()
+                : value * field.cli.unit;
+    text = real_literal(value);
+  }
+  if (!field.range.contains(value)) {
+    throw std::invalid_argument("must be in " + field.range.describe(field.cli.unit) +
+                                ", got " + cli.get_string(field.cli.name));
+  }
+  if (!field.parse(config, text)) throw std::invalid_argument("invalid value " + text);
+  for (const ConfigField* g = gate_of(field); field.cli.zero == CliZero::kOff && g;
+       g = gate_of(*g)) {
+    g->parse(config, "true");
+  }
+}
+
+/// Builds and validates the configuration the flags describe. Throws
+/// std::invalid_argument with a message naming the offending flag.
+SimulationConfig build_config(const CliParser& cli) {
+  SimulationConfig config;
+  const std::string preset = cli.get_string("system");
+  if (preset != "small" && preset != "large" && preset != "custom") {
+    throw std::invalid_argument("--system: unknown preset " + preset);
+  }
+  if (preset != "custom") {
+    config.system =
+        preset == "small" ? SystemConfig::small_system() : SystemConfig::large_system();
+  }
+  for (const ConfigField& field : config_fields()) {
+    // A flag without a fallback keeps the preset's value unless set.
+    if (field.cli.name == nullptr || (!field.cli.fallback && !cli.has(field.cli.name))) {
+      continue;
+    }
+    try {
+      apply(cli, field, config);
+    } catch (const std::invalid_argument& error) {
+      throw std::invalid_argument(flag(field) + ": " + error.what());
+    }
+  }
+  // Any fault process arms failure.enabled; per-server crashes need their
+  // own MTBF, so without one they are pushed past any realistic horizon.
+  const bool crashes = cli.get_double("mtbf-hours") != 0.0;
+  if (cli.has("mttr-hours") && !crashes) {
+    throw std::invalid_argument("--mttr-hours has no effect unless --mtbf-hours is set");
+  }
+  if (config.failure.enabled && !crashes) {
+    config.failure.mean_time_between_failures = hours(1e9);
+  }
+  // Settings derived from others rather than set by a flag.
+  if (config.failure.retry.enabled) {
+    config.failure.retry.backoff_cap =
+        std::max(config.failure.retry.backoff_cap, config.failure.retry.backoff_base);
+  }
+  if (config.drift.enabled) {
+    config.drift.step = std::max<std::size_t>(1, config.system.num_videos / 10);
+  }
+  // Observability artifacts attach to a re-run of trial 0 (see main).
+  config.trace.enabled =
+      !cli.get_string("trace-out").empty() || !cli.get_string("trace-jsonl").empty();
+  config.probe.enabled = !cli.get_string("probe-out").empty();
+  if (cli.has("trace-categories") && !config.trace.enabled) {
+    throw std::invalid_argument(
+        "--trace-categories has no effect unless --trace-out or --trace-jsonl is set");
+  }
+  try {
+    config.trace.categories = parse_trace_categories(cli.get_string("trace-categories"));
+  } catch (const std::invalid_argument& error) {
+    throw std::invalid_argument(std::string("--trace-categories: ") + error.what());
+  }
+  for (const ConfigField& field : config_fields()) {
+    if (field.cli.name == nullptr || !cli.has(field.cli.name)) continue;
+    // Domain faults need a topology, which validate() checks by field path.
+    if (!config.topology.enabled &&
+        std::string_view(field.path).starts_with("failure.domains.")) {
+      throw std::invalid_argument(flag(field) + " needs --racks");
+    }
+    // A set flag whose gate stayed off would be silently ignored.
+    if (field.cli.zero == CliZero::kOff || gate_open(field, config)) continue;
+    const ConfigField* closed = gate_of(field);
+    while (closed->get(config) != 0.0) closed = gate_of(*closed);
+    throw std::invalid_argument(flag(field) + " has no effect unless " +
+                                arming_flags(*closed) + " is set");
+  }
+  config.validate();
+  return config;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
-  using namespace vodsim;
   CliParser cli("vodsim_cli", "cluster-VoD simulator, all knobs exposed");
-  // System.
   cli.add_flag("system", "small", "preset: small | large | custom");
-  cli.add_flag("servers", "5", "custom: number of servers");
-  cli.add_flag("bandwidth", "100", "custom: per-server bandwidth, Mb/s");
-  cli.add_flag("storage-gb", "100", "custom: per-server disk, GB");
-  cli.add_flag("videos", "300", "custom: catalog size");
-  cli.add_flag("min-minutes", "10", "custom: shortest video, minutes");
-  cli.add_flag("max-minutes", "30", "custom: longest video, minutes");
-  cli.add_flag("copies", "2.2", "average replicas per video");
-  cli.add_flag("view-bw", "3", "playback rate, Mb/s");
-  // Client.
-  cli.add_flag("staging", "0.2", "client staging buffer (fraction of avg video)");
-  cli.add_flag("receive-bw", "30", "client receive cap, Mb/s (0 = unlimited)");
-  // Policies.
-  cli.add_flag("placement", "even",
-               "even | partial | predictive | bsr | domain_spread");
-  cli.add_flag("assignment", "least-loaded",
-               "least-loaded | random | first-fit | most-loaded");
-  cli.add_flag("scheduler", "eftf",
-               "eftf | continuous | proportional | lftf | intermittent");
-  cli.add_flag("migration", "true", "dynamic request migration on/off");
-  cli.add_flag("chain", "1", "migration chain length");
-  cli.add_flag("hops", "1", "max hops per request (-1 = unlimited)");
-  cli.add_flag("victim", "first-fit",
-               "first-fit | least-remaining | most-remaining | most-buffered");
-  cli.add_flag("switch-latency", "0", "migration stream pause, seconds");
-  cli.add_flag("buffer-aware", "false",
-               "aggressive admission (needs --scheduler intermittent)");
-  // Extensions.
-  cli.add_flag("replication", "false", "dynamic replication on rejection bursts");
-  cli.add_flag("pauses-per-hour", "0", "viewer pause rate (0 = off)");
-  cli.add_flag("mean-pause", "120", "mean pause length, seconds");
-  cli.add_flag("mtbf-hours", "0", "server MTBF in hours (0 = no failures)");
-  cli.add_flag("mttr-hours", "1", "server MTTR in hours");
-  cli.add_flag("min-dwell", "0", "flap guard: min seconds between fault flips");
-  cli.add_flag("brownout-hours", "0",
-               "mean hours between partial capacity losses (0 = off)");
-  cli.add_flag("brownout-minutes", "10", "mean brownout length, minutes");
-  cli.add_flag("brownout-factor", "0.5", "surviving capacity fraction, (0,1)");
-  cli.add_flag("correlated-group", "0",
-               "servers per correlated failure group (0 = off)");
-  cli.add_flag("correlated-hours", "500", "mean hours between group outages");
-  cli.add_flag("retry", "false", "retry queue: re-admit sheds/orphans/rejects");
-  cli.add_flag("retry-queue", "64", "retry queue capacity");
-  cli.add_flag("retry-attempts", "6", "retry attempts before abandoning");
-  cli.add_flag("retry-backoff", "5", "base retry backoff, seconds (doubles)");
-  cli.add_flag("repair-hours", "0",
-               "re-replicate servers down longer than this (0 = off)");
-  // Failure-domain topology (server -> rack -> zone tree).
-  cli.add_flag("racks", "0", "failure-domain racks (0 = no topology)");
-  cli.add_flag("zones", "1", "failure-domain zones (needs --racks)");
-  cli.add_flag("rack-outage-hours", "0",
-               "mean hours between whole-rack outages, per rack (0 = off)");
-  cli.add_flag("rack-outage-minutes", "30", "mean rack outage length, minutes");
-  cli.add_flag("zone-brownout-hours", "0",
-               "mean hours between zone-wide brownouts, per zone (0 = off)");
-  cli.add_flag("zone-brownout-minutes", "15",
-               "mean zone brownout length, minutes");
-  cli.add_flag("zone-brownout-factor", "0.5",
-               "surviving capacity fraction during a zone brownout, (0,1)");
-  cli.add_flag("partition-hours", "0",
-               "mean hours between rack network partitions, per rack (0 = "
-               "off; servers stay up but unreachable)");
-  cli.add_flag("partition-minutes", "5", "mean partition length, minutes");
-  cli.add_flag("glitch-dedupe", "1",
-               "per-stream glitch dedupe window, seconds (0 = count every "
-               "underflow as its own interruption)");
-  cli.add_flag("drift-hours", "0", "popularity drift period (0 = static)");
-  // Workload.
-  cli.add_flag("theta", "0.271", "Zipf skew (1 uniform .. -1.5 extreme)");
-  cli.add_flag("load", "1.0", "offered load as a fraction of capacity");
-  cli.add_flag("hours", "60", "simulated hours");
-  cli.add_flag("warmup-hours", "5", "discarded warmup");
+  SimulationConfig preset;
+  preset.system = SystemConfig::small_system();
+  for (const ConfigField& field : config_fields()) {
+    if (field.cli.name == nullptr) continue;
+    const double scale = field.cli.unit;
+    std::ostringstream fallback, help;
+    fallback << field.get(preset) / scale;
+    help << field.cli.help;
+    for (const EnumName& name : field.enumerators) {
+      help << (&name == field.enumerators.data() ? ": " : " | ") << name.cli;
+    }
+    if (field.kind != FieldKind::kEnum &&
+        (std::isfinite(field.range.lo) || std::isfinite(field.range.hi))) {
+      help << "; range " << field.range.describe(scale);
+    }
+    cli.add_flag(field.cli.name, field.cli.fallback ? field.cli.fallback : fallback.str(),
+                 help.str());
+  }
   cli.add_flag("trials", "1", "independent trials (mean ± 95% CI if > 1)");
-  cli.add_flag("seed", "42", "master seed");
-  cli.add_flag("shards", "1",
-               "server-group shards draining predicted events in parallel "
-               "(1 = classic single-queue engine; fixed shard count is "
-               "bit-reproducible at any thread count)");
-  cli.add_flag("shard-threads", "0",
-               "drain worker threads for --shards > 1 (0 = all cores; "
-               "thread count never changes results)");
   // Observability (re-runs trial 0 with tracing attached; observe-only, so
   // the traced run is bit-identical to the reported one).
   cli.add_flag("trace-out", "", "write a chrome://tracing JSON trace here");
@@ -113,153 +189,27 @@ int main(int argc, char** argv) {
   cli.add_flag("trace-categories", "all",
                "categories to record: all, or e.g. admission,migration");
   cli.add_flag("probe-out", "", "write the probe time series CSV here");
-  cli.add_flag("probe-period", "60", "probe sampling period, seconds");
   cli.add_flag("csv-out", "", "write per-trial results (incl. bound/gap columns) here");
   if (!cli.parse(argc, argv)) return cli.error().empty() ? 0 : 2;
 
   SimulationConfig config;
-  const std::string system = cli.get_string("system");
-  if (system == "small") {
-    config.system = SystemConfig::small_system();
-  } else if (system == "large") {
-    config.system = SystemConfig::large_system();
-  } else {
-    config.system.name = "custom";
-    config.system.num_servers = static_cast<int>(cli.get_long("servers"));
-    config.system.server_bandwidth = cli.get_double("bandwidth");
-    config.system.server_storage = gigabytes(cli.get_double("storage-gb"));
-    config.system.num_videos = static_cast<std::size_t>(cli.get_long("videos"));
-    config.system.video_min_duration = minutes(cli.get_double("min-minutes"));
-    config.system.video_max_duration = minutes(cli.get_double("max-minutes"));
-  }
-  config.system.avg_copies = cli.get_double("copies");
-  config.system.view_bandwidth = cli.get_double("view-bw");
-
-  config.client.staging_fraction = cli.get_double("staging");
-  const double receive = cli.get_double("receive-bw");
-  config.client.receive_bandwidth =
-      receive > 0.0 ? receive : std::numeric_limits<double>::infinity();
-
-  config.admission.migration.enabled = cli.get_bool("migration");
-  config.admission.migration.max_chain_length = static_cast<int>(cli.get_long("chain"));
-  config.admission.migration.max_hops_per_request =
-      static_cast<int>(cli.get_long("hops"));
-  config.admission.migration.switch_latency = cli.get_double("switch-latency");
-  config.admission.buffer_aware = cli.get_bool("buffer-aware");
-
-  config.replication.enabled = cli.get_bool("replication");
-  if (cli.get_double("pauses-per-hour") > 0.0) {
-    config.interactivity.enabled = true;
-    config.interactivity.pauses_per_hour = cli.get_double("pauses-per-hour");
-    config.interactivity.mean_pause_duration = cli.get_double("mean-pause");
-  }
-  if (cli.get_double("mtbf-hours") > 0.0) {
-    config.failure.enabled = true;
-    config.failure.mean_time_between_failures = hours(cli.get_double("mtbf-hours"));
-    config.failure.mean_time_to_repair = hours(cli.get_double("mttr-hours"));
-    config.failure.min_dwell = cli.get_double("min-dwell");
-    if (cli.get_double("brownout-hours") > 0.0) {
-      config.failure.brownout.enabled = true;
-      config.failure.brownout.mean_time_between =
-          hours(cli.get_double("brownout-hours"));
-      config.failure.brownout.mean_duration =
-          minutes(cli.get_double("brownout-minutes"));
-      config.failure.brownout.capacity_factor = cli.get_double("brownout-factor");
-    }
-    if (cli.get_long("correlated-group") > 0) {
-      config.failure.correlated.enabled = true;
-      config.failure.correlated.group_size =
-          static_cast<int>(cli.get_long("correlated-group"));
-      config.failure.correlated.mean_time_between =
-          hours(cli.get_double("correlated-hours"));
-    }
-  }
-  if (cli.get_bool("retry")) {
-    config.failure.retry.enabled = true;
-    config.failure.retry.max_queue =
-        static_cast<std::size_t>(cli.get_long("retry-queue"));
-    config.failure.retry.max_attempts =
-        static_cast<int>(cli.get_long("retry-attempts"));
-    config.failure.retry.backoff_base = cli.get_double("retry-backoff");
-    config.failure.retry.backoff_cap =
-        std::max(config.failure.retry.backoff_cap,
-                 config.failure.retry.backoff_base);
-  }
-  if (cli.get_double("repair-hours") > 0.0) {
-    config.failure.repair.enabled = true;
-    config.failure.repair.down_threshold = hours(cli.get_double("repair-hours"));
-  }
-  if (cli.get_long("racks") > 0) {
-    config.topology.enabled = true;
-    config.topology.racks = static_cast<int>(cli.get_long("racks"));
-    config.topology.zones = static_cast<int>(cli.get_long("zones"));
-    const bool domain_faults = cli.get_double("rack-outage-hours") > 0.0 ||
-                               cli.get_double("zone-brownout-hours") > 0.0 ||
-                               cli.get_double("partition-hours") > 0.0;
-    if (domain_faults && !config.failure.enabled) {
-      // Domain faults ride on the fault subsystem; arm it with per-server
-      // crashes pushed past any realistic horizon so only the requested
-      // domain episodes fire.
-      config.failure.enabled = true;
-      config.failure.mean_time_between_failures = hours(1e9);
-    }
-    if (cli.get_double("rack-outage-hours") > 0.0) {
-      config.failure.domains.rack_outage.enabled = true;
-      config.failure.domains.rack_outage.mean_time_between =
-          hours(cli.get_double("rack-outage-hours"));
-      config.failure.domains.rack_outage.mean_duration =
-          minutes(cli.get_double("rack-outage-minutes"));
-    }
-    if (cli.get_double("zone-brownout-hours") > 0.0) {
-      config.failure.domains.zone_brownout.enabled = true;
-      config.failure.domains.zone_brownout.mean_time_between =
-          hours(cli.get_double("zone-brownout-hours"));
-      config.failure.domains.zone_brownout.mean_duration =
-          minutes(cli.get_double("zone-brownout-minutes"));
-      config.failure.domains.zone_brownout.capacity_factor =
-          cli.get_double("zone-brownout-factor");
-    }
-    if (cli.get_double("partition-hours") > 0.0) {
-      config.failure.domains.partition.enabled = true;
-      config.failure.domains.partition.mean_time_between =
-          hours(cli.get_double("partition-hours"));
-      config.failure.domains.partition.mean_duration =
-          minutes(cli.get_double("partition-minutes"));
-    }
-  }
-  config.failure.glitch_dedupe_window = cli.get_double("glitch-dedupe");
-  if (cli.get_double("drift-hours") > 0.0) {
-    config.drift.enabled = true;
-    config.drift.period = hours(cli.get_double("drift-hours"));
-    config.drift.step = std::max<std::size_t>(1, config.system.num_videos / 10);
-  }
-
-  config.zipf_theta = cli.get_double("theta");
-  config.load_factor = cli.get_double("load");
-  config.duration = hours(cli.get_double("hours"));
-  config.warmup = hours(cli.get_double("warmup-hours"));
-  config.seed = static_cast<std::uint64_t>(cli.get_long("seed"));
-  config.shards = static_cast<int>(cli.get_long("shards"));
-  config.shard_threads = static_cast<int>(cli.get_long("shard-threads"));
-
-  // The enum parsers throw on unknown names; report them like any other
-  // invalid configuration.
+  long trials = 0;
   try {
-    config.placement.kind = placement_kind_from_string(cli.get_string("placement"));
-    config.admission.assignment =
-        assignment_kind_from_string(cli.get_string("assignment"));
-    config.scheduler = scheduler_kind_from_string(cli.get_string("scheduler"));
-    config.admission.migration.victim =
-        victim_strategy_from_string(cli.get_string("victim"));
-    config.validate();
-  } catch (const std::exception& error) {
+    config = build_config(cli);
+    trials = cli.get_long("trials");
+    if (trials < 1) throw std::invalid_argument("--trials must be >= 1");
+  } catch (const std::invalid_argument& error) {
     std::cerr << "invalid configuration: " << error.what() << "\n";
     return 2;
   }
 
-  const int trials = static_cast<int>(cli.get_long("trials"));
+  // The reported trials run without the observability attachments.
+  SimulationConfig untraced = config;
+  untraced.trace = TraceConfig{};
+  untraced.probe = ProbeConfig{};
   ExperimentRunner runner;
-  const ExperimentPoint point = runner.run_point(config, trials, config.seed);
+  const ExperimentPoint point =
+      runner.run_point(untraced, static_cast<int>(trials), config.seed);
 
   std::cout << "vodsim_cli — " << config.system.name << " system, "
             << config.system.num_servers << " servers x "
@@ -269,64 +219,50 @@ int main(int argc, char** argv) {
   if (config.shards > 1) std::cout << " [shards=" << config.shards << "]";
   std::cout << "\n\n";
 
+  // Sum, and mean ± 95% CI, of one TrialResult member across the trials.
+  const auto total = [&point](auto member) {
+    std::remove_cvref_t<decltype(point.trials.front().*member)> sum{};
+    for (const TrialResult& trial : point.trials) sum += trial.*member;
+    return sum;
+  };
+  const auto sum = [&total](auto member) { return std::to_string(total(member)); };
+  const auto mean = [&point](auto member) {
+    Accumulator values;
+    for (const TrialResult& trial : point.trials) values.add(trial.*member);
+    return format_mean_ci(values);
+  };
+
   // Analytic achievability envelope (analysis/bounds.h): bounds are computed
   // per trial world (catalog/placement vary with the trial seed), so report
   // their mean alongside the measured means and the gap accumulators.
-  Accumulator bound_utilization;
-  Accumulator bound_rejection;
-  for (const TrialResult& trial : point.trials) {
-    bound_utilization.add(trial.bound_utilization);
-    bound_rejection.add(trial.bound_rejection);
-  }
-
   TablePrinter table({"metric", "value"});
   table.add_row({"utilization", format_mean_ci(point.utilization)});
-  table.add_row({"utilization bound (UB)", format_mean_ci(bound_utilization)});
+  table.add_row({"utilization bound (UB)", mean(&TrialResult::bound_utilization)});
   table.add_row({"utilization gap", format_mean_ci(point.utilization_gap)});
   table.add_row({"rejection ratio", format_mean_ci(point.rejection_ratio)});
-  table.add_row({"rejection bound (LB)", format_mean_ci(bound_rejection)});
+  table.add_row({"rejection bound (LB)", mean(&TrialResult::bound_rejection)});
   table.add_row({"rejection gap", format_mean_ci(point.rejection_gap)});
   table.add_row(
       {"migrations per arrival", format_mean_ci(point.migrations_per_arrival)});
-  std::uint64_t underflows = 0;
-  std::uint64_t drops = 0;
-  std::uint64_t arrivals = 0;
-  for (const TrialResult& trial : point.trials) {
-    underflows += trial.underflow_events;
-    drops += trial.drops;
-    arrivals += trial.arrivals;
-  }
-  table.add_row({"arrivals (all trials)", std::to_string(arrivals)});
-  table.add_row({"dropped streams", std::to_string(drops)});
-  table.add_row({"continuity violations", std::to_string(underflows)});
+  table.add_row({"arrivals (all trials)", sum(&TrialResult::arrivals)});
+  table.add_row({"dropped streams", sum(&TrialResult::drops)});
+  table.add_row({"continuity violations", sum(&TrialResult::underflow_events)});
 
   // Resilience block: only interesting when some fault machinery is on.
   if (config.failure.enabled || !config.scripted_faults.empty() ||
       config.failure.retry.enabled) {
-    Accumulator availability;
-    double glitch_seconds = 0.0;
-    std::uint64_t downs = 0, sheds = 0, enqueued = 0, readmitted = 0,
-                  abandoned = 0, repairs = 0;
     Accumulator recovery;
     for (const TrialResult& trial : point.trials) {
-      availability.add(trial.availability);
-      glitch_seconds += trial.glitch_seconds;
-      downs += trial.server_downs;
-      sheds += trial.sheds;
-      enqueued += trial.retry_enqueued;
-      readmitted += trial.readmissions;
-      abandoned += trial.retry_abandoned;
-      repairs += trial.repairs;
       if (trial.server_downs > 0) recovery.add(trial.mean_recovery_time);
     }
-    table.add_row({"availability", format_mean_ci(availability)});
-    table.add_row({"glitch seconds (all trials)", std::to_string(glitch_seconds)});
-    table.add_row({"server down episodes", std::to_string(downs)});
-    table.add_row({"streams shed (brownouts)", std::to_string(sheds)});
-    table.add_row({"retry enqueued", std::to_string(enqueued)});
-    table.add_row({"retry readmitted", std::to_string(readmitted)});
-    table.add_row({"retry abandoned", std::to_string(abandoned)});
-    table.add_row({"repair replications", std::to_string(repairs)});
+    table.add_row({"availability", mean(&TrialResult::availability)});
+    table.add_row({"glitch seconds (all trials)", sum(&TrialResult::glitch_seconds)});
+    table.add_row({"server down episodes", sum(&TrialResult::server_downs)});
+    table.add_row({"streams shed (brownouts)", sum(&TrialResult::sheds)});
+    table.add_row({"retry enqueued", sum(&TrialResult::retry_enqueued)});
+    table.add_row({"retry readmitted", sum(&TrialResult::readmissions)});
+    table.add_row({"retry abandoned", sum(&TrialResult::retry_abandoned)});
+    table.add_row({"repair replications", sum(&TrialResult::repairs)});
     if (recovery.count() > 0) {
       table.add_row({"mean recovery time (s)", format_mean_ci(recovery)});
     }
@@ -335,49 +271,37 @@ int main(int argc, char** argv) {
     // plus the partition episode counters. Trials share a topology shape,
     // so per-domain values aggregate across trials index by index.
     if (config.topology.enabled) {
-      std::uint64_t partitions = 0, heals = 0;
       Accumulator partition_time;
       for (const TrialResult& trial : point.trials) {
-        partitions += trial.partitions;
-        heals += trial.partition_heals;
         if (trial.partition_heals > 0) partition_time.add(trial.mean_partition_time);
       }
-      table.add_row({"partition episodes", std::to_string(partitions)});
-      table.add_row({"partition heals", std::to_string(heals)});
+      table.add_row({"partition episodes", sum(&TrialResult::partitions)});
+      table.add_row({"partition heals", sum(&TrialResult::partition_heals)});
       if (partition_time.count() > 0) {
         table.add_row(
             {"mean partition time (s)", format_mean_ci(partition_time)});
       }
-      const std::size_t racks =
-          point.trials.empty() ? 0 : point.trials.front().rack_availability.size();
-      for (std::size_t r = 0; r < racks; ++r) {
-        Accumulator avail;
+      const TrialResult& first = point.trials.front();
+      for (std::size_t r = 0; r < first.rack_availability.size(); ++r) {
+        Accumulator availability;
         double glitch = 0.0;
         for (const TrialResult& trial : point.trials) {
-          if (r < trial.rack_availability.size()) {
-            avail.add(trial.rack_availability[r]);
-            glitch += trial.rack_glitch_seconds[r];
-          }
+          availability.add(trial.rack_availability[r]);
+          glitch += trial.rack_glitch_seconds[r];
         }
-        char label[48];
-        std::snprintf(label, sizeof(label), "rack %zu availability", r);
-        table.add_row({label, format_mean_ci(avail)});
-        std::snprintf(label, sizeof(label), "rack %zu glitch seconds", r);
-        table.add_row({label, std::to_string(glitch)});
+        const std::string rack = "rack " + std::to_string(r);
+        table.add_row({rack + " availability", format_mean_ci(availability)});
+        table.add_row({rack + " glitch seconds", std::to_string(glitch)});
       }
-      const std::size_t zones =
-          point.trials.empty() ? 0 : point.trials.front().zone_availability.size();
       // A single zone repeats the whole-cluster row; only print a real split.
+      const std::size_t zones = first.zone_availability.size();
       for (std::size_t z = 0; zones > 1 && z < zones; ++z) {
-        Accumulator avail;
+        Accumulator availability;
         for (const TrialResult& trial : point.trials) {
-          if (z < trial.zone_availability.size()) {
-            avail.add(trial.zone_availability[z]);
-          }
+          availability.add(trial.zone_availability[z]);
         }
-        char label[48];
-        std::snprintf(label, sizeof(label), "zone %zu availability", z);
-        table.add_row({label, format_mean_ci(avail)});
+        table.add_row({"zone " + std::to_string(z) + " availability",
+                       format_mean_ci(availability)});
       }
     }
   }
@@ -386,86 +310,60 @@ int main(int argc, char** argv) {
   // of event counts, not of wall time — a coordinator event (admission,
   // migration search) costs far more than a predicted per-stream event.
   if (config.shards > 1) {
-    std::uint64_t coordinator = 0, sharded = 0;
-    for (const TrialResult& trial : point.trials) {
-      coordinator += trial.coordinator_events;
-      sharded += trial.shard_events;
-    }
-    const std::uint64_t total = coordinator + sharded;
-    table.add_row({"coordinator events", std::to_string(coordinator)});
-    table.add_row({"shard events", std::to_string(sharded)});
+    const auto coordinator = static_cast<double>(total(&TrialResult::coordinator_events));
+    const auto events = static_cast<double>(total(&TrialResult::coordinator_events) +
+                                            total(&TrialResult::shard_events));
+    table.add_row({"coordinator events", sum(&TrialResult::coordinator_events)});
+    table.add_row({"shard events", sum(&TrialResult::shard_events)});
     char frac[32];
-    std::snprintf(frac, sizeof(frac), "%.4f",
-                  total > 0 ? static_cast<double>(coordinator) /
-                                  static_cast<double>(total)
-                            : 1.0);
+    std::snprintf(frac, sizeof(frac), "%.4f", events > 0 ? coordinator / events : 1.0);
     table.add_row({"coordinator event share", frac});
   }
   table.print(std::cout);
 
-  const std::string csv_out = cli.get_string("csv-out");
-  if (!csv_out.empty()) {
-    std::ofstream out(csv_out);
+  // Writes one artifact file when its flag names a path.
+  const auto write = [&cli](const char* flag, const char* what, auto&& emit) {
+    const std::string path = cli.get_string(flag);
+    if (path.empty()) return;
+    std::ofstream out(path);
     if (!out) {
-      std::cerr << "cannot write " << csv_out << "\n";
-    } else {
-      write_sweep_csv(out, {config.system.name}, {point});
-      std::cout << "\nwrote per-trial CSV (with bound/gap columns) to "
-                << csv_out << "\n";
+      std::cerr << "cannot write " << path << "\n";
+      return;
     }
-  }
+    emit(out);
+    std::cout << "wrote " << what << " to " << path << "\n";
+  };
+  write("csv-out", "per-trial CSV (with bound/gap columns)", [&](std::ostream& out) {
+    write_sweep_csv(out, {config.system.name}, {point});
+    std::cout << "\n";  // a blank line between the table and the note
+  });
 
   // Observability artifacts: re-run trial 0 with the recorder/probes
   // attached. Tracing is observe-only, so this run is bit-identical to the
   // trial reported above.
-  const std::string trace_out = cli.get_string("trace-out");
-  const std::string trace_jsonl = cli.get_string("trace-jsonl");
-  const std::string probe_out = cli.get_string("probe-out");
-  if (!trace_out.empty() || !trace_jsonl.empty() || !probe_out.empty()) {
+  if (config.trace.enabled || config.probe.enabled) {
     SimulationConfig traced = config;
     traced.seed = ExperimentRunner::derive_seed(config.seed, 0);
-    traced.trace.enabled = !trace_out.empty() || !trace_jsonl.empty();
-    traced.trace.categories =
-        parse_trace_categories(cli.get_string("trace-categories"));
-    traced.probe.enabled = !probe_out.empty();
-    traced.probe.period = cli.get_double("probe-period");
-
     VodSimulation simulation(traced);
     simulation.run();
 
-    auto open = [](const std::string& path) {
-      std::ofstream out(path);
-      if (!out) std::cerr << "cannot write " << path << "\n";
-      return out;
-    };
     std::cout << "\n";
-    if (!trace_out.empty()) {
-      if (auto out = open(trace_out)) {
-        write_chrome_trace(out, simulation.merged_trace_events(),
-                           simulation.trace_totals(), simulation.probes(),
-                           simulation.servers().size());
-        std::cout << "wrote Chrome trace (load in chrome://tracing) to "
-                  << trace_out << "\n";
-      }
-    }
-    if (!trace_jsonl.empty()) {
-      if (auto out = open(trace_jsonl)) {
-        write_trace_jsonl(out, simulation.merged_trace_events(),
-                          simulation.trace_totals());
-        std::cout << "wrote JSONL trace to " << trace_jsonl << "\n";
-      }
-    }
-    if (!probe_out.empty()) {
-      if (simulation.probes() == nullptr) {
-        // Sharded runs drain per-stream events in parallel shard queues, so
-        // the engine has no global event boundary to sample on and leaves
-        // probes detached (vod_simulation.cpp build_world).
-        std::cout << "note: probes are unavailable with --shards > 1; "
-                     "no probe CSV written\n";
-      } else if (auto out = open(probe_out)) {
-        write_probe_csv(out, *simulation.probes());
-        std::cout << "wrote probe series to " << probe_out << "\n";
-      }
+    write("trace-out", "Chrome trace (load in chrome://tracing)", [&](std::ostream& out) {
+      write_chrome_trace(out, simulation.merged_trace_events(), simulation.trace_totals(),
+                         simulation.probes(), simulation.servers().size());
+    });
+    write("trace-jsonl", "JSONL trace", [&](std::ostream& out) {
+      write_trace_jsonl(out, simulation.merged_trace_events(), simulation.trace_totals());
+    });
+    if (config.probe.enabled && simulation.probes() == nullptr) {
+      // Sharded runs drain per-stream events in parallel shard queues, so
+      // the engine has no global event boundary to sample on and leaves
+      // probes detached (vod_simulation.cpp build_world).
+      std::cout << "note: probes are unavailable with --shards > 1; "
+                   "no probe CSV written\n";
+    } else {
+      write("probe-out", "probe series",
+            [&](std::ostream& out) { write_probe_csv(out, *simulation.probes()); });
     }
     if (const std::uint64_t dropped = simulation.trace_totals().dropped; dropped > 0) {
       std::cout << "note: ring dropped " << dropped

@@ -6,26 +6,10 @@
 namespace vodsim {
 
 AssignmentKind assignment_kind_from_string(const std::string& name) {
-  if (name == "least-loaded") return AssignmentKind::kLeastLoaded;
-  if (name == "random") return AssignmentKind::kRandom;
-  if (name == "first-fit") return AssignmentKind::kFirstFit;
-  if (name == "most-loaded") return AssignmentKind::kMostLoaded;
-  throw std::invalid_argument("unknown assignment policy: " + name);
+  return enum_from_string<AssignmentKind>(kAssignmentNames, name, "assignment policy");
 }
 
-std::string to_string(AssignmentKind kind) {
-  switch (kind) {
-    case AssignmentKind::kLeastLoaded:
-      return "least-loaded";
-    case AssignmentKind::kRandom:
-      return "random";
-    case AssignmentKind::kFirstFit:
-      return "first-fit";
-    case AssignmentKind::kMostLoaded:
-      return "most-loaded";
-  }
-  return "?";
-}
+std::string to_string(AssignmentKind kind) { return enum_to_string(kAssignmentNames, kind); }
 
 ServerId pick_server(AssignmentKind kind, const std::vector<ServerId>& candidates,
                      const std::vector<Server>& servers, Rng& rng) {

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "vodsim/cluster/server.h"
+#include "vodsim/util/enum_names.h"
 #include "vodsim/util/rng.h"
 
 namespace vodsim {
@@ -21,6 +22,14 @@ enum class AssignmentKind {
   kFirstFit,     ///< lowest server id among feasible holders
   kMostLoaded,   ///< most active requests (pack-tight strawman)
 };
+
+inline constexpr EnumName kAssignmentNames[] = {
+    {"least-loaded", "vodsim::AssignmentKind::kLeastLoaded"},
+    {"random", "vodsim::AssignmentKind::kRandom"},
+    {"first-fit", "vodsim::AssignmentKind::kFirstFit"},
+    {"most-loaded", "vodsim::AssignmentKind::kMostLoaded"},
+};
+constexpr std::span<const EnumName> enum_names(AssignmentKind) { return kAssignmentNames; }
 
 /// Parses "least-loaded" | "random" | "first-fit" | "most-loaded".
 AssignmentKind assignment_kind_from_string(const std::string& name);

@@ -8,25 +8,11 @@
 namespace vodsim {
 
 VictimStrategy victim_strategy_from_string(const std::string& name) {
-  if (name == "first-fit") return VictimStrategy::kFirstFit;
-  if (name == "least-remaining") return VictimStrategy::kLeastRemaining;
-  if (name == "most-remaining") return VictimStrategy::kMostRemaining;
-  if (name == "most-buffered") return VictimStrategy::kMostBuffered;
-  throw std::invalid_argument("unknown victim strategy: " + name);
+  return enum_from_string<VictimStrategy>(kVictimNames, name, "victim strategy");
 }
 
 std::string to_string(VictimStrategy strategy) {
-  switch (strategy) {
-    case VictimStrategy::kFirstFit:
-      return "first-fit";
-    case VictimStrategy::kLeastRemaining:
-      return "least-remaining";
-    case VictimStrategy::kMostRemaining:
-      return "most-remaining";
-    case VictimStrategy::kMostBuffered:
-      return "most-buffered";
-  }
-  return "?";
+  return enum_to_string(kVictimNames, strategy);
 }
 
 namespace {

@@ -18,6 +18,7 @@
 
 #include "vodsim/cluster/request.h"
 #include "vodsim/cluster/server.h"
+#include "vodsim/util/enum_names.h"
 #include "vodsim/util/rng.h"
 #include "vodsim/util/units.h"
 
@@ -30,6 +31,14 @@ enum class VictimStrategy {
   kMostRemaining,   ///< farthest from finishing
   kMostBuffered,    ///< largest staged reserve (most jitter headroom)
 };
+
+inline constexpr EnumName kVictimNames[] = {
+    {"first-fit", "vodsim::VictimStrategy::kFirstFit"},
+    {"least-remaining", "vodsim::VictimStrategy::kLeastRemaining"},
+    {"most-remaining", "vodsim::VictimStrategy::kMostRemaining"},
+    {"most-buffered", "vodsim::VictimStrategy::kMostBuffered"},
+};
+constexpr std::span<const EnumName> enum_names(VictimStrategy) { return kVictimNames; }
 
 VictimStrategy victim_strategy_from_string(const std::string& name);
 std::string to_string(VictimStrategy strategy);

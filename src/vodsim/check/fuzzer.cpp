@@ -2,109 +2,16 @@
 
 #include <cmath>
 #include <functional>
-#include <iomanip>
 #include <limits>
 #include <sstream>
 
 #include "vodsim/check/reference_oracle.h"
+#include "vodsim/engine/config_schema.h"
 #include "vodsim/engine/vod_simulation.h"
 
 namespace vodsim {
 
-namespace {
-
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-const char* qualified(SchedulerKind kind) {
-  switch (kind) {
-    case SchedulerKind::kEftf: return "vodsim::SchedulerKind::kEftf";
-    case SchedulerKind::kContinuous: return "vodsim::SchedulerKind::kContinuous";
-    case SchedulerKind::kProportional: return "vodsim::SchedulerKind::kProportional";
-    case SchedulerKind::kLftf: return "vodsim::SchedulerKind::kLftf";
-    case SchedulerKind::kIntermittent: return "vodsim::SchedulerKind::kIntermittent";
-  }
-  return "vodsim::SchedulerKind::kEftf";
-}
-
-const char* qualified(PlacementKind kind) {
-  switch (kind) {
-    case PlacementKind::kEven: return "vodsim::PlacementKind::kEven";
-    case PlacementKind::kPredictive: return "vodsim::PlacementKind::kPredictive";
-    case PlacementKind::kPartialPredictive:
-      return "vodsim::PlacementKind::kPartialPredictive";
-    case PlacementKind::kBsr: return "vodsim::PlacementKind::kBsr";
-    case PlacementKind::kDomainSpread:
-      return "vodsim::PlacementKind::kDomainSpread";
-  }
-  return "vodsim::PlacementKind::kEven";
-}
-
-const char* qualified(AssignmentKind kind) {
-  switch (kind) {
-    case AssignmentKind::kLeastLoaded:
-      return "vodsim::AssignmentKind::kLeastLoaded";
-    case AssignmentKind::kRandom: return "vodsim::AssignmentKind::kRandom";
-    case AssignmentKind::kFirstFit: return "vodsim::AssignmentKind::kFirstFit";
-    case AssignmentKind::kMostLoaded:
-      return "vodsim::AssignmentKind::kMostLoaded";
-  }
-  return "vodsim::AssignmentKind::kLeastLoaded";
-}
-
-const char* qualified(FaultTransitionKind kind) {
-  switch (kind) {
-    case FaultTransitionKind::kDown: return "vodsim::FaultTransitionKind::kDown";
-    case FaultTransitionKind::kUp: return "vodsim::FaultTransitionKind::kUp";
-    case FaultTransitionKind::kBrownoutBegin:
-      return "vodsim::FaultTransitionKind::kBrownoutBegin";
-    case FaultTransitionKind::kBrownoutEnd:
-      return "vodsim::FaultTransitionKind::kBrownoutEnd";
-    case FaultTransitionKind::kPartitionBegin:
-      return "vodsim::FaultTransitionKind::kPartitionBegin";
-    case FaultTransitionKind::kPartitionEnd:
-      return "vodsim::FaultTransitionKind::kPartitionEnd";
-  }
-  return "vodsim::FaultTransitionKind::kDown";
-}
-
-const char* qualified(VictimStrategy strategy) {
-  switch (strategy) {
-    case VictimStrategy::kFirstFit: return "vodsim::VictimStrategy::kFirstFit";
-    case VictimStrategy::kLeastRemaining:
-      return "vodsim::VictimStrategy::kLeastRemaining";
-    case VictimStrategy::kMostRemaining:
-      return "vodsim::VictimStrategy::kMostRemaining";
-    case VictimStrategy::kMostBuffered:
-      return "vodsim::VictimStrategy::kMostBuffered";
-  }
-  return "vodsim::VictimStrategy::kFirstFit";
-}
-
-/// Round-trippable double literal for generated code.
-std::string literal(double value) {
-  if (std::isinf(value)) {
-    return value > 0 ? "std::numeric_limits<double>::infinity()"
-                     : "-std::numeric_limits<double>::infinity()";
-  }
-  std::ostringstream oss;
-  oss << std::setprecision(17) << value;
-  std::string text = oss.str();
-  // Bare integers would otherwise assign e.g. int-literal 600 to a double
-  // field — harmless, but ".0" makes the generated case read as intended.
-  if (text.find_first_of(".eE") == std::string::npos) text += ".0";
-  return text;
-}
-
-std::string profile_literal(const std::vector<double>& profile) {
-  std::string out = "{";
-  for (std::size_t i = 0; i < profile.size(); ++i) {
-    if (i) out += ", ";
-    out += literal(profile[i]);
-  }
-  return out + "}";
-}
-
-}  // namespace
 
 SimulationConfig random_scenario(Rng& rng) {
   SimulationConfig config;
@@ -1004,166 +911,24 @@ std::string to_gtest_case(const SimulationConfig& config,
   out << "TEST(FuzzRegression, " << name << ") {\n";
   out << "  vodsim::SimulationConfig config;\n";
   out << "  config.system.name = \"fuzz\";\n";
-  out << "  config.system.num_servers = " << config.system.num_servers << ";\n";
-  out << "  config.system.server_bandwidth = "
-      << literal(config.system.server_bandwidth) << ";\n";
-  out << "  config.system.server_storage = "
-      << literal(config.system.server_storage) << ";\n";
-  out << "  config.system.video_min_duration = "
-      << literal(config.system.video_min_duration) << ";\n";
-  out << "  config.system.video_max_duration = "
-      << literal(config.system.video_max_duration) << ";\n";
-  out << "  config.system.num_videos = " << config.system.num_videos << ";\n";
-  out << "  config.system.avg_copies = " << literal(config.system.avg_copies)
-      << ";\n";
-  out << "  config.system.view_bandwidth = "
-      << literal(config.system.view_bandwidth) << ";\n";
-  if (!config.system.bandwidth_profile.empty()) {
-    out << "  config.system.bandwidth_profile = "
-        << profile_literal(config.system.bandwidth_profile) << ";\n";
+  for (const ConfigField& field : config_fields()) {
+    out << "  config." << field.path << " = " << field.literal(config) << ";\n";
   }
-  if (!config.system.storage_profile.empty()) {
-    out << "  config.system.storage_profile = "
-        << profile_literal(config.system.storage_profile) << ";\n";
+  const SystemConfig& system = config.system;
+  for (const auto& [name, profile] : {std::pair{"bandwidth", &system.bandwidth_profile},
+                                      std::pair{"storage", &system.storage_profile}}) {
+    if (profile->empty()) continue;
+    out << "  config.system." << name << "_profile = {";
+    for (std::size_t i = 0; i < profile->size(); ++i) {
+      out << (i > 0 ? ", " : "") << real_literal((*profile)[i]);
+    }
+    out << "};\n";
   }
-  out << "  config.topology.enabled = "
-      << (config.topology.enabled ? "true" : "false") << ";\n";
-  out << "  config.topology.racks = " << config.topology.racks << ";\n";
-  out << "  config.topology.zones = " << config.topology.zones << ";\n";
-  out << "  config.client.staging_fraction = "
-      << literal(config.client.staging_fraction) << ";\n";
-  out << "  config.client.receive_bandwidth = "
-      << literal(config.client.receive_bandwidth) << ";\n";
-  out << "  config.placement.kind = " << qualified(config.placement.kind)
-      << ";\n";
-  out << "  config.placement.partial_head_fraction = "
-      << literal(config.placement.partial_head_fraction) << ";\n";
-  out << "  config.placement.partial_tail_shift = "
-      << literal(config.placement.partial_tail_shift) << ";\n";
-  out << "  config.admission.assignment = "
-      << qualified(config.admission.assignment) << ";\n";
-  const MigrationConfig& migration = config.admission.migration;
-  out << "  config.admission.migration.enabled = "
-      << (migration.enabled ? "true" : "false") << ";\n";
-  out << "  config.admission.migration.max_chain_length = "
-      << migration.max_chain_length << ";\n";
-  out << "  config.admission.migration.max_hops_per_request = "
-      << migration.max_hops_per_request << ";\n";
-  out << "  config.admission.migration.victim = " << qualified(migration.victim)
-      << ";\n";
-  out << "  config.admission.migration.max_search_nodes = "
-      << migration.max_search_nodes << ";\n";
-  out << "  config.admission.migration.switch_latency = "
-      << literal(migration.switch_latency) << ";\n";
-  out << "  config.admission.buffer_aware = "
-      << (config.admission.buffer_aware ? "true" : "false") << ";\n";
-  out << "  config.admission.buffer_aware_horizon = "
-      << literal(config.admission.buffer_aware_horizon) << ";\n";
-  out << "  config.scheduler = " << qualified(config.scheduler) << ";\n";
-  out << "  config.intermittent_safety_cover = "
-      << literal(config.intermittent_safety_cover) << ";\n";
-  out << "  config.failure.enabled = "
-      << (config.failure.enabled ? "true" : "false") << ";\n";
-  out << "  config.failure.mean_time_between_failures = "
-      << literal(config.failure.mean_time_between_failures) << ";\n";
-  out << "  config.failure.mean_time_to_repair = "
-      << literal(config.failure.mean_time_to_repair) << ";\n";
-  out << "  config.failure.recover_via_migration = "
-      << (config.failure.recover_via_migration ? "true" : "false") << ";\n";
-  out << "  config.failure.min_dwell = " << literal(config.failure.min_dwell)
-      << ";\n";
-  const BrownoutConfig& brownout = config.failure.brownout;
-  out << "  config.failure.brownout.enabled = "
-      << (brownout.enabled ? "true" : "false") << ";\n";
-  out << "  config.failure.brownout.mean_time_between = "
-      << literal(brownout.mean_time_between) << ";\n";
-  out << "  config.failure.brownout.mean_duration = "
-      << literal(brownout.mean_duration) << ";\n";
-  out << "  config.failure.brownout.capacity_factor = "
-      << literal(brownout.capacity_factor) << ";\n";
-  const CorrelatedFailureConfig& correlated = config.failure.correlated;
-  out << "  config.failure.correlated.enabled = "
-      << (correlated.enabled ? "true" : "false") << ";\n";
-  out << "  config.failure.correlated.group_size = " << correlated.group_size
-      << ";\n";
-  out << "  config.failure.correlated.mean_time_between = "
-      << literal(correlated.mean_time_between) << ";\n";
-  out << "  config.failure.correlated.mean_duration = "
-      << literal(correlated.mean_duration) << ";\n";
-  const RetryConfig& retry = config.failure.retry;
-  out << "  config.failure.retry.enabled = " << (retry.enabled ? "true" : "false")
-      << ";\n";
-  out << "  config.failure.retry.max_queue = " << retry.max_queue << ";\n";
-  out << "  config.failure.retry.max_attempts = " << retry.max_attempts << ";\n";
-  out << "  config.failure.retry.backoff_base = " << literal(retry.backoff_base)
-      << ";\n";
-  out << "  config.failure.retry.backoff_cap = " << literal(retry.backoff_cap)
-      << ";\n";
-  out << "  config.failure.repair.enabled = "
-      << (config.failure.repair.enabled ? "true" : "false") << ";\n";
-  out << "  config.failure.repair.down_threshold = "
-      << literal(config.failure.repair.down_threshold) << ";\n";
-  const RackOutageConfig& rack_outage = config.failure.domains.rack_outage;
-  out << "  config.failure.domains.rack_outage.enabled = "
-      << (rack_outage.enabled ? "true" : "false") << ";\n";
-  out << "  config.failure.domains.rack_outage.mean_time_between = "
-      << literal(rack_outage.mean_time_between) << ";\n";
-  out << "  config.failure.domains.rack_outage.mean_duration = "
-      << literal(rack_outage.mean_duration) << ";\n";
-  const ZoneBrownoutConfig& zone_brownout = config.failure.domains.zone_brownout;
-  out << "  config.failure.domains.zone_brownout.enabled = "
-      << (zone_brownout.enabled ? "true" : "false") << ";\n";
-  out << "  config.failure.domains.zone_brownout.mean_time_between = "
-      << literal(zone_brownout.mean_time_between) << ";\n";
-  out << "  config.failure.domains.zone_brownout.mean_duration = "
-      << literal(zone_brownout.mean_duration) << ";\n";
-  out << "  config.failure.domains.zone_brownout.capacity_factor = "
-      << literal(zone_brownout.capacity_factor) << ";\n";
-  const PartitionConfig& partition = config.failure.domains.partition;
-  out << "  config.failure.domains.partition.enabled = "
-      << (partition.enabled ? "true" : "false") << ";\n";
-  out << "  config.failure.domains.partition.mean_time_between = "
-      << literal(partition.mean_time_between) << ";\n";
-  out << "  config.failure.domains.partition.mean_duration = "
-      << literal(partition.mean_duration) << ";\n";
-  out << "  config.failure.glitch_dedupe_window = "
-      << literal(config.failure.glitch_dedupe_window) << ";\n";
   for (const FaultTransition& fault : config.scripted_faults) {
-    out << "  config.scripted_faults.push_back({" << literal(fault.time) << ", "
-        << fault.server << ", " << qualified(fault.kind) << ", "
-        << literal(fault.capacity_factor) << "});\n";
+    out << "  config.scripted_faults.push_back({" << real_literal(fault.time) << ", "
+        << fault.server << ", " << kFaultTransitionNames[static_cast<int>(fault.kind)].cpp
+        << ", " << real_literal(fault.capacity_factor) << "});\n";
   }
-  out << "  config.drift.enabled = " << (config.drift.enabled ? "true" : "false")
-      << ";\n";
-  out << "  config.drift.period = " << literal(config.drift.period) << ";\n";
-  out << "  config.drift.step = " << config.drift.step << ";\n";
-  out << "  config.replication.enabled = "
-      << (config.replication.enabled ? "true" : "false") << ";\n";
-  out << "  config.replication.rejection_threshold = "
-      << config.replication.rejection_threshold << ";\n";
-  out << "  config.replication.window = " << literal(config.replication.window)
-      << ";\n";
-  out << "  config.replication.transfer_bandwidth = "
-      << literal(config.replication.transfer_bandwidth) << ";\n";
-  out << "  config.replication.max_concurrent = "
-      << config.replication.max_concurrent << ";\n";
-  out << "  config.replication.max_total = " << config.replication.max_total
-      << ";\n";
-  out << "  config.replication.allow_tertiary_source = "
-      << (config.replication.allow_tertiary_source ? "true" : "false") << ";\n";
-  out << "  config.interactivity.enabled = "
-      << (config.interactivity.enabled ? "true" : "false") << ";\n";
-  out << "  config.interactivity.pauses_per_hour = "
-      << literal(config.interactivity.pauses_per_hour) << ";\n";
-  out << "  config.interactivity.mean_pause_duration = "
-      << literal(config.interactivity.mean_pause_duration) << ";\n";
-  out << "  config.zipf_theta = " << literal(config.zipf_theta) << ";\n";
-  out << "  config.load_factor = " << literal(config.load_factor) << ";\n";
-  out << "  config.duration = " << literal(config.duration) << ";\n";
-  out << "  config.warmup = " << literal(config.warmup) << ";\n";
-  out << "  config.shards = " << config.shards << ";\n";
-  out << "  config.shard_threads = " << config.shard_threads << ";\n";
-  out << "  config.seed = " << config.seed << "ULL;\n";
   out << "  const vodsim::FuzzResult result = vodsim::run_scenario(config);\n";
   out << "  EXPECT_TRUE(result.passed) << result.failure;\n";
   out << "}\n";

@@ -93,8 +93,10 @@ SimulationConfig shrink_scenario(SimulationConfig config);
 void clamp_to_servers(SimulationConfig& config);
 
 /// Renders \p config as a complete gtest TEST(FuzzRegression, <name>) case
-/// that rebuilds the exact configuration (every field, %.17g doubles) and
-/// asserts run_scenario passes. Paste into tests/check_fuzz_test.cpp.
+/// that rebuilds the exact configuration and asserts run_scenario passes:
+/// one `config.<path> = <literal>;` line per config_fields() row (%.17g
+/// doubles), then the profiles and scripted faults. Paste into
+/// tests/check_fuzz_test.cpp.
 std::string to_gtest_case(const SimulationConfig& config,
                           const std::string& name);
 

@@ -7,6 +7,8 @@
 /// client staging policy, the placement/admission/scheduling policies, the
 /// workload, and the measurement horizon. The two paper systems are
 /// available as presets (`SystemConfig::small_system/large_system`).
+/// Each field is also a row of the field table (config_schema.h) holding
+/// its range, the `enabled` flag gating it and its command-line flag.
 
 #include <cstdint>
 #include <limits>
@@ -313,7 +315,8 @@ struct SimulationConfig {
   /// Poisson arrival rate implied by the load factor.
   double arrival_rate() const;
 
-  /// Throws std::invalid_argument on inconsistent parameters.
+  /// Throws std::invalid_argument naming the field path when a field-table
+  /// row whose gate is on is out of range, or a cross-field relation fails.
   void validate() const;
 };
 

@@ -4,18 +4,6 @@
 
 namespace vodsim {
 
-const char* to_string(FaultTransitionKind kind) {
-  switch (kind) {
-    case FaultTransitionKind::kDown: return "down";
-    case FaultTransitionKind::kUp: return "up";
-    case FaultTransitionKind::kBrownoutBegin: return "brownout_begin";
-    case FaultTransitionKind::kBrownoutEnd: return "brownout_end";
-    case FaultTransitionKind::kPartitionBegin: return "partition_begin";
-    case FaultTransitionKind::kPartitionEnd: return "partition_end";
-  }
-  return "?";
-}
-
 void sort_fault_schedule(std::vector<FaultTransition>& schedule) {
   std::sort(schedule.begin(), schedule.end(),
             [](const FaultTransition& a, const FaultTransition& b) {

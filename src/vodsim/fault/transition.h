@@ -7,6 +7,7 @@
 /// carry a scripted fault list without pulling in the schedule generator.
 
 #include "vodsim/cluster/request.h"
+#include "vodsim/util/enum_names.h"
 #include "vodsim/util/units.h"
 
 namespace vodsim {
@@ -39,6 +40,19 @@ struct FaultTransition {
   double capacity_factor = 1.0;
 };
 
-const char* to_string(FaultTransitionKind kind);
+inline constexpr EnumName kFaultTransitionNames[] = {
+    {"down", "vodsim::FaultTransitionKind::kDown"},
+    {"up", "vodsim::FaultTransitionKind::kUp"},
+    {"brownout_begin", "vodsim::FaultTransitionKind::kBrownoutBegin"},
+    {"brownout_end", "vodsim::FaultTransitionKind::kBrownoutEnd"},
+    {"partition_begin", "vodsim::FaultTransitionKind::kPartitionBegin"},
+    {"partition_end", "vodsim::FaultTransitionKind::kPartitionEnd"},
+};
+
+inline const char* to_string(FaultTransitionKind kind) {
+  const auto index = static_cast<std::size_t>(kind);
+  const auto& names = kFaultTransitionNames;
+  return index < std::size(names) ? names[index].cli : "?";
+}
 
 }  // namespace vodsim

@@ -46,29 +46,10 @@ std::unique_ptr<PlacementPolicy> make_placement(const PlacementConfig& config,
 }
 
 PlacementKind placement_kind_from_string(const std::string& name) {
-  if (name == "even") return PlacementKind::kEven;
-  if (name == "predictive") return PlacementKind::kPredictive;
-  if (name == "partial") return PlacementKind::kPartialPredictive;
-  if (name == "bsr") return PlacementKind::kBsr;
-  if (name == "domain_spread") return PlacementKind::kDomainSpread;
-  throw std::invalid_argument("unknown placement: " + name);
+  return enum_from_string<PlacementKind>(kPlacementNames, name, "placement");
 }
 
-std::string to_string(PlacementKind kind) {
-  switch (kind) {
-    case PlacementKind::kEven:
-      return "even";
-    case PlacementKind::kPredictive:
-      return "predictive";
-    case PlacementKind::kPartialPredictive:
-      return "partial";
-    case PlacementKind::kBsr:
-      return "bsr";
-    case PlacementKind::kDomainSpread:
-      return "domain_spread";
-  }
-  return "?";
-}
+std::string to_string(PlacementKind kind) { return enum_to_string(kPlacementNames, kind); }
 
 namespace placement_detail {
 

@@ -28,6 +28,7 @@
 #include "vodsim/cluster/server.h"
 #include "vodsim/cluster/topology.h"
 #include "vodsim/cluster/video.h"
+#include "vodsim/util/enum_names.h"
 #include "vodsim/util/rng.h"
 
 namespace vodsim {
@@ -89,6 +90,15 @@ std::unique_ptr<PlacementPolicy> make_placement(PlacementKind kind);
 /// it will place onto).
 std::unique_ptr<PlacementPolicy> make_placement(const PlacementConfig& config,
                                                 const Topology& topology);
+
+inline constexpr EnumName kPlacementNames[] = {
+    {"even", "vodsim::PlacementKind::kEven"},
+    {"predictive", "vodsim::PlacementKind::kPredictive"},
+    {"partial", "vodsim::PlacementKind::kPartialPredictive"},
+    {"bsr", "vodsim::PlacementKind::kBsr"},
+    {"domain_spread", "vodsim::PlacementKind::kDomainSpread"},
+};
+constexpr std::span<const EnumName> enum_names(PlacementKind) { return kPlacementNames; }
 
 /// Parses "even" | "predictive" | "partial" | "bsr" | "domain_spread".
 PlacementKind placement_kind_from_string(const std::string& name);

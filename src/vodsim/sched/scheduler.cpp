@@ -28,29 +28,10 @@ std::unique_ptr<BandwidthScheduler> make_scheduler(SchedulerKind kind) {
 }
 
 SchedulerKind scheduler_kind_from_string(const std::string& name) {
-  if (name == "eftf") return SchedulerKind::kEftf;
-  if (name == "continuous") return SchedulerKind::kContinuous;
-  if (name == "proportional") return SchedulerKind::kProportional;
-  if (name == "lftf") return SchedulerKind::kLftf;
-  if (name == "intermittent") return SchedulerKind::kIntermittent;
-  throw std::invalid_argument("unknown scheduler: " + name);
+  return enum_from_string<SchedulerKind>(kSchedulerNames, name, "scheduler");
 }
 
-std::string to_string(SchedulerKind kind) {
-  switch (kind) {
-    case SchedulerKind::kEftf:
-      return "eftf";
-    case SchedulerKind::kContinuous:
-      return "continuous";
-    case SchedulerKind::kProportional:
-      return "proportional";
-    case SchedulerKind::kLftf:
-      return "lftf";
-    case SchedulerKind::kIntermittent:
-      return "intermittent";
-  }
-  return "?";
-}
+std::string to_string(SchedulerKind kind) { return enum_to_string(kSchedulerNames, kind); }
 
 namespace sched_detail {
 

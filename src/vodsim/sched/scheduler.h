@@ -27,6 +27,7 @@
 
 #include "vodsim/cluster/request.h"
 #include "vodsim/obs/trace.h"
+#include "vodsim/util/enum_names.h"
 #include "vodsim/util/units.h"
 
 namespace vodsim {
@@ -114,6 +115,15 @@ class BandwidthScheduler {
 
 /// Scheduler registry keys (used by engine::Config and the CLI).
 enum class SchedulerKind { kEftf, kContinuous, kProportional, kLftf, kIntermittent };
+
+inline constexpr EnumName kSchedulerNames[] = {
+    {"eftf", "vodsim::SchedulerKind::kEftf"},
+    {"continuous", "vodsim::SchedulerKind::kContinuous"},
+    {"proportional", "vodsim::SchedulerKind::kProportional"},
+    {"lftf", "vodsim::SchedulerKind::kLftf"},
+    {"intermittent", "vodsim::SchedulerKind::kIntermittent"},
+};
+constexpr std::span<const EnumName> enum_names(SchedulerKind) { return kSchedulerNames; }
 
 /// Factory. Throws std::invalid_argument on an unknown kind. The
 /// intermittent scheduler is built with its default safety cover; construct

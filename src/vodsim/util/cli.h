@@ -42,6 +42,9 @@ class CliParser {
   double get_double(const std::string& name) const;
   bool get_bool(const std::string& name) const;
 
+  /// True when argv set \p name (to any value, its default included).
+  bool has(const std::string& name) const { return values_.count(name) != 0; }
+
   /// Prints the usage/help text.
   void print_usage(std::ostream& out) const;
 

@@ -7,8 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <set>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "vodsim/check/fuzzer.h"
+#include "vodsim/engine/config_schema.h"
 #include "vodsim/util/rng.h"
 
 namespace vodsim {
@@ -137,6 +142,113 @@ TEST(ScenarioShrink, HalvingClampsServerIndexedKnobs) {
   EXPECT_LE(config.topology.racks, config.system.num_servers);
   EXPECT_LE(config.topology.zones, config.topology.racks);
   EXPECT_NO_THROW(config.validate());
+}
+
+// A shrunk repro is only useful if it rebuilds the config it claims to.
+// Reads a rendered case back: each `config.<path> = <literal>;` line
+// through the field table, the profile and scripted-fault lines by hand.
+// Counts table rows assigned into \p paths.
+SimulationConfig rebuild(const std::string& code, std::multiset<std::string>& paths) {
+  const auto split = [](const std::string& list) {
+    std::vector<std::string> items;
+    std::stringstream in(list);
+    for (std::string item; std::getline(in, item, ',');) {
+      items.push_back(item.substr(item.find_first_not_of(' ')));
+    }
+    return items;
+  };
+  SimulationConfig config;
+  config.system.name = "fuzz";
+  const std::string kPush = "  config.scripted_faults.push_back({";
+  std::istringstream in(code);
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind(kPush, 0) == 0) {
+      const auto items = split(line.substr(kPush.size(), line.size() - kPush.size() - 3));
+      EXPECT_EQ(items.size(), 4u) << line;
+      if (items.size() != 4) continue;
+      FaultTransition fault;
+      fault.time = std::stod(items[0]);
+      fault.server = std::stoi(items[1]);
+      for (std::size_t k = 0; k < std::size(kFaultTransitionNames); ++k) {
+        if (items[2] == kFaultTransitionNames[k].cpp) {
+          fault.kind = static_cast<FaultTransitionKind>(k);
+        }
+      }
+      fault.capacity_factor = std::stod(items[3]);
+      config.scripted_faults.push_back(fault);
+      continue;
+    }
+    const std::size_t eq = line.find(" = ");
+    if (line.rfind("  config.", 0) != 0 || eq == std::string::npos) continue;
+    const std::string path = line.substr(9, eq - 9);
+    const std::string value = line.substr(eq + 3, line.size() - eq - 4);
+    if (path == "system.name") continue;
+    if (path == "system.bandwidth_profile" || path == "system.storage_profile") {
+      std::vector<double>& profile = path == "system.bandwidth_profile"
+                                         ? config.system.bandwidth_profile
+                                         : config.system.storage_profile;
+      for (const std::string& item : split(value.substr(1, value.size() - 2))) {
+        profile.push_back(std::stod(item));
+      }
+      continue;
+    }
+    const ConfigField* field = find_config_field(path);
+    EXPECT_NE(field, nullptr) << "no table row for " << path;
+    if (field == nullptr) continue;
+    EXPECT_TRUE(field->parse(config, value)) << line;
+    paths.insert(path);
+  }
+  return config;
+}
+
+TEST(ScenarioRepro, RenderedCaseRebuildsTheConfigExactly) {
+  std::vector<SimulationConfig> configs = pathology_corpus();
+  Rng rng(1);
+  for (int i = 0; i < 200; ++i) configs.push_back(random_scenario(rng));
+  Rng chaos(2);
+  for (int i = 0; i < 100; ++i) configs.push_back(random_fault_scenario(chaos));
+  // No draw scripts faults or sets both profiles; render one that does.
+  SimulationConfig scripted = configs.back();
+  scripted.system.bandwidth_profile.assign(scripted.system.num_servers, 0.1);
+  scripted.system.storage_profile.assign(scripted.system.num_servers, 1.0 / 3.0);
+  scripted.scripted_faults = {{10.0, 0, FaultTransitionKind::kDown, 1.0},
+                              {25.5, 1, FaultTransitionKind::kBrownoutBegin, 0.4},
+                              {1e-3, 0, FaultTransitionKind::kPartitionEnd, 1.0}};
+  configs.push_back(scripted);
+
+  bool saw_infinity = false;
+  bool saw_big_seed = false;
+  bool saw_scripted = false;
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    const std::string code = to_gtest_case(configs[i], "RoundTrip");
+    std::multiset<std::string> paths;
+    const SimulationConfig rebuilt = rebuild(code, paths);
+    ASSERT_EQ(to_gtest_case(rebuilt, "RoundTrip"), code) << "config " << i;
+    // A lossy literal would re-render identically; the values must match too.
+    for (const ConfigField& field : config_fields()) {
+      ASSERT_EQ(field.get(rebuilt), field.get(configs[i])) << field.path;
+    }
+    ASSERT_EQ(rebuilt.system.bandwidth_profile, configs[i].system.bandwidth_profile);
+    ASSERT_EQ(rebuilt.system.storage_profile, configs[i].system.storage_profile);
+    ASSERT_EQ(rebuilt.scripted_faults.size(), configs[i].scripted_faults.size());
+    for (std::size_t f = 0; f < configs[i].scripted_faults.size(); ++f) {
+      ASSERT_EQ(rebuilt.scripted_faults[f].time, configs[i].scripted_faults[f].time);
+      ASSERT_EQ(rebuilt.scripted_faults[f].capacity_factor,
+                configs[i].scripted_faults[f].capacity_factor);
+    }
+    // Every table row is assigned, exactly once.
+    ASSERT_EQ(paths.size(), config_fields().size()) << "config " << i;
+    for (const ConfigField& field : config_fields()) {
+      ASSERT_EQ(paths.count(field.path), 1u) << field.path;
+    }
+    saw_infinity |= code.find("infinity()") != std::string::npos;
+    saw_big_seed |= configs[i].seed > (std::uint64_t{1} << 53);
+    saw_scripted |= !configs[i].scripted_faults.empty();
+  }
+  // The literals that are easy to get wrong were all exercised.
+  EXPECT_TRUE(saw_infinity);
+  EXPECT_TRUE(saw_big_seed);
+  EXPECT_TRUE(saw_scripted);
 }
 
 }  // namespace

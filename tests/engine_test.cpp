@@ -3,15 +3,33 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
 #include <functional>
 #include <limits>
+#include <new>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "vodsim/engine/config.h"
+#include "vodsim/engine/config_schema.h"
 #include "vodsim/fault/schedule.h"
 #include "vodsim/engine/metrics.h"
 #include "vodsim/engine/policy_matrix.h"
+
+// Counts heap allocations so a test can assert a call makes none. Kept out
+// of line so GCC does not pair an inlined free() with a new-expression and
+// warn (-Wmismatched-new-delete) about a replacement it cannot see through.
+static std::atomic<long> g_allocations{0};
+
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace vodsim {
 namespace {
@@ -100,9 +118,10 @@ TEST(Config, ValidationCatchesNonsense) {
 }
 
 TEST(Config, EveryRejectableFieldRejectsWithAUsefulMessage) {
-  // One row per fail() branch in SimulationConfig::validate(): the mutation
-  // that trips it and a substring the thrown message must carry, so a user
-  // staring at the error can tell *which* field is wrong.
+  // One row per way SimulationConfig::validate() can fail (a field-table
+  // range or a written-out relation): the mutation that trips it and a
+  // substring the thrown message must carry, so a user staring at the
+  // error can tell *which* field is wrong.
   struct Row {
     const char* what;
     std::function<void(SimulationConfig&)> mutate;
@@ -148,7 +167,7 @@ TEST(Config, EveryRejectableFieldRejectsWithAUsefulMessage) {
        "staging_fraction"},
       {"receive below view",
        [](SimulationConfig& c) { c.client.receive_bandwidth = 0.1; },
-       "receive bandwidth"},
+       "client.receive_bandwidth"},
       {"load_factor", [](SimulationConfig& c) { c.load_factor = 0.0; },
        "load_factor"},
       {"duration", [](SimulationConfig& c) { c.duration = 0.0; }, "duration"},
@@ -174,14 +193,14 @@ TEST(Config, EveryRejectableFieldRejectsWithAUsefulMessage) {
          c.failure.enabled = true;
          c.failure.mean_time_between_failures = 0.0;
        },
-       "MTBF"},
+       "failure.mean_time_between_failures"},
       {"MTTR",
        [](SimulationConfig& c) {
          c.failure.enabled = true;
          c.failure.mean_time_between_failures = 100.0;
          c.failure.mean_time_to_repair = 0.0;
        },
-       "MTTR"},
+       "failure.mean_time_to_repair"},
       {"min_dwell",
        [](SimulationConfig& c) {
          c.failure.enabled = true;
@@ -196,7 +215,7 @@ TEST(Config, EveryRejectableFieldRejectsWithAUsefulMessage) {
          c.failure.brownout.enabled = true;
          c.failure.brownout.mean_time_between = 0.0;
        },
-       "brownout mean_time_between"},
+       "failure.brownout.mean_time_between"},
       {"brownout mean_duration",
        [](SimulationConfig& c) {
          c.failure.enabled = true;
@@ -204,7 +223,7 @@ TEST(Config, EveryRejectableFieldRejectsWithAUsefulMessage) {
          c.failure.brownout.enabled = true;
          c.failure.brownout.mean_duration = 0.0;
        },
-       "brownout mean_duration"},
+       "failure.brownout.mean_duration"},
       {"brownout capacity_factor",
        [](SimulationConfig& c) {
          c.failure.enabled = true;
@@ -228,7 +247,7 @@ TEST(Config, EveryRejectableFieldRejectsWithAUsefulMessage) {
          c.failure.correlated.enabled = true;
          c.failure.correlated.mean_time_between = 0.0;
        },
-       "correlated mean_time_between"},
+       "failure.correlated.mean_time_between"},
       {"correlated mean_duration",
        [](SimulationConfig& c) {
          c.failure.enabled = true;
@@ -236,7 +255,7 @@ TEST(Config, EveryRejectableFieldRejectsWithAUsefulMessage) {
          c.failure.correlated.enabled = true;
          c.failure.correlated.mean_duration = 0.0;
        },
-       "correlated mean_duration"},
+       "failure.correlated.mean_duration"},
       {"retry max_queue",
        [](SimulationConfig& c) {
          c.failure.retry.enabled = true;
@@ -289,7 +308,7 @@ TEST(Config, EveryRejectableFieldRejectsWithAUsefulMessage) {
          c.drift.enabled = true;
          c.drift.period = 0.0;
        },
-       "drift period"},
+       "drift.period"},
       {"pauses_per_hour",
        [](SimulationConfig& c) {
          c.interactivity.enabled = true;
@@ -314,7 +333,7 @@ TEST(Config, EveryRejectableFieldRejectsWithAUsefulMessage) {
          c.replication.enabled = true;
          c.replication.window = 0.0;
        },
-       "replication window"},
+       "replication.window"},
       {"transfer_bandwidth",
        [](SimulationConfig& c) {
          c.replication.enabled = true;
@@ -332,13 +351,29 @@ TEST(Config, EveryRejectableFieldRejectsWithAUsefulMessage) {
          c.trace.enabled = true;
          c.trace.capacity = 0;
        },
-       "trace capacity"},
+       "trace.capacity"},
       {"probe period",
        [](SimulationConfig& c) {
          c.probe.enabled = true;
          c.probe.period = 0.0;
        },
-       "probe period"},
+       "probe.period"},
+      {"zipf_theta", [](SimulationConfig& c) { c.zipf_theta = 1.5; }, "zipf_theta"},
+      {"partial_head_fraction",
+       [](SimulationConfig& c) { c.placement.partial_head_fraction = 0.0; },
+       "placement.partial_head_fraction"},
+      {"partial_tail_shift",
+       [](SimulationConfig& c) { c.placement.partial_tail_shift = 1.0; },
+       "placement.partial_tail_shift"},
+      {"buffer_aware_horizon",
+       [](SimulationConfig& c) { c.admission.buffer_aware_horizon = 0.0; },
+       "admission.buffer_aware_horizon"},
+      {"max_search_nodes",
+       [](SimulationConfig& c) { c.admission.migration.max_search_nodes = 0; },
+       "admission.migration.max_search_nodes"},
+      {"max_hops_per_request",
+       [](SimulationConfig& c) { c.admission.migration.max_hops_per_request = -2; },
+       "admission.migration.max_hops_per_request"},
   };
 
   for (const Row& row : rows) {
@@ -354,6 +389,37 @@ TEST(Config, EveryRejectableFieldRejectsWithAUsefulMessage) {
           << "\" does not mention \"" << row.expect << "\"";
     }
   }
+}
+
+TEST(Config, ValidateOfAValidConfigDoesNotAllocate) {
+  // VodSimulation's constructor validates, so this cost sits in every
+  // trial's setup; error messages are built only on failure.
+  SimulationConfig config;
+  config.system = SystemConfig::small_system();
+  config.failure.enabled = true;  // open a few gates
+  config.failure.retry.enabled = true;
+  config.validate();  // warm any lazy statics
+  const long before = g_allocations.load();
+  config.validate();
+  EXPECT_EQ(g_allocations.load(), before);
+}
+
+TEST(ConfigSchema, PathsAreUniqueAndGatesAreBoolRows) {
+  std::set<std::string> paths;
+  std::set<std::string> flags;
+  for (const ConfigField& field : config_fields()) {
+    EXPECT_TRUE(paths.insert(field.path).second) << "duplicate row " << field.path;
+    EXPECT_EQ(find_config_field(field.path), &field);
+    if (field.cli.name != nullptr) {
+      EXPECT_TRUE(flags.insert(field.cli.name).second) << "duplicate flag " << field.cli.name;
+    }
+    if (field.gate != nullptr) {
+      const ConfigField* gate = gate_of(field);
+      ASSERT_NE(gate, nullptr) << field.path << " names a missing gate " << field.gate;
+      EXPECT_EQ(gate->kind, FieldKind::kBool) << field.path;
+    }
+  }
+  EXPECT_EQ(find_config_field("no.such.field"), nullptr);
 }
 
 TEST(Config, ValidationRejectsNonFiniteFields) {

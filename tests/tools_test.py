@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Unit tests for tools/bench_diff.py and tools/validate_trace.py, the
-vodsim_cli usage-error contract, and the bench citations in the docs.
+vodsim_cli usage-error contract, and the bench and flag citations in the
+docs.
 
 Run directly or via ctest (registered as `tools_py`). Stdlib only; the
 tools are exercised as subprocesses, exactly as CI invokes them, so exit
@@ -304,20 +305,119 @@ class ValidateTraceTest(unittest.TestCase):
         self.assertNotEqual(result.returncode, 0)
 
 
+def run_cli(*args):
+    """vodsim_cli on a tiny horizon (extra args may override it)."""
+    return subprocess.run(
+        [find_cli(), "--hours", "0.01", "--warmup-hours", "0", *args],
+        capture_output=True, text=True, timeout=60)
+
+
+def help_ranges():
+    """{flag: range text} for every flag whose --help line ends in
+    "; range [lo, hi)" (the field table's bounded int and real rows)."""
+    result = subprocess.run([find_cli(), "--help"], capture_output=True,
+                            text=True, timeout=60)
+    return dict(re.findall(r"^  --([a-z0-9-]+) <value>.*\n.*; range (.+)$",
+                           result.stdout, re.MULTILINE))
+
+
+def out_of_range(text):
+    """A value outside a "[lo, hi)" range text from --help: 10 below
+    its lower end, or 10 above its upper end when it has none (never 0,
+    which some flags read as "off")."""
+    low, high = (float(end) for end in text[1:-1].split(", "))
+    return "%g" % (low - 10 if low > float("-inf") else high + 10)
+
+
 class CliUsageErrorTest(unittest.TestCase):
-    def test_unknown_enum_values_are_usage_errors(self):
-        cli = find_cli()
-        if cli is None:
+    """Bad input exits 2 with a message naming the flag, never an uncaught
+    exception (exit 134) or a silent fallback."""
+
+    def setUp(self):
+        if find_cli() is None:
             self.skipTest("vodsim_cli not built")
-        for flag in ("--scheduler", "--placement", "--assignment", "--victim"):
+
+    def assert_usage_error(self, args, *named):
+        result = run_cli(*args)
+        self.assertEqual(result.returncode, 2,
+                         f"{args}: {result.returncode} {result.stderr}")
+        self.assertIn("invalid configuration: ", result.stderr)
+        for text in named:
+            self.assertIn(text, result.stderr, args)
+
+    def test_unknown_enum_values_are_usage_errors(self):
+        for flag in ("--scheduler", "--placement", "--assignment", "--victim",
+                     "--system"):
             with self.subTest(flag=flag):
-                result = subprocess.run(
-                    [cli, flag, "bogus", "--hours", "0.01",
-                     "--warmup-hours", "0"],
-                    capture_output=True, text=True, timeout=60)
-                self.assertEqual(result.returncode, 2, result.stderr)
-                self.assertIn("invalid configuration: ", result.stderr)
-                self.assertIn("bogus", result.stderr)
+                self.assert_usage_error([flag, "bogus"], "bogus", flag)
+
+    def test_bad_values_exit_2_instead_of_aborting(self):
+        cases = [
+            (["--probe-period", "-1", "--probe-out", "f"], "--probe-period"),
+            (["--trace-categories", "bogus", "--trace-jsonl", "f"],
+             "--trace-categories"),
+            (["--system", "custom", "--videos", "-3"], "--videos"),
+            (["--retry", "true", "--retry-queue", "-1"], "--retry-queue"),
+            (["--retry-queue", "-1"], "--retry-queue"),
+            (["--theta", "5"], "--theta"),
+            (["--trials", "0"], "--trials"),
+            (["--migration", "maybe"], "--migration"),
+            (["--servers", "2.5"], "--servers"),
+        ]
+        for args, flag in cases:
+            with self.subTest(args=args):
+                self.assert_usage_error(args, flag)
+
+    def test_every_bounded_table_flag_rejects_out_of_range(self):
+        ranges = help_ranges()
+        self.assertGreater(len(ranges), 30)
+        for flag, text in ranges.items():
+            value = out_of_range(text)
+            with self.subTest(flag=flag, value=value):
+                self.assert_usage_error([f"--{flag}", value], f"--{flag}")
+
+    def test_set_flags_without_their_feature_are_errors(self):
+        cases = [
+            (["--mttr-hours", "2"], "--mtbf-hours"),
+            (["--mttr-hours", "2", "--brownout-hours", "5"], "--mtbf-hours"),
+            (["--min-dwell", "30"], "--mtbf-hours"),
+            (["--brownout-factor", "0.3"], "--brownout-hours"),
+            (["--retry-attempts", "3"], "--retry"),
+            (["--probe-period", "30"], "--probe-out"),
+            (["--trace-categories", "admission"], "--trace-out"),
+        ]
+        for flag in ("--zones", "--rack-outage-hours", "--rack-outage-minutes",
+                     "--zone-brownout-hours", "--zone-brownout-minutes",
+                     "--zone-brownout-factor", "--partition-hours",
+                     "--partition-minutes"):
+            value = "0.5" if flag.endswith("factor") else "2"
+            cases.append(([flag, value], "--racks"))
+        for args, named in cases:
+            with self.subTest(args=args):
+                self.assert_usage_error(args, args[0], named)
+
+    def test_explicit_system_flags_override_the_preset(self):
+        result = run_cli("--servers", "8", "--bandwidth", "200", "--videos", "400")
+        self.assertEqual(result.returncode, 0, result.stderr)
+        self.assertIn("8 servers x 200 Mb/s", result.stdout)
+        result = run_cli("--system", "large", "--servers", "10")
+        self.assertEqual(result.returncode, 0, result.stderr)
+        self.assertIn("large system, 10 servers x 300 Mb/s", result.stdout)
+
+    def test_fault_flags_take_effect_without_crashes(self):
+        base = ["--hours", "5", "--racks", "2", "--partition-hours", "1",
+                "--retry", "true"]
+        plain = run_cli(*base)
+        dwell = run_cli(*base, "--min-dwell", "3600")
+        self.assertEqual(plain.returncode, 0, plain.stderr)
+        self.assertEqual(dwell.returncode, 0, dwell.stderr)
+        self.assertNotEqual(plain.stdout, dwell.stdout,
+                            "--min-dwell was ignored next to domain faults")
+        # A brownout alone arms the fault layer: shedding, no crashes.
+        brownout = run_cli("--hours", "5", "--brownout-hours", "0.5",
+                           "--brownout-factor", "0.3")
+        self.assertEqual(brownout.returncode, 0, brownout.stderr)
+        self.assertRegex(brownout.stdout, r"server down episodes\s*\|\s*0\s")
 
 
 class ShardedTraceTest(unittest.TestCase):
@@ -355,8 +455,8 @@ class ShardedTraceTest(unittest.TestCase):
 
 
 class DocCitationTest(unittest.TestCase):
-    """Every bench record and EXPERIMENTS.md section that README.md,
-    DESIGN.md or ci.yml names must exist."""
+    """Every bench record, EXPERIMENTS.md section, env var and vodsim_cli
+    flag the docs name must exist."""
 
     CITING = ("README.md", "DESIGN.md",
               os.path.join(".github", "workflows", "ci.yml"))
@@ -384,6 +484,36 @@ class DocCitationTest(unittest.TestCase):
                               f"{name} cites missing EXPERIMENTS.md {section}")
                 checked += 1
         self.assertGreater(checked, 0)
+
+    def test_cli_flags_in_docs_exist(self):
+        """Every --flag on a vodsim_cli command line in the docs, CI and the
+        headline script is one `vodsim_cli --help` lists."""
+        cli = find_cli()
+        if cli is None:
+            self.skipTest("vodsim_cli not built")
+        usage = subprocess.run([cli, "--help"], capture_output=True,
+                               text=True, timeout=60).stdout
+        known = set(re.findall(r"^  --([a-z0-9-]+)", usage, re.MULTILINE))
+        cited = 0
+        for name in ("README.md", os.path.join(".github", "workflows", "ci.yml"),
+                     os.path.join("bench", "pr8", "run_headline.sh")):
+            # A command starts at vodsim_cli (or the script's "$CLI") and
+            # runs on through backslash-continued lines.
+            command = None
+            for line in self.read(name).splitlines():
+                start = re.search(r'vodsim_cli\b|"\$CLI"', line)
+                if start:
+                    command = line[start.end():]
+                elif command is not None:
+                    command = line
+                if command is None:
+                    continue
+                for flag in re.findall(r"(?<![\w-])--([a-z][a-z0-9-]*)", command):
+                    self.assertIn(flag, known, f"{name} cites unknown --{flag}")
+                    cited += 1
+                if not line.rstrip().endswith("\\"):
+                    command = None
+        self.assertGreater(cited, 30)
 
     def test_env_vars_named_in_docs_exist_in_code(self):
         """A VODSIM_* variable the docs name must still appear in some
