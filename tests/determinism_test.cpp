@@ -28,6 +28,7 @@
 #include "vodsim/engine/policy_matrix.h"
 #include "vodsim/engine/sweep_context.h"
 #include "vodsim/engine/vod_simulation.h"
+#include "vodsim/fault/schedule.h"
 
 namespace vodsim {
 namespace {
@@ -400,7 +401,8 @@ TEST(GoldenDeterminism, DistinctSeedsDiverge) {
 //
 // To regenerate after an *intentional* output change, run this binary with
 // VODSIM_UPDATE_GOLDENS=/path/to/determinism_goldens.inc (or
-// /path/to/fault_goldens.inc for the fault table below) and commit the
+// /path/to/fault_goldens.inc or /path/to/schedule_goldens.inc for the
+// tables below) and commit the
 // rewritten table (the test still compares, so an update run on an
 // unchanged build passes).
 
@@ -745,6 +747,108 @@ TEST(FaultGoldens, ResilienceMatchesPinnedHexfloatGoldens) {
   }
   expect_golden_table(kFaultGoldens, "fault_goldens.inc", "fault_matrix()", labels,
                       rendered);
+}
+
+// --- pinned fault-schedule goldens ----------------------------------------
+// The fault table above pins what a schedule does to a run; this one pins
+// the schedule generator's draw order itself. Every config enables the
+// binary crash phase and all five episode processes at once on an uneven
+// tree (17 servers, 5 racks, 2 zones; correlated groups of 3 and 7, which
+// do not divide 17), so swapping any two phases, or the order of domain
+// ranges within one, shifts every later draw and moves the digest. Each
+// row renders the transition count per kind, an FNV-1a digest of the full
+// (time, server, kind, factor) list in hexfloat, and the next uniform draw
+// left on the failure RNG.
+
+constexpr GoldenEntry kScheduleGoldens[] = {
+#include "schedule_goldens.inc"
+};
+
+std::string render_schedule(const std::vector<FaultTransition>& schedule, Rng& rng) {
+  std::uint64_t digest = 14695981039346656037ull;  // FNV-1a offset basis
+  std::uint64_t per_kind[std::size(kFaultTransitionNames)] = {};
+  char buf[128];
+  for (const FaultTransition& t : schedule) {
+    ++per_kind[static_cast<std::size_t>(t.kind)];
+    const int n = std::snprintf(buf, sizeof(buf), "%a %d %d %a;", t.time, t.server,
+                                static_cast<int>(t.kind), t.capacity_factor);
+    for (int i = 0; i < n; ++i) {
+      digest = (digest ^ static_cast<unsigned char>(buf[i])) * 1099511628211ull;
+    }
+  }
+  std::string out = std::to_string(schedule.size()) + " transitions";
+  for (std::size_t kind = 0; kind < std::size(per_kind); ++kind) {
+    out += std::string(" ") + kFaultTransitionNames[kind].cli + "=" +
+           std::to_string(per_kind[kind]);
+  }
+  std::snprintf(buf, sizeof(buf), " fnv1a=%016" PRIx64 " next=%a", digest,
+                rng.uniform());
+  return out + buf;
+}
+
+/// Every fault process at once, at rates giving each a handful of episodes
+/// per domain over the horizon.
+FailureConfig schedule_golden_config(Seconds min_dwell, int group_size) {
+  FailureConfig config;
+  config.enabled = true;
+  config.mean_time_between_failures = hours(5);
+  config.mean_time_to_repair = hours(0.5);
+  config.min_dwell = min_dwell;
+  config.brownout.enabled = true;
+  config.brownout.mean_time_between = hours(4);
+  config.brownout.mean_duration = minutes(20);
+  config.brownout.capacity_factor = 0.6;
+  config.correlated.enabled = true;
+  config.correlated.group_size = group_size;
+  config.correlated.mean_time_between = hours(6);
+  config.correlated.mean_duration = minutes(30);
+  config.domains.rack_outage.enabled = true;
+  config.domains.rack_outage.mean_time_between = hours(8);
+  config.domains.rack_outage.mean_duration = minutes(30);
+  config.domains.zone_brownout.enabled = true;
+  config.domains.zone_brownout.mean_time_between = hours(5);
+  config.domains.zone_brownout.mean_duration = minutes(20);
+  config.domains.zone_brownout.capacity_factor = 0.3;
+  config.domains.partition.enabled = true;
+  config.domains.partition.mean_time_between = hours(6);
+  config.domains.partition.mean_duration = minutes(10);
+  return config;
+}
+
+TEST(ScheduleGoldens, DrawOrderMatchesPinnedHexfloatGoldens) {
+  constexpr int kServers = 17;
+  const Topology topology(TopologyConfig{true, 5, 2}, kServers);
+  std::vector<std::string> labels;
+  std::vector<std::string> rendered;
+  std::uint64_t seed = 61;
+  for (const Seconds min_dwell : {0.0, 120.0}) {
+    for (const int group_size : {3, 7}) {
+      const std::string label = "all-processes-dwell" +
+                                std::to_string(static_cast<int>(min_dwell)) +
+                                "-group" + std::to_string(group_size) + "/seed" +
+                                std::to_string(seed);
+      SCOPED_TRACE(label);
+      Rng rng(seed++);
+      const auto schedule = generate_fault_schedule(
+          schedule_golden_config(min_dwell, group_size), topology, hours(20), rng);
+      labels.push_back(label);
+      rendered.push_back(render_schedule(schedule, rng));
+    }
+  }
+  {
+    // No topology: the server- and group-scoped phases draw alone.
+    FailureConfig config = schedule_golden_config(120.0, 7);
+    config.domains.rack_outage.enabled = false;
+    config.domains.zone_brownout.enabled = false;
+    config.domains.partition.enabled = false;
+    Rng rng(seed);
+    const auto schedule = generate_fault_schedule(
+        config, Topology(TopologyConfig{}, kServers), hours(20), rng);
+    labels.push_back("no-topology-dwell120-group7/seed" + std::to_string(seed));
+    rendered.push_back(render_schedule(schedule, rng));
+  }
+  expect_golden_table(kScheduleGoldens, "schedule_goldens.inc", "schedule golden",
+                      labels, rendered);
 }
 
 }  // namespace
