@@ -1,5 +1,6 @@
 #include "vodsim/check/fuzzer.h"
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
 #include <limits>
@@ -8,6 +9,7 @@
 #include "vodsim/check/reference_oracle.h"
 #include "vodsim/engine/config_schema.h"
 #include "vodsim/engine/vod_simulation.h"
+#include "vodsim/fault/schedule.h"
 
 namespace vodsim {
 
@@ -131,7 +133,7 @@ SimulationConfig random_scenario(Rng& rng) {
     if (rng.uniform() < 0.25) {
       config.failure.correlated.enabled = true;
       config.failure.correlated.group_size =
-          2 + static_cast<int>(rng.uniform_int(2));
+          std::min(2 + static_cast<int>(rng.uniform_int(2)), config.system.num_servers);
       config.failure.correlated.mean_time_between = rng.uniform(300.0, 900.0);
       config.failure.correlated.mean_duration = rng.uniform(30.0, 120.0);
     }
@@ -252,7 +254,8 @@ SimulationConfig random_fault_scenario(Rng& rng) {
       config.failure.retry.backoff_base * rng.uniform(1.0, 8.0);
 
   config.failure.correlated.enabled = rng.uniform() < 0.35;
-  config.failure.correlated.group_size = 2 + static_cast<int>(rng.uniform_int(2));
+  config.failure.correlated.group_size =
+      std::min(2 + static_cast<int>(rng.uniform_int(2)), config.system.num_servers);
   config.failure.correlated.mean_time_between = rng.uniform(200.0, 600.0);
   config.failure.correlated.mean_duration = rng.uniform(20.0, 90.0);
 
@@ -650,12 +653,8 @@ std::vector<SimulationConfig> pathology_corpus() {
   return corpus;
 }
 
-namespace {
-
-/// Diff core for the sharded-vs-single differential: discrete counters
-/// must match exactly, fluid integrals within the reference oracle's
-/// relative tolerance.
-std::string diff_runs(const VodSimulation& a, const VodSimulation& b,
+std::string diff_runs(const Metrics& am, std::uint64_t a_continuity_violations,
+                      const Metrics& bm, std::uint64_t b_continuity_violations,
                       const char* a_label, const char* b_label) {
   std::ostringstream oss;
   auto count = [&](const char* name, std::uint64_t a_value,
@@ -675,8 +674,6 @@ std::string diff_runs(const VodSimulation& a, const VodSimulation& b,
     }
   };
 
-  const Metrics& am = a.metrics();
-  const Metrics& bm = b.metrics();
   count("arrivals", am.arrivals(), bm.arrivals());
   count("accepts", am.accepts(), bm.accepts());
   count("accepts_via_migration", am.accepts_via_migration(),
@@ -695,8 +692,7 @@ std::string diff_runs(const VodSimulation& a, const VodSimulation& b,
   count("readmissions", am.readmissions(), bm.readmissions());
   count("retry_abandoned", am.retry_abandoned(), bm.retry_abandoned());
   count("repairs", am.repairs(), bm.repairs());
-  count("continuity_violations", a.continuity_violations(),
-        b.continuity_violations());
+  count("continuity_violations", a_continuity_violations, b_continuity_violations);
   fluid("utilization", am.utilization(), bm.utilization());
   fluid("rejection_ratio", am.rejection_ratio(), bm.rejection_ratio());
   fluid("transmitted", am.transmitted(), bm.transmitted());
@@ -707,8 +703,6 @@ std::string diff_runs(const VodSimulation& a, const VodSimulation& b,
   fluid("availability", am.availability(), bm.availability());
   return oss.str();
 }
-
-}  // namespace
 
 FuzzResult run_scenario(const SimulationConfig& config) {
   FuzzResult result;
@@ -748,7 +742,9 @@ FuzzResult run_scenario(const SimulationConfig& config) {
       shard_engine.run();
       result.shard_checked = true;
       const std::string diff =
-          diff_runs(engine, shard_engine, "single", "sharded");
+          diff_runs(engine.metrics(), engine.continuity_violations(),
+                    shard_engine.metrics(), shard_engine.continuity_violations(),
+                    "single", "sharded");
       if (!diff.empty()) {
         result.passed = false;
         result.failure = "shard/single mismatch: " + diff;
@@ -782,29 +778,28 @@ SimulationConfig shrink_scenario(SimulationConfig config) {
   using Transform = std::function<void(SimulationConfig&)>;
   // Ordered roughly by how much each removes: whole features first, then
   // policy simplifications, then size halvings.
-  const std::vector<Transform> transforms = {
+  std::vector<Transform> transforms = {
       [](SimulationConfig& c) { c.interactivity.enabled = false; },
       [](SimulationConfig& c) { c.failure.enabled = false; },
       [](SimulationConfig& c) { c.scripted_faults.clear(); },
-      [](SimulationConfig& c) { c.failure.brownout.enabled = false; },
+  };
+  for (const FaultProcessRow& process : fault_processes()) {
+    transforms.push_back(
+        [&process](SimulationConfig& c) { process.mutable_process(c.failure).enabled = false; });
+  }
+  transforms.insert(transforms.end(), {
       [](SimulationConfig& c) { c.failure.retry.enabled = false; },
       [](SimulationConfig& c) { c.failure.repair.enabled = false; },
-      [](SimulationConfig& c) { c.failure.correlated.enabled = false; },
-      [](SimulationConfig& c) { c.failure.domains.partition.enabled = false; },
-      [](SimulationConfig& c) { c.failure.domains.rack_outage.enabled = false; },
-      [](SimulationConfig& c) {
-        c.failure.domains.zone_brownout.enabled = false;
-      },
       [](SimulationConfig& c) {
         // Dropping the topology drops everything that rides on it; the
-        // domain faults would otherwise fail validation for the wrong
-        // reason, and domain_spread would degrade silently.
+        // rack- and zone-scoped processes would otherwise fail validation
+        // for the wrong reason, and domain_spread would degrade silently.
         c.topology.enabled = false;
         c.topology.racks = 1;
         c.topology.zones = 1;
-        c.failure.domains.rack_outage.enabled = false;
-        c.failure.domains.zone_brownout.enabled = false;
-        c.failure.domains.partition.enabled = false;
+        for (const FaultProcessRow& process : fault_processes()) {
+          if (process.needs_topology()) process.mutable_process(c.failure).enabled = false;
+        }
         if (c.placement.kind == PlacementKind::kDomainSpread) {
           c.placement.kind = PlacementKind::kEven;
         }
@@ -878,7 +873,7 @@ SimulationConfig shrink_scenario(SimulationConfig config) {
       [](SimulationConfig& c) {
         if (c.load_factor > 0.3) c.load_factor *= 0.5;
       },
-  };
+  });
 
   bool changed = true;
   while (changed) {

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "vodsim/engine/config.h"
+#include "vodsim/engine/metrics.h"
 #include "vodsim/util/rng.h"
 
 namespace vodsim {
@@ -76,6 +77,15 @@ std::vector<SimulationConfig> pathology_corpus();
 /// fluid integrals within the oracle tolerance. Exceptions (AuditFailure
 /// included) are captured into the result, never propagated.
 FuzzResult run_scenario(const SimulationConfig& config);
+
+/// The sharded/single differential's comparison of two runs of one
+/// scenario: every discrete counter and the continuity-violation counts
+/// must match exactly, fluid integrals within the reference oracle's
+/// relative tolerance. Returns "" when they agree, else one
+/// "<name>: <a_label> <value> vs <b_label> <value>; " clause per mismatch.
+std::string diff_runs(const Metrics& am, std::uint64_t a_continuity_violations,
+                      const Metrics& bm, std::uint64_t b_continuity_violations,
+                      const char* a_label, const char* b_label);
 
 /// Greedily minimizes a failing \p config: repeatedly applies shrinking
 /// transforms (disable a feature, halve a size, drop a policy back to its

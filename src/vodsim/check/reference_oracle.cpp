@@ -14,6 +14,7 @@
 #include "vodsim/cluster/server.h"
 #include "vodsim/engine/metrics.h"
 #include "vodsim/engine/vod_simulation.h"
+#include "vodsim/fault/schedule.h"
 #include "vodsim/sched/intermittent.h"
 #include "vodsim/sched/scheduler.h"
 #include "vodsim/util/rng.h"
@@ -574,16 +575,23 @@ bool oracle_supports(const SimulationConfig& config) {
   // staleness the engine's lazy advancement left it — a quantity defined by
   // the engine's exact recompute pattern, not by the fluid model. Everything
   // else reproduces the engine bit for bit.
-  // Fault-taxonomy extensions (brownout shedding, retry re-admission,
-  // repair replication, scripted schedules) drive engine-private state the
-  // oracle does not model; binary crash/repair stays in scope.
-  // Failure-domain topology: domain fault schedules, the partition
-  // transition class, and domain_spread's topology-aware install are all
-  // engine-side — any topology-enabled config is auditor/differential-only.
+  // Fault-taxonomy extensions (brownout shedding, partitions, retry
+  // re-admission, repair replication, scripted schedules) drive
+  // engine-private state the oracle does not model; crash/repair at server
+  // or group scope stays in scope. Any process of the fault_processes()
+  // table outside that shape is excluded, so a new row cannot slip in
+  // unchecked. Failure-domain topology: domain_spread's topology-aware
+  // install is engine-side — any topology-enabled config is
+  // auditor/differential-only.
+  for (const FaultProcessRow& process : fault_processes()) {
+    const bool crash = process.begin_kind == FaultTransitionKind::kDown &&
+                       (process.scope == FaultScope::kServer ||
+                        process.scope == FaultScope::kGroup);
+    if (process.process(config.failure).enabled && !crash) return false;
+  }
   return !config.interactivity.enabled && !config.admission.buffer_aware &&
-         !config.failure.brownout.enabled && !config.failure.retry.enabled &&
-         !config.failure.repair.enabled && config.scripted_faults.empty() &&
-         !config.topology.enabled;
+         !config.failure.retry.enabled && !config.failure.repair.enabled &&
+         config.scripted_faults.empty() && !config.topology.enabled;
 }
 
 RequestTrace engine_trace(const SimulationConfig& config) {

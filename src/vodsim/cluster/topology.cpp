@@ -31,6 +31,13 @@ Topology::Topology(const TopologyConfig& config, int num_servers)
     zone_of_rack_[static_cast<std::size_t>(r)] =
         static_cast<int>(static_cast<long long>(r) * zones_ / racks_);
   }
+  zone_first_.assign(static_cast<std::size_t>(zones_) + 1, num_servers);
+  for (int z = 0; z < zones_; ++z) {
+    // First rack of zone z, by the same ceiling inverse as rack_first_.
+    const auto rack = static_cast<std::size_t>(
+        (static_cast<long long>(z) * racks_ + zones_ - 1) / zones_);
+    zone_first_[static_cast<std::size_t>(z)] = rack_first_[rack];
+  }
 }
 
 }  // namespace vodsim

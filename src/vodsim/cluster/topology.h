@@ -63,6 +63,16 @@ class Topology {
   }
   int rack_size(int rack) const { return rack_end(rack) - rack_first(rack); }
 
+  /// First server of \p zone (zones cover contiguous rack blocks, hence
+  /// contiguous server blocks).
+  ServerId zone_first(int zone) const {
+    return zone_first_[static_cast<std::size_t>(zone)];
+  }
+  /// One past the last server of \p zone.
+  ServerId zone_end(int zone) const {
+    return zone_first_[static_cast<std::size_t>(zone) + 1];
+  }
+
   /// Dense per-server rack ids (size num_servers); handy for bulk wiring
   /// (Metrics::set_topology) without per-server virtual calls.
   const std::vector<int>& rack_of_server() const { return rack_of_server_; }
@@ -75,6 +85,7 @@ class Topology {
   std::vector<int> rack_of_server_;
   std::vector<int> zone_of_rack_;
   std::vector<ServerId> rack_first_;  ///< size racks+1, rack_first_[racks]=N
+  std::vector<ServerId> zone_first_;  ///< size zones+1, zone_first_[zones]=N
 };
 
 }  // namespace vodsim

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "vodsim/engine/config_schema.h"
+#include "vodsim/fault/schedule.h"
 #include "vodsim/util/rng.h"
 #include "vodsim/workload/poisson.h"
 
@@ -94,12 +95,15 @@ void SimulationConfig::validate() const {
     fail("admission.buffer_aware requires the intermittent scheduler "
          "(minimum-flow schedulers assume commitments fit the link)");
   }
-  const DomainFaultConfig& domains = failure.domains;
-  if (failure.enabled && !topology.enabled &&
-      (domains.rack_outage.enabled || domains.zone_brownout.enabled ||
-       domains.partition.enabled)) {
-    fail("failure.domains (rack outages, zone brownouts, partitions) require "
-         "topology.enabled");
+  if (failure.enabled && failure.correlated.enabled &&
+      failure.correlated.group_size > system.num_servers) {
+    fail("failure.correlated.group_size must not exceed system.num_servers");
+  }
+  for (const FaultProcessRow& process : fault_processes()) {
+    if (failure.enabled && process.process(failure).enabled && !topology.enabled &&
+        process.needs_topology()) {
+      fail(std::string(process.path) + " requires topology.enabled");
+    }
   }
   if (failure.retry.enabled && failure.retry.backoff_cap < failure.retry.backoff_base) {
     fail("failure.retry.backoff_cap must be >= failure.retry.backoff_base");

@@ -79,24 +79,26 @@ struct ClientPolicy {
   Mbps receive_bandwidth = std::numeric_limits<double>::infinity();
 };
 
-/// Partial capacity loss: a server's link degrades to `capacity_factor`
-/// of nominal for an exponential interval. Degradation triggers
-/// staging-aware load shedding (most-buffered streams evicted first,
-/// migrated before dropped) rather than a crash.
-struct BrownoutConfig {
+/// One fault process: episodes arrive per domain with exponential gaps of
+/// mean `mean_time_between` and last an exponential `mean_duration`. The
+/// fault_processes() table (fault/schedule.h) lists every process in
+/// FailureConfig with its domain scope (server, group, rack or zone), its
+/// begin/end transition kinds and its draw order.
+struct FaultProcess {
   bool enabled = false;
-  Seconds mean_time_between = hours(50);  ///< per server, between episodes
-  Seconds mean_duration = minutes(10);
+  Seconds mean_time_between = 0.0;  ///< per domain, between episodes
+  Seconds mean_duration = 0.0;
+};
+
+/// A process whose episodes degrade the link to `capacity_factor` of
+/// nominal rather than take it down.
+struct BrownoutProcess : FaultProcess {
   double capacity_factor = 0.5;  ///< surviving fraction of bandwidth, (0,1)
 };
 
-/// Correlated outages: consecutive groups of `group_size` servers crash
-/// and repair together (shared rack / switch / power domain).
-struct CorrelatedFailureConfig {
-  bool enabled = false;
-  int group_size = 2;
-  Seconds mean_time_between = hours(500);  ///< per group
-  Seconds mean_duration = hours(1);
+/// A process whose domains are consecutive blocks of `group_size` servers.
+struct GroupOutageProcess : FaultProcess {
+  int group_size = 2;  ///< 1 <= group_size <= system.num_servers
 };
 
 /// Bounded retry queue with deterministic exponential backoff. Orphaned
@@ -111,48 +113,20 @@ struct RetryConfig {
   Seconds backoff_cap = 300.0;  ///< backoff ceiling
 };
 
-/// Domain-scoped correlated outages: whole racks crash and repair together
-/// (shared power/switch), per-rack exponential episode process. Requires
-/// topology.enabled; the rack membership comes from the Topology tree
-/// rather than the ad-hoc consecutive groups of CorrelatedFailureConfig.
-struct RackOutageConfig {
-  bool enabled = false;
-  Seconds mean_time_between = hours(200);  ///< per rack, between episodes
-  Seconds mean_duration = minutes(30);
-};
-
-/// Domain-scoped brownouts: a whole zone's servers degrade to
-/// `capacity_factor` together (shared uplink congestion). Requires
-/// topology.enabled.
-struct ZoneBrownoutConfig {
-  bool enabled = false;
-  Seconds mean_time_between = hours(100);  ///< per zone, between episodes
-  Seconds mean_duration = minutes(15);
-  double capacity_factor = 0.5;  ///< surviving fraction of bandwidth, (0,1)
-};
-
-/// Network partitions: a rack's servers stay *up* but become unreachable
-/// from the controller (switch/uplink loss). Unlike a crash, the hardware
-/// is healthy — but admission, migration, and replication must treat
-/// reachability, not liveness, as the gate: no grants land on a
-/// partitioned server and no bits cross the partition. On heal the
-/// RetryQueue is force-drained so parked streams re-admit immediately.
-/// Requires topology.enabled.
-struct PartitionConfig {
-  bool enabled = false;
-  Seconds mean_time_between = hours(100);  ///< per rack, between episodes
-  Seconds mean_duration = minutes(5);
-};
-
-/// The topology-scoped fault taxonomy (FailureConfig::domains). All three
-/// draw on the failure RNG stream *after* every legacy phase (binary,
-/// brownout, correlated), each only when enabled — so enabling topology
-/// without domain faults, or neither, leaves legacy schedules
-/// bit-identical (fault/schedule.h documents the draw-order contract).
+/// The topology-scoped fault processes (FailureConfig::domains). Each
+/// requires topology.enabled.
 struct DomainFaultConfig {
-  RackOutageConfig rack_outage;
-  ZoneBrownoutConfig zone_brownout;
-  PartitionConfig partition;
+  /// Whole racks crash and repair together (shared power or switch).
+  FaultProcess rack_outage{.mean_time_between = hours(200), .mean_duration = minutes(30)};
+  /// A zone's servers degrade together (shared uplink congestion).
+  BrownoutProcess zone_brownout{
+      {.mean_time_between = hours(100), .mean_duration = minutes(15)}, 0.5};
+  /// A rack's servers stay up but become unreachable from the controller
+  /// (switch or uplink loss). Admission, migration and replication treat
+  /// reachability, not liveness, as the gate: no grants land on a
+  /// partitioned server and no bits cross the partition. On heal the
+  /// RetryQueue is force-drained so parked streams re-admit at once.
+  FaultProcess partition{.mean_time_between = hours(100), .mean_duration = minutes(5)};
 };
 
 /// Repair replication: a server down longer than `down_threshold` gets the
@@ -166,9 +140,10 @@ struct RepairConfig {
 
 /// Server failure injection (fault-tolerance extension, §3.1 remark).
 /// `enabled` gates the whole taxonomy: binary crash/repair is always
-/// generated when on; brownouts/correlated/retry/repair are opt-in
-/// extensions that draw *after* the binary phase on the failure stream,
-/// so legacy crash-only schedules stay bit-identical.
+/// generated when on; the five episode processes are opt-in and draw
+/// *after* the binary phase on the failure stream, in fault_processes()
+/// order, so legacy crash-only schedules stay bit-identical. Retry and
+/// repair are recovery policies, not fault processes.
 struct FailureConfig {
   bool enabled = false;
   Seconds mean_time_between_failures = hours(200);  ///< per server
@@ -179,8 +154,15 @@ struct FailureConfig {
   /// Flap guard: minimum dwell in either state. Draws shorter than this
   /// are stretched to it (0 = off, preserving legacy schedules exactly).
   Seconds min_dwell = 0.0;
-  BrownoutConfig brownout;
-  CorrelatedFailureConfig correlated;
+  /// Per-server brownouts. Degradation triggers staging-aware load
+  /// shedding (most-buffered streams evicted first, migrated before
+  /// dropped) rather than a crash.
+  BrownoutProcess brownout{{.mean_time_between = hours(50), .mean_duration = minutes(10)},
+                           0.5};
+  /// Correlated outages: consecutive groups of `group_size` servers crash
+  /// and repair together (an ad-hoc shared rack, switch or power domain).
+  GroupOutageProcess correlated{{.mean_time_between = hours(500), .mean_duration = hours(1)},
+                                2};
   DomainFaultConfig domains;
   RetryConfig retry;
   RepairConfig repair;

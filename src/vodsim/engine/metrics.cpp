@@ -152,8 +152,8 @@ void Metrics::record_partition_heal(Seconds t, Seconds duration) {
   partition_time_.add(duration);
 }
 
-void Metrics::merge_shard(const Metrics& shard, double transmitted_scale) {
-  transmitted_ += shard.transmitted_ * transmitted_scale;
+void Metrics::merge_shard(const Metrics& shard) {
+  transmitted_ += shard.transmitted_;
   underflow_events_ += shard.underflow_events_;
   underflow_megabits_ += shard.underflow_megabits_;
   interruptions_ += shard.interruptions_;

@@ -115,10 +115,8 @@ class Metrics {
   /// is recorded by the coordinator on the root instance directly and
   /// must NOT be merged. Integer counts add exactly; the FP sums are
   /// regrouped shard-major, an ulp-scale difference from the single-queue
-  /// run that the shard/single differential tolerates. \p transmitted_scale
-  /// is 1.0 except under the VODSIM_TEST_SHARD_BUG negative test, which biases
-  /// the merge to prove the sharded/single differential fires.
-  void merge_shard(const Metrics& shard, double transmitted_scale = 1.0);
+  /// run that the shard/single differential tolerates.
+  void merge_shard(const Metrics& shard);
 
   /// Attaches the analytic achievability envelope for this trial's
   /// configuration (analysis/bounds.h): the utilization no policy can

@@ -157,13 +157,6 @@ void VodSimulation::build_world() {
   occupancy_.assign(servers_.size(), TimeWeighted(config_.warmup, config_.duration));
   recompute_state_.assign(servers_.size(), ServerRecomputeState{});
 
-  // Test-only: deliberately mis-scale the shard-metrics merge so the
-  // sharded/single differential harness provably catches a cross-mode
-  // aggregation bug (tests/check_fuzz_test.cpp). Biased low, not high, so
-  // the invariant auditor's flow-conservation check is not the one that
-  // trips first.
-  shard_seeded_bug_ = env_long("VODSIM_TEST_SHARD_BUG", 0) != 0;
-
   // Request storage: one pool per context, so shard workers stop
   // interleaving their streams' cache lines in one shared StableVector
   // (engine/request_arena.h).
@@ -343,8 +336,7 @@ const Metrics& VodSimulation::run() {
   // sharded determinism contract's accepted FP regrouping (the
   // sharded/single differential bounds it with the PR 6 oracle tolerance).
   for (std::size_t k = 1; k < contexts_.size(); ++k) {
-    coord.metrics->merge_shard(*contexts_[k]->metrics,
-                               shard_seeded_bug_ ? 0.999 : 1.0);
+    coord.metrics->merge_shard(*contexts_[k]->metrics);
   }
   return *coord.metrics;
 }

@@ -478,10 +478,6 @@ class VodSimulation {
   std::uint64_t pauses_started_ = 0;
   bool ran_ = false;
 
-  /// Test-only backdoor (VODSIM_TEST_SHARD_BUG): biases the shard-metrics
-  /// merge low so the sharded/single differential harness's negative test
-  /// can prove a seeded cross-mode bug is caught. Never set outside tests.
-  bool shard_seeded_bug_ = false;
   /// Execution contexts: the coordinator, then the shards in shard-index
   /// order (none when shards == 1). All cross-shard coupling happens
   /// through coordinator events. Heap-allocated so the predicted-event

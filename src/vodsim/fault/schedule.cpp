@@ -1,6 +1,7 @@
 #include "vodsim/fault/schedule.h"
 
 #include <algorithm>
+#include <type_traits>
 
 namespace vodsim {
 
@@ -15,9 +16,49 @@ void sort_fault_schedule(std::vector<FaultTransition>& schedule) {
 
 namespace {
 
-/// Phase 1: per-server alternating crash/repair. The flap guard rewrites a
-/// gap only after the draw, never skips or adds one, so min_dwell leaves
-/// the draw sequence unchanged.
+/// Builds a row from an accessor `[](auto& f) -> auto& { return f.<member>; }`;
+/// the PROCESS macro below spells the member once for both. The begin
+/// factor and group size come from the process type.
+template <typename Access>
+constexpr FaultProcessRow row(const char* path, Access, FaultScope scope,
+                              FaultTransitionKind begin_kind,
+                              FaultTransitionKind end_kind) {
+  using P = std::remove_cvref_t<decltype(Access{}(std::declval<FailureConfig&>()))>;
+  FaultProcessRow out{
+      path, scope, begin_kind, end_kind,
+      [](const FailureConfig& f) -> const FaultProcess& { return Access{}(f); },
+      [](FailureConfig& f) -> FaultProcess& { return Access{}(f); },
+      [](const FailureConfig&) { return 1.0; },
+      [](const FailureConfig&) { return 0; }};
+  if constexpr (std::is_base_of_v<BrownoutProcess, P>) {
+    out.begin_factor = [](const FailureConfig& f) { return Access{}(f).capacity_factor; };
+  }
+  if constexpr (std::is_base_of_v<GroupOutageProcess, P>) {
+    out.group_size = [](const FailureConfig& f) { return Access{}(f).group_size; };
+  }
+  return out;
+}
+
+#define PROCESS(member) "failure." #member, [](auto& f) -> auto& { return f.member; }
+
+using enum FaultScope;
+using enum FaultTransitionKind;
+
+// The taxonomy. Its order is the failure RNG's draw order (schedule.h).
+constexpr FaultProcessRow kProcesses[] = {
+    row(PROCESS(brownout), kServer, kBrownoutBegin, kBrownoutEnd),
+    row(PROCESS(correlated), kGroup, kDown, kUp),
+    row(PROCESS(domains.rack_outage), kRack, kDown, kUp),
+    row(PROCESS(domains.zone_brownout), kZone, kBrownoutBegin, kBrownoutEnd),
+    row(PROCESS(domains.partition), kRack, kPartitionBegin, kPartitionEnd),
+};
+
+#undef PROCESS
+
+/// Binary crash/repair: per-server alternating gaps. Unlike an episode
+/// sequence it stops at the first draw past the horizon, so it stays
+/// outside the table. The flap guard rewrites a gap only after the draw,
+/// never skips or adds one, so min_dwell leaves the draw sequence unchanged.
 void generate_binary(const FailureConfig& config, int num_servers,
                      Seconds horizon, Rng& rng,
                      std::vector<FaultTransition>& out) {
@@ -40,131 +81,39 @@ void generate_binary(const FailureConfig& config, int num_servers,
   }
 }
 
-/// Draws one episode sequence for the server range [first, last) (gap →
-/// duration, min_dwell stretches applied to both; the next gap starts at
-/// the previous episode's end, so episodes never overlap) and emits a
-/// begin/end transition pair for each member. Every phase but the binary
-/// one is a set of such sequences.
-void generate_domain_episodes(const FailureConfig& config, Seconds horizon,
-                              Rng& rng, ServerId first, ServerId last,
-                              Seconds mean_time_between, Seconds mean_duration,
-                              FaultTransitionKind begin_kind,
-                              FaultTransitionKind end_kind, double begin_factor,
+/// Draws one episode sequence of \p row for the server range [first, last)
+/// (gap → duration, min_dwell stretches applied to both; the next gap starts
+/// at the previous episode's end, so episodes never overlap) and emits a
+/// begin/end transition pair for each member.
+void generate_domain_episodes(const FailureConfig& config, const FaultProcessRow& row,
+                              Seconds horizon, Rng& rng, ServerId first, ServerId last,
                               std::vector<FaultTransition>& out) {
+  const FaultProcess& process = row.process(config);
+  const double begin_factor = row.begin_factor(config);
   Seconds t = 0.0;
   for (;;) {
-    Seconds gap = rng.exponential(1.0 / mean_time_between);
+    Seconds gap = rng.exponential(1.0 / process.mean_time_between);
     if (config.min_dwell > 0.0 && gap < config.min_dwell) gap = config.min_dwell;
     const Seconds begin = t + gap;
     if (begin >= horizon) break;
-    Seconds duration = rng.exponential(1.0 / mean_duration);
+    Seconds duration = rng.exponential(1.0 / process.mean_duration);
     if (config.min_dwell > 0.0 && duration < config.min_dwell) {
       duration = config.min_dwell;
     }
     const Seconds end = begin + duration;
     for (ServerId s = first; s < last; ++s) {
-      out.push_back(FaultTransition{begin, s, begin_kind, begin_factor});
+      out.push_back(FaultTransition{begin, s, row.begin_kind, begin_factor});
       if (end < horizon) {
-        out.push_back(FaultTransition{end, s, end_kind, 1.0});
+        out.push_back(FaultTransition{end, s, row.end_kind, 1.0});
       }
     }
     t = end;
   }
 }
 
-/// Phase 2: per-server brownout episodes.
-void generate_brownouts(const FailureConfig& config, int num_servers,
-                        Seconds horizon, Rng& rng,
-                        std::vector<FaultTransition>& out) {
-  const BrownoutConfig& b = config.brownout;
-  for (ServerId s = 0; s < num_servers; ++s) {
-    generate_domain_episodes(config, horizon, rng, s, s + 1, b.mean_time_between,
-                             b.mean_duration, FaultTransitionKind::kBrownoutBegin,
-                             FaultTransitionKind::kBrownoutEnd, b.capacity_factor,
-                             out);
-  }
-}
-
-/// Phase 3: correlated outages over consecutive server groups. Each group
-/// draws its own episode sequence; every member gets the same down/up pair
-/// (same times), modelling a shared rack or switch.
-void generate_correlated(const FailureConfig& config, int num_servers,
-                         Seconds horizon, Rng& rng,
-                         std::vector<FaultTransition>& out) {
-  const CorrelatedFailureConfig& c = config.correlated;
-  const int group_size = std::min(c.group_size, num_servers);
-  for (ServerId first = 0; first < num_servers; first += group_size) {
-    generate_domain_episodes(config, horizon, rng, first,
-                             std::min(first + group_size, num_servers),
-                             c.mean_time_between, c.mean_duration,
-                             FaultTransitionKind::kDown, FaultTransitionKind::kUp,
-                             1.0, out);
-  }
-}
-
-/// Phase 4: whole-rack outages — every member of a rack crashes and repairs
-/// together, one episode process per rack.
-void generate_rack_outages(const FailureConfig& config, const Topology& topology,
-                           Seconds horizon, Rng& rng,
-                           std::vector<FaultTransition>& out) {
-  const RackOutageConfig& r = config.domains.rack_outage;
-  for (int rack = 0; rack < topology.racks(); ++rack) {
-    generate_domain_episodes(config, horizon, rng, topology.rack_first(rack),
-                             topology.rack_end(rack), r.mean_time_between,
-                             r.mean_duration, FaultTransitionKind::kDown,
-                             FaultTransitionKind::kUp, 1.0, out);
-  }
-}
-
-/// Phase 5: zone-wide brownouts — every server in a zone degrades to the
-/// zone capacity factor together, one episode process per zone.
-void generate_zone_brownouts(const FailureConfig& config,
-                             const Topology& topology, Seconds horizon, Rng& rng,
-                             std::vector<FaultTransition>& out) {
-  const ZoneBrownoutConfig& z = config.domains.zone_brownout;
-  for (int zone = 0; zone < topology.zones(); ++zone) {
-    // A zone covers a contiguous rack range, hence a contiguous server
-    // range: [first server of its first rack, end of its last rack).
-    ServerId first = static_cast<ServerId>(topology.num_servers());
-    ServerId last = 0;
-    for (int rack = 0; rack < topology.racks(); ++rack) {
-      if (topology.zone_of_rack(rack) != zone) continue;
-      first = std::min(first, topology.rack_first(rack));
-      last = std::max(last, topology.rack_end(rack));
-    }
-    if (first >= last) continue;
-    generate_domain_episodes(config, horizon, rng, first, last,
-                             z.mean_time_between, z.mean_duration,
-                             FaultTransitionKind::kBrownoutBegin,
-                             FaultTransitionKind::kBrownoutEnd,
-                             z.capacity_factor, out);
-  }
-}
-
-/// Phase 6: per-rack network partitions — every member of a rack becomes
-/// unreachable together (shared uplink), one episode process per rack.
-void generate_partitions(const FailureConfig& config, const Topology& topology,
-                         Seconds horizon, Rng& rng,
-                         std::vector<FaultTransition>& out) {
-  const PartitionConfig& p = config.domains.partition;
-  for (int rack = 0; rack < topology.racks(); ++rack) {
-    generate_domain_episodes(config, horizon, rng, topology.rack_first(rack),
-                             topology.rack_end(rack), p.mean_time_between,
-                             p.mean_duration, FaultTransitionKind::kPartitionBegin,
-                             FaultTransitionKind::kPartitionEnd, 1.0, out);
-  }
-}
-
 }  // namespace
 
-std::vector<FaultTransition> generate_fault_schedule(const FailureConfig& config,
-                                                     int num_servers,
-                                                     Seconds horizon, Rng& rng) {
-  // Legacy entry point: trivial (disabled) topology, so the domain phases
-  // never draw and the schedule is exactly the pre-topology one.
-  return generate_fault_schedule(config, Topology(TopologyConfig{}, num_servers),
-                                 horizon, rng);
-}
+std::span<const FaultProcessRow> fault_processes() { return kProcesses; }
 
 std::vector<FaultTransition> generate_fault_schedule(const FailureConfig& config,
                                                      const Topology& topology,
@@ -174,24 +123,33 @@ std::vector<FaultTransition> generate_fault_schedule(const FailureConfig& config
   const int num_servers = topology.num_servers();
 
   generate_binary(config, num_servers, horizon, rng, schedule);
-  if (config.brownout.enabled) {
-    generate_brownouts(config, num_servers, horizon, rng, schedule);
-  }
-  if (config.correlated.enabled) {
-    generate_correlated(config, num_servers, horizon, rng, schedule);
-  }
-  // Domain phases (4-6): draw only when their sub-config is enabled
-  // (validate() requires topology.enabled for each), and strictly after
-  // every legacy phase — topology-free configs consume the identical RNG
-  // prefix they always did.
-  if (config.domains.rack_outage.enabled) {
-    generate_rack_outages(config, topology, horizon, rng, schedule);
-  }
-  if (config.domains.zone_brownout.enabled) {
-    generate_zone_brownouts(config, topology, horizon, rng, schedule);
-  }
-  if (config.domains.partition.enabled) {
-    generate_partitions(config, topology, horizon, rng, schedule);
+  for (const FaultProcessRow& row : fault_processes()) {
+    if (!row.process(config).enabled) continue;
+    const auto episodes = [&](ServerId first, ServerId last) {
+      generate_domain_episodes(config, row, horizon, rng, first, last, schedule);
+    };
+    switch (row.scope) {
+      case FaultScope::kServer:
+        for (ServerId s = 0; s < num_servers; ++s) episodes(s, s + 1);
+        break;
+      case FaultScope::kGroup: {
+        const int size = row.group_size(config);
+        for (ServerId first = 0; first < num_servers; first += size) {
+          episodes(first, std::min(first + size, num_servers));
+        }
+        break;
+      }
+      case FaultScope::kRack:
+        for (int rack = 0; rack < topology.racks(); ++rack) {
+          episodes(topology.rack_first(rack), topology.rack_end(rack));
+        }
+        break;
+      case FaultScope::kZone:
+        for (int zone = 0; zone < topology.zones(); ++zone) {
+          episodes(topology.zone_first(zone), topology.zone_end(zone));
+        }
+        break;
+    }
   }
 
   // (time, server) ties are measure-zero within the binary phase, so this

@@ -1,26 +1,29 @@
 #pragma once
 
 /// \file schedule.h
-/// \brief Deterministic pre-generated fault schedules.
+/// \brief Deterministic pre-generated fault schedules and the fault-process
+/// table.
 ///
 /// A taxonomy of faults the paper's §3.1 fault-tolerance remark motivates:
-/// crash/repair, brownouts (partial capacity loss), correlated group
-/// outages, the topology-scoped rack outages, zone brownouts and rack
-/// partitions, and flap guards (minimum dwell times). The whole schedule
-/// is a pure function of (config, topology, horizon, failure RNG),
-/// generated before the first simulation event, so fault behaviour is
-/// reproducible and diffable across policies.
+/// binary crash/repair, then the episode processes fault_processes() lists
+/// (per-server brownouts, correlated group outages, and the
+/// topology-scoped rack outages, zone brownouts and rack partitions), and
+/// flap guards (minimum dwell times). The whole schedule is a pure function
+/// of (config, topology, horizon, failure RNG), generated before the first
+/// simulation event, so fault behaviour is reproducible and diffable across
+/// policies.
 ///
-/// Draw-order contract (load-bearing for the hexfloat goldens): phase 1
-/// draws, per server, alternating Exp(1/MTBF) / Exp(1/MTTR) gaps until the
-/// horizon. Every later phase is a set of episode sequences — per server
-/// (brownouts), per consecutive group (correlated outages), per rack or
-/// zone (the domain phases) — each drawing gap then duration per episode.
-/// A phase draws only when its sub-config is enabled, and only *after*
-/// every earlier phase, in the order binary, brownout, correlated, rack
-/// outage, zone brownout, partition; so a crash-only config consumes the
-/// same RNG prefix whatever else exists, and enabling a later phase never
-/// perturbs an earlier one's draws.
+/// Draw-order contract (load-bearing for the hexfloat goldens): the binary
+/// phase draws, per server, alternating Exp(1/MTBF) / Exp(1/MTTR) gaps until
+/// the first one past the horizon. Then each enabled row of
+/// fault_processes(), in table order, draws one episode sequence per domain
+/// of its scope, in domain index order: gap then duration per episode, and
+/// a last gap that begins past the horizon, drawn even when the episode
+/// before it already ends past it. A disabled row draws nothing, so a
+/// crash-only config consumes the same RNG prefix whatever else exists, and
+/// enabling a later row never perturbs an earlier one's draws.
+/// `ScheduleGoldens.DrawOrderMatchesPinnedHexfloatGoldens` pins the order
+/// with every process enabled at once.
 ///
 /// Sharded engine (DESIGN.md §12): fault transitions shed, migrate, or
 /// re-park streams across arbitrary servers, so every transition executes
@@ -28,6 +31,7 @@
 /// sharding changes nothing about when faults fire — only which queue runs
 /// the handler.
 
+#include <span>
 #include <vector>
 
 #include "vodsim/engine/config.h"
@@ -37,18 +41,41 @@
 
 namespace vodsim {
 
-/// Generates the full fault schedule up to \p horizon, sorted by
-/// (time, server, kind). Empty when `config.enabled` is false. Delegates to
-/// the topology overload with the trivial single-rack tree, so no domain
-/// phase ever draws.
-std::vector<FaultTransition> generate_fault_schedule(const FailureConfig& config,
-                                                     int num_servers,
-                                                     Seconds horizon, Rng& rng);
+/// The unit of servers one episode of a fault process hits together.
+enum class FaultScope {
+  kServer,  ///< each server on its own
+  kGroup,   ///< consecutive blocks of the process's group_size servers
+  kRack,    ///< each rack of the Topology (needs topology.enabled)
+  kZone,    ///< each zone of the Topology (needs topology.enabled)
+};
 
-/// As above, with a failure-domain tree: the domain phases (rack outages,
-/// zone brownouts, rack partitions) scope their episodes to \p topology's
-/// racks and zones. With a disabled topology (or no domain sub-config
-/// enabled) the output is bit-identical to the num_servers overload.
+/// One row of the fault taxonomy: a FailureConfig member that is a fault
+/// process, and what its episodes do.
+struct FaultProcessRow {
+  const char* path;  ///< member path below SimulationConfig
+  FaultScope scope;
+  FaultTransitionKind begin_kind;  ///< emitted for every member at episode start
+  FaultTransitionKind end_kind;    ///< ... and at episode end
+  const FaultProcess& (*process)(const FailureConfig&);
+  FaultProcess& (*mutable_process)(FailureConfig&);
+  /// Capacity factor the begin transition leaves (1 unless a brownout).
+  double (*begin_factor)(const FailureConfig&);
+  /// Servers per domain at group scope; 0 at every other scope.
+  int (*group_size)(const FailureConfig&);
+
+  bool needs_topology() const {
+    return scope == FaultScope::kRack || scope == FaultScope::kZone;
+  }
+};
+
+/// Every fault process in FailureConfig, in draw order.
+std::span<const FaultProcessRow> fault_processes();
+
+/// Generates the full fault schedule up to \p horizon, sorted by
+/// (time, server, kind). Empty when `config.enabled` is false. Rack- and
+/// zone-scoped rows range over \p topology's racks and zones; a disabled
+/// topology is one rack and one zone (validate() rejects enabling them
+/// without a topology).
 std::vector<FaultTransition> generate_fault_schedule(const FailureConfig& config,
                                                      const Topology& topology,
                                                      Seconds horizon, Rng& rng);

@@ -6,14 +6,16 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <algorithm>
 #include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "vodsim/check/fuzzer.h"
+#include "vodsim/check/reference_oracle.h"
 #include "vodsim/engine/config_schema.h"
+#include "vodsim/engine/vod_simulation.h"
 #include "vodsim/util/rng.h"
 
 namespace vodsim {
@@ -78,39 +80,36 @@ TEST(ScenarioFuzz, ChaosBatchPassesBothModes) {
   }
 }
 
-// Negative control for the sharded/single differential: seed a cross-mode
-// aggregation bug (VODSIM_TEST_SHARD_BUG scales the shard-metrics merge by
-// 0.999 — biased low, invisible to the single-mode auditor because it only
-// exists in the sharded leg) and require the shard/single diff to fire.
-// Uses corpus entry 12 (cross-shard migration chains, shards = 4) so the
-// seeded bug lands on a run with real cross-shard traffic.
+// Negative control for the sharded/single differential: run a sharded
+// corpus entry (cross-shard migration chains) both ways, then seed a
+// cross-mode aggregation bug — one transmission interval the single-queue
+// run never made, as a faulty shard merge would add — into a copy of the
+// sharded Metrics, and require diff_runs to implicate the transmission
+// integral. The unseeded pair must agree.
 TEST(ScenarioFuzz, DifferentialCatchesSeededShardMergeBug) {
   const std::vector<SimulationConfig> corpus = pathology_corpus();
-  SimulationConfig sharded;
-  bool found = false;
-  for (const SimulationConfig& config : corpus) {
-    if (config.shards > 1) {
-      sharded = config;
-      found = true;
-      break;
-    }
-  }
-  ASSERT_TRUE(found) << "corpus must seed at least one sharded pathology";
+  const auto sharded = std::find_if(corpus.begin(), corpus.end(),
+                                    [](const SimulationConfig& c) { return c.shards > 1; });
+  ASSERT_NE(sharded, corpus.end()) << "corpus must seed at least one sharded pathology";
+  SimulationConfig single = *sharded;
+  single.shards = 1;
+  const RequestTrace trace = engine_trace(single);
+  VodSimulation single_run(single, trace);
+  VodSimulation sharded_run(*sharded, trace);
+  const Metrics& single_metrics = single_run.run();
+  const Metrics& sharded_metrics = sharded_run.run();
+  EXPECT_EQ(diff_runs(single_metrics, single_run.continuity_violations(), sharded_metrics,
+                      sharded_run.continuity_violations(), "single", "sharded"),
+            "");
 
-  ASSERT_EQ(setenv("VODSIM_TEST_SHARD_BUG", "1", 1), 0);
-  const FuzzResult result = run_scenario(sharded);
-  ASSERT_EQ(unsetenv("VODSIM_TEST_SHARD_BUG"), 0);
-
-  ASSERT_FALSE(result.passed)
-      << "seeded shard-merge aggregation bug was not detected";
-  EXPECT_NE(result.failure.find("shard/single mismatch"), std::string::npos)
-      << "unexpected failure channel: " << result.failure;
-  EXPECT_NE(result.failure.find("transmitted"), std::string::npos)
-      << "diff should implicate the merged transmission integral: "
-      << result.failure;
-
-  // And the harness recovers: the same scenario passes with the bug unset.
-  EXPECT_TRUE(run_scenario(sharded).passed);
+  Metrics seeded = sharded_metrics;
+  seeded.record_transmission(single.warmup, single.warmup + 1.0,
+                             single.system.view_bandwidth);
+  const std::string diff =
+      diff_runs(single_metrics, single_run.continuity_violations(), seeded,
+                sharded_run.continuity_violations(), "single", "sharded");
+  EXPECT_NE(diff.find("transmitted"), std::string::npos)
+      << "diff should implicate the merged transmission integral: " << diff;
 }
 
 // Regression: the shrinker's num_servers-halving transform used to clamp

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string_view>
 
 #include "vodsim/check/fuzzer.h"
 #include "vodsim/check/invariant_auditor.h"
@@ -15,6 +16,7 @@
 #include "vodsim/cluster/video.h"
 #include "vodsim/engine/policy_matrix.h"
 #include "vodsim/engine/vod_simulation.h"
+#include "vodsim/fault/schedule.h"
 #include "vodsim/util/env.h"
 
 namespace vodsim {
@@ -288,6 +290,16 @@ TEST(ReferenceOracle, DeclaresItsExclusions) {
   EXPECT_FALSE(oracle_supports(buffer_aware));
 
   EXPECT_TRUE(oracle_supports(oracle_config(7)));
+
+  // Of the fault processes, only crash/repair at server or group scope
+  // (correlated group outages) is within the oracle's scope.
+  for (const FaultProcessRow& process : fault_processes()) {
+    SimulationConfig faulty = oracle_config(8);
+    process.mutable_process(faulty.failure).enabled = true;
+    EXPECT_EQ(oracle_supports(faulty),
+              std::string_view(process.path) == "failure.correlated")
+        << process.path;
+  }
 }
 
 TEST(ReferenceOracle, RecordedTraceMatchesGeneratedWorkload) {

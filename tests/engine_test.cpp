@@ -256,6 +256,32 @@ TEST(Config, EveryRejectableFieldRejectsWithAUsefulMessage) {
          c.failure.correlated.mean_duration = 0.0;
        },
        "failure.correlated.mean_duration"},
+      {"correlated group larger than the cluster",
+       [](SimulationConfig& c) {
+         c.failure.enabled = true;
+         c.failure.mean_time_between_failures = 100.0;
+         c.failure.correlated.enabled = true;
+         c.failure.correlated.group_size = c.system.num_servers + 1;
+       },
+       "failure.correlated.group_size must not exceed system.num_servers"},
+      {"rack outage without topology",
+       [](SimulationConfig& c) {
+         c.failure.enabled = true;
+         c.failure.domains.rack_outage.enabled = true;
+       },
+       "failure.domains.rack_outage requires topology.enabled"},
+      {"zone brownout without topology",
+       [](SimulationConfig& c) {
+         c.failure.enabled = true;
+         c.failure.domains.zone_brownout.enabled = true;
+       },
+       "failure.domains.zone_brownout requires topology.enabled"},
+      {"partition without topology",
+       [](SimulationConfig& c) {
+         c.failure.enabled = true;
+         c.failure.domains.partition.enabled = true;
+       },
+       "failure.domains.partition requires topology.enabled"},
       {"retry max_queue",
        [](SimulationConfig& c) {
          c.failure.retry.enabled = true;
@@ -598,7 +624,9 @@ TEST(PolicyMatrix, DescriptionsReadable) {
 TEST(FailureTimeline, DisabledIsEmpty) {
   FailureConfig config;
   Rng rng(1);
-  EXPECT_TRUE(generate_fault_schedule(config, 10, hours(100), rng).empty());
+  EXPECT_TRUE(
+      generate_fault_schedule(config, Topology(TopologyConfig{}, 10), hours(100), rng)
+          .empty());
 }
 
 TEST(FailureTimeline, AlternatesPerServerAndSorted) {
@@ -607,7 +635,8 @@ TEST(FailureTimeline, AlternatesPerServerAndSorted) {
   config.mean_time_between_failures = hours(10);
   config.mean_time_to_repair = hours(1);
   Rng rng(2);
-  const auto events = generate_fault_schedule(config, 4, hours(200), rng);
+  const auto events =
+      generate_fault_schedule(config, Topology(TopologyConfig{}, 4), hours(200), rng);
   ASSERT_FALSE(events.empty());
   Seconds last = 0.0;
   std::vector<bool> down(4, false);
@@ -631,7 +660,8 @@ TEST(FailureTimeline, RateRoughlyMatchesMtbf) {
   config.mean_time_between_failures = hours(10);
   config.mean_time_to_repair = hours(0.1);
   Rng rng(3);
-  const auto events = generate_fault_schedule(config, 1, hours(10000), rng);
+  const auto events =
+      generate_fault_schedule(config, Topology(TopologyConfig{}, 1), hours(10000), rng);
   int failures = 0;
   for (const FaultTransition& event : events) {
     if (event.kind == FaultTransitionKind::kDown) ++failures;

@@ -56,14 +56,16 @@ std::size_t count_events(const TraceRecorder& trace, TraceEventType type,
 TEST(FaultSchedule, DisabledConfigYieldsEmptySchedule) {
   FailureConfig config;  // enabled = false
   Rng rng(1);
-  EXPECT_TRUE(generate_fault_schedule(config, 4, hours(100), rng).empty());
+  EXPECT_TRUE(
+      generate_fault_schedule(config, Topology(TopologyConfig{}, 4), hours(100), rng)
+          .empty());
 }
 
 TEST(FaultSchedule, BinaryEventsAlternatePerServerAndSortGlobally) {
   const FailureConfig config = crash_config(300.0, 100.0);
   Rng rng(7);
   const std::vector<FaultTransition> schedule =
-      generate_fault_schedule(config, 3, hours(10), rng);
+      generate_fault_schedule(config, Topology(TopologyConfig{}, 3), hours(10), rng);
   ASSERT_FALSE(schedule.empty());
 
   // Global order: nondecreasing time, (server, kind) tiebreak.
@@ -92,7 +94,7 @@ TEST(FaultSchedule, FlapGuardEnforcesMinimumDwell) {
   config.min_dwell = 50.0;
   Rng rng(3);
   const std::vector<FaultTransition> schedule =
-      generate_fault_schedule(config, 2, 2000.0, rng);
+      generate_fault_schedule(config, Topology(TopologyConfig{}, 2), 2000.0, rng);
   ASSERT_FALSE(schedule.empty());
   for (ServerId server = 0; server < 2; ++server) {
     Seconds last = 0.0;
@@ -111,7 +113,7 @@ TEST(FaultSchedule, BrownoutsPairUpAndCarryTheFactor) {
   config.brownout.capacity_factor = 0.4;
   Rng rng(11);
   const std::vector<FaultTransition> schedule =
-      generate_fault_schedule(config, 2, hours(5), rng);
+      generate_fault_schedule(config, Topology(TopologyConfig{}, 2), hours(5), rng);
   ASSERT_FALSE(schedule.empty());
 
   for (ServerId server = 0; server < 2; ++server) {
@@ -136,7 +138,7 @@ TEST(FaultSchedule, CorrelatedGroupsCrashAndRepairTogether) {
   config.correlated.mean_duration = 100.0;
   Rng rng(13);
   const std::vector<FaultTransition> schedule =
-      generate_fault_schedule(config, 4, hours(5), rng);
+      generate_fault_schedule(config, Topology(TopologyConfig{}, 4), hours(5), rng);
   ASSERT_FALSE(schedule.empty());
 
   // Every outage timestamp hits a whole group: {0,1} or {2,3}.

@@ -363,6 +363,10 @@ class CliUsageErrorTest(unittest.TestCase):
             (["--trials", "0"], "--trials"),
             (["--migration", "maybe"], "--migration"),
             (["--servers", "2.5"], "--servers"),
+            # A correlated group larger than the 5-server small system.
+            (["--hours", "2", "--warmup-hours", "0", "--mtbf-hours", "1000",
+              "--correlated-group", "9", "--correlated-hours", "1"],
+             "failure.correlated.group_size"),
         ]
         for args, flag in cases:
             with self.subTest(args=args):

@@ -86,6 +86,15 @@ TEST(TopologyMapping, BlockFormulaIsContiguousAndNearEven) {
   EXPECT_EQ(topology.zone_of_rack(0), 0);
   EXPECT_EQ(topology.zone_of_rack(1), 0);
   EXPECT_EQ(topology.zone_of_rack(2), 1);
+  // Each zone's server range is exactly its racks' blocks.
+  EXPECT_EQ(topology.zone_first(0), topology.rack_first(0));
+  EXPECT_EQ(topology.zone_end(0), topology.rack_end(1));
+  EXPECT_EQ(topology.zone_first(1), topology.rack_first(2));
+  EXPECT_EQ(topology.zone_end(1), 8);
+  for (ServerId s = 0; s < 8; ++s) {
+    EXPECT_GE(s, topology.zone_first(topology.zone_of(s)));
+    EXPECT_LT(s, topology.zone_end(topology.zone_of(s)));
+  }
 }
 
 TEST(TopologyMapping, OneRackPerServerIsIdentity) {
@@ -231,7 +240,8 @@ TEST(DomainSchedule, LegacyScheduleUnchangedWhenDomainsOff) {
   config.correlated.group_size = 2;
 
   Rng legacy_rng(42);
-  const auto legacy = generate_fault_schedule(config, 6, hours(50), legacy_rng);
+  const auto legacy =
+      generate_fault_schedule(config, Topology(TopologyConfig{}, 6), hours(50), legacy_rng);
 
   Rng domain_rng(42);
   const Topology topology = test_tree(6, 3, 2);
