@@ -28,6 +28,7 @@
 #include "vodsim/placement/placement.h"
 #include "vodsim/sched/eftf.h"
 #include "vodsim/sched/finish_order.h"
+#include "vodsim/sched/intermittent.h"
 #include "vodsim/util/rng.h"
 #include "vodsim/workload/catalog.h"
 #include "vodsim/workload/zipf.h"
@@ -484,6 +485,161 @@ BENCHMARK(BM_MigrationSearchChain1);
 
 void BM_MigrationSearchChain2(benchmark::State& state) { migration_search(state, 2); }
 BENCHMARK(BM_MigrationSearchChain2);
+
+void BM_RetryBatchDecide(benchmark::State& state) {
+  // A forced retry batch: 256 queued re-admissions drawn by theta = -0.5
+  // popularity (titles repeat, as they do in a real queue) decided in turn
+  // against the saturated cluster, where every one fails after a chain-1
+  // DRM search. held=1 is what ships: the controller keeps the search memo
+  // across the batch (begin_batch/end_batch), so a title that already
+  // failed replays its last-level walks. held=0 starts every search from
+  // an empty memo, as each arrival does. Decisions are identical either way.
+  const bool held = state.range(0) != 0;
+  const SaturatedCluster cluster;
+  AdmissionConfig config;
+  config.migration.enabled = true;
+  const AdmissionController controller(config, cluster.directory);
+  const ZipfDistribution zipf(cluster.catalog.size(), -0.5);
+  Rng draw(7);
+  std::vector<VideoId> batch(256);
+  for (VideoId& video : batch) video = static_cast<VideoId>(zipf.sample(draw));
+  Rng rng(1);
+  auto run_batch = [&] {
+    if (held) controller.begin_batch();
+    std::size_t accepted = 0;
+    for (const VideoId video : batch) {
+      accepted += controller
+                      .decide(0.0, video, cluster.catalog[video].view_bandwidth,
+                              cluster.servers, rng)
+                      .accepted;
+    }
+    if (held) controller.end_batch();
+    return accepted;
+  };
+  run_batch();  // warm the scratch
+  const std::uint64_t allocs_before = heap_allocs();
+  for (auto _ : state) {
+    std::size_t accepted = run_batch();
+    benchmark::DoNotOptimize(accepted);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(batch.size()));
+  report_allocs_per_op(state, allocs_before, batch.size());
+}
+BENCHMARK(BM_RetryBatchDecide)->Arg(0)->Arg(1)->ArgName("held");
+
+/// One lane-backed server shaped like the sharded headline workload's: 150
+/// streams of 1.5 Mb/s views with 4.5 Mb/s receive caps and staging
+/// buffers of a quarter of a 20-minute title, fill levels spread from
+/// empty (urgent under the intermittent scheduler's 10 s safety cover) to
+/// full, and remaining data spread over the title.
+struct IntermittentServer {
+  Server server{0, 1500.0, 1e12};  // declared first: streams die before its lane
+  std::vector<std::unique_ptr<Request>> requests;
+  Seconds now = 600.0;
+
+  explicit IntermittentServer(std::size_t n) {
+    Rng rng(17);
+    Video video;
+    video.id = 0;
+    video.duration = 2000.0;
+    video.view_bandwidth = 1.5;
+    const ClientProfile client{0.25 * 1200.0 * 1.5, 4.5};
+    for (std::size_t i = 0; i < n; ++i) {
+      requests.push_back(std::make_unique<Request>(static_cast<RequestId>(i), video,
+                                                   0.0, client));
+      Request& request = *requests.back();
+      request.begin_streaming(0.0, 0);
+      // A prefix of up to 4.5 Mb/s over [0, now) leaves 0..450 Mb staged.
+      request.set_allocation(0.0, rng.uniform(1.5, 2.2));
+      request.advance(now);
+      request.set_allocation(now, 0.0);
+      server.attach(request, /*enforce_capacity=*/false);
+    }
+  }
+};
+
+void BM_IntermittentAllocate(benchmark::State& state) {
+  // The intermittent scheduler's allocation pass on a lane-backed server,
+  // through a warm SchedCache as recompute_server runs it. slack=1 gives
+  // the link room for every stream at its receive cap, so phase 2 grants
+  // every candidate its full room and (with order_free=1, what ships) skips
+  // the earliest-finish sort; order_free=0 always sorts, the reference.
+  // slack=0 is a crunch: the drains fit but workahead does not, so the
+  // sorted greedy runs either way.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const bool slack = state.range(1) != 0;
+  const IntermittentScheduler scheduler(10.0, state.range(2) != 0);
+  IntermittentServer fixture(n);
+  const Mbps capacity =
+      static_cast<double>(n) * (slack ? 4.5 * 1.2 : 1.5 * 1.3);
+  const std::vector<Request*>& active = fixture.server.active_requests();
+  std::vector<Mbps> rates;
+  AllocationScratch scratch;
+  SchedCache cache;
+  scheduler.allocate(fixture.now, capacity, active, rates, scratch, &cache);
+  const std::uint64_t allocs_before = heap_allocs();
+  for (auto _ : state) {
+    scheduler.allocate(fixture.now, capacity, active, rates, scratch, &cache);
+    benchmark::DoNotOptimize(rates.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+  report_allocs_per_op(state, allocs_before, 1);
+}
+BENCHMARK(BM_IntermittentAllocate)
+    ->Args({150, 1, 1})
+    ->Args({150, 1, 0})
+    ->Args({150, 0, 1})
+    ->ArgNames({"streams", "slack", "order_free"});
+
+void BM_BufferAwareDecide(benchmark::State& state) {
+  // Buffer-aware admission on the sharded headline shape: ten 1500 Mb/s
+  // servers, each holding every title and streaming 150 intermittent
+  // streams, so each decide() scans every holder's near-term need over its
+  // lane (no holder is full: the first step always succeeds).
+  constexpr int kServers = 10;
+  std::vector<Server> servers;
+  servers.reserve(kServers);
+  Video video;
+  video.id = 0;
+  video.duration = 2000.0;
+  video.view_bandwidth = 1.5;
+  for (int s = 0; s < kServers; ++s) {
+    servers.emplace_back(static_cast<ServerId>(s), 1500.0, 1e12);
+    servers.back().add_replica(video);
+  }
+  // Declared after the servers, so the streams die before the lanes they
+  // are bound to.
+  Rng rng(23);
+  std::vector<std::unique_ptr<Request>> requests;
+  const ClientProfile client{0.25 * 1200.0 * 1.5, 4.5};
+  for (Server& server : servers) {
+    for (int i = 0; i < 150; ++i) {
+      requests.push_back(std::make_unique<Request>(
+          static_cast<RequestId>(requests.size()), video, 0.0, client));
+      Request& request = *requests.back();
+      request.begin_streaming(0.0, server.id());
+      request.set_allocation(0.0, rng.uniform(1.5, 2.2));
+      request.advance(600.0);
+      request.set_allocation(600.0, 0.0);
+      server.attach(request, /*enforce_capacity=*/false);
+    }
+  }
+  const ReplicaDirectory directory(1, servers);
+  AdmissionConfig config;
+  config.buffer_aware = true;
+  const AdmissionController controller(config, directory);
+  Rng pick(1);
+  const std::uint64_t allocs_before = heap_allocs();
+  for (auto _ : state) {
+    const AdmissionDecision decision = controller.decide(600.0, 0, 1.5, servers, pick);
+    benchmark::DoNotOptimize(decision.server);
+  }
+  state.SetItemsProcessed(state.iterations());
+  report_allocs_per_op(state, allocs_before, 1);
+}
+BENCHMARK(BM_BufferAwareDecide);
 
 void BM_ZipfSample(benchmark::State& state) {
   ZipfDistribution zipf(static_cast<std::size_t>(state.range(0)), 0.271);

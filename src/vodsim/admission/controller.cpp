@@ -36,14 +36,11 @@ bool AdmissionController::feasible(const Server& server,
   if (!server.serviceable()) return false;
   // Near-term need: streams coasting on more than `horizon` seconds of
   // staged data are ignored (buffer levels are as of each stream's last
-  // fluid update — a slightly stale but cheap estimate).
-  Mbps need = view_bandwidth + server.reserved_bandwidth();
-  for (const Request* request : server.active_requests()) {
-    if (request->buffer_cover() <
-        config_.buffer_aware_horizon) {
-      need += request->view_bandwidth();
-    }
-  }
+  // fluid update — a slightly stale but cheap estimate). The scan walks
+  // the server's lane, whose slot order is active order, so the sum is the
+  // per-request scan's bit for bit.
+  const Mbps need = server.lane().add_near_term_need(
+      view_bandwidth + server.reserved_bandwidth(), config_.buffer_aware_horizon);
   return need <= server.effective_bandwidth() + 1e-9;
 }
 

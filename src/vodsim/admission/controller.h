@@ -98,6 +98,17 @@ class AdmissionController {
   /// paper's minimum-flow rule; the near-term-need test when buffer-aware).
   bool feasible(const Server& server, Mbps view_bandwidth) const;
 
+  /// Batch mode for a run of decide() calls at one instant (the engine's
+  /// retry batches). Between begin_batch() and end_batch() the migration
+  /// search keeps its last-level memo from one decision to the next
+  /// instead of starting each search empty. Exact as long as the caller
+  /// calls note_servers_changed() after executing any accepted decision: a
+  /// rejected decide() changes no server and draws no random number, so
+  /// every memoized walk stays what a fresh search would compute.
+  void begin_batch() const { search_scratch_.hold_memo(); }
+  void note_servers_changed() const { search_scratch_.invalidate_memo(); }
+  void end_batch() const { search_scratch_.release_memo(); }
+
  private:
   AdmissionConfig config_;
   const ReplicaDirectory& directory_;

@@ -245,7 +245,9 @@ std::optional<MigrationPlan> find_migration_plan(
     scratch.victims.resize(static_cast<std::size_t>(config.max_chain_length));
   }
   if (scratch.leaves.size() < servers.size()) scratch.leaves.resize(servers.size());
-  ++scratch.generation;  // last-level outcomes are shared across holders
+  // Last-level outcomes are shared across holders, and across searches
+  // while the caller holds the memo.
+  if (!scratch.memo_held) ++scratch.generation;
   for (ServerId holder : holders) {
     if (!servers[static_cast<std::size_t>(holder)].serviceable()) continue;
     scratch.delta.assign(servers.size(), 0.0);

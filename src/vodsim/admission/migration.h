@@ -117,6 +117,25 @@ struct MigrationSearchScratch {
   std::vector<LeafOutcome> leaves;
   std::uint64_t generation = 0;
 
+  /// While set, find_migration_plan keeps `generation` instead of bumping
+  /// it, so last-level outcomes carry over from one search to the next.
+  /// Sound only while no server changes between the searches: a walk
+  /// depends on its server's state and the rate alone. Set through
+  /// hold_memo(); an outcome computed before the hold never survives it.
+  bool memo_held = false;
+
+  /// Starts a run of searches over an unchanging cluster: invalidates the
+  /// memo once, then keeps it across searches until release_memo().
+  void hold_memo() {
+    ++generation;
+    memo_held = true;
+  }
+  /// A server changed mid-run (an admission was executed): drop every
+  /// outcome computed so far, keep holding.
+  void invalidate_memo() { ++generation; }
+  /// Ends the run; every later search starts from an empty memo again.
+  void release_memo() { memo_held = false; }
+
   /// (victim, target) pairs examined by the most recent search — an
   /// observability output (the admission controller traces it), reset on
   /// every find_migration_plan call.

@@ -104,6 +104,50 @@ __attribute__((noinline)) void projected_finish_keys(
   }
 }
 
+/// Batched intermittent-scheduler inputs (FluidLane::fill_workahead_inputs).
+/// Bit-identity with the scalar Request formulas, term by term:
+///   - drain_rate(now) is view_bandwidth when playing and inside
+///     [arrival, playback_end), else 0; here view_bandwidth · in_window ·
+///     playing, where x·1.0 == x and x·0.0 == +0.0 bitwise (view
+///     bandwidths are positive) — the same re-expression as
+///     predicted_event_times.
+///   - cover = level / view_bandwidth: the same division.
+///   - cap = min(receive, drain + headroom / horizon) in std::min's operand
+///     order: the scalar absorption cap and its clip to the receive
+///     bandwidth. Request::buffer_headroom's `capacity > level ? capacity -
+///     level : 0.0` is written max(capacity - level, 0.0), which computes
+///     the subtraction unconditionally (if-conversion may not speculate a
+///     guarded FP operation) and selects the same bits: capacity - level
+///     when positive, +0.0 at equality (x - x is +0.0, and max keeps its
+///     first operand on a tie), 0.0 when negative.
+VODSIM_BATCH_KERNEL_CLONES
+__attribute__((noinline)) void workahead_inputs(
+    std::size_t n, Seconds now, Seconds horizon,
+    const Megabits* __restrict buffer_level,
+    const Megabits* __restrict buffer_capacity,
+    const Mbps* __restrict view_bandwidth, const Seconds* __restrict arrival,
+    const Seconds* __restrict playback_end, const double* __restrict playing,
+    const Mbps* __restrict receive_bandwidth, Mbps* __restrict drain_out,
+    Seconds* __restrict cover_out, Mbps* __restrict cap_out) {
+  buffer_level = assume_lane_aligned(buffer_level);
+  buffer_capacity = assume_lane_aligned(buffer_capacity);
+  view_bandwidth = assume_lane_aligned(view_bandwidth);
+  arrival = assume_lane_aligned(arrival);
+  playback_end = assume_lane_aligned(playback_end);
+  playing = assume_lane_aligned(playing);
+  receive_bandwidth = assume_lane_aligned(receive_bandwidth);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double in_window =
+        (now >= arrival[i]) && (now < playback_end[i]) ? 1.0 : 0.0;
+    const Mbps drain = view_bandwidth[i] * in_window * playing[i];
+    const Megabits level = buffer_level[i];
+    const Megabits headroom = std::max(buffer_capacity[i] - level, 0.0);
+    drain_out[i] = drain;
+    cover_out[i] = level / view_bandwidth[i];
+    cap_out[i] = std::min(receive_bandwidth[i], drain + headroom / horizon);
+  }
+}
+
 /// Batched predicted-event retiming: the arithmetic of the engine's
 /// reschedule_predicted_events for every slot, with rejected predictions
 /// encoded as +inf (see fill_predicted_times in the header for why the
@@ -197,6 +241,7 @@ FluidLane& FluidLane::operator=(const FluidLane& other) {
     if (other.size_ > 0) std::copy(src[k], src[k] + other.size_, dst[k]);
   }
   size_ = other.size_;
+  urgent_ = other.urgent_;
   return *this;
 }
 
@@ -236,6 +281,7 @@ void FluidLane::grow(std::size_t min_capacity) {
 
 void FluidLane::reserve(std::size_t n) {
   if (n > capacity_) grow(n);
+  urgent_.reserve(n);
 }
 
 void FluidLane::append(const Request& request) {
@@ -251,6 +297,7 @@ void FluidLane::append(const Request& request) {
   playback_end_[i] = request.playback_end();
   playing_[i] = request.viewing_paused() ? 0.0 : 1.0;
   receive_bandwidth_[i] = request.receive_bandwidth();
+  urgent_.push_back(request.workahead_urgent() ? 1 : 0);
   ++size_;
 }
 
@@ -267,6 +314,8 @@ void FluidLane::swap_remove(std::size_t index) {
   playback_end_[index] = playback_end_[last];
   playing_[index] = playing_[last];
   receive_bandwidth_[index] = receive_bandwidth_[last];
+  urgent_[index] = urgent_[last];
+  urgent_.pop_back();
   --size_;
 }
 
@@ -360,24 +409,50 @@ Mbps FluidLane::sum_minimum_rates(std::vector<Mbps>& rates) const {
   return committed;
 }
 
-void FluidLane::eligible_slots(std::vector<std::size_t>& out) const {
+Mbps FluidLane::eligible_slots(std::vector<std::size_t>& out) const {
   const std::size_t n = size_;
+  Mbps room = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     // sched_detail::workahead_eligible: room in the staging buffer, a
     // receive link faster than playback, and data left to send.
-    const bool full =
-        buffer_level_[i] >= buffer_capacity_[i] - StagingBuffer::kLevelTolerance;
-    if (!full && receive_bandwidth_[i] > view_bandwidth_[i] &&
+    if (!buffer_full(i) && receive_bandwidth_[i] > view_bandwidth_[i] &&
         remaining_[i] > Request::kRemainingTolerance) {
       out.push_back(i);
+      room += receive_bandwidth_[i] - view_bandwidth_[i];
     }
   }
+  return room;
+}
+
+Mbps FluidLane::add_near_term_need(Mbps need, Seconds horizon) const {
+  const std::size_t n = size_;
+  for (std::size_t i = 0; i < n; ++i) {
+    // Branch-free: a coasting slot adds +0.0, which leaves the running sum's
+    // bits unchanged (it starts positive, so it is never -0.0) — the same
+    // result as skipping the slot. Cover is Request::buffer_cover.
+    const bool near = buffer_level_[i] / view_bandwidth_[i] < horizon;
+    need += near ? view_bandwidth_[i] : 0.0;
+  }
+  return need;
 }
 
 void FluidLane::fill_projected_finish(Seconds now,
                                       std::vector<Seconds>& keys) const {
   keys.resize(size_);
   projected_finish_keys(size_, now, remaining_, view_bandwidth_, keys.data());
+}
+
+void FluidLane::fill_workahead_inputs(Seconds now, Seconds absorption_horizon,
+                                      std::vector<Mbps>& drain,
+                                      std::vector<Seconds>& cover,
+                                      std::vector<Mbps>& cap) const {
+  const std::size_t n = size_;
+  drain.resize(n);
+  cover.resize(n);
+  cap.resize(n);
+  workahead_inputs(n, now, absorption_horizon, buffer_level_, buffer_capacity_,
+                   view_bandwidth_, arrival_, playback_end_, playing_,
+                   receive_bandwidth_, drain.data(), cover.data(), cap.data());
 }
 
 void FluidLane::fill_predicted_times(Seconds now, double safety_cover,

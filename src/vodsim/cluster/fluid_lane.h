@@ -29,7 +29,11 @@
 /// scattered heap allocations.
 /// The hot block leads with the three kernel-mutated arrays (last-update,
 /// remaining, buffer level), then the six kernel-read parameters; the cold
-/// tail holds the receive bandwidth, read only by workahead eligibility.
+/// tail holds the receive bandwidth, read only by the workahead passes.
+/// The intermittent scheduler's urgency latch is lane-authoritative too,
+/// but it is one byte per slot in its own array outside the double arena:
+/// no kernel reads it, and a byte rather than an eleventh double per
+/// stream keeps the lane's footprint where it was.
 ///
 /// One fluid path. A server recompute advances all of its streams with
 /// `advance_batch`, which runs the single-stream arithmetic in one
@@ -147,6 +151,18 @@ class FluidLane {
   Megabits buffer_level(std::size_t i) const { return buffer_level_[i]; }
   Mbps receive_bandwidth(std::size_t i) const { return receive_bandwidth_[i]; }
 
+  /// Request::buffer_full on the slot's state (same operands, same
+  /// comparison), for the scheduler passes that walk the lane.
+  bool buffer_full(std::size_t i) const {
+    return buffer_level_[i] >=
+           buffer_capacity_[i] - StagingBuffer::kLevelTolerance;
+  }
+
+  /// The intermittent scheduler's urgency latch (Request::workahead_urgent),
+  /// lane-authoritative while the request is attached.
+  bool urgent(std::size_t i) const { return urgent_[i] != 0; }
+  void set_urgent(std::size_t i, bool urgent) { urgent_[i] = urgent ? 1 : 0; }
+
   // Write-through sinks for the home-authoritative fields (Request-driven).
   void set_allocation(std::size_t i, Mbps rate) { allocation_[i] = rate; }
   void set_paused(std::size_t i, bool paused) {
@@ -199,8 +215,30 @@ class FluidLane {
   Mbps sum_minimum_rates(std::vector<Mbps>& rates) const;
 
   /// Appends to \p out the slots that can absorb workahead
-  /// (sched_detail::workahead_eligible semantics), in slot order.
-  void eligible_slots(std::vector<std::size_t>& out) const;
+  /// (sched_detail::workahead_eligible semantics), in slot order, and
+  /// returns their summed room receive_bandwidth - view_bandwidth (the
+  /// room a minimum-flow grant pass sees: an eligible slot's buffer is not
+  /// full, so its minimum rate is its view bandwidth), added in slot order.
+  Mbps eligible_slots(std::vector<std::size_t>& out) const;
+
+  /// Buffer-aware admission's near-term need (AdmissionController::
+  /// feasible): adds the view bandwidth of every slot whose staged cover
+  /// (level / view_bandwidth) is below \p horizon onto \p need, in slot
+  /// order, and returns the sum — the same additions, in the same order, as
+  /// the per-request scan over the active list. \p need must be positive.
+  Mbps add_near_term_need(Mbps need, Seconds horizon) const;
+
+  /// The per-slot inputs of the intermittent scheduler's passes, in one
+  /// vectorized pass: drain[i] = Request::drain_rate(now), cover[i] =
+  /// Request::buffer_cover(), and cap[i] = min(receive_bandwidth,
+  /// drain + buffer_headroom / \p absorption_horizon), the most the client
+  /// can usefully absorb. Each value is the scalar formula's bit for bit
+  /// (the kernel spells out the argument). All three outputs are resized to
+  /// size().
+  void fill_workahead_inputs(Seconds now, Seconds absorption_horizon,
+                             std::vector<Mbps>& drain,
+                             std::vector<Seconds>& cover,
+                             std::vector<Mbps>& cap) const;
 
   /// Writes every slot's EFTF/LFTF sort key — Request::projected_finish
   /// exactly: now + remaining / view_bandwidth — into keys[0..size()).
@@ -260,8 +298,12 @@ class FluidLane {
   /// are bit-exact stand-ins for the scalar path's `if (!paused)`) and the
   /// loop stays free of mixed-width loads that block vectorization.
   double* playing_ = nullptr;
-  // Cold tail: read only by workahead eligibility, never by the kernels.
+  // Cold tail: read only by the workahead passes, never by the fluid or
+  // retiming kernels.
   double* receive_bandwidth_ = nullptr;
+
+  /// Urgency latch per slot (0/1), outside the arena; sized with size_.
+  std::vector<std::uint8_t> urgent_;
 };
 
 }  // namespace vodsim

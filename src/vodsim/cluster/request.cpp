@@ -144,6 +144,7 @@ void Request::detach_lane() {
   remaining_ = lane_->remaining(active_index);
   last_update_ = lane_->last_update(active_index);
   buffer_.set_level(lane_->buffer_level(active_index));
+  workahead_urgent_ = lane_->urgent(active_index);
   lane_ = nullptr;
 }
 

@@ -175,8 +175,19 @@ class Request {
   /// falls below the safety threshold, cleared only once it recovers past
   /// twice the threshold. Without the latch, a stream hovering exactly at
   /// the threshold flips between fed and starved every fluid instant
-  /// (scheduler-managed, like active_index).
-  bool workahead_urgent = false;
+  /// (scheduler-managed). Lane-authoritative while attached, like the
+  /// buffer level: the scheduler's lane pass reads it from the lane, and
+  /// detach copies it home.
+  bool workahead_urgent() const {
+    return lane_ != nullptr ? lane_->urgent(active_index) : workahead_urgent_;
+  }
+  void set_workahead_urgent(bool urgent) {
+    if (lane_ != nullptr) {
+      lane_->set_urgent(active_index, urgent);
+    } else {
+      workahead_urgent_ = urgent;
+    }
+  }
 
   /// Interruption-dedupe key (FailureConfig::glitch_dedupe_window): index
   /// of the last dedupe window in which this stream logged a counted
@@ -211,6 +222,7 @@ class Request {
   /// The owning server's fluid lane while attached, nullptr otherwise.
   FluidLane* lane_ = nullptr;
   int hops_ = 0;
+  bool workahead_urgent_ = false;
   bool viewing_paused_ = false;
   Seconds pause_started_ = 0.0;
   int pause_count_ = 0;

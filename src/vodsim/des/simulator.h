@@ -68,9 +68,6 @@ class Simulator {
   /// conservative-lookahead window before dispatching the drains.
   Seconds peek_time() const { return queue_.peek_time(); }
 
-  /// Pre-sizes the event queue for \p events concurrently pending events.
-  void reserve_events(std::size_t events) { queue_.reserve(events); }
-
   /// Observer invoked after every executed event, with the event's time.
   /// At most one hook; empty (the default) disables it, leaving one branch
   /// on the hot path. Used by the paranoid-mode invariant auditor.

@@ -269,18 +269,19 @@ void VodSimulation::build_context(int first_server, int end_server,
     ctx->trace = std::make_unique<TraceRecorder>(trace_config, ctx->index - 1);
     ctx->scheduler->set_trace(ctx->trace.get());
   }
-  // Pre-size the hot-path buffers so the steady-state event loop never
-  // allocates. The queue holds ~3 predicted events per concurrent stream on
-  // the owned servers; the coordinator's also holds playback-end plus (with
-  // interactivity) one pending pause/resume per stream.
-  const std::size_t per_server =
+  // Pre-size the per-recompute scratch so the steady-state event loop
+  // never allocates. A server carries at most what its link fits and what
+  // an even share of the horizon's arrivals can reach (25% above the mean
+  // arrival count, plus a floor): a short run on a big cluster never comes
+  // near its link bound. The event queue is not pre-sized: it grows to its
+  // working size during warmup at no measurable cost, while reserving it
+  // for every context up front made world construction page-fault-bound
+  // and set the resident set. Past either estimate the vectors simply grow.
+  const double reachable = 1.25 * config_.arrival_rate() * config_.duration;
+  const std::size_t per_server = std::min(
       static_cast<std::size_t>(config_.system.server_bandwidth /
-                               config_.system.view_bandwidth) + 8;
-  const std::size_t max_streams = static_cast<std::size_t>(
-      config_.system.total_bandwidth() / config_.system.view_bandwidth);
-  ctx->sim.reserve_events(
-      3 * static_cast<std::size_t>(end_server - first_server) * per_server +
-      (ctx->index == 0 ? 2 * max_streams : 0) + 64);
+                               config_.system.view_bandwidth) + 8,
+      static_cast<std::size_t>(reachable / config_.system.num_servers + 64.0));
   ctx->rates_scratch.reserve(per_server);
   ctx->sched_scratch.order.reserve(per_server);
   ctx->sched_scratch.aux.reserve(per_server);
@@ -853,10 +854,15 @@ void VodSimulation::process_retries(bool force) {
   ExecContext& ctx = coordinator();
   const Seconds now = ctx.sim.now();
   std::vector<RetryEntry> due = retry_queue_->take_due(now, force);
+  // A forced batch retries the whole queue, often the same few titles over
+  // and over against servers that no rejection changes, so the migration
+  // search keeps its memo across the batch and drops it on every accept.
+  controller_->begin_batch();
   for (RetryEntry& entry : due) {
     const AdmissionDecision decision = controller_->decide(
         now, entry.video, entry.view_bandwidth, servers_, rng_);
     if (decision.accepted) {
+      controller_->note_servers_changed();
       execute_migrations(decision);
       ctx.metrics->record_readmission(now);
       if (entry.request != kNoRetryRequest) {
@@ -895,6 +901,7 @@ void VodSimulation::process_retries(bool force) {
       }
     }
   }
+  controller_->end_batch();
   arm_retry_tick();
 }
 
@@ -1101,7 +1108,7 @@ void VodSimulation::account_underflow(ExecContext& ctx, Request& request,
                << underflow << " Mb at " << now << " at rate "
                << request.allocation() << " (state "
                << static_cast<int>(request.state()) << ", server "
-               << request.server() << ", urgent " << request.workahead_urgent
+               << request.server() << ", urgent " << request.workahead_urgent()
                << ")";
 }
 

@@ -13,9 +13,14 @@ void EftfScheduler::allocate(Seconds now, Mbps capacity,
   // Zero slack — the common case at saturation, where the paper's
   // interesting data points live — skips eligibility and the sort entirely.
   if (slack <= 0.0) return;
-  sched_detail::eligible_indices(active, scratch.order);
-  sched_detail::sort_by_projected_finish(now, /*earliest_first=*/true, active,
-                                         scratch, cache);
+  const Mbps room = sched_detail::eligible_indices(active, scratch.order);
+  // Slack that covers every room grants each candidate exactly its room in
+  // any order, so the eligible (active) order stands and the sort is
+  // skipped (sched_detail::grants_are_order_free).
+  if (!sched_detail::grants_are_order_free(room, slack)) {
+    sched_detail::sort_by_projected_finish(now, /*earliest_first=*/true, active,
+                                           scratch, cache);
+  }
   sched_detail::distribute_greedy(slack, scratch.order, active, rates);
 }
 

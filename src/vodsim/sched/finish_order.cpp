@@ -79,17 +79,18 @@ void sort_by_projected_finish(Seconds now, bool earliest_first,
     // Validate the remembered order against the *current* candidate set by
     // membership, not by re-deriving eligibility: the caller's candidate
     // predicate (which may depend on rates already granted this pass) stays
-    // in one place, and stale pointers — detached, migrated, finished or
-    // newly-ineligible requests — drop out on the pointer identity check.
+    // in one place, and stale entries — detached, migrated, finished,
+    // swap-moved or newly-ineligible requests — drop out on the slot/pointer
+    // identity check, which reads only the active vector.
     std::vector<std::uint8_t>& in_candidates = scratch.in_candidates;
     in_candidates.assign(active.size(), 0);
     for (const std::size_t index : order) in_candidates[index] = 1;
 
     std::vector<std::size_t>& seed = scratch.aux;
     seed.clear();
-    for (Request* request : cache->grant_order) {
-      const std::size_t index = request->active_index;
-      if (index < active.size() && active[index] == request &&
+    for (const SchedCache::Entry& entry : cache->grant_order) {
+      const std::size_t index = entry.slot;
+      if (index < active.size() && active[index] == entry.request &&
           in_candidates[index] != 0) {
         seed.push_back(index);
         in_candidates[index] = 0;  // consumed; leftovers appended below
@@ -112,7 +113,7 @@ void sort_by_projected_finish(Seconds now, bool earliest_first,
     cache->grant_order.clear();
     cache->grant_order.reserve(order.size());
     for (const std::size_t index : order) {
-      cache->grant_order.push_back(active[index]);
+      cache->grant_order.push_back({index, active[index]});
     }
   }
 }

@@ -24,12 +24,13 @@
 /// byte-identical to the full-resort path.
 ///
 /// Lifetime. A SchedCache belongs to one server (the engine keeps one per
-/// ServerRecomputeState) and stores raw Request pointers; the owner must
-/// guarantee requests outlive the cache (the engine's request arena is
-/// stable for the whole run). Entries are validated lazily against the
-/// current candidate set — detached, finished, migrated or newly-ineligible
-/// requests simply drop out — so no invalidation hooks are needed anywhere
-/// in the engine.
+/// ServerRecomputeState) and stores (slot, Request pointer) pairs. Entries
+/// are validated lazily against the current candidate set by comparing the
+/// pointer with active[slot] — never dereferencing it — so detached,
+/// finished, migrated, newly-ineligible or swap-moved requests simply drop
+/// out (a moved request rejoins as a leftover), no invalidation hooks are
+/// needed anywhere in the engine, and a stale pointer is never read
+/// through.
 
 #include <vector>
 
@@ -43,9 +44,16 @@ struct AllocationScratch;
 /// Persistent ordering state for one server. Default-constructed = cold
 /// (first pass falls back to a full sort, then the cache is warm).
 struct SchedCache {
-  /// The grant order produced by the previous allocation pass, most
-  /// urgent first (earliest projected finish for EFTF; latest for LFTF).
-  std::vector<Request*> grant_order;
+  /// One remembered grant: the candidate's slot in the active vector and
+  /// the request that held it.
+  struct Entry {
+    std::size_t slot;
+    const Request* request;
+  };
+
+  /// The grant order produced by the previous sorting pass, most urgent
+  /// first (earliest projected finish for EFTF; latest for LFTF).
+  std::vector<Entry> grant_order;
 
   void clear() { grant_order.clear(); }
 };

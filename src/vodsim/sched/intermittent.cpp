@@ -7,41 +7,108 @@
 
 namespace vodsim {
 
-IntermittentScheduler::IntermittentScheduler(Seconds safety_cover)
-    : safety_cover_(safety_cover) {
+IntermittentScheduler::IntermittentScheduler(Seconds safety_cover,
+                                             bool order_free_grants)
+    : safety_cover_(safety_cover), order_free_grants_(order_free_grants) {
   assert(safety_cover >= 0.0);
 }
 
 namespace {
 
-/// Smoothing horizon for the absorption cap (seconds).
+/// Smoothing horizon of the workahead cap (seconds). A client is granted
+/// at most what it can usefully absorb over this horizon: its drain rate
+/// plus enough to fill its remaining headroom in kAbsorptionHorizon
+/// seconds, clipped to its receive bandwidth. Without this cap a near-full
+/// viewing buffer would flip between "full -> 0 Mb/s" and "hairline below
+/// full -> receive cap" every few nanoseconds of simulated time
+/// (fluid-model chattering); with it, the grant converges smoothly to the
+/// drain rate as the buffer fills, and buffer-full predictions stay at
+/// least ~kAbsorptionHorizon apart.
 constexpr Seconds kAbsorptionHorizon = 10.0;
 
 /// Tolerance on staged-cover comparisons (seconds); must be at least the
 /// engine's buffer-level tolerance expressed in playback time.
 constexpr Seconds kCoverTolerance = 1e-6;
 
-/// Highest rate the client can usefully absorb over the smoothing horizon:
-/// its drain rate plus enough to fill the remaining headroom in
-/// kAbsorptionHorizon seconds. Without this cap a near-full viewing buffer
-/// would flip between "full -> 0 Mb/s" and "hairline below full -> receive
-/// cap" every few nanoseconds of simulated time (fluid-model chattering);
-/// with it, the grant converges smoothly to the drain rate as the buffer
-/// fills, and buffer-full predictions stay at least ~kAbsorptionHorizon
-/// apart.
-Mbps absorption_cap(const Request& request, Seconds now) {
-  return request.drain_rate(now) +
-         request.buffer_headroom() / kAbsorptionHorizon;
-}
+/// The per-stream reads of an allocation pass, through the Request
+/// accessors: the path for hand-built candidate vectors (unit tests,
+/// microbenchmarks) that are not a server's lane-backed active list.
+class RequestSlots {
+ public:
+  RequestSlots(const std::vector<Request*>& active, Seconds now)
+      : active_(active), now_(now) {}
 
-}  // namespace
+  Request& request(std::size_t i) const { return *active_[i]; }
+  Mbps drain_rate(std::size_t i) const { return active_[i]->drain_rate(now_); }
+  Seconds buffer_cover(std::size_t i) const { return active_[i]->buffer_cover(); }
+  Megabits buffer_level(std::size_t i) const { return active_[i]->buffer_level(); }
+  bool buffer_full(std::size_t i) const { return active_[i]->buffer_full(); }
+  Mbps receive_bandwidth(std::size_t i) const {
+    return active_[i]->receive_bandwidth();
+  }
+  /// The workahead cap (kAbsorptionHorizon).
+  Mbps workahead_cap(std::size_t i) const {
+    const Request& request = *active_[i];
+    return std::min(request.receive_bandwidth(),
+                    request.drain_rate(now_) +
+                        request.buffer_headroom() / kAbsorptionHorizon);
+  }
+  bool urgent(std::size_t i) const { return active_[i]->workahead_urgent(); }
 
-void IntermittentScheduler::allocate(Seconds now, Mbps capacity,
-                                     const std::vector<Request*>& active,
-                                     std::vector<Mbps>& rates,
-                                     AllocationScratch& scratch,
-                                     SchedCache* cache) const {
-  rates.assign(active.size(), 0.0);
+ private:
+  const std::vector<Request*>& active_;
+  Seconds now_;
+};
+
+/// The same reads from the owning server's FluidLane (the engine's path:
+/// slot i holds active[i]): drain rate, cover and workahead cap come from
+/// one vectorized lane pass into the scratch (FluidLane::
+/// fill_workahead_inputs), the rest from the lane arrays. Every value is
+/// the Request formula's bit for bit, so both instantiations of a pass
+/// produce the same rates. Requests are dereferenced only to break exact
+/// key ties, to flip the urgency latch (which writes through to the lane)
+/// and to attribute trace records.
+class LaneSlots {
+ public:
+  LaneSlots(const FluidLane& lane, const std::vector<Request*>& active,
+            Seconds now, AllocationScratch& scratch)
+      : lane_(lane), active_(active) {
+    lane.fill_workahead_inputs(now, kAbsorptionHorizon, scratch.drain,
+                               scratch.cover, scratch.cap);
+    drain_ = scratch.drain.data();
+    cover_ = scratch.cover.data();
+    cap_ = scratch.cap.data();
+  }
+
+  Request& request(std::size_t i) const { return *active_[i]; }
+  Mbps drain_rate(std::size_t i) const { return drain_[i]; }
+  Seconds buffer_cover(std::size_t i) const { return cover_[i]; }
+  Megabits buffer_level(std::size_t i) const { return lane_.buffer_level(i); }
+  bool buffer_full(std::size_t i) const { return lane_.buffer_full(i); }
+  Mbps receive_bandwidth(std::size_t i) const {
+    return lane_.receive_bandwidth(i);
+  }
+  Mbps workahead_cap(std::size_t i) const { return cap_[i]; }
+  bool urgent(std::size_t i) const { return lane_.urgent(i); }
+
+ private:
+  const FluidLane& lane_;
+  const std::vector<Request*>& active_;
+  // The pass never resizes scratch.drain/cover/cap, so these stay valid.
+  const Mbps* drain_;
+  const Seconds* cover_;
+  const Mbps* cap_;
+};
+
+/// One allocation pass, written once for both slot accessors.
+template <typename Slots>
+void allocate_slots(const Slots& slots, Seconds now, Mbps capacity,
+                    Seconds safety_cover, bool order_free_grants,
+                    const std::vector<Request*>& active,
+                    std::vector<Mbps>& rates, AllocationScratch& scratch,
+                    SchedCache* cache, TraceRecorder* trace) {
+  const std::size_t n = active.size();
+  rates.assign(n, 0.0);
   Mbps left = capacity;
 
   // Phase 1 — safety. A fluid model chatters if an urgent stream is fed
@@ -55,32 +122,34 @@ void IntermittentScheduler::allocate(Seconds now, Mbps capacity,
   std::vector<std::size_t>& urgent = scratch.aux;
   urgent.clear();
   Mbps urgent_drain = 0.0;
-  for (std::size_t i = 0; i < active.size(); ++i) {
-    Request& request = *active[i];
-    const Mbps drain = request.drain_rate(now);
+  for (std::size_t i = 0; i < n; ++i) {
+    const Mbps drain = slots.drain_rate(i);
     if (drain <= 0.0) continue;  // paused or past the end: nothing to protect
     // Hysteresis: latch urgency below the safety threshold, release only
     // after recovering to twice the threshold. A knife-edge membership test
     // would chatter (fed -> above threshold -> starved -> below -> ...).
-    const Seconds cover =
-        request.buffer_cover();
+    const Seconds cover = slots.buffer_cover(i);
     // The engine's buffer-low wake-up fires when cover *reaches* the
     // threshold (and then stops waking, trusting the scheduler), so the
     // latch must engage at equality too — hence the tolerance.
-    const bool was_urgent = request.workahead_urgent;
-    if (cover <= safety_cover_ + kCoverTolerance) {
-      request.workahead_urgent = true;
-    } else if (cover >= 2.0 * safety_cover_) {
-      request.workahead_urgent = false;
+    const bool was_urgent = slots.urgent(i);
+    bool is_urgent = was_urgent;
+    if (cover <= safety_cover + kCoverTolerance) {
+      is_urgent = true;
+    } else if (cover >= 2.0 * safety_cover) {
+      is_urgent = false;
     }
-    if (request.workahead_urgent != was_urgent && trace_ != nullptr &&
-        trace_->wants(kTraceSched)) {
-      trace_->record(now,
-                     request.workahead_urgent ? TraceEventType::kUrgentOn
-                                              : TraceEventType::kUrgentOff,
-                     request.server(), request.id(), request.video_id(), cover);
+    if (is_urgent != was_urgent) {
+      Request& request = slots.request(i);
+      request.set_workahead_urgent(is_urgent);
+      if (trace != nullptr && trace->wants(kTraceSched)) {
+        trace->record(now,
+                      is_urgent ? TraceEventType::kUrgentOn
+                                : TraceEventType::kUrgentOff,
+                      request.server(), request.id(), request.video_id(), cover);
+      }
     }
-    if (request.workahead_urgent) {
+    if (is_urgent) {
       urgent.push_back(i);
       urgent_drain += drain;
     }
@@ -89,62 +158,83 @@ void IntermittentScheduler::allocate(Seconds now, Mbps capacity,
   if (urgent_drain > left) {
     // Crunch: continuity is already at risk; ration proportionally.
     for (std::size_t index : urgent) {
-      const Request& request = *active[index];
-      rates[index] = left * request.drain_rate(now) / urgent_drain;
+      rates[index] = left * slots.drain_rate(index) / urgent_drain;
     }
     return;
   }
 
   std::sort(urgent.begin(), urgent.end(), [&](std::size_t a, std::size_t b) {
-    const Megabits la = active[a]->buffer_level();
-    const Megabits lb = active[b]->buffer_level();
+    const Megabits la = slots.buffer_level(a);
+    const Megabits lb = slots.buffer_level(b);
     if (la != lb) return la < lb;
-    return active[a]->id() < active[b]->id();
+    return slots.request(a).id() < slots.request(b).id();
   });
   for (std::size_t index : urgent) {
-    const Request& request = *active[index];
-    rates[index] = request.drain_rate(now);
+    rates[index] = slots.drain_rate(index);
     left -= rates[index];
   }
   // Refill boost, most-starved first.
   for (std::size_t index : urgent) {
     if (left <= 0.0) break;
-    const Request& request = *active[index];
-    if (request.buffer_full()) continue;
-    const Mbps cap = std::min(request.receive_bandwidth(),
-                              absorption_cap(request, now));
-    const Mbps grant = std::min(left, cap - rates[index]);
+    if (slots.buffer_full(index)) continue;
+    const Mbps grant = std::min(left, slots.workahead_cap(index) - rates[index]);
     if (grant <= 0.0) continue;
     rates[index] += grant;
     left -= grant;
   }
 
   // Phase 2 — greedy workahead, earliest projected finish first, bounded by
-  // what each client can absorb.
+  // what each client can absorb. Each candidate's room (its cap minus what
+  // phase 1 gave it) is fixed before any grant: a grant changes only its
+  // own stream's rate.
   if (left <= 0.0) return;
   std::vector<std::size_t>& order = scratch.order;
+  std::vector<Mbps>& room = scratch.room;
   order.clear();
-  for (std::size_t i = 0; i < active.size(); ++i) {
-    const Request& request = *active[i];
-    if (request.buffer_full()) continue;
-    if (rates[i] >= request.receive_bandwidth()) continue;
+  room.resize(n);
+  Mbps room_sum = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (slots.buffer_full(i)) continue;
+    if (rates[i] >= slots.receive_bandwidth(i)) continue;
     order.push_back(i);
+    room[i] = slots.workahead_cap(i) - rates[i];
+    if (room[i] > 0.0) room_sum += room[i];
   }
-  // Cache-seeded repair of the previous workahead order (phase 1's urgent
-  // sort keys on buffer level, which reshuffles every pass over a small set
-  // — not worth caching; this one is the per-event O(n log n) resort).
-  // scratch.aux (the urgent list) is dead by now and is clobbered here.
-  sched_detail::sort_by_projected_finish(now, /*earliest_first=*/true, active,
-                                         scratch, cache);
+  // When `left` covers every room, every candidate gets exactly its room
+  // whatever the order (sched_detail::grants_are_order_free), so the slot
+  // order stands and the sort — with its cache repair — is skipped. Else
+  // a cache-seeded repair of the previous workahead order (phase 1's
+  // urgent sort keys on buffer level, which reshuffles every pass over a
+  // small set — not worth caching; this one is the per-event O(n log n)
+  // resort). scratch.aux (the urgent list) is dead by now and is
+  // clobbered here.
+  if (!order_free_grants || !sched_detail::grants_are_order_free(room_sum, left)) {
+    sched_detail::sort_by_projected_finish(now, /*earliest_first=*/true, active,
+                                           scratch, cache);
+  }
   for (std::size_t index : order) {
     if (left <= 0.0) break;
-    const Request& request = *active[index];
-    const Mbps cap = std::min(request.receive_bandwidth(),
-                              absorption_cap(request, now));
-    const Mbps grant = std::min(left, cap - rates[index]);
+    const Mbps grant = std::min(left, room[index]);
     if (grant <= 0.0) continue;
     rates[index] += grant;
     left -= grant;
+  }
+}
+
+}  // namespace
+
+void IntermittentScheduler::allocate(Seconds now, Mbps capacity,
+                                     const std::vector<Request*>& active,
+                                     std::vector<Mbps>& rates,
+                                     AllocationScratch& scratch,
+                                     SchedCache* cache) const {
+  if (const FluidLane* lane = sched_detail::lane_view(active)) {
+    allocate_slots(LaneSlots(*lane, active, now, scratch), now, capacity,
+                   safety_cover_, order_free_grants_, active, rates, scratch,
+                   cache, trace_);
+  } else {
+    allocate_slots(RequestSlots(active, now), now, capacity, safety_cover_,
+                   order_free_grants_, active, rates, scratch, cache, trace_);
   }
 }
 

@@ -15,6 +15,13 @@
 ///   phase 2 (greedy EFTF): the rest of the link goes earliest-projected-
 ///     finish-first to any request with buffer headroom, up to its receive
 ///     cap. Requests with comfortable buffers may receive nothing at all.
+///     When the link covers every such request's room, the order cannot
+///     matter and the sort is skipped (DESIGN.md §8).
+///
+/// Both phases read per-stream state from the server's FluidLane when the
+/// candidate vector is its lane-backed active list (one pass body,
+/// templated on the slot accessor), and through the Request accessors
+/// otherwise.
 ///
 /// Unlike the minimum-flow family this scheduler tolerates a server whose
 /// nominal commitments exceed its link (buffer-aware admission): in a
@@ -29,7 +36,14 @@ class IntermittentScheduler final : public BandwidthScheduler {
  public:
   /// \param safety_cover seconds of staged playback below which a request
   ///        is considered urgent and fed before any workahead.
-  explicit IntermittentScheduler(Seconds safety_cover = 10.0);
+  /// \param order_free_grants when true (the default), phase 2 skips the
+  ///        earliest-finish sort whenever the link covers every
+  ///        candidate's room (sched_detail::grants_are_order_free). false
+  ///        always sorts: the reference the shortcut is pinned against in
+  ///        the equivalence tests and micro benchmarks. Rates are
+  ///        bit-identical either way.
+  explicit IntermittentScheduler(Seconds safety_cover = 10.0,
+                                 bool order_free_grants = true);
 
   using BandwidthScheduler::allocate;
   void allocate(Seconds now, Mbps capacity, const std::vector<Request*>& active,
@@ -44,6 +58,7 @@ class IntermittentScheduler final : public BandwidthScheduler {
 
  private:
   Seconds safety_cover_;
+  bool order_free_grants_;
 };
 
 }  // namespace vodsim

@@ -11,9 +11,14 @@ void LftfScheduler::allocate(Seconds now, Mbps capacity,
                              SchedCache* cache) const {
   const Mbps slack = sched_detail::assign_minimum_flow(capacity, active, rates);
   if (slack <= 0.0) return;  // saturated: skip eligibility and the sort
-  sched_detail::eligible_indices(active, scratch.order);
-  sched_detail::sort_by_projected_finish(now, /*earliest_first=*/false, active,
-                                         scratch, cache);
+  const Mbps room = sched_detail::eligible_indices(active, scratch.order);
+  // Slack that covers every room grants each candidate exactly its room in
+  // any order, so the eligible (active) order stands and the sort is
+  // skipped (sched_detail::grants_are_order_free).
+  if (!sched_detail::grants_are_order_free(room, slack)) {
+    sched_detail::sort_by_projected_finish(now, /*earliest_first=*/false, active,
+                                           scratch, cache);
+  }
   sched_detail::distribute_greedy(slack, scratch.order, active, rates);
 }
 

@@ -79,16 +79,21 @@ bool workahead_eligible(const Request& request) {
          !request.finished();
 }
 
-void eligible_indices(const std::vector<Request*>& active,
+Mbps eligible_indices(const std::vector<Request*>& active,
                       std::vector<std::size_t>& out) {
   out.clear();
   if (const FluidLane* lane = lane_view(active)) {
-    lane->eligible_slots(out);
-    return;
+    return lane->eligible_slots(out);
   }
+  Mbps room = 0.0;
   for (std::size_t i = 0; i < active.size(); ++i) {
-    if (workahead_eligible(*active[i])) out.push_back(i);
+    const Request& request = *active[i];
+    if (workahead_eligible(request)) {
+      out.push_back(i);
+      room += request.receive_bandwidth() - request.view_bandwidth();
+    }
   }
+  return room;
 }
 
 void distribute_greedy(Mbps slack, const std::vector<std::size_t>& order,

@@ -42,6 +42,12 @@ struct AllocationScratch {
   std::vector<std::size_t> aux;    ///< second working set (water-filling pool,
                                    ///< urgent list, ...)
   std::vector<Seconds> keys;       ///< projected-finish keys, by active index
+  std::vector<Mbps> room;          ///< per-candidate grant room, by active index
+  // Per-slot intermittent-scheduler inputs from one lane pass
+  // (FluidLane::fill_workahead_inputs), by active index.
+  std::vector<Mbps> drain;         ///< playback drain rate
+  std::vector<Seconds> cover;      ///< seconds of playback staged
+  std::vector<Mbps> cap;           ///< most the client can usefully absorb
   std::vector<std::uint8_t> in_candidates;  ///< membership flags for seeding
                                             ///< from a SchedCache
 };
@@ -157,9 +163,27 @@ Mbps assign_minimum_flow(Mbps capacity, const std::vector<Request*>& active,
 bool workahead_eligible(const Request& request);
 
 /// Fills \p out with the indices of workahead-eligible requests (cleared
-/// first; capacity is reused across calls — no allocation after warmup).
-void eligible_indices(const std::vector<Request*>& active,
+/// first; capacity is reused across calls — no allocation after warmup),
+/// in active order. Returns their summed room receive_bandwidth -
+/// view_bandwidth, which is exactly what distribute_greedy will compute as
+/// each one's room after assign_minimum_flow (an eligible request's buffer
+/// is not full, so its minimum rate is its view bandwidth).
+Mbps eligible_indices(const std::vector<Request*>& active,
                       std::vector<std::size_t>& out);
+
+/// The order-free grant rule (DESIGN.md §8). A greedy pass hands each
+/// candidate in turn min(left, room) and subtracts it from `left`. When
+/// \p slack covers the summed positive \p room_sum with a relative margin,
+/// every running `left` exceeds the next room by far more than the
+/// rounding the subtractions so far can have accumulated (about n ulps of
+/// slack for n candidates, against a margin of 1e-9 · slack — exact for
+/// fewer than ~4 million candidates per server), so min(left, room) ==
+/// room bitwise for every candidate and the pass grants each exactly its
+/// room in any order. The grant order — and the sort that produces it —
+/// then cannot change a result bit.
+inline bool grants_are_order_free(Mbps room_sum, Mbps slack) {
+  return room_sum <= slack * (1.0 - 1e-9);
+}
 
 /// Greedy slack distribution over \p order (a permutation of eligible
 /// indices): each request in turn gets min(slack, receive_cap - rate).

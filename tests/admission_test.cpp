@@ -759,6 +759,61 @@ TEST(Migration, MatchesUnmemoizedSearchOnRandomClusters) {
   EXPECT_GT(truncated, 1000);
 }
 
+// A retry batch holds the search memo across decisions
+// (MigrationSearchScratch::hold_memo): last-level walks computed for one
+// arrival are replayed for the next. With no server changing in between,
+// every plan and every charged node count must equal a search that starts
+// from an empty memo. Titles repeat within a batch, as queued retries do.
+TEST(Migration, HeldMemoMatchesFreshSearchesAcrossABatch) {
+  static constexpr VictimStrategy kVictims[] = {
+      VictimStrategy::kFirstFit, VictimStrategy::kLeastRemaining,
+      VictimStrategy::kMostRemaining, VictimStrategy::kMostBuffered};
+  Rng rng(1803);
+  MigrationSearchScratch held;
+  int plans = 0;
+  int nodes = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    const RandomCluster cluster(rng);
+    const ReplicaDirectory directory = cluster.directory();
+    MigrationConfig config;
+    config.enabled = true;
+    config.max_chain_length = 1 + static_cast<int>(rng.uniform_int(3));
+    config.max_hops_per_request = rng.uniform() < 0.5 ? -1 : 2;
+    config.victim = kVictims[rng.uniform_int(4)];
+    config.switch_latency = rng.uniform() < 0.5 ? 0.0 : 1.0;
+    held.hold_memo();
+    const std::uint64_t generation = held.generation;
+    for (int query = 0; query < 8; ++query) {
+      const auto video = static_cast<VideoId>(rng.uniform_int(cluster.num_videos()));
+      const Mbps rate = cluster.video(video).view_bandwidth;
+      MigrationSearchScratch fresh;
+      const auto expected = find_migration_plan(video, rate, config, cluster.servers(),
+                                                directory.all(), fresh);
+      const auto actual = find_migration_plan(video, rate, config, cluster.servers(),
+                                              directory.all(), held);
+      ASSERT_EQ(actual.has_value(), expected.has_value())
+          << "trial " << trial << " query " << query;
+      ASSERT_EQ(held.nodes_explored, fresh.nodes_explored)
+          << "trial " << trial << " query " << query;
+      if (expected) {
+        ASSERT_EQ(actual->admit_on, expected->admit_on);
+        ASSERT_EQ(actual->steps.size(), expected->steps.size());
+        for (std::size_t i = 0; i < expected->steps.size(); ++i) {
+          EXPECT_EQ(actual->steps[i].request, expected->steps[i].request);
+          EXPECT_EQ(actual->steps[i].from, expected->steps[i].from);
+          EXPECT_EQ(actual->steps[i].to, expected->steps[i].to);
+        }
+        ++plans;
+      }
+      nodes += fresh.nodes_explored;
+    }
+    EXPECT_EQ(held.generation, generation) << "the batch must reuse one memo";
+    held.release_memo();
+  }
+  EXPECT_GT(plans, 200);
+  EXPECT_GT(nodes, 10000);
+}
+
 // --------------------------------------------------------------- controller
 
 TEST(Controller, DirectAssignmentPreferred) {
@@ -812,6 +867,61 @@ TEST(Controller, RejectsVideoWithNoReplica) {
   AdmissionController controller(AdmissionConfig{}, directory);
   Rng rng(1);
   EXPECT_FALSE(controller.decide(0.0, 1, kView, world.servers(), rng).accepted);
+}
+
+// Buffer-aware feasibility sums the near-term need over the server's lane.
+// On random servers — view rates drawn so that the sum rounds, buffers
+// from empty to 8 s of cover, some servers down or holding a reservation —
+// it must match the per-request scan over the active list it replaced, sum
+// bits and verdict alike.
+TEST(Controller, BufferAwareLaneScanMatchesRequestScan) {
+  Rng rng(1804);
+  int feasible = 0;
+  int infeasible = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    std::vector<Server> servers;
+    servers.emplace_back(0, rng.uniform(20.0, 200.0), 1e12);
+    Server& server = servers.front();
+    if (rng.uniform() < 0.3) server.reserve_bandwidth(rng.uniform(0.0, 10.0));
+    if (rng.uniform() < 0.1) server.set_available(false);
+    std::vector<std::unique_ptr<Request>> streams;
+    const std::size_t n = rng.uniform_int(60);
+    for (std::size_t i = 0; i < n; ++i) {
+      const Video video = make_video(0, 600.0, rng.uniform(1.0, 5.0));
+      streams.push_back(std::make_unique<Request>(static_cast<RequestId>(i), video,
+                                                  0.0, ClientProfile{1e9, 1e9}));
+      Request& request = *streams.back();
+      request.begin_streaming(0.0, 0);
+      const Megabits level = rng.uniform(0.0, 8.0) * video.view_bandwidth;
+      request.set_allocation(0.0, level + video.view_bandwidth);
+      request.advance(1.0);
+      request.set_allocation(1.0, 0.0);
+      server.attach(request, /*enforce_capacity=*/false);
+    }
+    const ReplicaDirectory directory(1, servers);
+    AdmissionConfig config;
+    config.buffer_aware = true;
+    config.buffer_aware_horizon = rng.uniform(0.0, 8.0);
+    const AdmissionController controller(config, directory);
+
+    const Mbps rate = rng.uniform(1.0, 5.0);
+    Mbps need = rate + server.reserved_bandwidth();
+    for (const Request* request : server.active_requests()) {
+      if (request->buffer_cover() < config.buffer_aware_horizon) {
+        need += request->view_bandwidth();
+      }
+    }
+    ASSERT_EQ(server.lane().add_near_term_need(rate + server.reserved_bandwidth(),
+                                               config.buffer_aware_horizon),
+              need)
+        << "trial " << trial;
+    const bool expected =
+        server.serviceable() && need <= server.effective_bandwidth() + 1e-9;
+    ASSERT_EQ(controller.feasible(server, rate), expected) << "trial " << trial;
+    (expected ? feasible : infeasible) += 1;
+  }
+  EXPECT_GT(feasible, 50);
+  EXPECT_GT(infeasible, 50);
 }
 
 }  // namespace

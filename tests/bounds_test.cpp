@@ -122,7 +122,9 @@ TEST(BoundsKnapsack, DominatesEveryIntegralSelection) {
         work += rate * items[i].first * items[i].second;
       }
     }
-    if (work <= capacity) EXPECT_GE(fractional + 1e-12, mass);
+    if (work <= capacity) {
+      EXPECT_GE(fractional + 1e-12, mass);
+    }
   }
 }
 
@@ -231,8 +233,7 @@ double enumerate_optimal_rejection(const TinyInstance& tiny) {
 // aware oracle on it. All titles share one size; stream counts become
 // popularity masses; lambda is scaled so offered work matches the snapshot.
 BoundsReport tiny_bounds(const TinyInstance& tiny) {
-  const double view_bw = 3.0;
-  const double size = 600.0 * view_bw;  // 10-minute titles
+  const double view_bw = 3.0;  // 10-minute titles of 1800 Mb
   const std::size_t num_titles = tiny.holders.size();
   const std::size_t streams = tiny.stream_titles.size();
 

@@ -660,6 +660,7 @@ std::string render_resilience(const Metrics& m) {
 /// The pinned fault configurations, in table order.
 std::vector<std::pair<std::string, SimulationConfig>> fault_matrix() {
   std::vector<std::pair<std::string, SimulationConfig>> out;
+  out.reserve(4);
   const PolicySpec& staged_migration = figure6_policies()[3];  // P4
 
   {

@@ -4,10 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <numeric>
 
 #include "vodsim/engine/vod_simulation.h"
+#include "vodsim/sched/finish_order.h"
 #include "vodsim/sched/intermittent.h"
 
 namespace vodsim {
@@ -116,7 +118,7 @@ TEST(Intermittent, UrgencyLatchHasHysteresis) {
   IntermittentScheduler scheduler(10.0);
   std::vector<Mbps> rates;
   scheduler.allocate(set.now, 100.0, set.active, rates);
-  EXPECT_TRUE(request.workahead_urgent);
+  EXPECT_TRUE(request.workahead_urgent());
   EXPECT_GE(rates[0], kView);
 
   // Refill to 15 s of cover (45 Mb): above threshold but below 2x -> the
@@ -125,14 +127,14 @@ TEST(Intermittent, UrgencyLatchHasHysteresis) {
   request.advance(set.now + 1.0);
   request.set_allocation(set.now + 1.0, 0.0);
   scheduler.allocate(set.now + 1.0, 100.0, set.active, rates);
-  EXPECT_TRUE(request.workahead_urgent);
+  EXPECT_TRUE(request.workahead_urgent());
 
   // Refill past 2x threshold (>= 60 Mb): latch releases.
   request.set_allocation(set.now + 1.0, 33.0);
   request.advance(set.now + 2.0);
   request.set_allocation(set.now + 2.0, 0.0);
   scheduler.allocate(set.now + 2.0, 100.0, set.active, rates);
-  EXPECT_FALSE(request.workahead_urgent);
+  EXPECT_FALSE(request.workahead_urgent());
 }
 
 TEST(Intermittent, NeverExceedsCapacityOrReceiveCaps) {
@@ -161,6 +163,180 @@ TEST(Intermittent, NeverExceedsCapacityOrReceiveCaps) {
     }
     EXPECT_LE(total, capacity + 1e-6);
   }
+}
+
+// --------------------------------------------- lane-backed passes
+
+/// A server whose streams are attached through Server::attach, so the
+/// scheduler sees a lane-backed active list (the engine's path). Each
+/// stream is built like make_request and shares the decision time.
+struct LaneServer {
+  Server server{0, 1e6, 1e12};
+  std::vector<std::unique_ptr<Request>> owner;
+  Seconds now = 0.0;
+
+  Request& add(std::unique_ptr<Request> request) {
+    now = std::max(now, request->last_update());
+    server.attach(*request, /*enforce_capacity=*/false);
+    owner.push_back(std::move(request));
+    return *owner.back();
+  }
+
+  void sync() {
+    for (Request* request : server.active_requests()) {
+      request->advance(now);
+      request->set_allocation(now, 0.0);
+    }
+  }
+
+  const std::vector<Request*>& active() const { return server.active_requests(); }
+};
+
+/// Summed workahead room with no urgent stream: what phase 2 would grant
+/// if the link were unbounded (min(receive cap, absorption cap) per
+/// candidate), computed independently of the scheduler.
+Mbps workahead_room(const std::vector<Request*>& active, Seconds now) {
+  Mbps sum = 0.0;
+  for (const Request* request : active) {
+    if (request->buffer_full()) continue;
+    const Mbps cap = request->drain_rate(now) + request->buffer_headroom() / 10.0;
+    sum += std::min(request->receive_bandwidth(), cap);
+  }
+  return sum;
+}
+
+// The order-free grant rule must be a pure shortcut: with `left` swept
+// below, across and above the candidates' summed room — including the
+// rule's own margin boundary and streams with equal sort keys — the rates
+// are bit-identical to a scheduler that always sorts. A fresh SchedCache
+// shows which path ran: the sorting path records its grant order, the
+// shortcut leaves the cache empty.
+TEST(Intermittent, OrderFreeGrantsMatchSortedGrants) {
+  Rng rng(1801);
+  const IntermittentScheduler shortcut(10.0);
+  const IntermittentScheduler sorted(10.0, /*order_free_grants=*/false);
+  int shortcut_passes = 0;
+  int sorted_passes = 0;
+  for (int instance = 0; instance < 60; ++instance) {
+    LaneServer lane;
+    const int n = 2 + static_cast<int>(rng.uniform_int(40));
+    const bool with_urgent = instance % 3 == 0;
+    for (int i = 0; i < n; ++i) {
+      // Every fourth stream duplicates its predecessor's remaining data and
+      // level: equal projected-finish keys, ordered only by id.
+      const bool twin = i > 0 && i % 4 == 0;
+      const Megabits remaining =
+          twin ? lane.owner.back()->remaining() : rng.uniform(50.0, 3000.0);
+      const Megabits level =
+          twin ? lane.owner.back()->buffer_level()
+               : (with_urgent && rng.uniform() < 0.3 ? rng.uniform(0.0, 25.0)
+                                                     : rng.uniform(70.0, 300.0));
+      lane.add(make_request(i, remaining, level, rng.uniform(320.0, 900.0),
+                            rng.uniform(4.0, 40.0)));
+    }
+    lane.sync();
+    const Mbps room = workahead_room(lane.active(), lane.now);
+    const Mbps boundary = room / (1.0 - 1e-9);
+    const Mbps capacities[] = {
+        0.5 * room,
+        room * (1.0 - 2e-9),
+        room,
+        std::nextafter(boundary, 0.0),
+        boundary,
+        std::nextafter(boundary, 1e300),
+        room * (1.0 + 1e-6),
+        1.5 * room,
+        4.0 * room,
+    };
+    for (const Mbps capacity : capacities) {
+      std::vector<Mbps> expected;
+      std::vector<Mbps> actual;
+      AllocationScratch scratch;
+      SchedCache sorted_cache;
+      SchedCache shortcut_cache;
+      sorted.allocate(lane.now, capacity, lane.active(), expected, scratch,
+                      &sorted_cache);
+      shortcut.allocate(lane.now, capacity, lane.active(), actual, scratch,
+                        &shortcut_cache);
+      ASSERT_EQ(actual.size(), expected.size());
+      for (std::size_t i = 0; i < actual.size(); ++i) {
+        ASSERT_EQ(actual[i], expected[i])
+            << "instance " << instance << " capacity " << capacity << " slot " << i;
+      }
+      if (sorted_cache.grant_order.empty()) continue;  // phase 2 never ran
+      if (shortcut_cache.grant_order.empty()) {
+        ++shortcut_passes;
+      } else {
+        ++sorted_passes;
+      }
+    }
+    // Without urgent streams, left == capacity: the rule is exact at the
+    // margin, so both sides of the boundary are pinned.
+    if (!with_urgent) {
+      std::vector<Mbps> rates;
+      AllocationScratch scratch;
+      SchedCache below;
+      shortcut.allocate(lane.now, std::nextafter(boundary, 0.0), lane.active(),
+                        rates, scratch, &below);
+      SchedCache at;
+      shortcut.allocate(lane.now, boundary * (1.0 + 1e-15), lane.active(), rates,
+                        scratch, &at);
+      EXPECT_FALSE(below.grant_order.empty()) << "instance " << instance;
+      EXPECT_TRUE(at.grant_order.empty()) << "instance " << instance;
+    }
+  }
+  EXPECT_GT(shortcut_passes, 100);
+  EXPECT_GT(sorted_passes, 100);
+}
+
+// The urgency latch is lane state while a stream is attached: it moves
+// with Server::detach's swap-with-last, and it survives a detach -> attach
+// round trip (a migration), so the hysteresis band holds on the new server.
+TEST(Intermittent, UrgencyLatchFollowsTheStreamAcrossLanes) {
+  LaneServer source;
+  Request& first = source.add(make_request(1, 2000.0, 300.0));
+  Request& middle = source.add(make_request(2, 2000.0, 15.0));  // 5 s cover
+  Request& last = source.add(make_request(3, 2000.0, 300.0));
+  source.sync();
+  IntermittentScheduler scheduler(10.0);
+  std::vector<Mbps> rates;
+  scheduler.allocate(source.now, 100.0, source.active(), rates);
+  ASSERT_TRUE(middle.workahead_urgent());
+  EXPECT_TRUE(source.server.lane().urgent(middle.active_index));
+  EXPECT_FALSE(last.workahead_urgent());
+
+  // swap_remove: the last slot moves into the detached one, latch included.
+  last.set_workahead_urgent(true);
+  source.server.detach(first);
+  ASSERT_EQ(last.active_index, 0u);
+  EXPECT_TRUE(source.server.lane().urgent(0));
+  EXPECT_TRUE(last.workahead_urgent());
+  EXPECT_FALSE(first.workahead_urgent());
+  last.set_workahead_urgent(false);
+
+  // Refill the middle stream to 15 s of cover (inside the hysteresis band:
+  // still urgent), then move it to another server.
+  const Seconds t = source.now;
+  middle.set_allocation(t, 33.0);
+  middle.advance(t + 1.0);
+  middle.set_allocation(t + 1.0, 0.0);
+  source.server.detach(middle);
+  EXPECT_TRUE(middle.workahead_urgent()) << "detach must copy the latch home";
+
+  // On the new server a stream with an earlier projected finish competes
+  // for a link that covers one drain: only the carried latch puts the
+  // middle stream first (with the latch lost, its 15 s of cover would read
+  // as not urgent and the other stream would win the workahead).
+  LaneServer destination;
+  Request& other = destination.add(make_request(4, 500.0, 300.0));
+  destination.now = t + 1.0;
+  destination.sync();
+  destination.server.attach(middle, /*enforce_capacity=*/false);
+  EXPECT_TRUE(destination.server.lane().urgent(middle.active_index));
+  scheduler.allocate(destination.now, kView, destination.active(), rates);
+  EXPECT_TRUE(middle.workahead_urgent());
+  EXPECT_EQ(rates[middle.active_index], kView);
+  EXPECT_EQ(rates[other.active_index], 0.0);
 }
 
 TEST(Intermittent, FactoryRoundTrip) {

@@ -395,8 +395,10 @@ TEST(JsonlExport, SchemaAndMonotoneTimestamps) {
     ++events;
     for (const char* key :
          {"seq", "t", "server", "request", "video", "a", "b", "shard"}) {
-      EXPECT_NE(line.find("\"" + std::string(key) + "\":"), std::string::npos)
-          << "missing key " << key;
+      std::string needle = "\"";
+      needle += key;
+      needle += "\":";
+      EXPECT_NE(line.find(needle), std::string::npos) << "missing key " << key;
     }
     EXPECT_NE(line.find("\"type\":\""), std::string::npos);
     EXPECT_NE(line.find("\"cat\":\""), std::string::npos);

@@ -3,9 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <numeric>
 
+#include "vodsim/cluster/server.h"
 #include "vodsim/sched/continuous.h"
 #include "vodsim/sched/eftf.h"
 #include "vodsim/sched/finish_order.h"
@@ -373,6 +375,90 @@ TEST_P(SchedCacheEquivalence, WarmCacheIsBitIdenticalUnderChurn) {
   EXPECT_EQ(cache_warmed, uses_cache) << scheduler->name();
 }
 
+// The same churn on a real Server: its lane-backed active list is what the
+// engine hands the schedulers, and Server::detach's swap-with-last is what
+// moves requests between the slots the cache remembers. Every round also
+// allocates for a hand-built twin — the same requests, unattached, so the
+// pass reads through the Request accessors instead of the lane — and the
+// fresh, cached and twin rates must agree bit for bit.
+TEST_P(SchedCacheEquivalence, LaneBackedCacheIsBitIdenticalUnderChurn) {
+  const auto param = GetParam();
+  const auto scheduler = make_scheduler(param.kind);
+  Rng rng(param.seed);
+
+  Server server(0, 1e6, 1e12);
+  Fixture lane_fx;
+  Fixture twin_fx;  // same ids, same states, never attached
+  std::vector<Request*> twin;
+  auto add = [&](Seconds now) {
+    const Megabits remaining = rng.uniform(500.0, 5000.0);
+    const Megabits buffer_cap = rng.uniform(50.0, 400.0);
+    const Mbps receive = rng.uniform(5.0, 40.0);
+    Request& attached = lane_fx.add(remaining, buffer_cap, 0.0, receive);
+    Request& copy = twin_fx.add(remaining, buffer_cap, 0.0, receive);
+    attached.advance(now);
+    copy.advance(now);
+    server.attach(attached, /*enforce_capacity=*/false);
+    copy.active_index = twin.size();
+    twin.push_back(&copy);
+  };
+  for (int i = 0; i < 10; ++i) add(0.0);
+
+  SchedCache cache;
+  AllocationScratch fresh_scratch;
+  AllocationScratch cached_scratch;
+  AllocationScratch twin_scratch;
+  std::vector<Mbps> fresh_rates;
+  std::vector<Mbps> cached_rates;
+  std::vector<Mbps> twin_rates;
+  Seconds now = 0.0;
+  bool cache_warmed = false;
+  const std::vector<Request*>& active = server.active_requests();
+
+  for (int round = 0; round < 40; ++round) {
+    now += rng.uniform(0.1, 5.0);
+    for (Request* request : active) request->advance(now);
+    for (Request* request : twin) request->advance(now);
+
+    if (active.size() > 2 && rng.uniform() < 0.3) {
+      const std::size_t victim = rng.uniform_int(active.size());
+      server.detach(*active[victim]);
+      twin[victim] = twin.back();
+      twin[victim]->active_index = victim;
+      twin.pop_back();
+    }
+    if (rng.uniform() < 0.3) add(now);
+
+    const Mbps capacity =
+        kView * static_cast<double>(active.size()) + rng.uniform(5.0, 80.0);
+    scheduler->allocate(now, capacity, active, fresh_rates, fresh_scratch);
+    scheduler->allocate(now, capacity, active, cached_rates, cached_scratch,
+                        &cache);
+    scheduler->allocate(now, capacity, twin, twin_rates, twin_scratch);
+
+    ASSERT_EQ(cached_rates.size(), fresh_rates.size());
+    ASSERT_EQ(twin_rates.size(), fresh_rates.size());
+    for (std::size_t i = 0; i < fresh_rates.size(); ++i) {
+      ASSERT_EQ(cached_rates[i], fresh_rates[i])
+          << scheduler->name() << " round " << round << " slot " << i
+          << ": cached path diverged";
+      ASSERT_EQ(twin_rates[i], fresh_rates[i])
+          << scheduler->name() << " round " << round << " slot " << i
+          << ": lane and Request reads diverged";
+    }
+    cache_warmed = cache_warmed || !cache.grant_order.empty();
+
+    for (std::size_t i = 0; i < active.size(); ++i) {
+      active[i]->set_allocation(now, cached_rates[i]);
+      twin[i]->set_allocation(now, cached_rates[i]);
+    }
+  }
+  const bool uses_cache = param.kind == SchedulerKind::kEftf ||
+                          param.kind == SchedulerKind::kLftf ||
+                          param.kind == SchedulerKind::kIntermittent;
+  EXPECT_EQ(cache_warmed, uses_cache) << scheduler->name();
+}
+
 INSTANTIATE_TEST_SUITE_P(
     FinishTimeSchedulers, SchedCacheEquivalence,
     ::testing::Values(CacheEquivalenceCase{SchedulerKind::kEftf, 201},
@@ -387,6 +473,66 @@ INSTANTIATE_TEST_SUITE_P(
       return to_string(info.param.kind) + "_seed" +
              std::to_string(info.param.seed);
     });
+
+// EFTF and LFTF skip the finish-time sort when the slack covers every
+// eligible request's room (sched_detail::grants_are_order_free). Swept
+// below, across and above that boundary — with equal sort keys in the mix
+// — their rates must equal the always-sorting pipeline built from the same
+// sched_detail steps, bit for bit.
+TEST(GreedyGrants, OrderFreeGrantsMatchSortedPipeline) {
+  Rng rng(1802);
+  int shortcut_cases = 0;
+  for (int instance = 0; instance < 40; ++instance) {
+    Fixture fx;
+    const int n = 2 + static_cast<int>(rng.uniform_int(30));
+    for (int i = 0; i < n; ++i) {
+      const bool twin = i > 0 && i % 3 == 0;  // duplicate key, id tie-break
+      const Megabits remaining =
+          twin ? fx.active().back()->remaining() : rng.uniform(100.0, 3000.0);
+      fx.add(remaining, rng.uniform(50.0, 400.0), 0.0, rng.uniform(2.0, 40.0));
+    }
+    fx.sync();
+    Mbps room = 0.0;
+    for (const Request* request : fx.active()) {
+      if (sched_detail::workahead_eligible(*request)) {
+        room += request->receive_bandwidth() - request->view_bandwidth();
+      }
+    }
+    const Mbps floor = kView * n;
+    const Mbps boundary = room / (1.0 - 1e-9);
+    const Mbps slacks[] = {0.5 * room, room, std::nextafter(boundary, 0.0),
+                           boundary * (1.0 + 1e-15), 2.0 * room};
+    for (const bool earliest_first : {true, false}) {
+      const auto scheduler = make_scheduler(earliest_first ? SchedulerKind::kEftf
+                                                           : SchedulerKind::kLftf);
+      for (const Mbps slack : slacks) {
+        const Mbps capacity = floor + slack;
+        std::vector<Mbps> actual;
+        scheduler->allocate(fx.now(), capacity, fx.active(), actual);
+
+        std::vector<Mbps> expected;
+        AllocationScratch scratch;
+        const Mbps left =
+            sched_detail::assign_minimum_flow(capacity, fx.active(), expected);
+        if (left > 0.0) {
+          sched_detail::eligible_indices(fx.active(), scratch.order);
+          sched_detail::sort_by_projected_finish(fx.now(), earliest_first,
+                                                 fx.active(), scratch, nullptr);
+          sched_detail::distribute_greedy(left, scratch.order, fx.active(),
+                                          expected);
+        }
+        ASSERT_EQ(actual.size(), expected.size());
+        for (std::size_t i = 0; i < actual.size(); ++i) {
+          ASSERT_EQ(actual[i], expected[i])
+              << scheduler->name() << " instance " << instance << " slack "
+              << slack << " request " << i;
+        }
+        shortcut_cases += sched_detail::grants_are_order_free(room, left);
+      }
+    }
+  }
+  EXPECT_GT(shortcut_cases, 100);
+}
 
 // EFTF is work-conserving: it leaves slack unused only when every client is
 // buffer-full or receive-capped.

@@ -68,8 +68,9 @@ INSTANTIATE_TEST_SUITE_P(Sweep, ThetaRecovery,
                          [](const ::testing::TestParamInfo<double>& info) {
                            const int milli =
                                static_cast<int>(std::lround(info.param * 100));
-                           return std::string(milli < 0 ? "m" : "p") +
-                                  std::to_string(std::abs(milli));
+                           std::string name = milli < 0 ? "m" : "p";
+                           name += std::to_string(std::abs(milli));
+                           return name;
                          });
 
 TEST(ThetaEstimate, UniformLooksUniform) {
