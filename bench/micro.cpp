@@ -220,40 +220,94 @@ void BM_EftfAllocate(benchmark::State& state) {
 }
 BENCHMARK(BM_EftfAllocate)->Arg(10)->Arg(33)->Arg(100)->Arg(300);
 
-void BM_RecomputeServer(benchmark::State& state) {
-  // The engine's per-event hot loop (VodSimulation::recompute_server),
-  // replicated through public APIs: advance every active request on a
-  // server, reallocate with EFTF, and reschedule predicted events for
-  // requests whose rate changed (exact-compare fast path). Arg 0 is the
-  // active-stream count; arg 1 selects saturated (slack 0 — the paper's
-  // interesting operating point, where the eligible sort is skipped) vs.
-  // slack (workahead flowing).
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const bool saturated = state.range(1) != 0;
+namespace {
+
+/// Attaches \p n steady-state streams to \p server, for the recompute and
+/// fill_* kernel benches (identical population to BM_FluidAdvanceBatch). The
+/// requests bind to the server's lane, so the server must outlive them in
+/// place — hence populate-in-place rather than return-by-value.
+void populate_server(Server& server, std::size_t n,
+                     std::vector<std::unique_ptr<Request>>& owner) {
   Rng rng(5);
   Video video;
   video.id = 0;
   video.duration = 2.0 * 3600.0;
   video.view_bandwidth = 3.0;
-  // 20% staging buffer of the video size, 30 Mb/s receive cap (fig5/fig7
-  // client settings).
   ClientProfile client{0.2 * video.size(), 30.0};
-  std::vector<std::unique_ptr<Request>> owner;
-  std::vector<Request*> active;
   for (std::size_t i = 0; i < n; ++i) {
     owner.push_back(std::make_unique<Request>(static_cast<RequestId>(i), video,
                                               0.0, client));
     Request& request = *owner.back();
     request.begin_streaming(0.0, 0);
+    server.attach(request);
     request.set_allocation(0.0, 3.0);
     request.advance(rng.uniform(1.0, 600.0));
-    request.active_index = i;  // cache seeding keys off this (finish_order.h)
-    active.push_back(&request);
   }
+}
+
+/// The engine's predicted-event timer (VodSimulation::set_predictions /
+/// sync_prediction_timer), replicated through public APIs for the
+/// recompute benchmarks: prediction keys live in the server's lane, and the
+/// queue holds one timer at the earliest of them. The holder is a slot
+/// here — the benchmarks never detach, so slots never move.
+struct PredictionTimer {
+  EventId timer = kInvalidEventId;
+  EventKey armed = kNoEventKey;
+  EventKey earliest = kNoEventKey;
+  std::size_t holder = 0;
+  bool stale = false;
+
+  void write(FluidLane& lane, std::size_t slot, const PredictionKeys& keys) {
+    const EventKey slot_earliest = lane.set_predictions(slot, keys);
+    if (stale) return;
+    if (slot_earliest < earliest) {
+      earliest = slot_earliest;
+      holder = slot;
+    } else if (holder == slot) {
+      stale = true;
+    }
+  }
+
+  void sync(EventQueue& queue, const FluidLane& lane) {
+    if (stale) {
+      holder = lane.earliest_slot();
+      earliest = holder == lane.size() ? kNoEventKey : lane.earliest_prediction(holder);
+      stale = false;
+    }
+    if (earliest == armed) return;
+    armed = earliest;
+    if (!armed.live()) {
+      queue.cancel(timer);
+      timer = kInvalidEventId;
+    } else if (!queue.rekey(timer, armed.time, armed.seq)) {
+      timer = queue.schedule_keyed(armed.time, armed.seq, [](Seconds) {});
+    }
+  }
+};
+
+}  // namespace
+
+void BM_RecomputeServer(benchmark::State& state) {
+  // The engine's per-event hot loop (VodSimulation::recompute_server),
+  // replicated through public APIs: advance every active request on a
+  // server, reallocate with EFTF, re-predict the events of requests whose
+  // rate changed (exact-compare fast path) as keys in the lane, and sync
+  // the server's one predicted-event timer. Arg 0 is the active-stream
+  // count; arg 1 selects saturated (slack 0 — the paper's interesting
+  // operating point, where the eligible sort is skipped) vs. slack
+  // (workahead flowing).
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const bool saturated = state.range(1) != 0;
   const Mbps capacity =
       saturated ? 3.0 * static_cast<double>(n) : 3.0 * static_cast<double>(n) + 60.0;
+  Server server(0, capacity, 1e12);
+  std::vector<std::unique_ptr<Request>> owner;
+  populate_server(server, n, owner);
+  const std::vector<Request*>& active = server.active_requests();
+  FluidLane& lane = server.lane();
   EftfScheduler scheduler;
   EventQueue queue;
+  PredictionTimer timer;
   std::vector<Mbps> rates;
   AllocationScratch scratch;
   SchedCache cache;
@@ -266,32 +320,22 @@ void BM_RecomputeServer(benchmark::State& state) {
       Request& request = *active[i];
       if (rates[i] == request.allocation()) continue;
       request.set_allocation(t, rates[i]);
-      // Engine pattern (reschedule_predicted_events): retime live
-      // predictions in place, fall back to cancel + schedule only when the
-      // prediction appears or disappears.
+      // Engine pattern (apply_predicted_times): one seq per kept
+      // prediction, one key write per stream, no queue traffic.
+      PredictionKeys keys = kNoPredictions;
       if (rates[i] > 0.0) {
-        const Seconds when = t + request.remaining() / rates[i];
-        if (!queue.reschedule(request.tx_complete_event, when)) {
-          request.tx_complete_event = queue.schedule(when, [](Seconds) {});
-        }
-      } else {
-        queue.cancel(request.tx_complete_event);
-        request.tx_complete_event = kInvalidEventId;
+        keys[0] = {t + request.remaining() / rates[i], queue.take_seq()};
       }
       const Mbps surplus = rates[i] - request.drain_rate(t);
       if (surplus > 1e-12 && !request.buffer_full()) {
-        const Seconds when = t + request.buffer_headroom() / surplus;
-        if (!queue.reschedule(request.buffer_full_event, when)) {
-          request.buffer_full_event = queue.schedule(when, [](Seconds) {});
-        }
-      } else {
-        queue.cancel(request.buffer_full_event);
-        request.buffer_full_event = kInvalidEventId;
+        keys[1] = {t + request.buffer_headroom() / surplus, queue.take_seq()};
       }
+      timer.write(lane, i, keys);
     }
+    timer.sync(queue, lane);
   };
 
-  recompute(now);  // warm: initial allocations + predicted events
+  recompute(now);  // warm: initial allocations + predictions
   const std::uint64_t allocs_before = heap_allocs();
   for (auto _ : state) {
     now += 1e-4;  // small fluid step keeps the population in steady state
@@ -308,6 +352,74 @@ BENCHMARK(BM_RecomputeServer)
     ->Args({100, 1})
     ->Args({100, 0})
     ->ArgNames({"streams", "saturated"});
+
+void BM_RecomputeRetime(benchmark::State& state) {
+  // Predicted-event upkeep alone, in the sharded_ramp shape: 100 servers of
+  // 150 lane-backed streams, one server recomputed per op with 26 of its
+  // streams re-predicted (tx-complete plus buffer-full or buffer-low). timer=0
+  // is the per-stream design — every prediction its own queue entry,
+  // retimed in place — with the whole cluster's predictions in the heap;
+  // timer=1 writes lane keys and syncs the server's one timer, with one
+  // timer per server in the heap. Both take the same seqs.
+  constexpr std::size_t kServers = 100;
+  constexpr std::size_t kStreams = 150;
+  constexpr std::size_t kChanged = 26;
+  const bool use_timer = state.range(0) != 0;
+  std::vector<std::unique_ptr<Server>> servers;
+  std::vector<std::unique_ptr<Request>> owner;
+  for (std::size_t s = 0; s < kServers; ++s) {
+    servers.push_back(std::make_unique<Server>(static_cast<ServerId>(s),
+                                               3.0 * kStreams + 60.0, 1e12));
+    populate_server(*servers.back(), kStreams, owner);
+  }
+  EventQueue queue;
+  std::vector<PredictionTimer> timers(kServers);
+  // Per-stream handles, three per stream, for timer=0.
+  std::vector<EventId> handles(kServers * kStreams * 3, kInvalidEventId);
+  Rng rng(9);
+  Seconds now = 600.0;
+  std::size_t cursor = 0;
+
+  auto recompute = [&](std::size_t s) {
+    for (std::size_t k = 0; k < kChanged; ++k) {
+      const std::size_t slot = (cursor++ * 7) % kStreams;
+      const bool filling = rng.uniform(0.0, 1.0) < 0.5;
+      // tx-complete, then buffer-full or buffer-low, seqs in that order.
+      PredictionKeys keys = kNoPredictions;
+      keys[0] = {now + rng.uniform(100.0, 10000.0), queue.take_seq()};
+      keys[filling ? 1 : 2] = {now + rng.uniform(1.0, 500.0), queue.take_seq()};
+      if (use_timer) {
+        timers[s].write(servers[s]->lane(), slot, keys);
+        continue;
+      }
+      for (std::size_t kind = 0; kind < keys.size(); ++kind) {
+        EventId& id = handles[(s * kStreams + slot) * 3 + kind];
+        if (!keys[kind].live()) {
+          queue.cancel(id);
+          id = kInvalidEventId;
+        } else if (!queue.rekey(id, keys[kind].time, keys[kind].seq)) {
+          id = queue.schedule_keyed(keys[kind].time, keys[kind].seq,
+                                    [](Seconds) {});
+        }
+      }
+    }
+    if (use_timer) timers[s].sync(queue, servers[s]->lane());
+  };
+
+  for (std::size_t s = 0; s < kServers * 6; ++s) recompute(s % kServers);  // warm
+  const std::uint64_t allocs_before = heap_allocs();
+  std::size_t server = 0;
+  for (auto _ : state) {
+    now += 1e-3;
+    recompute(server);
+    server = (server + 1) % kServers;
+  }
+  benchmark::DoNotOptimize(queue.size());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kChanged));
+  report_allocs_per_op(state, allocs_before, 1);
+}
+BENCHMARK(BM_RecomputeRetime)->Arg(0)->Arg(1)->ArgName("timer");
 
 void BM_RecomputeSingleStreamDelta(benchmark::State& state) {
   // The ordering kernel of recompute_server, isolated, under the engine's
@@ -709,32 +821,6 @@ BENCHMARK(BM_FluidAdvanceBatch)
     ->Args({1000, 1})
     ->ArgNames({"streams", "batched"});
 
-namespace {
-
-/// Attaches \p n steady-state streams to \p server, for the fill_* kernel
-/// benches below (identical population to BM_FluidAdvanceBatch). The
-/// requests bind to the server's lane, so the server must outlive them in
-/// place — hence populate-in-place rather than return-by-value.
-void populate_server(Server& server, std::size_t n,
-                     std::vector<std::unique_ptr<Request>>& owner) {
-  Rng rng(5);
-  Video video;
-  video.id = 0;
-  video.duration = 2.0 * 3600.0;
-  video.view_bandwidth = 3.0;
-  ClientProfile client{0.2 * video.size(), 30.0};
-  for (std::size_t i = 0; i < n; ++i) {
-    owner.push_back(std::make_unique<Request>(static_cast<RequestId>(i), video,
-                                              0.0, client));
-    Request& request = *owner.back();
-    request.begin_streaming(0.0, 0);
-    server.attach(request);
-    request.set_allocation(0.0, 3.0);
-    request.advance(rng.uniform(1.0, 600.0));
-  }
-}
-
-}  // namespace
 
 void BM_FluidKeyBatch(benchmark::State& state) {
   // The EFTF/LFTF sort-key pass (PR 9): batched=0 is the scalar

@@ -1,5 +1,6 @@
 #include "vodsim/check/invariant_auditor.h"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
@@ -143,6 +144,35 @@ void InvariantAuditor::check_server(const Server& server,
   }
 }
 
+void InvariantAuditor::check_prediction_timer(const Server& server,
+                                              EventKey armed) {
+  const std::vector<Request*>& active = server.active_requests();
+  const FluidLane& lane = server.lane();
+  EventKey earliest = kNoEventKey;
+  for (std::size_t i = 0; i < lane.size(); ++i) {
+    for (const EventKey& key : lane.predictions(i)) {
+      if (!key.live()) continue;
+      const Request& request = *active[i];
+      if (request.state() != RequestState::kStreaming ||
+          request.lane() != &lane || request.active_index != i) {
+        std::ostringstream d;
+        d << "server " << server.id() << " slot " << i << ": request "
+          << request.id() << " state " << static_cast<int>(request.state())
+          << " holds a key at " << key.time;
+        fail("live predictions belong to attached streaming requests", d);
+      }
+      earliest = std::min(earliest, key);
+    }
+  }
+  if (armed != earliest) {
+    std::ostringstream d;
+    d << "server " << server.id() << ": timer armed at (" << armed.time << ", "
+      << armed.seq << "), earliest prediction (" << earliest.time << ", "
+      << earliest.seq << ")";
+    fail("the prediction timer is armed at the earliest prediction", d);
+  }
+}
+
 void InvariantAuditor::on_event() {
   const Seconds now = sim_.simulator().now();
   if (now + 1e-9 < last_event_time_) {
@@ -169,6 +199,7 @@ void InvariantAuditor::on_event() {
     last_epochs_[i] = epoch;
 
     check_server(server, expect);
+    check_prediction_timer(server, sim_.prediction_timer_key(server.id()));
     for (const Request* request : server.active_requests()) {
       // Same named bound the mutators assert (util/units.h): the SoA fast
       // path cannot widen the fluid-clock tolerance without failing here.

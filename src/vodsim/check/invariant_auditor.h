@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "vodsim/des/event_queue.h"
 #include "vodsim/util/units.h"
 
 namespace vodsim {
@@ -90,6 +91,14 @@ class InvariantAuditor {
   /// [0, receive cap], buffer level within [0, capacity], remaining >= 0.
   static void check_request(const Request& request, const Server& server,
                             std::size_t index_on_server);
+
+  /// Validates one server's predicted-event timer (DESIGN.md §8) against
+  /// its lane: \p armed — the key the timer is armed at, kNoEventKey when
+  /// none is pending — must equal the earliest live prediction key in the
+  /// lane (none when the lane holds no live key), re-derived here from
+  /// every slot's three keys; and every live key must belong to a streaming
+  /// request attached at that slot.
+  static void check_prediction_timer(const Server& server, EventKey armed);
 
   /// Absolute tolerance on bandwidth sums (Mb/s) and buffer levels (Mb):
   /// generous against accumulated float error, far below one stream's rate.

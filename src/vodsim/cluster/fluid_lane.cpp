@@ -222,6 +222,15 @@ __attribute__((noinline)) void predicted_event_times(
   }
 }
 
+/// The least of \p n integers: FluidLane::earliest_slot's first pass.
+VODSIM_BATCH_KERNEL_CLONES
+__attribute__((noinline)) std::int64_t least_time_bits(
+    std::size_t n, const std::int64_t* __restrict bits) {
+  std::int64_t least = std::numeric_limits<std::int64_t>::max();
+  for (std::size_t i = 0; i < n; ++i) least = std::min(least, bits[i]);
+  return least;
+}
+
 }  // namespace
 
 FluidLane& FluidLane::operator=(const FluidLane& other) {
@@ -242,6 +251,8 @@ FluidLane& FluidLane::operator=(const FluidLane& other) {
   }
   size_ = other.size_;
   urgent_ = other.urgent_;
+  predictions_ = other.predictions_;
+  earliest_time_bits_ = other.earliest_time_bits_;
   return *this;
 }
 
@@ -282,6 +293,8 @@ void FluidLane::grow(std::size_t min_capacity) {
 void FluidLane::reserve(std::size_t n) {
   if (n > capacity_) grow(n);
   urgent_.reserve(n);
+  predictions_.reserve(n);
+  earliest_time_bits_.reserve(n);
 }
 
 void FluidLane::append(const Request& request) {
@@ -298,11 +311,15 @@ void FluidLane::append(const Request& request) {
   playing_[i] = request.viewing_paused() ? 0.0 : 1.0;
   receive_bandwidth_[i] = request.receive_bandwidth();
   urgent_.push_back(request.workahead_urgent() ? 1 : 0);
+  predictions_.push_back(kNoPredictions);
+  earliest_time_bits_.push_back(std::bit_cast<std::int64_t>(kNoEventKey.time));
   ++size_;
 }
 
 void FluidLane::swap_remove(std::size_t index) {
   assert(index < size_);
+  // The engine clears a stream's predictions before it detaches.
+  assert(!earliest_prediction(index).live());
   const std::size_t last = size_ - 1;
   last_update_[index] = last_update_[last];
   remaining_[index] = remaining_[last];
@@ -316,7 +333,37 @@ void FluidLane::swap_remove(std::size_t index) {
   receive_bandwidth_[index] = receive_bandwidth_[last];
   urgent_[index] = urgent_[last];
   urgent_.pop_back();
+  predictions_[index] = predictions_[last];
+  predictions_.pop_back();
+  earliest_time_bits_[index] = earliest_time_bits_[last];
+  earliest_time_bits_.pop_back();
   --size_;
+}
+
+Prediction FluidLane::earliest_kind(std::size_t i) const {
+  const PredictionKeys& keys = predictions_[i];
+  std::size_t kind = 0;
+  if (keys[1] < keys[kind]) kind = 1;
+  if (keys[2] < keys[kind]) kind = 2;
+  return static_cast<Prediction>(kind);
+}
+
+std::size_t FluidLane::earliest_slot() const {
+  if (size_ == 0) return 0;
+  // A vectorized pass finds the least time; the first slot at it is the
+  // answer unless a later slot ties on time and wins on seq, as the queue
+  // breaks ties. A lane with no live key has every slot at +inf with no
+  // live seq, and returns size().
+  const std::int64_t least = least_time_bits(size_, earliest_time_bits_.data());
+  std::size_t best = 0;
+  while (earliest_time_bits_[best] != least) ++best;
+  for (std::size_t i = best + 1; i < size_; ++i) {
+    if (earliest_time_bits_[i] == least &&
+        earliest_prediction(i) < earliest_prediction(best)) {
+      best = i;
+    }
+  }
+  return earliest_prediction(best).live() ? best : size_;
 }
 
 FluidLane::BatchResult FluidLane::advance_batch(

@@ -33,7 +33,8 @@
 /// The intermittent scheduler's urgency latch is lane-authoritative too,
 /// but it is one byte per slot in its own array outside the double arena:
 /// no kernel reads it, and a byte rather than an eleventh double per
-/// stream keeps the lane's footprint where it was.
+/// stream keeps the lane's footprint where it was. The predicted-event
+/// keys (DESIGN.md §8) are lane-authoritative and outside the arena too.
 ///
 /// One fluid path. A server recompute advances all of its streams with
 /// `advance_batch`, which runs the single-stream arithmetic in one
@@ -45,6 +46,9 @@
 /// the lane plumbing directly.
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -52,6 +56,7 @@
 #include <vector>
 
 #include "vodsim/cluster/client.h"
+#include "vodsim/des/event_queue.h"
 #include "vodsim/util/units.h"
 
 namespace vodsim {
@@ -119,6 +124,15 @@ inline Megabits advance_stream(Seconds now, Seconds& last_update,
 
 }  // namespace fluid_detail
 
+/// The three events the engine predicts per streaming request (DESIGN.md
+/// §8), in the order each recompute takes their seqs.
+enum class Prediction : std::uint8_t { kTxComplete, kBufferFull, kBufferLow };
+
+/// One stream's prediction keys, indexed by Prediction (kNoEventKey = none).
+using PredictionKeys = std::array<EventKey, 3>;
+inline constexpr PredictionKeys kNoPredictions{kNoEventKey, kNoEventKey,
+                                               kNoEventKey};
+
 /// Per-server struct-of-arrays fluid state. Slot i belongs to the request
 /// with active_index == i on the owning server.
 class FluidLane {
@@ -162,6 +176,37 @@ class FluidLane {
   /// lane-authoritative while the request is attached.
   bool urgent(std::size_t i) const { return urgent_[i] != 0; }
   void set_urgent(std::size_t i, bool urgent) { urgent_[i] = urgent ? 1 : 0; }
+
+  // --- predicted-event keys (lane-authoritative; DESIGN.md §8) -----------
+  // Each slot keeps the (time, seq) key of each of its three predictions
+  // (kNoEventKey = none), plus the time of the earliest of them in a dense
+  // array, so the engine finds a server's next prediction with one
+  // vectorized pass. Nothing in any event queue stands for a single
+  // prediction: the engine arms one timer per server at the lane's
+  // earliest key.
+  const PredictionKeys& predictions(std::size_t i) const {
+    return predictions_[i];
+  }
+  /// The earliest of slot \p i's keys (kNoEventKey when it has none).
+  EventKey earliest_prediction(std::size_t i) const {
+    const PredictionKeys& keys = predictions_[i];
+    return std::min({keys[0], keys[1], keys[2]});
+  }
+  /// Which of slot \p i's predictions holds its earliest key.
+  Prediction earliest_kind(std::size_t i) const;
+  /// Writes a slot's keys; returns its earliest.
+  EventKey set_predictions(std::size_t i, const PredictionKeys& keys) {
+    predictions_[i] = keys;
+    return refresh_earliest(i);
+  }
+  /// Drops one prediction of slot \p i.
+  void clear_prediction(std::size_t i, Prediction kind) {
+    predictions_[i][static_cast<std::size_t>(kind)] = kNoEventKey;
+    refresh_earliest(i);
+  }
+  /// The slot holding the lane's earliest live key, or size() when no slot
+  /// holds one.
+  std::size_t earliest_slot() const;
 
   // Write-through sinks for the home-authoritative fields (Request-driven).
   void set_allocation(std::size_t i, Mbps rate) { allocation_[i] = rate; }
@@ -304,6 +349,20 @@ class FluidLane {
 
   /// Urgency latch per slot (0/1), outside the arena; sized with size_.
   std::vector<std::uint8_t> urgent_;
+  /// Predicted-event keys per slot; outside the arena, sized with size_.
+  std::vector<PredictionKeys> predictions_;
+  /// Per slot, the time of its earliest key as an IEEE-754 bit pattern.
+  /// Key times are nonnegative (or +inf), and such doubles order exactly
+  /// like their bit patterns read as signed integers — whose min reduction
+  /// vectorizes where a double min does not. Sized with size_.
+  std::vector<std::int64_t> earliest_time_bits_;
+
+  EventKey refresh_earliest(std::size_t i) {
+    const EventKey earliest = earliest_prediction(i);
+    assert(earliest.time >= 0.0);
+    earliest_time_bits_[i] = std::bit_cast<std::int64_t>(earliest.time);
+    return earliest;
+  }
 };
 
 }  // namespace vodsim

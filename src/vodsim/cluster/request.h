@@ -157,15 +157,12 @@ class Request {
   /// is lane-backed and read the SoA arrays directly.
   const FluidLane* lane() const { return lane_; }
 
-  // --- predicted-event bookkeeping ------------------------------------
-  // The engine stores handles to this request's pending predicted events so
-  // it can reschedule only when the allocation actually changes.
-  EventId tx_complete_event = kInvalidEventId;
-  EventId buffer_full_event = kInvalidEventId;
+  /// Handle of this request's end-of-playback event on the coordinator
+  /// queue (engine-managed). Its predicted events — tx-complete,
+  /// buffer-full, buffer-low — have no handles: they are keys in its
+  /// server's FluidLane while it is attached, behind one timer per server
+  /// (DESIGN.md §8).
   EventId playback_end_event = kInvalidEventId;
-  /// Fires when a deliberately starved stream (intermittent scheduling)
-  /// drains to the safety threshold and needs flow again.
-  EventId buffer_low_event = kInvalidEventId;
 
   /// Index of this request within its server's active list (engine-managed;
   /// enables O(1) removal).

@@ -16,8 +16,7 @@
 /// that index). The index buys two things:
 ///   - reschedule() retimes an event in place — rewrite the entry's
 ///     (time, seq) key, one O(log n) sift, no slot churn — which is what
-///     makes per-rate-change predicted-event retiming cheaper than the
-///     cancel+insert pair it replaces;
+///     keeps timer retiming cheaper than a cancel+insert pair;
 ///   - cancel() removes its entry eagerly (move the last entry into the
 ///     hole, sift). The heap therefore only ever holds live entries: pop
 ///     never skips dead ones, no compaction pass is needed, memory is
@@ -30,6 +29,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -43,6 +43,25 @@ using EventId = std::uint64_t;
 
 inline constexpr EventId kInvalidEventId = 0;
 
+/// A pending event's place in the queue's total order: fire time, then the
+/// sequence number it took (the equal-time tie-break). Callers of the keyed
+/// API (EventQueue::take_seq) hold these themselves; kNoEventKey, the
+/// "nothing pending" key, sorts after every live one.
+struct EventKey {
+  Seconds time;
+  std::uint64_t seq;  ///< seqs start at 1 and never reach the max, "none"
+
+  bool live() const { return seq != std::numeric_limits<std::uint64_t>::max(); }
+  friend bool operator<(const EventKey& a, const EventKey& b) {
+    if (a.time != b.time) return a.time < b.time;
+    return a.seq < b.seq;
+  }
+  friend bool operator==(const EventKey&, const EventKey&) = default;
+};
+
+inline constexpr EventKey kNoEventKey{std::numeric_limits<Seconds>::infinity(),
+                                      std::numeric_limits<std::uint64_t>::max()};
+
 /// Callback invoked when an event fires. Receives the firing time.
 using EventFn = EventCallback;
 
@@ -55,6 +74,40 @@ class EventQueue {
   /// relative to other pending events (the caller — Simulator — enforces
   /// causality with respect to the clock).
   EventId schedule(Seconds time, EventFn fn) {
+    return schedule_keyed(time, ++scheduled_, std::move(fn));
+  }
+
+  /// Retimes a pending event in place: one O(log n) sift, no slot churn.
+  /// The handle stays valid and the handler is untouched.
+  ///
+  /// Consumes one sequence number, so the retimed event ties with
+  /// equal-time events exactly as if it had been cancelled and freshly
+  /// scheduled — pop order is uniquely (time, seq)-determined, which is what
+  /// the determinism contract pins; the heap's internal layout is free to
+  /// differ. Returns false (and does nothing, consuming no seq) for dead or
+  /// stale ids; the caller schedules a fresh event instead.
+  bool reschedule(EventId id, Seconds time) {
+    Slot* entry = live_slot(id);
+    if (entry == nullptr) return false;
+    retime(*entry, time, ++scheduled_);
+    return true;
+  }
+
+  // --- keyed scheduling ---------------------------------------------------
+  // A caller that multiplexes many logical events onto one queue entry (the
+  // engine's per-server predicted-event timer, DESIGN.md §8) takes each
+  // logical event's seq with take_seq() at the moment schedule() or
+  // reschedule() would have consumed it, keeps the (time, seq) keys itself,
+  // and arms one entry at the earliest of them with schedule_keyed() /
+  // rekey(). Neither consumes a seq, so the keys — and the pop order — are
+  // exactly those of scheduling every logical event directly.
+
+  /// Consumes one sequence number and schedules nothing.
+  std::uint64_t take_seq() { return ++scheduled_; }
+
+  /// schedule() under a caller-held key: \p seq must come from take_seq()
+  /// and be held by no other pending entry. Consumes no seq.
+  EventId schedule_keyed(Seconds time, std::uint64_t seq, EventFn fn) {
     std::uint32_t slot;
     if (!free_slots_.empty()) {
       slot = free_slots_.back();
@@ -67,36 +120,17 @@ class EventQueue {
     assert(!entry.live);
     entry.fn = std::move(fn);
     entry.live = true;
-    ++scheduled_;
-    heap_.push_back(HeapEntry{time, scheduled_, slot, entry.generation});
+    heap_.push_back(HeapEntry{time, seq, slot, entry.generation});
     sift_up(heap_.size() - 1);
     return make_id(slot, entry.generation);
   }
 
-  /// Retimes a pending event in place: one O(log n) sift, no slot churn.
-  /// The handle stays valid and the handler is untouched.
-  ///
-  /// Consumes one sequence number, so the retimed event ties with
-  /// equal-time events exactly as if it had been cancelled and freshly
-  /// scheduled — pop order is uniquely (time, seq)-determined, which is what
-  /// the determinism contract pins; the heap's internal layout is free to
-  /// differ. Returns false (and does nothing) for dead or stale ids; the
-  /// caller schedules a fresh event instead.
-  bool reschedule(EventId id, Seconds time) {
-    if (id == kInvalidEventId) return false;
-    const std::uint32_t slot = id_slot(id);
-    if (slot >= slots_.size()) return false;
-    Slot& entry = slots_[slot];
-    if (!entry.live || entry.generation != id_generation(id)) return false;
-    const std::size_t pos = entry.heap_pos;
-    assert(pos < heap_.size() && heap_[pos].slot == slot &&
-           heap_[pos].generation == entry.generation);
-    heap_[pos].time = time;
-    heap_[pos].seq = ++scheduled_;
-    // An earlier time moves up; a later time — or the same time, now losing
-    // the seq tie-break — moves down. Try up first; if it did not move,
-    // settle downward.
-    if (sift_up(pos) == pos) sift_down(pos);
+  /// reschedule() under a caller-held key (see schedule_keyed). Consumes no
+  /// seq; returns false (and does nothing) for dead or stale ids.
+  bool rekey(EventId id, Seconds time, std::uint64_t seq) {
+    Slot* entry = live_slot(id);
+    if (entry == nullptr) return false;
+    retime(*entry, time, seq);
     return true;
   }
 
@@ -104,13 +138,10 @@ class EventQueue {
   /// no-op if the event already fired or was cancelled (including
   /// kInvalidEventId and stale ids — the slot generation no longer matches).
   void cancel(EventId id) {
-    if (id == kInvalidEventId) return;
-    const std::uint32_t slot = id_slot(id);
-    if (slot >= slots_.size()) return;
-    Slot& entry = slots_[slot];
-    if (!entry.live || entry.generation != id_generation(id)) return;
-    remove_at(entry.heap_pos);
-    release(slot);
+    const Slot* entry = live_slot(id);
+    if (entry == nullptr) return;
+    remove_at(entry->heap_pos);
+    release(id_slot(id));
   }
 
   /// True if no pending events remain.
@@ -146,7 +177,8 @@ class EventQueue {
     free_slots_.reserve(events);
   }
 
-  /// Total events ever scheduled (diagnostic).
+  /// Sequence numbers consumed so far — one per schedule(), reschedule()
+  /// and take_seq() (diagnostic).
   std::uint64_t scheduled_count() const { return scheduled_; }
 
   /// Heap entries currently held (diagnostic). Eager removal keeps this
@@ -185,6 +217,30 @@ class EventQueue {
   }
   static std::uint32_t id_generation(EventId id) {
     return static_cast<std::uint32_t>(id >> 32);
+  }
+
+  /// The live slot \p id names, or nullptr for kInvalidEventId, fired,
+  /// cancelled and stale ids (the slot generation no longer matches).
+  Slot* live_slot(EventId id) {
+    if (id == kInvalidEventId) return nullptr;
+    const std::uint32_t slot = id_slot(id);
+    if (slot >= slots_.size()) return nullptr;
+    Slot& entry = slots_[slot];
+    if (!entry.live || entry.generation != id_generation(id)) return nullptr;
+    return &entry;
+  }
+
+  /// Rewrites a live entry's (time, seq) key and sifts it into place. An
+  /// earlier key moves up; a later one — or the same time, now losing the
+  /// seq tie-break — moves down. Try up first; if it did not move, settle
+  /// downward.
+  void retime(const Slot& entry, Seconds time, std::uint64_t seq) {
+    const std::size_t pos = entry.heap_pos;
+    assert(pos < heap_.size() && &slots_[heap_[pos].slot] == &entry &&
+           heap_[pos].generation == entry.generation);
+    heap_[pos].time = time;
+    heap_[pos].seq = seq;
+    if (sift_up(pos) == pos) sift_down(pos);
   }
 
   /// Frees a slot: destroys the handler, bumps the generation (invalidating

@@ -19,6 +19,16 @@ bool Simulator::reschedule_at(Seconds time, EventId id) {
   return queue_.reschedule(id, std::max(time, now_));
 }
 
+EventId Simulator::schedule_keyed(Seconds time, std::uint64_t seq, EventFn fn) {
+  assert(time >= now_);
+  return queue_.schedule_keyed(time, seq, std::move(fn));
+}
+
+bool Simulator::rekey(EventId id, Seconds time, std::uint64_t seq) {
+  assert(time >= now_);
+  return queue_.rekey(id, time, seq);
+}
+
 bool Simulator::step() {
   if (queue_.empty()) return false;
   auto [time, fn] = queue_.pop();

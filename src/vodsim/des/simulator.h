@@ -38,6 +38,15 @@ class Simulator {
   /// false (no-op) on invalid/fired handles; the caller schedules afresh.
   bool reschedule_at(Seconds time, EventId id);
 
+  /// Keyed scheduling (EventQueue::take_seq / schedule_keyed / rekey): the
+  /// caller holds (time, seq) keys of its own and arms one entry at the
+  /// earliest. There is no clamp here — a caller keys by the clamped time
+  /// max(t, now()) when it takes the seq, so the key it holds is the key
+  /// the queue orders by.
+  std::uint64_t take_seq() { return queue_.take_seq(); }
+  EventId schedule_keyed(Seconds time, std::uint64_t seq, EventFn fn);
+  bool rekey(EventId id, Seconds time, std::uint64_t seq);
+
   /// Fires the earliest pending event. Returns false if none remain.
   bool step();
 

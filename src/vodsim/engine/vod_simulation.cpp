@@ -982,12 +982,15 @@ void VodSimulation::recompute_server(ExecContext& ctx, ServerId server_id) {
   // fused loop did) and collect the slots whose rate actually moved.
   // Exact comparison on purpose: the common case (rate == view bandwidth,
   // assigned from the same double every recomputation) stays bit-identical,
-  // so unchanged requests keep their predicted events.
+  // so unchanged requests keep their predicted events. The old rate is
+  // read from the lane, the write-through copy of Request::allocation, so
+  // only a changed request is dereferenced.
   std::vector<std::size_t>& changed = ctx.changed_slots;
   changed.clear();
+  const FluidLane& lane = server.lane();
   for (std::size_t i = 0; i < active.size(); ++i) {
-    Request& request = *active[i];
-    if (rates[i] != request.allocation()) {
+    if (rates[i] != lane.allocation(i)) {
+      Request& request = *active[i];
       note(ctx, TraceEventType::kAllocationChange, kTraceAllocation, server_id,
            request.id(), request.video_id(), request.allocation(),
            rates[i]);
@@ -996,10 +999,10 @@ void VodSimulation::recompute_server(ExecContext& ctx, ServerId server_id) {
     }
   }
 
-  // Phase 2: retime the predicted events of every changed slot. Splitting
-  // the fused write+retime loop is bit-identical: a retime reads only its
+  // Phase 2: re-predict the events of every changed slot. Splitting the
+  // fused write+predict loop is bit-identical: a prediction reads only its
   // own request's state (which phase 1 finalized), and both the slot order
-  // and the per-request schedule order (tx → full → low) — hence event-seq
+  // and the per-request order (tx → full → low) — hence event-seq
   // consumption — are unchanged. When a mass reallocation moved most of the
   // lane, one vectorized pass computes all three predicted times (+inf =
   // no event) and the scalar mechanics consume them; sparse changes (the
@@ -1007,13 +1010,12 @@ void VodSimulation::recompute_server(ExecContext& ctx, ServerId server_id) {
   // the whole lane to retime two slots would waste the divisions the batch
   // amortizes.
   if (changed.size() >= 8 && changed.size() * 4 >= active.size()) {
-    server.lane().fill_predicted_times(now, config_.intermittent_safety_cover,
-                                       ctx.retime_tx, ctx.retime_full,
-                                       ctx.retime_low);
+    lane.fill_predicted_times(now, config_.intermittent_safety_cover,
+                              ctx.retime_tx, ctx.retime_full, ctx.retime_low);
     for (const std::size_t i : changed) {
       Request& request = *active[i];
       if (request.state() != RequestState::kStreaming) {
-        cancel_predicted_events(request);  // mirrors reschedule's early-out
+        reschedule_predicted_events(ctx, request);  // its clearing early-out
       } else {
         apply_predicted_times(request, ctx.retime_tx[i], ctx.retime_full[i],
                               ctx.retime_low[i]);
@@ -1024,6 +1026,7 @@ void VodSimulation::recompute_server(ExecContext& ctx, ServerId server_id) {
       reschedule_predicted_events(ctx, *active[i]);
     }
   }
+  sync_prediction_timer(server_id);
   // Record *after* the advances above bumped the epoch: the server is clean
   // as of the state this pass just produced.
   state.clean_time = now;
@@ -1147,6 +1150,7 @@ void VodSimulation::on_pause(Request& request) {
     // did not, and a full buffer now absorbs nothing (minimum rate 0).
     recompute_server(ctx, request.server());
     reschedule_predicted_events(ctx, request);
+    sync_prediction_timer(request.server());
   }
 
   const Seconds pause = interactivity_rng_.exponential(
@@ -1169,6 +1173,7 @@ void VodSimulation::on_resume(Request& request) {
   if (request.state() == RequestState::kStreaming) {
     recompute_server(ctx, request.server());
     reschedule_predicted_events(ctx, request);
+    sync_prediction_timer(request.server());
   }
   schedule_next_pause(request);
 }
@@ -1270,33 +1275,25 @@ VodSimulation::OccupancySummary VodSimulation::occupancy() const {
 }
 
 void VodSimulation::cancel_predicted_events(Request& request) {
-  // EventIds are queue-local: the handles below always live in the owner
-  // context's queue. Every detach/migration path cancels *before*
-  // reassigning the server, so the id↔queue pairing cannot dangle across
-  // an ownership change.
-  Simulator& psim = owner_of(request.server()).sim;
-  psim.cancel(request.tx_complete_event);
-  psim.cancel(request.buffer_full_event);
-  psim.cancel(request.buffer_low_event);
-  request.tx_complete_event = kInvalidEventId;
-  request.buffer_full_event = kInvalidEventId;
-  request.buffer_low_event = kInvalidEventId;
+  assert(request.lane() != nullptr && "cancel before detaching");
+  set_predictions(request, kNoPredictions);
+  sync_prediction_timer(request.server());
 }
 
 void VodSimulation::reschedule_predicted_events(ExecContext& ctx,
                                                 Request& request) {
+  constexpr Seconds kNever = std::numeric_limits<Seconds>::infinity();
   if (request.state() != RequestState::kStreaming) {
-    cancel_predicted_events(request);
+    set_predictions(request, kNoPredictions);
     return;
   }
   const Seconds now = ctx.sim.now();
   const Mbps rate = request.allocation();
-  constexpr Seconds kNever = std::numeric_limits<Seconds>::infinity();
 
   // Scalar twin of FluidLane::predicted_event_times: same formulas, same
   // gates, +inf encodes "no event" (see the kernel for why the encoding is
-  // unambiguous). The schedule/cancel mechanics live in
-  // apply_predicted_times, shared with recompute_server's batched path.
+  // unambiguous). The key mechanics live in apply_predicted_times, shared
+  // with recompute_server's batched path.
   Seconds tx_at = kNever;
   if (rate > 0.0) tx_at = now + request.remaining() / rate;
 
@@ -1328,71 +1325,125 @@ void VodSimulation::reschedule_predicted_events(ExecContext& ctx,
 
 void VodSimulation::apply_predicted_times(Request& request, Seconds tx_at,
                                           Seconds full_at, Seconds low_at) {
-  // Predictions schedule into the owner context's queue, and their handlers
-  // run there. A coordinator caller of a sharded run targets a shard queue
+  // Keys take their seqs from the owner context's queue, where the timer
+  // runs. A coordinator caller of a sharded run writes keys for a shard
   // whose own clock lags (it drained strictly below this event's time), so
-  // the schedule_at clamp-to-now can never fire backwards; a shard caller
-  // is always the owner itself.
-  ExecContext& owner = owner_of(request.server());
-  Simulator& psim = owner.sim;
+  // clamping to the owner clock can never key a prediction into its past;
+  // a shard caller is always the owner itself.
+  Simulator& psim = owner_of(request.server()).sim;
   constexpr Seconds kNever = std::numeric_limits<Seconds>::infinity();
+  const auto keyed = [&psim](Seconds at) {
+    return EventKey{std::max(at, psim.now()), psim.take_seq()};
+  };
 
-  // Each prediction retimes its pending event in place when one is live (the
-  // common case — every allocation change moves all of them) and only
-  // schedules or cancels on a liveness transition. Sequence-number parity
-  // with the cancel+schedule pairs this replaces is load-bearing: exactly
-  // one seq is consumed per *kept* prediction, in the same order
-  // (transmission-complete, then buffer-full, then buffer-low), so
-  // equal-time events tie-break identically and the simulation stays on the
-  // seed trajectory bit for bit. Cancels consume no seq, on either path.
+  // Sequence-number parity with one queue entry per prediction is
+  // load-bearing: exactly one seq is taken per *kept* prediction, in the
+  // same order (transmission-complete, then buffer-full, then buffer-low)
+  // as the reschedule-or-schedule calls that entry would make, so
+  // equal-time events tie-break identically and the simulation stays on
+  // the seed trajectory bit for bit. Dropping a prediction takes no seq,
+  // as a cancel consumes none.
   //
   // Transmission-complete liveness comes from the allocation sign, not from
   // tx_at's finiteness: a pathological tiny rate could divide to +inf yet
   // still mean "transmitting" — the sign test matches the scalar gate
   // exactly. The full/low times can only be finite when their gates kept
   // them, so finiteness *is* their liveness.
-  if (request.allocation() > 0.0) {
-    if (!psim.reschedule_at(tx_at, request.tx_complete_event)) {
-      request.tx_complete_event =
-          psim.schedule_at(tx_at, [this, &owner, &request](Seconds) {
-            request.tx_complete_event = kInvalidEventId;
-            on_tx_complete(owner, request);
-          });
-    }
-  } else {
-    psim.cancel(request.tx_complete_event);
-    request.tx_complete_event = kInvalidEventId;
-  }
+  set_predictions(
+      request, {request.allocation() > 0.0 ? keyed(tx_at) : kNoEventKey,
+                full_at != kNever ? keyed(full_at) : kNoEventKey,
+                low_at != kNever ? keyed(low_at) : kNoEventKey});
+}
 
-  if (full_at != kNever) {
-    if (!psim.reschedule_at(full_at, request.buffer_full_event)) {
-      request.buffer_full_event =
-          psim.schedule_at(full_at, [this, &owner, &request](Seconds) {
-            request.buffer_full_event = kInvalidEventId;
-            on_buffer_full(owner, request);
-          });
-    }
-  } else {
-    psim.cancel(request.buffer_full_event);
-    request.buffer_full_event = kInvalidEventId;
+void VodSimulation::set_predictions(Request& request,
+                                    const PredictionKeys& keys) {
+  const auto server = static_cast<std::size_t>(request.server());
+  FluidLane& lane = servers_[server].lane();
+  const EventKey slot_earliest = lane.set_predictions(request.active_index, keys);
+  ServerRecomputeState& state = recompute_state_[server];
+  if (state.earliest_stale) return;  // the next sync rescans anyway
+  // Every other stream's keys are at or after the server's earliest, so a
+  // lower key here is the server's new earliest. Otherwise the earliest
+  // stands — unless this stream held it, and its key is gone.
+  if (slot_earliest < state.earliest) {
+    state.earliest = slot_earliest;
+    state.holder = &request;
+    state.holder_kind = lane.earliest_kind(request.active_index);
+  } else if (state.holder == &request) {
+    state.earliest_stale = true;
   }
+}
 
-  if (low_at != kNever) {
-    if (!psim.reschedule_at(low_at, request.buffer_low_event)) {
-      request.buffer_low_event =
-          psim.schedule_at(low_at, [this, &owner, &request](Seconds) {
-            request.buffer_low_event = kInvalidEventId;
-            if (request.state() == RequestState::kStreaming) {
-              note(owner, TraceEventType::kBufferLow, kTraceBuffer, request.server(),
-                   request.id(), request.video_id(), request.buffer_level());
-              recompute_server(owner, request.server());
-            }
-          });
+void VodSimulation::sync_prediction_timer(ServerId server_id) {
+  ServerRecomputeState& state =
+      recompute_state_[static_cast<std::size_t>(server_id)];
+  if (state.firing) return;  // on_prediction_timer syncs once, at its end
+  if (state.earliest_stale) {
+    const Server& server = servers_[static_cast<std::size_t>(server_id)];
+    const FluidLane& lane = server.lane();
+    const std::size_t slot = lane.earliest_slot();
+    if (slot == lane.size()) {
+      state.earliest = kNoEventKey;
+      state.holder = nullptr;
+    } else {
+      state.earliest = lane.earliest_prediction(slot);
+      state.holder = server.active_requests()[slot];
+      state.holder_kind = lane.earliest_kind(slot);
     }
-  } else {
-    psim.cancel(request.buffer_low_event);
-    request.buffer_low_event = kInvalidEventId;
+    state.earliest_stale = false;
   }
+  if (state.earliest == state.armed) return;
+
+  ExecContext& owner = owner_of(server_id);
+  state.armed = state.earliest;
+  if (!state.armed.live()) {
+    owner.sim.cancel(state.timer);
+    state.timer = kInvalidEventId;
+  } else if (!owner.sim.rekey(state.timer, state.armed.time, state.armed.seq)) {
+    state.timer = owner.sim.schedule_keyed(
+        state.armed.time, state.armed.seq,
+        [this, &owner, server_id](Seconds) {
+          on_prediction_timer(owner, server_id);
+        });
+  }
+}
+
+void VodSimulation::on_prediction_timer(ExecContext& owner, ServerId server_id) {
+  ServerRecomputeState& state =
+      recompute_state_[static_cast<std::size_t>(server_id)];
+  state.timer = kInvalidEventId;
+  state.armed = kNoEventKey;
+  // A sync precedes every return to the event loop, so the holder is
+  // current: no search, only its slot's key to clear.
+  assert(!state.earliest_stale && state.holder != nullptr);
+  Request& request = *state.holder;
+  const Prediction kind = state.holder_kind;
+  servers_[static_cast<std::size_t>(server_id)].lane().clear_prediction(
+      request.active_index, kind);
+  state.earliest_stale = true;
+  // The handler's own syncs of this server (its recompute, a tx-complete's
+  // cancel) are deferred to the one below: one rescan and one re-arm per
+  // firing.
+  state.firing = true;
+  switch (kind) {
+    case Prediction::kTxComplete:
+      on_tx_complete(owner, request);
+      break;
+    case Prediction::kBufferFull:
+      on_buffer_full(owner, request);
+      break;
+    case Prediction::kBufferLow:
+      // Fires when a deliberately starved stream (intermittent scheduling)
+      // drains to the safety threshold and needs flow again.
+      if (request.state() == RequestState::kStreaming) {
+        note(owner, TraceEventType::kBufferLow, kTraceBuffer, request.server(),
+             request.id(), request.video_id(), request.buffer_level());
+        recompute_server(owner, request.server());
+      }
+      break;
+  }
+  state.firing = false;
+  sync_prediction_timer(server_id);
 }
 
 std::size_t VodSimulation::owner_index(ServerId server) const {

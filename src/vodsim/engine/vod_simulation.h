@@ -14,10 +14,12 @@
 /// Each recomputation first advances all of the server's streams to now in
 /// one batched pass over its FluidLane (cluster/fluid_lane.h), bit-identical
 /// to advancing them one at a time in active order.
-/// Between recomputations, each request carries two *predicted* events —
-/// transmission-complete and buffer-full — which are rescheduled only when
-/// its allocation actually changes, keeping event churn near-linear in the
-/// number of arrivals.
+/// Between recomputations, each streaming request carries up to three
+/// *predicted* events — transmission-complete, buffer-full and buffer-low —
+/// re-predicted only when its allocation actually changes. They are keys in
+/// its server's FluidLane, not queue entries: each server arms one timer at
+/// its earliest key (DESIGN.md §8), so a rate change writes a key instead
+/// of sifting the event heap.
 ///
 /// Execution contexts (DESIGN.md §12): events run on a context — an event
 /// queue with its own metrics, trace recorder, scheduler instance and
@@ -125,6 +127,14 @@ class VodSimulation {
   /// checks monotonicity; exposed for it and for tests.
   std::uint64_t recompute_epoch(ServerId server) const {
     return recompute_state_[static_cast<std::size_t>(server)].epoch;
+  }
+
+  /// The key \p server's predicted-event timer is armed at, kNoEventKey
+  /// when no timer is pending. Between events it equals the earliest live
+  /// prediction key in the server's lane; the invariant auditor checks that
+  /// (InvariantAuditor::check_prediction_timer).
+  EventKey prediction_timer_key(ServerId server) const {
+    return recompute_state_[static_cast<std::size_t>(server)].armed;
   }
 
   /// The attached auditor, or nullptr unless paranoid mode is on.
@@ -240,7 +250,7 @@ class VodSimulation {
     /// wholesale by FluidLane::advance_batch).
     std::vector<Megabits> underflow_scratch;
     /// Slots whose allocation changed in the current recompute pass;
-    /// decides scalar vs. batched predicted-event retiming.
+    /// decides scalar vs. batched prediction.
     std::vector<std::size_t> changed_slots;
     /// Predicted-time outputs of FluidLane::fill_predicted_times (written
     /// wholesale per batched retime pass).
@@ -265,9 +275,9 @@ class VodSimulation {
   /// kNoServer.
   std::size_t owner_index(ServerId server) const;
 
-  /// The context owning \p server. Predicted-event handles are only ever
-  /// scheduled/retimed/cancelled against its queue — EventIds are
-  /// queue-local, and a request's server never changes while its
+  /// The context owning \p server. The server's predicted-event timer
+  /// lives in its queue (EventIds are queue-local) and its predictions take
+  /// their seqs there; a request's server never changes while its
   /// predictions are live (every migration/recovery path cancels first).
   ExecContext& owner_of(ServerId server) { return *contexts_[owner_index(server)]; }
 
@@ -397,18 +407,44 @@ class VodSimulation {
   void account_underflow(ExecContext& ctx, Request& request, Seconds now,
                          Megabits underflow);
 
+  // --- predicted events (DESIGN.md §8) ----------------------------------
+  // A streaming request's predictions are (time, seq) keys in its server's
+  // FluidLane; the owner context's queue holds one timer per server, armed
+  // at the server's earliest key. Writers update the keys, then sync the
+  // timer before control returns to the event loop.
+
+  /// Clears \p request's predictions and syncs its server's timer. Every
+  /// detach path calls it while the request is still attached.
   void cancel_predicted_events(Request& request);
+
+  /// Re-predicts \p request's three events from its current state (clears
+  /// them unless it is streaming). Does not sync the timer.
   void reschedule_predicted_events(ExecContext& ctx, Request& request);
 
   /// The mechanics half of reschedule_predicted_events: given the three
-  /// predicted times (+inf = no event), cancels/schedules/retimes the
-  /// request's handles against its owner's queue. Split out so
-  /// recompute_server's batched path can compute the times with one
-  /// vectorized lane pass (FluidLane::fill_predicted_times) and feed them
-  /// here — the schedule/cancel sequence (and thus event-seq consumption)
-  /// is identical to the scalar path.
+  /// predicted times (+inf = no event), writes the request's keys. Each kept
+  /// prediction takes one seq from its owner's queue, in the order
+  /// tx-complete, buffer-full, buffer-low, at its time clamped to the owner
+  /// clock — exactly the seq and time a per-prediction queue entry would
+  /// get. Split out so recompute_server's batched path can compute the
+  /// times with one vectorized lane pass (FluidLane::fill_predicted_times)
+  /// and feed them here. Does not sync the timer.
   void apply_predicted_times(Request& request, Seconds tx_at, Seconds full_at,
                              Seconds low_at);
+
+  /// Writes \p request's prediction keys into its lane slot and keeps its
+  /// server's earliest key current: a lower key becomes the earliest;
+  /// overwriting the current holder's keys marks it stale.
+  void set_predictions(Request& request, const PredictionKeys& keys);
+
+  /// Arms \p server's timer at its earliest prediction key (rescanning the
+  /// lane if stale), rekeying it in place when it is already pending, or
+  /// cancels it when no prediction is live.
+  void sync_prediction_timer(ServerId server);
+
+  /// The timer's handler: clears the holding prediction, runs its handler
+  /// (tx-complete, buffer-full, or the buffer-low recompute), then syncs.
+  void on_prediction_timer(ExecContext& owner, ServerId server);
 
   /// Trace emission helper: stamps the event with \p ctx's clock into
   /// \p ctx's recorder. The null check is the entire disabled-tracing hot
@@ -502,6 +538,20 @@ class VodSimulation {
     /// scheduler repairs it instead of resorting (sched/finish_order.h).
     /// Entries point into requests_, which outlives this state.
     SchedCache sched_cache;
+
+    // Predicted-event timer (DESIGN.md §8), in the owner context's queue.
+    EventId timer = kInvalidEventId;
+    EventKey armed = kNoEventKey;  ///< the timer's key; none when idle
+    /// The earliest live prediction key in the lane and its holder
+    /// (kNoEventKey / nullptr when none); valid unless `earliest_stale`.
+    EventKey earliest = kNoEventKey;
+    Request* holder = nullptr;
+    Prediction holder_kind = Prediction::kTxComplete;
+    /// The holder's key was overwritten or dropped: the next sync rescans
+    /// the lane's per-slot earliest keys.
+    bool earliest_stale = false;
+    /// Inside this server's timer handler, which syncs once when done.
+    bool firing = false;
   };
   std::vector<ServerRecomputeState> recompute_state_;
 };

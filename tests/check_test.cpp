@@ -130,6 +130,53 @@ TEST(InvariantAuditorChecks, DetectsActiveIndexMismatch) {
                AuditFailure);
 }
 
+// The timer check is a pure function of (lane keys, armed key): these feed
+// it doctored lanes directly, with no engine in the loop.
+TEST(InvariantAuditorChecks, PredictionTimerMustSitAtTheEarliestKey) {
+  Server server(0, 10.0, 1000.0);
+  Request first(0, test_video(), 0.0, test_client());
+  Request second(1, test_video(), 0.0, test_client());
+  for (Request* request : {&first, &second}) {
+    request->begin_streaming(0.0, server.id());
+    server.attach(*request);
+  }
+  // An idle timer over a lane with no live key is consistent.
+  EXPECT_NO_THROW(InvariantAuditor::check_prediction_timer(server, kNoEventKey));
+
+  const EventKey late{50.0, 3};
+  const EventKey early{20.0, 7};
+  const EventKey tie{20.0, 9};  // same time, later seq: loses the tie
+  server.lane().set_predictions(first.active_index, {late, kNoEventKey, tie});
+  server.lane().set_predictions(second.active_index,
+                                {kNoEventKey, early, kNoEventKey});
+  EXPECT_NO_THROW(InvariantAuditor::check_prediction_timer(server, early));
+  for (const EventKey armed : {late, tie, kNoEventKey, EventKey{20.0, 6}}) {
+    EXPECT_THROW(InvariantAuditor::check_prediction_timer(server, armed),
+                 AuditFailure)
+        << "armed at (" << armed.time << ", " << armed.seq << ")";
+  }
+
+  // Dropping every key leaves a timer that should have been cancelled.
+  server.lane().set_predictions(first.active_index, kNoPredictions);
+  server.lane().set_predictions(second.active_index, kNoPredictions);
+  EXPECT_THROW(InvariantAuditor::check_prediction_timer(server, early),
+               AuditFailure);
+}
+
+TEST(InvariantAuditorChecks, DetectsPredictionOfNonStreamingRequest) {
+  Server server(0, 10.0, 1000.0);
+  Request request(0, test_video(), 0.0, test_client());
+  request.begin_streaming(0.0, server.id());
+  request.begin_migration(0.0);
+  server.attach(request, /*enforce_capacity=*/false);  // attached mid-switch
+  const EventKey key{30.0, 4};
+  server.lane().set_predictions(request.active_index,
+                                {key, kNoEventKey, kNoEventKey});
+  // Armed exactly at the key: only the holder's state is wrong.
+  EXPECT_THROW(InvariantAuditor::check_prediction_timer(server, key),
+               AuditFailure);
+}
+
 // --- paranoid engine runs -------------------------------------------------
 
 SimulationConfig paranoid_base(std::uint64_t seed) {

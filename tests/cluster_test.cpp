@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <vector>
 
@@ -539,7 +540,9 @@ TEST(FluidLane, ChurnKeepsColdFieldsAndWriteThroughCoherent) {
   for (Request* request : all) {
     request->begin_streaming(0.0, 0);
     server.attach(*request);
-    request->set_allocation(0.0, 6.0);
+    // 6 Mb/s, or all the slow client can receive: r2 drains (2 < 3 Mb/s)
+    // and its buffer bottoms out at 0.
+    request->set_allocation(0.0, std::min(6.0, request->receive_bandwidth()));
     request->advance(10.0);
   }
 
@@ -562,7 +565,9 @@ TEST(FluidLane, ChurnKeepsColdFieldsAndWriteThroughCoherent) {
   Megabits meter = 0.0;
   server.lane().advance_batch(20.0, 0.0, 1e9, meter, scratch);
   EXPECT_DOUBLE_EQ(r3.buffer_level(), 30.0 + 6.0 * 10.0);  // inflow only
-  EXPECT_DOUBLE_EQ(r2.buffer_level(), 30.0 + (6.0 - 3.0) * 10.0);
+  // Still draining faster than it fills: a pause misdirected to r2's slot
+  // would have banked 2 Mb/s * 10 s instead.
+  EXPECT_DOUBLE_EQ(r2.buffer_level(), 0.0);
 }
 
 // AVX-512 smoke: on hosts with avx512f the ifunc resolver dispatches the

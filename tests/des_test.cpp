@@ -213,6 +213,48 @@ TEST(EventQueue, RescheduleDeadOrStaleIdReturnsFalse) {
   EXPECT_FALSE(survivor_moved_early);
 }
 
+TEST(EventQueue, KeyedSchedulingConsumesNoSeq) {
+  // take_seq consumes exactly what schedule() would; schedule_keyed and
+  // rekey consume nothing, so a caller-held key orders exactly as the
+  // direct schedule it stands for.
+  EventQueue queue;
+  std::vector<int> fired;
+  queue.schedule(5.0, [&](Seconds) { fired.push_back(1); });       // seq 1
+  const std::uint64_t seq = queue.take_seq();                      // seq 2
+  EXPECT_EQ(seq, 2u);
+  const EventId keyed =
+      queue.schedule_keyed(5.0, seq, [&](Seconds) { fired.push_back(2); });
+  EXPECT_EQ(queue.scheduled_count(), 2u);
+  queue.schedule(5.0, [&](Seconds) { fired.push_back(3); });       // seq 3
+  // Rekeyed behind the seq-3 event, then back ahead of it: no seq taken.
+  EXPECT_TRUE(queue.rekey(keyed, 5.0, 4));
+  EXPECT_TRUE(queue.rekey(keyed, 5.0, seq));
+  EXPECT_EQ(queue.scheduled_count(), 3u);
+  while (!queue.empty()) queue.pop().second(5.0);
+  EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(EventQueue, RekeyDeadOrStaleIdReturnsFalse) {
+  EventQueue queue;
+  EXPECT_FALSE(queue.rekey(kInvalidEventId, 1.0, 1));
+  EXPECT_FALSE(queue.rekey(9999, 1.0, 1));
+
+  const EventId cancelled = queue.schedule_keyed(1.0, queue.take_seq(), [](Seconds) {});
+  queue.cancel(cancelled);
+  EXPECT_FALSE(queue.rekey(cancelled, 2.0, 5));
+
+  const EventId fired_id = queue.schedule_keyed(1.0, queue.take_seq(), [](Seconds) {});
+  queue.pop().second(1.0);
+  EXPECT_FALSE(queue.rekey(fired_id, 2.0, 6));
+
+  // The fired handle's slot recycled under a new event: rekeying through
+  // the stale handle must not move it.
+  queue.schedule(7.0, [](Seconds) {});
+  EXPECT_FALSE(queue.rekey(fired_id, 0.0, 1));
+  EXPECT_DOUBLE_EQ(queue.peek_time(), 7.0);
+  EXPECT_EQ(queue.scheduled_count(), 3u);  // failed rekeys took nothing
+}
+
 TEST(EventQueue, RescheduleAfterCancelChurnUsesMaintainedPositions) {
   // Every eager cancel moves an unrelated entry into the freed hole and
   // sifts it, rewriting position indices throughout the heap. A retime
@@ -396,6 +438,120 @@ TEST(Simulator, RescheduleAtClampsToNowAndRetimes) {
 
   // Dead handles report false through the simulator too.
   EXPECT_FALSE(sim.reschedule_at(1.0, target));
+}
+
+// Keyed scheduling's contract, end to end: K timers multiplexing N
+// predictions — each timer armed at the earliest (time, seq) key of its
+// group, as the engine arms one timer per server — must pop exactly the
+// sequence a simulator holding every prediction as its own event pops,
+// under random retimes, drops and fires, including equal-time ties and
+// retimes into the past that clamp to now.
+class KeyedTimerHarness {
+ public:
+  static constexpr std::size_t kGroups = 7;
+  static constexpr std::size_t kPerGroup = 12;
+  static constexpr std::size_t kPredictions = kGroups * kPerGroup;
+
+  /// Fired (time, prediction) pairs, in pop order, per side.
+  std::vector<std::pair<Seconds, std::size_t>> keyed_fired, direct_fired;
+  Simulator keyed, direct;
+
+  /// Retimes (or schedules) prediction \p p to \p time on both sides.
+  void retime(std::size_t p, Seconds time) {
+    keys_[p] = {std::max(time, keyed.now()), keyed.take_seq()};
+    sync(p / kPerGroup);
+    if (!direct.reschedule_at(time, events_[p])) {
+      events_[p] = direct.schedule_at(time, [this, p](Seconds at) {
+        events_[p] = kInvalidEventId;
+        direct_fired.emplace_back(at, p);
+      });
+    }
+  }
+
+  void drop(std::size_t p) {
+    keys_[p] = kNoEventKey;
+    sync(p / kPerGroup);
+    direct.cancel(events_[p]);
+    events_[p] = kInvalidEventId;
+  }
+
+ private:
+  std::size_t earliest(std::size_t group) const {
+    std::size_t best = kPredictions;
+    EventKey best_key = kNoEventKey;
+    for (std::size_t p = group * kPerGroup; p < (group + 1) * kPerGroup; ++p) {
+      if (keys_[p] < best_key) {
+        best_key = keys_[p];
+        best = p;
+      }
+    }
+    return best;
+  }
+
+  void sync(std::size_t group) {
+    const std::size_t p = earliest(group);
+    const EventKey want = p == kPredictions ? kNoEventKey : keys_[p];
+    if (want == armed_[group]) return;
+    armed_[group] = want;
+    if (!want.live()) {
+      keyed.cancel(timers_[group]);
+      timers_[group] = kInvalidEventId;
+    } else if (!keyed.rekey(timers_[group], want.time, want.seq)) {
+      timers_[group] = keyed.schedule_keyed(
+          want.time, want.seq, [this, group](Seconds at) { fire(group, at); });
+    }
+  }
+
+  void fire(std::size_t group, Seconds at) {
+    timers_[group] = kInvalidEventId;
+    armed_[group] = kNoEventKey;
+    const std::size_t p = earliest(group);
+    keys_[p] = kNoEventKey;
+    keyed_fired.emplace_back(at, p);
+    sync(group);
+  }
+
+  std::vector<EventKey> keys_ = std::vector<EventKey>(kPredictions, kNoEventKey);
+  std::vector<EventId> events_ = std::vector<EventId>(kPredictions, kInvalidEventId);
+  std::vector<EventId> timers_ = std::vector<EventId>(kGroups, kInvalidEventId);
+  std::vector<EventKey> armed_ = std::vector<EventKey>(kGroups, kNoEventKey);
+};
+
+TEST(Simulator, KeyedTimersPopLikeOneEventPerPrediction) {
+  KeyedTimerHarness h;
+  std::uint64_t rng = 4242;
+  auto next = [&rng] {
+    rng ^= rng << 13;
+    rng ^= rng >> 7;
+    rng ^= rng << 17;
+    return rng;
+  };
+  std::size_t fires = 0;
+  for (int op = 0; op < 20000; ++op) {
+    const std::uint64_t roll = next() % 100;
+    const std::size_t p = next() % KeyedTimerHarness::kPredictions;
+    if (roll < 55) {
+      // A whole-second grid makes equal-time ties common; up to 5 s in the
+      // past clamps to now.
+      h.retime(p, h.direct.now() + static_cast<double>(next() % 20) - 5.0);
+    } else if (roll < 70) {
+      h.drop(p);
+    } else {
+      ASSERT_EQ(h.keyed.pending_count() > 0, h.direct.pending_count() > 0);
+      if (h.direct.pending_count() == 0) continue;
+      ASSERT_EQ(h.keyed.peek_time(), h.direct.peek_time());
+      h.keyed.step();
+      h.direct.step();
+      ++fires;
+      ASSERT_EQ(h.keyed_fired, h.direct_fired) << "after op " << op;
+    }
+  }
+  h.keyed.run();
+  h.direct.run();
+  EXPECT_EQ(h.keyed_fired, h.direct_fired);
+  EXPECT_GT(fires, 1000u);
+  EXPECT_LE(h.keyed.pending_count(), KeyedTimerHarness::kGroups);
+  EXPECT_EQ(h.keyed.now(), h.direct.now());
 }
 
 TEST(Simulator, ScheduleInUsesDelay) {

@@ -112,8 +112,9 @@ TEST(Intermittent, OvercommittedCrunchRationsProportionally) {
 
 TEST(Intermittent, UrgencyLatchHasHysteresis) {
   ActiveSet set;
-  // 5 s of cover: below the 10 s threshold -> latches urgent.
-  Request& request = set.add(make_request(1, 2000.0, 15.0));
+  // 5 s of cover: below the 10 s threshold -> latches urgent. The client
+  // receives 33 Mb/s, the refill rate below.
+  Request& request = set.add(make_request(1, 2000.0, 15.0, 1e9, 33.0));
   set.sync();
   IntermittentScheduler scheduler(10.0);
   std::vector<Mbps> rates;
@@ -295,7 +296,8 @@ TEST(Intermittent, OrderFreeGrantsMatchSortedGrants) {
 TEST(Intermittent, UrgencyLatchFollowsTheStreamAcrossLanes) {
   LaneServer source;
   Request& first = source.add(make_request(1, 2000.0, 300.0));
-  Request& middle = source.add(make_request(2, 2000.0, 15.0));  // 5 s cover
+  // 5 s cover; receives 33 Mb/s, the refill rate below.
+  Request& middle = source.add(make_request(2, 2000.0, 15.0, 1e9, 33.0));
   Request& last = source.add(make_request(3, 2000.0, 300.0));
   source.sync();
   IntermittentScheduler scheduler(10.0);
