@@ -22,7 +22,6 @@
 #include "vodsim/des/simulator.h"
 #include "vodsim/engine/experiment.h"
 #include "vodsim/engine/policy_matrix.h"
-#include "vodsim/engine/sweep_context.h"
 #include "vodsim/engine/vod_simulation.h"
 #include "vodsim/obs/trace.h"
 #include "vodsim/placement/placement.h"
@@ -761,6 +760,50 @@ void BM_ZipfSample(benchmark::State& state) {
 }
 BENCHMARK(BM_ZipfSample)->Arg(200)->Arg(2000);
 
+void BM_PlacementLargeCatalog(benchmark::State& state) {
+  // One placement solve at the tournament's largest column: 10^4 titles on
+  // 5 servers at 2.2 copies, storage scaled to 1.5x the replica budget as
+  // vodsim_tournament does, default Zipf skew. Predictive (bsr:0) and BSR
+  // (bsr:1) both apportion copies through proportional_copies, and with a
+  // cap of 5 copies per title the popular head overflows, so this times
+  // its cap redistribution. Each iteration places onto fresh servers
+  // (rebuilt outside the timed region).
+  const PlacementKind kind =
+      state.range(0) != 0 ? PlacementKind::kBsr : PlacementKind::kPredictive;
+  SystemConfig system = SystemConfig::small_system();
+  system.num_videos = 10000;
+  system.num_servers = 5;
+  system.avg_copies = 2.2;
+  const double mean_size =
+      0.5 * (system.video_min_duration + system.video_max_duration) *
+      system.view_bandwidth;
+  system.server_storage =
+      1.5 * 10000.0 * system.avg_copies * mean_size / system.num_servers;
+  Rng catalog_rng(7);
+  const VideoCatalog catalog = generate_catalog(
+      CatalogSpec{system.num_videos, system.video_min_duration,
+                  system.video_max_duration, system.view_bandwidth},
+      catalog_rng);
+  const std::vector<double> popularity =
+      ZipfDistribution(system.num_videos, SimulationConfig{}.zipf_theta).probabilities();
+  const auto placement = make_placement(kind);
+  std::uint64_t seed = 1;
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::vector<Server> servers = make_servers(system);
+    Rng rng(seed++);
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(
+        placement->place(catalog, popularity, system.avg_copies, servers, rng));
+  }
+  state.SetLabel(to_string(kind));
+}
+BENCHMARK(BM_PlacementLargeCatalog)
+    ->Arg(0)
+    ->Arg(1)
+    ->ArgName("bsr")
+    ->Unit(benchmark::kMillisecond);
+
 void BM_FluidAdvanceBatch(benchmark::State& state) {
   // The fluid kernel in isolation: one server's fluid advance across all
   // active streams. batched=0 is a per-stream loop — one Request::advance
@@ -1080,18 +1123,14 @@ void BM_EndToEndFig7SweepPaired(benchmark::State& state) {
   // The production shape of the fig7 experiment: all policy rows share one
   // master seed per iteration (paired trials — how `fig7_policies` and
   // every other experiment binary actually runs the matrix, so rows see
-  // identical arrival streams), and the sweep_context:1 variant routes
-  // world construction through a SweepContext prepared once per sweep,
-  // exactly as ExperimentRunner::run_sweep does. The 0-vs-1 ratio isolates
-  // what shared catalogs/popularity/placement-blueprints are worth on a
-  // matrix whose per-cell runtime is only half a simulated hour;
+  // identical arrival streams), each cell building its own world exactly
+  // as ExperimentRunner::run_sweep does. Half-hour cells make world
+  // construction a visible share of the cost;
   // BM_EndToEndFig7PolicyMatrix above keeps the independent-seed workload
   // for continuity with pre-PR4 recordings.
-  const bool use_context = state.range(0) != 0;
   std::uint64_t events = 0;
   std::uint64_t master_seed = 1;
   for (auto _ : state) {
-    std::vector<SimulationConfig> configs;
     for (const PolicySpec& policy : figure6_policies()) {
       SimulationConfig config;
       config.system = SystemConfig::small_system();
@@ -1099,14 +1138,8 @@ void BM_EndToEndFig7SweepPaired(benchmark::State& state) {
       config.client.receive_bandwidth = 30.0;
       config.duration = hours(0.5);
       config.warmup = 0.0;
-      configs.push_back(apply_policy(std::move(config), policy));
-    }
-    SweepContext context;
-    if (use_context) context.prepare(configs, 1, master_seed);
-    for (SimulationConfig config : configs) {
       config.seed = ExperimentRunner::derive_seed(master_seed, 0);
-      VodSimulation simulation(std::move(config),
-                               use_context ? &context : nullptr);
+      VodSimulation simulation(apply_policy(std::move(config), policy));
       simulation.run();
       events += simulation.simulator().executed_count();
     }
@@ -1115,26 +1148,21 @@ void BM_EndToEndFig7SweepPaired(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
   state.SetLabel("items = simulator events");
 }
-BENCHMARK(BM_EndToEndFig7SweepPaired)
-    ->Arg(0)
-    ->Arg(1)
-    ->ArgNames({"sweep_context"})
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_EndToEndFig7SweepPaired)->Unit(benchmark::kMillisecond);
 
 void BM_TournamentSmall(benchmark::State& state) {
   // A shrunk cell grid of the vodsim_tournament tool: 2 schedulers x
   // 2 placements x {off, 1-hop} migration over a 60-title catalog, half a
-  // simulated hour per cell, world construction shared through a
-  // SweepContext (which also memoizes one BoundsReport per column). Guards
-  // the end-to-end cost of the tournament path — including the bounds
-  // computation and the gap bookkeeping — at CI smoke scale.
+  // simulated hour per cell, each cell building its own world (bounds
+  // included). Guards the end-to-end cost of the tournament path —
+  // including the bounds computation and the gap bookkeeping — at CI smoke
+  // scale.
   const std::vector<TournamentSpec> grid = tournament_grid(
       {SchedulerKind::kEftf, SchedulerKind::kLftf},
       {PlacementKind::kEven, PlacementKind::kBsr}, {0, 1}, 0.2);
   std::uint64_t events = 0;
   std::uint64_t master_seed = 1;
   for (auto _ : state) {
-    std::vector<SimulationConfig> configs;
     for (const TournamentSpec& spec : grid) {
       SimulationConfig config;
       config.system = SystemConfig::small_system();
@@ -1142,13 +1170,8 @@ void BM_TournamentSmall(benchmark::State& state) {
       config.zipf_theta = 0.271;
       config.duration = hours(0.5);
       config.warmup = 0.0;
-      configs.push_back(apply_tournament_spec(std::move(config), spec));
-    }
-    SweepContext context;
-    context.prepare(configs, 1, master_seed);
-    for (SimulationConfig config : configs) {
       config.seed = ExperimentRunner::derive_seed(master_seed, 0);
-      VodSimulation simulation(std::move(config), &context);
+      VodSimulation simulation(apply_tournament_spec(std::move(config), spec));
       simulation.run();
       benchmark::DoNotOptimize(simulation.metrics().utilization_gap());
       events += simulation.simulator().executed_count();

@@ -2,8 +2,8 @@
 
 #include <cassert>
 #include <ostream>
+#include <stdexcept>
 
-#include "vodsim/engine/sweep_context.h"
 #include "vodsim/util/csv.h"
 #include "vodsim/util/rng.h"
 
@@ -119,18 +119,14 @@ ExperimentPoint ExperimentRunner::run_point(const SimulationConfig& config,
 std::vector<ExperimentPoint> ExperimentRunner::run_sweep(
     const std::vector<SimulationConfig>& configs, int trials,
     std::uint64_t master_seed) {
-  assert(trials >= 1);
+  if (trials < 1) throw std::invalid_argument("trials must be >= 1");
   const std::size_t n_configs = configs.size();
   std::vector<std::vector<TrialResult>> results(
       n_configs, std::vector<TrialResult>(static_cast<std::size_t>(trials)));
 
-  // Build the shared immutable world state (catalogs, popularity tables,
-  // placement blueprints) once, serially, then hand every cell a const view.
-  // Cells sharing a (system, seed) pair skip catalog generation and the
-  // placement solve entirely; results stay bit-identical (sweep_context.h).
-  SweepContext context;
-  context.prepare(configs, trials, master_seed);
-
+  // Every cell builds its own world inside the pool: construction is a
+  // pure function of the cell's config and trial seed, so cells stay
+  // bit-identical to standalone runs whatever thread they land on.
   pool_.parallel_for(n_configs * static_cast<std::size_t>(trials),
                      [&](std::size_t task) {
                        const std::size_t c = task / static_cast<std::size_t>(trials);
@@ -138,7 +134,7 @@ std::vector<ExperimentPoint> ExperimentRunner::run_sweep(
                            task % static_cast<std::size_t>(trials));
                        SimulationConfig config = configs[c];
                        config.seed = derive_seed(master_seed, t);
-                       VodSimulation simulation(std::move(config), &context);
+                       VodSimulation simulation(std::move(config));
                        simulation.run();
                        results[c][static_cast<std::size_t>(t)] =
                            TrialResult::from(simulation);

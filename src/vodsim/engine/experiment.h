@@ -111,7 +111,8 @@ class ExperimentRunner {
   ExperimentPoint run_point(const SimulationConfig& config, int trials,
                             std::uint64_t master_seed = 42);
 
-  /// Runs every config x trial combination across the pool.
+  /// Runs every config x trial combination across the pool. Throws
+  /// std::invalid_argument when \p trials < 1 or a config fails validation.
   std::vector<ExperimentPoint> run_sweep(const std::vector<SimulationConfig>& configs,
                                          int trials, std::uint64_t master_seed = 42);
 

@@ -46,8 +46,8 @@ struct TournamentSpec {
   std::string description() const;
 };
 
-/// Full cross product, schedulers-major (so cells sharing a placement are
-/// adjacent and hit the SweepContext placement/bounds caches back-to-back).
+/// Full cross product, schedulers-major, then placement, then budget (the
+/// order the tournament prints its rows in).
 std::vector<TournamentSpec> tournament_grid(
     const std::vector<SchedulerKind>& schedulers,
     const std::vector<PlacementKind>& placements,

@@ -6,7 +6,6 @@
 #include <limits>
 
 #include "vodsim/check/invariant_auditor.h"
-#include "vodsim/engine/sweep_context.h"
 #include "vodsim/fault/schedule.h"
 #include "vodsim/sched/intermittent.h"
 #include "vodsim/util/env.h"
@@ -18,11 +17,6 @@
 namespace vodsim {
 
 VodSimulation::VodSimulation(SimulationConfig config) : config_(std::move(config)) {
-  build_world();
-}
-
-VodSimulation::VodSimulation(SimulationConfig config, const SweepContext* context)
-    : config_(std::move(config)), sweep_context_(context) {
   build_world();
 }
 
@@ -43,37 +37,21 @@ void VodSimulation::build_world() {
   rng_ = Rng(seeds.decision);
   interactivity_rng_ = Rng(seeds.interactivity);
 
-  // A sweep context supplies prebuilt shared world state; every lookup may
-  // miss (returning nullptr), in which case the plain construction path
-  // below runs. Adoption is bit-exact: the context built these objects with
-  // the identical code and RNG streams (engine/sweep_context.cpp).
-  std::shared_ptr<const PlacementBlueprint> blueprint;
-  if (sweep_context_ != nullptr) {
-    catalog_ = sweep_context_->find_catalog(config_);
-    popularity_ = sweep_context_->find_popularity(config_);
-    blueprint = sweep_context_->find_placement(config_);
-  }
+  Rng catalog_rng(seeds.catalog);
+  CatalogSpec spec;
+  spec.num_videos = config_.system.num_videos;
+  spec.min_duration = config_.system.video_min_duration;
+  spec.max_duration = config_.system.video_max_duration;
+  spec.view_bandwidth = config_.system.view_bandwidth;
+  catalog_ = generate_catalog(spec, catalog_rng);
 
-  if (!catalog_) {
-    Rng catalog_rng(seeds.catalog);
-    CatalogSpec spec;
-    spec.num_videos = config_.system.num_videos;
-    spec.min_duration = config_.system.video_min_duration;
-    spec.max_duration = config_.system.video_max_duration;
-    spec.view_bandwidth = config_.system.view_bandwidth;
-    catalog_ =
-        std::make_shared<const VideoCatalog>(generate_catalog(spec, catalog_rng));
-  }
-
-  if (!popularity_) {
-    if (config_.drift.enabled) {
-      popularity_ = std::make_shared<const DriftingZipfPopularity>(
-          config_.system.num_videos, config_.zipf_theta, config_.drift.period,
-          config_.drift.step);
-    } else {
-      popularity_ = std::make_shared<const StaticZipfPopularity>(
-          config_.system.num_videos, config_.zipf_theta);
-    }
+  if (config_.drift.enabled) {
+    popularity_ = std::make_unique<DriftingZipfPopularity>(
+        config_.system.num_videos, config_.zipf_theta, config_.drift.period,
+        config_.drift.step);
+  } else {
+    popularity_ = std::make_unique<StaticZipfPopularity>(config_.system.num_videos,
+                                                         config_.zipf_theta);
   }
 
   servers_ = make_servers(config_.system);
@@ -81,39 +59,21 @@ void VodSimulation::build_world() {
   // config.topology.enabled; every consumer degrades bit-identically on
   // the trivial tree, so topology-free runs keep their goldens.
   topology_ = Topology(config_.topology, config_.system.num_servers);
-  if (blueprint) {
-    // Replay the recorded placement: add_replica per server in install
-    // order reproduces the original free-storage FP subtraction sequence.
-    for (std::size_t s = 0; s < servers_.size(); ++s) {
-      for (VideoId video : blueprint->server_replicas[s]) {
-        servers_[s].add_replica((*catalog_)[video]);
-      }
-    }
-    placement_result_ = blueprint->result;
-  } else {
-    const auto placement = make_placement(config_.placement, topology_);
-    Rng placement_rng(seeds.placement);
-    // Placement sees the popularity law as of t = 0 — a drifting workload
-    // later invalidates a "perfect" prediction, which is exactly what the
-    // drift experiment studies.
-    placement_result_ = placement->place(*catalog_, popularity_->probabilities(0.0),
-                                         config_.system.avg_copies, servers_,
-                                         placement_rng);
-  }
-  directory_ = ReplicaDirectory(catalog_->size(), servers_);
+  const auto placement = make_placement(config_.placement, topology_);
+  Rng placement_rng(seeds.placement);
+  // Placement sees the popularity law as of t = 0 — a drifting workload
+  // later invalidates a "perfect" prediction, which is exactly what the
+  // drift experiment studies.
+  placement_result_ = placement->place(catalog_, popularity_->probabilities(0.0),
+                                       config_.system.avg_copies, servers_,
+                                       placement_rng);
+  directory_ = ReplicaDirectory(catalog_.size(), servers_);
 
   // Analytic achievability envelope for this world (analysis/bounds.h):
   // pure observation of the t = 0 catalog/placement, no RNG, no mutation —
-  // so it cannot perturb results. Sweeps memoize it (the popularity vector
-  // is O(catalog) to materialize); a miss recomputes locally.
-  std::shared_ptr<const BoundsReport> shared_bounds;
-  if (sweep_context_ != nullptr) shared_bounds = sweep_context_->find_bounds(config_);
-  if (shared_bounds) {
-    bounds_ = *shared_bounds;
-  } else {
-    bounds_ = compute_bounds(config_, *catalog_, popularity_->probabilities(0.0),
-                             directory_, servers_);
-  }
+  // so it cannot perturb results.
+  bounds_ = compute_bounds(config_, catalog_, popularity_->probabilities(0.0),
+                           directory_, servers_);
 
   controller_ = std::make_unique<AdmissionController>(config_.admission, directory_);
   replication_ = std::make_unique<ReplicationManager>(config_.replication);
@@ -417,7 +377,7 @@ void VodSimulation::handle_arrival(const Arrival& arrival) {
   const Seconds now = ctx.sim.now();
   ctx.metrics->record_arrival(now);
 
-  const Video& video = (*catalog_)[arrival.video];
+  const Video& video = catalog_[arrival.video];
   note(ctx, TraceEventType::kArrival, kTraceAdmission, kNoServer, next_request_id_,
        arrival.video);
   const AdmissionDecision decision =
@@ -875,7 +835,7 @@ void VodSimulation::process_retries(bool force) {
         finish_migration(request, decision.server);
       } else {
         // A rejected arrival returns: fresh stream, fresh playback window.
-        const Video& video = (*catalog_)[entry.video];
+        const Video& video = catalog_[entry.video];
         Request& request = requests_.create(owner_index(decision.server),
                                             next_request_id_++, video, now,
                                             client_profile_);
@@ -942,7 +902,7 @@ void VodSimulation::check_repair(ServerId server_id, Seconds down_since) {
       }
     }
     if (reachable) continue;
-    auto job = replication_->plan_repair(video, *catalog_, servers_, directory_);
+    auto job = replication_->plan_repair(video, catalog_, servers_, directory_);
     if (!job) continue;
     ctx.metrics->record_repair(now);
     note(ctx, TraceEventType::kRepairPlanned, kTraceFailure, job->destination, -1,
@@ -1181,7 +1141,7 @@ void VodSimulation::on_resume(Request& request) {
 void VodSimulation::maybe_start_replication(VideoId video) {
   const Seconds now = coordinator().sim.now();
   auto job =
-      replication_->on_rejection(video, now, *catalog_, servers_, directory_);
+      replication_->on_rejection(video, now, catalog_, servers_, directory_);
   if (!job) return;
   start_replication_job(*job);
 }
@@ -1224,7 +1184,7 @@ void VodSimulation::start_replication_job(const ReplicationJob& planned) {
     mark_server_dirty(job.destination);
     // Storage was verified when the job was planned; nothing else consumes
     // storage mid-run, so this cannot fail.
-    const bool added = dst.add_replica((*catalog_)[job.video]);
+    const bool added = dst.add_replica(catalog_[job.video]);
     if (added) directory_.add_holder(job.video, job.destination);
     ctx.metrics->record_replication(start, end, rate);
     replication_->on_job_finished(job.video);

@@ -62,7 +62,6 @@
 namespace vodsim {
 
 class InvariantAuditor;
-class SweepContext;
 class ThreadPool;
 
 class VodSimulation {
@@ -70,13 +69,6 @@ class VodSimulation {
   /// Validates \p config (throws std::invalid_argument) and builds the
   /// static world: catalog, servers, placement, replica directory.
   explicit VodSimulation(SimulationConfig config);
-
-  /// As above, but adopts shared immutable world state (catalog, popularity
-  /// model, placement blueprint) from \p context when it has matching
-  /// entries, constructing locally otherwise. Results are bit-identical
-  /// either way (engine/sweep_context.h). The context must outlive the
-  /// simulation; nullptr degrades to plain construction.
-  VodSimulation(SimulationConfig config, const SweepContext* context);
 
   /// As above, but replays \p trace instead of generating arrivals (used
   /// for paired policy comparisons). The trace must outlive the simulation.
@@ -91,7 +83,7 @@ class VodSimulation {
 
   // --- introspection ----------------------------------------------------
   const SimulationConfig& config() const { return config_; }
-  const VideoCatalog& catalog() const { return *catalog_; }
+  const VideoCatalog& catalog() const { return catalog_; }
   const std::vector<Server>& servers() const { return servers_; }
   const PlacementResult& placement_result() const { return placement_result_; }
   const ReplicaDirectory& directory() const { return directory_; }
@@ -463,17 +455,13 @@ class VodSimulation {
   Rng rng_;                ///< decision randomness (assignment ties etc.)
   Rng interactivity_rng_;  ///< pause/resume timing
 
-  /// Shared with the SweepContext when one was supplied, otherwise locally
-  /// constructed (sole owner). Immutable either way.
-  std::shared_ptr<const VideoCatalog> catalog_;
+  VideoCatalog catalog_;
   std::vector<Server> servers_;
   Topology topology_;
   PlacementResult placement_result_;
   ReplicaDirectory directory_;
   BoundsReport bounds_;
-  std::shared_ptr<const PopularityModel> popularity_;
-  /// World-construction cache for sweeps; nullptr outside run_sweep.
-  const SweepContext* sweep_context_ = nullptr;
+  std::unique_ptr<const PopularityModel> popularity_;
   std::unique_ptr<AdmissionController> controller_;
   std::unique_ptr<ReplicationManager> replication_;
   std::unique_ptr<ArrivalSource> arrivals_;

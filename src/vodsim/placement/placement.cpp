@@ -5,6 +5,7 @@
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
+#include <utility>
 
 #include "vodsim/placement/bsr.h"
 #include "vodsim/placement/domain_spread.h"
@@ -130,7 +131,10 @@ std::vector<int> proportional_copies(const std::vector<double>& weights, int bud
 
   // Clip at the cap and redistribute the overflow D'Hondt-style: each freed
   // copy goes to the uncapped video with the highest weight-per-copy, so
-  // proportionality is preserved as closely as the cap allows.
+  // proportionality is preserved as closely as the cap allows. A max-heap
+  // of uncapped videos keyed on (score, lowest index) hands them out in
+  // O((n + overflow) log n); ties go to the lowest index, so the order is
+  // that of a first-strictly-larger linear scan, score for score.
   long overflow = 0;
   for (int& c : copies) {
     if (c > max_copies) {
@@ -138,20 +142,28 @@ std::vector<int> proportional_copies(const std::vector<double>& weights, int bud
       c = max_copies;
     }
   }
-  while (overflow > 0) {
-    double best_score = -1.0;
-    std::size_t best = n;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (copies[i] >= max_copies) continue;
-      const double score = weights[i] / static_cast<double>(copies[i]);
-      if (score > best_score) {
-        best_score = score;
-        best = i;
-      }
+  if (overflow == 0) return copies;
+  using Entry = std::pair<double, std::size_t>;  // (weight per copy, video)
+  const auto lower = [](const Entry& a, const Entry& b) {
+    if (a.first != b.first) return a.first < b.first;
+    return a.second > b.second;
+  };
+  std::vector<Entry> heap;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (copies[i] < max_copies) {
+      heap.emplace_back(weights[i] / static_cast<double>(copies[i]), i);
     }
-    if (best == n) break;  // everything capped: budget > n * max_copies
-    ++copies[best];
-    --overflow;
+  }
+  std::make_heap(heap.begin(), heap.end(), lower);
+  // An empty heap means everything is capped: budget > n * max_copies.
+  for (; overflow > 0 && !heap.empty(); --overflow) {
+    std::pop_heap(heap.begin(), heap.end(), lower);
+    const std::size_t best = heap.back().second;
+    heap.pop_back();
+    if (++copies[best] < max_copies) {
+      heap.emplace_back(weights[best] / static_cast<double>(copies[best]), best);
+      std::push_heap(heap.begin(), heap.end(), lower);
+    }
   }
   return copies;
 }

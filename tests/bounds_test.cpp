@@ -23,7 +23,6 @@
 #include "vodsim/cluster/server.h"
 #include "vodsim/cluster/video.h"
 #include "vodsim/engine/experiment.h"
-#include "vodsim/engine/sweep_context.h"
 #include "vodsim/engine/vod_simulation.h"
 #include "vodsim/util/rng.h"
 
@@ -497,35 +496,6 @@ TEST(BoundsEndToEnd, SimulationsNeverBeatTheirBounds) {
           << "staging " << staging << " load " << load;
     }
   }
-}
-
-TEST(BoundsEndToEnd, SweepContextSharesOneReportAcrossSchedulers) {
-  SimulationConfig base;
-  base.system = SystemConfig::small_system();
-  base.system.num_videos = 40;
-  base.duration = hours(1);
-  base.warmup = 0.0;
-  std::vector<SimulationConfig> configs;
-  for (SchedulerKind kind :
-       {SchedulerKind::kEftf, SchedulerKind::kLftf, SchedulerKind::kContinuous}) {
-    SimulationConfig config = base;
-    config.scheduler = kind;
-    configs.push_back(config);
-  }
-  SweepContext context;
-  context.prepare(configs, 1, 42);
-  // Bounds are policy-independent: three scheduler columns, one report.
-  EXPECT_EQ(context.bounds_count(), 1u);
-  for (const SimulationConfig& config : configs) {
-    SimulationConfig trial = config;
-    trial.seed = ExperimentRunner::derive_seed(42, 0);
-    EXPECT_NE(context.find_bounds(trial), nullptr);
-  }
-  // A different load factor is a different envelope.
-  SimulationConfig loaded = base;
-  loaded.load_factor = 2.0;
-  context.prepare({loaded}, 1, 42);
-  EXPECT_EQ(context.bounds_count(), 2u);
 }
 
 TEST(BoundsEndToEnd, GapColumnsReachTrialResults) {

@@ -26,7 +26,6 @@
 
 #include "vodsim/engine/experiment.h"
 #include "vodsim/engine/policy_matrix.h"
-#include "vodsim/engine/sweep_context.h"
 #include "vodsim/engine/vod_simulation.h"
 #include "vodsim/fault/schedule.h"
 
@@ -323,60 +322,6 @@ TEST(GoldenDeterminism, TracedRunIsBitIdentical) {
   filtered.trace.enabled = true;
   filtered.trace.categories = kTraceAdmission | kTraceMigration;
   expect_bit_identical(base, run_once(filtered));
-}
-
-TEST(GoldenDeterminism, SweepContextTrialsMatchPlainConstruction) {
-  // Every (config x trial) cell built from a shared SweepContext must be
-  // bit-identical to the same cell built standalone — the context memoizes
-  // world construction, it must not perturb it. The config set is chosen to
-  // exercise every memoized path: two placement kinds, a drifting
-  // popularity model, and the partial-predictive policy.
-  std::vector<SimulationConfig> configs;
-  configs.push_back(golden_config(figure6_policies().front(), 0));
-  SimulationConfig predictive = golden_config(figure6_policies().front(), 0);
-  predictive.placement.kind = PlacementKind::kPredictive;
-  configs.push_back(predictive);
-  SimulationConfig drifting = golden_config(figure6_policies().front(), 0);
-  drifting.drift.enabled = true;
-  drifting.drift.period = hours(0.05);
-  drifting.drift.step = 10;
-  configs.push_back(drifting);
-  SimulationConfig partial = golden_config(figure6_policies().front(), 0);
-  partial.placement.kind = PlacementKind::kPartialPredictive;
-  configs.push_back(partial);
-
-  constexpr int kTrials = 2;
-  const std::uint64_t master_seed = 42;
-  SweepContext context;
-  context.prepare(configs, kTrials, master_seed);
-
-  // Deduplication actually happened: all four configs share one catalog per
-  // trial seed; popularity is static-vs-drifting; placements are one per
-  // (kind, popularity, trial seed) — even, predictive, drifting-even,
-  // partial, times two trials.
-  EXPECT_EQ(context.catalog_count(), static_cast<std::size_t>(kTrials));
-  EXPECT_EQ(context.popularity_count(), 2u);
-  EXPECT_EQ(context.placement_count(), 4u * kTrials);
-
-  for (const SimulationConfig& base : configs) {
-    for (int trial = 0; trial < kTrials; ++trial) {
-      SimulationConfig config = base;
-      config.seed = ExperimentRunner::derive_seed(master_seed, trial);
-      SCOPED_TRACE(std::to_string(config.seed));
-      const TrialResult plain = run_once(config);
-      VodSimulation shared_world(config, &context);
-      shared_world.run();
-      ASSERT_GT(plain.arrivals, 0u);
-      expect_bit_identical(plain, TrialResult::from(shared_world));
-    }
-  }
-
-  // A config the context has never seen must still run (lookup miss →
-  // local construction), bit-identically.
-  SimulationConfig unseen = golden_config(figure6_policies().front(), 12345);
-  VodSimulation fallback(unseen, &context);
-  fallback.run();
-  expect_bit_identical(run_once(unseen), TrialResult::from(fallback));
 }
 
 TEST(GoldenDeterminism, DistinctSeedsDiverge) {

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "vodsim/engine/experiment.h"
 
 namespace vodsim {
@@ -68,6 +70,18 @@ TEST(Experiment, SweepDistinguishesConfigs) {
   with_staging.client.receive_bandwidth = 30.0;
   const auto points = runner.run_sweep({tiny_config(), with_staging}, 2, 17);
   EXPECT_NE(points[0].utilization.mean(), points[1].utilization.mean());
+}
+
+TEST(Experiment, SweepRejectsBadInputWithInvalidArgument) {
+  // Release builds compile asserts out, so a zero-trial sweep must throw
+  // rather than return empty points; an invalid config throws from the
+  // cell that builds it, inside the pool.
+  ExperimentRunner runner(2);
+  EXPECT_THROW(runner.run_sweep({tiny_config()}, 0, 1), std::invalid_argument);
+  SimulationConfig no_titles = tiny_config();
+  no_titles.system.num_videos = 0;
+  EXPECT_THROW(runner.run_sweep({tiny_config(), no_titles}, 2, 1),
+               std::invalid_argument);
 }
 
 TEST(Experiment, CiShrinksWithMoreTrials) {

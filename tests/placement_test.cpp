@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 
@@ -11,6 +14,7 @@
 #include "vodsim/placement/partial_predictive.h"
 #include "vodsim/placement/placement.h"
 #include "vodsim/placement/predictive.h"
+#include "vodsim/util/rng.h"
 #include "vodsim/workload/catalog.h"
 #include "vodsim/workload/zipf.h"
 
@@ -62,6 +66,132 @@ TEST(PlacementDetail, ProportionalCopiesMinimumBudget) {
   const std::vector<double> weights = {0.9, 0.05, 0.05};
   const auto copies = placement_detail::proportional_copies(weights, 3);
   EXPECT_EQ(copies, (std::vector<int>{1, 1, 1}));
+}
+
+// The linear-scan apportionment proportional_copies used before its cap
+// redistribution moved to a heap, kept verbatim as the reference the heap
+// must reproduce copy for copy.
+std::vector<int> linear_scan_proportional_copies(const std::vector<double>& weights,
+                                                 int budget, int max_copies) {
+  const std::size_t n = weights.size();
+  const double total_weight = std::accumulate(weights.begin(), weights.end(), 0.0);
+
+  std::vector<int> copies(n, 1);
+  int remaining = budget - static_cast<int>(n);
+
+  std::vector<double> quota(n);
+  std::vector<int> floors(n);
+  int floor_sum = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    quota[i] = weights[i] / total_weight * static_cast<double>(remaining);
+    floors[i] = static_cast<int>(std::floor(quota[i]));
+    floor_sum += floors[i];
+    copies[i] += floors[i];
+  }
+  int leftovers = remaining - floor_sum;
+
+  std::vector<std::size_t> by_remainder(n);
+  std::iota(by_remainder.begin(), by_remainder.end(), 0);
+  std::sort(by_remainder.begin(), by_remainder.end(), [&](std::size_t a, std::size_t b) {
+    const double ra = quota[a] - std::floor(quota[a]);
+    const double rb = quota[b] - std::floor(quota[b]);
+    if (ra != rb) return ra > rb;
+    return a < b;
+  });
+  for (int i = 0; i < leftovers; ++i) {
+    ++copies[by_remainder[static_cast<std::size_t>(i)]];
+  }
+
+  long overflow = 0;
+  for (int& c : copies) {
+    if (c > max_copies) {
+      overflow += c - max_copies;
+      c = max_copies;
+    }
+  }
+  while (overflow > 0) {
+    double best_score = -1.0;
+    std::size_t best = n;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (copies[i] >= max_copies) continue;
+      const double score = weights[i] / static_cast<double>(copies[i]);
+      if (score > best_score) {
+        best_score = score;
+        best = i;
+      }
+    }
+    if (best == n) break;
+    ++copies[best];
+    --overflow;
+  }
+  return copies;
+}
+
+TEST(PlacementDetail, ProportionalCopiesMatchesLinearScanReference) {
+  // Random instances across the weight shapes placement sees (Zipf skews
+  // from super-Zipf to uniform) and the ones that make ties (equal and
+  // small-integer weights) or zero scores (zero weights), with budgets from
+  // the one-copy floor past n * max_copies.
+  constexpr int kInstances = 600;
+  Rng rng(20);
+  int redistributed = 0;
+  for (int k = 0; k < kInstances; ++k) {
+    const std::size_t n = k % 150 == 0 ? 1000 + rng.uniform_int(3001)
+                                       : 1 + rng.uniform_int(120);
+    std::vector<double> weights(n);
+    switch (k % 4) {
+      case 0:
+        weights = ZipfDistribution(n, rng.uniform(-1.5, 1.0)).probabilities();
+        break;
+      case 1:  // an all-equal tail behind a few heavy titles
+        std::fill(weights.begin(), weights.end(), 1.0);
+        std::fill_n(weights.begin(), n / 10 + 1, 20.0);
+        break;
+      case 2:
+        for (double& w : weights) w = static_cast<double>(1 + rng.uniform_int(16));
+        break;
+      case 3:
+        weights = ZipfDistribution(n, rng.uniform(-1.5, 1.0)).probabilities();
+        for (double& w : weights) {
+          if (rng.uniform() < 0.3) w = 0.0;
+        }
+        weights.front() = 1.0;
+        break;
+    }
+    const int max_copies = 1 + static_cast<int>(rng.uniform_int(6));
+    const int cap_total = static_cast<int>(n) * max_copies;
+    // Budget in [n, n + 1.2 * (n * max_copies - n)]: about one in six
+    // instances with a cap above 1 cannot be spent in full and caps every
+    // title.
+    const int spare = cap_total - static_cast<int>(n);
+    const int budget = static_cast<int>(n) +
+                       static_cast<int>(rng.uniform_int(
+                           static_cast<std::uint64_t>(spare / 5 * 6) + 1));
+    SCOPED_TRACE("instance " + std::to_string(k) + " n " + std::to_string(n) +
+                 " budget " + std::to_string(budget) + " cap " +
+                 std::to_string(max_copies));
+
+    const std::vector<int> copies =
+        placement_detail::proportional_copies(weights, budget, max_copies);
+    ASSERT_EQ(copies, linear_scan_proportional_copies(weights, budget, max_copies));
+    const std::vector<int> uncapped = linear_scan_proportional_copies(
+        weights, budget, std::numeric_limits<int>::max());
+    if (*std::max_element(uncapped.begin(), uncapped.end()) > max_copies &&
+        budget < cap_total) {
+      ++redistributed;  // the heap hands out overflow and outlasts it
+    }
+    EXPECT_EQ(std::accumulate(copies.begin(), copies.end(), 0),
+              std::min(budget, cap_total));
+  }
+  // The comparison is not vacuous: a large share of instances redistribute
+  // overflow to uncapped titles.
+  EXPECT_GT(redistributed, kInstances / 3);
+
+  // Every title capped: the heap empties with overflow left over.
+  const std::vector<double> zipf = zipf_popularity(50, 0.0);
+  const std::vector<int> all_capped = placement_detail::proportional_copies(zipf, 400, 3);
+  EXPECT_EQ(all_capped, std::vector<int>(50, 3));
+  EXPECT_EQ(all_capped, linear_scan_proportional_copies(zipf, 400, 3));
 }
 
 TEST(PlacementDetail, InstallRespectsDistinctServers) {

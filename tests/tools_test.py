@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Unit tests for tools/bench_diff.py and tools/validate_trace.py, the
-vodsim_cli usage-error contract, and the bench and flag citations in the
-docs.
+vodsim_cli and vodsim_tournament usage-error contracts, and the bench and
+flag citations in the docs.
 
 Run directly or via ctest (registered as `tools_py`). Stdlib only; the
 tools are exercised as subprocesses, exactly as CI invokes them, so exit
@@ -23,15 +23,19 @@ BENCH_DIFF = os.path.join(TOOLS_DIR, "bench_diff.py")
 VALIDATE_TRACE = os.path.join(TOOLS_DIR, "validate_trace.py")
 
 
-def find_cli():
-    """vodsim_cli from the build tree: ctest runs this file in
+def find_binary(subdir, name):
+    """A binary from the build tree: ctest runs this file in
     <build>/tests; a direct run from the repository root uses ./build."""
     for build in (os.path.join(os.getcwd(), os.pardir), os.getcwd(),
                   os.path.join(REPO_DIR, "build")):
-        path = os.path.join(build, "examples", "vodsim_cli")
+        path = os.path.join(build, subdir, name)
         if os.access(path, os.X_OK):
             return path
     return None
+
+
+def find_cli():
+    return find_binary("examples", "vodsim_cli")
 
 
 def run_tool(script, *args):
@@ -422,6 +426,50 @@ class CliUsageErrorTest(unittest.TestCase):
                            "--brownout-factor", "0.3")
         self.assertEqual(brownout.returncode, 0, brownout.stderr)
         self.assertRegex(brownout.stdout, r"server down episodes\s*\|\s*0\s")
+
+
+def run_tournament(*args):
+    """vodsim_tournament on a one-cell, short-horizon grid (extra args may
+    override it: the last value of a flag wins)."""
+    return subprocess.run(
+        [find_binary("tools", "vodsim_tournament"), "--catalog", "20",
+         "--schedulers", "eftf", "--placements", "even", "--budgets", "0",
+         "--hours", "0.05", "--warmup-hours", "0", "--trials", "1", *args],
+        capture_output=True, text=True, timeout=60)
+
+
+class TournamentUsageErrorTest(unittest.TestCase):
+    """vodsim_tournament turns bad list items, unknown names and configs
+    that fail validation into exit 2 with a message, never a crash (exit
+    139), an uncaught exception (exit 134) or an empty table (exit 0)."""
+
+    def setUp(self):
+        if find_binary("tools", "vodsim_tournament") is None:
+            self.skipTest("vodsim_tournament not built")
+
+    def test_the_base_grid_runs(self):
+        result = run_tournament()
+        self.assertEqual(result.returncode, 0, result.stderr)
+        self.assertIn("eftf/even/m0", result.stdout)
+
+    def test_bad_input_exits_2_with_a_message(self):
+        cases = [
+            (["--catalog", "0"], "num_videos"),
+            (["--catalog", "abc"], "--catalog"),
+            (["--budgets", "x"], "--budgets"),
+            (["--servers", "0"], "num_servers"),
+            (["--copies", "0.5"], "avg_copies"),
+            (["--schedulers", "bogus"], "bogus"),
+            (["--trials", "0"], "trials"),
+        ]
+        for args, named in cases:
+            with self.subTest(args=args):
+                result = run_tournament(*args)
+                self.assertEqual(result.returncode, 2,
+                                 f"{args}: {result.returncode} {result.stderr}")
+                self.assertIn("vodsim_tournament: ", result.stderr)
+                self.assertIn(named, result.stderr)
+                self.assertEqual(result.stdout, "")
 
 
 class ShardedTraceTest(unittest.TestCase):
