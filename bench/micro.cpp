@@ -185,6 +185,8 @@ void BM_EventQueueRetimeChurn(benchmark::State& state) {
 BENCHMARK(BM_EventQueueRetimeChurn);
 
 void BM_EftfAllocate(benchmark::State& state) {
+  // EFTF's allocation pass over a server's active list, as the engine
+  // hands it over (cache-less: the full-sort path).
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(3);
   Video video;
@@ -192,25 +194,26 @@ void BM_EftfAllocate(benchmark::State& state) {
   video.duration = 3600.0;
   video.view_bandwidth = 3.0;
   ClientProfile client{1000.0, 30.0};
+  const Mbps capacity = 3.0 * static_cast<double>(n) + 60.0;
+  Server server(0, capacity, 1e12);
   std::vector<std::unique_ptr<Request>> owner;
-  std::vector<Request*> active;
   for (std::size_t i = 0; i < n; ++i) {
     owner.push_back(std::make_unique<Request>(static_cast<RequestId>(i), video,
                                               0.0, client));
-    owner.back()->begin_streaming(0.0, 0);
-    owner.back()->set_allocation(0.0, 3.0);
-    owner.back()->advance(rng.uniform(1.0, 600.0));  // spread remaining data
-    active.push_back(owner.back().get());
+    Request& request = *owner.back();
+    request.begin_streaming(0.0, 0);
+    server.attach(request);
+    request.set_allocation(0.0, 3.0);
+    request.advance(rng.uniform(1.0, 600.0));  // spread remaining data
   }
-  EftfScheduler scheduler;
+  const std::vector<Request*>& active = server.active_requests();
+  const FinishTimeScheduler scheduler(/*earliest_first=*/true);
   std::vector<Mbps> rates;
   AllocationScratch scratch;
-  scheduler.allocate(600.0, 3.0 * static_cast<double>(n) + 60.0, active, rates,
-                     scratch);
+  scheduler.allocate(600.0, capacity, active, rates, scratch);
   const std::uint64_t allocs_before = heap_allocs();
   for (auto _ : state) {
-    scheduler.allocate(600.0, 3.0 * static_cast<double>(n) + 60.0, active, rates,
-                       scratch);
+    scheduler.allocate(600.0, capacity, active, rates, scratch);
     benchmark::DoNotOptimize(rates.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -295,6 +298,8 @@ void BM_RecomputeServer(benchmark::State& state) {
   // count; arg 1 selects saturated (slack 0 — the paper's interesting
   // operating point, where the eligible sort is skipped) vs. slack
   // (workahead flowing).
+  constexpr Seconds kNever = std::numeric_limits<Seconds>::infinity();
+  constexpr Seconds kSafetyCover = 10.0;  // SimulationConfig's default
   const auto n = static_cast<std::size_t>(state.range(0));
   const bool saturated = state.range(1) != 0;
   const Mbps capacity =
@@ -304,7 +309,7 @@ void BM_RecomputeServer(benchmark::State& state) {
   populate_server(server, n, owner);
   const std::vector<Request*>& active = server.active_requests();
   FluidLane& lane = server.lane();
-  EftfScheduler scheduler;
+  const FinishTimeScheduler scheduler(/*earliest_first=*/true);
   EventQueue queue;
   PredictionTimer timer;
   std::vector<Mbps> rates;
@@ -319,15 +324,18 @@ void BM_RecomputeServer(benchmark::State& state) {
       Request& request = *active[i];
       if (rates[i] == request.allocation()) continue;
       request.set_allocation(t, rates[i]);
-      // Engine pattern (apply_predicted_times): one seq per kept
-      // prediction, one key write per stream, no queue traffic.
+      // Engine pattern (reschedule_predicted_events, apply_predicted_times):
+      // the slot's predicted times, one seq per kept prediction, one key
+      // write per stream, no queue traffic.
+      const fluid_detail::PredictedTimes times =
+          lane.predicted_times(i, t, kSafetyCover);
       PredictionKeys keys = kNoPredictions;
-      if (rates[i] > 0.0) {
-        keys[0] = {t + request.remaining() / rates[i], queue.take_seq()};
+      if (rates[i] > 0.0) keys[0] = {times.tx_complete, queue.take_seq()};
+      if (times.buffer_full != kNever) {
+        keys[1] = {times.buffer_full, queue.take_seq()};
       }
-      const Mbps surplus = rates[i] - request.drain_rate(t);
-      if (surplus > 1e-12 && !request.buffer_full()) {
-        keys[1] = {t + request.buffer_headroom() / surplus, queue.take_seq()};
+      if (times.buffer_low != kNever) {
+        keys[2] = {times.buffer_low, queue.take_seq()};
       }
       timer.write(lane, i, keys);
     }
@@ -429,24 +437,11 @@ void BM_RecomputeSingleStreamDelta(benchmark::State& state) {
   // std::sort evaluating projected_finish inside the comparator.
   const auto n = static_cast<std::size_t>(state.range(0));
   const bool incremental = state.range(1) != 0;
-  Rng rng(11);
-  Video video;
-  video.id = 0;
-  video.duration = 2.0 * 3600.0;
-  video.view_bandwidth = 3.0;
-  ClientProfile client{0.2 * video.size(), 30.0};
+  Server server(0, 3.0 * static_cast<double>(n) + 60.0, 1e12);
   std::vector<std::unique_ptr<Request>> owner;
-  std::vector<Request*> active;
-  for (std::size_t i = 0; i < n; ++i) {
-    owner.push_back(std::make_unique<Request>(static_cast<RequestId>(i), video,
-                                              0.0, client));
-    Request& request = *owner.back();
-    request.begin_streaming(0.0, 0);
-    request.set_allocation(0.0, 3.0);
-    request.advance(rng.uniform(1.0, 600.0));
-    request.active_index = i;
-    active.push_back(&request);
-  }
+  populate_server(server, n, owner);
+  const std::vector<Request*>& active = server.active_requests();
+  const FluidLane& lane = server.lane();
   AllocationScratch scratch;
   SchedCache cache;
   Seconds now = 600.0;
@@ -470,8 +465,8 @@ void BM_RecomputeSingleStreamDelta(benchmark::State& state) {
     } else {
       std::sort(scratch.order.begin(), scratch.order.end(),
                 [&](std::size_t a, std::size_t b) {
-                  const Seconds fa = active[a]->projected_finish(now);
-                  const Seconds fb = active[b]->projected_finish(now);
+                  const Seconds fa = lane.projected_finish(a, now);
+                  const Seconds fb = lane.projected_finish(b, now);
                   if (fa != fb) return fa < fb;
                   return active[a]->id() < active[b]->id();
                 });
@@ -866,26 +861,28 @@ BENCHMARK(BM_FluidAdvanceBatch)
 
 
 void BM_FluidKeyBatch(benchmark::State& state) {
-  // The EFTF/LFTF sort-key pass (PR 9): batched=0 is the scalar
-  // per-candidate projected_finish loop sort_by_projected_finish runs when
-  // the batch threshold is not met; batched=1 is
-  // FluidLane::fill_projected_finish — one division-heavy vector pass over
-  // the lane. Same doubles out either way (pinned by
-  // FluidLane.FillProjectedFinishMatchesScalar).
+  // The EFTF/LFTF sort-key pass: batched=0 is the per-candidate
+  // FluidLane::projected_finish loop sort_by_projected_finish runs when
+  // the batch threshold is not met, indexed through a candidate list as
+  // there; batched=1 is FluidLane::fill_projected_finish — one
+  // division-heavy vector pass over the lane. Same doubles out either way
+  // (pinned by FluidLane.FillProjectedFinishMatchesScalar).
   const auto n = static_cast<std::size_t>(state.range(0));
   const bool batched = state.range(1) != 0;
   std::vector<std::unique_ptr<Request>> owner;
   Server server(0, 3.0 * static_cast<double>(n) + 60.0, 1e12);
   populate_server(server, n, owner);
+  const FluidLane& lane = server.lane();
+  std::vector<std::size_t> candidates(n);
+  for (std::size_t i = 0; i < n; ++i) candidates[i] = i;
   std::vector<Seconds> keys(n);
   const Seconds now = 600.0;
   for (auto _ : state) {
     if (batched) {
-      server.lane().fill_projected_finish(now, keys);
+      lane.fill_projected_finish(now, keys);
     } else {
-      const auto& active = server.active_requests();
-      for (std::size_t i = 0; i < active.size(); ++i) {
-        keys[i] = active[i]->projected_finish(now);
+      for (const std::size_t index : candidates) {
+        keys[index] = lane.projected_finish(index, now);
       }
     }
     benchmark::DoNotOptimize(keys.data());
@@ -903,13 +900,12 @@ BENCHMARK(BM_FluidKeyBatch)
 void BM_FluidRetimeBatch(benchmark::State& state) {
   // The predicted-event retiming arithmetic (PR 9): batched=1 is
   // FluidLane::fill_predicted_times — all three event times for every slot
-  // in one pass; batched=0 replays the scalar per-stream arithmetic of
-  // reschedule_predicted_events (three divisions and the gates, per
-  // request). Neither side schedules events; this isolates the arithmetic
-  // the batched recompute_server amortizes.
+  // in one pass; batched=0 calls the per-slot FluidLane::predicted_times
+  // (the same formula) for every slot, as reschedule_predicted_events does
+  // for sparse changes. Neither side schedules events; this isolates the
+  // arithmetic the batched recompute_server amortizes.
   const auto n = static_cast<std::size_t>(state.range(0));
   const bool batched = state.range(1) != 0;
-  constexpr Seconds kNever = std::numeric_limits<Seconds>::infinity();
   std::vector<std::unique_ptr<Request>> owner;
   Server server(0, 3.0 * static_cast<double>(n) + 60.0, 1e12);
   populate_server(server, n, owner);
@@ -920,26 +916,13 @@ void BM_FluidRetimeBatch(benchmark::State& state) {
     if (batched) {
       server.lane().fill_predicted_times(now, safety_cover, tx, full, low);
     } else {
-      const auto& active = server.active_requests();
-      for (std::size_t i = 0; i < active.size(); ++i) {
-        const Request& request = *active[i];
-        const Mbps rate = request.allocation();
-        tx[i] = rate > 0.0 ? now + request.remaining() / rate : kNever;
-        const Mbps surplus = rate - request.drain_rate(now);
-        full[i] = kNever;
-        low[i] = kNever;
-        if (surplus > 1e-12 && !request.buffer_full()) {
-          const Seconds at = now + request.buffer_headroom() / surplus;
-          if (at < tx[i]) full[i] = at;
-        } else if (surplus < -1e-12) {
-          const Megabits threshold = safety_cover * request.view_bandwidth();
-          if (request.buffer_level() >
-              threshold + StagingBuffer::kLevelTolerance) {
-            const Seconds at =
-                now + (request.buffer_level() - threshold) / (0.0 - surplus);
-            if (at < tx[i]) low[i] = at;
-          }
-        }
+      const FluidLane& lane = server.lane();
+      for (std::size_t i = 0; i < lane.size(); ++i) {
+        const fluid_detail::PredictedTimes times =
+            lane.predicted_times(i, now, safety_cover);
+        tx[i] = times.tx_complete;
+        full[i] = times.buffer_full;
+        low[i] = times.buffer_low;
       }
     }
     benchmark::DoNotOptimize(tx.data());

@@ -14,13 +14,14 @@
 
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 
 #include "vodsim/engine/vod_simulation.h"
 #include "vodsim/util/cli.h"
 #include "vodsim/util/table.h"
 #include "vodsim/workload/trace.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace vodsim;
   CliParser cli("clip_server", "short-clip service under demand drift");
   cli.add_flag("hours", "40", "simulated hours");
@@ -52,6 +53,10 @@ int main(int argc, char** argv) {
   const std::string trace_path = cli.get_string("save-trace");
   if (!trace_path.empty()) {
     std::ofstream out(trace_path);
+    if (!out) {
+      std::cerr << "cannot write " << trace_path << "\n";
+      return 1;
+    }
     trace.save(out);
     std::cout << "trace saved to " << trace_path << "\n";
   }
@@ -86,4 +91,8 @@ int main(int argc, char** argv) {
                "pure policy effects. Even placement needs no popularity "
                "forecast despite the drifting demand.\n";
   return 0;
+} catch (const std::invalid_argument& error) {
+  // A flag value the configuration rejects is a usage error, not a crash.
+  std::cerr << "clip_server: " << error.what() << "\n";
+  return 2;
 }

@@ -10,12 +10,13 @@
 ///   fault_tolerance_demo [--mtbf-hours 8] [--mttr-hours 1] [--hours 40]
 
 #include <iostream>
+#include <stdexcept>
 
 #include "vodsim/engine/vod_simulation.h"
 #include "vodsim/util/cli.h"
 #include "vodsim/util/table.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace vodsim;
   CliParser cli("fault_tolerance_demo", "stream survival across server failures");
   cli.add_flag("mtbf-hours", "8", "mean time between failures per server");
@@ -65,4 +66,8 @@ int main(int argc, char** argv) {
                "jitter. Drops remain only when no surviving holder has room "
                "or no other replica exists.\n";
   return 0;
+} catch (const std::invalid_argument& error) {
+  // A flag value the configuration rejects is a usage error, not a crash.
+  std::cerr << "fault_tolerance_demo: " << error.what() << "\n";
+  return 2;
 }

@@ -11,12 +11,13 @@
 ///   movie_service [--slo 0.02] [--hours 60] [--theta 0.271] [--trials 2]
 
 #include <iostream>
+#include <stdexcept>
 
 #include "vodsim/engine/experiment.h"
 #include "vodsim/util/cli.h"
 #include "vodsim/util/table.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   vodsim::CliParser cli("movie_service",
                         "capacity planning for a feature-film VoD cluster");
   cli.add_flag("slo", "0.02", "maximum acceptable rejection ratio");
@@ -79,4 +80,8 @@ int main(int argc, char** argv) {
   std::cout << "Semi-continuous transmission lets the same hardware carry a "
                "higher offered load at the same rejection SLO.\n";
   return 0;
+} catch (const std::invalid_argument& error) {
+  // A flag value the configuration rejects is a usage error, not a crash.
+  std::cerr << "movie_service: " << error.what() << "\n";
+  return 2;
 }

@@ -13,13 +13,14 @@
 
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 
 #include "vodsim/engine/vod_simulation.h"
 #include "vodsim/obs/exporters.h"
 #include "vodsim/util/cli.h"
 #include "vodsim/util/table.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   vodsim::CliParser cli("quickstart",
                         "one trial of the small cluster-VoD system");
   cli.add_flag("theta", "0.271", "Zipf skew (1 = uniform, <0 = extreme)");
@@ -90,6 +91,10 @@ int main(int argc, char** argv) {
 
   if (!trace_out.empty()) {
     std::ofstream out(trace_out);
+    if (!out) {
+      std::cerr << "cannot write " << trace_out << "\n";
+      return 1;
+    }
     vodsim::write_chrome_trace(out, simulation.merged_trace_events(),
                                simulation.trace_totals(), simulation.probes(),
                                simulation.servers().size());
@@ -98,8 +103,16 @@ int main(int argc, char** argv) {
   }
   if (!probe_out.empty()) {
     std::ofstream out(probe_out);
+    if (!out) {
+      std::cerr << "cannot write " << probe_out << "\n";
+      return 1;
+    }
     vodsim::write_probe_csv(out, *simulation.probes());
     std::cout << "wrote probe series to " << probe_out << "\n";
   }
   return 0;
+} catch (const std::invalid_argument& error) {
+  // A flag value the configuration rejects is a usage error, not a crash.
+  std::cerr << "quickstart: " << error.what() << "\n";
+  return 2;
 }

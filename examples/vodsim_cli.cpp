@@ -321,22 +321,26 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
 
-  // Writes one artifact file when its flag names a path.
+  // Writes one artifact file when its flag names a path; false when the
+  // path cannot be opened, which fails the run.
   const auto write = [&cli](const char* flag, const char* what, auto&& emit) {
     const std::string path = cli.get_string(flag);
-    if (path.empty()) return;
+    if (path.empty()) return true;
     std::ofstream out(path);
     if (!out) {
       std::cerr << "cannot write " << path << "\n";
-      return;
+      return false;
     }
     emit(out);
     std::cout << "wrote " << what << " to " << path << "\n";
+    return true;
   };
-  write("csv-out", "per-trial CSV (with bound/gap columns)", [&](std::ostream& out) {
-    write_sweep_csv(out, {config.system.name}, {point});
-    std::cout << "\n";  // a blank line between the table and the note
-  });
+  const bool csv_written =
+      write("csv-out", "per-trial CSV (with bound/gap columns)", [&](std::ostream& out) {
+        write_sweep_csv(out, {config.system.name}, {point});
+        std::cout << "\n";  // a blank line between the table and the note
+      });
+  if (!csv_written) return 1;
 
   // Observability artifacts: re-run trial 0 with the recorder/probes
   // attached. Tracing is observe-only, so this run is bit-identical to the
@@ -348,22 +352,26 @@ int main(int argc, char** argv) {
     simulation.run();
 
     std::cout << "\n";
-    write("trace-out", "Chrome trace (load in chrome://tracing)", [&](std::ostream& out) {
-      write_chrome_trace(out, simulation.merged_trace_events(), simulation.trace_totals(),
-                         simulation.probes(), simulation.servers().size());
-    });
-    write("trace-jsonl", "JSONL trace", [&](std::ostream& out) {
+    const bool chrome_written =
+        write("trace-out", "Chrome trace (load in chrome://tracing)", [&](std::ostream& out) {
+          write_chrome_trace(out, simulation.merged_trace_events(), simulation.trace_totals(),
+                             simulation.probes(), simulation.servers().size());
+        });
+    if (!chrome_written) return 1;
+    const bool jsonl_written = write("trace-jsonl", "JSONL trace", [&](std::ostream& out) {
       write_trace_jsonl(out, simulation.merged_trace_events(), simulation.trace_totals());
     });
+    if (!jsonl_written) return 1;
     if (config.probe.enabled && simulation.probes() == nullptr) {
       // Sharded runs drain per-stream events in parallel shard queues, so
       // the engine has no global event boundary to sample on and leaves
       // probes detached (vod_simulation.cpp build_world).
       std::cout << "note: probes are unavailable with --shards > 1; "
                    "no probe CSV written\n";
-    } else {
-      write("probe-out", "probe series",
-            [&](std::ostream& out) { write_probe_csv(out, *simulation.probes()); });
+    } else if (!write("probe-out", "probe series", [&](std::ostream& out) {
+                 write_probe_csv(out, *simulation.probes());
+               })) {
+      return 1;
     }
     if (const std::uint64_t dropped = simulation.trace_totals().dropped; dropped > 0) {
       std::cout << "note: ring dropped " << dropped

@@ -90,9 +90,7 @@ __attribute__((noinline)) void advance_states(
   }
 }
 
-/// Batched EFTF/LFTF sort keys: Request::projected_finish — exactly
-/// now + remaining / view_bandwidth per slot, so each precomputed key is
-/// bit-identical to what the per-candidate scalar loop would produce.
+/// Batched EFTF/LFTF sort keys: fluid_detail::projected_finish per slot.
 VODSIM_BATCH_KERNEL_CLONES
 __attribute__((noinline)) void projected_finish_keys(
     std::size_t n, Seconds now, const Megabits* __restrict remaining,
@@ -100,7 +98,7 @@ __attribute__((noinline)) void projected_finish_keys(
   remaining = assume_lane_aligned(remaining);
   view_bandwidth = assume_lane_aligned(view_bandwidth);
   for (std::size_t i = 0; i < n; ++i) {
-    keys[i] = now + remaining[i] / view_bandwidth[i];
+    keys[i] = fluid_detail::projected_finish(now, remaining[i], view_bandwidth[i]);
   }
 }
 
@@ -110,7 +108,7 @@ __attribute__((noinline)) void projected_finish_keys(
 ///     [arrival, playback_end), else 0; here view_bandwidth · in_window ·
 ///     playing, where x·1.0 == x and x·0.0 == +0.0 bitwise (view
 ///     bandwidths are positive) — the same re-expression as
-///     predicted_event_times.
+///     fluid_detail::predicted_times.
 ///   - cover = level / view_bandwidth: the same division.
 ///   - cap = min(receive, drain + headroom / horizon) in std::min's operand
 ///     order: the scalar absorption cap and its clip to the receive
@@ -148,33 +146,9 @@ __attribute__((noinline)) void workahead_inputs(
   }
 }
 
-/// Batched predicted-event retiming: the arithmetic of the engine's
-/// reschedule_predicted_events for every slot, with rejected predictions
-/// encoded as +inf (see fill_predicted_times in the header for why the
-/// sentinel is unambiguous). Bit-identity with the scalar path, term by
-/// term:
-///   - tx_at = now + remaining / rate for rate > 0 — same division; a
-///     rate <= 0 slot writes +inf, and the consumer re-derives liveness
-///     from the allocation sign, never from this array.
-///   - drain_rate(now) returns view_bandwidth when playing and inside
-///     [arrival, playback_end), else 0. Here that branch becomes
-///     view_bandwidth · in_window_mask · playing: x·1.0 == x and
-///     x·0.0 == +0.0 bitwise (view bandwidths are nonnegative, never -0),
-///     and surplus = rate - 0.0 == rate bitwise, so surplus matches the
-///     scalar value exactly in every case.
-///   - full_at = now + buffer_headroom / surplus with headroom's
-///     `capacity > level ? capacity - level : 0` ternary verbatim; kept
-///     only under the scalar gate (surplus > 1e-12, not buffer_full,
-///     full_at < tx_at). An unkept slot's division may produce inf/NaN —
-///     discarded by the same gate the scalar path short-circuits on.
-///   - low_at = now + (level - threshold) / (0.0 - surplus); for any slot
-///     the gate keeps, surplus < -1e-12 is strictly negative, where
-///     0.0 - surplus is bit-equal to the scalar path's -surplus (they can
-///     differ only at surplus == ±0, which the gate excludes). Written
-///     without unary negate because that defeats GCC's if-conversion.
-///   - The buffer-low branch is only reachable with surplus < -1e-12,
-///     which excludes the buffer-full branch's surplus > 1e-12, so
-///     evaluating both gates unconditionally preserves the if/else-if.
+/// Batched predicted-event retiming: fluid_detail::predicted_times per
+/// slot (branch-free, so the loop vectorizes; the bit-identity argument is
+/// at the formula).
 VODSIM_BATCH_KERNEL_CLONES
 __attribute__((noinline)) void predicted_event_times(
     std::size_t n, Seconds now, double safety_cover,
@@ -193,32 +167,14 @@ __attribute__((noinline)) void predicted_event_times(
   arrival = assume_lane_aligned(arrival);
   playback_end = assume_lane_aligned(playback_end);
   playing = assume_lane_aligned(playing);
-  constexpr Seconds kNever = std::numeric_limits<Seconds>::infinity();
   for (std::size_t i = 0; i < n; ++i) {
-    const Mbps rate = allocation[i];
-    const Seconds tx_at = rate > 0.0 ? now + remaining[i] / rate : kNever;
-    tx_out[i] = tx_at;
-
-    const double in_window =
-        (now >= arrival[i]) && (now < playback_end[i]) ? 1.0 : 0.0;
-    const Mbps drain = view_bandwidth[i] * in_window * playing[i];
-    const Mbps surplus = rate - drain;
-
-    const Megabits level = buffer_level[i];
-    const Megabits capacity = buffer_capacity[i];
-    const bool full = level >= capacity - StagingBuffer::kLevelTolerance;
-    const Megabits headroom = capacity > level ? capacity - level : 0.0;
-    const Seconds full_at = now + headroom / surplus;
-    full_out[i] =
-        (surplus > 1e-12 && !full && full_at < tx_at) ? full_at : kNever;
-
-    const Megabits threshold = safety_cover * view_bandwidth[i];
-    const Seconds low_at = now + (level - threshold) / (0.0 - surplus);
-    low_out[i] = (surplus < -1e-12 &&
-                  level > threshold + StagingBuffer::kLevelTolerance &&
-                  low_at < tx_at)
-                     ? low_at
-                     : kNever;
+    const fluid_detail::PredictedTimes times = fluid_detail::predicted_times(
+        now, safety_cover, remaining[i], allocation[i], buffer_level[i],
+        buffer_capacity[i], view_bandwidth[i], arrival[i], playback_end[i],
+        playing[i]);
+    tx_out[i] = times.tx_complete;
+    full_out[i] = times.buffer_full;
+    low_out[i] = times.buffer_low;
   }
 }
 
@@ -458,10 +414,9 @@ Mbps FluidLane::sum_minimum_rates(std::vector<Mbps>& rates) const {
 
 Mbps FluidLane::eligible_slots(std::vector<std::size_t>& out) const {
   const std::size_t n = size_;
+  out.clear();
   Mbps room = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
-    // sched_detail::workahead_eligible: room in the staging buffer, a
-    // receive link faster than playback, and data left to send.
     if (!buffer_full(i) && receive_bandwidth_[i] > view_bandwidth_[i] &&
         remaining_[i] > Request::kRemainingTolerance) {
       out.push_back(i);

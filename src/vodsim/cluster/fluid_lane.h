@@ -51,6 +51,7 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <new>
 #include <vector>
@@ -65,10 +66,13 @@ class Request;
 
 /// Single-stream fluid formulas, defined exactly once. The scalar path
 /// (Request::advance, StagingBuffer::apply) and the lane's advance_one
-/// call these directly; the batch kernel (fluid_lane.cpp) is a
+/// call advance_stream directly; the advance kernel (fluid_lane.cpp) is a
 /// branchless re-expression of the same operations, proven bit-identical
 /// per stream (the argument is spelled out at the kernel), so restructuring
-/// storage cannot change a single floating-point result per stream.
+/// storage cannot change a single floating-point result per stream. The
+/// sort-key and predicted-event kernels loop over projected_finish and
+/// predicted_times, and the lane's per-slot projected_finish/
+/// predicted_times apply the same functions to one slot.
 namespace fluid_detail {
 
 /// StagingBuffer::apply's arithmetic on raw level storage: applies inflow
@@ -122,6 +126,83 @@ inline Megabits advance_stream(Seconds now, Seconds& last_update,
   return apply_buffer(buffer_level, buffer_capacity, inflow, outflow);
 }
 
+/// The EFTF/LFTF sort key: the time the stream would finish if sent at
+/// exactly its view bandwidth from \p now on. Since all videos share one
+/// view bandwidth, smaller remaining data = earlier projected finish.
+inline Seconds projected_finish(Seconds now, Megabits remaining,
+                                Mbps view_bandwidth) {
+  return now + remaining / view_bandwidth;
+}
+
+/// The three event times the engine predicts for a streaming request
+/// (DESIGN.md §8); +inf = no event.
+struct PredictedTimes {
+  Seconds tx_complete;
+  Seconds buffer_full;
+  Seconds buffer_low;
+};
+
+/// One stream's predicted event times under its current allocation
+/// \p rate: transmission complete (remaining / rate from now), buffer full
+/// (headroom / surplus while receiving faster than playback drains) and
+/// buffer low (the staged data reaching \p safety_cover seconds of
+/// playback while draining faster than receiving — the intermittent
+/// scheduler's wake-up). A buffer event is kept only if it precedes
+/// transmission complete. \p playing is the lane's 1.0/0.0 playback mask.
+///
+/// Branch-free so the batch kernel vectorizes, and bit-identical to the
+/// branchy gates it replaces, term by term:
+///   - tx = now + remaining / rate for rate > 0; a rate <= 0 stream gets
+///     +inf, and a consumer re-derives liveness from the allocation sign,
+///     never from this time (a pathological tiny rate could divide to +inf
+///     yet still mean "transmitting").
+///   - The drain rate is view_bandwidth when playing and inside [arrival,
+///     playback_end), else 0. Here that branch becomes view_bandwidth ·
+///     in_window_mask · playing: x·1.0 == x and x·0.0 == +0.0 bitwise
+///     (view bandwidths are nonnegative, never -0), and surplus = rate -
+///     0.0 == rate bitwise, so surplus is exact in every case.
+///   - full = now + headroom / surplus with the staging buffer's headroom
+///     `capacity > level ? capacity - level : 0` verbatim; kept only under
+///     the gate (surplus > 1e-12, not buffer full, full < tx). An unkept
+///     stream's division may produce inf/NaN — discarded by the same gate
+///     a branchy version short-circuits on.
+///   - low = now + (level - threshold) / (0.0 - surplus); for any stream
+///     the gate keeps, surplus < -1e-12 is strictly negative, where
+///     0.0 - surplus is bit-equal to -surplus (they can differ only at
+///     surplus == ±0, which the gate excludes). Written without unary
+///     negate because that defeats GCC's if-conversion.
+///   - The buffer-low gate needs surplus < -1e-12, which excludes the
+///     buffer-full gate's surplus > 1e-12, so evaluating both gates
+///     unconditionally preserves an if/else-if.
+/// The +inf encoding is unambiguous: a kept full/low time is finite (the
+/// `< tx` comparison fails on inf), so finiteness is its liveness.
+inline PredictedTimes predicted_times(Seconds now, double safety_cover,
+                                      Megabits remaining, Mbps rate,
+                                      Megabits level, Megabits capacity,
+                                      Mbps view_bandwidth, Seconds arrival,
+                                      Seconds playback_end, double playing) {
+  constexpr Seconds kNever = std::numeric_limits<Seconds>::infinity();
+  const Seconds tx_at = rate > 0.0 ? now + remaining / rate : kNever;
+
+  const double in_window =
+      (now >= arrival) && (now < playback_end) ? 1.0 : 0.0;
+  const Mbps drain = view_bandwidth * in_window * playing;
+  const Mbps surplus = rate - drain;
+
+  const bool full = level >= capacity - StagingBuffer::kLevelTolerance;
+  const Megabits headroom = capacity > level ? capacity - level : 0.0;
+  const Seconds full_at = now + headroom / surplus;
+
+  const Megabits threshold = safety_cover * view_bandwidth;
+  const Seconds low_at = now + (level - threshold) / (0.0 - surplus);
+  return {tx_at,
+          (surplus > 1e-12 && !full && full_at < tx_at) ? full_at : kNever,
+          (surplus < -1e-12 &&
+           level > threshold + StagingBuffer::kLevelTolerance && low_at < tx_at)
+              ? low_at
+              : kNever};
+}
+
 }  // namespace fluid_detail
 
 /// The three events the engine predicts per streaming request (DESIGN.md
@@ -170,6 +251,22 @@ class FluidLane {
   bool buffer_full(std::size_t i) const {
     return buffer_level_[i] >=
            buffer_capacity_[i] - StagingBuffer::kLevelTolerance;
+  }
+
+  /// Slot \p i's EFTF/LFTF sort key (fluid_detail::projected_finish).
+  Seconds projected_finish(std::size_t i, Seconds now) const {
+    return fluid_detail::projected_finish(now, remaining_[i],
+                                          view_bandwidth_[i]);
+  }
+
+  /// Slot \p i's predicted event times (fluid_detail::predicted_times):
+  /// the per-slot form of fill_predicted_times, for retiming a few streams.
+  fluid_detail::PredictedTimes predicted_times(std::size_t i, Seconds now,
+                                               double safety_cover) const {
+    return fluid_detail::predicted_times(
+        now, safety_cover, remaining_[i], allocation_[i], buffer_level_[i],
+        buffer_capacity_[i], view_bandwidth_[i], arrival_[i], playback_end_[i],
+        playing_[i]);
   }
 
   /// The intermittent scheduler's urgency latch (Request::workahead_urgent),
@@ -247,23 +344,25 @@ class FluidLane {
                             std::vector<Megabits>& underflow_scratch);
 
   // --- scheduler-facing batch passes ------------------------------------
-  // The allocation hot loops (sched/scheduler.cpp, sched/finish_order.cpp)
-  // and the engine's predicted-event retiming evaluate per-stream formulas
-  // on every recompute; walking the arrays beats chasing Request pointers.
-  // Every pass below is an exact replica of the corresponding Request
-  // formula on the same authoritative values, so using them changes no
-  // result bit — the determinism goldens pin that.
+  // The schedulers (sched/) read every per-stream quantity from the lane of
+  // the server whose active list they allocate, and the engine's
+  // predicted-event retiming reads it here too; walking the arrays beats
+  // chasing Request pointers. The passes read the same authoritative values
+  // the Request accessors return, and the sort keys and predicted times
+  // come from the single-source fluid_detail formulas, so the batched and
+  // per-slot forms agree bit for bit — the determinism goldens pin that.
 
   /// Fills \p rates with each slot's minimum rate (Request::minimum_rate
   /// semantics: the view bandwidth, or 0 for a paused client with a full
   /// staging buffer) and returns their sum in slot order.
   Mbps sum_minimum_rates(std::vector<Mbps>& rates) const;
 
-  /// Appends to \p out the slots that can absorb workahead
-  /// (sched_detail::workahead_eligible semantics), in slot order, and
-  /// returns their summed room receive_bandwidth - view_bandwidth (the
-  /// room a minimum-flow grant pass sees: an eligible slot's buffer is not
-  /// full, so its minimum rate is its view bandwidth), added in slot order.
+  /// Fills \p out (cleared first; its capacity is reused) with the slots
+  /// that can absorb workahead — staging buffer not full, a receive link
+  /// faster than playback, data left to send — in slot order, and returns
+  /// their summed room receive_bandwidth - view_bandwidth (the room a
+  /// minimum-flow grant pass sees: an eligible slot's buffer is not full,
+  /// so its minimum rate is its view bandwidth), added in slot order.
   Mbps eligible_slots(std::vector<std::size_t>& out) const;
 
   /// Buffer-aware admission's near-term need (AdmissionController::
@@ -285,24 +384,16 @@ class FluidLane {
                              std::vector<Seconds>& cover,
                              std::vector<Mbps>& cap) const;
 
-  /// Writes every slot's EFTF/LFTF sort key — Request::projected_finish
-  /// exactly: now + remaining / view_bandwidth — into keys[0..size()).
-  /// \p keys is resized to size(). One vectorized pass replaces the
-  /// per-candidate virtual-free but division-heavy scalar loop in
-  /// sort_by_projected_finish.
+  /// Writes every slot's EFTF/LFTF sort key (projected_finish) into
+  /// keys[0..size()). \p keys is resized to size(). One vectorized pass
+  /// replaces sort_by_projected_finish's per-candidate division loop when
+  /// the candidates cover most of the lane.
   void fill_projected_finish(Seconds now, std::vector<Seconds>& keys) const;
 
-  /// Batched predicted-event retiming: computes, for every slot, the three
-  /// times the engine's reschedule_predicted_events derives per stream —
-  /// transmission complete, buffer full, buffer low — with op-for-op
-  /// identical arithmetic (the kernel spells out the argument). A
-  /// prediction whose scalar-path gate would reject it is written as +inf,
-  /// which is unambiguous: the scalar gates themselves can never keep a
-  /// +inf buffer-full/low time (the `t < tx_at` comparison fails on inf),
-  /// and transmission-complete liveness is re-derived by the consumer from
-  /// the allocation sign, not from the array. \p safety_cover is
-  /// SimulationConfig::intermittent_safety_cover. All three outputs are
-  /// resized to size().
+  /// Batched predicted-event retiming: every slot's predicted_times in one
+  /// vectorized pass (+inf = no event; see fluid_detail::predicted_times).
+  /// \p safety_cover is SimulationConfig::intermittent_safety_cover. All
+  /// three outputs are resized to size().
   void fill_predicted_times(Seconds now, double safety_cover,
                             std::vector<Seconds>& tx_at,
                             std::vector<Seconds>& full_at,

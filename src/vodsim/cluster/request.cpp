@@ -18,10 +18,6 @@ Request::Request(RequestId id, const Video& video, Seconds arrival,
       last_update_(arrival),
       buffer_(client.buffer_capacity) {}
 
-Seconds Request::projected_finish(Seconds now) const {
-  return now + remaining() / view_bandwidth_;
-}
-
 Megabits Request::advance(Seconds now) {
   assert(now >= last_update() - kTimeSyncTolerance);
   if (lane_ != nullptr) {

@@ -105,11 +105,6 @@ class Request {
   /// forcing flow at it would only be discarded.
   Mbps minimum_rate() const;
 
-  /// Time at which the transmission would finish if sent at exactly
-  /// view_bandwidth from \p now on — EFTF's ordering key. Smaller remaining
-  /// data = earlier projected finish.
-  Seconds projected_finish(Seconds now) const;
-
   /// True if all data has been transmitted.
   bool finished() const { return remaining() <= kRemainingTolerance; }
 

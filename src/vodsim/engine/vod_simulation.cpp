@@ -965,10 +965,10 @@ void VodSimulation::recompute_server(ExecContext& ctx, ServerId server_id) {
   // and the per-request order (tx → full → low) — hence event-seq
   // consumption — are unchanged. When a mass reallocation moved most of the
   // lane, one vectorized pass computes all three predicted times (+inf =
-  // no event) and the scalar mechanics consume them; sparse changes (the
-  // single-stream-delta steady state) keep the pure scalar path — filling
-  // the whole lane to retime two slots would waste the divisions the batch
-  // amortizes.
+  // no event) and the shared mechanics consume them; sparse changes (the
+  // single-stream-delta steady state) evaluate the same formula per slot —
+  // filling the whole lane to retime two slots would waste the divisions
+  // the batch amortizes.
   if (changed.size() >= 8 && changed.size() * 4 >= active.size()) {
     lane.fill_predicted_times(now, config_.intermittent_safety_cover,
                               ctx.retime_tx, ctx.retime_full, ctx.retime_low);
@@ -1242,45 +1242,18 @@ void VodSimulation::cancel_predicted_events(Request& request) {
 
 void VodSimulation::reschedule_predicted_events(ExecContext& ctx,
                                                 Request& request) {
-  constexpr Seconds kNever = std::numeric_limits<Seconds>::infinity();
   if (request.state() != RequestState::kStreaming) {
     set_predictions(request, kNoPredictions);
     return;
   }
-  const Seconds now = ctx.sim.now();
-  const Mbps rate = request.allocation();
-
-  // Scalar twin of FluidLane::predicted_event_times: same formulas, same
-  // gates, +inf encodes "no event" (see the kernel for why the encoding is
-  // unambiguous). The key mechanics live in apply_predicted_times, shared
-  // with recompute_server's batched path.
-  Seconds tx_at = kNever;
-  if (rate > 0.0) tx_at = now + request.remaining() / rate;
-
-  // The buffer fills at (rate - drain); drain is the view bandwidth while
-  // playing and 0 while paused.
-  Seconds full_at = kNever;
-  Seconds low_at = kNever;
-  const Mbps surplus = rate - request.drain_rate(now);
-  if (surplus > 1e-12 && !request.buffer_full()) {
-    const Seconds candidate = now + request.buffer_headroom() / surplus;
-    if (candidate < tx_at) full_at = candidate;
-  } else if (surplus < -1e-12) {
-    // Intermittent scheduling: the stream is draining faster than it
-    // receives. Wake the scheduler when the staged data reaches the safety
-    // threshold so the stream regains flow before playback starves. A
-    // stream already at/below the threshold is known-urgent to the
-    // scheduler — waking it again immediately would only churn events.
-    const Megabits threshold =
-        config_.intermittent_safety_cover * request.view_bandwidth();
-    const Megabits level = request.buffer_level();
-    if (level > threshold + StagingBuffer::kLevelTolerance) {
-      const Seconds candidate = now + (level - threshold) / -surplus;
-      if (candidate < tx_at) low_at = candidate;
-    }
-  }
-
-  apply_predicted_times(request, tx_at, full_at, low_at);
+  // The per-slot form of recompute_server's batched pass: the same formula
+  // (fluid_detail::predicted_times), +inf = no event. The key mechanics
+  // live in apply_predicted_times, shared with the batched path.
+  const fluid_detail::PredictedTimes times =
+      servers_[static_cast<std::size_t>(request.server())].lane().predicted_times(
+          request.active_index, ctx.sim.now(), config_.intermittent_safety_cover);
+  apply_predicted_times(request, times.tx_complete, times.buffer_full,
+                        times.buffer_low);
 }
 
 void VodSimulation::apply_predicted_times(Request& request, Seconds tx_at,

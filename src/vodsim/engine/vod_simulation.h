@@ -409,8 +409,9 @@ class VodSimulation {
   /// detach path calls it while the request is still attached.
   void cancel_predicted_events(Request& request);
 
-  /// Re-predicts \p request's three events from its current state (clears
-  /// them unless it is streaming). Does not sync the timer.
+  /// Re-predicts \p request's three events from its lane slot
+  /// (FluidLane::predicted_times; clears them unless it is streaming). Does
+  /// not sync the timer.
   void reschedule_predicted_events(ExecContext& ctx, Request& request);
 
   /// The mechanics half of reschedule_predicted_events: given the three
@@ -419,8 +420,8 @@ class VodSimulation {
   /// tx-complete, buffer-full, buffer-low, at its time clamped to the owner
   /// clock — exactly the seq and time a per-prediction queue entry would
   /// get. Split out so recompute_server's batched path can compute the
-  /// times with one vectorized lane pass (FluidLane::fill_predicted_times)
-  /// and feed them here. Does not sync the timer.
+  /// times with one vectorized lane pass (FluidLane::fill_predicted_times,
+  /// the same formula) and feed them here. Does not sync the timer.
   void apply_predicted_times(Request& request, Seconds tx_at, Seconds full_at,
                              Seconds low_at);
 

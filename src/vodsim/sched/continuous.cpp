@@ -8,7 +8,8 @@ void ContinuousScheduler::allocate(Seconds /*now*/, Mbps capacity,
                                    AllocationScratch& /*scratch*/,
                                    SchedCache* /*cache*/) const {
   // No workahead, no grant order, nothing to cache.
-  (void)sched_detail::assign_minimum_flow(capacity, active, rates);
+  (void)sched_detail::assign_minimum_flow(capacity, sched_detail::lane_of(active),
+                                          rates);
 }
 
 }  // namespace vodsim

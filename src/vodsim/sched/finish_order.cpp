@@ -42,28 +42,28 @@ void sort_by_projected_finish(Seconds now, bool earliest_first,
                               AllocationScratch& scratch, SchedCache* cache) {
   std::vector<std::size_t>& order = scratch.order;
 
-  // Fresh keys, exactly one projected_finish evaluation per candidate.
-  // projected_finish is pure in (request state, now), so the precomputed
-  // value is bit-identical to what an in-comparator call would produce —
-  // this hoists ~2 divisions per comparison out of the sort. Persisting
-  // keys across passes instead would drift in ulps; see the header.
+  // Fresh keys, exactly one projected_finish evaluation per candidate,
+  // read from the server's lane. projected_finish is pure in (slot state,
+  // now), so the precomputed value is bit-identical to what an
+  // in-comparator call would produce — this hoists ~2 divisions per
+  // comparison out of the sort. Persisting keys across passes instead
+  // would drift in ulps; see the header.
   //
-  // When the candidate vector is the server's lane-backed active list and
-  // the candidate set covers most of it, one vectorized lane pass fills
-  // every slot instead (identical formula per slot — bit-identical keys;
-  // writing non-candidate slots is safe because the comparator only ever
-  // reads candidate indices). Sparse candidate sets (an intermittent-
+  // When the candidate set covers most of the lane, one vectorized pass
+  // fills every slot instead (the same formula per slot — bit-identical
+  // keys; writing non-candidate slots is safe because the comparator only
+  // ever reads candidate indices). Sparse candidate sets (an intermittent-
   // scheduler urgent pass over a few starved streams) keep the per-
   // candidate loop: filling all n slots to sort k << n would waste the
   // divisions the batch exists to amortize.
   std::vector<Seconds>& keys = scratch.keys;
-  keys.resize(active.size());
-  const FluidLane* const lane = lane_view(active);
-  if (lane != nullptr && 2 * order.size() >= active.size()) {
-    lane->fill_projected_finish(now, keys);
+  const FluidLane& lane = lane_of(active);
+  if (2 * order.size() >= active.size()) {
+    lane.fill_projected_finish(now, keys);
   } else {
+    keys.resize(active.size());
     for (const std::size_t index : order) {
-      keys[index] = active[index]->projected_finish(now);
+      keys[index] = lane.projected_finish(index, now);
     }
   }
 

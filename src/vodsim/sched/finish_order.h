@@ -12,7 +12,8 @@
 /// permutation and repairs it with an adaptive insertion pass — O(n +
 /// inversions) instead of a full O(n log n) resort per event.
 ///
-/// Bit-exactness contract. The comparator's key — projected_finish(now) —
+/// Bit-exactness contract. The comparator's key — the lane's
+/// projected_finish(slot, now) —
 /// is recomputed *fresh* on every pass and evaluated exactly once per
 /// candidate: caching key values across passes would let them drift in ulps
 /// from a from-scratch computation, which the determinism goldens forbid.
@@ -60,10 +61,11 @@ struct SchedCache {
 
 namespace sched_detail {
 
-/// Sorts scratch.order — a candidate index set into \p active, prepared by
-/// the caller — by (projected_finish(now), id), ascending when
-/// \p earliest_first and descending otherwise. Keys are computed once per
-/// candidate into scratch.keys and compared by value.
+/// Sorts scratch.order — a candidate slot set of \p active, a server's
+/// active list, prepared by the caller — by (FluidLane::projected_finish,
+/// id), ascending when \p earliest_first and descending otherwise. Keys
+/// are computed once per candidate into scratch.keys and compared by value.
+/// Throws std::invalid_argument as sched_detail::lane_of does.
 ///
 /// With a warm \p cache, the previous grant order seeds the permutation
 /// (validated entry by entry against the current candidate set) and an

@@ -30,83 +30,26 @@ constexpr Seconds kAbsorptionHorizon = 10.0;
 /// engine's buffer-level tolerance expressed in playback time.
 constexpr Seconds kCoverTolerance = 1e-6;
 
-/// The per-stream reads of an allocation pass, through the Request
-/// accessors: the path for hand-built candidate vectors (unit tests,
-/// microbenchmarks) that are not a server's lane-backed active list.
-class RequestSlots {
- public:
-  RequestSlots(const std::vector<Request*>& active, Seconds now)
-      : active_(active), now_(now) {}
+}  // namespace
 
-  Request& request(std::size_t i) const { return *active_[i]; }
-  Mbps drain_rate(std::size_t i) const { return active_[i]->drain_rate(now_); }
-  Seconds buffer_cover(std::size_t i) const { return active_[i]->buffer_cover(); }
-  Megabits buffer_level(std::size_t i) const { return active_[i]->buffer_level(); }
-  bool buffer_full(std::size_t i) const { return active_[i]->buffer_full(); }
-  Mbps receive_bandwidth(std::size_t i) const {
-    return active_[i]->receive_bandwidth();
-  }
-  /// The workahead cap (kAbsorptionHorizon).
-  Mbps workahead_cap(std::size_t i) const {
-    const Request& request = *active_[i];
-    return std::min(request.receive_bandwidth(),
-                    request.drain_rate(now_) +
-                        request.buffer_headroom() / kAbsorptionHorizon);
-  }
-  bool urgent(std::size_t i) const { return active_[i]->workahead_urgent(); }
+void IntermittentScheduler::allocate(Seconds now, Mbps capacity,
+                                     const std::vector<Request*>& active,
+                                     std::vector<Mbps>& rates,
+                                     AllocationScratch& scratch,
+                                     SchedCache* cache) const {
+  // Per-stream reads come from the server's lane. Drain rate, cover and
+  // workahead cap come from one vectorized lane pass into the scratch (the
+  // pass below never resizes those vectors); the rest from the lane
+  // arrays. Requests are dereferenced only to break exact key ties, to flip
+  // the urgency latch (which writes through to the lane) and to attribute
+  // trace records.
+  const FluidLane& lane = sched_detail::lane_of(active);
+  lane.fill_workahead_inputs(now, kAbsorptionHorizon, scratch.drain,
+                             scratch.cover, scratch.cap);
+  const std::vector<Mbps>& drain_rate = scratch.drain;
+  const std::vector<Seconds>& buffer_cover = scratch.cover;
+  const std::vector<Mbps>& workahead_cap = scratch.cap;
 
- private:
-  const std::vector<Request*>& active_;
-  Seconds now_;
-};
-
-/// The same reads from the owning server's FluidLane (the engine's path:
-/// slot i holds active[i]): drain rate, cover and workahead cap come from
-/// one vectorized lane pass into the scratch (FluidLane::
-/// fill_workahead_inputs), the rest from the lane arrays. Every value is
-/// the Request formula's bit for bit, so both instantiations of a pass
-/// produce the same rates. Requests are dereferenced only to break exact
-/// key ties, to flip the urgency latch (which writes through to the lane)
-/// and to attribute trace records.
-class LaneSlots {
- public:
-  LaneSlots(const FluidLane& lane, const std::vector<Request*>& active,
-            Seconds now, AllocationScratch& scratch)
-      : lane_(lane), active_(active) {
-    lane.fill_workahead_inputs(now, kAbsorptionHorizon, scratch.drain,
-                               scratch.cover, scratch.cap);
-    drain_ = scratch.drain.data();
-    cover_ = scratch.cover.data();
-    cap_ = scratch.cap.data();
-  }
-
-  Request& request(std::size_t i) const { return *active_[i]; }
-  Mbps drain_rate(std::size_t i) const { return drain_[i]; }
-  Seconds buffer_cover(std::size_t i) const { return cover_[i]; }
-  Megabits buffer_level(std::size_t i) const { return lane_.buffer_level(i); }
-  bool buffer_full(std::size_t i) const { return lane_.buffer_full(i); }
-  Mbps receive_bandwidth(std::size_t i) const {
-    return lane_.receive_bandwidth(i);
-  }
-  Mbps workahead_cap(std::size_t i) const { return cap_[i]; }
-  bool urgent(std::size_t i) const { return lane_.urgent(i); }
-
- private:
-  const FluidLane& lane_;
-  const std::vector<Request*>& active_;
-  // The pass never resizes scratch.drain/cover/cap, so these stay valid.
-  const Mbps* drain_;
-  const Seconds* cover_;
-  const Mbps* cap_;
-};
-
-/// One allocation pass, written once for both slot accessors.
-template <typename Slots>
-void allocate_slots(const Slots& slots, Seconds now, Mbps capacity,
-                    Seconds safety_cover, bool order_free_grants,
-                    const std::vector<Request*>& active,
-                    std::vector<Mbps>& rates, AllocationScratch& scratch,
-                    SchedCache* cache, TraceRecorder* trace) {
   const std::size_t n = active.size();
   rates.assign(n, 0.0);
   Mbps left = capacity;
@@ -123,30 +66,30 @@ void allocate_slots(const Slots& slots, Seconds now, Mbps capacity,
   urgent.clear();
   Mbps urgent_drain = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
-    const Mbps drain = slots.drain_rate(i);
+    const Mbps drain = drain_rate[i];
     if (drain <= 0.0) continue;  // paused or past the end: nothing to protect
     // Hysteresis: latch urgency below the safety threshold, release only
     // after recovering to twice the threshold. A knife-edge membership test
     // would chatter (fed -> above threshold -> starved -> below -> ...).
-    const Seconds cover = slots.buffer_cover(i);
+    const Seconds cover = buffer_cover[i];
     // The engine's buffer-low wake-up fires when cover *reaches* the
     // threshold (and then stops waking, trusting the scheduler), so the
     // latch must engage at equality too — hence the tolerance.
-    const bool was_urgent = slots.urgent(i);
+    const bool was_urgent = lane.urgent(i);
     bool is_urgent = was_urgent;
-    if (cover <= safety_cover + kCoverTolerance) {
+    if (cover <= safety_cover_ + kCoverTolerance) {
       is_urgent = true;
-    } else if (cover >= 2.0 * safety_cover) {
+    } else if (cover >= 2.0 * safety_cover_) {
       is_urgent = false;
     }
     if (is_urgent != was_urgent) {
-      Request& request = slots.request(i);
+      Request& request = *active[i];
       request.set_workahead_urgent(is_urgent);
-      if (trace != nullptr && trace->wants(kTraceSched)) {
-        trace->record(now,
-                      is_urgent ? TraceEventType::kUrgentOn
-                                : TraceEventType::kUrgentOff,
-                      request.server(), request.id(), request.video_id(), cover);
+      if (trace_ != nullptr && trace_->wants(kTraceSched)) {
+        trace_->record(now,
+                       is_urgent ? TraceEventType::kUrgentOn
+                                 : TraceEventType::kUrgentOff,
+                       request.server(), request.id(), request.video_id(), cover);
       }
     }
     if (is_urgent) {
@@ -158,26 +101,26 @@ void allocate_slots(const Slots& slots, Seconds now, Mbps capacity,
   if (urgent_drain > left) {
     // Crunch: continuity is already at risk; ration proportionally.
     for (std::size_t index : urgent) {
-      rates[index] = left * slots.drain_rate(index) / urgent_drain;
+      rates[index] = left * drain_rate[index] / urgent_drain;
     }
     return;
   }
 
   std::sort(urgent.begin(), urgent.end(), [&](std::size_t a, std::size_t b) {
-    const Megabits la = slots.buffer_level(a);
-    const Megabits lb = slots.buffer_level(b);
+    const Megabits la = lane.buffer_level(a);
+    const Megabits lb = lane.buffer_level(b);
     if (la != lb) return la < lb;
-    return slots.request(a).id() < slots.request(b).id();
+    return active[a]->id() < active[b]->id();
   });
   for (std::size_t index : urgent) {
-    rates[index] = slots.drain_rate(index);
+    rates[index] = drain_rate[index];
     left -= rates[index];
   }
   // Refill boost, most-starved first.
   for (std::size_t index : urgent) {
     if (left <= 0.0) break;
-    if (slots.buffer_full(index)) continue;
-    const Mbps grant = std::min(left, slots.workahead_cap(index) - rates[index]);
+    if (lane.buffer_full(index)) continue;
+    const Mbps grant = std::min(left, workahead_cap[index] - rates[index]);
     if (grant <= 0.0) continue;
     rates[index] += grant;
     left -= grant;
@@ -194,10 +137,10 @@ void allocate_slots(const Slots& slots, Seconds now, Mbps capacity,
   room.resize(n);
   Mbps room_sum = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
-    if (slots.buffer_full(i)) continue;
-    if (rates[i] >= slots.receive_bandwidth(i)) continue;
+    if (lane.buffer_full(i)) continue;
+    if (rates[i] >= lane.receive_bandwidth(i)) continue;
     order.push_back(i);
-    room[i] = slots.workahead_cap(i) - rates[i];
+    room[i] = workahead_cap[i] - rates[i];
     if (room[i] > 0.0) room_sum += room[i];
   }
   // When `left` covers every room, every candidate gets exactly its room
@@ -208,7 +151,7 @@ void allocate_slots(const Slots& slots, Seconds now, Mbps capacity,
   // small set — not worth caching; this one is the per-event O(n log n)
   // resort). scratch.aux (the urgent list) is dead by now and is
   // clobbered here.
-  if (!order_free_grants || !sched_detail::grants_are_order_free(room_sum, left)) {
+  if (!order_free_grants_ || !sched_detail::grants_are_order_free(room_sum, left)) {
     sched_detail::sort_by_projected_finish(now, /*earliest_first=*/true, active,
                                            scratch, cache);
   }
@@ -218,23 +161,6 @@ void allocate_slots(const Slots& slots, Seconds now, Mbps capacity,
     if (grant <= 0.0) continue;
     rates[index] += grant;
     left -= grant;
-  }
-}
-
-}  // namespace
-
-void IntermittentScheduler::allocate(Seconds now, Mbps capacity,
-                                     const std::vector<Request*>& active,
-                                     std::vector<Mbps>& rates,
-                                     AllocationScratch& scratch,
-                                     SchedCache* cache) const {
-  if (const FluidLane* lane = sched_detail::lane_view(active)) {
-    allocate_slots(LaneSlots(*lane, active, now, scratch), now, capacity,
-                   safety_cover_, order_free_grants_, active, rates, scratch,
-                   cache, trace_);
-  } else {
-    allocate_slots(RequestSlots(active, now), now, capacity, safety_cover_,
-                   order_free_grants_, active, rates, scratch, cache, trace_);
   }
 }
 

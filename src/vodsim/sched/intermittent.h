@@ -18,10 +18,9 @@
 ///     When the link covers every such request's room, the order cannot
 ///     matter and the sort is skipped (DESIGN.md §8).
 ///
-/// Both phases read per-stream state from the server's FluidLane when the
-/// candidate vector is its lane-backed active list (one pass body,
-/// templated on the slot accessor), and through the Request accessors
-/// otherwise.
+/// Both phases read per-stream state from the server's FluidLane: drain
+/// rate, staged cover and workahead cap from one vectorized lane pass, the
+/// rest from the lane arrays.
 ///
 /// Unlike the minimum-flow family this scheduler tolerates a server whose
 /// nominal commitments exceed its link (buffer-aware admission): in a

@@ -11,14 +11,15 @@ void ProportionalShareScheduler::allocate(Seconds /*now*/, Mbps capacity,
                                           SchedCache* /*cache*/) const {
   // Water-filling iterates the eligible pool in active order and splits
   // evenly — there is no sorted grant order to make incremental, so the
-  // cache is ignored (its FP operation order is pinned by the active vector
+  // cache is ignored (its FP operation order is pinned by the slot order
   // alone).
-  Mbps slack = sched_detail::assign_minimum_flow(capacity, active, rates);
+  const FluidLane& lane = sched_detail::lane_of(active);
+  Mbps slack = sched_detail::assign_minimum_flow(capacity, lane, rates);
   if (slack <= 0.0) return;
 
   std::vector<std::size_t>& eligible = scratch.order;
   std::vector<std::size_t>& still_open = scratch.aux;
-  sched_detail::eligible_indices(active, eligible);
+  lane.eligible_slots(eligible);
   // Water-filling: split slack evenly; capped requests leave the pool and
   // their surplus is redistributed in the next round.
   while (slack > 1e-9 && !eligible.empty()) {
@@ -26,8 +27,7 @@ void ProportionalShareScheduler::allocate(Seconds /*now*/, Mbps capacity,
     bool any_capped = false;
     still_open.clear();
     for (std::size_t index : eligible) {
-      const Request& request = *active[index];
-      const Mbps room = request.receive_bandwidth() - rates[index];
+      const Mbps room = lane.receive_bandwidth(index) - rates[index];
       const Mbps grant = std::min(share, room);
       rates[index] += grant;
       slack -= grant;

@@ -19,6 +19,11 @@
 ///
 /// A request is eligible for workahead iff its staging buffer has headroom
 /// and its client can receive faster than the view bandwidth.
+///
+/// Schedulers allocate one server's active list and read every per-stream
+/// quantity from that server's FluidLane (slot i holds active[i]); a
+/// Request is dereferenced only for its id (exact sort-key ties), its
+/// urgency latch and trace attribution.
 
 #include <cstdint>
 #include <memory>
@@ -63,13 +68,15 @@ class BandwidthScheduler {
  public:
   virtual ~BandwidthScheduler() = default;
 
-  /// Computes allocations for \p active (the server's unfinished requests,
-  /// all advanced to \p now) under total link \p capacity. Writes one rate
-  /// per request into \p rates (resized to active.size()); \p scratch holds
-  /// reusable working buffers (contents are clobbered). \p cache, when
-  /// non-null, is the calling server's persistent ordering state: the
-  /// finish-time schedulers seed their grant order from it and write the new
-  /// order back, turning the per-event resort into a nearly-sorted repair.
+  /// Computes allocations for \p active — a server's active list
+  /// (Server::active_requests()), every request advanced to \p now — under
+  /// total link \p capacity; any other vector throws std::invalid_argument
+  /// (sched_detail::lane_of). Writes one rate per request into \p rates
+  /// (resized to active.size()); \p scratch holds reusable working buffers
+  /// (contents are clobbered). \p cache, when non-null, is the calling
+  /// server's persistent ordering state: the finish-time schedulers seed
+  /// their grant order from it and write the new order back, turning the
+  /// per-event resort into a nearly-sorted repair.
   /// One cache per server — sharing a cache across servers is harmless
   /// (entries validate against the active vector) but wastes the hint.
   /// Schedulers without a sorted grant order ignore it.
@@ -142,34 +149,19 @@ std::string to_string(SchedulerKind kind);
 
 namespace sched_detail {
 
-/// The FluidLane backing \p active when the vector is exactly the owning
-/// server's active list (slot i == index i) — the engine always passes
-/// `server.active_requests()`, for which this holds by construction.
-/// Hand-built candidate vectors (reference oracle, microbenchmarks) have
-/// unattached requests or broken endpoint correspondence and get nullptr;
-/// callers fall back to the per-request path. Reading predicates off the
-/// lane arrays evaluates the same fields the Request accessors would
-/// return, so the two paths are bit-identical — the determinism goldens
-/// pin it. Shared by scheduler.cpp's hot loops and finish_order.cpp's
-/// batched sort-key fill.
-const FluidLane* lane_view(const std::vector<Request*>& active);
+/// The FluidLane of the server whose active list \p active is — the one
+/// input every scheduler accepts. An empty vector gets an empty lane. Any
+/// other vector that is not exactly the owning server's active list (slot
+/// i == index i) throws std::invalid_argument; the check is O(1) on the
+/// endpoints (unattached front, size mismatch, endpoints out of slot
+/// order), and Debug builds also assert every slot.
+const FluidLane& lane_of(const std::vector<Request*>& active);
 
-/// Gives every request its view bandwidth; returns the remaining slack.
-/// Asserts the minimum-flow commitments fit in capacity.
-Mbps assign_minimum_flow(Mbps capacity, const std::vector<Request*>& active,
+/// Gives every slot of \p lane its minimum rate (the view bandwidth, or 0
+/// for a paused client with a full staging buffer); returns the remaining
+/// slack. Asserts the minimum-flow commitments fit in capacity.
+Mbps assign_minimum_flow(Mbps capacity, const FluidLane& lane,
                          std::vector<Mbps>& rates);
-
-/// True if \p request can absorb workahead (buffer headroom + receive cap).
-bool workahead_eligible(const Request& request);
-
-/// Fills \p out with the indices of workahead-eligible requests (cleared
-/// first; capacity is reused across calls — no allocation after warmup),
-/// in active order. Returns their summed room receive_bandwidth -
-/// view_bandwidth, which is exactly what distribute_greedy will compute as
-/// each one's room after assign_minimum_flow (an eligible request's buffer
-/// is not full, so its minimum rate is its view bandwidth).
-Mbps eligible_indices(const std::vector<Request*>& active,
-                      std::vector<std::size_t>& out);
 
 /// The order-free grant rule (DESIGN.md §8). A greedy pass hands each
 /// candidate in turn min(left, room) and subtracts it from `left`. When
@@ -186,10 +178,9 @@ inline bool grants_are_order_free(Mbps room_sum, Mbps slack) {
 }
 
 /// Greedy slack distribution over \p order (a permutation of eligible
-/// indices): each request in turn gets min(slack, receive_cap - rate).
+/// slots of \p lane): each slot in turn gets min(slack, receive_cap - rate).
 void distribute_greedy(Mbps slack, const std::vector<std::size_t>& order,
-                       const std::vector<Request*>& active,
-                       std::vector<Mbps>& rates);
+                       const FluidLane& lane, std::vector<Mbps>& rates);
 
 }  // namespace sched_detail
 

@@ -114,8 +114,12 @@ TEST(Request, WorkaheadFillsBuffer) {
 
 TEST(Request, ProjectedFinishUsesViewBandwidth) {
   ClientProfile client{120.0, 30.0};
+  Server server(0, 1000.0, 1e6);
   Request request(1, make_video(), 0.0, client);
-  EXPECT_DOUBLE_EQ(request.projected_finish(50.0), 50.0 + 1800.0 / 3.0);
+  request.begin_streaming(0.0, 0);
+  server.attach(request);
+  EXPECT_DOUBLE_EQ(server.lane().projected_finish(request.active_index, 50.0),
+                   50.0 + 1800.0 / 3.0);
 }
 
 TEST(Request, AdvanceStopsConsumingAfterPlaybackEnd) {
@@ -430,7 +434,8 @@ TEST(FluidLane, MutatorsWriteThroughToLane) {
 }
 
 // The batched sort-key pass must produce exactly the doubles the scalar
-// per-candidate loop computes: same division, same add, per slot.
+// per-candidate loop computes: same division, same add, per slot — and the
+// lane's per-slot form must agree with it.
 TEST(FluidLane, FillProjectedFinishMatchesScalar) {
   ClientProfile client{120.0, 30.0};
   Server server(0, 1000.0, 1e6);
@@ -451,7 +456,10 @@ TEST(FluidLane, FillProjectedFinishMatchesScalar) {
   ASSERT_EQ(keys.size(), 3u);
   for (Request* request : all) {
     // Exact double equality on purpose: identical formula, identical inputs.
-    EXPECT_EQ(keys[request->active_index], request->projected_finish(37.5));
+    EXPECT_EQ(keys[request->active_index],
+              37.5 + request->remaining() / request->view_bandwidth());
+    EXPECT_EQ(keys[request->active_index],
+              server.lane().projected_finish(request->active_index, 37.5));
   }
 }
 
@@ -487,13 +495,20 @@ TEST(FluidLane, FillPredictedTimesMatchesScalarGates) {
   server.lane().fill_predicted_times(now, safety_cover, tx, full, low);
   ASSERT_EQ(tx.size(), 4u);
 
-  // Scalar replicas of reschedule_predicted_events' arithmetic, computed
-  // through the Request accessors. Exact equality on purpose.
+  // Branchy scalar replicas of the retiming arithmetic and gates, computed
+  // through the Request accessors: an independent reference for the
+  // branch-free fluid_detail::predicted_times. Exact equality on purpose.
   auto scalar_tx = [&](const Request& r) {
     return r.allocation() > 0.0 ? now + r.remaining() / r.allocation() : kNever;
   };
   for (Request* request : all) {
     EXPECT_EQ(tx[request->active_index], scalar_tx(*request));
+    // The per-slot form the engine retimes sparse changes with.
+    const fluid_detail::PredictedTimes times =
+        server.lane().predicted_times(request->active_index, now, safety_cover);
+    EXPECT_EQ(times.tx_complete, tx[request->active_index]);
+    EXPECT_EQ(times.buffer_full, full[request->active_index]);
+    EXPECT_EQ(times.buffer_low, low[request->active_index]);
   }
 
   {  // filler: surplus 3 > 0, buffer has headroom, fills before tx.
@@ -610,7 +625,8 @@ TEST(FluidLaneAvx512, WideLaneBatchesMatchScalar) {
     const Request& batched = batched_requests[static_cast<std::size_t>(i)];
     EXPECT_EQ(batched.remaining(), scalar.remaining());
     EXPECT_EQ(batched.buffer_level(), scalar.buffer_level());
-    EXPECT_EQ(keys[batched.active_index], scalar.projected_finish(10.0));
+    EXPECT_EQ(keys[batched.active_index],
+              10.0 + scalar.remaining() / scalar.view_bandwidth());
     EXPECT_EQ(tx[batched.active_index],
               scalar.allocation() > 0.0
                   ? 10.0 + scalar.remaining() / scalar.allocation()

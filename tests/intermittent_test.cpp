@@ -45,132 +45,10 @@ std::unique_ptr<Request> make_request(RequestId id, Megabits remaining,
   return request;
 }
 
-struct ActiveSet {
-  std::vector<std::unique_ptr<Request>> owner;
-  std::vector<Request*> active;
-  Seconds now = 0.0;
-
-  Request& add(std::unique_ptr<Request> request) {
-    request->active_index = active.size();
-    now = std::max(now, request->last_update());
-    active.push_back(request.get());
-    owner.push_back(std::move(request));
-    return *active.back();
-  }
-
-  void sync() {
-    for (auto& request : owner) {
-      request->advance(now);
-      request->set_allocation(now, 0.0);
-    }
-  }
-};
-
-TEST(Intermittent, UrgentStreamsFedFirst) {
-  ActiveSet set;
-  Request& starving = set.add(make_request(1, 1000.0, 0.0));      // no cover
-  Request& coasting = set.add(make_request(2, 1000.0, 600.0));    // 200 s cover
-  set.sync();
-  IntermittentScheduler scheduler(10.0);
-  std::vector<Mbps> rates;
-  scheduler.allocate(set.now, kView, set.active, rates);  // only 3 Mb/s total
-  EXPECT_DOUBLE_EQ(rates[starving.active_index], kView);
-  EXPECT_DOUBLE_EQ(rates[coasting.active_index], 0.0);  // starved on purpose
-}
-
-TEST(Intermittent, SlackGoesEftfAfterSafety) {
-  ActiveSet set;
-  Request& shortest = set.add(make_request(1, 100.0, 0.0));
-  Request& longest = set.add(make_request(2, 5000.0, 0.0));
-  set.sync();
-  IntermittentScheduler scheduler(10.0);
-  std::vector<Mbps> rates;
-  scheduler.allocate(set.now, 100.0, set.active, rates);
-  // Both urgent (empty buffers): 3 each; extra goes earliest-finish-first.
-  EXPECT_DOUBLE_EQ(rates[shortest.active_index], 30.0);
-  EXPECT_DOUBLE_EQ(rates[longest.active_index], 30.0);
-  const double total = std::accumulate(rates.begin(), rates.end(), 0.0);
-  EXPECT_LE(total, 100.0 + 1e-9);
-}
-
-TEST(Intermittent, OvercommittedCrunchRationsProportionally) {
-  ActiveSet set;
-  Request& empty = set.add(make_request(1, 1000.0, 0.0));
-  Request& thin = set.add(make_request(2, 1000.0, 6.0));   // 2 s cover
-  Request& thick = set.add(make_request(3, 1000.0, 24.0)); // 8 s cover
-  set.sync();
-  IntermittentScheduler scheduler(10.0);
-  std::vector<Mbps> rates;
-  // Capacity covers only two of the three urgent drains: the shortfall is
-  // shared proportionally (stable membership — all-or-nothing feeding would
-  // chatter as near-equal levels leapfrog each other).
-  scheduler.allocate(set.now, 2.0 * kView, set.active, rates);
-  EXPECT_DOUBLE_EQ(rates[empty.active_index], 2.0);
-  EXPECT_DOUBLE_EQ(rates[thin.active_index], 2.0);
-  EXPECT_DOUBLE_EQ(rates[thick.active_index], 2.0);
-}
-
-TEST(Intermittent, UrgencyLatchHasHysteresis) {
-  ActiveSet set;
-  // 5 s of cover: below the 10 s threshold -> latches urgent. The client
-  // receives 33 Mb/s, the refill rate below.
-  Request& request = set.add(make_request(1, 2000.0, 15.0, 1e9, 33.0));
-  set.sync();
-  IntermittentScheduler scheduler(10.0);
-  std::vector<Mbps> rates;
-  scheduler.allocate(set.now, 100.0, set.active, rates);
-  EXPECT_TRUE(request.workahead_urgent());
-  EXPECT_GE(rates[0], kView);
-
-  // Refill to 15 s of cover (45 Mb): above threshold but below 2x -> the
-  // latch holds.
-  request.set_allocation(set.now, 33.0);  // +30 net over 1 s
-  request.advance(set.now + 1.0);
-  request.set_allocation(set.now + 1.0, 0.0);
-  scheduler.allocate(set.now + 1.0, 100.0, set.active, rates);
-  EXPECT_TRUE(request.workahead_urgent());
-
-  // Refill past 2x threshold (>= 60 Mb): latch releases.
-  request.set_allocation(set.now + 1.0, 33.0);
-  request.advance(set.now + 2.0);
-  request.set_allocation(set.now + 2.0, 0.0);
-  scheduler.allocate(set.now + 2.0, 100.0, set.active, rates);
-  EXPECT_FALSE(request.workahead_urgent());
-}
-
-TEST(Intermittent, NeverExceedsCapacityOrReceiveCaps) {
-  Rng rng(77);
-  IntermittentScheduler scheduler(10.0);
-  for (int instance = 0; instance < 40; ++instance) {
-    ActiveSet set;
-    const int n = 1 + static_cast<int>(rng.uniform_int(10));
-    for (int i = 0; i < n; ++i) {
-      set.add(make_request(i, rng.uniform(50.0, 3000.0),
-                           rng.uniform(0.0, 40.0), rng.uniform(50.0, 400.0),
-                           rng.uniform(5.0, 40.0)));
-    }
-    set.sync();
-    const Mbps capacity = rng.uniform(1.0, 4.0) * kView * n;
-    std::vector<Mbps> rates;
-    scheduler.allocate(set.now, capacity, set.active, rates);
-    double total = 0.0;
-    for (std::size_t i = 0; i < rates.size(); ++i) {
-      EXPECT_GE(rates[i], 0.0);
-      EXPECT_LE(rates[i], set.active[i]->receive_bandwidth() + 1e-9);
-      if (set.active[i]->buffer_full()) {
-        EXPECT_LE(rates[i], set.active[i]->view_bandwidth() + 1e-9);
-      }
-      total += rates[i];
-    }
-    EXPECT_LE(total, capacity + 1e-6);
-  }
-}
-
-// --------------------------------------------- lane-backed passes
-
 /// A server whose streams are attached through Server::attach, so the
-/// scheduler sees a lane-backed active list (the engine's path). Each
-/// stream is built like make_request and shares the decision time.
+/// scheduler sees the server's lane-backed active list, as the engine
+/// hands it over. Each stream is built like make_request and shares the
+/// decision time.
 struct LaneServer {
   Server server{0, 1e6, 1e12};
   std::vector<std::unique_ptr<Request>> owner;
@@ -192,6 +70,108 @@ struct LaneServer {
 
   const std::vector<Request*>& active() const { return server.active_requests(); }
 };
+
+TEST(Intermittent, UrgentStreamsFedFirst) {
+  LaneServer set;
+  Request& starving = set.add(make_request(1, 1000.0, 0.0));      // no cover
+  Request& coasting = set.add(make_request(2, 1000.0, 600.0));    // 200 s cover
+  set.sync();
+  IntermittentScheduler scheduler(10.0);
+  std::vector<Mbps> rates;
+  scheduler.allocate(set.now, kView, set.active(), rates);  // only 3 Mb/s total
+  EXPECT_DOUBLE_EQ(rates[starving.active_index], kView);
+  EXPECT_DOUBLE_EQ(rates[coasting.active_index], 0.0);  // starved on purpose
+}
+
+TEST(Intermittent, SlackGoesEftfAfterSafety) {
+  LaneServer set;
+  Request& shortest = set.add(make_request(1, 100.0, 0.0));
+  Request& longest = set.add(make_request(2, 5000.0, 0.0));
+  set.sync();
+  IntermittentScheduler scheduler(10.0);
+  std::vector<Mbps> rates;
+  scheduler.allocate(set.now, 100.0, set.active(), rates);
+  // Both urgent (empty buffers): 3 each; extra goes earliest-finish-first.
+  EXPECT_DOUBLE_EQ(rates[shortest.active_index], 30.0);
+  EXPECT_DOUBLE_EQ(rates[longest.active_index], 30.0);
+  const double total = std::accumulate(rates.begin(), rates.end(), 0.0);
+  EXPECT_LE(total, 100.0 + 1e-9);
+}
+
+TEST(Intermittent, OvercommittedCrunchRationsProportionally) {
+  LaneServer set;
+  Request& empty = set.add(make_request(1, 1000.0, 0.0));
+  Request& thin = set.add(make_request(2, 1000.0, 6.0));   // 2 s cover
+  Request& thick = set.add(make_request(3, 1000.0, 24.0)); // 8 s cover
+  set.sync();
+  IntermittentScheduler scheduler(10.0);
+  std::vector<Mbps> rates;
+  // Capacity covers only two of the three urgent drains: the shortfall is
+  // shared proportionally (stable membership — all-or-nothing feeding would
+  // chatter as near-equal levels leapfrog each other).
+  scheduler.allocate(set.now, 2.0 * kView, set.active(), rates);
+  EXPECT_DOUBLE_EQ(rates[empty.active_index], 2.0);
+  EXPECT_DOUBLE_EQ(rates[thin.active_index], 2.0);
+  EXPECT_DOUBLE_EQ(rates[thick.active_index], 2.0);
+}
+
+TEST(Intermittent, UrgencyLatchHasHysteresis) {
+  LaneServer set;
+  // 5 s of cover: below the 10 s threshold -> latches urgent. The client
+  // receives 33 Mb/s, the refill rate below.
+  Request& request = set.add(make_request(1, 2000.0, 15.0, 1e9, 33.0));
+  set.sync();
+  IntermittentScheduler scheduler(10.0);
+  std::vector<Mbps> rates;
+  scheduler.allocate(set.now, 100.0, set.active(), rates);
+  EXPECT_TRUE(request.workahead_urgent());
+  EXPECT_GE(rates[0], kView);
+
+  // Refill to 15 s of cover (45 Mb): above threshold but below 2x -> the
+  // latch holds.
+  request.set_allocation(set.now, 33.0);  // +30 net over 1 s
+  request.advance(set.now + 1.0);
+  request.set_allocation(set.now + 1.0, 0.0);
+  scheduler.allocate(set.now + 1.0, 100.0, set.active(), rates);
+  EXPECT_TRUE(request.workahead_urgent());
+
+  // Refill past 2x threshold (>= 60 Mb): latch releases.
+  request.set_allocation(set.now + 1.0, 33.0);
+  request.advance(set.now + 2.0);
+  request.set_allocation(set.now + 2.0, 0.0);
+  scheduler.allocate(set.now + 2.0, 100.0, set.active(), rates);
+  EXPECT_FALSE(request.workahead_urgent());
+}
+
+TEST(Intermittent, NeverExceedsCapacityOrReceiveCaps) {
+  Rng rng(77);
+  IntermittentScheduler scheduler(10.0);
+  for (int instance = 0; instance < 40; ++instance) {
+    LaneServer set;
+    const int n = 1 + static_cast<int>(rng.uniform_int(10));
+    for (int i = 0; i < n; ++i) {
+      set.add(make_request(i, rng.uniform(50.0, 3000.0),
+                           rng.uniform(0.0, 40.0), rng.uniform(50.0, 400.0),
+                           rng.uniform(5.0, 40.0)));
+    }
+    set.sync();
+    const Mbps capacity = rng.uniform(1.0, 4.0) * kView * n;
+    std::vector<Mbps> rates;
+    scheduler.allocate(set.now, capacity, set.active(), rates);
+    double total = 0.0;
+    for (std::size_t i = 0; i < rates.size(); ++i) {
+      EXPECT_GE(rates[i], 0.0);
+      EXPECT_LE(rates[i], set.active()[i]->receive_bandwidth() + 1e-9);
+      if (set.active()[i]->buffer_full()) {
+        EXPECT_LE(rates[i], set.active()[i]->view_bandwidth() + 1e-9);
+      }
+      total += rates[i];
+    }
+    EXPECT_LE(total, capacity + 1e-6);
+  }
+}
+
+// --------------------------------------------- order-free grants and latch
 
 /// Summed workahead room with no urgent stream: what phase 2 would grant
 /// if the link were unbounded (min(receive cap, absorption cap) per

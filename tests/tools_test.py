@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Unit tests for tools/bench_diff.py and tools/validate_trace.py, the
-vodsim_cli and vodsim_tournament usage-error contracts, and the bench and
-flag citations in the docs.
+usage-error and artifact-write contracts of vodsim_cli, vodsim_tournament,
+the example programs and the fuzzer, and the bench and flag citations in
+the docs.
 
 Run directly or via ctest (registered as `tools_py`). Stdlib only; the
 tools are exercised as subprocesses, exactly as CI invokes them, so exit
@@ -470,6 +471,58 @@ class TournamentUsageErrorTest(unittest.TestCase):
                 self.assertIn("vodsim_tournament: ", result.stderr)
                 self.assertIn(named, result.stderr)
                 self.assertEqual(result.stdout, "")
+
+
+class ExampleUsageErrorTest(unittest.TestCase):
+    """The example programs and the fuzzer turn bad flag values into exit 2
+    with a `<tool>: ` message, never an uncaught exception (exit 134) or a
+    silent success; an artifact path that cannot be written fails the run
+    with exit 1 and `cannot write <path>`."""
+
+    def run_binary(self, subdir, name, *args):
+        path = find_binary(subdir, name)
+        if path is None:
+            self.skipTest(f"{name} not built")
+        return subprocess.run([path, *args], capture_output=True, text=True,
+                              timeout=120)
+
+    def test_bad_values_exit_2_with_a_message(self):
+        cases = [
+            ("examples", "quickstart", ["--theta", "7"], "zipf_theta"),
+            ("examples", "movie_service", ["--trials", "0"], "trials"),
+            ("examples", "clip_server", ["--hours", "-1"], "duration"),
+            ("examples", "fault_tolerance_demo", ["--mtbf-hours", "-2"],
+             "mean_time_between_failures"),
+            ("tools", "vodsim_fuzz", ["--scenarios", "-3"], "--scenarios"),
+            ("tools", "vodsim_fuzz", ["--seed", "-1"], "--seed"),
+            ("tools", "vodsim_fuzz", ["--chaos", "2"], "--chaos"),
+        ]
+        for subdir, name, args, named in cases:
+            with self.subTest(tool=name, args=args):
+                result = self.run_binary(subdir, name, *args)
+                self.assertEqual(result.returncode, 2,
+                                 f"{args}: {result.returncode} {result.stderr}")
+                self.assertIn(f"{name}: ", result.stderr)
+                self.assertIn(named, result.stderr)
+
+    def test_unwritable_artifact_paths_exit_1(self):
+        with tempfile.TemporaryDirectory() as directory:
+            missing = os.path.join(directory, "missing", "out")
+            cases = [
+                ("quickstart", ["--hours", "0.5", "--trace-out", missing]),
+                ("quickstart", ["--hours", "0.5", "--probe-out", missing]),
+                ("clip_server", ["--hours", "0.5", "--save-trace", missing]),
+                ("vodsim_cli", ["--hours", "0.5", "--warmup-hours", "0",
+                                "--csv-out", missing]),
+            ]
+            for name, args in cases:
+                with self.subTest(tool=name, args=args):
+                    result = self.run_binary("examples", name, *args)
+                    self.assertEqual(
+                        result.returncode, 1,
+                        f"{args}: {result.returncode} {result.stderr}")
+                    self.assertIn(f"cannot write {missing}", result.stderr)
+                    self.assertNotIn(f"to {missing}", result.stdout)
 
 
 class ShardedTraceTest(unittest.TestCase):

@@ -55,7 +55,17 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return cli.error().empty() ? 0 : 2;
 
   const long scenarios = cli.get_long("scenarios");
-  const bool chaos = cli.get_long("chaos") != 0;
+  const long seed = cli.get_long("seed");
+  const long chaos_flag = cli.get_long("chaos");
+  const char* usage_error = nullptr;
+  if (scenarios < 0) usage_error = "--scenarios must be >= 0";
+  if (seed < 0) usage_error = "--seed must be >= 0";
+  if (chaos_flag != 0 && chaos_flag != 1) usage_error = "--chaos must be 0 or 1";
+  if (usage_error != nullptr) {
+    std::fprintf(stderr, "vodsim_fuzz: %s\n", usage_error);
+    return 2;
+  }
+  const bool chaos = chaos_flag != 0;
   std::uint64_t oracle_checked = 0;
   std::uint64_t shard_checked = 0;
 
@@ -68,7 +78,7 @@ int main(int argc, char** argv) {
   }
   std::printf("corpus: %zu scenarios ok\n", corpus.size());
 
-  Rng rng(static_cast<std::uint64_t>(cli.get_long("seed")));
+  Rng rng(static_cast<std::uint64_t>(seed));
   for (long i = 0; i < scenarios; ++i) {
     const SimulationConfig config =
         chaos ? random_fault_scenario(rng) : random_scenario(rng);
