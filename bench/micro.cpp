@@ -186,7 +186,7 @@ BENCHMARK(BM_EventQueueRetimeChurn);
 
 void BM_EftfAllocate(benchmark::State& state) {
   // EFTF's allocation pass over a server's active list, as the engine
-  // hands it over (cache-less: the full-sort path).
+  // hands it over: 60 Mb/s of slack over 27 Mb/s rooms, so three picks.
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(3);
   Video video;
@@ -221,6 +221,54 @@ void BM_EftfAllocate(benchmark::State& state) {
   report_allocs_per_op(state, allocs_before, 1);
 }
 BENCHMARK(BM_EftfAllocate)->Arg(10)->Arg(33)->Arg(100)->Arg(300);
+
+void BM_FinishTimeAllocate(benchmark::State& state) {
+  // EFTF's allocation pass in rack_storm's shape: 77 streams of a 3 Mb/s
+  // title, 30 Mb/s clients staging 20% of it, and about 45% of the buffers
+  // full, which leaves some 42 candidates with 27 Mb/s of room each.
+  // grants=0 is the pick path: 60 Mb/s of slack runs out in the third pick,
+  // rack_storm's mean. grants=1 has slack for every room (order-free, slot
+  // order); grants=2 has none (saturation: the minimum rates only).
+  constexpr std::size_t kStreams = 77;
+  const auto grants = state.range(0);
+  Rng rng(11);
+  Video video;
+  video.id = 0;
+  video.duration = 3600.0;
+  video.view_bandwidth = 3.0;
+  const ClientProfile client{0.2 * video.size(), 30.0};
+  Server server(0, 1e6, 1e12);  // declared first: streams die before its lane
+  std::vector<std::unique_ptr<Request>> owner;
+  Mbps room = 0.0;
+  for (std::size_t i = 0; i < kStreams; ++i) {
+    owner.push_back(std::make_unique<Request>(static_cast<RequestId>(i), video,
+                                              0.0, client));
+    Request& request = *owner.back();
+    request.begin_streaming(0.0, 0);
+    server.attach(request);
+    // A full buffer takes 80 s at 27 Mb/s of workahead.
+    const bool fill = rng.uniform() < 0.45;
+    request.set_allocation(0.0, fill ? 30.0 : 3.0);
+    request.advance(fill ? rng.uniform(100.0, 300.0) : rng.uniform(1.0, 600.0));
+    if (!request.buffer_full()) room += 27.0;
+  }
+  const Mbps committed = 3.0 * static_cast<double>(kStreams);
+  const Mbps slack = grants == 0 ? 60.0 : grants == 1 ? 2.0 * room : 0.0;
+  const std::vector<Request*>& active = server.active_requests();
+  const FinishTimeScheduler scheduler(/*earliest_first=*/true);
+  std::vector<Mbps> rates;
+  AllocationScratch scratch;
+  scheduler.allocate(600.0, committed + slack, active, rates, scratch);
+  const std::uint64_t allocs_before = heap_allocs();
+  for (auto _ : state) {
+    scheduler.allocate(600.0, committed + slack, active, rates, scratch);
+    benchmark::DoNotOptimize(rates.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kStreams));
+  report_allocs_per_op(state, allocs_before, 1);
+}
+BENCHMARK(BM_FinishTimeAllocate)->Arg(0)->Arg(1)->Arg(2)->ArgName("grants");
 
 namespace {
 
@@ -296,8 +344,8 @@ void BM_RecomputeServer(benchmark::State& state) {
   // rate changed (exact-compare fast path) as keys in the lane, and sync
   // the server's one predicted-event timer. Arg 0 is the active-stream
   // count; arg 1 selects saturated (slack 0 — the paper's interesting
-  // operating point, where the eligible sort is skipped) vs. slack
-  // (workahead flowing).
+  // operating point, where no grant is picked) vs. slack (workahead
+  // flowing).
   constexpr Seconds kNever = std::numeric_limits<Seconds>::infinity();
   constexpr Seconds kSafetyCover = 10.0;  // SimulationConfig's default
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -314,12 +362,11 @@ void BM_RecomputeServer(benchmark::State& state) {
   PredictionTimer timer;
   std::vector<Mbps> rates;
   AllocationScratch scratch;
-  SchedCache cache;
   Seconds now = 600.0;
 
   auto recompute = [&](Seconds t) {
     for (Request* request : active) request->advance(t);
-    scheduler.allocate(t, capacity, active, rates, scratch, &cache);
+    scheduler.allocate(t, capacity, active, rates, scratch);
     for (std::size_t i = 0; i < active.size(); ++i) {
       Request& request = *active[i];
       if (rates[i] == request.allocation()) continue;
@@ -429,12 +476,12 @@ void BM_RecomputeRetime(benchmark::State& state) {
 BENCHMARK(BM_RecomputeRetime)->Arg(0)->Arg(1)->ArgName("timer");
 
 void BM_RecomputeSingleStreamDelta(benchmark::State& state) {
-  // The ordering kernel of recompute_server, isolated, under the engine's
-  // dominant delta: one stream changed since the previous pass, everyone
-  // else is where the last grant left them. incremental=1 is what ships —
-  // sort_by_projected_finish repairing the previous grant order through a
-  // warm SchedCache. incremental=0 is the pre-cache reference: a full
-  // std::sort evaluating projected_finish inside the comparator.
+  // The intermittent scheduler's workahead ordering, isolated, under the
+  // engine's dominant delta: one stream changed since the previous pass,
+  // everyone else is where the last grant left them. incremental=1 is what
+  // ships — sort_by_projected_finish repairing the previous grant order
+  // through a warm SchedCache. incremental=0 is the pre-cache reference: a
+  // full std::sort evaluating projected_finish inside the comparator.
   const auto n = static_cast<std::size_t>(state.range(0));
   const bool incremental = state.range(1) != 0;
   Server server(0, 3.0 * static_cast<double>(n) + 60.0, 1e12);
@@ -451,7 +498,7 @@ void BM_RecomputeSingleStreamDelta(benchmark::State& state) {
     for (std::size_t i = 0; i < n; ++i) scratch.order.push_back(i);
   };
   fill_order();
-  sched_detail::sort_by_projected_finish(now, true, active, scratch, &cache);
+  sched_detail::sort_by_projected_finish(now, active, scratch, &cache);
 
   const std::uint64_t allocs_before = heap_allocs();
   for (auto _ : state) {
@@ -460,8 +507,7 @@ void BM_RecomputeSingleStreamDelta(benchmark::State& state) {
     victim = (victim + 1) % n;
     fill_order();
     if (incremental) {
-      sched_detail::sort_by_projected_finish(now, /*earliest_first=*/true,
-                                             active, scratch, &cache);
+      sched_detail::sort_by_projected_finish(now, active, scratch, &cache);
     } else {
       std::sort(scratch.order.begin(), scratch.order.end(),
                 [&](std::size_t a, std::size_t b) {
@@ -861,7 +907,7 @@ BENCHMARK(BM_FluidAdvanceBatch)
 
 
 void BM_FluidKeyBatch(benchmark::State& state) {
-  // The EFTF/LFTF sort-key pass: batched=0 is the per-candidate
+  // The projected-finish key pass: batched=0 is the per-candidate
   // FluidLane::projected_finish loop sort_by_projected_finish runs when
   // the batch threshold is not met, indexed through a candidate list as
   // there; batched=1 is FluidLane::fill_projected_finish — one

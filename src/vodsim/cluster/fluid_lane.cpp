@@ -48,11 +48,14 @@ inline const double* assume_lane_aligned(const double* p) {
 }
 
 /// The vectorized heart of FluidLane::advance_batch: per-stream state
-/// updates only, no reductions (see the caller for why the metering sum is
+/// updates, and no FP reduction (see the caller for why the metering sum is
 /// a separate pass). underflow_out is the engine's std::vector scratch and
-/// carries no alignment guarantee.
+/// carries no alignment guarantee. Returns the OR of every underflow's bit
+/// pattern: underflows are +0.0 or positive, so the OR is nonzero exactly
+/// when one of them is positive — and an integer OR reduction vectorizes
+/// where a serial std::max chain over doubles does not.
 VODSIM_BATCH_KERNEL_CLONES
-__attribute__((noinline)) void advance_states(
+__attribute__((noinline)) std::uint64_t advance_states(
     std::size_t n, Seconds now, Seconds* __restrict last_update,
     Megabits* __restrict remaining, Megabits* __restrict buffer_level,
     const Megabits* __restrict buffer_capacity,
@@ -68,6 +71,7 @@ __attribute__((noinline)) void advance_states(
   arrival = assume_lane_aligned(arrival);
   playback_end = assume_lane_aligned(playback_end);
   playing = assume_lane_aligned(playing);
+  std::uint64_t underflow_bits = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const Seconds start = last_update[i];
     const Seconds dt = now - start;
@@ -83,14 +87,17 @@ __attribute__((noinline)) void advance_states(
     const Megabits level = buffer_level[i] + (inflow - outflow);
     const Megabits raw_underflow = std::max(0.0, 0.0 - level);
     buffer_level[i] = std::min(std::max(level, 0.0), buffer_capacity[i]);
-    underflow_out[i] =
+    const Megabits underflow =
         raw_underflow > StagingBuffer::kLevelTolerance ? raw_underflow : 0.0;
+    underflow_out[i] = underflow;
+    underflow_bits |= std::bit_cast<std::uint64_t>(underflow);
 
     last_update[i] = now;
   }
+  return underflow_bits;
 }
 
-/// Batched EFTF/LFTF sort keys: fluid_detail::projected_finish per slot.
+/// Batched projected finishes: fluid_detail::projected_finish per slot.
 VODSIM_BATCH_KERNEL_CLONES
 __attribute__((noinline)) void projected_finish_keys(
     std::size_t n, Seconds now, const Megabits* __restrict remaining,
@@ -146,6 +153,65 @@ __attribute__((noinline)) void workahead_inputs(
   }
 }
 
+/// -1 (all ones) when \p condition holds, else 0: a mask for grant_inputs'
+/// integer selects.
+inline std::int64_t mask_if(bool condition) {
+  return -static_cast<std::int64_t>(condition);
+}
+
+/// Batched finish-time grant inputs (FluidLane::fill_grant_inputs), with
+/// \p flip = 0 for EFTF and ~0 (all ones) for LFTF. Bit-identity with the
+/// scalar passes, term by term:
+///   - minimum: sum_minimum_rates' `paused && full ? 0.0 : view_bandwidth`,
+///     as the view bandwidth's bits masked off when both hold (all-zero
+///     bits are +0.0).
+///   - room: eligible_slots' `receive_bandwidth - view_bandwidth` for an
+///     eligible slot, computed for every slot and masked to +0.0 for the
+///     rest.
+///   - key: the bits of fluid_detail::projected_finish, XOR flip (= ~bits
+///     for LFTF), or INT64_MAX when ineligible.
+/// Every comparison is evaluated unconditionally into a mask and the masks
+/// combine with integer &, so no select guards a division or an ordered
+/// comparison, which GCC would refuse to if-convert (see
+/// fluid_detail::predicted_times), and the loop vectorizes in all three
+/// clones.
+VODSIM_BATCH_KERNEL_CLONES
+__attribute__((noinline)) void grant_inputs(
+    std::size_t n, Seconds now, std::int64_t flip,
+    const Megabits* __restrict remaining,
+    const Megabits* __restrict buffer_level,
+    const Megabits* __restrict buffer_capacity,
+    const Mbps* __restrict view_bandwidth, const double* __restrict playing,
+    const Mbps* __restrict receive_bandwidth, Mbps* __restrict minimum_out,
+    Mbps* __restrict room_out, std::int64_t* __restrict key_out) {
+  remaining = assume_lane_aligned(remaining);
+  buffer_level = assume_lane_aligned(buffer_level);
+  buffer_capacity = assume_lane_aligned(buffer_capacity);
+  view_bandwidth = assume_lane_aligned(view_bandwidth);
+  playing = assume_lane_aligned(playing);
+  receive_bandwidth = assume_lane_aligned(receive_bandwidth);
+  for (std::size_t i = 0; i < n; ++i) {
+    const Mbps view = view_bandwidth[i];
+    const Mbps receive = receive_bandwidth[i];
+    const std::int64_t full = mask_if(
+        buffer_level[i] >= buffer_capacity[i] - StagingBuffer::kLevelTolerance);
+    const std::int64_t paused = mask_if(playing[i] == 0.0);
+    minimum_out[i] =
+        std::bit_cast<Mbps>(std::bit_cast<std::int64_t>(view) & ~(paused & full));
+    const std::int64_t eligible =
+        ~full & mask_if(receive > view) &
+        mask_if(remaining[i] > Request::kRemainingTolerance);
+    room_out[i] = std::bit_cast<Mbps>(
+        std::bit_cast<std::int64_t>(receive - view) & eligible);
+    const std::int64_t key =
+        std::bit_cast<std::int64_t>(
+            fluid_detail::projected_finish(now, remaining[i], view)) ^
+        flip;
+    key_out[i] = (key & eligible) |
+                 (std::numeric_limits<std::int64_t>::max() & ~eligible);
+  }
+}
+
 /// Batched predicted-event retiming: fluid_detail::predicted_times per
 /// slot (branch-free, so the loop vectorizes; the bit-identity argument is
 /// at the formula).
@@ -178,7 +244,9 @@ __attribute__((noinline)) void predicted_event_times(
   }
 }
 
-/// The least of \p n integers: FluidLane::earliest_slot's first pass.
+/// The least of \p n integers: FluidLane::earliest_slot's first pass and
+/// least_order_key. Its SSE2 clone stays scalar: SSE2 has no 64-bit
+/// integer compare (pcmpgtq is SSE4.2), so GCC cannot vectorize the min.
 VODSIM_BATCH_KERNEL_CLONES
 __attribute__((noinline)) std::int64_t least_time_bits(
     std::size_t n, const std::int64_t* __restrict bits) {
@@ -338,7 +406,6 @@ FluidLane::BatchResult FluidLane::advance_batch(
 
   const Seconds* const last_update = last_update_;
   const Mbps* const allocation = allocation_;
-  const Megabits* const underflow_out = underflow_scratch.data();
 
   // Branchless re-expression of fluid_detail::advance_stream, bit-identical
   // per stream so the branchy skips become unconditional arithmetic and the
@@ -363,12 +430,12 @@ FluidLane::BatchResult FluidLane::advance_batch(
   //     playing mask; the baseline build has no FMA, so no contraction can
   //     fuse these multiplies differently from the scalar path.
   //
-  // The kernel runs in three passes because GCC refuses to vectorize a loop
-  // carrying FP sum/max reductions without value-changing reassociation:
-  // a light scalar pass does the metering sum and advanced count (reading
-  // only last_update/allocation, both still pre-update), the heavy
-  // per-stream state arithmetic runs reduction-free and vectorized in
-  // advance_states, and a final scan folds the scratch into any_underflow.
+  // The kernel runs in two passes because GCC refuses to vectorize a loop
+  // carrying an FP sum reduction without value-changing reassociation: a
+  // light scalar pass does the metering sum and advanced count (reading
+  // only last_update/allocation, both still pre-update), and the heavy
+  // per-stream state arithmetic runs vectorized in advance_states, whose
+  // only reduction is the integer OR behind any_underflow.
   // The split changes no operation or order: the metering terms are added
   // to the running meter in slot order (= active order), one per stream,
   // just as one record_transmission call per stream adds them, and the
@@ -383,16 +450,12 @@ FluidLane::BatchResult FluidLane::advance_batch(
   }
   transmitted = meter;
 
-  advance_states(n, now, last_update_, remaining_, buffer_level_,
-                 buffer_capacity_, allocation_, view_bandwidth_, arrival_,
-                 playback_end_, playing_, underflow_scratch.data());
-
-  Megabits max_underflow = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    max_underflow = std::max(max_underflow, underflow_out[i]);
-  }
+  const std::uint64_t underflow_bits = advance_states(
+      n, now, last_update_, remaining_, buffer_level_, buffer_capacity_,
+      allocation_, view_bandwidth_, arrival_, playback_end_, playing_,
+      underflow_scratch.data());
   result.advanced = advanced;
-  result.any_underflow = max_underflow > 0.0;
+  result.any_underflow = underflow_bits != 0;
   return result;
 }
 
@@ -410,6 +473,26 @@ Mbps FluidLane::sum_minimum_rates(std::vector<Mbps>& rates) const {
     committed += rate;
   }
   return committed;
+}
+
+FluidLane::GrantSums FluidLane::fill_grant_inputs(
+    Seconds now, bool earliest_first, std::vector<Mbps>& minimum,
+    std::vector<Mbps>& room, std::vector<std::int64_t>& order_keys) const {
+  const std::size_t n = size_;
+  minimum.resize(n);
+  room.resize(n);
+  order_keys.resize(n);
+  grant_inputs(n, now, earliest_first ? 0 : ~std::int64_t{0}, remaining_,
+               buffer_level_, buffer_capacity_, view_bandwidth_, playing_,
+               receive_bandwidth_, minimum.data(), room.data(),
+               order_keys.data());
+  // Two independent chains, each in slot order from +0.0.
+  GrantSums sums;
+  for (std::size_t i = 0; i < n; ++i) {
+    sums.committed += minimum[i];
+    sums.room += room[i];
+  }
+  return sums;
 }
 
 Mbps FluidLane::eligible_slots(std::vector<std::size_t>& out) const {
@@ -436,6 +519,10 @@ Mbps FluidLane::add_near_term_need(Mbps need, Seconds horizon) const {
     need += near ? view_bandwidth_[i] : 0.0;
   }
   return need;
+}
+
+std::int64_t least_order_key(const std::vector<std::int64_t>& keys) {
+  return least_time_bits(keys.size(), keys.data());
 }
 
 void FluidLane::fill_projected_finish(Seconds now,

@@ -524,7 +524,8 @@ class VodSimulation {
     std::uint64_t clean_epoch = 0;  ///< epoch at the last completed recompute
     Seconds clean_time = -1.0;      ///< sim time of the last completed recompute
     /// This server's grant order from its previous allocation pass; the
-    /// scheduler repairs it instead of resorting (sched/finish_order.h).
+    /// intermittent scheduler repairs it instead of resorting, and the
+    /// other schedulers leave it alone (sched/finish_order.h).
     /// Entries point into requests_, which outlives this state.
     SchedCache sched_cache;
 

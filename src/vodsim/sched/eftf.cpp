@@ -1,6 +1,8 @@
 #include "vodsim/sched/eftf.h"
 
-#include "vodsim/sched/finish_order.h"
+#include <algorithm>
+#include <cstdint>
+#include <limits>
 
 namespace vodsim {
 
@@ -8,21 +10,65 @@ void FinishTimeScheduler::allocate(Seconds now, Mbps capacity,
                                    const std::vector<Request*>& active,
                                    std::vector<Mbps>& rates,
                                    AllocationScratch& scratch,
-                                   SchedCache* cache) const {
+                                   SchedCache* /*cache*/) const {
+  // One lane pass writes every slot's minimum rate (into rates), its grant
+  // room and its order key, and sums the first two in slot order.
   const FluidLane& lane = sched_detail::lane_of(active);
-  const Mbps slack = sched_detail::assign_minimum_flow(capacity, lane, rates);
+  std::vector<Mbps>& room = scratch.room;
+  std::vector<std::int64_t>& keys = scratch.order_keys;
+  const FluidLane::GrantSums sums =
+      lane.fill_grant_inputs(now, earliest_first_, rates, room, keys);
+  Mbps slack = sched_detail::slack_after(capacity, sums.committed);
   // Zero slack — the common case at saturation, where the paper's
-  // interesting data points live — skips eligibility and the sort entirely.
+  // interesting data points live — grants nothing.
   if (slack <= 0.0) return;
-  const Mbps room = lane.eligible_slots(scratch.order);
-  // Slack that covers every room grants each candidate exactly its room in
-  // any order, so the eligible (slot) order stands and the sort is skipped
-  // (sched_detail::grants_are_order_free).
-  if (!sched_detail::grants_are_order_free(room, slack)) {
-    sched_detail::sort_by_projected_finish(now, earliest_first_, active,
-                                           scratch, cache);
+
+  // Slack that covers every room grants each eligible slot exactly its
+  // room in any order (sched_detail::grants_are_order_free), so slot order
+  // stands. An ineligible slot's room is +0.0.
+  if (sched_detail::grants_are_order_free(sums.room, slack)) {
+    for (std::size_t i = 0; i < rates.size(); ++i) {
+      if (room[i] <= 0.0) continue;
+      if (slack <= 0.0) break;
+      const Mbps grant = std::min(slack, room[i]);
+      rates[i] += grant;
+      slack -= grant;
+    }
+    return;
   }
-  sched_detail::distribute_greedy(slack, scratch.order, lane, rates);
+
+  // Figure 2's loop: repeatedly pick the eligible slot with the least
+  // order key — the earliest projected finish (latest for LFTF), ties
+  // broken on request id — and give it as much of the slack as its client
+  // can take. The order is total and unique, so the picks are exactly the
+  // sorted order's prefix, and the grants are those a greedy pass over the
+  // sorted candidates makes before its slack runs out. A pick retires its
+  // slot's key. The least key left after retiring the first slot at the
+  // current least is what the next pick needs anyway, and it also says
+  // whether another slot ties the current one: only then is the lane walked
+  // for the tied slot with the least id.
+  constexpr std::int64_t kRetired = std::numeric_limits<std::int64_t>::max();
+  std::int64_t least = least_order_key(keys);
+  while (slack > 0.0 && least != kRetired) {
+    std::size_t pick = 0;
+    while (keys[pick] != least) ++pick;
+    keys[pick] = kRetired;
+    const std::int64_t next = least_order_key(keys);
+    if (next == least) {
+      const std::size_t first = pick;
+      for (std::size_t i = first + 1; i < keys.size(); ++i) {
+        if (keys[i] == least && active[i]->id() < active[pick]->id()) pick = i;
+      }
+      if (pick != first) {
+        keys[first] = least;
+        keys[pick] = kRetired;
+      }
+    }
+    const Mbps grant = std::min(slack, room[pick]);
+    rates[pick] += grant;
+    slack -= grant;
+    least = next;
+  }
 }
 
 }  // namespace vodsim

@@ -14,7 +14,16 @@ namespace vodsim {
 /// with the earliest projected finishing time whose client buffer has space
 /// and give it as much of the remaining slack as its client can receive.
 /// Since all videos share one view bandwidth, "earliest projected finish"
-/// is simply "least remaining data", so one ascending sort suffices.
+/// is simply "least remaining data".
+///
+/// allocate() runs that loop as written. One vectorized lane pass
+/// (FluidLane::fill_grant_inputs) writes each stream's minimum rate, grant
+/// room and order key; each pick is the least key left (ties broken on
+/// request id), found by a vectorized min pass. Slack usually runs out
+/// after one to three picks, so nothing is ever sorted, and the persistent
+/// SchedCache goes unused. When the slack covers every room, the grants do
+/// not depend on the order (sched_detail::grants_are_order_free) and are
+/// made in slot order.
 ///
 /// LFTF (earliest_first = false) spends the slack on the streams farthest
 /// from finishing instead. Under Theorem 1's assumptions this is the worst

@@ -37,8 +37,7 @@ void insertion_sort_guarded(std::vector<std::size_t>& order, Before before) {
 
 }  // namespace
 
-void sort_by_projected_finish(Seconds now, bool earliest_first,
-                              const std::vector<Request*>& active,
+void sort_by_projected_finish(Seconds now, const std::vector<Request*>& active,
                               AllocationScratch& scratch, SchedCache* cache) {
   std::vector<std::size_t>& order = scratch.order;
 
@@ -68,9 +67,7 @@ void sort_by_projected_finish(Seconds now, bool earliest_first,
   }
 
   const auto before = [&](std::size_t a, std::size_t b) {
-    if (keys[a] != keys[b]) {
-      return earliest_first ? keys[a] < keys[b] : keys[a] > keys[b];
-    }
+    if (keys[a] != keys[b]) return keys[a] < keys[b];
     return active[a]->id() < active[b]->id();  // unique, deterministic
   };
 

@@ -152,8 +152,7 @@ void IntermittentScheduler::allocate(Seconds now, Mbps capacity,
   // resort). scratch.aux (the urgent list) is dead by now and is
   // clobbered here.
   if (!order_free_grants_ || !sched_detail::grants_are_order_free(room_sum, left)) {
-    sched_detail::sort_by_projected_finish(now, /*earliest_first=*/true, active,
-                                           scratch, cache);
+    sched_detail::sort_by_projected_finish(now, active, scratch, cache);
   }
   for (std::size_t index : order) {
     if (left <= 0.0) break;

@@ -54,23 +54,14 @@ const FluidLane& lane_of(const std::vector<Request*>& active) {
   return *lane;
 }
 
-Mbps assign_minimum_flow(Mbps capacity, const FluidLane& lane,
-                         std::vector<Mbps>& rates) {
-  const Mbps committed = lane.sum_minimum_rates(rates);
+Mbps slack_after(Mbps capacity, Mbps committed) {
   assert(committed <= capacity + 1e-6 && "admission over-committed the server");
   return capacity > committed ? capacity - committed : 0.0;
 }
 
-void distribute_greedy(Mbps slack, const std::vector<std::size_t>& order,
-                       const FluidLane& lane, std::vector<Mbps>& rates) {
-  for (std::size_t index : order) {
-    if (slack <= 0.0) break;
-    const Mbps room = lane.receive_bandwidth(index) - rates[index];
-    if (room <= 0.0) continue;
-    const Mbps grant = std::min(slack, room);
-    rates[index] += grant;
-    slack -= grant;
-  }
+Mbps assign_minimum_flow(Mbps capacity, const FluidLane& lane,
+                         std::vector<Mbps>& rates) {
+  return slack_after(capacity, lane.sum_minimum_rates(rates));
 }
 
 }  // namespace sched_detail

@@ -22,7 +22,7 @@
 ///
 /// Schedulers allocate one server's active list and read every per-stream
 /// quantity from that server's FluidLane (slot i holds active[i]); a
-/// Request is dereferenced only for its id (exact sort-key ties), its
+/// Request is dereferenced only for its id (exact order-key ties), its
 /// urgency latch and trace attribution.
 
 #include <cstdint>
@@ -48,6 +48,9 @@ struct AllocationScratch {
                                    ///< urgent list, ...)
   std::vector<Seconds> keys;       ///< projected-finish keys, by active index
   std::vector<Mbps> room;          ///< per-candidate grant room, by active index
+  /// EFTF/LFTF grant-order keys (FluidLane::fill_grant_inputs), by active
+  /// index.
+  std::vector<std::int64_t> order_keys;
   // Per-slot intermittent-scheduler inputs from one lane pass
   // (FluidLane::fill_workahead_inputs), by active index.
   std::vector<Mbps> drain;         ///< playback drain rate
@@ -58,9 +61,9 @@ struct AllocationScratch {
 };
 
 /// Persistent per-server ordering state (sched/finish_order.h). Passing one
-/// lets the finish-time schedulers repair the previous grant order instead
-/// of resorting from scratch; a null cache always takes the full-sort path.
-/// Either way the result is bit-identical.
+/// lets the intermittent scheduler repair its previous workahead order
+/// instead of resorting from scratch; a null cache always takes the
+/// full-sort path. Either way the result is bit-identical.
 struct SchedCache;
 
 /// Strategy interface: computes per-request rates for one server.
@@ -74,12 +77,14 @@ class BandwidthScheduler {
   /// (sched_detail::lane_of). Writes one rate per request into \p rates
   /// (resized to active.size()); \p scratch holds reusable working buffers
   /// (contents are clobbered). \p cache, when non-null, is the calling
-  /// server's persistent ordering state: the finish-time schedulers seed
-  /// their grant order from it and write the new order back, turning the
+  /// server's persistent ordering state: the intermittent scheduler seeds
+  /// its workahead order from it and writes the new order back, turning the
   /// per-event resort into a nearly-sorted repair.
   /// One cache per server — sharing a cache across servers is harmless
   /// (entries validate against the active vector) but wastes the hint.
-  /// Schedulers without a sorted grant order ignore it.
+  /// The other schedulers ignore it: EFTF and LFTF pick their few grants
+  /// straight from the lane (FinishTimeScheduler), and the baselines have
+  /// no sorted grant order.
   ///
   /// Postconditions (enforced by all implementations, checked in tests):
   ///   rates[i] >= active[i]->view_bandwidth()   (minimum flow)
@@ -157,9 +162,13 @@ namespace sched_detail {
 /// order), and Debug builds also assert every slot.
 const FluidLane& lane_of(const std::vector<Request*>& active);
 
+/// The slack \p capacity leaves after the minimum-flow commitments
+/// \p committed (0 when they use it all). Asserts the commitments fit.
+Mbps slack_after(Mbps capacity, Mbps committed);
+
 /// Gives every slot of \p lane its minimum rate (the view bandwidth, or 0
 /// for a paused client with a full staging buffer); returns the remaining
-/// slack. Asserts the minimum-flow commitments fit in capacity.
+/// slack (slack_after).
 Mbps assign_minimum_flow(Mbps capacity, const FluidLane& lane,
                          std::vector<Mbps>& rates);
 
@@ -171,16 +180,11 @@ Mbps assign_minimum_flow(Mbps capacity, const FluidLane& lane,
 /// slack for n candidates, against a margin of 1e-9 · slack — exact for
 /// fewer than ~4 million candidates per server), so min(left, room) ==
 /// room bitwise for every candidate and the pass grants each exactly its
-/// room in any order. The grant order — and the sort that produces it —
-/// then cannot change a result bit.
+/// room in any order. The grant order — and the sort or the picks that
+/// produce it — then cannot change a result bit.
 inline bool grants_are_order_free(Mbps room_sum, Mbps slack) {
   return room_sum <= slack * (1.0 - 1e-9);
 }
-
-/// Greedy slack distribution over \p order (a permutation of eligible
-/// slots of \p lane): each slot in turn gets min(slack, receive_cap - rate).
-void distribute_greedy(Mbps slack, const std::vector<std::size_t>& order,
-                       const FluidLane& lane, std::vector<Mbps>& rates);
 
 }  // namespace sched_detail
 

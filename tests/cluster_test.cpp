@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -594,13 +596,18 @@ TEST(FluidLaneAvx512, WideLaneBatchesMatchScalar) {
   if (!__builtin_cpu_supports("avx512f")) {
     GTEST_SKIP() << "host lacks avx512f; clone compiled but not dispatchable";
   }
-  ClientProfile client{120.0, 30.0};
+  // Every fifth client receives slower than playback, and the one after it
+  // stages only 20 Mb (full at the faster rates): both are ineligible for
+  // workahead in the grant inputs.
+  const ClientProfile clients[] = {{120.0, 30.0}, {120.0, 2.0}, {20.0, 30.0}};
   Server scalar_server(0, 1000.0, 1e8);
   Server batched_server(1, 1000.0, 1e8);
   constexpr int kStreams = 19;  // 2 full zmm lanes + remainder
   StableVector<Request> scalar_requests, batched_requests;
   for (int i = 0; i < kStreams; ++i) {
-    const Mbps rate = 0.5 + 1.25 * static_cast<double>(i % 7);
+    const ClientProfile& client = clients[i % 5 < 3 ? 0 : i % 5 - 2];
+    const Mbps rate = std::min(0.5 + 1.25 * static_cast<double>(i % 7),
+                               client.receive_bandwidth);
     scalar_requests.emplace_back(i, make_video(i), 0.0, client);
     batched_requests.emplace_back(i, make_video(i), 0.0, client);
     scalar_requests.back().begin_streaming(0.0, 0);
@@ -616,22 +623,59 @@ TEST(FluidLaneAvx512, WideLaneBatchesMatchScalar) {
   Megabits meter = 0.0;
   batched_server.lane().advance_batch(10.0, 0.0, 1e9, meter, scratch);
 
+  // A paused client with a full buffer has a minimum rate of 0.
+  ASSERT_TRUE(scalar_requests[4].buffer_full());
+  scalar_requests[4].pause_viewing(10.0);
+  batched_requests[4].pause_viewing(10.0);
+
+  const FluidLane& lane = batched_server.lane();
   std::vector<Seconds> keys, tx, full, low;
-  batched_server.lane().fill_projected_finish(10.0, keys);
-  batched_server.lane().fill_predicted_times(10.0, 4.0, tx, full, low);
+  lane.fill_projected_finish(10.0, keys);
+  lane.fill_predicted_times(10.0, 4.0, tx, full, low);
+  std::vector<Mbps> minimum, room;
+  std::vector<std::int64_t> earliest_keys, latest_keys;
+  lane.fill_grant_inputs(10.0, /*earliest_first=*/false, minimum, room,
+                         latest_keys);
+  const FluidLane::GrantSums sums = lane.fill_grant_inputs(
+      10.0, /*earliest_first=*/true, minimum, room, earliest_keys);
+  constexpr std::int64_t kIneligible = std::numeric_limits<std::int64_t>::max();
+  Mbps committed = 0.0;
+  Mbps room_sum = 0.0;
+  int eligible_slots = 0;
   for (int i = 0; i < kStreams; ++i) {
     SCOPED_TRACE(i);
     const Request& scalar = scalar_requests[static_cast<std::size_t>(i)];
     const Request& batched = batched_requests[static_cast<std::size_t>(i)];
+    const std::size_t slot = batched.active_index;
     EXPECT_EQ(batched.remaining(), scalar.remaining());
     EXPECT_EQ(batched.buffer_level(), scalar.buffer_level());
-    EXPECT_EQ(keys[batched.active_index],
-              10.0 + scalar.remaining() / scalar.view_bandwidth());
-    EXPECT_EQ(tx[batched.active_index],
-              scalar.allocation() > 0.0
-                  ? 10.0 + scalar.remaining() / scalar.allocation()
-                  : std::numeric_limits<Seconds>::infinity());
+    const Seconds finish = 10.0 + scalar.remaining() / scalar.view_bandwidth();
+    EXPECT_EQ(keys[slot], finish);
+    EXPECT_EQ(tx[slot], scalar.allocation() > 0.0
+                            ? 10.0 + scalar.remaining() / scalar.allocation()
+                            : std::numeric_limits<Seconds>::infinity());
+
+    const bool eligible = !scalar.buffer_full() &&
+                          scalar.receive_bandwidth() > scalar.view_bandwidth() &&
+                          !scalar.finished();
+    const Mbps expected_room =
+        eligible ? scalar.receive_bandwidth() - scalar.view_bandwidth() : 0.0;
+    const std::int64_t bits = std::bit_cast<std::int64_t>(finish);
+    EXPECT_EQ(std::bit_cast<std::int64_t>(minimum[slot]),
+              std::bit_cast<std::int64_t>(scalar.minimum_rate()));
+    EXPECT_EQ(std::bit_cast<std::int64_t>(room[slot]),
+              std::bit_cast<std::int64_t>(expected_room));
+    EXPECT_EQ(earliest_keys[slot], eligible ? bits : kIneligible);
+    EXPECT_EQ(latest_keys[slot], eligible ? ~bits : kIneligible);
+    committed += scalar.minimum_rate();
+    room_sum += expected_room;
+    eligible_slots += eligible;
   }
+  EXPECT_EQ(sums.committed, committed);
+  EXPECT_EQ(sums.room, room_sum);
+  EXPECT_EQ(minimum[batched_requests[4].active_index], 0.0);
+  EXPECT_GT(eligible_slots, 0);
+  EXPECT_LT(eligible_slots, kStreams - 4);
 #else
   GTEST_SKIP() << "x86-64 only";
 #endif

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <numeric>
@@ -12,6 +13,7 @@
 #include "vodsim/sched/continuous.h"
 #include "vodsim/sched/eftf.h"
 #include "vodsim/sched/finish_order.h"
+#include "vodsim/sched/intermittent.h"
 #include "vodsim/sched/proportional.h"
 #include "vodsim/sched/scheduler.h"
 #include "vodsim/util/rng.h"
@@ -333,6 +335,12 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---------------------------------------- incremental-order equivalence
 
+// A SchedCache has one user, the intermittent scheduler's workahead phase
+// (EFTF and LFTF pick their grants without sorting). Each case checks the
+// cache on that scheduler; `kind` names the scheduler whose grants move the
+// buffers between rounds, so the cache is exercised on the lane states each
+// policy produces (EFTF fills the earliest finishers' buffers, LFTF the
+// latest, proportional all evenly, continuous none).
 struct CacheEquivalenceCase {
   SchedulerKind kind;
   std::uint64_t seed;
@@ -349,7 +357,8 @@ class SchedCacheEquivalence
 // of drift in any grant breaks the engine's determinism contract.
 TEST_P(SchedCacheEquivalence, WarmCacheIsBitIdenticalUnderChurn) {
   const auto param = GetParam();
-  const auto scheduler = make_scheduler(param.kind);
+  const IntermittentScheduler scheduler;
+  const auto driver = make_scheduler(param.kind);
   Rng rng(param.seed);
 
   Fixture fx;
@@ -360,15 +369,23 @@ TEST_P(SchedCacheEquivalence, WarmCacheIsBitIdenticalUnderChurn) {
     fx.add(remaining, buffer_cap, 0.0, receive).advance(now);
   };
   for (int i = 0; i < 10; ++i) add(0.0);
+  // Stage data for 10 s at random rates first, so the rounds start from
+  // buffers at many levels (under continuous grants they stay there).
+  for (Request* request : fx.active()) {
+    request->set_allocation(0.0, rng.uniform(kView, request->receive_bandwidth()));
+  }
 
   SchedCache cache;  // persists across rounds, like ServerRecomputeState
   AllocationScratch fresh_scratch;
   AllocationScratch cached_scratch;
+  AllocationScratch driver_scratch;
   std::vector<Mbps> fresh_rates;
   std::vector<Mbps> cached_rates;
-  Seconds now = 0.0;
-  bool cache_warmed = false;
+  std::vector<Mbps> driven_rates;
+  Seconds now = 10.0;
+  int warm_rounds = 0;
   const std::vector<Request*>& active = fx.active();
+  for (Request* request : active) request->advance(now);
 
   for (int round = 0; round < 40; ++round) {
     now += rng.uniform(0.1, 5.0);
@@ -381,33 +398,29 @@ TEST_P(SchedCacheEquivalence, WarmCacheIsBitIdenticalUnderChurn) {
 
     const Mbps capacity =
         kView * static_cast<double>(active.size()) + rng.uniform(5.0, 80.0);
-    // Fresh path first, cached second: for the intermittent scheduler the
-    // first call may settle the urgency latch, but latch transitions are
-    // idempotent at fixed buffer state, so the second call sees the same
-    // memberships (the engine's recompute memo relies on the same property).
-    scheduler->allocate(now, capacity, active, fresh_rates, fresh_scratch);
-    scheduler->allocate(now, capacity, active, cached_rates, cached_scratch,
-                        &cache);
+    // Fresh path first, cached second: the first call may settle the
+    // urgency latch, but latch transitions are idempotent at fixed buffer
+    // state, so the second call sees the same memberships (the engine's
+    // recompute memo relies on the same property).
+    warm_rounds += !cache.grant_order.empty();
+    scheduler.allocate(now, capacity, active, fresh_rates, fresh_scratch);
+    scheduler.allocate(now, capacity, active, cached_rates, cached_scratch,
+                       &cache);
 
     ASSERT_EQ(cached_rates.size(), fresh_rates.size());
     for (std::size_t i = 0; i < fresh_rates.size(); ++i) {
       ASSERT_EQ(cached_rates[i], fresh_rates[i])
-          << scheduler->name() << " round " << round << " slot " << i
+          << driver->name() << " round " << round << " slot " << i
           << ": cached path diverged";
     }
-    cache_warmed = cache_warmed || !cache.grant_order.empty();
 
+    driver->allocate(now, capacity, active, driven_rates, driver_scratch);
     for (std::size_t i = 0; i < active.size(); ++i) {
-      active[i]->set_allocation(now, cached_rates[i]);
+      active[i]->set_allocation(now, driven_rates[i]);
     }
   }
-  // The comparison must not be vacuous for the finish-time schedulers: the
-  // cache actually held an order. Continuous and proportional have no grant
-  // order and must leave the cache untouched.
-  const bool uses_cache = param.kind == SchedulerKind::kEftf ||
-                          param.kind == SchedulerKind::kLftf ||
-                          param.kind == SchedulerKind::kIntermittent;
-  EXPECT_EQ(cache_warmed, uses_cache) << scheduler->name();
+  // The comparison must not be vacuous: a warm cache seeded most passes.
+  EXPECT_GT(warm_rounds, 30) << driver->name();
 }
 
 // The lane a real Server keeps under churn must hold exactly the state a
@@ -417,10 +430,12 @@ TEST_P(SchedCacheEquivalence, WarmCacheIsBitIdenticalUnderChurn) {
 // its warm cache while a twin server — the same requests, mirrored in
 // lock-step as separate objects — is emptied and re-attached in the churned
 // server's active order, and allocates cache-less on that fresh lane. The
-// two must agree bit for bit.
+// two must agree bit for bit, and so must the driving scheduler's grants on
+// the two lanes.
 TEST_P(SchedCacheEquivalence, LaneBackedCacheIsBitIdenticalUnderChurn) {
   const auto param = GetParam();
-  const auto scheduler = make_scheduler(param.kind);
+  const IntermittentScheduler scheduler;
+  const auto driver = make_scheduler(param.kind);
   Rng rng(param.seed);
 
   Fixture churned;
@@ -439,15 +454,26 @@ TEST_P(SchedCacheEquivalence, LaneBackedCacheIsBitIdenticalUnderChurn) {
     copy.advance(now);
   };
   for (int i = 0; i < 10; ++i) add(0.0);
+  for (Request* request : churned.active()) {  // staged as above
+    const Mbps rate = rng.uniform(kView, request->receive_bandwidth());
+    request->set_allocation(0.0, rate);
+    twin_of[request->id()]->set_allocation(0.0, rate);
+  }
 
   SchedCache cache;
   AllocationScratch cached_scratch;
   AllocationScratch rebuilt_scratch;
   std::vector<Mbps> cached_rates;
   std::vector<Mbps> rebuilt_rates;
-  Seconds now = 0.0;
-  bool cache_warmed = false;
+  std::vector<Mbps> driven_rates;
+  std::vector<Mbps> driven_rebuilt_rates;
+  Seconds now = 10.0;
+  int warm_rounds = 0;
   const std::vector<Request*>& active = churned.active();
+  for (Request* request : active) {
+    request->advance(now);
+    twin_of[request->id()]->advance(now);
+  }
 
   for (int round = 0; round < 40; ++round) {
     now += rng.uniform(0.1, 5.0);
@@ -469,32 +495,35 @@ TEST_P(SchedCacheEquivalence, LaneBackedCacheIsBitIdenticalUnderChurn) {
 
     const Mbps capacity =
         kView * static_cast<double>(active.size()) + rng.uniform(5.0, 80.0);
-    scheduler->allocate(now, capacity, active, cached_rates, cached_scratch,
-                        &cache);
-    scheduler->allocate(now, capacity, twin.active(), rebuilt_rates,
-                        rebuilt_scratch);
+    warm_rounds += !cache.grant_order.empty();
+    scheduler.allocate(now, capacity, active, cached_rates, cached_scratch,
+                       &cache);
+    scheduler.allocate(now, capacity, twin.active(), rebuilt_rates,
+                       rebuilt_scratch);
+    driver->allocate(now, capacity, active, driven_rates, cached_scratch);
+    driver->allocate(now, capacity, twin.active(), driven_rebuilt_rates,
+                     rebuilt_scratch);
 
     ASSERT_EQ(cached_rates.size(), rebuilt_rates.size());
     for (std::size_t i = 0; i < rebuilt_rates.size(); ++i) {
       ASSERT_EQ(cached_rates[i], rebuilt_rates[i])
-          << scheduler->name() << " round " << round << " request "
+          << driver->name() << " round " << round << " request "
           << active[i]->id() << ": churned lane diverged from a rebuilt one";
       ASSERT_EQ(active[i]->workahead_urgent(),
                 twin.active()[i]->workahead_urgent())
-          << scheduler->name() << " round " << round << " request "
+          << driver->name() << " round " << round << " request "
           << active[i]->id() << ": urgency latch diverged";
+      ASSERT_EQ(driven_rates[i], driven_rebuilt_rates[i])
+          << driver->name() << " round " << round << " request "
+          << active[i]->id() << ": driver's grants diverged";
     }
-    cache_warmed = cache_warmed || !cache.grant_order.empty();
 
     for (std::size_t i = 0; i < active.size(); ++i) {
-      active[i]->set_allocation(now, cached_rates[i]);
-      twin.active()[i]->set_allocation(now, cached_rates[i]);
+      active[i]->set_allocation(now, driven_rates[i]);
+      twin.active()[i]->set_allocation(now, driven_rates[i]);
     }
   }
-  const bool uses_cache = param.kind == SchedulerKind::kEftf ||
-                          param.kind == SchedulerKind::kLftf ||
-                          param.kind == SchedulerKind::kIntermittent;
-  EXPECT_EQ(cache_warmed, uses_cache) << scheduler->name();
+  EXPECT_GT(warm_rounds, 30) << driver->name();
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -512,11 +541,75 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(info.param.seed);
     });
 
-// EFTF and LFTF skip the finish-time sort when the slack covers every
+// ------------------------------------------------ finish-time grant order
+
+/// The finish-time grant pipeline as it stood when EFTF and LFTF sorted:
+/// minimum flow, the workahead-eligible requests, a full std::sort on
+/// (projected finish, id) and the greedy pass over the sorted order, copied
+/// verbatim from the old sched_detail::distribute_greedy. Every per-stream
+/// value comes from the Request accessors, independently of
+/// FluidLane::fill_grant_inputs and of the pick loop.
+std::vector<Mbps> sorted_pipeline_rates(const Fixture& fx, Mbps capacity,
+                                        bool earliest_first) {
+  const std::vector<Request*>& active = fx.active();
+  std::vector<Mbps> rates(active.size(), 0.0);
+  Mbps committed = 0.0;
+  for (std::size_t i = 0; i < active.size(); ++i) {
+    rates[i] = active[i]->minimum_rate();
+    committed += rates[i];
+  }
+  Mbps slack = capacity > committed ? capacity - committed : 0.0;
+  if (slack <= 0.0) return rates;
+
+  std::vector<std::size_t> order;
+  std::vector<Seconds> keys(active.size());
+  for (std::size_t i = 0; i < active.size(); ++i) {
+    const Request& request = *active[i];
+    if (!request.buffer_full() &&
+        request.receive_bandwidth() > request.view_bandwidth() &&
+        !request.finished()) {
+      order.push_back(i);
+      keys[i] = fx.now() + request.remaining() / request.view_bandwidth();
+    }
+  }
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    if (keys[a] != keys[b]) {
+      return earliest_first ? keys[a] < keys[b] : keys[a] > keys[b];
+    }
+    return active[a]->id() < active[b]->id();
+  });
+
+  for (std::size_t index : order) {
+    if (slack <= 0.0) break;
+    const Mbps room = active[index]->receive_bandwidth() - rates[index];
+    if (room <= 0.0) continue;
+    const Mbps grant = std::min(slack, room);
+    rates[index] += grant;
+    slack -= grant;
+  }
+  return rates;
+}
+
+/// Summed minimum rates and workahead room of \p fx, from the Request
+/// accessors, each added in slot order.
+std::pair<Mbps, Mbps> committed_and_room(const Fixture& fx) {
+  Mbps committed = 0.0;
+  Mbps room = 0.0;
+  for (const Request* request : fx.active()) {
+    committed += request->minimum_rate();
+    if (!request->buffer_full() &&
+        request->receive_bandwidth() > request->view_bandwidth() &&
+        !request->finished()) {
+      room += request->receive_bandwidth() - request->view_bandwidth();
+    }
+  }
+  return {committed, room};
+}
+
+// EFTF and LFTF skip the finish-time order when the slack covers every
 // eligible request's room (sched_detail::grants_are_order_free). Swept
 // below, across and above that boundary — with equal sort keys in the mix
-// — their rates must equal the always-sorting pipeline built from the same
-// sched_detail steps, bit for bit.
+// — their rates must equal the always-sorting pipeline, bit for bit.
 TEST(GreedyGrants, OrderFreeGrantsMatchSortedPipeline) {
   Rng rng(1802);
   int shortcut_cases = 0;
@@ -530,16 +623,7 @@ TEST(GreedyGrants, OrderFreeGrantsMatchSortedPipeline) {
       fx.add(remaining, rng.uniform(50.0, 400.0), 0.0, rng.uniform(2.0, 40.0));
     }
     fx.sync();
-    // Summed workahead room, computed independently of the lane: buffer
-    // headroom, a receive link faster than playback, data left to send.
-    Mbps room = 0.0;
-    for (const Request* request : fx.active()) {
-      if (!request->buffer_full() &&
-          request->receive_bandwidth() > request->view_bandwidth() &&
-          !request->finished()) {
-        room += request->receive_bandwidth() - request->view_bandwidth();
-      }
-    }
+    const Mbps room = committed_and_room(fx).second;
     const Mbps floor = kView * n;
     const Mbps boundary = room / (1.0 - 1e-9);
     const Mbps slacks[] = {0.5 * room, room, std::nextafter(boundary, 0.0),
@@ -551,29 +635,154 @@ TEST(GreedyGrants, OrderFreeGrantsMatchSortedPipeline) {
         const Mbps capacity = floor + slack;
         std::vector<Mbps> actual;
         scheduler->allocate(fx.now(), capacity, fx.active(), actual);
-
-        std::vector<Mbps> expected;
-        AllocationScratch scratch;
-        const Mbps left =
-            sched_detail::assign_minimum_flow(capacity, fx.lane(), expected);
-        if (left > 0.0) {
-          fx.lane().eligible_slots(scratch.order);
-          sched_detail::sort_by_projected_finish(fx.now(), earliest_first,
-                                                 fx.active(), scratch, nullptr);
-          sched_detail::distribute_greedy(left, scratch.order, fx.lane(),
-                                          expected);
-        }
+        const std::vector<Mbps> expected =
+            sorted_pipeline_rates(fx, capacity, earliest_first);
         ASSERT_EQ(actual.size(), expected.size());
         for (std::size_t i = 0; i < actual.size(); ++i) {
           ASSERT_EQ(actual[i], expected[i])
               << scheduler->name() << " instance " << instance << " slack "
               << slack << " request " << i;
         }
-        shortcut_cases += sched_detail::grants_are_order_free(room, left);
+        shortcut_cases +=
+            sched_detail::grants_are_order_free(room, capacity - floor);
       }
     }
   }
   EXPECT_GT(shortcut_cases, 100);
+}
+
+// EFTF and LFTF grant by repeatedly picking the least order key left
+// rather than by sorting. On random servers mixing every kind of slot a
+// pick must skip or weigh — paused clients with full buffers (minimum rate
+// 0), playing and paused clients with room, receive links at or below the
+// view rate, streams with nothing left to send, and twins whose projected
+// finishes are equal, placed so that slot order and id order disagree —
+// their rates must equal the full-sort pipeline's bit for bit, at zero
+// slack, with the slack running out inside every grant and exactly at each
+// grant boundary of the sorted order, at the room sum, on both sides of
+// the order-free margin and far above it.
+TEST(GreedyGrants, PickMatchesSortedPipeline) {
+  Rng rng(2207);
+  int pick_cases = 0;
+  int order_free_cases = 0;
+  int zero_slack_cases = 0;
+  int tied_instances = 0;
+  for (int instance = 0; instance < 60; ++instance) {
+    Fixture fx;
+    const int n = 2 + static_cast<int>(rng.uniform_int(30));
+    std::vector<Request*> to_pause;
+    for (int i = 0; i < n; ++i) {
+      const double draw = rng.uniform();
+      if (i > 0 && i % 3 == 0) {
+        // A twin of the previous request: the same remaining data and view
+        // rate, so the same projected finish.
+        const Request& previous = *fx.active().back();
+        fx.add(previous.remaining(), previous.buffer_capacity(), 0.0,
+               previous.receive_bandwidth());
+      } else if (draw < 0.15) {
+        // Paused with a full staging buffer: minimum rate 0, no room.
+        const Megabits cap = rng.uniform(50.0, 200.0);
+        to_pause.push_back(&fx.add(rng.uniform(100.0, 3000.0), cap, cap,
+                                   rng.uniform(10.0, 40.0)));
+      } else if (draw < 0.25) {
+        // Paused with room left: still eligible.
+        to_pause.push_back(&fx.add(rng.uniform(100.0, 3000.0), 400.0,
+                                   rng.uniform(10.0, 100.0),
+                                   rng.uniform(10.0, 40.0)));
+      } else if (draw < 0.35) {
+        // A receive link at or below the view rate.
+        fx.add(rng.uniform(100.0, 3000.0), rng.uniform(50.0, 400.0), 0.0,
+               rng.uniform() < 0.5 ? kView : rng.uniform(1.0, kView));
+      } else if (draw < 0.45) {
+        // Nothing left to send (remaining within tolerance).
+        fx.add(5e-7, rng.uniform(200.0, 400.0), rng.uniform(10.0, 100.0),
+               rng.uniform(10.0, 40.0));
+      } else {
+        fx.add(rng.uniform(100.0, 3000.0), rng.uniform(50.0, 400.0), 0.0,
+               rng.uniform(2.0, 40.0));
+      }
+    }
+    for (Request* request : to_pause) request->pause_viewing(request->last_update());
+    fx.sync();
+    // Detach and re-attach about a third of the requests: each moves to
+    // the last slot and the last request into its slot, so slot order and
+    // id order disagree, twins included.
+    for (int k = 0; k < n / 3; ++k) {
+      Request& moved = *fx.active()[rng.uniform_int(fx.active().size())];
+      fx.detach(moved);
+      fx.attach(moved);
+    }
+
+    const auto [committed, room] = committed_and_room(fx);
+    std::vector<Seconds> finishes;
+    for (const Request* request : fx.active()) {
+      if (!request->buffer_full() &&
+          request->receive_bandwidth() > request->view_bandwidth() &&
+          !request->finished()) {
+        finishes.push_back(fx.now() +
+                           request->remaining() / request->view_bandwidth());
+      }
+    }
+    std::sort(finishes.begin(), finishes.end());
+    tied_instances +=
+        std::adjacent_find(finishes.begin(), finishes.end()) != finishes.end();
+
+    for (const bool earliest_first : {true, false}) {
+      const auto scheduler = make_scheduler(earliest_first ? SchedulerKind::kEftf
+                                                           : SchedulerKind::kLftf);
+      // Slacks at and inside every grant of the sorted order: the
+      // reference at unbounded slack gives each candidate's room, in slot
+      // order; sort them into grant order.
+      const std::vector<Mbps> unbounded =
+          sorted_pipeline_rates(fx, committed + 2.0 * room + 1.0, earliest_first);
+      std::vector<std::size_t> order;
+      for (std::size_t i = 0; i < unbounded.size(); ++i) {
+        if (unbounded[i] > fx.active()[i]->minimum_rate()) order.push_back(i);
+      }
+      const std::vector<Request*>& active = fx.active();
+      std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+        const Seconds fa = fx.now() + active[a]->remaining() / kView;
+        const Seconds fb = fx.now() + active[b]->remaining() / kView;
+        if (fa != fb) return earliest_first ? fa < fb : fa > fb;
+        return active[a]->id() < active[b]->id();
+      });
+      std::vector<Mbps> slacks = {0.0, room, std::nextafter(room / (1.0 - 1e-9), 0.0),
+                                  room / (1.0 - 1e-9) * (1.0 + 1e-15),
+                                  2.0 * room};
+      Mbps granted = 0.0;
+      for (const std::size_t index : order) {
+        const Mbps grant = unbounded[index] - active[index]->minimum_rate();
+        slacks.push_back(granted + 0.5 * grant);
+        granted += grant;
+        slacks.push_back(granted);
+      }
+      for (const Mbps slack : slacks) {
+        const Mbps capacity = committed + slack;
+        std::vector<Mbps> actual;
+        scheduler->allocate(fx.now(), capacity, fx.active(), actual);
+        const std::vector<Mbps> expected =
+            sorted_pipeline_rates(fx, capacity, earliest_first);
+        ASSERT_EQ(actual.size(), expected.size());
+        for (std::size_t i = 0; i < actual.size(); ++i) {
+          ASSERT_EQ(actual[i], expected[i])
+              << scheduler->name() << " instance " << instance << " slack "
+              << slack << " request " << active[i]->id();
+        }
+        const Mbps left = capacity > committed ? capacity - committed : 0.0;
+        if (left <= 0.0) {
+          ++zero_slack_cases;
+        } else if (sched_detail::grants_are_order_free(room, left)) {
+          ++order_free_cases;
+        } else {
+          ++pick_cases;
+        }
+      }
+    }
+  }
+  EXPECT_GT(pick_cases, 1000);
+  EXPECT_GT(order_free_cases, 100);
+  EXPECT_GT(zero_slack_cases, 100);
+  EXPECT_GT(tied_instances, 10);
 }
 
 // EFTF is work-conserving: it leaves slack unused only when every client is

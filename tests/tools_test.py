@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Unit tests for tools/bench_diff.py and tools/validate_trace.py, the
-usage-error and artifact-write contracts of vodsim_cli, vodsim_tournament,
-the example programs and the fuzzer, and the bench and flag citations in
-the docs.
+"""Unit tests for tools/bench_diff.py, tools/validate_trace.py and
+tools/check_vectorized.py, the usage-error and artifact-write contracts of
+vodsim_cli, vodsim_tournament, the example programs and the fuzzer, and the
+bench and flag citations in the docs.
 
 Run directly or via ctest (registered as `tools_py`). Stdlib only; the
 tools are exercised as subprocesses, exactly as CI invokes them, so exit
@@ -22,6 +22,7 @@ REPO_DIR = os.path.normpath(os.path.join(
 TOOLS_DIR = os.path.join(REPO_DIR, "tools")
 BENCH_DIFF = os.path.join(TOOLS_DIR, "bench_diff.py")
 VALIDATE_TRACE = os.path.join(TOOLS_DIR, "validate_trace.py")
+CHECK_VECTORIZED = os.path.join(TOOLS_DIR, "check_vectorized.py")
 
 
 def find_binary(subdir, name):
@@ -557,6 +558,63 @@ class ShardedTraceTest(unittest.TestCase):
                          count(sharded, "tx_complete"))
         self.assertEqual({event["shard"] for event in single}, {-1})
         self.assertTrue(any(event["shard"] >= 0 for event in sharded))
+
+
+def gcc_available():
+    """True when g++ is GCC (some hosts alias it to clang)."""
+    try:
+        result = subprocess.run(["g++", "--version"], capture_output=True,
+                                text=True)
+    except OSError:
+        return False
+    return ("Free Software Foundation" in result.stdout and
+            "clang" not in result.stdout)
+
+
+class VectorizationCheckTest(unittest.TestCase):
+    """tools/check_vectorized.py passes on fluid_lane.cpp and names a
+    kernel whose loop stops vectorizing. GCC only: the check reads GCC's
+    -fopt-info-vec notes."""
+
+    SOURCE = os.path.join(REPO_DIR, "src", "vodsim", "cluster",
+                          "fluid_lane.cpp")
+
+    def setUp(self):
+        if not gcc_available():
+            self.skipTest("g++ is not GCC")
+
+    def check(self, *args):
+        return subprocess.run(
+            [sys.executable, CHECK_VECTORIZED, "--cxx", "g++", *args],
+            capture_output=True, text=True, timeout=300)
+
+    def test_every_kernel_loop_vectorizes_in_every_clone(self):
+        result = self.check()
+        self.assertEqual(result.returncode, 0, result.stdout + result.stderr)
+        for kernel in ("advance_states", "grant_inputs",
+                       "predicted_event_times", "least_time_bits"):
+            self.assertRegex(result.stdout, kernel + r" \(line \d+\): ok")
+
+    def test_a_scalar_kernel_loop_fails_the_check(self):
+        with open(self.SOURCE, encoding="utf-8") as handle:
+            text = handle.read()
+        # An early exit makes grant_inputs' loop uncountable, so no clone
+        # can vectorize it.
+        anchor = "    const Mbps view = view_bandwidth[i];\n"
+        self.assertIn(anchor, text)
+        doctored = text.replace(anchor,
+                                "    if (remaining[i] < 0.0) break;\n" + anchor)
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "fluid_lane.cpp")
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(doctored)
+            result = self.check("--source", path, "--include",
+                                os.path.join(REPO_DIR, "src"))
+        self.assertEqual(result.returncode, 1, result.stdout + result.stderr)
+        self.assertRegex(result.stdout,
+                         r"grant_inputs \(line \d+\): NOT VECTORIZED at "
+                         r"16-byte, 32-byte, 64-byte")
+        self.assertRegex(result.stdout, r"advance_states \(line \d+\): ok")
 
 
 class DocCitationTest(unittest.TestCase):
