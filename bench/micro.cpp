@@ -229,8 +229,11 @@ void BM_FinishTimeAllocate(benchmark::State& state) {
   // grants=0 is the pick path: 60 Mb/s of slack runs out in the third pick,
   // rack_storm's mean. grants=1 has slack for every room (order-free, slot
   // order); grants=2 has none (saturation: the minimum rates only).
-  constexpr std::size_t kStreams = 77;
-  const auto grants = state.range(0);
+  // grants=3 is a long prefix: slack of 0.9 x the room sum, which the
+  // greedy pass spends over about nine in ten candidates (some 150 grants
+  // at 300 streams).
+  const auto streams = static_cast<std::size_t>(state.range(0));
+  const auto grants = state.range(1);
   Rng rng(11);
   Video video;
   video.id = 0;
@@ -240,7 +243,7 @@ void BM_FinishTimeAllocate(benchmark::State& state) {
   Server server(0, 1e6, 1e12);  // declared first: streams die before its lane
   std::vector<std::unique_ptr<Request>> owner;
   Mbps room = 0.0;
-  for (std::size_t i = 0; i < kStreams; ++i) {
+  for (std::size_t i = 0; i < streams; ++i) {
     owner.push_back(std::make_unique<Request>(static_cast<RequestId>(i), video,
                                               0.0, client));
     Request& request = *owner.back();
@@ -252,8 +255,11 @@ void BM_FinishTimeAllocate(benchmark::State& state) {
     request.advance(fill ? rng.uniform(100.0, 300.0) : rng.uniform(1.0, 600.0));
     if (!request.buffer_full()) room += 27.0;
   }
-  const Mbps committed = 3.0 * static_cast<double>(kStreams);
-  const Mbps slack = grants == 0 ? 60.0 : grants == 1 ? 2.0 * room : 0.0;
+  const Mbps committed = 3.0 * static_cast<double>(streams);
+  const Mbps slack = grants == 0   ? 60.0
+                     : grants == 1 ? 2.0 * room
+                     : grants == 2 ? 0.0
+                                   : 0.9 * room;
   const std::vector<Request*>& active = server.active_requests();
   const FinishTimeScheduler scheduler(/*earliest_first=*/true);
   std::vector<Mbps> rates;
@@ -265,10 +271,15 @@ void BM_FinishTimeAllocate(benchmark::State& state) {
     benchmark::DoNotOptimize(rates.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kStreams));
+                          static_cast<std::int64_t>(streams));
   report_allocs_per_op(state, allocs_before, 1);
 }
-BENCHMARK(BM_FinishTimeAllocate)->Arg(0)->Arg(1)->Arg(2)->ArgName("grants");
+BENCHMARK(BM_FinishTimeAllocate)
+    ->Args({77, 0})
+    ->Args({77, 1})
+    ->Args({77, 2})
+    ->Args({300, 3})
+    ->ArgNames({"streams", "grants"});
 
 namespace {
 

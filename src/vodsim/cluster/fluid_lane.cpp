@@ -153,6 +153,26 @@ __attribute__((noinline)) void workahead_inputs(
   }
 }
 
+/// Request::minimum_rate's rule on a slot's state, for sum_minimum_rates
+/// and grant_inputs: 0 only for a paused client whose staging buffer is
+/// full, else the view bandwidth.
+inline Mbps minimum_rate(bool paused, bool full, Mbps view_bandwidth) {
+  return paused & full ? 0.0 : view_bandwidth;
+}
+
+/// Whether a slot can absorb workahead, for eligible_slots and
+/// grant_inputs: staging buffer not full, a receive link faster than
+/// playback, data left to send. The tests combine with & rather than &&,
+/// so each comparison runs unconditionally: GCC will not if-convert an
+/// ordered comparison that the source runs only under a condition (it may
+/// trap under the default -ftrapping-math), which would keep grant_inputs
+/// scalar.
+inline bool takes_workahead(bool full, Mbps receive_bandwidth,
+                            Mbps view_bandwidth, Megabits remaining) {
+  return !full & (receive_bandwidth > view_bandwidth) &
+         (remaining > Request::kRemainingTolerance);
+}
+
 /// -1 (all ones) when \p condition holds, else 0: a mask for grant_inputs'
 /// integer selects.
 inline std::int64_t mask_if(bool condition) {
@@ -162,18 +182,15 @@ inline std::int64_t mask_if(bool condition) {
 /// Batched finish-time grant inputs (FluidLane::fill_grant_inputs), with
 /// \p flip = 0 for EFTF and ~0 (all ones) for LFTF. Bit-identity with the
 /// scalar passes, term by term:
-///   - minimum: sum_minimum_rates' `paused && full ? 0.0 : view_bandwidth`,
-///     as the view bandwidth's bits masked off when both hold (all-zero
-///     bits are +0.0).
-///   - room: eligible_slots' `receive_bandwidth - view_bandwidth` for an
-///     eligible slot, computed for every slot and masked to +0.0 for the
-///     rest.
+///   - minimum: minimum_rate, as sum_minimum_rates applies it.
+///   - room: eligible_slots' `receive_bandwidth - view_bandwidth` for a
+///     slot that takes_workahead, computed for every slot and masked to
+///     +0.0 (all-zero bits) for the rest.
 ///   - key: the bits of fluid_detail::projected_finish, XOR flip (= ~bits
 ///     for LFTF), or INT64_MAX when ineligible.
-/// Every comparison is evaluated unconditionally into a mask and the masks
-/// combine with integer &, so no select guards a division or an ordered
-/// comparison, which GCC would refuse to if-convert (see
-/// fluid_detail::predicted_times), and the loop vectorizes in all three
+/// The subtraction and the division run for every slot and an integer mask
+/// selects their bits, so no select guards an FP operation, which GCC would
+/// refuse to if-convert (it may trap), and the loop vectorizes in all three
 /// clones.
 VODSIM_BATCH_KERNEL_CLONES
 __attribute__((noinline)) void grant_inputs(
@@ -193,14 +210,11 @@ __attribute__((noinline)) void grant_inputs(
   for (std::size_t i = 0; i < n; ++i) {
     const Mbps view = view_bandwidth[i];
     const Mbps receive = receive_bandwidth[i];
-    const std::int64_t full = mask_if(
-        buffer_level[i] >= buffer_capacity[i] - StagingBuffer::kLevelTolerance);
-    const std::int64_t paused = mask_if(playing[i] == 0.0);
-    minimum_out[i] =
-        std::bit_cast<Mbps>(std::bit_cast<std::int64_t>(view) & ~(paused & full));
+    const bool full =
+        fluid_detail::buffer_full(buffer_level[i], buffer_capacity[i]);
+    minimum_out[i] = minimum_rate(playing[i] == 0.0, full, view);
     const std::int64_t eligible =
-        ~full & mask_if(receive > view) &
-        mask_if(remaining[i] > Request::kRemainingTolerance);
+        mask_if(takes_workahead(full, receive, view, remaining[i]));
     room_out[i] = std::bit_cast<Mbps>(
         std::bit_cast<std::int64_t>(receive - view) & eligible);
     const std::int64_t key =
@@ -213,8 +227,9 @@ __attribute__((noinline)) void grant_inputs(
 }
 
 /// Batched predicted-event retiming: fluid_detail::predicted_times per
-/// slot (branch-free, so the loop vectorizes; the bit-identity argument is
-/// at the formula).
+/// slot (the bit-identity argument is at the formula). Vectorized in the
+/// AVX-512 clone only; the formula says why the narrower clones stay
+/// scalar.
 VODSIM_BATCH_KERNEL_CLONES
 __attribute__((noinline)) void predicted_event_times(
     std::size_t n, Seconds now, double safety_cover,
@@ -464,11 +479,8 @@ Mbps FluidLane::sum_minimum_rates(std::vector<Mbps>& rates) const {
   rates.assign(n, 0.0);
   Mbps committed = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
-    // Request::minimum_rate: 0 only for a paused client whose staging disk
-    // is full (within StagingBuffer::kLevelTolerance), else the view rate.
-    const bool full =
-        buffer_level_[i] >= buffer_capacity_[i] - StagingBuffer::kLevelTolerance;
-    const Mbps rate = (playing_[i] == 0.0 && full) ? 0.0 : view_bandwidth_[i];
+    const Mbps rate =
+        minimum_rate(playing_[i] == 0.0, buffer_full(i), view_bandwidth_[i]);
     rates[i] = rate;
     committed += rate;
   }
@@ -500,8 +512,8 @@ Mbps FluidLane::eligible_slots(std::vector<std::size_t>& out) const {
   out.clear();
   Mbps room = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
-    if (!buffer_full(i) && receive_bandwidth_[i] > view_bandwidth_[i] &&
-        remaining_[i] > Request::kRemainingTolerance) {
+    if (takes_workahead(buffer_full(i), receive_bandwidth_[i],
+                        view_bandwidth_[i], remaining_[i])) {
       out.push_back(i);
       room += receive_bandwidth_[i] - view_bandwidth_[i];
     }

@@ -126,6 +126,12 @@ inline Megabits advance_stream(Seconds now, Seconds& last_update,
   return apply_buffer(buffer_level, buffer_capacity, inflow, outflow);
 }
 
+/// Request::buffer_full's test on a staging buffer's state: full within
+/// StagingBuffer::kLevelTolerance.
+inline bool buffer_full(Megabits level, Megabits capacity) {
+  return level >= capacity - StagingBuffer::kLevelTolerance;
+}
+
 /// The finish-time order key (EFTF, LFTF, the intermittent scheduler's
 /// workahead phase): the time the stream would finish if sent at exactly
 /// its view bandwidth from \p now on. Since all videos share one view
@@ -143,22 +149,6 @@ struct PredictedTimes {
   Seconds buffer_low;
 };
 
-/// Predicted-time gates for predicted_times: -inf when \p condition holds,
-/// +inf when it does not. Gates combine with std::max (the result is -inf
-/// only when every gate is -inf), and keep_or_never applies one.
-inline double gate(bool condition) {
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  return condition ? -kInf : kInf;
-}
-
-/// \p time when \p gate is open (-inf), +inf when it is shut (+inf):
-/// std::max(gate, time) is `gate < time ? time : gate`, which returns
-/// \p time's own bits when the gate is open and \p time is above -inf, and
-/// +inf when the gate is shut, whatever \p time is (NaN included).
-inline double keep_or_never(double gate, double time) {
-  return std::max(gate, time);
-}
-
 /// One stream's predicted event times under its current allocation
 /// \p rate: transmission complete (remaining / rate from now), buffer full
 /// (headroom / surplus while receiving faster than playback drains) and
@@ -167,80 +157,66 @@ inline double keep_or_never(double gate, double time) {
 /// scheduler's wake-up). A buffer event is kept only if it precedes
 /// transmission complete. \p playing is the lane's 1.0/0.0 playback mask.
 ///
-/// Branch-free so the batch kernel vectorizes in every clone. GCC will not
-/// if-convert a division or an ordered comparison that the source executes
-/// only under a condition (either may trap under the default
-/// -ftrapping-math), and it sinks a value used by only one arm of a `?:`
-/// into that arm; so every value here is computed unconditionally and also
-/// read by the std::min/std::max that selects it, which pins it in place.
-/// Written any other way, the loop stays scalar ("control flow in loop")
-/// in every clone that lacks AVX-512's masked operations. It is
-/// bit-identical to the branchy gates it replaces, term by term:
-///   - tx = now + remaining / rate for rate > 0, else +inf. The division
-///     runs for every stream; for rate > 0 its result is finite or +inf,
-///     above -inf, so keep_or_never returns it, and for rate <= 0 the shut
-///     gate discards its inf/NaN. A consumer re-derives liveness from the
-///     allocation sign, never from this time (a pathological tiny rate
-///     could divide to +inf yet still mean "transmitting").
+/// Bit-identical to the branchy gates it replaces, term by term:
+///   - tx = now + remaining / rate for rate > 0; a rate <= 0 stream gets
+///     +inf, and a consumer re-derives liveness from the allocation sign,
+///     never from this time (a pathological tiny rate could divide to +inf
+///     yet still mean "transmitting").
 ///   - The drain rate is view_bandwidth when playing and inside [arrival,
-///     playback_end), else 0: std::min(view_bandwidth · playing, cap) with
-///     cap = +inf inside the window and 0.0 outside. view_bandwidth ·
-///     playing is the view bandwidth's bits when playing (x·1.0 == x) and
-///     +0.0 when paused (x·0.0 == +0.0: view bandwidths are nonnegative,
-///     never -0). std::min(a, b) is `b < a ? b : a`, so a cap of +inf
-///     keeps it and a cap of 0.0 yields +0.0 either way. Then surplus =
-///     rate - 0.0 == rate bitwise, so surplus is exact in every case.
-///   - full = now + headroom / surplus, kept only under the gate
-///     (surplus > 1e-12, not buffer full, full < tx). The staging buffer's
-///     headroom `capacity > level ? capacity - level : 0` is written
-///     max(capacity - level, 0.0), as fill_workahead_inputs does: it
-///     computes the subtraction unconditionally and selects the same bits —
-///     capacity - level when positive, +0.0 at equality (x - x is +0.0, and
-///     std::max keeps its first operand on a tie), 0.0 when negative. Under
-///     an open gate full is below tx, hence finite and above -inf, so
-///     keep_or_never returns it; an unkept stream's inf/NaN is discarded.
+///     playback_end), else 0. Here that branch becomes view_bandwidth ·
+///     in_window_mask · playing: x·1.0 == x and x·0.0 == +0.0 bitwise
+///     (view bandwidths are nonnegative, never -0), and surplus = rate -
+///     0.0 == rate bitwise, so surplus is exact in every case.
+///   - full = now + headroom / surplus with the staging buffer's headroom
+///     `capacity > level ? capacity - level : 0` verbatim; kept only under
+///     the gate (surplus > 1e-12, not buffer full, full < tx). An unkept
+///     stream's division may produce inf/NaN — discarded by the same gate
+///     a branchy version short-circuits on.
 ///   - low = now + (level - threshold) / (0.0 - surplus); for any stream
 ///     the gate keeps, surplus < -1e-12 is strictly negative, where
 ///     0.0 - surplus is bit-equal to -surplus (they can differ only at
 ///     surplus == ±0, which the gate excludes). Written without unary
-///     negate because that defeats GCC's if-conversion. A kept low is
-///     below tx as well.
-///   - Each gate's conditions are all evaluated; the comparisons have no
-///     side effects in this program (no FP exception is ever inspected),
-///     so the std::max of their gates equals the short-circuit &&. The
-///     buffer-low gate needs surplus < -1e-12, which excludes the
+///     negate because that defeats GCC's if-conversion.
+///   - The buffer-low gate needs surplus < -1e-12, which excludes the
 ///     buffer-full gate's surplus > 1e-12, so evaluating both gates
 ///     unconditionally preserves an if/else-if.
 /// The +inf encoding is unambiguous: a kept full/low time is finite (the
 /// `< tx` comparison fails on inf), so finiteness is its liveness.
+///
+/// The short-circuit gates are deliberate. The per-slot caller
+/// (FluidLane::predicted_times, every sparse retime) compiles them to
+/// branches and usually runs one division; the batch kernel vectorizes
+/// them only in its AVX-512 clone, whose masked operations if-convert the
+/// guarded divisions, and runs scalar in the SSE2 and AVX2 clones. A
+/// branch-free form (unconditional divisions, std::max/std::min selects)
+/// vectorizes in every clone but more than doubles the per-slot cost, and
+/// per-slot retimes outnumber batched ones on every benchmark workload but
+/// sharded_ramp (DESIGN.md §10).
 inline PredictedTimes predicted_times(Seconds now, double safety_cover,
                                       Megabits remaining, Mbps rate,
                                       Megabits level, Megabits capacity,
                                       Mbps view_bandwidth, Seconds arrival,
                                       Seconds playback_end, double playing) {
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  const Seconds tx_at = keep_or_never(gate(rate > 0.0), now + remaining / rate);
+  constexpr Seconds kNever = std::numeric_limits<Seconds>::infinity();
+  const Seconds tx_at = rate > 0.0 ? now + remaining / rate : kNever;
 
-  const bool in_window = (now >= arrival) && (now < playback_end);
-  const Mbps drain = std::min(view_bandwidth * playing, in_window ? kInf : 0.0);
+  const double in_window =
+      (now >= arrival) && (now < playback_end) ? 1.0 : 0.0;
+  const Mbps drain = view_bandwidth * in_window * playing;
   const Mbps surplus = rate - drain;
 
-  const double not_full =
-      gate(!(level >= capacity - StagingBuffer::kLevelTolerance));
-  const Megabits headroom = std::max(capacity - level, 0.0);
+  const bool full = buffer_full(level, capacity);
+  const Megabits headroom = capacity > level ? capacity - level : 0.0;
   const Seconds full_at = now + headroom / surplus;
 
   const Megabits threshold = safety_cover * view_bandwidth;
   const Seconds low_at = now + (level - threshold) / (0.0 - surplus);
   return {tx_at,
-          keep_or_never(std::max({gate(surplus > 1e-12), not_full,
-                                  gate(full_at < tx_at)}),
-                        full_at),
-          keep_or_never(
-              std::max({gate(surplus < -1e-12),
-                        gate(level > threshold + StagingBuffer::kLevelTolerance),
-                        gate(low_at < tx_at)}),
-              low_at)};
+          (surplus > 1e-12 && !full && full_at < tx_at) ? full_at : kNever,
+          (surplus < -1e-12 &&
+           level > threshold + StagingBuffer::kLevelTolerance && low_at < tx_at)
+              ? low_at
+              : kNever};
 }
 
 }  // namespace fluid_detail
@@ -289,8 +265,7 @@ class FluidLane {
   /// Request::buffer_full on the slot's state (same operands, same
   /// comparison), for the scheduler passes that walk the lane.
   bool buffer_full(std::size_t i) const {
-    return buffer_level_[i] >=
-           buffer_capacity_[i] - StagingBuffer::kLevelTolerance;
+    return fluid_detail::buffer_full(buffer_level_[i], buffer_capacity_[i]);
   }
 
   /// Slot \p i's projected finish (fluid_detail::projected_finish).

@@ -20,10 +20,11 @@ namespace vodsim {
 /// (FluidLane::fill_grant_inputs) writes each stream's minimum rate, grant
 /// room and order key; each pick is the least key left (ties broken on
 /// request id), found by a vectorized min pass. Slack usually runs out
-/// after one to three picks, so nothing is ever sorted, and the persistent
-/// SchedCache goes unused. When the slack covers every room, the grants do
-/// not depend on the order (sched_detail::grants_are_order_free) and are
-/// made in slot order.
+/// after one to three picks, so nothing is sorted, and the persistent
+/// SchedCache goes unused; a longer prefix finishes from a heap after the
+/// first four picks. When the slack covers every room, the grants do not
+/// depend on the order (sched_detail::grants_are_order_free) and are made
+/// in slot order.
 ///
 /// LFTF (earliest_first = false) spends the slack on the streams farthest
 /// from finishing instead. Under Theorem 1's assumptions this is the worst

@@ -37,6 +37,15 @@
 
 namespace vodsim {
 
+/// One EFTF/LFTF grant candidate past the scanned picks
+/// (FinishTimeScheduler::allocate): its order key, its request id (the
+/// tie-break) and its slot.
+struct GrantCandidate {
+  std::int64_t key;
+  RequestId id;
+  std::size_t slot;
+};
+
 /// Reusable working buffers for BandwidthScheduler::allocate. The engine
 /// reallocates on every event, so the scheduler must not construct fresh
 /// vectors per call: the caller owns one AllocationScratch and threads it
@@ -51,6 +60,7 @@ struct AllocationScratch {
   /// EFTF/LFTF grant-order keys (FluidLane::fill_grant_inputs), by active
   /// index.
   std::vector<std::int64_t> order_keys;
+  std::vector<GrantCandidate> grant_heap;  ///< EFTF/LFTF's long-prefix heap
   // Per-slot intermittent-scheduler inputs from one lane pass
   // (FluidLane::fill_workahead_inputs), by active index.
   std::vector<Mbps> drain;         ///< playback drain rate

@@ -659,11 +659,13 @@ TEST(GreedyGrants, OrderFreeGrantsMatchSortedPipeline) {
 // finishes are equal, placed so that slot order and id order disagree —
 // their rates must equal the full-sort pipeline's bit for bit, at zero
 // slack, with the slack running out inside every grant and exactly at each
-// grant boundary of the sorted order, at the room sum, on both sides of
-// the order-free margin and far above it.
+// grant boundary of the sorted order (long prefixes included, which the
+// scheduler finishes from a heap), at the room sum, on both sides of the
+// order-free margin and far above it.
 TEST(GreedyGrants, PickMatchesSortedPipeline) {
   Rng rng(2207);
   int pick_cases = 0;
+  int long_prefix_cases = 0;
   int order_free_cases = 0;
   int zero_slack_cases = 0;
   int tied_instances = 0;
@@ -750,8 +752,10 @@ TEST(GreedyGrants, PickMatchesSortedPipeline) {
                                   room / (1.0 - 1e-9) * (1.0 + 1e-15),
                                   2.0 * room};
       Mbps granted = 0.0;
+      std::vector<Mbps> grant_starts;  // slack spent before each grant
       for (const std::size_t index : order) {
         const Mbps grant = unbounded[index] - active[index]->minimum_rate();
+        grant_starts.push_back(granted);
         slacks.push_back(granted + 0.5 * grant);
         granted += grant;
         slacks.push_back(granted);
@@ -775,11 +779,18 @@ TEST(GreedyGrants, PickMatchesSortedPipeline) {
           ++order_free_cases;
         } else {
           ++pick_cases;
+          // The first few picks scan the lane and a heap pops the rest:
+          // more than eight grants reach the heap.
+          const auto grants = std::count_if(
+              grant_starts.begin(), grant_starts.end(),
+              [left](Mbps start) { return start < left; });
+          long_prefix_cases += grants > 8;
         }
       }
     }
   }
   EXPECT_GT(pick_cases, 1000);
+  EXPECT_GT(long_prefix_cases, 200);
   EXPECT_GT(order_free_cases, 100);
   EXPECT_GT(zero_slack_cases, 100);
   EXPECT_GT(tied_instances, 10);
