@@ -382,7 +382,7 @@ void BM_RecomputeServer(benchmark::State& state) {
       Request& request = *active[i];
       if (rates[i] == request.allocation()) continue;
       request.set_allocation(t, rates[i]);
-      // Engine pattern (reschedule_predicted_events, apply_predicted_times):
+      // Engine pattern (reschedule_predicted_events):
       // the slot's predicted times, one seq per kept prediction, one key
       // write per stream, no queue traffic.
       const fluid_detail::PredictedTimes times =
@@ -918,69 +918,45 @@ BENCHMARK(BM_FluidAdvanceBatch)
 
 
 void BM_FluidKeyBatch(benchmark::State& state) {
-  // The projected-finish key pass: batched=0 is the per-candidate
-  // FluidLane::projected_finish loop sort_by_projected_finish runs when
-  // the batch threshold is not met, indexed through a candidate list as
-  // there; batched=1 is FluidLane::fill_projected_finish — one
-  // division-heavy vector pass over the lane. Same doubles out either way
-  // (pinned by FluidLane.FillProjectedFinishMatchesScalar).
+  // The projected-finish key pass sort_by_projected_finish runs:
+  // FluidLane::fill_projected_finish, one division-heavy vector pass over
+  // the lane (pinned by FluidLane.FillProjectedFinishMatchesScalar).
   const auto n = static_cast<std::size_t>(state.range(0));
-  const bool batched = state.range(1) != 0;
   std::vector<std::unique_ptr<Request>> owner;
   Server server(0, 3.0 * static_cast<double>(n) + 60.0, 1e12);
   populate_server(server, n, owner);
   const FluidLane& lane = server.lane();
-  std::vector<std::size_t> candidates(n);
-  for (std::size_t i = 0; i < n; ++i) candidates[i] = i;
   std::vector<Seconds> keys(n);
   const Seconds now = 600.0;
   for (auto _ : state) {
-    if (batched) {
-      lane.fill_projected_finish(now, keys);
-    } else {
-      for (const std::size_t index : candidates) {
-        keys[index] = lane.projected_finish(index, now);
-      }
-    }
+    lane.fill_projected_finish(now, keys);
     benchmark::DoNotOptimize(keys.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_FluidKeyBatch)
-    ->Args({300, 0})
-    ->Args({300, 1})
-    ->Args({3000, 0})
-    ->Args({3000, 1})
-    ->ArgNames({"streams", "batched"});
+BENCHMARK(BM_FluidKeyBatch)->Arg(300)->Arg(3000)->ArgName("streams");
 
 void BM_FluidRetimeBatch(benchmark::State& state) {
-  // The predicted-event retiming arithmetic (PR 9): batched=1 is
-  // FluidLane::fill_predicted_times — all three event times for every slot
-  // in one pass; batched=0 calls the per-slot FluidLane::predicted_times
-  // (the same formula) for every slot, as reschedule_predicted_events does
-  // for sparse changes. Neither side schedules events; this isolates the
-  // arithmetic the batched recompute_server amortizes.
+  // The predicted-event retiming arithmetic: the per-slot
+  // FluidLane::predicted_times that reschedule_predicted_events evaluates
+  // for each slot whose rate changed, here over every slot. No events are
+  // scheduled; this isolates the formula.
   const auto n = static_cast<std::size_t>(state.range(0));
-  const bool batched = state.range(1) != 0;
   std::vector<std::unique_ptr<Request>> owner;
   Server server(0, 3.0 * static_cast<double>(n) + 60.0, 1e12);
   populate_server(server, n, owner);
   std::vector<Seconds> tx(n), full(n), low(n);
   const Seconds now = 600.0;
   const double safety_cover = 4.0;
+  const FluidLane& lane = server.lane();
   for (auto _ : state) {
-    if (batched) {
-      server.lane().fill_predicted_times(now, safety_cover, tx, full, low);
-    } else {
-      const FluidLane& lane = server.lane();
-      for (std::size_t i = 0; i < lane.size(); ++i) {
-        const fluid_detail::PredictedTimes times =
-            lane.predicted_times(i, now, safety_cover);
-        tx[i] = times.tx_complete;
-        full[i] = times.buffer_full;
-        low[i] = times.buffer_low;
-      }
+    for (std::size_t i = 0; i < lane.size(); ++i) {
+      const fluid_detail::PredictedTimes times =
+          lane.predicted_times(i, now, safety_cover);
+      tx[i] = times.tx_complete;
+      full[i] = times.buffer_full;
+      low[i] = times.buffer_low;
     }
     benchmark::DoNotOptimize(tx.data());
     benchmark::DoNotOptimize(full.data());
@@ -989,12 +965,7 @@ void BM_FluidRetimeBatch(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_FluidRetimeBatch)
-    ->Args({300, 0})
-    ->Args({300, 1})
-    ->Args({3000, 0})
-    ->Args({3000, 1})
-    ->ArgNames({"streams", "batched"});
+BENCHMARK(BM_FluidRetimeBatch)->Arg(300)->Arg(3000)->ArgName("streams");
 
 void BM_EndToEndSmallSystemHour(benchmark::State& state) {
   // Whole-engine throughput: one simulated hour of the paper's small

@@ -113,9 +113,9 @@ __attribute__((noinline)) void projected_finish_keys(
 /// Bit-identity with the scalar Request formulas, term by term:
 ///   - drain_rate(now) is view_bandwidth when playing and inside
 ///     [arrival, playback_end), else 0; here view_bandwidth · in_window ·
-///     playing, where x·1.0 == x and x·0.0 == +0.0 bitwise (view
-///     bandwidths are positive) — the same re-expression as
-///     fluid_detail::predicted_times.
+///     playing with both factors 1.0 or 0.0, where x·1.0 == x and
+///     x·0.0 == +0.0 bitwise (view bandwidths are positive), so the
+///     product is the branch's value without a branch.
 ///   - cover = level / view_bandwidth: the same division.
 ///   - cap = min(receive, drain + headroom / horizon) in std::min's operand
 ///     order: the scalar absorption cap and its clip to the receive
@@ -223,39 +223,6 @@ __attribute__((noinline)) void grant_inputs(
         flip;
     key_out[i] = (key & eligible) |
                  (std::numeric_limits<std::int64_t>::max() & ~eligible);
-  }
-}
-
-/// Batched predicted-event retiming: fluid_detail::predicted_times per
-/// slot (the bit-identity argument is at the formula). Vectorized in the
-/// AVX-512 clone only; the formula says why the narrower clones stay
-/// scalar.
-VODSIM_BATCH_KERNEL_CLONES
-__attribute__((noinline)) void predicted_event_times(
-    std::size_t n, Seconds now, double safety_cover,
-    const Megabits* __restrict remaining, const Mbps* __restrict allocation,
-    const Megabits* __restrict buffer_level,
-    const Megabits* __restrict buffer_capacity,
-    const Mbps* __restrict view_bandwidth, const Seconds* __restrict arrival,
-    const Seconds* __restrict playback_end, const double* __restrict playing,
-    Seconds* __restrict tx_out, Seconds* __restrict full_out,
-    Seconds* __restrict low_out) {
-  remaining = assume_lane_aligned(remaining);
-  allocation = assume_lane_aligned(allocation);
-  buffer_level = assume_lane_aligned(buffer_level);
-  buffer_capacity = assume_lane_aligned(buffer_capacity);
-  view_bandwidth = assume_lane_aligned(view_bandwidth);
-  arrival = assume_lane_aligned(arrival);
-  playback_end = assume_lane_aligned(playback_end);
-  playing = assume_lane_aligned(playing);
-  for (std::size_t i = 0; i < n; ++i) {
-    const fluid_detail::PredictedTimes times = fluid_detail::predicted_times(
-        now, safety_cover, remaining[i], allocation[i], buffer_level[i],
-        buffer_capacity[i], view_bandwidth[i], arrival[i], playback_end[i],
-        playing[i]);
-    tx_out[i] = times.tx_complete;
-    full_out[i] = times.buffer_full;
-    low_out[i] = times.buffer_low;
   }
 }
 
@@ -554,20 +521,6 @@ void FluidLane::fill_workahead_inputs(Seconds now, Seconds absorption_horizon,
   workahead_inputs(n, now, absorption_horizon, buffer_level_, buffer_capacity_,
                    view_bandwidth_, arrival_, playback_end_, playing_,
                    receive_bandwidth_, drain.data(), cover.data(), cap.data());
-}
-
-void FluidLane::fill_predicted_times(Seconds now, double safety_cover,
-                                     std::vector<Seconds>& tx_at,
-                                     std::vector<Seconds>& full_at,
-                                     std::vector<Seconds>& low_at) const {
-  const std::size_t n = size_;
-  tx_at.resize(n);
-  full_at.resize(n);
-  low_at.resize(n);
-  predicted_event_times(n, now, safety_cover, remaining_, allocation_,
-                        buffer_level_, buffer_capacity_, view_bandwidth_,
-                        arrival_, playback_end_, playing_, tx_at.data(),
-                        full_at.data(), low_at.data());
 }
 
 }  // namespace vodsim

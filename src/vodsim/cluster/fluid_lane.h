@@ -70,9 +70,8 @@ class Request;
 /// branchless re-expression of the same operations, proven bit-identical
 /// per stream (the argument is spelled out at the kernel), so restructuring
 /// storage cannot change a single floating-point result per stream. The
-/// sort-key and predicted-event kernels loop over projected_finish and
-/// predicted_times, and the lane's per-slot projected_finish/
-/// predicted_times apply the same functions to one slot.
+/// sort-key kernel loops over projected_finish, and the lane's per-slot
+/// projected_finish and predicted_times apply the formulas to one slot.
 namespace fluid_detail {
 
 /// StagingBuffer::apply's arithmetic on raw level storage: applies inflow
@@ -157,66 +156,41 @@ struct PredictedTimes {
 /// scheduler's wake-up). A buffer event is kept only if it precedes
 /// transmission complete. \p playing is the lane's 1.0/0.0 playback mask.
 ///
-/// Bit-identical to the branchy gates it replaces, term by term:
-///   - tx = now + remaining / rate for rate > 0; a rate <= 0 stream gets
-///     +inf, and a consumer re-derives liveness from the allocation sign,
-///     never from this time (a pathological tiny rate could divide to +inf
-///     yet still mean "transmitting").
-///   - The drain rate is view_bandwidth when playing and inside [arrival,
-///     playback_end), else 0. Here that branch becomes view_bandwidth ·
-///     in_window_mask · playing: x·1.0 == x and x·0.0 == +0.0 bitwise
-///     (view bandwidths are nonnegative, never -0), and surplus = rate -
-///     0.0 == rate bitwise, so surplus is exact in every case.
-///   - full = now + headroom / surplus with the staging buffer's headroom
-///     `capacity > level ? capacity - level : 0` verbatim; kept only under
-///     the gate (surplus > 1e-12, not buffer full, full < tx). An unkept
-///     stream's division may produce inf/NaN — discarded by the same gate
-///     a branchy version short-circuits on.
-///   - low = now + (level - threshold) / (0.0 - surplus); for any stream
-///     the gate keeps, surplus < -1e-12 is strictly negative, where
-///     0.0 - surplus is bit-equal to -surplus (they can differ only at
-///     surplus == ±0, which the gate excludes). Written without unary
-///     negate because that defeats GCC's if-conversion.
-///   - The buffer-low gate needs surplus < -1e-12, which excludes the
-///     buffer-full gate's surplus > 1e-12, so evaluating both gates
-///     unconditionally preserves an if/else-if.
-/// The +inf encoding is unambiguous: a kept full/low time is finite (the
-/// `< tx` comparison fails on inf), so finiteness is its liveness.
-///
-/// The short-circuit gates are deliberate. The per-slot caller
-/// (FluidLane::predicted_times, every sparse retime) compiles them to
-/// branches and usually runs one division; the batch kernel vectorizes
-/// them only in its AVX-512 clone, whose masked operations if-convert the
-/// guarded divisions, and runs scalar in the SSE2 and AVX2 clones. A
-/// branch-free form (unconditional divisions, std::max/std::min selects)
-/// vectorizes in every clone but more than doubles the per-slot cost, and
-/// per-slot retimes outnumber batched ones on every benchmark workload but
-/// sharded_ramp (DESIGN.md §10).
+/// A rate <= 0 stream gets tx = +inf, and a consumer re-derives liveness
+/// from the allocation sign, never from this time (a pathological tiny
+/// rate could divide to +inf yet still mean "transmitting"). A kept
+/// full/low time is finite (the `< tx` comparison fails on inf), so
+/// finiteness is its liveness.
 inline PredictedTimes predicted_times(Seconds now, double safety_cover,
                                       Megabits remaining, Mbps rate,
                                       Megabits level, Megabits capacity,
                                       Mbps view_bandwidth, Seconds arrival,
                                       Seconds playback_end, double playing) {
   constexpr Seconds kNever = std::numeric_limits<Seconds>::infinity();
-  const Seconds tx_at = rate > 0.0 ? now + remaining / rate : kNever;
+  PredictedTimes times{kNever, kNever, kNever};
+  if (rate > 0.0) times.tx_complete = now + remaining / rate;
 
-  const double in_window =
-      (now >= arrival) && (now < playback_end) ? 1.0 : 0.0;
-  const Mbps drain = view_bandwidth * in_window * playing;
-  const Mbps surplus = rate - drain;
-
-  const bool full = buffer_full(level, capacity);
-  const Megabits headroom = capacity > level ? capacity - level : 0.0;
-  const Seconds full_at = now + headroom / surplus;
-
-  const Megabits threshold = safety_cover * view_bandwidth;
-  const Seconds low_at = now + (level - threshold) / (0.0 - surplus);
-  return {tx_at,
-          (surplus > 1e-12 && !full && full_at < tx_at) ? full_at : kNever,
-          (surplus < -1e-12 &&
-           level > threshold + StagingBuffer::kLevelTolerance && low_at < tx_at)
-              ? low_at
-              : kNever};
+  // The buffer fills at rate - drain, where drain is Request::drain_rate:
+  // the view bandwidth while playing inside [arrival, playback_end), else 0.
+  const bool draining =
+      playing != 0.0 && now >= arrival && now < playback_end;
+  const Mbps surplus = rate - (draining ? view_bandwidth : 0.0);
+  if (surplus > 1e-12 && !buffer_full(level, capacity)) {
+    const Megabits headroom = capacity > level ? capacity - level : 0.0;
+    const Seconds full_at = now + headroom / surplus;
+    if (full_at < times.tx_complete) times.buffer_full = full_at;
+  } else if (surplus < -1e-12) {
+    // Draining faster than receiving: wake the scheduler when the staged
+    // data reaches the safety threshold, so the stream regains flow before
+    // playback starves. A stream already at or below the threshold is
+    // known-urgent to the scheduler; waking it again would only churn.
+    const Megabits threshold = safety_cover * view_bandwidth;
+    if (level > threshold + StagingBuffer::kLevelTolerance) {
+      const Seconds low_at = now + (level - threshold) / -surplus;
+      if (low_at < times.tx_complete) times.buffer_low = low_at;
+    }
+  }
+  return times;
 }
 
 }  // namespace fluid_detail
@@ -274,8 +248,8 @@ class FluidLane {
                                           view_bandwidth_[i]);
   }
 
-  /// Slot \p i's predicted event times (fluid_detail::predicted_times):
-  /// the per-slot form of fill_predicted_times, for retiming a few streams.
+  /// Slot \p i's predicted event times (fluid_detail::predicted_times),
+  /// evaluated for each slot whose rate a recompute changed.
   fluid_detail::PredictedTimes predicted_times(std::size_t i, Seconds now,
                                                double safety_cover) const {
     return fluid_detail::predicted_times(
@@ -364,8 +338,8 @@ class FluidLane {
   // predicted-event retiming reads it here too; walking the arrays beats
   // chasing Request pointers. The passes read the same authoritative values
   // the Request accessors return, and the sort keys and predicted times
-  // come from the single-source fluid_detail formulas, so the batched and
-  // per-slot forms agree bit for bit — the determinism goldens pin that.
+  // come from the single-source fluid_detail formulas, so every caller
+  // sees the same bits — the determinism goldens pin that.
 
   /// Fills \p rates with each slot's minimum rate (Request::minimum_rate
   /// semantics: the view bandwidth, or 0 for a paused client with a full
@@ -426,20 +400,10 @@ class FluidLane {
                              std::vector<Seconds>& cover,
                              std::vector<Mbps>& cap) const;
 
-  /// Writes every slot's projected_finish into keys[0..size()). \p keys is
-  /// resized to size(). One vectorized pass replaces
-  /// sort_by_projected_finish's per-candidate division loop when the
-  /// candidates cover most of the lane.
+  /// Writes every slot's projected_finish into keys[0..size()) in one
+  /// vectorized pass: sort_by_projected_finish's sort keys. \p keys is
+  /// resized to size().
   void fill_projected_finish(Seconds now, std::vector<Seconds>& keys) const;
-
-  /// Batched predicted-event retiming: every slot's predicted_times in one
-  /// vectorized pass (+inf = no event; see fluid_detail::predicted_times).
-  /// \p safety_cover is SimulationConfig::intermittent_safety_cover. All
-  /// three outputs are resized to size().
-  void fill_predicted_times(Seconds now, double safety_cover,
-                            std::vector<Seconds>& tx_at,
-                            std::vector<Seconds>& full_at,
-                            std::vector<Seconds>& low_at) const;
 
  private:
   /// Number of parallel arrays in the arena (hot-to-cold order below).
@@ -476,8 +440,8 @@ class FluidLane {
   /// are bit-exact stand-ins for the scalar path's `if (!paused)`) and the
   /// loop stays free of mixed-width loads that block vectorization.
   double* playing_ = nullptr;
-  // Cold tail: read only by the workahead passes, never by the fluid or
-  // retiming kernels.
+  // Cold tail: read only by the workahead passes, never by the fluid
+  // kernel or the predicted-event retime.
   double* receive_bandwidth_ = nullptr;
 
   /// Urgency latch per slot (0/1), outside the arena; sized with size_.

@@ -246,10 +246,6 @@ void VodSimulation::build_context(int first_server, int end_server,
   ctx->sched_scratch.order.reserve(per_server);
   ctx->sched_scratch.aux.reserve(per_server);
   ctx->underflow_scratch.reserve(per_server);
-  ctx->changed_slots.reserve(per_server);
-  ctx->retime_tx.reserve(per_server);
-  ctx->retime_full.reserve(per_server);
-  ctx->retime_low.reserve(per_server);
   contexts_.push_back(std::move(ctx));
 }
 
@@ -938,15 +934,13 @@ void VodSimulation::recompute_server(ExecContext& ctx, ServerId server_id) {
   ctx.scheduler->allocate(now, server.schedulable_bandwidth(), active,
                           ctx.rates_scratch, ctx.sched_scratch, &state.sched_cache);
 
-  // Phase 1: write the new allocations (ascending slot order, as the old
-  // fused loop did) and collect the slots whose rate actually moved.
-  // Exact comparison on purpose: the common case (rate == view bandwidth,
-  // assigned from the same double every recomputation) stays bit-identical,
-  // so unchanged requests keep their predicted events. The old rate is
-  // read from the lane, the write-through copy of Request::allocation, so
-  // only a changed request is dereferenced.
-  std::vector<std::size_t>& changed = ctx.changed_slots;
-  changed.clear();
+  // Write the new allocations and re-predict the events of every slot
+  // whose rate moved, in ascending slot order, so seqs are taken slot by
+  // slot (tx → full → low within a slot). Exact comparison on purpose: the
+  // common case (rate == view bandwidth, assigned from the same double every
+  // recomputation) stays bit-identical, so unchanged requests keep their
+  // predicted events. The old rate is read from the lane, the write-through
+  // copy of Request::allocation, so only a changed request is dereferenced.
   const FluidLane& lane = server.lane();
   for (std::size_t i = 0; i < active.size(); ++i) {
     if (rates[i] != lane.allocation(i)) {
@@ -955,35 +949,7 @@ void VodSimulation::recompute_server(ExecContext& ctx, ServerId server_id) {
            request.id(), request.video_id(), request.allocation(),
            rates[i]);
       request.set_allocation(now, rates[i]);
-      changed.push_back(i);
-    }
-  }
-
-  // Phase 2: re-predict the events of every changed slot. Splitting the
-  // fused write+predict loop is bit-identical: a prediction reads only its
-  // own request's state (which phase 1 finalized), and both the slot order
-  // and the per-request order (tx → full → low) — hence event-seq
-  // consumption — are unchanged. When a mass reallocation moved most of the
-  // lane, one vectorized pass computes all three predicted times (+inf =
-  // no event) and the shared mechanics consume them; sparse changes (the
-  // single-stream-delta steady state) evaluate the same formula per slot —
-  // filling the whole lane to retime two slots would waste the divisions
-  // the batch amortizes.
-  if (changed.size() >= 8 && changed.size() * 4 >= active.size()) {
-    lane.fill_predicted_times(now, config_.intermittent_safety_cover,
-                              ctx.retime_tx, ctx.retime_full, ctx.retime_low);
-    for (const std::size_t i : changed) {
-      Request& request = *active[i];
-      if (request.state() != RequestState::kStreaming) {
-        reschedule_predicted_events(ctx, request);  // its clearing early-out
-      } else {
-        apply_predicted_times(request, ctx.retime_tx[i], ctx.retime_full[i],
-                              ctx.retime_low[i]);
-      }
-    }
-  } else {
-    for (const std::size_t i : changed) {
-      reschedule_predicted_events(ctx, *active[i]);
+      reschedule_predicted_events(ctx, request);
     }
   }
   sync_prediction_timer(server_id);
@@ -1246,18 +1212,10 @@ void VodSimulation::reschedule_predicted_events(ExecContext& ctx,
     set_predictions(request, kNoPredictions);
     return;
   }
-  // The per-slot form of recompute_server's batched pass: the same formula
-  // (fluid_detail::predicted_times), +inf = no event. The key mechanics
-  // live in apply_predicted_times, shared with the batched path.
   const fluid_detail::PredictedTimes times =
       servers_[static_cast<std::size_t>(request.server())].lane().predicted_times(
           request.active_index, ctx.sim.now(), config_.intermittent_safety_cover);
-  apply_predicted_times(request, times.tx_complete, times.buffer_full,
-                        times.buffer_low);
-}
 
-void VodSimulation::apply_predicted_times(Request& request, Seconds tx_at,
-                                          Seconds full_at, Seconds low_at) {
   // Keys take their seqs from the owner context's queue, where the timer
   // runs. A coordinator caller of a sharded run writes keys for a shard
   // whose own clock lags (it drained strictly below this event's time), so
@@ -1278,14 +1236,15 @@ void VodSimulation::apply_predicted_times(Request& request, Seconds tx_at,
   // as a cancel consumes none.
   //
   // Transmission-complete liveness comes from the allocation sign, not from
-  // tx_at's finiteness: a pathological tiny rate could divide to +inf yet
-  // still mean "transmitting" — the sign test matches the scalar gate
-  // exactly. The full/low times can only be finite when their gates kept
-  // them, so finiteness *is* their liveness.
+  // the time's finiteness: a pathological tiny rate could divide to +inf
+  // yet still mean "transmitting" — the sign test matches the formula's
+  // gate exactly. The full/low times can only be finite when their gates
+  // kept them, so finiteness *is* their liveness.
   set_predictions(
-      request, {request.allocation() > 0.0 ? keyed(tx_at) : kNoEventKey,
-                full_at != kNever ? keyed(full_at) : kNoEventKey,
-                low_at != kNever ? keyed(low_at) : kNoEventKey});
+      request,
+      {request.allocation() > 0.0 ? keyed(times.tx_complete) : kNoEventKey,
+       times.buffer_full != kNever ? keyed(times.buffer_full) : kNoEventKey,
+       times.buffer_low != kNever ? keyed(times.buffer_low) : kNoEventKey});
 }
 
 void VodSimulation::set_predictions(Request& request,

@@ -241,14 +241,6 @@ class VodSimulation {
     /// Per-slot playback underflow from the last fluid batch (written
     /// wholesale by FluidLane::advance_batch).
     std::vector<Megabits> underflow_scratch;
-    /// Slots whose allocation changed in the current recompute pass;
-    /// decides scalar vs. batched prediction.
-    std::vector<std::size_t> changed_slots;
-    /// Predicted-time outputs of FluidLane::fill_predicted_times (written
-    /// wholesale per batched retime pass).
-    std::vector<Seconds> retime_tx;
-    std::vector<Seconds> retime_full;
-    std::vector<Seconds> retime_low;
   };
 
   void build_world();
@@ -410,20 +402,12 @@ class VodSimulation {
   void cancel_predicted_events(Request& request);
 
   /// Re-predicts \p request's three events from its lane slot
-  /// (FluidLane::predicted_times; clears them unless it is streaming). Does
-  /// not sync the timer.
+  /// (FluidLane::predicted_times; clears them unless it is streaming) and
+  /// writes its keys. Each kept prediction takes one seq from its owner's
+  /// queue, in the order tx-complete, buffer-full, buffer-low, at its time
+  /// clamped to the owner clock — exactly the seq and time a
+  /// per-prediction queue entry would get. Does not sync the timer.
   void reschedule_predicted_events(ExecContext& ctx, Request& request);
-
-  /// The mechanics half of reschedule_predicted_events: given the three
-  /// predicted times (+inf = no event), writes the request's keys. Each kept
-  /// prediction takes one seq from its owner's queue, in the order
-  /// tx-complete, buffer-full, buffer-low, at its time clamped to the owner
-  /// clock — exactly the seq and time a per-prediction queue entry would
-  /// get. Split out so recompute_server's batched path can compute the
-  /// times with one vectorized lane pass (FluidLane::fill_predicted_times,
-  /// the same formula) and feed them here. Does not sync the timer.
-  void apply_predicted_times(Request& request, Seconds tx_at, Seconds full_at,
-                             Seconds low_at);
 
   /// Writes \p request's prediction keys into its lane slot and keeps its
   /// server's earliest key current: a lower key becomes the earliest;

@@ -20,9 +20,9 @@
 /// sorting at all (FinishTimeScheduler::allocate).
 ///
 /// Bit-exactness contract. The comparator's key — the lane's
-/// projected_finish(slot, now) —
-/// is recomputed *fresh* on every pass and evaluated exactly once per
-/// candidate: caching key values across passes would let them drift in ulps
+/// projected_finish(slot, now) — is recomputed *fresh* on every pass, once
+/// per slot in one vectorized lane pass (FluidLane::fill_projected_finish):
+/// caching key values across passes would let them drift in ulps
 /// from a from-scratch computation, which the determinism goldens forbid.
 /// What persists is only the previous *permutation*. Because the order is
 /// total and unique (ties broken on request id), every correct sorting
@@ -70,8 +70,8 @@ namespace sched_detail {
 
 /// Sorts scratch.order — a candidate slot set of \p active, a server's
 /// active list, prepared by the caller — by ascending
-/// (FluidLane::projected_finish, id). Keys are computed once per candidate
-/// into scratch.keys and compared by value.
+/// (FluidLane::projected_finish, id). Keys are computed for every slot by
+/// FluidLane::fill_projected_finish into scratch.keys and compared by value.
 /// Throws std::invalid_argument as sched_detail::lane_of does.
 ///
 /// With a warm \p cache, the previous grant order seeds the permutation

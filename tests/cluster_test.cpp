@@ -465,81 +465,116 @@ TEST(FluidLane, FillProjectedFinishMatchesScalar) {
   }
 }
 
-// The batched predicted-event pass must reproduce the engine's scalar
-// retiming arithmetic bit for bit, and its gates decision for decision,
-// with +inf encoding "no event". Four regimes in one lane: a workahead
-// filler (buffer-full kept), a starved drainer with staged data
-// (buffer-low kept), a zero-rate stream (tx-complete never), and a
-// full-buffer filler (buffer-full suppressed by the fullness gate).
-TEST(FluidLane, FillPredictedTimesMatchesScalarGates) {
+// The per-slot predicted-event formula must reproduce a branchy replica
+// of the engine's retiming arithmetic bit for bit, and its gates decision
+// for decision, with +inf encoding "no event". Six regimes in one lane: a
+// workahead filler (buffer-full kept), a starved drainer with staged data
+// (buffer-low kept), a zero-rate stream (tx-complete never), a full-buffer
+// filler (buffer-full suppressed by the fullness gate), a paused client
+// with staged data and a stream past its playback end. The last two do not
+// drain, so a rate below the view bandwidth still fills their buffers.
+TEST(FluidLane, PredictedTimesMatchesScalarGates) {
   constexpr Seconds kNever = std::numeric_limits<Seconds>::infinity();
   ClientProfile client{120.0, 30.0};
+  ClientProfile small_client{12.0, 30.0};
   Server server(0, 1000.0, 1e6);
   Request filler(1, make_video(0), 0.0, client),
       drainer(2, make_video(1), 0.0, client),
       stalled(3, make_video(2), 0.0, client),
-      brimming(4, make_video(3), 0.0, client);
-  Request* all[] = {&filler, &drainer, &stalled, &brimming};
-  const Mbps warm_rates[] = {6.0, 9.0, 9.0, 15.0};
-  for (int i = 0; i < 4; ++i) {
+      brimming(4, make_video(3), 0.0, client),
+      paused(5, make_video(4), 0.0, client),
+      ended(6, make_video(5, 5.0), 0.0, small_client);
+  Request* all[] = {&filler, &drainer, &stalled, &brimming, &paused, &ended};
+  const Mbps warm_rates[] = {6.0, 9.0, 9.0, 15.0, 6.0, 0.0};
+  for (int i = 0; i < 6; ++i) {
     all[i]->begin_streaming(0.0, 0);
     server.attach(*all[i]);
     all[i]->set_allocation(0.0, warm_rates[i]);
-    all[i]->advance(10.0);  // stage some data; brimming reaches capacity
+  }
+  // ended starves through its 5 s of playback, then stages 5 Mb.
+  ended.advance(5.0);
+  ended.set_allocation(5.0, 1.0);
+  for (Request* request : all) {
+    request->advance(10.0);  // stage some data; brimming reaches capacity
   }
   ASSERT_TRUE(brimming.buffer_full());
   const Seconds now = 10.0;
   drainer.set_allocation(now, 1.0);  // below the 3.0 view rate: draining
   stalled.set_allocation(now, 0.0);  // starved entirely
+  paused.pause_viewing(now);
+  paused.set_allocation(now, 2.0);  // below the view rate, but not draining
+  ASSERT_GE(now, ended.playback_end());
+  ASSERT_GT(ended.remaining(), 0.0);
 
   const double safety_cover = 4.0;  // threshold = 12 Mb at view 3.0
-  std::vector<Seconds> tx, full, low;
-  server.lane().fill_predicted_times(now, safety_cover, tx, full, low);
-  ASSERT_EQ(tx.size(), 4u);
 
-  // Branchy scalar replicas of the retiming arithmetic and gates, computed
-  // through the Request accessors: an independent reference for the
-  // branch-free fluid_detail::predicted_times. Exact equality on purpose.
-  auto scalar_tx = [&](const Request& r) {
-    return r.allocation() > 0.0 ? now + r.remaining() / r.allocation() : kNever;
+  // Branchy scalar replica of the retiming arithmetic and gates, computed
+  // through the Request accessors: an independent reference for
+  // fluid_detail::predicted_times.
+  const auto reference = [&](const Request& r) {
+    fluid_detail::PredictedTimes times{kNever, kNever, kNever};
+    if (r.allocation() > 0.0) {
+      times.tx_complete = now + r.remaining() / r.allocation();
+    }
+    const Mbps surplus = r.allocation() - r.drain_rate(now);
+    if (surplus > 1e-12 && !r.buffer_full()) {
+      const Seconds at = now + r.buffer_headroom() / surplus;
+      if (at < times.tx_complete) times.buffer_full = at;
+    } else if (surplus < -1e-12) {
+      const Megabits threshold = safety_cover * r.view_bandwidth();
+      if (r.buffer_level() > threshold + StagingBuffer::kLevelTolerance) {
+        const Seconds at = now + (r.buffer_level() - threshold) / -surplus;
+        if (at < times.tx_complete) times.buffer_low = at;
+      }
+    }
+    return times;
   };
+  const auto bits = [](Seconds t) { return std::bit_cast<std::uint64_t>(t); };
+  const auto predicted = [&](const Request& r) {
+    return server.lane().predicted_times(r.active_index, now, safety_cover);
+  };
+
   for (Request* request : all) {
-    EXPECT_EQ(tx[request->active_index], scalar_tx(*request));
-    // The per-slot form the engine retimes sparse changes with.
-    const fluid_detail::PredictedTimes times =
-        server.lane().predicted_times(request->active_index, now, safety_cover);
-    EXPECT_EQ(times.tx_complete, tx[request->active_index]);
-    EXPECT_EQ(times.buffer_full, full[request->active_index]);
-    EXPECT_EQ(times.buffer_low, low[request->active_index]);
+    SCOPED_TRACE(request->id());
+    const fluid_detail::PredictedTimes expected = reference(*request);
+    const fluid_detail::PredictedTimes times = predicted(*request);
+    EXPECT_EQ(bits(times.tx_complete), bits(expected.tx_complete));
+    EXPECT_EQ(bits(times.buffer_full), bits(expected.buffer_full));
+    EXPECT_EQ(bits(times.buffer_low), bits(expected.buffer_low));
   }
 
+  // Each regime reaches the gate it is named for.
   {  // filler: surplus 3 > 0, buffer has headroom, fills before tx.
-    const Mbps surplus = filler.allocation() - filler.drain_rate(now);
-    const Seconds expected = now + filler.buffer_headroom() / surplus;
-    ASSERT_LT(expected, scalar_tx(filler));
-    EXPECT_EQ(full[filler.active_index], expected);
-    EXPECT_EQ(low[filler.active_index], kNever);
+    const fluid_detail::PredictedTimes times = predicted(filler);
+    EXPECT_LT(times.buffer_full, times.tx_complete);
+    EXPECT_EQ(times.buffer_low, kNever);
   }
   {  // drainer: surplus -2, level 60 above threshold 12 -> low at +24 s.
-    const Mbps surplus = drainer.allocation() - drainer.drain_rate(now);
-    ASSERT_LT(surplus, 0.0);
-    const Megabits threshold = safety_cover * drainer.view_bandwidth();
-    const Seconds expected =
-        now + (drainer.buffer_level() - threshold) / -surplus;
-    EXPECT_EQ(low[drainer.active_index], expected);
-    EXPECT_EQ(full[drainer.active_index], kNever);
+    const fluid_detail::PredictedTimes times = predicted(drainer);
+    EXPECT_EQ(times.buffer_low, now + 24.0);
+    EXPECT_EQ(times.buffer_full, kNever);
   }
   {  // stalled: rate 0 -> no tx-complete; still drains toward the threshold.
-    EXPECT_EQ(tx[stalled.active_index], kNever);
-    const Mbps surplus = 0.0 - stalled.drain_rate(now);
-    const Megabits threshold = safety_cover * stalled.view_bandwidth();
-    const Seconds expected =
-        now + (stalled.buffer_level() - threshold) / -surplus;
-    EXPECT_EQ(low[stalled.active_index], expected);
+    const fluid_detail::PredictedTimes times = predicted(stalled);
+    EXPECT_EQ(times.tx_complete, kNever);
+    EXPECT_LT(times.buffer_low, kNever);
   }
   {  // brimming: surplus 12 > 0 but the buffer is full -> no full event.
-    EXPECT_EQ(full[brimming.active_index], kNever);
-    EXPECT_EQ(low[brimming.active_index], kNever);
+    const fluid_detail::PredictedTimes times = predicted(brimming);
+    EXPECT_EQ(times.buffer_full, kNever);
+    EXPECT_EQ(times.buffer_low, kNever);
+  }
+  {  // paused: level 30, no drain, surplus 2 -> full at +45 s, no low.
+    const fluid_detail::PredictedTimes times = predicted(paused);
+    EXPECT_EQ(times.buffer_full, now + 45.0);
+    EXPECT_EQ(times.buffer_low, kNever);
+  }
+  {  // ended: level 5 of 12, no drain, surplus 1 -> full at +7 s, before
+     // tx-complete at +10 s.
+    const fluid_detail::PredictedTimes times = predicted(ended);
+    EXPECT_EQ(times.tx_complete, now + 10.0);
+    EXPECT_EQ(times.buffer_full, now + 7.0);
+    EXPECT_EQ(times.buffer_low, kNever);
   }
 }
 
@@ -629,9 +664,8 @@ TEST(FluidLaneAvx512, WideLaneBatchesMatchScalar) {
   batched_requests[4].pause_viewing(10.0);
 
   const FluidLane& lane = batched_server.lane();
-  std::vector<Seconds> keys, tx, full, low;
+  std::vector<Seconds> keys;
   lane.fill_projected_finish(10.0, keys);
-  lane.fill_predicted_times(10.0, 4.0, tx, full, low);
   std::vector<Mbps> minimum, room;
   std::vector<std::int64_t> earliest_keys, latest_keys;
   lane.fill_grant_inputs(10.0, /*earliest_first=*/false, minimum, room,
@@ -651,9 +685,6 @@ TEST(FluidLaneAvx512, WideLaneBatchesMatchScalar) {
     EXPECT_EQ(batched.buffer_level(), scalar.buffer_level());
     const Seconds finish = 10.0 + scalar.remaining() / scalar.view_bandwidth();
     EXPECT_EQ(keys[slot], finish);
-    EXPECT_EQ(tx[slot], scalar.allocation() > 0.0
-                            ? 10.0 + scalar.remaining() / scalar.allocation()
-                            : std::numeric_limits<Seconds>::infinity());
 
     const bool eligible = !scalar.buffer_full() &&
                           scalar.receive_bandwidth() > scalar.view_bandwidth() &&

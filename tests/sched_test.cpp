@@ -33,18 +33,27 @@ Video make_video(VideoId id, Seconds duration) {
 
 /// A server streaming requests with chosen remaining data / buffer levels:
 /// the schedulers allocate its active list, as the engine hands it to them.
+///
+/// The fixture keeps one clock, now(). Every request add() returns sits at
+/// it: a staged buffer's replay ends at kStageTime and moves the clock there,
+/// and the requests already added follow.
 class Fixture {
  public:
+  /// How long a staged buffer's transmission prefix is replayed.
+  static constexpr Seconds kStageTime = 1000.0;
+
   /// Adds a streaming request with \p remaining Mb left, buffer capacity
   /// \p buffer_cap, current buffer level \p level, receive cap \p receive,
   /// and attaches it to the server.
   Request& add(Megabits remaining, Megabits buffer_cap = 1e9,
                Megabits level = 0.0, Mbps receive = 1e9) {
     // For level == 0 the request is simply brand new with exactly
-    // `remaining` megabits to go. A nonzero starting buffer level requires
-    // replaying a transmission prefix (inflow = prefix, outflow = view*dt,
-    // with dt chosen so the leftover equals `level`).
-    const Seconds extra = level > 0.0 ? 1000.0 : 0.0;
+    // `remaining` megabits to go; any prefix is the rounding of the video
+    // size, replayed at the view rate. A nonzero starting buffer level
+    // replays a transmission prefix over [0, kStageTime]: the video is
+    // level / kView seconds longer than the prefix playback consumes, so the
+    // leftover equals `level`.
+    const Seconds extra = level > 0.0 ? kStageTime + level / kView : 0.0;
     const Seconds duration = remaining / kView + extra;
     auto request = std::make_unique<Request>(
         next_id_++, make_video(0, duration), 0.0, ClientProfile{buffer_cap, receive});
@@ -52,15 +61,20 @@ class Fixture {
     ref.begin_streaming(0.0, 0);
     const Megabits prefix = ref.total_size() - remaining;
     if (prefix > 0.0) {
-      const Seconds dt = (prefix - level) / kView;
-      EXPECT_GT(dt, 0.0) << "level too large for prefix";
+      const Seconds dt = level > 0.0 ? kStageTime : prefix / kView;
       const Mbps rate = prefix / dt;
       EXPECT_LE(rate, receive + 1e-9) << "fixture rate exceeds receive cap";
       ref.set_allocation(0.0, rate);
       ref.advance(dt);
       ref.set_allocation(dt, 0.0);
-      now_ = std::max(now_, dt);
     }
+    if (ref.last_update() > now_) {
+      now_ = ref.last_update();
+      for (Request* other : active()) {
+        if (other->last_update() < now_) other->advance(now_);
+      }
+    }
+    ref.advance(now_);
     server_.attach(ref, /*enforce_capacity=*/false);
     requests_.push_back(std::move(request));
     return ref;
@@ -74,9 +88,15 @@ class Fixture {
     server_.attach(request, /*enforce_capacity=*/false);
   }
 
-  /// Advances every request to the common decision time.
+  /// Advances every request to the common decision time and clears its
+  /// allocation. A request past that time would be rewound: that fails.
   void sync() {
     for (Request* request : active()) {
+      if (request->last_update() > now_) {
+        ADD_FAILURE() << "request " << request->id() << " at "
+                      << request->last_update() << " is past the fixture clock "
+                      << now_;
+      }
       request->advance(now_);
       request->set_allocation(now_, 0.0);
     }
@@ -92,6 +112,23 @@ class Fixture {
   Seconds now_ = 0.0;
   std::vector<std::unique_ptr<Request>> requests_;
 };
+
+// The fixture's one clock: a staged buffer's replay moves it, and every
+// request, added before or after, sits at it with the level it was given.
+TEST(Fixture, AddedRequestsSitAtTheFixtureClock) {
+  Fixture fx;
+  Request& fresh = fx.add(1000.0);
+  EXPECT_EQ(fresh.last_update(), fx.now());
+  Request& staged = fx.add(500.0, 60.0, 40.0, 30.0);
+  Request& late = fx.add(2000.0);
+  EXPECT_EQ(fx.now(), Fixture::kStageTime);
+  for (const Request* request : fx.active()) {
+    EXPECT_EQ(request->last_update(), fx.now()) << request->id();
+  }
+  EXPECT_NEAR(staged.buffer_level(), 40.0, 1e-9);
+  EXPECT_NEAR(staged.remaining(), 500.0, 1e-9);
+  EXPECT_EQ(late.remaining(), 2000.0);
+}
 
 // ---------------------------------------------------------------- EFTF
 

@@ -591,8 +591,7 @@ class VectorizationCheckTest(unittest.TestCase):
     def test_every_kernel_loop_vectorizes_in_every_clone(self):
         result = self.check()
         self.assertEqual(result.returncode, 0, result.stdout + result.stderr)
-        for kernel in ("advance_states", "grant_inputs",
-                       "predicted_event_times", "least_time_bits"):
+        for kernel in ("advance_states", "grant_inputs", "least_time_bits"):
             self.assertRegex(result.stdout, kernel + r" \(line \d+\): ok")
 
     def test_a_scalar_kernel_loop_fails_the_check(self):
@@ -615,6 +614,20 @@ class VectorizationCheckTest(unittest.TestCase):
                          r"grant_inputs \(line \d+\): NOT VECTORIZED at "
                          r"16-byte, 32-byte, 64-byte")
         self.assertRegex(result.stdout, r"advance_states \(line \d+\): ok")
+
+    def test_an_exemption_without_its_kernel_fails_the_check(self):
+        with open(self.SOURCE, encoding="utf-8") as handle:
+            text = handle.read()
+        self.assertIn("least_time_bits(", text)
+        doctored = text.replace("least_time_bits(", "least_key_bits(")
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "fluid_lane.cpp")
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(doctored)
+            result = self.check("--source", path, "--include",
+                                os.path.join(REPO_DIR, "src"))
+        self.assertEqual(result.returncode, 2, result.stdout + result.stderr)
+        self.assertIn("stale exemption(s) least_time_bits", result.stderr)
 
 
 class DocCitationTest(unittest.TestCase):
@@ -706,6 +719,39 @@ class DocCitationTest(unittest.TestCase):
                 self.assertIn(var, in_code,
                               f"{name} names {var}, which no code contains")
         self.assertGreater(len(named), 0)
+
+    def test_code_names_in_docs_exist(self):
+        """A BM_<Name> benchmark or FluidLane::<member> the docs name must
+        still be defined: a BENCHMARK( under bench/, a declaration in
+        fluid_lane.h. Deleted code cannot linger in the prose."""
+        benchmarks = set()
+        for root, _, files in os.walk(os.path.join(REPO_DIR, "bench")):
+            for name in files:
+                if name.endswith((".cpp", ".cc", ".h")):
+                    with open(os.path.join(root, name), encoding="utf-8",
+                              errors="replace") as handle:
+                        benchmarks.update(re.findall(r"\bBENCHMARK\((BM_\w+)",
+                                                     handle.read()))
+        header = self.read(os.path.join("src", "vodsim", "cluster",
+                                        "fluid_lane.h"))
+        named = 0
+        for name in ("README.md", "DESIGN.md", "EXPERIMENTS.md",
+                     os.path.join(".github", "workflows", "ci.yml")):
+            text = self.read(name)
+            for benchmark in set(re.findall(r"\bBM_\w+", text)):
+                self.assertIn(benchmark, benchmarks,
+                              f"{name} names {benchmark}, which no BENCHMARK( "
+                              "under bench/ defines")
+                named += 1
+            for member in set(re.findall(r"\bFluidLane::(\w+)", text)):
+                declared = re.search(
+                    r"\b(?:struct|class|enum|using)\s+" + member + r"\b|"
+                    r"\b" + member + r"\s*\(", header)
+                self.assertIsNotNone(
+                    declared, f"{name} names FluidLane::{member}, which "
+                    "fluid_lane.h does not declare")
+                named += 1
+        self.assertGreater(named, 0)
 
 
 if __name__ == "__main__":

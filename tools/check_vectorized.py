@@ -17,22 +17,16 @@ src/CMakeLists.txt, plus -fopt-info-vec-all. It then requires, for every
 `for` loop in a kernel body, one "loop vectorized using N byte vectors"
 note per clone width.
 
-Exemptions:
-  - least_time_bits (a min over int64) at 16 bytes. SSE2 has no 64-bit
-    integer compare (pcmpgtq arrives with SSE4.2), so GCC cannot vectorize
-    the min in the baseline clone; the AVX2 and AVX-512 clones must still
-    vectorize it.
-  - predicted_event_times at 16 and 32 bytes. Its formula,
-    fluid_detail::predicted_times, keeps short-circuit gates around its
-    divisions so that the per-slot retime (far more frequent than the
-    batched one) runs one division, not three; only AVX-512's masked
-    operations if-convert those gates. The formula's comment has the
-    measurement.
+Exemption: least_time_bits (a min over int64) at 16 bytes. SSE2 has no
+64-bit integer compare (pcmpgtq arrives with SSE4.2), so GCC cannot
+vectorize the min in the baseline clone; the AVX2 and AVX-512 clones must
+still vectorize it. An exemption that names no kernel in the source is an
+error, so none can outlive its kernel.
 
 Exit code: 0 when every kernel loop vectorizes at every width it must; 1
 when one does not (each miss is listed); 2 on a usage error, a compile
-error, a non-GCC compiler, or a source with no kernel loops (a check that
-finds nothing to check must not pass).
+error, a non-GCC compiler, a source with no kernel loops (a check that
+finds nothing to check must not pass), or a stale exemption.
 
 Stdlib only; no third-party imports.
 """
@@ -61,7 +55,7 @@ RELEASE_FLAGS = ["-std=c++20", "-O3", "-DNDEBUG", "-Wall", "-Wextra"]
 CLONE_WIDTHS = {"default": 16, "avx2": 32, "avx512f": 64}
 
 # Widths a kernel may miss; see the module docstring.
-EXEMPT = {"least_time_bits": {16}, "predicted_event_times": {16, 32}}
+EXEMPT = {"least_time_bits": {16}}
 
 MACRO = "VODSIM_BATCH_KERNEL_CLONES"
 
@@ -165,6 +159,11 @@ def main(argv=None):
     if not widths or not any(loops for _, loops in kernels):
         print(f"check_vectorized: no {MACRO} kernel loops in {args.source}",
               file=sys.stderr)
+        return 2
+    stale = sorted(set(EXEMPT) - {name for name, _ in kernels})
+    if stale:
+        print(f"check_vectorized: stale exemption(s) {', '.join(stale)}: no "
+              f"{MACRO} kernel of that name in {args.source}", file=sys.stderr)
         return 2
 
     command = [args.cxx, *RELEASE_FLAGS, *tu_options(args.source),
