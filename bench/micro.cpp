@@ -653,11 +653,13 @@ void BM_RetryBatchDecide(benchmark::State& state) {
   // A forced retry batch: 256 queued re-admissions drawn by theta = -0.5
   // popularity (titles repeat, as they do in a real queue) decided in turn
   // against the saturated cluster, where every one fails after a chain-1
-  // DRM search. held=1 is what ships: the controller keeps the search memo
-  // across the batch (begin_batch/end_batch), so a title that already
-  // failed replays its last-level walks. held=0 starts every search from
-  // an empty memo, as each arrival does. Decisions are identical either way.
-  const bool held = state.range(0) != 0;
+  // DRM search. version=1 is what ships: the batch runs at one cluster
+  // version, since no rejection changes a server, so a title that already
+  // failed is served from the controller's rejection memo and a walk that
+  // was already taken is replayed. version=0 moves to a new version before
+  // every decide, as if each one had changed the cluster. Decisions are
+  // identical either way.
+  const bool one_version = state.range(0) != 0;
   const SaturatedCluster cluster;
   AdmissionConfig config;
   config.migration.enabled = true;
@@ -667,16 +669,17 @@ void BM_RetryBatchDecide(benchmark::State& state) {
   std::vector<VideoId> batch(256);
   for (VideoId& video : batch) video = static_cast<VideoId>(zipf.sample(draw));
   Rng rng(1);
+  std::uint64_t version = kFreshSearch;
   auto run_batch = [&] {
-    if (held) controller.begin_batch();
+    ++version;
     std::size_t accepted = 0;
     for (const VideoId video : batch) {
+      if (!one_version) ++version;
       accepted += controller
                       .decide(0.0, video, cluster.catalog[video].view_bandwidth,
-                              cluster.servers, rng)
+                              cluster.servers, rng, version)
                       .accepted;
     }
-    if (held) controller.end_batch();
     return accepted;
   };
   run_batch();  // warm the scratch
@@ -689,7 +692,7 @@ void BM_RetryBatchDecide(benchmark::State& state) {
                           static_cast<std::int64_t>(batch.size()));
   report_allocs_per_op(state, allocs_before, batch.size());
 }
-BENCHMARK(BM_RetryBatchDecide)->Arg(0)->Arg(1)->ArgName("held");
+BENCHMARK(BM_RetryBatchDecide)->Arg(0)->Arg(1)->ArgName("version");
 
 /// One lane-backed server shaped like the sharded headline workload's: 150
 /// streams of 1.5 Mb/s views with 4.5 Mb/s receive caps and staging

@@ -47,8 +47,25 @@ bool AdmissionController::feasible(const Server& server,
 AdmissionDecision AdmissionController::decide(Seconds now, VideoId video,
                                               Mbps view_bandwidth,
                                               const std::vector<Server>& servers,
-                                              Rng& rng) const {
+                                              Rng& rng, std::uint64_t version) const {
   AdmissionDecision decision;
+  const auto index = static_cast<std::size_t>(video);
+  const bool trace_search = trace_ != nullptr && trace_->wants(kTraceMigration) &&
+                            config_.migration.enabled;
+
+  // Step 0: a repeat of a rejection at this version.
+  if (version != kFreshSearch && index < rejections_.size()) {
+    const Rejection& memo = rejections_[index];
+    if (memo.version == version && memo.rate == view_bandwidth) {
+      decision.search_nodes = memo.search_nodes;
+      decision.memoized = true;
+      if (trace_search) {
+        trace_->record(now, TraceEventType::kMigrationSearch, kNoServer, -1, video,
+                       static_cast<double>(memo.search_nodes), -1.0);
+      }
+      return decision;
+    }
+  }
 
   // Step 1: direct assignment to a feasible replica holder.
   std::vector<ServerId>& candidates = candidates_scratch_;
@@ -66,11 +83,11 @@ AdmissionDecision AdmissionController::decide(Seconds now, VideoId video,
 
   // Step 2: all holders full — try dynamic request migration.
   auto plan = find_migration_plan(video, view_bandwidth, config_.migration, servers,
-                                  directory_.all(), search_scratch_);
-  if (trace_ != nullptr && trace_->wants(kTraceMigration) &&
-      config_.migration.enabled) {
+                                  directory_.all(), search_scratch_, version);
+  decision.search_nodes = search_scratch_.nodes_explored;
+  if (trace_search) {
     trace_->record(now, TraceEventType::kMigrationSearch, kNoServer, -1, video,
-                   static_cast<double>(search_scratch_.nodes_explored),
+                   static_cast<double>(decision.search_nodes),
                    plan ? static_cast<double>(plan->steps.size()) : -1.0);
   }
   if (plan) {
@@ -80,7 +97,11 @@ AdmissionDecision AdmissionController::decide(Seconds now, VideoId video,
     return decision;
   }
 
-  // Step 3: reject.
+  // Step 3: reject, and remember it for the rest of the version.
+  if (version != kFreshSearch) {
+    if (rejections_.size() <= index) rejections_.resize(directory_.num_videos());
+    rejections_[index] = Rejection{version, view_bandwidth, decision.search_nodes};
+  }
   return decision;
 }
 

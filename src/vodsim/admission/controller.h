@@ -14,6 +14,7 @@
 /// the serial coordinator queue, never inside a shard drain. The controller
 /// itself needs no changes for sharding; only its call sites are pinned.
 
+#include <cstdint>
 #include <vector>
 
 #include "vodsim/admission/assignment.h"
@@ -41,7 +42,8 @@ class ReplicaDirectory {
   std::size_t orphan_count() const { return orphans_; }
 
   /// Registers a replica created after placement (dynamic replication).
-  /// No-op if the holder is already registered.
+  /// No-op if the holder is already registered. A caller deciding at a
+  /// cluster version moves it after a registration (decide).
   void add_holder(VideoId video, ServerId server);
 
  private:
@@ -70,6 +72,13 @@ struct AdmissionDecision {
   ServerId server = kNoServer;
   /// Migrations to execute (in order) before attaching the newcomer.
   std::vector<MigrationStep> migrations;
+  /// (victim, target) pairs the migration search examined (0 when none
+  /// ran); a rejection served from the memo carries the stored count.
+  int search_nodes = 0;
+  /// A rejection served from the controller's memo: the same (video, rate)
+  /// was rejected at the same cluster version before. The invariant
+  /// auditor re-decides these fresh.
+  bool memoized = false;
 
   bool used_migration() const { return !migrations.empty(); }
 };
@@ -85,8 +94,23 @@ class AdmissionController {
   /// applies the decision. Runs on every arrival, so its working buffers
   /// are reused across calls (the mutable scratch below) — a controller
   /// serves exactly one simulation and is not safe to share across threads.
+  ///
+  /// \p version is the cluster version (admission/migration.h): the caller
+  /// moves it whenever a server or the directory changes. Decisions at one
+  /// version share the migration search's last-level walks, and a
+  /// rejection of (video, rate) is remembered for the rest of the version:
+  /// a repeat is served from the memo, tracing the stored search node
+  /// count. Exact because a rejected decide changes no server and draws no
+  /// random number, so deciding it again would retrace the same steps.
   AdmissionDecision decide(Seconds now, VideoId video, Mbps view_bandwidth,
-                           const std::vector<Server>& servers, Rng& rng) const;
+                           const std::vector<Server>& servers, Rng& rng,
+                           std::uint64_t version) const;
+
+  /// A decision that shares nothing with any other call (kFreshSearch).
+  AdmissionDecision decide(Seconds now, VideoId video, Mbps view_bandwidth,
+                           const std::vector<Server>& servers, Rng& rng) const {
+    return decide(now, video, view_bandwidth, servers, rng, kFreshSearch);
+  }
 
   const AdmissionConfig& config() const { return config_; }
 
@@ -98,17 +122,6 @@ class AdmissionController {
   /// paper's minimum-flow rule; the near-term-need test when buffer-aware).
   bool feasible(const Server& server, Mbps view_bandwidth) const;
 
-  /// Batch mode for a run of decide() calls at one instant (the engine's
-  /// retry batches). Between begin_batch() and end_batch() the migration
-  /// search keeps its last-level memo from one decision to the next
-  /// instead of starting each search empty. Exact as long as the caller
-  /// calls note_servers_changed() after executing any accepted decision: a
-  /// rejected decide() changes no server and draws no random number, so
-  /// every memoized walk stays what a fresh search would compute.
-  void begin_batch() const { search_scratch_.hold_memo(); }
-  void note_servers_changed() const { search_scratch_.invalidate_memo(); }
-  void end_batch() const { search_scratch_.release_memo(); }
-
  private:
   AdmissionConfig config_;
   const ReplicaDirectory& directory_;
@@ -117,6 +130,16 @@ class AdmissionController {
   /// performs no heap allocations.
   mutable std::vector<ServerId> candidates_scratch_;
   mutable MigrationSearchScratch search_scratch_;
+
+  /// The last rejection of a video: at which version, at which rate, and
+  /// the search nodes it charged.
+  struct Rejection {
+    std::uint64_t version = kFreshSearch;
+    Mbps rate = 0.0;
+    int search_nodes = 0;
+  };
+  /// Indexed by video; sized at the first versioned rejection.
+  mutable std::vector<Rejection> rejections_;
 };
 
 }  // namespace vodsim

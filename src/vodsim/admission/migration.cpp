@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <numeric>
+#include <limits>
 #include <stdexcept>
 
 namespace vodsim {
@@ -23,78 +23,106 @@ struct SearchContext {
   const MigrationConfig& config;
   const std::vector<Server>& servers;
   const std::vector<std::vector<ServerId>>& holders_of;
+  /// Per server, committed + reserved bandwidth, and the effective
+  /// bandwidth plus tolerance (-inf when not serviceable): the admission
+  /// test's terms, read once per search.
+  const Mbps* claimed;
+  const Mbps* limit;
   /// Hypothetical committed-bandwidth deltas from steps already in the plan.
   std::vector<Mbps>& delta;
-  /// Requests already chosen as victims (a request moves at most once per
-  /// plan).
-  std::vector<const Request*>& used;
-  /// Per-depth candidate victim lists (pre-sized to max_chain_length so
+  /// Victims already chosen (a request moves at most once per plan).
+  std::vector<UsedVictim>& used;
+  /// Per-depth candidate slot lists (pre-sized to max_chain_length so
   /// references stay valid across recursion).
-  std::vector<std::vector<Request*>>& victims;
-  /// Per-server last-level outcomes of this find_migration_plan call.
+  std::vector<std::vector<std::uint32_t>>& victims;
+  /// Per-server last-level outcomes; valid where their stamp is `stamp`.
   std::vector<LeafOutcome>& leaves;
-  std::uint64_t generation = 0;
+  std::uint64_t stamp = 0;
+  /// A victim must have migrated fewer times than this (INT_MAX when the
+  /// hops per request are unlimited).
+  int max_hops = 0;
   /// Remaining (victim, target) pairs this search may still examine.
   int budget = 0;
+  /// Walks replayed from `leaves` (MigrationSearchScratch::walks_reused).
+  int& walks_reused;
 };
 
-/// Whether \p s could take \p rate more on top of a hypothetical \p delta.
-bool admits_with_delta(const Server& s, Mbps delta, Mbps rate) {
-  if (!s.serviceable()) return false;
-  return s.committed_bandwidth() + s.reserved_bandwidth() + delta + rate <=
-         s.effective_bandwidth() + 1e-9;
+/// Whether \p server could take \p rate more on top of a hypothetical
+/// \p delta: Server::can_admit's arithmetic, in its order, on the search's
+/// per-server copies of its terms.
+bool admits_with_delta(const SearchContext& ctx, ServerId server, Mbps delta,
+                       Mbps rate) {
+  const auto i = static_cast<std::size_t>(server);
+  return ctx.claimed[i] + delta + rate <= ctx.limit[i];
 }
 
 bool hypothetically_admits(const SearchContext& ctx, ServerId server, Mbps rate) {
-  return admits_with_delta(ctx.servers[static_cast<std::size_t>(server)],
-                           ctx.delta[static_cast<std::size_t>(server)], rate);
+  return admits_with_delta(ctx, server, ctx.delta[static_cast<std::size_t>(server)],
+                           rate);
 }
 
-bool victim_eligible(const SearchContext& ctx, const Request& request) {
-  if (request.state() != RequestState::kStreaming) return false;
-  if (ctx.config.max_hops_per_request >= 0 &&
-      request.hops() >= ctx.config.max_hops_per_request) {
-    return false;
+/// The eligible victims on \p server in the strategy's order, as active
+/// slots. A victim is eligible when it has hops left and, with a switch
+/// latency, staged data covering the pause (level / view rate, the
+/// Request::buffer_cover quotient). Every active request is streaming
+/// (Server::attach asserts it), so the state needs no test. One branch-free
+/// compaction over the traits and the lane; victims the plan already holds
+/// are struck only when one sits on this server, which takes a chain of 3+
+/// cycling back.
+const std::vector<std::uint32_t>& ordered_victims(const SearchContext& ctx,
+                                                  ServerId server_id, int depth) {
+  const Server& server = ctx.servers[static_cast<std::size_t>(server_id)];
+  const FluidLane& lane = server.lane();
+  const StreamTraits* traits = server.traits().data();
+  const auto n = static_cast<std::uint32_t>(server.active_count());
+  std::vector<std::uint32_t>& slots = ctx.victims[static_cast<std::size_t>(depth)];
+  slots.resize(n);
+  std::uint32_t* out = slots.data();
+  std::uint32_t count = 0;
+  const int max_hops = ctx.max_hops;
+  const Seconds latency = ctx.config.switch_latency;
+  if (latency > 0.0) {
+    for (std::uint32_t i = 0; i < n; ++i) {
+      out[count] = i;
+      count += static_cast<std::uint32_t>(
+          (traits[i].hops < max_hops) &
+          (lane.buffer_level(i) / lane.view_bandwidth(i) >= latency));
+    }
+  } else {
+    for (std::uint32_t i = 0; i < n; ++i) {
+      out[count] = i;
+      count += static_cast<std::uint32_t>(traits[i].hops < max_hops);
+    }
   }
-  if (ctx.config.switch_latency > 0.0 &&
-      request.buffer_cover() <
-          ctx.config.switch_latency) {
-    return false;
+  slots.resize(count);
+  for (const UsedVictim& used : ctx.used) {
+    if (used.server != server_id) continue;
+    const auto it = std::lower_bound(slots.begin(), slots.end(), used.slot);
+    if (it != slots.end() && *it == used.slot) slots.erase(it);
   }
-  return std::find(ctx.used.begin(), ctx.used.end(), &request) == ctx.used.end();
-}
-
-const std::vector<Request*>& ordered_victims(const SearchContext& ctx,
-                                             const Server& server, int depth) {
-  std::vector<Request*>& victims = ctx.victims[static_cast<std::size_t>(depth)];
-  victims.clear();
-  for (Request* request : server.active_requests()) {
-    if (victim_eligible(ctx, *request)) victims.push_back(request);
-  }
-  // Stable in active order: the list is a subsequence of the active list,
-  // so ties broken by active_index give std::stable_sort's order without
-  // its temporary buffer.
+  // Ascending key, ties broken by slot (active order): std::stable_sort's
+  // order over the active-order list, without its temporary buffer.
   auto by = [&](auto key) {
-    std::sort(victims.begin(), victims.end(), [&](Request* a, Request* b) {
-      const auto ka = key(*a);
-      const auto kb = key(*b);
-      return ka < kb || (!(kb < ka) && a->active_index < b->active_index);
+    std::sort(slots.begin(), slots.end(), [&](std::uint32_t a, std::uint32_t b) {
+      const auto ka = key(a);
+      const auto kb = key(b);
+      return ka < kb || (!(kb < ka) && a < b);
     });
   };
   switch (ctx.config.victim) {
     case VictimStrategy::kFirstFit:
       break;  // active order
     case VictimStrategy::kLeastRemaining:
-      by([](const Request& r) { return r.remaining(); });
+      by([&](std::uint32_t i) { return lane.remaining(i); });
       break;
     case VictimStrategy::kMostRemaining:
-      by([](const Request& r) { return -r.remaining(); });
+      by([&](std::uint32_t i) { return -lane.remaining(i); });
       break;
     case VictimStrategy::kMostBuffered:
-      by([](const Request& r) { return -r.buffer_level(); });
+      by([&](std::uint32_t i) { return -lane.buffer_level(i); });
       break;
   }
-  return victims;
+  return slots;
 }
 
 /// Walks the last search level on \p server: its (victim, target) pairs in
@@ -104,22 +132,25 @@ const std::vector<Request*>& ordered_victims(const SearchContext& ctx,
 /// Every hypothetical delta is zero whenever a level checks a target: a
 /// level commits deltas only after its recursion succeeds and undoes them
 /// when its own post-commit check fails, so deltas survive only on the way
-/// back up a success. Hence the walk depends on the server, the rate and
+/// back up a success. Hence the walk depends on the cluster, the rate and
 /// the victims already in the plan that sit on this server, and nothing
 /// else.
 LeafOutcome walk_last_level(const SearchContext& ctx, ServerId server, Mbps rate) {
   const Server& s = ctx.servers[static_cast<std::size_t>(server)];
+  const FluidLane& lane = s.lane();
+  const StreamTraits* traits = s.traits().data();
   const Mbps server_delta = ctx.delta[static_cast<std::size_t>(server)];
   LeafOutcome outcome;
-  for (Request* victim :
-       ordered_victims(ctx, s, ctx.config.max_chain_length - 1)) {
-    const Mbps moved = victim->view_bandwidth();
-    for (ServerId target : ctx.holders_of[static_cast<std::size_t>(victim->video_id())]) {
+  for (std::uint32_t slot :
+       ordered_victims(ctx, server, ctx.config.max_chain_length - 1)) {
+    const Mbps moved = lane.view_bandwidth(slot);
+    for (ServerId target :
+         ctx.holders_of[static_cast<std::size_t>(traits[slot].video)]) {
       if (target == server) continue;
       ++outcome.pairs;
       if (hypothetically_admits(ctx, target, moved) &&
-          admits_with_delta(s, server_delta - moved, rate)) {
-        outcome.victim = victim;
+          admits_with_delta(ctx, server, server_delta - moved, rate)) {
+        outcome.slot = slot;
         outcome.target = target;
         return outcome;
       }
@@ -129,26 +160,28 @@ LeafOutcome walk_last_level(const SearchContext& ctx, ServerId server, Mbps rate
 }
 
 /// The last search level (depth max_chain_length - 1), with no recursion
-/// below it. Its walk is computed once per (server, rate) per
-/// find_migration_plan call and replayed: the budget is charged the pairs
-/// the walk examined, exactly as walking them again would, and a success
-/// commits the same step. A victim already in the plan that sits on
-/// \p server (a chain of 3+ cycling back) changes the candidates, so that
-/// walk is computed fresh and not stored.
+/// below it. Its walk is computed once per (server, rate) per search stamp
+/// and replayed: the budget is charged the pairs the walk examined, exactly
+/// as walking them again would, and a success commits the same step. A
+/// victim already in the plan that sits on \p server (a chain of 3+ cycling
+/// back) changes the candidates, so that walk is computed fresh and not
+/// stored.
 bool free_room_last_level(SearchContext& ctx, ServerId server, Mbps rate,
                           std::vector<MigrationStep>& plan) {
   const bool cycled = std::any_of(ctx.used.begin(), ctx.used.end(),
-                                  [&](const Request* r) { return r->server() == server; });
+                                  [&](const UsedVictim& u) { return u.server == server; });
   LeafOutcome fresh;
   const LeafOutcome* outcome = &fresh;
   if (cycled) {
     fresh = walk_last_level(ctx, server, rate);
   } else {
     LeafOutcome& memo = ctx.leaves[static_cast<std::size_t>(server)];
-    if (memo.generation != ctx.generation || memo.rate != rate) {
+    if (memo.stamp != ctx.stamp || memo.rate != rate) {
       memo = walk_last_level(ctx, server, rate);
-      memo.generation = ctx.generation;
+      memo.stamp = ctx.stamp;
       memo.rate = rate;
+    } else {
+      ++ctx.walks_reused;
     }
     outcome = &memo;
   }
@@ -157,10 +190,12 @@ bool free_room_last_level(SearchContext& ctx, ServerId server, Mbps rate,
     return false;
   }
   ctx.budget -= outcome->pairs;
-  if (outcome->victim == nullptr) return false;
-  const Mbps moved = outcome->victim->view_bandwidth();
-  ctx.used.push_back(outcome->victim);
-  plan.push_back(MigrationStep{outcome->victim, server, outcome->target});
+  if (outcome->slot == kNoVictim) return false;
+  const Server& s = ctx.servers[static_cast<std::size_t>(server)];
+  const Mbps moved = s.lane().view_bandwidth(outcome->slot);
+  ctx.used.push_back(UsedVictim{server, outcome->slot});
+  plan.push_back(
+      MigrationStep{s.active_requests()[outcome->slot], server, outcome->target});
   ctx.delta[static_cast<std::size_t>(server)] -= moved;
   ctx.delta[static_cast<std::size_t>(outcome->target)] += moved;
   return true;
@@ -177,10 +212,14 @@ bool free_room(SearchContext& ctx, ServerId server, Mbps rate,
     return free_room_last_level(ctx, server, rate, plan);
   }
   const Server& s = ctx.servers[static_cast<std::size_t>(server)];
+  const FluidLane& lane = s.lane();
+  const StreamTraits* traits = s.traits().data();
 
-  for (Request* victim : ordered_victims(ctx, s, depth)) {
+  for (std::uint32_t slot : ordered_victims(ctx, server, depth)) {
+    const Mbps moved = lane.view_bandwidth(slot);
     // Candidate targets: other holders of the victim's video.
-    for (ServerId target : ctx.holders_of[static_cast<std::size_t>(victim->video_id())]) {
+    for (ServerId target :
+         ctx.holders_of[static_cast<std::size_t>(traits[slot].video)]) {
       if (target == server) continue;
       if (--ctx.budget < 0) return false;
       const std::size_t plan_before = plan.size();
@@ -188,17 +227,17 @@ bool free_room(SearchContext& ctx, ServerId server, Mbps rate,
       // Claim the victim BEFORE recursing: the recursion may revisit this
       // server (migration cycles are legal) and must not pick the same
       // request twice — a plan may move each request at most once.
-      ctx.used.push_back(victim);
-      if (hypothetically_admits(ctx, target, victim->view_bandwidth())) {
+      ctx.used.push_back(UsedVictim{server, slot});
+      if (hypothetically_admits(ctx, target, moved)) {
         // Direct move.
-      } else if (!free_room(ctx, target, victim->view_bandwidth(), plan, depth + 1)) {
+      } else if (!free_room(ctx, target, moved, plan, depth + 1)) {
         ctx.used.resize(used_before);
         continue;
       }
       // Commit this step on top of whatever the recursion freed.
-      plan.push_back(MigrationStep{victim, server, target});
-      ctx.delta[static_cast<std::size_t>(server)] -= victim->view_bandwidth();
-      ctx.delta[static_cast<std::size_t>(target)] += victim->view_bandwidth();
+      plan.push_back(MigrationStep{s.active_requests()[slot], server, target});
+      ctx.delta[static_cast<std::size_t>(server)] -= moved;
+      ctx.delta[static_cast<std::size_t>(target)] += moved;
       if (hypothetically_admits(ctx, server, rate)) return true;
       // Not enough (can only happen with heterogeneous view rates); undo
       // this step and everything the recursion added for it. The loop
@@ -222,8 +261,9 @@ std::optional<MigrationPlan> find_migration_plan(
     VideoId video, Mbps view_bandwidth, const MigrationConfig& config,
     const std::vector<Server>& servers,
     const std::vector<std::vector<ServerId>>& holders_of,
-    MigrationSearchScratch& scratch) {
+    MigrationSearchScratch& scratch, std::uint64_t version) {
   scratch.nodes_explored = 0;
+  scratch.walks_reused = 0;
   if (!config.enabled || config.max_chain_length <= 0) return std::nullopt;
 
   // Try holders in least-loaded order: the cheapest slot to free.
@@ -245,18 +285,35 @@ std::optional<MigrationPlan> find_migration_plan(
     scratch.victims.resize(static_cast<std::size_t>(config.max_chain_length));
   }
   if (scratch.leaves.size() < servers.size()) scratch.leaves.resize(servers.size());
-  // Last-level outcomes are shared across holders, and across searches
-  // while the caller holds the memo.
-  if (!scratch.memo_held) ++scratch.generation;
+  // Last-level outcomes are shared across holders, and across searches at
+  // one cluster version.
+  const std::uint64_t stamp =
+      version != kFreshSearch
+          ? version
+          : (MigrationSearchScratch::kFreshStamp | ++scratch.fresh_searches);
+  // The admission test's terms, one dense pair per server: every pair the
+  // search examines tests its target, and the Server objects are large.
+  scratch.claimed.resize(servers.size());
+  scratch.limit.resize(servers.size());
+  for (std::size_t i = 0; i < servers.size(); ++i) {
+    const Server& s = servers[i];
+    scratch.claimed[i] = s.committed_bandwidth() + s.reserved_bandwidth();
+    scratch.limit[i] = s.serviceable() ? s.effective_bandwidth() + 1e-9
+                                       : -std::numeric_limits<Mbps>::infinity();
+  }
+  const int max_hops = config.max_hops_per_request >= 0
+                           ? config.max_hops_per_request
+                           : std::numeric_limits<int>::max();
   for (ServerId holder : holders) {
     if (!servers[static_cast<std::size_t>(holder)].serviceable()) continue;
     scratch.delta.assign(servers.size(), 0.0);
     scratch.used.clear();
     scratch.steps.clear();
     SearchContext ctx{config,         servers,      holders_of,
+                      scratch.claimed.data(), scratch.limit.data(),
                       scratch.delta,  scratch.used, scratch.victims,
-                      scratch.leaves, scratch.generation,
-                      config.max_search_nodes};
+                      scratch.leaves, stamp,        max_hops,
+                      config.max_search_nodes, scratch.walks_reused};
     const bool found = free_room(ctx, holder, view_bandwidth, scratch.steps, 0);
     scratch.nodes_explored += config.max_search_nodes - std::max(ctx.budget, 0);
     if (found) {

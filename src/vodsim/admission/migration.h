@@ -64,7 +64,7 @@ struct MigrationConfig {
   /// holder, well under the default; a failing chain-2 search on a
   /// saturated cluster exhausts it. The budget counts pairs as a plain
   /// pair-by-pair walk would, including last-level pairs that the search
-  /// replays from its per-call memo instead of re-examining.
+  /// replays from its memo instead of re-examining.
   int max_search_nodes = 1024;
 
   /// Stream pause while switching servers. A victim is only eligible if its
@@ -88,15 +88,33 @@ struct MigrationPlan {
   ServerId admit_on = kNoServer;
 };
 
+/// A cluster version: a number the caller moves to a value it never used
+/// before whenever anything a search reads changes — any server's active
+/// set, fluid state, reservations, capacity or reachability, or the
+/// replica directory. Searches at one version see one cluster, so they
+/// share their last-level walks. kFreshSearch asks for a search that shares
+/// nothing with any other; callers' versions start above it.
+inline constexpr std::uint64_t kFreshSearch = 0;
+
+/// A victim slot that is none (LeafOutcome::slot of a walk that failed).
+inline constexpr std::uint32_t kNoVictim = UINT32_MAX;
+
 /// Outcome of the last level of the migration search on one server: the
 /// walk over its (victim, target) pairs in search order, up to the first
 /// pair that frees the requested rate.
 struct LeafOutcome {
-  std::uint64_t generation = 0;  ///< find_migration_plan call that computed it
-  Mbps rate = 0.0;               ///< rate the walk had to free
+  std::uint64_t stamp = kFreshSearch;  ///< search stamp it was computed under
+  Mbps rate = 0.0;                     ///< rate the walk had to free
   int pairs = 0;                 ///< pairs up to and including the success, or all
-  Request* victim = nullptr;     ///< the successful victim; nullptr = none
-  ServerId target = kNoServer;   ///< where the successful victim moves
+  std::uint32_t slot = kNoVictim;  ///< the successful victim's active slot
+  ServerId target = kNoServer;     ///< where the successful victim moves
+};
+
+/// A victim claimed by the plan under construction: active slot \p slot
+/// of server \p server (a request moves at most once per plan).
+struct UsedVictim {
+  ServerId server = kNoServer;
+  std::uint32_t slot = 0;
 };
 
 /// Reusable working buffers for find_migration_plan. The search runs on
@@ -105,41 +123,32 @@ struct LeafOutcome {
 /// (except copying the steps of a *successful* plan into the result).
 /// Single-threaded use only.
 struct MigrationSearchScratch {
-  std::vector<ServerId> holders;            ///< sorted holder working copy
-  std::vector<Mbps> delta;                  ///< hypothetical bandwidth deltas
-  std::vector<const Request*> used;         ///< victims already in the plan
-  std::vector<MigrationStep> steps;         ///< plan under construction
-  std::vector<std::vector<Request*>> victims;  ///< one candidate list per depth
+  std::vector<ServerId> holders;              ///< sorted holder working copy
+  std::vector<Mbps> claimed;  ///< committed + reserved bandwidth, per server
+  std::vector<Mbps> limit;    ///< effective bandwidth + tolerance, per server
+  std::vector<Mbps> delta;                    ///< hypothetical bandwidth deltas
+  std::vector<UsedVictim> used;               ///< victims already in the plan
+  std::vector<MigrationStep> steps;           ///< plan under construction
+  std::vector<std::vector<std::uint32_t>> victims;  ///< one slot list per depth
 
-  /// Last-level outcomes, one slot per server. A slot is valid only while
-  /// its generation equals `generation`, which every find_migration_plan
-  /// call bumps, so nothing is cleared between searches.
+  /// Last-level outcomes, one per server. An outcome is valid for a search
+  /// whose stamp equals its own: a search at cluster version v has stamp v,
+  /// so outcomes carry over between searches for as long as the version
+  /// holds, and nothing is cleared between searches.
   std::vector<LeafOutcome> leaves;
-  std::uint64_t generation = 0;
-
-  /// While set, find_migration_plan keeps `generation` instead of bumping
-  /// it, so last-level outcomes carry over from one search to the next.
-  /// Sound only while no server changes between the searches: a walk
-  /// depends on its server's state and the rate alone. Set through
-  /// hold_memo(); an outcome computed before the hold never survives it.
-  bool memo_held = false;
-
-  /// Starts a run of searches over an unchanging cluster: invalidates the
-  /// memo once, then keeps it across searches until release_memo().
-  void hold_memo() {
-    ++generation;
-    memo_held = true;
-  }
-  /// A server changed mid-run (an admission was executed): drop every
-  /// outcome computed so far, keep holding.
-  void invalidate_memo() { ++generation; }
-  /// Ends the run; every later search starts from an empty memo again.
-  void release_memo() { memo_held = false; }
+  /// kFreshSearch searches run so far. The n-th gets stamp kFreshStamp | n,
+  /// which no caller's version reaches, so it sees none of the outcomes
+  /// before it.
+  std::uint64_t fresh_searches = 0;
+  static constexpr std::uint64_t kFreshStamp = std::uint64_t{1} << 63;
 
   /// (victim, target) pairs examined by the most recent search — an
   /// observability output (the admission controller traces it), reset on
   /// every find_migration_plan call.
   int nodes_explored = 0;
+  /// Last-level walks the most recent search replayed from the memo
+  /// instead of walking (observability, reset like nodes_explored).
+  int walks_reused = 0;
 };
 
 /// Searches for a plan to admit a request for \p video of rate
@@ -147,12 +156,20 @@ struct MigrationSearchScratch {
 /// admit it directly (the controller checks that first).
 ///
 /// \param holders_of maps VideoId -> server ids holding a replica.
+/// \param version the cluster version the search runs at: a search reuses
+///        the last-level walks of earlier searches through \p scratch at the
+///        same version. kFreshSearch reuses nothing.
 /// Returns nullopt when no chain within the configured length exists.
+///
+/// The search reads each server's victims from its traits() and lane(),
+/// not from the Requests: a Request pointer is looked up to name a plan
+/// step, and dereferenced only to undo a step that freed too little
+/// (mixed view rates).
 std::optional<MigrationPlan> find_migration_plan(
     VideoId video, Mbps view_bandwidth, const MigrationConfig& config,
     const std::vector<Server>& servers,
     const std::vector<std::vector<ServerId>>& holders_of,
-    MigrationSearchScratch& scratch);
+    MigrationSearchScratch& scratch, std::uint64_t version = kFreshSearch);
 
 /// Convenience overload with a throwaway scratch (tests, one-shot callers).
 std::optional<MigrationPlan> find_migration_plan(

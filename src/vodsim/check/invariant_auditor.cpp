@@ -93,11 +93,26 @@ void InvariantAuditor::check_server(const Server& server,
     fail("no grants on an unreachable server", d);
   }
 
+  if (server.traits().size() != active.size()) {
+    std::ostringstream d;
+    d << "server " << server.id() << ": " << server.traits().size()
+      << " trait slots for " << active.size() << " active streams";
+    fail("stream traits track the active list", d);
+  }
   Mbps allocated = 0.0;
   Mbps committed = 0.0;
   for (std::size_t i = 0; i < active.size(); ++i) {
     const Request& request = *active[i];
     check_request(request, server, i);
+    const StreamTraits& traits = server.traits()[i];
+    if (traits.video != request.video_id() || traits.hops != request.hops()) {
+      std::ostringstream d;
+      d << "request " << request.id() << " on server " << server.id()
+        << " slot " << i << ": traits (video " << traits.video << ", hops "
+        << traits.hops << ") vs (video " << request.video_id() << ", hops "
+        << request.hops() << ")";
+      fail("stream traits match their requests", d);
+    }
     allocated += request.allocation();
     committed += request.view_bandwidth();
     if (expect.minimum_flow &&
@@ -214,6 +229,26 @@ void InvariantAuditor::on_event() {
     last_reachable_[i] = server.reachable() ? 1 : 0;
   }
   ++events_audited_;
+}
+
+void InvariantAuditor::check_memoized_rejection(
+    VideoId video, Mbps view_bandwidth, const AdmissionDecision& memoized) const {
+  ++checks_run_;
+  // A controller of its own shares no memo with the engine's, and carries
+  // no trace recorder. A rejection draws no random number; a fresh
+  // acceptance fails the check whatever it draws.
+  const AdmissionController fresh(sim_.controller().config(), sim_.directory());
+  Rng rng(0);
+  const AdmissionDecision decision =
+      fresh.decide(0.0, video, view_bandwidth, sim_.servers(), rng);
+  if (decision.accepted || decision.search_nodes != memoized.search_nodes) {
+    std::ostringstream d;
+    d << "video " << video << " at " << view_bandwidth << " Mb/s: memo rejects after "
+      << memoized.search_nodes << " search nodes, a fresh decision "
+      << (decision.accepted ? "accepts" : "rejects") << " after "
+      << decision.search_nodes;
+    fail("a memoized rejection is what a fresh decision returns", d);
+  }
 }
 
 void InvariantAuditor::on_advance(const Request& request, Seconds t0, Seconds t1) {

@@ -24,11 +24,13 @@
 #include <string>
 #include <vector>
 
+#include "vodsim/cluster/video.h"
 #include "vodsim/des/event_queue.h"
 #include "vodsim/util/units.h"
 
 namespace vodsim {
 
+struct AdmissionDecision;
 class Request;
 class Server;
 class VodSimulation;
@@ -57,6 +59,13 @@ class InvariantAuditor {
   /// the independently-integrated delivery for finalize()'s reconciliation.
   void on_advance(const Request& request, Seconds t0, Seconds t1);
 
+  /// Re-decides a rejection the admission controller served from its
+  /// memo (AdmissionDecision::memoized) on a fresh controller, against the
+  /// cluster as it stands; the engine calls it right after such a decide.
+  /// The fresh decision must reject too, after the same search nodes.
+  void check_memoized_rejection(VideoId video, Mbps view_bandwidth,
+                                const AdmissionDecision& memoized) const;
+
   /// End-of-run reconciliation (engine calls it after the final flush):
   /// the flow integral observed via on_advance must match the sum of
   /// per-request delivered() bits, metered transmission cannot exceed the
@@ -81,8 +90,9 @@ class InvariantAuditor {
   // auditor is not vacuous); the engine only calls them through on_event().
 
   /// Validates one server: commitment bookkeeping vs. the active set, link
-  /// capacity, reservation sanity, availability, and every active request
-  /// via check_request (plus the minimum-flow bound when promised).
+  /// capacity, reservation sanity, availability, each slot's StreamTraits
+  /// against its request (video, hops), and every active request via
+  /// check_request (plus the minimum-flow bound when promised).
   static void check_server(const Server& server,
                            const ServerExpectations& expect);
 

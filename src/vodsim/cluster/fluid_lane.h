@@ -234,6 +234,7 @@ class FluidLane {
   Mbps allocation(std::size_t i) const { return allocation_[i]; }
   Seconds last_update(std::size_t i) const { return last_update_[i]; }
   Megabits buffer_level(std::size_t i) const { return buffer_level_[i]; }
+  Mbps view_bandwidth(std::size_t i) const { return view_bandwidth_[i]; }
   Mbps receive_bandwidth(std::size_t i) const { return receive_bandwidth_[i]; }
 
   /// Request::buffer_full on the slot's state (same operands, same

@@ -20,6 +20,15 @@
 
 namespace vodsim {
 
+/// The two per-stream facts the DRM victim search (admission/migration.h)
+/// filters and routes on that the fluid lane does not hold: the stream's
+/// title and how often it has migrated. Both are fixed while the stream is
+/// attached (a migration detaches it first), so attach copies them once.
+struct StreamTraits {
+  VideoId video;
+  int hops;
+};
+
 class Server {
  public:
   /// \param id dense index within the cluster.
@@ -83,8 +92,13 @@ class Server {
   FluidLane& lane() { return lane_; }
   const FluidLane& lane() const { return lane_; }
 
+  /// Slot i's StreamTraits, maintained with the lane in lock-step with the
+  /// active list: traits()[i] are active_requests()[i]'s video and hops.
+  /// The victim search walks these and the lane instead of the Requests.
+  const std::vector<StreamTraits>& traits() const { return traits_; }
+
   // --- active-set maintenance (engine-driven) --------------------------
-  /// Attaches an unfinished request; maintains Request::active_index.
+  /// Attaches a streaming request; maintains Request::active_index.
   /// \param enforce_capacity when false (buffer-aware admission), nominal
   ///        commitments may exceed the link; the intermittent scheduler is
   ///        then responsible for rationing actual flow.
@@ -136,6 +150,8 @@ class Server {
   std::vector<bool> replica_bitmap_;
   std::vector<Request*> active_;
   FluidLane lane_;
+  /// Not reserved to the link fit as active_ is (attach says why).
+  std::vector<StreamTraits> traits_;
   std::uint64_t total_attached_ = 0;
 };
 

@@ -348,6 +348,9 @@ void VodSimulation::run_windows() {
         drain(i + 1, window_end);
       });
     }
+    // Drained shard events changed their servers; none of them touches the
+    // cluster version, so the coordinator moves it for all of them.
+    if (busy > 0) ++cluster_version_;
 
     if (!coordinator_has_work) break;
     coord.sim.step();  // exactly one coupling event per window, serially
@@ -376,8 +379,7 @@ void VodSimulation::handle_arrival(const Arrival& arrival) {
   const Video& video = catalog_[arrival.video];
   note(ctx, TraceEventType::kArrival, kTraceAdmission, kNoServer, next_request_id_,
        arrival.video);
-  const AdmissionDecision decision =
-      controller_->decide(now, arrival.video, video.view_bandwidth, servers_, rng_);
+  const AdmissionDecision decision = decide(arrival.video, video.view_bandwidth);
 
   // Pool by destination shard (rejected arrivals stay coordinator-side),
   // so a stream's Request lands in the arena pool of the shard whose
@@ -418,6 +420,16 @@ void VodSimulation::handle_arrival(const Arrival& arrival) {
   execute_migrations(decision);
   ctx.metrics->record_acceptance(now, decision.used_migration());
   start_stream(request, decision.server);
+}
+
+AdmissionDecision VodSimulation::decide(VideoId video, Mbps view_bandwidth) {
+  const AdmissionDecision decision =
+      controller_->decide(coordinator().sim.now(), video, view_bandwidth, servers_,
+                          rng_, cluster_version_);
+  if (auditor_ && decision.memoized) {
+    auditor_->check_memoized_rejection(video, view_bandwidth, decision);
+  }
+  return decision;
 }
 
 void VodSimulation::start_stream(Request& request, ServerId server) {
@@ -468,11 +480,11 @@ void VodSimulation::execute_migration(const MigrationStep& step) {
     // competing arrival cannot steal it.
     servers_[static_cast<std::size_t>(step.to)].reserve_bandwidth(
         request.view_bandwidth());
-    mark_server_dirty(step.to);
+    mark_server_dirty(ctx, step.to);
     ctx.sim.schedule_in(latency, [this, &ctx, &request, target = step.to](Seconds) {
       servers_[static_cast<std::size_t>(target)].release_reservation(
           request.view_bandwidth());
-      mark_server_dirty(target);
+      mark_server_dirty(ctx, target);
       if (request.state() != RequestState::kMigrating) return;
       if (servers_[static_cast<std::size_t>(target)].serviceable()) {
         finish_migration(request, target);
@@ -593,7 +605,7 @@ void VodSimulation::apply_fault(const FaultTransition& event) {
   switch (event.kind) {
     case FaultTransitionKind::kDown: {
       if (!server.available()) return;  // idempotent: already down
-      mark_server_dirty(event.server);
+      mark_server_dirty(ctx, event.server);
       server.set_available(false);
       settle_capacity_loss(ctx, event.server);
       ctx.metrics->record_server_down(now);
@@ -609,7 +621,7 @@ void VodSimulation::apply_fault(const FaultTransition& event) {
     }
     case FaultTransitionKind::kUp: {
       if (server.available()) return;  // idempotent: already up
-      mark_server_dirty(event.server);
+      mark_server_dirty(ctx, event.server);
       server.set_available(true);
       const Seconds down_since = capacity_loss_[s].since;
       settle_capacity_loss(ctx, event.server);
@@ -620,7 +632,7 @@ void VodSimulation::apply_fault(const FaultTransition& event) {
     }
     case FaultTransitionKind::kBrownoutBegin: {
       if (server.capacity_factor() == event.capacity_factor) return;
-      mark_server_dirty(event.server);
+      mark_server_dirty(ctx, event.server);
       server.set_capacity_factor(event.capacity_factor);
       settle_capacity_loss(ctx, event.server);
       note(ctx, TraceEventType::kBrownoutBegin, kTraceFailure, event.server, -1, -1,
@@ -633,7 +645,7 @@ void VodSimulation::apply_fault(const FaultTransition& event) {
     }
     case FaultTransitionKind::kBrownoutEnd: {
       if (server.capacity_factor() == 1.0) return;  // idempotent
-      mark_server_dirty(event.server);
+      mark_server_dirty(ctx, event.server);
       server.set_capacity_factor(1.0);
       settle_capacity_loss(ctx, event.server);
       note(ctx, TraceEventType::kBrownoutEnd, kTraceFailure, event.server);
@@ -643,7 +655,7 @@ void VodSimulation::apply_fault(const FaultTransition& event) {
     }
     case FaultTransitionKind::kPartitionBegin: {
       if (!server.reachable()) return;  // idempotent: already partitioned
-      mark_server_dirty(event.server);
+      mark_server_dirty(ctx, event.server);
       server.set_reachable(false);
       settle_capacity_loss(ctx, event.server);
       partition_began_[s] = now;
@@ -656,7 +668,7 @@ void VodSimulation::apply_fault(const FaultTransition& event) {
     }
     case FaultTransitionKind::kPartitionEnd: {
       if (server.reachable()) return;  // idempotent: already healed
-      mark_server_dirty(event.server);
+      mark_server_dirty(ctx, event.server);
       server.set_reachable(true);
       settle_capacity_loss(ctx, event.server);
       ctx.metrics->record_partition_heal(now, now - partition_began_[s]);
@@ -809,16 +821,13 @@ void VodSimulation::process_retries(bool force) {
   if (retry_queue_ == nullptr || retry_queue_->empty()) return;
   ExecContext& ctx = coordinator();
   const Seconds now = ctx.sim.now();
-  std::vector<RetryEntry> due = retry_queue_->take_due(now, force);
-  // A forced batch retries the whole queue, often the same few titles over
-  // and over against servers that no rejection changes, so the migration
-  // search keeps its memo across the batch and drops it on every accept.
-  controller_->begin_batch();
+  // No decision below re-enters process_retries, so the batch buffer is
+  // free to reuse.
+  std::vector<RetryEntry>& due = retry_due_;
+  retry_queue_->take_due(now, force, due);
   for (RetryEntry& entry : due) {
-    const AdmissionDecision decision = controller_->decide(
-        now, entry.video, entry.view_bandwidth, servers_, rng_);
+    const AdmissionDecision decision = decide(entry.video, entry.view_bandwidth);
     if (decision.accepted) {
-      controller_->note_servers_changed();
       execute_migrations(decision);
       ctx.metrics->record_readmission(now);
       if (entry.request != kNoRetryRequest) {
@@ -857,7 +866,6 @@ void VodSimulation::process_retries(bool force) {
       }
     }
   }
-  controller_->end_batch();
   arm_retry_tick();
 }
 
@@ -959,9 +967,12 @@ void VodSimulation::recompute_server(ExecContext& ctx, ServerId server_id) {
   state.clean_epoch = state.epoch;
 }
 
-void VodSimulation::mark_server_dirty(ServerId server_id) {
+void VodSimulation::mark_server_dirty(const ExecContext& ctx, ServerId server_id) {
   if (server_id == kNoServer) return;
   ++recompute_state_[static_cast<std::size_t>(server_id)].epoch;
+  // Shard contexts leave the cluster version to run_windows, which bumps it
+  // once after each window in which a shard drained.
+  if (ctx.index == 0) ++cluster_version_;
 }
 
 void VodSimulation::advance_and_account(ExecContext& ctx, Request& request,
@@ -969,7 +980,7 @@ void VodSimulation::advance_and_account(ExecContext& ctx, Request& request,
   if (now <= request.last_update()) return;
   // Real time elapsed: buffer level and remaining bytes moved, which feeds
   // eligibility and finish-time ordering on the hosting server.
-  mark_server_dirty(request.server());
+  mark_server_dirty(ctx, request.server());
   const Seconds interval_start = request.last_update();
   // A shard context accounts into its own Metrics (merged after the run);
   // the auditor is never active in sharded runs (build_world).
@@ -997,7 +1008,7 @@ void VodSimulation::batch_advance_server(ExecContext& ctx, Server& server) {
   const FluidLane::BatchResult batch = server.lane().advance_batch(
       now, config_.warmup, config_.duration, ctx.metrics->transmission_meter(),
       ctx.underflow_scratch);
-  if (batch.advanced > 0) mark_server_dirty(server.id());
+  if (batch.advanced > 0) mark_server_dirty(ctx, server.id());
   if (!batch.any_underflow) return;
   // Rare path: per-stream accounting in active order, as
   // advance_and_account would do it stream by stream.
@@ -1061,7 +1072,7 @@ void VodSimulation::on_pause(Request& request) {
 
   advance_and_account(ctx, request, now);
   request.pause_viewing(now);
-  mark_server_dirty(request.server());  // drain stopped; minimum rate may be 0
+  mark_server_dirty(ctx, request.server());  // drain stopped; minimum rate may be 0
   ++pauses_started_;
   note(ctx, TraceEventType::kPause, kTraceLifecycle, request.server(), request.id(),
        request.video_id(), request.buffer_level());
@@ -1090,7 +1101,7 @@ void VodSimulation::on_resume(Request& request) {
   const Seconds now = ctx.sim.now();
   advance_and_account(ctx, request, now);
   request.resume_viewing(now);
-  mark_server_dirty(request.server());  // drain restarted
+  mark_server_dirty(ctx, request.server());  // drain restarted
   note(ctx, TraceEventType::kResume, kTraceLifecycle, request.server(), request.id(),
        request.video_id(), request.buffer_level());
 
@@ -1124,11 +1135,11 @@ void VodSimulation::start_replication_job(const ReplicationJob& planned) {
   // tertiary storage.
   if (!planned.from_tertiary()) {
     servers_[static_cast<std::size_t>(planned.source)].reserve_bandwidth(rate);
-    mark_server_dirty(planned.source);
+    mark_server_dirty(ctx, planned.source);
     recompute_server(ctx, planned.source);
   }
   destination.reserve_bandwidth(rate);
-  mark_server_dirty(planned.destination);
+  mark_server_dirty(ctx, planned.destination);
   replication_->on_job_started();
   note(ctx, TraceEventType::kReplicationBegin, kTraceReplication,
        planned.destination, -1, planned.video,
@@ -1143,15 +1154,18 @@ void VodSimulation::start_replication_job(const ReplicationJob& planned) {
     Server& dst = servers_[static_cast<std::size_t>(job.destination)];
     if (!job.from_tertiary()) {
       servers_[static_cast<std::size_t>(job.source)].release_reservation(rate);
-      mark_server_dirty(job.source);
+      mark_server_dirty(ctx, job.source);
       recompute_server(ctx, job.source);
     }
     dst.release_reservation(rate);
-    mark_server_dirty(job.destination);
+    mark_server_dirty(ctx, job.destination);
     // Storage was verified when the job was planned; nothing else consumes
     // storage mid-run, so this cannot fail.
     const bool added = dst.add_replica(catalog_[job.video]);
-    if (added) directory_.add_holder(job.video, job.destination);
+    if (added) {
+      directory_.add_holder(job.video, job.destination);
+      ++cluster_version_;
+    }
     ctx.metrics->record_replication(start, end, rate);
     replication_->on_job_finished(job.video);
     note(ctx, TraceEventType::kReplicationEnd, kTraceReplication, job.destination,
@@ -1163,7 +1177,7 @@ void VodSimulation::start_replication_job(const ReplicationJob& planned) {
 void VodSimulation::attach_to(ExecContext& ctx, ServerId server_id,
                               Request& request) {
   Server& server = servers_[static_cast<std::size_t>(server_id)];
-  mark_server_dirty(server_id);
+  mark_server_dirty(ctx, server_id);
   server.attach(request, /*enforce_capacity=*/!config_.admission.buffer_aware);
   // Executing-context clock: a shard-context detach (tx-complete) is ahead
   // of the stale coordinator clock, and occupancy integrates real intervals.
@@ -1174,7 +1188,7 @@ void VodSimulation::attach_to(ExecContext& ctx, ServerId server_id,
 void VodSimulation::detach_from(ExecContext& ctx, ServerId server_id,
                                 Request& request) {
   Server& server = servers_[static_cast<std::size_t>(server_id)];
-  mark_server_dirty(server_id);
+  mark_server_dirty(ctx, server_id);
   server.detach(request);
   occupancy_[static_cast<std::size_t>(server_id)].update(
       ctx.sim.now(), static_cast<double>(server.active_count()));

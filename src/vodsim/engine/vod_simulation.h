@@ -273,6 +273,11 @@ class VodSimulation {
   void schedule_next_arrival();
   void handle_arrival(const Arrival& arrival);
 
+  /// The controller's decision for an arrival or retry now, at the current
+  /// cluster version. With the auditor armed, a rejection served from the
+  /// controller's memo is re-decided fresh (check_memoized_rejection).
+  AdmissionDecision decide(VideoId video, Mbps view_bandwidth);
+
   /// Starts \p request streaming from \p server now: attaches it, schedules
   /// its playback end, reallocates the server and (with interactivity)
   /// draws its first pause. Serves arrivals and re-admitted rejections.
@@ -365,11 +370,12 @@ class VodSimulation {
   void recompute_server(ExecContext& ctx, ServerId server);
 
   /// Records that \p server's allocation inputs changed (active set,
-  /// reservations, pause state, or fluid state advanced), invalidating the
-  /// recompute memo. Safe to call with kNoServer. Spurious bumps cost one
-  /// redundant recompute; a missing bump would skip a needed one — when in
-  /// doubt, bump.
-  void mark_server_dirty(ServerId server);
+  /// reservations, pause state, capacity, reachability, or fluid state
+  /// advanced), invalidating the recompute memo; run by the coordinator
+  /// (\p ctx), it also bumps the cluster version. Safe to call with
+  /// kNoServer. Spurious bumps cost one redundant recompute or search; a
+  /// missing bump would skip a needed one — when in doubt, bump.
+  void mark_server_dirty(const ExecContext& ctx, ServerId server);
 
   /// Accounts the transmission interval [request.last_update(), now] to the
   /// metrics and integrates the request's fluid state. For single-request
@@ -455,6 +461,15 @@ class VodSimulation {
   /// Present only when failure.retry.enabled.
   std::unique_ptr<RetryQueue> retry_queue_;
   EventId retry_tick_ = kInvalidEventId;
+  /// process_retries' batch of due entries, reused across batches.
+  std::vector<RetryEntry> retry_due_;
+
+  /// The cluster version (admission/migration.h) the controller decides at.
+  /// Written by the coordinator only: every coordinator-side
+  /// mark_server_dirty, every new replica holder, and once after each
+  /// run_windows window in which a shard drained. Starts above
+  /// kFreshSearch.
+  std::uint64_t cluster_version_ = kFreshSearch + 1;
 
   /// Why a server is losing capacity (settle_capacity_loss gives the
   /// precedence). A partitioned but running server loses its whole link to

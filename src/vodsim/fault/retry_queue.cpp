@@ -12,28 +12,33 @@ bool RetryQueue::push(RetryEntry entry) {
     return false;
   }
   entries_.push_back(entry);
+  earliest_ = std::min(earliest_, entry.next_attempt);
   return true;
 }
 
-std::vector<RetryEntry> RetryQueue::take_due(Seconds now, bool force) {
-  std::vector<RetryEntry> due;
+void RetryQueue::take_due(Seconds now, bool force, std::vector<RetryEntry>& out) {
+  out.clear();
+  Seconds earliest = std::numeric_limits<Seconds>::infinity();
   std::size_t kept = 0;
-  for (RetryEntry& entry : entries_) {
+  for (const RetryEntry& entry : entries_) {
     if (force || entry.next_attempt <= now) {
-      due.push_back(entry);
+      out.push_back(entry);
     } else {
+      earliest = std::min(earliest, entry.next_attempt);
       entries_[kept++] = entry;
     }
   }
   entries_.resize(kept);
-  return due;
+  earliest_ = earliest;
 }
 
 bool RetryQueue::remove_request(RequestId request) {
   if (request == kNoRetryRequest) return false;
   for (auto it = entries_.begin(); it != entries_.end(); ++it) {
     if (it->request == request) {
+      const Seconds removed = it->next_attempt;
       entries_.erase(it);
+      if (removed == earliest_) earliest_ = recompute_earliest();
       return true;
     }
   }
@@ -47,7 +52,7 @@ Seconds RetryQueue::backoff(int attempts) const {
   return std::min(config_.backoff_cap, raw);
 }
 
-Seconds RetryQueue::next_attempt_time() const {
+Seconds RetryQueue::recompute_earliest() const {
   Seconds earliest = std::numeric_limits<double>::infinity();
   for (const RetryEntry& entry : entries_) {
     earliest = std::min(earliest, entry.next_attempt);

@@ -13,7 +13,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
+#include <limits>
 #include <vector>
 
 #include "vodsim/cluster/request.h"
@@ -46,11 +46,19 @@ class RetryQueue {
   /// Enqueues; returns false (and counts an overflow) when full.
   bool push(RetryEntry entry);
 
-  /// Removes and returns entries whose next_attempt has arrived (all
-  /// entries when \p force — used on server-up / brownout-end, where
-  /// capacity just returned and waiting out the backoff would be silly).
-  /// FIFO order is preserved.
-  std::vector<RetryEntry> take_due(Seconds now, bool force);
+  /// Removes the entries whose next_attempt has arrived (all entries when
+  /// \p force — used on server-up / brownout-end, where capacity just
+  /// returned and waiting out the backoff would be silly) into \p out,
+  /// which is cleared first and keeps its capacity. FIFO order is
+  /// preserved, in \p out and in the queue.
+  void take_due(Seconds now, bool force, std::vector<RetryEntry>& out);
+
+  /// As above, into a new vector.
+  std::vector<RetryEntry> take_due(Seconds now, bool force) {
+    std::vector<RetryEntry> due;
+    take_due(now, force, due);
+    return due;
+  }
 
   /// Drops the entry for \p request if present (the parked stream's
   /// playback window closed). Returns true when something was removed.
@@ -60,7 +68,8 @@ class RetryQueue {
   Seconds backoff(int attempts) const;
 
   /// Earliest next_attempt over queued entries; +infinity when empty.
-  Seconds next_attempt_time() const;
+  /// Cached: push, take_due and remove_request keep it current.
+  Seconds next_attempt_time() const { return earliest_; }
 
   std::size_t size() const { return entries_.size(); }
   bool empty() const { return entries_.empty(); }
@@ -68,8 +77,12 @@ class RetryQueue {
   const RetryConfig& config() const { return config_; }
 
  private:
+  /// The least next_attempt over entries_ (+infinity when empty).
+  Seconds recompute_earliest() const;
+
   RetryConfig config_;
-  std::deque<RetryEntry> entries_;
+  std::vector<RetryEntry> entries_;  ///< FIFO (push order)
+  Seconds earliest_ = std::numeric_limits<Seconds>::infinity();
   std::uint64_t overflow_count_ = 0;
 };
 

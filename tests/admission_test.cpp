@@ -663,9 +663,55 @@ class RandomCluster {
   std::size_t num_videos() const { return videos_.size(); }
   ReplicaDirectory directory() const { return ReplicaDirectory(videos_.size(), servers_); }
 
+  /// Applies one random change that a search can see, of one of six
+  /// kinds: attaches a stream, detaches one, rescales a link, takes a
+  /// server down or up, reserves or releases bandwidth, or adds a replica
+  /// (registered in \p directory). Returns false when the drawn change
+  /// does not apply here (nothing changed), or would detach while
+  /// \p may_detach is false.
+  bool mutate(Rng& rng, ReplicaDirectory& directory, bool may_detach = true) {
+    Server& server = servers_[rng.uniform_int(servers_.size())];
+    switch (rng.uniform_int(6)) {
+      case 0: {
+        if (server.replicas().empty()) return false;
+        const std::vector<VideoId>& held = server.replicas();
+        const Video& video = videos_[static_cast<std::size_t>(held[rng.uniform_int(held.size())])];
+        if (!server.can_admit(video.view_bandwidth)) return false;
+        attach_stream(server, video, rng);
+        return true;
+      }
+      case 1: {
+        if (!may_detach || server.active_count() == 0) return false;
+        server.detach(*server.active_requests()[rng.uniform_int(server.active_count())]);
+        return true;
+      }
+      case 2:
+        server.set_capacity_factor(0.5 + 0.5 * rng.uniform());
+        return true;
+      case 3:
+        server.set_available(!server.available());
+        return true;
+      case 4:
+        if (server.slack() >= 1.5) {
+          server.reserve_bandwidth(1.5);
+        } else if (server.reserved_bandwidth() > 0.0) {
+          server.release_reservation(server.reserved_bandwidth());
+        } else {
+          return false;
+        }
+        return true;
+      default: {
+        const Video& video = videos_[rng.uniform_int(videos_.size())];
+        if (!server.add_replica(video)) return false;
+        directory.add_holder(video.id, server.id());
+        return true;
+      }
+    }
+  }
+
  private:
   /// Attaches streams of held videos until one does not fit (or, one time
-  /// in five, stops early); each has 0-2 hops and 0-6 s of staged cover.
+  /// in five, stops early).
   void fill(Server& server, Rng& rng) {
     if (server.replicas().empty()) return;
     const bool stop_early = rng.uniform() < 0.2;
@@ -673,23 +719,28 @@ class RandomCluster {
       const std::vector<VideoId>& held = server.replicas();
       const Video& video = videos_[static_cast<std::size_t>(held[rng.uniform_int(held.size())])];
       if (!server.can_admit(video.view_bandwidth)) return;
-      auto request = std::make_unique<Request>(next_id_++, video, 0.0,
-                                               ClientProfile{1e9, 1e9});
-      Request& ref = *request;
-      ref.begin_streaming(0.0, server.id());
-      if (rng.uniform() < 0.5) {
-        const Megabits level = rng.uniform(0.0, 6.0) * video.view_bandwidth;
-        ref.set_allocation(0.0, level + video.view_bandwidth);
-        ref.advance(1.0);
-        ref.set_allocation(1.0, 0.0);
-      }
-      for (std::uint64_t h = rng.uniform_int(3); h > 0; --h) {
-        ref.begin_migration(ref.last_update());
-        ref.complete_migration(ref.last_update(), server.id());
-      }
-      server.attach(ref);
-      requests_.push_back(std::move(request));
+      attach_stream(server, video, rng);
     }
+  }
+
+  /// Attaches a stream of \p video with 0-2 hops and 0-6 s of staged cover.
+  void attach_stream(Server& server, const Video& video, Rng& rng) {
+    auto request =
+        std::make_unique<Request>(next_id_++, video, 0.0, ClientProfile{1e9, 1e9});
+    Request& ref = *request;
+    ref.begin_streaming(0.0, server.id());
+    if (rng.uniform() < 0.5) {
+      const Megabits level = rng.uniform(0.0, 6.0) * video.view_bandwidth;
+      ref.set_allocation(0.0, level + video.view_bandwidth);
+      ref.advance(1.0);
+      ref.set_allocation(1.0, 0.0);
+    }
+    for (std::uint64_t h = rng.uniform_int(3); h > 0; --h) {
+      ref.begin_migration(ref.last_update());
+      ref.complete_migration(ref.last_update(), server.id());
+    }
+    server.attach(ref);
+    requests_.push_back(std::move(request));
   }
 
   RequestId next_id_ = 1;
@@ -759,59 +810,118 @@ TEST(Migration, MatchesUnmemoizedSearchOnRandomClusters) {
   EXPECT_GT(truncated, 1000);
 }
 
-// A retry batch holds the search memo across decisions
-// (MigrationSearchScratch::hold_memo): last-level walks computed for one
-// arrival are replayed for the next. With no server changing in between,
-// every plan and every charged node count must equal a search that starts
-// from an empty memo. Titles repeat within a batch, as queued retries do.
-TEST(Migration, HeldMemoMatchesFreshSearchesAcrossABatch) {
+/// What run_versioned_decides saw.
+struct VersionedRun {
+  int mismatches = 0;   ///< decisions or searches that differ from fresh ones
+  int memo_hits = 0;    ///< rejections the controller served from its memo
+  int walks_reused = 0;  ///< last-level walks the versioned scratch replayed
+  int plans = 0;        ///< migration plans found
+};
+
+/// Decides random queries on random clusters through a controller that
+/// decides at the cluster version (and a scratch that searches at it) and
+/// through fresh ones, between random mutations of the cluster. The
+/// version moves with every mutation when \p bump_on_mutation, and with
+/// every new cluster either way. Counts the queries on which the memoizing
+/// side differs from the fresh side: in accepted, server, steps or search
+/// nodes.
+VersionedRun run_versioned_decides(std::uint64_t seed, bool bump_on_mutation) {
   static constexpr VictimStrategy kVictims[] = {
       VictimStrategy::kFirstFit, VictimStrategy::kLeastRemaining,
       VictimStrategy::kMostRemaining, VictimStrategy::kMostBuffered};
-  Rng rng(1803);
-  MigrationSearchScratch held;
-  int plans = 0;
-  int nodes = 0;
-  for (int trial = 0; trial < 600; ++trial) {
-    const RandomCluster cluster(rng);
-    const ReplicaDirectory directory = cluster.directory();
-    MigrationConfig config;
-    config.enabled = true;
-    config.max_chain_length = 1 + static_cast<int>(rng.uniform_int(3));
-    config.max_hops_per_request = rng.uniform() < 0.5 ? -1 : 2;
-    config.victim = kVictims[rng.uniform_int(4)];
-    config.switch_latency = rng.uniform() < 0.5 ? 0.0 : 1.0;
-    held.hold_memo();
-    const std::uint64_t generation = held.generation;
-    for (int query = 0; query < 8; ++query) {
-      const auto video = static_cast<VideoId>(rng.uniform_int(cluster.num_videos()));
-      const Mbps rate = cluster.video(video).view_bandwidth;
-      MigrationSearchScratch fresh;
-      const auto expected = find_migration_plan(video, rate, config, cluster.servers(),
-                                                directory.all(), fresh);
-      const auto actual = find_migration_plan(video, rate, config, cluster.servers(),
-                                              directory.all(), held);
-      ASSERT_EQ(actual.has_value(), expected.has_value())
-          << "trial " << trial << " query " << query;
-      ASSERT_EQ(held.nodes_explored, fresh.nodes_explored)
-          << "trial " << trial << " query " << query;
-      if (expected) {
-        ASSERT_EQ(actual->admit_on, expected->admit_on);
-        ASSERT_EQ(actual->steps.size(), expected->steps.size());
-        for (std::size_t i = 0; i < expected->steps.size(); ++i) {
-          EXPECT_EQ(actual->steps[i].request, expected->steps[i].request);
-          EXPECT_EQ(actual->steps[i].from, expected->steps[i].from);
-          EXPECT_EQ(actual->steps[i].to, expected->steps[i].to);
+  Rng rng(seed);
+  VersionedRun run;
+  // One scratch for every cluster: the version must keep one cluster's
+  // walks from leaking into the next.
+  MigrationSearchScratch versioned;
+  std::uint64_t version = kFreshSearch;
+  const auto same_steps = [](const std::vector<MigrationStep>& a,
+                             const std::vector<MigrationStep>& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                      [](const MigrationStep& x, const MigrationStep& y) {
+                        return x.request == y.request && x.from == y.from &&
+                               x.to == y.to;
+                      });
+  };
+  for (int trial = 0; trial < 300; ++trial) {
+    RandomCluster cluster(rng);
+    ReplicaDirectory directory = cluster.directory();
+    AdmissionConfig config;
+    config.migration.enabled = true;
+    config.migration.max_chain_length = 1 + static_cast<int>(rng.uniform_int(3));
+    config.migration.max_hops_per_request = rng.uniform() < 0.5 ? -1 : 2;
+    config.migration.victim = kVictims[rng.uniform_int(4)];
+    config.migration.switch_latency = rng.uniform() < 0.5 ? 0.0 : 1.0;
+    const AdmissionController memoizing(config, directory);
+    const AdmissionController fresh(config, directory);
+    Rng memo_rng(static_cast<std::uint64_t>(trial));
+    Rng fresh_rng(static_cast<std::uint64_t>(trial));
+    ++version;
+    for (int round = 0; round < 6; ++round) {
+      // Titles repeat within a round, as queued retries and popular
+      // arrivals do.
+      for (int query = 0; query < 8; ++query) {
+        const auto video = static_cast<VideoId>(rng.uniform_int(cluster.num_videos()));
+        const Mbps rate = cluster.video(video).view_bandwidth;
+        const AdmissionDecision actual =
+            memoizing.decide(0.0, video, rate, cluster.servers(), memo_rng, version);
+        const AdmissionDecision expected =
+            fresh.decide(0.0, video, rate, cluster.servers(), fresh_rng);
+        run.memo_hits += actual.memoized;
+        if (actual.accepted != expected.accepted || actual.server != expected.server ||
+            actual.search_nodes != expected.search_nodes ||
+            !same_steps(actual.migrations, expected.migrations)) {
+          ++run.mismatches;
         }
-        ++plans;
+        run.plans += expected.used_migration();
+
+        const auto searched = find_migration_plan(video, rate, config.migration,
+                                                  cluster.servers(), directory.all(),
+                                                  versioned, version);
+        MigrationSearchScratch once;
+        const auto reference = find_migration_plan(
+            video, rate, config.migration, cluster.servers(), directory.all(), once);
+        run.walks_reused += versioned.walks_reused;
+        if (searched.has_value() != reference.has_value() ||
+            versioned.nodes_explored != once.nodes_explored ||
+            (searched && (searched->admit_on != reference->admit_on ||
+                          !same_steps(searched->steps, reference->steps)))) {
+          ++run.mismatches;
+        }
       }
-      nodes += fresh.nodes_explored;
+      // A stale memo may name any slot its walk saw, so a mutation the
+      // version misses must not shrink an active list: that memo would
+      // index past it.
+      if (cluster.mutate(rng, directory, /*may_detach=*/bump_on_mutation) &&
+          bump_on_mutation) {
+        ++version;
+      }
     }
-    EXPECT_EQ(held.generation, generation) << "the batch must reuse one memo";
-    held.release_memo();
   }
-  EXPECT_GT(plans, 200);
-  EXPECT_GT(nodes, 10000);
+  return run;
+}
+
+// Every decision at one cluster version shares the controller's memo: a
+// repeated rejection is served from it, and the search replays last-level
+// walks computed by earlier decisions. Between mutations of every kind the
+// engine bumps on (attach, detach, capacity factor, availability,
+// reservation, a new replica holder), each decision and each search must
+// equal one that starts from nothing.
+TEST(Migration, VersionedMemoMatchesFreshDecisions) {
+  const VersionedRun run = run_versioned_decides(1803, /*bump_on_mutation=*/true);
+  EXPECT_EQ(run.mismatches, 0);
+  // The memo must actually be exercised: repeats served, walks replayed.
+  EXPECT_GT(run.memo_hits, 1000);
+  EXPECT_GT(run.walks_reused, 1000);
+  EXPECT_GT(run.plans, 100);
+}
+
+// Negative control: the same run with mutations that leave the version
+// alone must disagree with fresh decisions, or the comparison above could
+// not catch a missing bump.
+TEST(Migration, VersionedMemoComparisonCatchesAMissingBump) {
+  const VersionedRun run = run_versioned_decides(1803, /*bump_on_mutation=*/false);
+  EXPECT_GT(run.mismatches, 0);
 }
 
 // --------------------------------------------------------------- controller

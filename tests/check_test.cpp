@@ -167,8 +167,8 @@ TEST(InvariantAuditorChecks, DetectsPredictionOfNonStreamingRequest) {
   Server server(0, 10.0, 1000.0);
   Request request(0, test_video(), 0.0, test_client());
   request.begin_streaming(0.0, server.id());
-  request.begin_migration(0.0);
-  server.attach(request, /*enforce_capacity=*/false);  // attached mid-switch
+  server.attach(request, /*enforce_capacity=*/false);
+  request.mark_done(0.0);  // finished without being detached
   const EventKey key{30.0, 4};
   server.lane().set_predictions(request.active_index,
                                 {key, kNoEventKey, kNoEventKey});
@@ -235,6 +235,58 @@ TEST(ParanoidMode, FeatureConfigsPassTheAuditor) {
   intermittent.scheduler = SchedulerKind::kIntermittent;
   intermittent.intermittent_safety_cover = 5.0;
   EXPECT_NO_THROW(VodSimulation(intermittent).run());
+}
+
+// The engine hands every rejection its admission controller served from
+// the rejection memo to check_memoized_rejection, which re-decides it on a
+// fresh controller. A saturated DRM run with retries repeats rejections at
+// one cluster version; after it, doctored memo decisions must fail.
+TEST(ParanoidMode, MemoizedRejectionsMustMatchAFreshDecision) {
+  SimulationConfig config = paranoid_base(29);
+  config.load_factor = 2.0;
+  config.client.staging_fraction = 0.2;
+  config.admission.migration.enabled = true;
+  config.admission.migration.max_chain_length = 2;
+  config.failure.enabled = true;
+  config.failure.mean_time_between_failures = hours(0.1);
+  config.failure.mean_time_to_repair = hours(0.02);
+  config.failure.retry.enabled = true;
+  VodSimulation simulation(config);
+  ASSERT_NO_THROW(simulation.run());
+  ASSERT_NE(simulation.auditor(), nullptr);
+
+  // At the horizon the cluster is saturated: fresh decisions reject, and a
+  // memo charging the same search passes while one charging another fails.
+  const AdmissionController fresh(simulation.controller().config(),
+                                  simulation.directory());
+  int rejected = 0;
+  for (const Video& video : simulation.catalog().videos()) {
+    Rng rng(1);
+    const AdmissionDecision decision =
+        fresh.decide(0.0, video.id, video.view_bandwidth, simulation.servers(), rng);
+    if (decision.accepted) continue;
+    ++rejected;
+    AdmissionDecision memoized;
+    memoized.memoized = true;
+    memoized.search_nodes = decision.search_nodes;
+    EXPECT_NO_THROW(simulation.auditor()->check_memoized_rejection(
+        video.id, video.view_bandwidth, memoized));
+    memoized.search_nodes = decision.search_nodes + 1;
+    EXPECT_THROW(simulation.auditor()->check_memoized_rejection(
+                     video.id, video.view_bandwidth, memoized),
+                 AuditFailure);
+  }
+  EXPECT_GT(rejected, 0);
+
+  // Before any arrival every holder has room: a memo that rejects what a
+  // fresh decision accepts fails.
+  const VodSimulation idle(config);
+  const Video& video = idle.catalog().videos().front();
+  AdmissionDecision memoized;
+  memoized.memoized = true;
+  EXPECT_THROW(idle.auditor()->check_memoized_rejection(video.id,
+                                                        video.view_bandwidth, memoized),
+               AuditFailure);
 }
 
 TEST(ParanoidMode, AuditedRunIsBitIdenticalToPlainRun) {
