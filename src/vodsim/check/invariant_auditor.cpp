@@ -22,7 +22,6 @@ namespace {
 
 InvariantAuditor::InvariantAuditor(const VodSimulation& simulation)
     : sim_(simulation) {
-  last_epochs_.assign(sim_.servers().size(), 0);
   last_reachable_.assign(sim_.servers().size(), 1);
 }
 
@@ -204,15 +203,6 @@ void InvariantAuditor::on_event() {
   const std::vector<Server>& servers = sim_.servers();
   for (std::size_t i = 0; i < servers.size(); ++i) {
     const Server& server = servers[i];
-    const std::uint64_t epoch = sim_.recompute_epoch(server.id());
-    if (epoch < last_epochs_[i]) {
-      std::ostringstream d;
-      d << "server " << server.id() << ": epoch " << epoch << " after "
-        << last_epochs_[i];
-      fail("recompute epochs only move forward", d);
-    }
-    last_epochs_[i] = epoch;
-
     check_server(server, expect);
     check_prediction_timer(server, sim_.prediction_timer_key(server.id()));
     for (const Request* request : server.active_requests()) {

@@ -46,7 +46,7 @@ class AuditFailure : public std::logic_error {
 class InvariantAuditor {
  public:
   /// \param simulation must outlive the auditor. The world must already be
-  ///        built (servers sized); the auditor snapshots per-server epochs.
+  ///        built (servers sized).
   explicit InvariantAuditor(const VodSimulation& simulation);
 
   /// Validates the full cluster state; the engine calls this after every
@@ -119,7 +119,6 @@ class InvariantAuditor {
   std::uint64_t events_audited_ = 0;
   mutable std::uint64_t checks_run_ = 0;
   Seconds last_event_time_ = 0.0;
-  std::vector<std::uint64_t> last_epochs_;
   /// Per-server reachability as of the last audited event. on_advance runs
   /// *before* the current event mutates state, so an interval's flow is
   /// judged against the reachability that held while it was streaming —

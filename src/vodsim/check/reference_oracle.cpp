@@ -15,7 +15,6 @@
 #include "vodsim/engine/metrics.h"
 #include "vodsim/engine/vod_simulation.h"
 #include "vodsim/fault/schedule.h"
-#include "vodsim/sched/intermittent.h"
 #include "vodsim/sched/scheduler.h"
 #include "vodsim/util/rng.h"
 #include "vodsim/workload/drift.h"
@@ -57,12 +56,7 @@ class Oracle {
     failures_ = world.failure_timeline();
 
     controller_ = std::make_unique<AdmissionController>(config.admission, directory_);
-    if (config.scheduler == SchedulerKind::kIntermittent) {
-      scheduler_ =
-          std::make_unique<IntermittentScheduler>(config.intermittent_safety_cover);
-    } else {
-      scheduler_ = make_scheduler(config.scheduler);
-    }
+    scheduler_ = make_scheduler(config.scheduler, config.intermittent_safety_cover);
     replication_ = std::make_unique<ReplicationManager>(config.replication);
     profile_.buffer_capacity = config.staging_capacity();
     profile_.receive_bandwidth = config.client.receive_bandwidth;

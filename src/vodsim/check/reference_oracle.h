@@ -4,13 +4,14 @@
 /// \brief Naive reference simulator for differential testing of the engine.
 ///
 /// The production engine earns its speed from machinery that is easy to get
-/// subtly wrong: a slab event queue with lazy cancellation, a dirty-epoch
-/// recompute memo, reused scratch buffers. The oracle re-implements the same
-/// fluid semantics with none of it — an outer fixed timestep for periodic
+/// subtly wrong: a slab event queue with lazy cancellation, one timer per
+/// server for its predicted events, a persistent per-server grant order,
+/// reused scratch buffers. The oracle re-implements the same fluid
+/// semantics with none of it — an outer fixed timestep for periodic
 /// self-checks, and within each step a brute-force rescan of every pending
-/// transition (no event queue, no memo, fresh scheduler scratch per
-/// reallocation). On small scenarios the two must agree: event counts
-/// exactly, fluid integrals to float accumulation error.
+/// transition (no event queue, no grant-order cache, fresh scheduler
+/// scratch per reallocation). On small scenarios the two must agree: event
+/// counts exactly, fluid integrals to float accumulation error.
 ///
 /// Faithfulness requires mirroring *where* the engine observes state, not
 /// just what it computes. Admission and victim selection read fluid state

@@ -27,7 +27,20 @@ namespace {
 /// built with -ffp-contract=off (see src/CMakeLists.txt) so no clone can
 /// fuse multiply-adds into FMAs that round differently from the scalar
 /// path.
-#if defined(__x86_64__) && defined(__has_attribute)
+///
+/// ThreadSanitizer builds get no clones: the clones' ifunc resolvers run
+/// while the dynamic loader relocates the binary, before the TSan runtime
+/// is initialised, and the instrumented resolvers crash every program that
+/// links the library before main.
+#if defined(__SANITIZE_THREAD__)
+#define VODSIM_BATCH_KERNEL_CLONES
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define VODSIM_BATCH_KERNEL_CLONES
+#endif
+#endif
+#if !defined(VODSIM_BATCH_KERNEL_CLONES) && defined(__x86_64__) && \
+    defined(__has_attribute)
 #if __has_attribute(target_clones)
 #define VODSIM_BATCH_KERNEL_CLONES \
   __attribute__((target_clones("default", "avx2", "avx512f")))
@@ -153,20 +166,19 @@ __attribute__((noinline)) void workahead_inputs(
   }
 }
 
-/// Request::minimum_rate's rule on a slot's state, for sum_minimum_rates
-/// and grant_inputs: 0 only for a paused client whose staging buffer is
-/// full, else the view bandwidth.
+/// Request::minimum_rate's rule on a slot's state, for grant_inputs: 0
+/// only for a paused client whose staging buffer is full, else the view
+/// bandwidth.
 inline Mbps minimum_rate(bool paused, bool full, Mbps view_bandwidth) {
   return paused & full ? 0.0 : view_bandwidth;
 }
 
-/// Whether a slot can absorb workahead, for eligible_slots and
-/// grant_inputs: staging buffer not full, a receive link faster than
-/// playback, data left to send. The tests combine with & rather than &&,
-/// so each comparison runs unconditionally: GCC will not if-convert an
-/// ordered comparison that the source runs only under a condition (it may
-/// trap under the default -ftrapping-math), which would keep grant_inputs
-/// scalar.
+/// Whether a slot can absorb workahead, for grant_inputs: staging buffer
+/// not full, a receive link faster than playback, data left to send. The
+/// tests combine with & rather than &&, so each comparison runs
+/// unconditionally: GCC will not if-convert an ordered comparison that the
+/// source runs only under a condition (it may trap under the default
+/// -ftrapping-math), which would keep grant_inputs scalar.
 inline bool takes_workahead(bool full, Mbps receive_bandwidth,
                             Mbps view_bandwidth, Megabits remaining) {
   return !full & (receive_bandwidth > view_bandwidth) &
@@ -180,12 +192,11 @@ inline std::int64_t mask_if(bool condition) {
 }
 
 /// Batched finish-time grant inputs (FluidLane::fill_grant_inputs), with
-/// \p flip = 0 for EFTF and ~0 (all ones) for LFTF. Bit-identity with the
-/// scalar passes, term by term:
-///   - minimum: minimum_rate, as sum_minimum_rates applies it.
-///   - room: eligible_slots' `receive_bandwidth - view_bandwidth` for a
-///     slot that takes_workahead, computed for every slot and masked to
-///     +0.0 (all-zero bits) for the rest.
+/// \p flip = 0 for EFTF and ~0 (all ones) for LFTF. Term by term:
+///   - minimum: minimum_rate.
+///   - room: `receive_bandwidth - view_bandwidth` for a slot that
+///     takes_workahead, computed for every slot and masked to +0.0
+///     (all-zero bits) for the rest.
 ///   - key: the bits of fluid_detail::projected_finish, XOR flip (= ~bits
 ///     for LFTF), or INT64_MAX when ineligible.
 /// The subtraction and the division run for every slot and an integer mask
@@ -441,19 +452,6 @@ FluidLane::BatchResult FluidLane::advance_batch(
   return result;
 }
 
-Mbps FluidLane::sum_minimum_rates(std::vector<Mbps>& rates) const {
-  const std::size_t n = size_;
-  rates.assign(n, 0.0);
-  Mbps committed = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const Mbps rate =
-        minimum_rate(playing_[i] == 0.0, buffer_full(i), view_bandwidth_[i]);
-    rates[i] = rate;
-    committed += rate;
-  }
-  return committed;
-}
-
 FluidLane::GrantSums FluidLane::fill_grant_inputs(
     Seconds now, bool earliest_first, std::vector<Mbps>& minimum,
     std::vector<Mbps>& room, std::vector<std::int64_t>& order_keys) const {
@@ -472,20 +470,6 @@ FluidLane::GrantSums FluidLane::fill_grant_inputs(
     sums.room += room[i];
   }
   return sums;
-}
-
-Mbps FluidLane::eligible_slots(std::vector<std::size_t>& out) const {
-  const std::size_t n = size_;
-  out.clear();
-  Mbps room = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (takes_workahead(buffer_full(i), receive_bandwidth_[i],
-                        view_bandwidth_[i], remaining_[i])) {
-      out.push_back(i);
-      room += receive_bandwidth_[i] - view_bandwidth_[i];
-    }
-  }
-  return room;
 }
 
 Mbps FluidLane::add_near_term_need(Mbps need, Seconds horizon) const {

@@ -340,24 +340,29 @@ class FluidLane {
   // chasing Request pointers. The passes read the same authoritative values
   // the Request accessors return, and the sort keys and predicted times
   // come from the single-source fluid_detail formulas, so every caller
-  // sees the same bits — the determinism goldens pin that.
-
-  /// Fills \p rates with each slot's minimum rate (Request::minimum_rate
-  /// semantics: the view bandwidth, or 0 for a paused client with a full
-  /// staging buffer) and returns their sum in slot order.
-  Mbps sum_minimum_rates(std::vector<Mbps>& rates) const;
+  // sees the same bits — the determinism goldens pin that. The
+  // minimum-flow schedulers (EFTF, LFTF, continuous, proportional) read one
+  // fill_grant_inputs pass each; the intermittent scheduler reads
+  // fill_workahead_inputs and, when it sorts, fill_projected_finish.
 
   /// Sums of one fill_grant_inputs pass, each added in slot order.
   struct GrantSums {
-    Mbps committed = 0.0;  ///< the minimum rates, as sum_minimum_rates
-    Mbps room = 0.0;       ///< the eligible rooms, as eligible_slots
+    Mbps committed = 0.0;  ///< the minimum rates
+    Mbps room = 0.0;       ///< the eligible slots' rooms
   };
 
-  /// EFTF/LFTF's inputs (FinishTimeScheduler::allocate) in one vectorized
-  /// pass over the lane. Per slot it writes:
-  ///   - minimum[i]: its minimum rate, as sum_minimum_rates writes it;
+  /// The minimum-flow schedulers' inputs in one vectorized pass over the
+  /// lane. Per slot it writes:
+  ///   - minimum[i]: its minimum rate (Request::minimum_rate semantics: the
+  ///     view bandwidth, or 0 for a paused client with a full staging
+  ///     buffer);
   ///   - room[i]: receive_bandwidth - view_bandwidth when the slot is
-  ///     eligible for workahead (eligible_slots' test), else +0.0;
+  ///     eligible for workahead — staging buffer not full, a receive link
+  ///     faster than playback, data left to send — else +0.0. An eligible
+  ///     slot's room is positive (receive > view), so room[i] > 0.0 is
+  ///     exactly eligibility; and since an eligible buffer is not full, its
+  ///     minimum rate is its view bandwidth and room[i] is what a grant pass
+  ///     can add to it;
   ///   - order_keys[i]: its grant-order key when eligible, else INT64_MAX.
   ///     The key is the IEEE-754 bit pattern of projected_finish(i, now),
   ///     complemented (~) when !\p earliest_first. Projected finishes of
@@ -366,21 +371,12 @@ class FluidLane {
   ///     the least key is the earliest finish for EFTF and the latest for
   ///     LFTF, and INT64_MAX sorts after every eligible slot.
   /// Then one scalar loop adds the minimum rates and the rooms in slot
-  /// order — the additions sum_minimum_rates and eligible_slots make (an
-  /// ineligible slot's +0.0 leaves the room sum's bits unchanged) — and
-  /// returns both sums. All three outputs are resized to size().
+  /// order (an ineligible slot's +0.0 leaves the room sum's bits unchanged)
+  /// and returns both sums. All three outputs are resized to size().
   GrantSums fill_grant_inputs(Seconds now, bool earliest_first,
                               std::vector<Mbps>& minimum,
                               std::vector<Mbps>& room,
                               std::vector<std::int64_t>& order_keys) const;
-
-  /// Fills \p out (cleared first; its capacity is reused) with the slots
-  /// that can absorb workahead — staging buffer not full, a receive link
-  /// faster than playback, data left to send — in slot order, and returns
-  /// their summed room receive_bandwidth - view_bandwidth (the room a
-  /// minimum-flow grant pass sees: an eligible slot's buffer is not full,
-  /// so its minimum rate is its view bandwidth), added in slot order.
-  Mbps eligible_slots(std::vector<std::size_t>& out) const;
 
   /// Buffer-aware admission's near-term need (AdmissionController::
   /// feasible): adds the view bandwidth of every slot whose staged cover

@@ -268,7 +268,7 @@ struct SimulationConfig {
 
   /// Attach the runtime invariant auditor (check/invariant_auditor.h) to
   /// this trial: every executed event is followed by a full physical-state
-  /// audit (minimum flow, capacity, buffer bounds, epoch monotonicity) and
+  /// audit (minimum flow, capacity, buffer bounds, clock monotonicity) and
   /// the run ends with a bits-conservation reconciliation. Off by default —
   /// the audit pass costs O(active streams) per event. The VODSIM_PARANOID
   /// environment variable (nonzero) forces it on regardless of this flag.

@@ -7,7 +7,6 @@
 
 #include "vodsim/check/invariant_auditor.h"
 #include "vodsim/fault/schedule.h"
-#include "vodsim/sched/intermittent.h"
 #include "vodsim/util/env.h"
 #include "vodsim/util/log.h"
 #include "vodsim/util/thread_pool.h"
@@ -219,12 +218,7 @@ void VodSimulation::build_context(int first_server, int end_server,
     }
     ctx->metrics->set_topology(&topology_, server_bandwidth);
   }
-  if (config_.scheduler == SchedulerKind::kIntermittent) {
-    ctx->scheduler =
-        std::make_unique<IntermittentScheduler>(config_.intermittent_safety_cover);
-  } else {
-    ctx->scheduler = make_scheduler(config_.scheduler);
-  }
+  ctx->scheduler = make_scheduler(config_.scheduler, config_.intermittent_safety_cover);
   if (trace_config.enabled) {
     ctx->trace = std::make_unique<TraceRecorder>(trace_config, ctx->index - 1);
     ctx->scheduler->set_trace(ctx->trace.get());
@@ -924,15 +918,6 @@ void VodSimulation::recompute_server(ExecContext& ctx, ServerId server_id) {
   assert(ctx.index == 0 ||
          owner_index(server_id) == static_cast<std::size_t>(ctx.index));
   const Seconds now = ctx.sim.now();
-  // Memo: several events at one timestamp often recompute the same server.
-  // A repeat with unchanged inputs is a pure no-op — advance would see dt=0,
-  // allocate is deterministic in its inputs (including the intermittent
-  // scheduler's hysteresis latch, which is idempotent at fixed cover), and
-  // the exact-compare below would reschedule nothing — so skipping it is
-  // bit-identical. Exact double compare on purpose: only a repeat at the
-  // *same* event timestamp qualifies.
-  if (state.clean_time == now && state.clean_epoch == state.epoch) return;
-
   const std::vector<Request*>& active = server.active_requests();
   note(ctx, TraceEventType::kRecompute, kTraceSched, server_id, -1, -1,
        static_cast<double>(active.size()), server.schedulable_bandwidth());
@@ -961,15 +946,10 @@ void VodSimulation::recompute_server(ExecContext& ctx, ServerId server_id) {
     }
   }
   sync_prediction_timer(server_id);
-  // Record *after* the advances above bumped the epoch: the server is clean
-  // as of the state this pass just produced.
-  state.clean_time = now;
-  state.clean_epoch = state.epoch;
 }
 
 void VodSimulation::mark_server_dirty(const ExecContext& ctx, ServerId server_id) {
   if (server_id == kNoServer) return;
-  ++recompute_state_[static_cast<std::size_t>(server_id)].epoch;
   // Shard contexts leave the cluster version to run_windows, which bumps it
   // once after each window in which a shard drained.
   if (ctx.index == 0) ++cluster_version_;

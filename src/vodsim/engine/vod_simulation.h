@@ -114,13 +114,6 @@ class VodSimulation {
   /// The retry queue, or nullptr unless failure.retry.enabled.
   const RetryQueue* retry_queue() const { return retry_queue_.get(); }
 
-  /// Recompute-memo epoch of \p server: bumps whenever the server's
-  /// allocation inputs change and never otherwise. The invariant auditor
-  /// checks monotonicity; exposed for it and for tests.
-  std::uint64_t recompute_epoch(ServerId server) const {
-    return recompute_state_[static_cast<std::size_t>(server)].epoch;
-  }
-
   /// The key \p server's predicted-event timer is armed at, kNoEventKey
   /// when no timer is pending. Between events it equals the earliest live
   /// prediction key in the server's lane; the invariant auditor checks that
@@ -365,16 +358,15 @@ class VodSimulation {
 
   /// Advances all active requests on \p server to now, reallocates rates,
   /// and reschedules predicted events for requests whose rate changed.
-  /// Memoized per server: a repeat call at the same timestamp with no
-  /// intervening input change (see mark_server_dirty) is a no-op.
   void recompute_server(ExecContext& ctx, ServerId server);
 
   /// Records that \p server's allocation inputs changed (active set,
   /// reservations, pause state, capacity, reachability, or fluid state
-  /// advanced), invalidating the recompute memo; run by the coordinator
-  /// (\p ctx), it also bumps the cluster version. Safe to call with
-  /// kNoServer. Spurious bumps cost one redundant recompute or search; a
-  /// missing bump would skip a needed one — when in doubt, bump.
+  /// advanced): run by the coordinator (\p ctx), it bumps the cluster
+  /// version, which invalidates the admission search memo; a shard context
+  /// leaves that to run_windows. Safe to call with kNoServer. A spurious
+  /// bump costs one redundant search; a missing bump would reuse a stale
+  /// one — when in doubt, bump.
   void mark_server_dirty(const ExecContext& ctx, ServerId server);
 
   /// Accounts the transmission interval [request.last_update(), now] to the
@@ -515,17 +507,11 @@ class VodSimulation {
   /// single-queue runs never spawn threads.
   std::unique_ptr<ThreadPool> shard_pool_;
 
-  /// Per-server recompute memo. `epoch` counts input changes; a server is
-  /// clean iff it was recomputed at exactly the current simulation time
-  /// (exact double compare) and its epoch has not moved since.
+  /// Per-server recompute state.
   struct ServerRecomputeState {
-    std::uint64_t epoch = 1;
-    std::uint64_t clean_epoch = 0;  ///< epoch at the last completed recompute
-    Seconds clean_time = -1.0;      ///< sim time of the last completed recompute
     /// This server's grant order from its previous allocation pass; the
     /// intermittent scheduler repairs it instead of resorting, and the
     /// other schedulers leave it alone (sched/finish_order.h).
-    /// Entries point into requests_, which outlives this state.
     SchedCache sched_cache;
 
     // Predicted-event timer (DESIGN.md §8), in the owner context's queue.

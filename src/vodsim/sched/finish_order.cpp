@@ -59,22 +59,20 @@ void sort_by_projected_finish(Seconds now, const std::vector<Request*>& active,
 
   bool seeded = false;
   if (cache != nullptr && !cache->grant_order.empty() && order.size() > 1) {
-    // Validate the remembered order against the *current* candidate set by
-    // membership, not by re-deriving eligibility: the caller's candidate
-    // predicate (which may depend on rates already granted this pass) stays
-    // in one place, and stale entries — detached, migrated, finished,
-    // swap-moved or newly-ineligible requests — drop out on the slot/pointer
-    // identity check, which reads only the active vector.
+    // Filter the remembered order by membership in the *current* candidate
+    // set, not by re-deriving eligibility: the caller's candidate predicate
+    // (which may depend on rates already granted this pass) stays in one
+    // place. Slots past the end of the list or no longer candidates drop
+    // out; a slot that holds another request now only seeds it at a stale
+    // position, which the repair sorts out (see the header).
     std::vector<std::uint8_t>& in_candidates = scratch.in_candidates;
     in_candidates.assign(active.size(), 0);
     for (const std::size_t index : order) in_candidates[index] = 1;
 
     std::vector<std::size_t>& seed = scratch.aux;
     seed.clear();
-    for (const SchedCache::Entry& entry : cache->grant_order) {
-      const std::size_t index = entry.slot;
-      if (index < active.size() && active[index] == entry.request &&
-          in_candidates[index] != 0) {
+    for (const std::size_t index : cache->grant_order) {
+      if (index < active.size() && in_candidates[index] != 0) {
         seed.push_back(index);
         in_candidates[index] = 0;  // consumed; leftovers appended below
       }
@@ -93,11 +91,7 @@ void sort_by_projected_finish(Seconds now, const std::vector<Request*>& active,
   }
 
   if (cache != nullptr) {
-    cache->grant_order.clear();
-    cache->grant_order.reserve(order.size());
-    for (const std::size_t index : order) {
-      cache->grant_order.push_back({index, active[index]});
-    }
+    cache->grant_order.assign(order.begin(), order.end());
   }
 }
 

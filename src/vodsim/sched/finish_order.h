@@ -32,14 +32,16 @@
 /// byte-identical to the full-resort path.
 ///
 /// Lifetime. A SchedCache belongs to one server (the engine keeps one per
-/// ServerRecomputeState) and stores (slot, Request pointer) pairs. Entries
-/// are validated lazily against the current candidate set by comparing the
-/// pointer with active[slot] — never dereferencing it — so detached,
-/// finished, migrated, newly-ineligible or swap-moved requests simply drop
-/// out (a moved request rejoins as a leftover), no invalidation hooks are
-/// needed anywhere in the engine, and a stale pointer is never read
-/// through.
+/// ServerRecomputeState) and stores slots only. A pass seeds from each
+/// remembered slot that is still inside the active list and in the current
+/// candidate set, then appends the candidates the cache missed. A slot that
+/// now holds a different request (detach's swap-with-last moved one in, or
+/// a new arrival took it) seeds at a stale position, which can cost the
+/// repair some shifts but never changes its result: the order is total and
+/// unique, so any seed sorts to the same permutation. No invalidation
+/// hooks are needed anywhere in the engine.
 
+#include <cstdint>
 #include <vector>
 
 #include "vodsim/cluster/request.h"
@@ -52,16 +54,9 @@ struct AllocationScratch;
 /// Persistent ordering state for one server. Default-constructed = cold
 /// (first pass falls back to a full sort, then the cache is warm).
 struct SchedCache {
-  /// One remembered grant: the candidate's slot in the active vector and
-  /// the request that held it.
-  struct Entry {
-    std::size_t slot;
-    const Request* request;
-  };
-
-  /// The grant order produced by the previous sorting pass, earliest
-  /// projected finish first.
-  std::vector<Entry> grant_order;
+  /// The active-list slots of the grant order produced by the previous
+  /// sorting pass, earliest projected finish first.
+  std::vector<std::uint32_t> grant_order;
 
   void clear() { grant_order.clear(); }
 };
@@ -75,8 +70,8 @@ namespace sched_detail {
 /// Throws std::invalid_argument as sched_detail::lane_of does.
 ///
 /// With a warm \p cache, the previous grant order seeds the permutation
-/// (validated entry by entry against the current candidate set) and an
-/// adaptive insertion pass repairs it; a cold or null cache takes the full
+/// (each remembered slot that is a current candidate, then the rest) and
+/// an adaptive insertion pass repairs it; a cold or null cache takes the full
 /// std::sort path. Both paths produce the identical unique permutation.
 /// On return the cache (when non-null) holds the new grant order.
 ///

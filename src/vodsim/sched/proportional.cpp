@@ -4,7 +4,7 @@
 
 namespace vodsim {
 
-void ProportionalShareScheduler::allocate(Seconds /*now*/, Mbps capacity,
+void ProportionalShareScheduler::allocate(Seconds now, Mbps capacity,
                                           const std::vector<Request*>& active,
                                           std::vector<Mbps>& rates,
                                           AllocationScratch& scratch,
@@ -12,14 +12,22 @@ void ProportionalShareScheduler::allocate(Seconds /*now*/, Mbps capacity,
   // Water-filling iterates the eligible pool in active order and splits
   // evenly — there is no sorted grant order to make incremental, so the
   // cache is ignored (its FP operation order is pinned by the slot order
-  // alone).
+  // alone). One lane pass writes every slot's minimum rate (into rates)
+  // and its grant room; the order keys go unused.
   const FluidLane& lane = sched_detail::lane_of(active);
-  Mbps slack = sched_detail::assign_minimum_flow(capacity, lane, rates);
+  const FluidLane::GrantSums sums = lane.fill_grant_inputs(
+      now, /*earliest_first=*/true, rates, scratch.room, scratch.order_keys);
+  Mbps slack = sched_detail::slack_after(capacity, sums.committed);
   if (slack <= 0.0) return;
 
+  // The pool starts as the eligible slots in slot order: an eligible
+  // slot's room is positive, an ineligible one's +0.0.
   std::vector<std::size_t>& eligible = scratch.order;
   std::vector<std::size_t>& still_open = scratch.aux;
-  lane.eligible_slots(eligible);
+  eligible.clear();
+  for (std::size_t i = 0; i < scratch.room.size(); ++i) {
+    if (scratch.room[i] > 0.0) eligible.push_back(i);
+  }
   // Water-filling: split slack evenly; capped requests leave the pool and
   // their surplus is redistributed in the next round.
   while (slack > 1e-9 && !eligible.empty()) {

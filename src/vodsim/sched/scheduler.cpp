@@ -10,7 +10,8 @@
 
 namespace vodsim {
 
-std::unique_ptr<BandwidthScheduler> make_scheduler(SchedulerKind kind) {
+std::unique_ptr<BandwidthScheduler> make_scheduler(SchedulerKind kind,
+                                                   Seconds safety_cover) {
   switch (kind) {
     case SchedulerKind::kEftf:
       return std::make_unique<FinishTimeScheduler>(/*earliest_first=*/true);
@@ -21,7 +22,7 @@ std::unique_ptr<BandwidthScheduler> make_scheduler(SchedulerKind kind) {
     case SchedulerKind::kLftf:
       return std::make_unique<FinishTimeScheduler>(/*earliest_first=*/false);
     case SchedulerKind::kIntermittent:
-      return std::make_unique<IntermittentScheduler>();
+      return std::make_unique<IntermittentScheduler>(safety_cover);
   }
   throw std::invalid_argument("unknown SchedulerKind");
 }
@@ -57,11 +58,6 @@ const FluidLane& lane_of(const std::vector<Request*>& active) {
 Mbps slack_after(Mbps capacity, Mbps committed) {
   assert(committed <= capacity + 1e-6 && "admission over-committed the server");
   return capacity > committed ? capacity - committed : 0.0;
-}
-
-Mbps assign_minimum_flow(Mbps capacity, const FluidLane& lane,
-                         std::vector<Mbps>& rates) {
-  return slack_after(capacity, lane.sum_minimum_rates(rates));
 }
 
 }  // namespace sched_detail

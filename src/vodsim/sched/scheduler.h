@@ -57,8 +57,8 @@ struct AllocationScratch {
                                    ///< urgent list, ...)
   std::vector<Seconds> keys;       ///< projected-finish keys, by active index
   std::vector<Mbps> room;          ///< per-candidate grant room, by active index
-  /// EFTF/LFTF grant-order keys (FluidLane::fill_grant_inputs), by active
-  /// index.
+  /// Grant-order keys (FluidLane::fill_grant_inputs), by active index; only
+  /// EFTF and LFTF read them.
   std::vector<std::int64_t> order_keys;
   std::vector<GrantCandidate> grant_heap;  ///< EFTF/LFTF's long-prefix heap
   // Per-slot intermittent-scheduler inputs from one lane pass
@@ -70,10 +70,11 @@ struct AllocationScratch {
                                             ///< from a SchedCache
 };
 
-/// Persistent per-server ordering state (sched/finish_order.h). Passing one
-/// lets the intermittent scheduler repair its previous workahead order
-/// instead of resorting from scratch; a null cache always takes the
-/// full-sort path. Either way the result is bit-identical.
+/// Persistent per-server ordering state (sched/finish_order.h): the slots
+/// of the previous workahead grant order. Passing one lets the
+/// intermittent scheduler repair that order instead of resorting from
+/// scratch; a null cache always takes the full-sort path. Either way the
+/// result is bit-identical.
 struct SchedCache;
 
 /// Strategy interface: computes per-request rates for one server.
@@ -91,7 +92,7 @@ class BandwidthScheduler {
   /// its workahead order from it and writes the new order back, turning the
   /// per-event resort into a nearly-sorted repair.
   /// One cache per server — sharing a cache across servers is harmless
-  /// (entries validate against the active vector) but wastes the hint.
+  /// (any seed sorts to the same order) but wastes the hint.
   /// The other schedulers ignore it: EFTF and LFTF pick their few grants
   /// straight from the lane (FinishTimeScheduler), and the baselines have
   /// no sorted grant order.
@@ -153,10 +154,11 @@ inline constexpr EnumName kSchedulerNames[] = {
 };
 constexpr std::span<const EnumName> enum_names(SchedulerKind) { return kSchedulerNames; }
 
-/// Factory. Throws std::invalid_argument on an unknown kind. The
-/// intermittent scheduler is built with its default safety cover; construct
-/// IntermittentScheduler directly to tune it.
-std::unique_ptr<BandwidthScheduler> make_scheduler(SchedulerKind kind);
+/// Factory. Throws std::invalid_argument on an unknown kind. \p safety_cover
+/// is the intermittent scheduler's (Config::intermittent_safety_cover); the
+/// other kinds ignore it.
+std::unique_ptr<BandwidthScheduler> make_scheduler(SchedulerKind kind,
+                                                   Seconds safety_cover = 10.0);
 
 /// Parses "eftf" | "continuous" | "proportional" | "lftf" | "intermittent".
 SchedulerKind scheduler_kind_from_string(const std::string& name);
@@ -173,14 +175,9 @@ namespace sched_detail {
 const FluidLane& lane_of(const std::vector<Request*>& active);
 
 /// The slack \p capacity leaves after the minimum-flow commitments
-/// \p committed (0 when they use it all). Asserts the commitments fit.
+/// \p committed (FluidLane::GrantSums::committed; 0 when they use it all).
+/// Asserts the commitments fit.
 Mbps slack_after(Mbps capacity, Mbps committed);
-
-/// Gives every slot of \p lane its minimum rate (the view bandwidth, or 0
-/// for a paused client with a full staging buffer); returns the remaining
-/// slack (slack_after).
-Mbps assign_minimum_flow(Mbps capacity, const FluidLane& lane,
-                         std::vector<Mbps>& rates);
 
 /// The order-free grant rule (DESIGN.md §8). A greedy pass hands each
 /// candidate in turn min(left, room) and subtracts it from `left`. When

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -605,10 +606,11 @@ TEST(FluidLane, ChurnKeepsColdFieldsAndWriteThroughCoherent) {
   EXPECT_EQ(lane.receive_bandwidth(r2.active_index), 2.0);
 
   // Eligibility reads the cold array: only r3 can absorb workahead.
-  std::vector<std::size_t> eligible;
-  lane.eligible_slots(eligible);
-  ASSERT_EQ(eligible.size(), 1u);
-  EXPECT_EQ(eligible[0], r3.active_index);
+  std::vector<Mbps> minimum, room;
+  std::vector<std::int64_t> keys;
+  lane.fill_grant_inputs(10.0, /*earliest_first=*/true, minimum, room, keys);
+  EXPECT_EQ(room[r3.active_index], 30.0 - 3.0);
+  EXPECT_EQ(room[r2.active_index], 0.0);
 
   // Write-through after the swap targets the moved slot: pausing r3 must
   // stop the batched drain of r3's buffer, not r2's.
@@ -620,6 +622,71 @@ TEST(FluidLane, ChurnKeepsColdFieldsAndWriteThroughCoherent) {
   // Still draining faster than it fills: a pause misdirected to r2's slot
   // would have banked 2 Mb/s * 10 s instead.
   EXPECT_DOUBLE_EQ(r2.buffer_level(), 0.0);
+}
+
+// The schedulers build their workahead pools from room[i] > 0.0
+// (FluidLane::fill_grant_inputs): it must hold exactly for the slots that
+// can take workahead, on whichever kernel clone the host dispatches. The
+// edge cases sit on each side of every term of the eligibility test.
+TEST(FluidLane, PositiveRoomIsExactlyEligibility) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr Megabits kTol = Request::kRemainingTolerance;
+  struct Case {
+    const char* name;
+    ClientProfile client;
+    Video video;
+    Mbps rate;  // over [0, 10] s
+    bool pause;
+    bool eligible;
+  };
+  const Case cases[] = {
+      {"receive == view", {120.0, 3.0}, make_video(0), 3.0, false, false},
+      {"receive just above view", {120.0, std::nextafter(3.0, kInf)},
+       make_video(1), 3.0, false, true},
+      {"receive below view", {120.0, 2.0}, make_video(2), 2.0, false, false},
+      {"receive = +inf", {120.0, kInf}, make_video(3), 6.0, false, true},
+      // 20 Mb of staging, filled by 60 Mb in against 30 Mb played.
+      {"paused, buffer full", {20.0, 30.0}, make_video(4), 6.0, true, false},
+      {"playing, buffer full", {20.0, 30.0}, make_video(5), 6.0, false, false},
+      {"paused, headroom left", {120.0, 30.0}, make_video(6), 6.0, true, true},
+      // A video of exactly kRemainingTolerance megabits, never sent to.
+      {"remaining == tolerance", {120.0, 30.0}, make_video(7, kTol, 1.0), 0.0,
+       false, false},
+      {"remaining just above tolerance", {120.0, 30.0},
+       make_video(8, 2.0 * kTol, 1.0), 0.0, false, true},
+  };
+  Server server(0, 1000.0, 1e6);
+  StableVector<Request> requests;
+  for (const Case& c : cases) {
+    requests.emplace_back(static_cast<RequestId>(requests.size()), c.video,
+                          0.0, c.client);
+    Request& request = requests.back();
+    request.begin_streaming(0.0, 0);
+    server.attach(request);
+    request.set_allocation(0.0, c.rate);
+    request.advance(10.0);
+    if (c.pause) request.pause_viewing(10.0);
+  }
+
+  std::vector<Mbps> minimum, room;
+  std::vector<std::int64_t> keys;
+  server.lane().fill_grant_inputs(10.0, /*earliest_first=*/true, minimum, room,
+                                  keys);
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const Case& c = cases[i];
+    const Request& request = requests[i];
+    SCOPED_TRACE(c.name);
+    const std::size_t slot = request.active_index;
+    const bool eligible = !request.buffer_full() &&
+                          request.receive_bandwidth() > request.view_bandwidth() &&
+                          !request.finished();
+    EXPECT_EQ(eligible, c.eligible);
+    EXPECT_EQ(room[slot] > 0.0, eligible);
+    EXPECT_EQ(keys[slot] != std::numeric_limits<std::int64_t>::max(), eligible);
+    if (!eligible) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(room[slot]), 0u);  // +0.0
+    }
+  }
 }
 
 // AVX-512 smoke: on hosts with avx512f the ifunc resolver dispatches the
@@ -675,7 +742,7 @@ TEST(FluidLaneAvx512, WideLaneBatchesMatchScalar) {
   constexpr std::int64_t kIneligible = std::numeric_limits<std::int64_t>::max();
   Mbps committed = 0.0;
   Mbps room_sum = 0.0;
-  int eligible_slots = 0;
+  int eligible_count = 0;
   for (int i = 0; i < kStreams; ++i) {
     SCOPED_TRACE(i);
     const Request& scalar = scalar_requests[static_cast<std::size_t>(i)];
@@ -700,13 +767,13 @@ TEST(FluidLaneAvx512, WideLaneBatchesMatchScalar) {
     EXPECT_EQ(latest_keys[slot], eligible ? ~bits : kIneligible);
     committed += scalar.minimum_rate();
     room_sum += expected_room;
-    eligible_slots += eligible;
+    eligible_count += eligible;
   }
   EXPECT_EQ(sums.committed, committed);
   EXPECT_EQ(sums.room, room_sum);
   EXPECT_EQ(minimum[batched_requests[4].active_index], 0.0);
-  EXPECT_GT(eligible_slots, 0);
-  EXPECT_LT(eligible_slots, kStreams - 4);
+  EXPECT_GT(eligible_count, 0);
+  EXPECT_LT(eligible_count, kStreams - 4);
 #else
   GTEST_SKIP() << "x86-64 only";
 #endif

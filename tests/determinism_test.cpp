@@ -1,15 +1,16 @@
 // Golden-determinism regression: same seed => bit-identical results.
 //
 // The allocation-free hot path (slab event queue, scratch-buffer schedulers,
-// dirty-epoch recompute memo) is only acceptable because it provably does not
-// perturb simulation output. This test pins that property: a fig7-style
-// policy-matrix trial must produce bit-identical TrialResult fields when run
-// twice in-process, and when run through the multi-threaded ExperimentRunner
-// (scheduling order across the pool must not leak into per-trial results).
+// the batched lane kernels, the per-server grant-order cache) is only
+// acceptable because it provably does not perturb simulation output. This
+// test pins that property: a fig7-style policy-matrix trial must produce
+// bit-identical TrialResult fields when run twice in-process, and when run
+// through the multi-threaded ExperimentRunner (scheduling order across the
+// pool must not leak into per-trial results).
 //
 // Comparisons use exact equality on doubles on purpose — "close enough" would
 // silently absorb the very regressions this guards against (reordered FP
-// accumulation, skipped recomputes that matter, event-order drift).
+// accumulation, skipped or extra recomputes, event-order drift).
 
 #include <gtest/gtest.h>
 

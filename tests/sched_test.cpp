@@ -437,8 +437,7 @@ TEST_P(SchedCacheEquivalence, WarmCacheIsBitIdenticalUnderChurn) {
         kView * static_cast<double>(active.size()) + rng.uniform(5.0, 80.0);
     // Fresh path first, cached second: the first call may settle the
     // urgency latch, but latch transitions are idempotent at fixed buffer
-    // state, so the second call sees the same memberships (the engine's
-    // recompute memo relies on the same property).
+    // state, so the second call sees the same memberships.
     warm_rounds += !cache.grant_order.empty();
     scheduler.allocate(now, capacity, active, fresh_rates, fresh_scratch);
     scheduler.allocate(now, capacity, active, cached_rates, cached_scratch,
@@ -561,6 +560,92 @@ TEST_P(SchedCacheEquivalence, LaneBackedCacheIsBitIdenticalUnderChurn) {
     }
   }
   EXPECT_GT(warm_rounds, 30) << driver->name();
+}
+
+// The cache stores slots only, so a remembered slot may hold another
+// request by the next pass, or the remembered order may be far from the
+// current one. Either seed must sort to the cold sort's permutation: each
+// round warms a cache on the current list, then (a) reverses its order and
+// (b) rotates the active list by one slot, so every remembered slot holds a
+// different request. Both stale-cache passes must write the grant order a
+// cold cache's full sort writes, and the same rates bit for bit. The
+// scheduler always sorts, so every pass with slack reaches the seeding.
+TEST_P(SchedCacheEquivalence, StaleCacheIsBitIdenticalToColdSort) {
+  const auto param = GetParam();
+  const IntermittentScheduler scheduler(10.0, /*order_free_grants=*/false);
+  const auto policy = make_scheduler(param.kind);
+  Rng rng(param.seed + 1000);
+
+  Fixture fx;
+  auto add = [&](Seconds now) {
+    const Megabits remaining = rng.uniform(500.0, 5000.0);
+    const Megabits buffer_cap = rng.uniform(50.0, 400.0);
+    const Mbps receive = rng.uniform(5.0, 40.0);
+    fx.add(remaining, buffer_cap, 0.0, receive).advance(now);
+  };
+  for (int i = 0; i < 10; ++i) add(0.0);
+  for (Request* request : fx.active()) {  // staged as above
+    request->set_allocation(0.0, rng.uniform(kView, request->receive_bandwidth()));
+  }
+
+  AllocationScratch scratch;
+  SchedCache cache;  // warmed each round, then made stale
+  SchedCache cold;   // cleared before each pass: the full-sort path
+  std::vector<Mbps> cold_rates;
+  std::vector<Mbps> stale_rates;
+  std::vector<Mbps> driven_rates;
+  Seconds now = 10.0;
+  int stale_rounds = 0;
+  const std::vector<Request*>& active = fx.active();
+  const auto allocate_both = [&](Seconds at, Mbps capacity, const char* how,
+                                 int round) {
+    cold.clear();
+    scheduler.allocate(at, capacity, active, cold_rates, scratch, &cold);
+    scheduler.allocate(at, capacity, active, stale_rates, scratch, &cache);
+    EXPECT_EQ(cache.grant_order, cold.grant_order)
+        << policy->name() << " round " << round << ": " << how
+        << " cache sorted to another order";
+    ASSERT_EQ(stale_rates.size(), cold_rates.size());
+    for (std::size_t i = 0; i < cold_rates.size(); ++i) {
+      ASSERT_EQ(stale_rates[i], cold_rates[i])
+          << policy->name() << " round " << round << " slot " << i << ": "
+          << how << " cache diverged from a cold sort";
+    }
+  };
+
+  for (int round = 0; round < 40; ++round) {
+    now += rng.uniform(0.1, 5.0);
+    for (Request* request : active) request->advance(now);
+    if (active.size() > 2 && rng.uniform() < 0.3) {
+      fx.detach(*active[rng.uniform_int(active.size())]);
+    }
+    if (rng.uniform() < 0.3) add(now);
+    const Mbps capacity =
+        kView * static_cast<double>(active.size()) + rng.uniform(5.0, 80.0);
+
+    cache.clear();
+    allocate_both(now, capacity, "warmed", round);
+    if (cache.grant_order.size() > 1) {
+      ++stale_rounds;
+      std::reverse(cache.grant_order.begin(), cache.grant_order.end());
+      allocate_both(now, capacity, "reversed", round);
+
+      // Rotate: slot i now holds what slot i + 1 held.
+      const std::vector<Request*> held(active.begin(), active.end());
+      while (!active.empty()) fx.detach(*active.back());
+      for (std::size_t i = 0; i < held.size(); ++i) {
+        fx.attach(*held[(i + 1) % held.size()]);
+      }
+      allocate_both(now, capacity, "slot-shifted", round);
+    }
+
+    policy->allocate(now, capacity, active, driven_rates, scratch);
+    for (std::size_t i = 0; i < active.size(); ++i) {
+      active[i]->set_allocation(now, driven_rates[i]);
+    }
+  }
+  // Not vacuous: most rounds sorted at least two candidates.
+  EXPECT_GT(stale_rounds, 10) << policy->name();
 }
 
 INSTANTIATE_TEST_SUITE_P(
