@@ -306,35 +306,16 @@ void populate_server(Server& server, std::size_t n,
   }
 }
 
-/// The engine's predicted-event timer (VodSimulation::set_predictions /
-/// sync_prediction_timer), replicated through public APIs for the
-/// recompute benchmarks: prediction keys live in the server's lane, and the
-/// queue holds one timer at the earliest of them. The holder is a slot
-/// here — the benchmarks never detach, so slots never move.
+/// The engine's predicted-event timer (VodSimulation::sync_prediction_timer),
+/// replicated through public APIs for the recompute benchmarks: prediction
+/// keys live in the server's lane, which tracks its earliest, and the
+/// queue holds one timer at that key.
 struct PredictionTimer {
   EventId timer = kInvalidEventId;
   EventKey armed = kNoEventKey;
-  EventKey earliest = kNoEventKey;
-  std::size_t holder = 0;
-  bool stale = false;
 
-  void write(FluidLane& lane, std::size_t slot, const PredictionKeys& keys) {
-    const EventKey slot_earliest = lane.set_predictions(slot, keys);
-    if (stale) return;
-    if (slot_earliest < earliest) {
-      earliest = slot_earliest;
-      holder = slot;
-    } else if (holder == slot) {
-      stale = true;
-    }
-  }
-
-  void sync(EventQueue& queue, const FluidLane& lane) {
-    if (stale) {
-      holder = lane.earliest_slot();
-      earliest = holder == lane.size() ? kNoEventKey : lane.earliest_prediction(holder);
-      stale = false;
-    }
+  void sync(EventQueue& queue, FluidLane& lane) {
+    const EventKey earliest = lane.next_prediction().key;
     if (earliest == armed) return;
     armed = earliest;
     if (!armed.live()) {
@@ -379,9 +360,8 @@ void BM_RecomputeServer(benchmark::State& state) {
     for (Request* request : active) request->advance(t);
     scheduler.allocate(t, capacity, active, rates, scratch);
     for (std::size_t i = 0; i < active.size(); ++i) {
-      Request& request = *active[i];
-      if (rates[i] == request.allocation()) continue;
-      request.set_allocation(t, rates[i]);
+      if (rates[i] == lane.allocation(i)) continue;
+      lane.set_allocation(i, rates[i]);
       // Engine pattern (reschedule_predicted_events):
       // the slot's predicted times, one seq per kept prediction, one key
       // write per stream, no queue traffic.
@@ -395,7 +375,7 @@ void BM_RecomputeServer(benchmark::State& state) {
       if (times.buffer_low != kNever) {
         keys[2] = {times.buffer_low, queue.take_seq()};
       }
-      timer.write(lane, i, keys);
+      lane.set_predictions(i, keys);
     }
     timer.sync(queue, lane);
   };
@@ -454,7 +434,7 @@ void BM_RecomputeRetime(benchmark::State& state) {
       keys[0] = {now + rng.uniform(100.0, 10000.0), queue.take_seq()};
       keys[filling ? 1 : 2] = {now + rng.uniform(1.0, 500.0), queue.take_seq()};
       if (use_timer) {
-        timers[s].write(servers[s]->lane(), slot, keys);
+        servers[s]->lane().set_predictions(slot, keys);
         continue;
       }
       for (std::size_t kind = 0; kind < keys.size(); ++kind) {

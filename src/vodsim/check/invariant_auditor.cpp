@@ -185,6 +185,17 @@ void InvariantAuditor::check_prediction_timer(const Server& server,
       << earliest.seq << ")";
     fail("the prediction timer is armed at the earliest prediction", d);
   }
+  // A sync precedes every return to the event loop: the tracking is current.
+  const FluidLane::NextPrediction* tracked = lane.tracked_prediction();
+  if (tracked == nullptr || tracked->key != armed ||
+      (armed.live() && (tracked->slot >= lane.size() ||
+                        lane.earliest_prediction(tracked->slot) != armed))) {
+    std::ostringstream d;
+    d << "server " << server.id() << ": timer armed at (" << armed.time
+      << ", " << armed.seq << "), tracked holder "
+      << (tracked ? "slot " + std::to_string(tracked->slot) : "stale");
+    fail("the lane tracks the armed key and the slot holding it", d);
+  }
 }
 
 void InvariantAuditor::on_event() {

@@ -106,8 +106,9 @@ class InvariantAuditor {
   /// its lane: \p armed — the key the timer is armed at, kNoEventKey when
   /// none is pending — must equal the earliest live prediction key in the
   /// lane (none when the lane holds no live key), re-derived here from
-  /// every slot's three keys; and every live key must belong to a streaming
-  /// request attached at that slot.
+  /// every slot's three keys; every live key must belong to a streaming
+  /// request attached at that slot; and the lane's tracking must be current
+  /// (not stale, at the armed key, in a slot holding it).
   static void check_prediction_timer(const Server& server, EventKey armed);
 
   /// Absolute tolerance on bandwidth sums (Mb/s) and buffer levels (Mb):

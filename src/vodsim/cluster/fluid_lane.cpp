@@ -270,6 +270,8 @@ FluidLane& FluidLane::operator=(const FluidLane& other) {
   urgent_ = other.urgent_;
   predictions_ = other.predictions_;
   earliest_time_bits_ = other.earliest_time_bits_;
+  next_ = other.next_;
+  next_stale_ = other.next_stale_;
   return *this;
 }
 
@@ -335,8 +337,6 @@ void FluidLane::append(const Request& request) {
 
 void FluidLane::swap_remove(std::size_t index) {
   assert(index < size_);
-  // The engine clears a stream's predictions before it detaches.
-  assert(!earliest_prediction(index).live());
   const std::size_t last = size_ - 1;
   last_update_[index] = last_update_[last];
   remaining_[index] = remaining_[last];
@@ -354,6 +354,10 @@ void FluidLane::swap_remove(std::size_t index) {
   predictions_.pop_back();
   earliest_time_bits_[index] = earliest_time_bits_[last];
   earliest_time_bits_.pop_back();
+  // Server::detach removes only a slot with no live key, so unless the
+  // tracking is stale the holder is not the removed slot; if it was the
+  // last slot, it now sits at index.
+  if (next_.slot == last) next_.slot = index;
   --size_;
 }
 

@@ -13,14 +13,13 @@
 ///
 /// Authority model (see DESIGN.md §10):
 ///   - While a request is attached, the lane slot is authoritative for the
-///     hot fields the fluid kernel mutates — remaining data, staging-buffer
-///     level, last-update time. Request accessors read through the lane.
-///   - Rarely-mutated fields (allocation, paused flag, playback end) stay
-///     home-authoritative on the Request and are written through to the
-///     lane, so the kernel reads them from contiguous storage while
-///     ordinary reads stay branch-free.
+///     fields the kernel mutates (remaining data, staging-buffer level,
+///     last-update time) and for the allocation, urgency latch and
+///     predicted-event keys. Request accessors read through the lane.
+///   - Only the paused flag and playback end stay home-authoritative on the
+///     Request, written through to the lane on pause and resume.
 ///   - While detached (migrating, draining after TxComplete), the home
-///     scalars are authoritative and the scalar path integrates them.
+///     scalars are authoritative; detach copies the lane's fields home.
 ///
 /// Storage (PR 9): all arrays live in ONE 64-byte-aligned arena, laid out
 /// hot-to-cold at a shared stride so every array starts on a cache-line
@@ -30,11 +29,10 @@
 /// The hot block leads with the three kernel-mutated arrays (last-update,
 /// remaining, buffer level), then the six kernel-read parameters; the cold
 /// tail holds the receive bandwidth, read only by the workahead passes.
-/// The intermittent scheduler's urgency latch is lane-authoritative too,
-/// but it is one byte per slot in its own array outside the double arena:
-/// no kernel reads it, and a byte rather than an eleventh double per
-/// stream keeps the lane's footprint where it was. The predicted-event
-/// keys (DESIGN.md §8) are lane-authoritative and outside the arena too.
+/// The urgency latch is one byte per slot in its own array outside the
+/// double arena: no kernel reads it, and a byte rather than an eleventh
+/// double per stream keeps the lane's footprint where it was. The
+/// predicted-event keys (DESIGN.md §8) are outside the arena too.
 ///
 /// One fluid path. A server recompute advances all of its streams with
 /// `advance_batch`, which runs the single-stream arithmetic in one
@@ -123,6 +121,14 @@ inline Megabits advance_stream(Seconds now, Seconds& last_update,
 
   last_update = now;
   return apply_buffer(buffer_level, buffer_capacity, inflow, outflow);
+}
+
+/// A rate as Request/FluidLane::set_allocation store it: a rounding error
+/// below 0 is stored as 0, and no rate may exceed the receive link.
+inline Mbps checked_rate(Mbps rate, Mbps receive_bandwidth) {
+  assert(rate >= -1e-12 && rate <= receive_bandwidth + 1e-9);
+  (void)receive_bandwidth;
+  return std::max(rate, 0.0);
 }
 
 /// Request::buffer_full's test on a staging buffer's state: full within
@@ -225,8 +231,8 @@ class FluidLane {
   /// authoritative scalars; call before binding the request to this lane.
   void append(const Request& request);
 
-  /// Removes slot \p index by swap-with-last, mirroring Server::detach's
-  /// active-list swap so slot order keeps tracking active order.
+  /// Removes slot \p index (no live key) by swap-with-last, mirroring
+  /// Server::detach's active-list swap, so slot order tracks active order.
   void swap_remove(std::size_t index);
 
   // --- per-slot access (slot = Request::active_index) -------------------
@@ -264,13 +270,17 @@ class FluidLane {
   bool urgent(std::size_t i) const { return urgent_[i] != 0; }
   void set_urgent(std::size_t i, bool urgent) { urgent_[i] = urgent ? 1 : 0; }
 
+  /// Sets slot \p i's rate (fluid_detail::checked_rate), advanced to now.
+  void set_allocation(std::size_t i, Mbps rate) {
+    allocation_[i] = fluid_detail::checked_rate(rate, receive_bandwidth_[i]);
+  }
+
   // --- predicted-event keys (lane-authoritative; DESIGN.md §8) -----------
   // Each slot keeps the (time, seq) key of each of its three predictions
   // (kNoEventKey = none), plus the time of the earliest of them in a dense
-  // array, so the engine finds a server's next prediction with one
-  // vectorized pass. Nothing in any event queue stands for a single
-  // prediction: the engine arms one timer per server at the lane's
-  // earliest key.
+  // array, and the lane tracks its earliest live key and holder slot, so
+  // next_prediction rescans (one vectorized pass) only after the holder's
+  // keys moved. The engine arms one timer per server at that key.
   const PredictionKeys& predictions(std::size_t i) const {
     return predictions_[i];
   }
@@ -281,22 +291,46 @@ class FluidLane {
   }
   /// Which of slot \p i's predictions holds its earliest key.
   Prediction earliest_kind(std::size_t i) const;
-  /// Writes a slot's keys; returns its earliest.
-  EventKey set_predictions(std::size_t i, const PredictionKeys& keys) {
+  /// Writes a slot's keys.
+  void set_predictions(std::size_t i, const PredictionKeys& keys) {
     predictions_[i] = keys;
-    return refresh_earliest(i);
+    refresh(i);
   }
   /// Drops one prediction of slot \p i.
   void clear_prediction(std::size_t i, Prediction kind) {
     predictions_[i][static_cast<std::size_t>(kind)] = kNoEventKey;
-    refresh_earliest(i);
+    refresh(i);
   }
   /// The slot holding the lane's earliest live key, or size() when no slot
-  /// holds one.
+  /// holds one: next_prediction's rescan.
   std::size_t earliest_slot() const;
 
+  /// The lane's earliest live prediction: its key, slot and kind (key
+  /// kNoEventKey and slot SIZE_MAX when no slot holds a live key).
+  struct NextPrediction {
+    EventKey key = kNoEventKey;
+    std::size_t slot = std::numeric_limits<std::size_t>::max();
+    Prediction kind = Prediction::kTxComplete;
+  };
+
+  /// The earliest live prediction, rescanning (earliest_slot) only when
+  /// the tracking is stale.
+  const NextPrediction& next_prediction() {
+    if (next_stale_) {
+      const std::size_t slot = earliest_slot();
+      next_ = slot == size_ ? NextPrediction{}
+                            : NextPrediction{earliest_prediction(slot), slot,
+                                             earliest_kind(slot)};
+      next_stale_ = false;
+    }
+    return next_;
+  }
+  /// The tracking without a rescan, nullptr while stale (for the auditor).
+  const NextPrediction* tracked_prediction() const {
+    return next_stale_ ? nullptr : &next_;
+  }
+
   // Write-through sinks for the home-authoritative fields (Request-driven).
-  void set_allocation(std::size_t i, Mbps rate) { allocation_[i] = rate; }
   void set_paused(std::size_t i, bool paused) {
     playing_[i] = paused ? 0.0 : 1.0;
   }
@@ -451,11 +485,24 @@ class FluidLane {
   /// vectorizes where a double min does not. Sized with size_.
   std::vector<std::int64_t> earliest_time_bits_;
 
-  EventKey refresh_earliest(std::size_t i) {
+  /// The lane's earliest live prediction; stale once the holder's keys
+  /// were overwritten or dropped, until next_prediction rescans.
+  NextPrediction next_;
+  bool next_stale_ = false;
+
+  /// After a write to slot \p i's keys: its earliest time, and next_. Every
+  /// other slot's keys are at or after the lane's earliest, so a lower key
+  /// here takes over; otherwise the earliest stands unless \p i held it.
+  void refresh(std::size_t i) {
     const EventKey earliest = earliest_prediction(i);
     assert(earliest.time >= 0.0);
     earliest_time_bits_[i] = std::bit_cast<std::int64_t>(earliest.time);
-    return earliest;
+    if (next_stale_) return;  // the next query rescans anyway
+    if (earliest < next_.key) {
+      next_ = {earliest, i, earliest_kind(i)};
+    } else if (i == next_.slot) {
+      next_stale_ = true;
+    }
   }
 };
 

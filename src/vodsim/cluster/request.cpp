@@ -69,11 +69,12 @@ void Request::resume_viewing(Seconds now) {
 void Request::set_allocation(Seconds now, Mbps rate) {
   assert(std::abs(now - last_update()) < kTimeSyncTolerance &&
          "advance() before set_allocation()");
-  assert(rate >= -1e-12);
-  assert(rate <= receive_bandwidth_ + 1e-9);
   (void)now;
-  allocation_ = std::max(rate, 0.0);
-  if (lane_ != nullptr) lane_->set_allocation(active_index, allocation_);
+  if (lane_ != nullptr) {
+    lane_->set_allocation(active_index, rate);
+  } else {
+    allocation_ = fluid_detail::checked_rate(rate, receive_bandwidth_);
+  }
 }
 
 void Request::begin_streaming(Seconds now, ServerId server) {
@@ -115,6 +116,7 @@ void Request::mark_tx_complete(Seconds now) {
 }
 
 void Request::mark_done(Seconds now) {
+  assert(lane_ == nullptr && "detach before mark_done");
   (void)now;
   assert(state_ == RequestState::kTxComplete || state_ == RequestState::kStreaming ||
          state_ == RequestState::kMigrating);
@@ -140,6 +142,7 @@ void Request::detach_lane() {
   remaining_ = lane_->remaining(active_index);
   last_update_ = lane_->last_update(active_index);
   buffer_.set_level(lane_->buffer_level(active_index));
+  allocation_ = lane_->allocation(active_index);
   workahead_urgent_ = lane_->urgent(active_index);
   lane_ = nullptr;
 }

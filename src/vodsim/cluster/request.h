@@ -53,18 +53,20 @@ class Request {
   Megabits total_size() const { return total_size_; }
 
   // --- dynamic state --------------------------------------------------
-  // While attached to a server, the hot fluid fields (remaining data,
-  // staging level, last-update time) live in the server's FluidLane at
-  // slot `active_index` and the accessors read through; detached requests
-  // own their state inline (cluster/fluid_lane.h documents the authority
-  // model). allocation and the pause/playback fields stay home-
-  // authoritative with write-through, so those reads are branch-free.
+  // While attached to a server, the fluid fields (remaining data, staging
+  // level, last-update time) and the allocation live in the server's
+  // FluidLane at slot `active_index`, and the accessors read through;
+  // detached requests own their state inline (cluster/fluid_lane.h
+  // documents the authority model). Only the pause/playback fields stay
+  // home-authoritative with write-through, so those reads are branch-free.
   RequestState state() const { return state_; }
   ServerId server() const { return server_; }
   Megabits remaining() const {
     return lane_ != nullptr ? lane_->remaining(active_index) : remaining_;
   }
-  Mbps allocation() const { return allocation_; }
+  Mbps allocation() const {
+    return lane_ != nullptr ? lane_->allocation(active_index) : allocation_;
+  }
   Seconds last_update() const {
     return lane_ != nullptr ? lane_->last_update(active_index) : last_update_;
   }
@@ -118,8 +120,8 @@ class Request {
   /// interval (0 in normal operation). Idempotent for now == last_update().
   Megabits advance(Seconds now);
 
-  /// Sets the transmission rate going forward from \p now. Caller must have
-  /// advanced the request to \p now first. Rate must respect the client cap.
+  /// Sets the transmission rate from \p now on (in the lane while attached);
+  /// the caller advanced the request to \p now. fluid_detail::checked_rate.
   void set_allocation(Seconds now, Mbps rate);
 
   // --- interactivity (engine-driven) ----------------------------------
@@ -131,6 +133,7 @@ class Request {
   void resume_viewing(Seconds now);
 
   // --- lifecycle transitions (engine-driven) --------------------------
+  // Attached implies streaming: leaving kStreaming asserts a detach first.
   void begin_streaming(Seconds now, ServerId server);
   void begin_migration(Seconds now);
   void complete_migration(Seconds now, ServerId new_server);

@@ -86,6 +86,8 @@ void Server::detach(Request& request) {
   const std::size_t index = request.active_index;
   assert(index < active_.size());
   assert(active_[index] == &request);
+  // The engine clears a stream's predictions before it detaches it.
+  assert(!lane_.earliest_prediction(index).live());
   // Copy the lane-authoritative fields home before the slot is recycled,
   // then mirror the active-list swap in the lane so the swapped request's
   // slot keeps matching its (updated) active_index.

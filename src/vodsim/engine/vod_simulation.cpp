@@ -461,7 +461,6 @@ void VodSimulation::execute_migration(const MigrationStep& step) {
        request.video_id(), static_cast<double>(step.to),
        request.buffer_level());
   advance_and_account(ctx, request, now);
-  cancel_predicted_events(request);
   detach_from(ctx, step.from, request);
   request.begin_migration(now);
 
@@ -519,7 +518,6 @@ void VodSimulation::on_tx_complete(ExecContext& ctx, Request& request) {
     recompute_server(ctx, server);
     return;
   }
-  cancel_predicted_events(request);
   detach_from(ctx, server, request);
   request.mark_tx_complete(now);
   note(ctx, TraceEventType::kTxComplete, kTraceLifecycle, server, request.id(),
@@ -555,7 +553,6 @@ void VodSimulation::on_playback_end(Request& request) {
       // or failures): the client leaves; unsent data is abandoned.
       const ServerId server = request.server();
       advance_and_account(ctx, request, now);
-      cancel_predicted_events(request);
       detach_from(ctx, server, request);
       request.mark_done(now);
       ctx.metrics->record_completion(now);
@@ -703,7 +700,6 @@ void VodSimulation::recover_streams_of_failed_server(Server& server) {
   for (Request* victim : victims) {
     Request& request = *victim;
     advance_and_account(ctx, request, now);
-    cancel_predicted_events(request);
     detach_from(ctx, server.id(), request);
     recover_stream(ctx, request, server.id());
   }
@@ -732,7 +728,6 @@ void VodSimulation::shed_overload(Server& server) {
     }
     Request& request = *victim;
     const Megabits buffered = request.buffer_level();
-    cancel_predicted_events(request);
     detach_from(ctx, server.id(), request);
 
     // Migrate before dropping. failure.recover_via_migration governs crash
@@ -931,19 +926,20 @@ void VodSimulation::recompute_server(ExecContext& ctx, ServerId server_id) {
   // whose rate moved, in ascending slot order, so seqs are taken slot by
   // slot (tx → full → low within a slot). Exact comparison on purpose: the
   // common case (rate == view bandwidth, assigned from the same double every
-  // recomputation) stays bit-identical, so unchanged requests keep their
-  // predicted events. The old rate is read from the lane, the write-through
-  // copy of Request::allocation, so only a changed request is dereferenced.
-  const FluidLane& lane = server.lane();
+  // recomputation) stays bit-identical, so unchanged streams keep their
+  // predicted events. The lane owns the rates and the keys, so the loop
+  // reads a Request only to trace an allocation change.
+  FluidLane& lane = server.lane();
+  const bool trace_rates = ctx.trace && ctx.trace->wants(kTraceAllocation);
   for (std::size_t i = 0; i < active.size(); ++i) {
-    if (rates[i] != lane.allocation(i)) {
-      Request& request = *active[i];
+    if (rates[i] == lane.allocation(i)) continue;
+    if (trace_rates) {
       note(ctx, TraceEventType::kAllocationChange, kTraceAllocation, server_id,
-           request.id(), request.video_id(), request.allocation(),
+           active[i]->id(), active[i]->video_id(), lane.allocation(i),
            rates[i]);
-      request.set_allocation(now, rates[i]);
-      reschedule_predicted_events(ctx, request);
     }
+    lane.set_allocation(i, rates[i]);
+    reschedule_predicted_events(ctx, server_id, i);
   }
   sync_prediction_timer(server_id);
 }
@@ -1066,7 +1062,7 @@ void VodSimulation::on_pause(Request& request) {
     // Drain stopped: buffer-full predictions changed even if the allocation
     // did not, and a full buffer now absorbs nothing (minimum rate 0).
     recompute_server(ctx, request.server());
-    reschedule_predicted_events(ctx, request);
+    reschedule_predicted_events(ctx, request.server(), request.active_index);
     sync_prediction_timer(request.server());
   }
 
@@ -1089,7 +1085,7 @@ void VodSimulation::on_resume(Request& request) {
 
   if (request.state() == RequestState::kStreaming) {
     recompute_server(ctx, request.server());
-    reschedule_predicted_events(ctx, request);
+    reschedule_predicted_events(ctx, request.server(), request.active_index);
     sync_prediction_timer(request.server());
   }
   schedule_next_pause(request);
@@ -1168,6 +1164,8 @@ void VodSimulation::attach_to(ExecContext& ctx, ServerId server_id,
 void VodSimulation::detach_from(ExecContext& ctx, ServerId server_id,
                                 Request& request) {
   Server& server = servers_[static_cast<std::size_t>(server_id)];
+  server.lane().set_predictions(request.active_index, kNoPredictions);
+  sync_prediction_timer(server_id);
   mark_server_dirty(ctx, server_id);
   server.detach(request);
   occupancy_[static_cast<std::size_t>(server_id)].update(
@@ -1194,28 +1192,21 @@ VodSimulation::OccupancySummary VodSimulation::occupancy() const {
   return summary;
 }
 
-void VodSimulation::cancel_predicted_events(Request& request) {
-  assert(request.lane() != nullptr && "cancel before detaching");
-  set_predictions(request, kNoPredictions);
-  sync_prediction_timer(request.server());
-}
-
 void VodSimulation::reschedule_predicted_events(ExecContext& ctx,
-                                                Request& request) {
-  if (request.state() != RequestState::kStreaming) {
-    set_predictions(request, kNoPredictions);
-    return;
-  }
-  const fluid_detail::PredictedTimes times =
-      servers_[static_cast<std::size_t>(request.server())].lane().predicted_times(
-          request.active_index, ctx.sim.now(), config_.intermittent_safety_cover);
+                                                ServerId server,
+                                                std::size_t slot) {
+  Server& host = servers_[static_cast<std::size_t>(server)];
+  assert(host.active_requests()[slot]->state() == RequestState::kStreaming);
+  FluidLane& lane = host.lane();
+  const fluid_detail::PredictedTimes times = lane.predicted_times(
+      slot, ctx.sim.now(), config_.intermittent_safety_cover);
 
   // Keys take their seqs from the owner context's queue, where the timer
   // runs. A coordinator caller of a sharded run writes keys for a shard
   // whose own clock lags (it drained strictly below this event's time), so
   // clamping to the owner clock can never key a prediction into its past;
   // a shard caller is always the owner itself.
-  Simulator& psim = owner_of(request.server()).sim;
+  Simulator& psim = owner_of(server).sim;
   constexpr Seconds kNever = std::numeric_limits<Seconds>::infinity();
   const auto keyed = [&psim](Seconds at) {
     return EventKey{std::max(at, psim.now()), psim.take_seq()};
@@ -1227,61 +1218,25 @@ void VodSimulation::reschedule_predicted_events(ExecContext& ctx,
   // as the reschedule-or-schedule calls that entry would make, so
   // equal-time events tie-break identically and the simulation stays on
   // the seed trajectory bit for bit. Dropping a prediction takes no seq,
-  // as a cancel consumes none.
-  //
-  // Transmission-complete liveness comes from the allocation sign, not from
-  // the time's finiteness: a pathological tiny rate could divide to +inf
-  // yet still mean "transmitting" — the sign test matches the formula's
-  // gate exactly. The full/low times can only be finite when their gates
-  // kept them, so finiteness *is* their liveness.
-  set_predictions(
-      request,
-      {request.allocation() > 0.0 ? keyed(times.tx_complete) : kNoEventKey,
+  // as a cancel consumes none. Liveness: tx-complete's from the rate's
+  // sign, full/low's from finiteness (fluid_detail::predicted_times).
+  lane.set_predictions(
+      slot,
+      {lane.allocation(slot) > 0.0 ? keyed(times.tx_complete) : kNoEventKey,
        times.buffer_full != kNever ? keyed(times.buffer_full) : kNoEventKey,
        times.buffer_low != kNever ? keyed(times.buffer_low) : kNoEventKey});
-}
-
-void VodSimulation::set_predictions(Request& request,
-                                    const PredictionKeys& keys) {
-  const auto server = static_cast<std::size_t>(request.server());
-  FluidLane& lane = servers_[server].lane();
-  const EventKey slot_earliest = lane.set_predictions(request.active_index, keys);
-  ServerRecomputeState& state = recompute_state_[server];
-  if (state.earliest_stale) return;  // the next sync rescans anyway
-  // Every other stream's keys are at or after the server's earliest, so a
-  // lower key here is the server's new earliest. Otherwise the earliest
-  // stands — unless this stream held it, and its key is gone.
-  if (slot_earliest < state.earliest) {
-    state.earliest = slot_earliest;
-    state.holder = &request;
-    state.holder_kind = lane.earliest_kind(request.active_index);
-  } else if (state.holder == &request) {
-    state.earliest_stale = true;
-  }
 }
 
 void VodSimulation::sync_prediction_timer(ServerId server_id) {
   ServerRecomputeState& state =
       recompute_state_[static_cast<std::size_t>(server_id)];
   if (state.firing) return;  // on_prediction_timer syncs once, at its end
-  if (state.earliest_stale) {
-    const Server& server = servers_[static_cast<std::size_t>(server_id)];
-    const FluidLane& lane = server.lane();
-    const std::size_t slot = lane.earliest_slot();
-    if (slot == lane.size()) {
-      state.earliest = kNoEventKey;
-      state.holder = nullptr;
-    } else {
-      state.earliest = lane.earliest_prediction(slot);
-      state.holder = server.active_requests()[slot];
-      state.holder_kind = lane.earliest_kind(slot);
-    }
-    state.earliest_stale = false;
-  }
-  if (state.earliest == state.armed) return;
+  const EventKey earliest =
+      servers_[static_cast<std::size_t>(server_id)].lane().next_prediction().key;
+  if (earliest == state.armed) return;
 
   ExecContext& owner = owner_of(server_id);
-  state.armed = state.earliest;
+  state.armed = earliest;
   if (!state.armed.live()) {
     owner.sim.cancel(state.timer);
     state.timer = kInvalidEventId;
@@ -1299,19 +1254,18 @@ void VodSimulation::on_prediction_timer(ExecContext& owner, ServerId server_id) 
       recompute_state_[static_cast<std::size_t>(server_id)];
   state.timer = kInvalidEventId;
   state.armed = kNoEventKey;
-  // A sync precedes every return to the event loop, so the holder is
-  // current: no search, only its slot's key to clear.
-  assert(!state.earliest_stale && state.holder != nullptr);
-  Request& request = *state.holder;
-  const Prediction kind = state.holder_kind;
-  servers_[static_cast<std::size_t>(server_id)].lane().clear_prediction(
-      request.active_index, kind);
-  state.earliest_stale = true;
+  // A sync precedes every return to the event loop, so the lane's tracking
+  // is current: no search, only the holder's key to clear.
+  Server& server = servers_[static_cast<std::size_t>(server_id)];
+  assert(server.lane().tracked_prediction() != nullptr);
+  const FluidLane::NextPrediction next = server.lane().next_prediction();
+  Request& request = *server.active_requests()[next.slot];
+  server.lane().clear_prediction(next.slot, next.kind);
   // The handler's own syncs of this server (its recompute, a tx-complete's
-  // cancel) are deferred to the one below: one rescan and one re-arm per
+  // detach) are deferred to the one below: one rescan and one re-arm per
   // firing.
   state.firing = true;
-  switch (kind) {
+  switch (next.kind) {
     case Prediction::kTxComplete:
       on_tx_complete(owner, request);
       break;
@@ -1321,11 +1275,9 @@ void VodSimulation::on_prediction_timer(ExecContext& owner, ServerId server_id) 
     case Prediction::kBufferLow:
       // Fires when a deliberately starved stream (intermittent scheduling)
       // drains to the safety threshold and needs flow again.
-      if (request.state() == RequestState::kStreaming) {
-        note(owner, TraceEventType::kBufferLow, kTraceBuffer, request.server(),
-             request.id(), request.video_id(), request.buffer_level());
-        recompute_server(owner, request.server());
-      }
+      note(owner, TraceEventType::kBufferLow, kTraceBuffer, server_id,
+           request.id(), request.video_id(), request.buffer_level());
+      recompute_server(owner, server_id);
       break;
   }
   state.firing = false;

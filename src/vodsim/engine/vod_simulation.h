@@ -17,9 +17,9 @@
 /// Between recomputations, each streaming request carries up to three
 /// *predicted* events — transmission-complete, buffer-full and buffer-low —
 /// re-predicted only when its allocation actually changes. They are keys in
-/// its server's FluidLane, not queue entries: each server arms one timer at
-/// its earliest key (DESIGN.md §8), so a rate change writes a key instead
-/// of sifting the event heap.
+/// its server's FluidLane, which tracks its earliest key and holder slot;
+/// the engine keeps one timer per server at that key (DESIGN.md §8), so a
+/// rate change writes a key instead of sifting the event heap.
 ///
 /// Execution contexts (DESIGN.md §12): events run on a context — an event
 /// queue with its own metrics, trace recorder, scheduler instance and
@@ -391,30 +391,23 @@ class VodSimulation {
 
   // --- predicted events (DESIGN.md §8) ----------------------------------
   // A streaming request's predictions are (time, seq) keys in its server's
-  // FluidLane; the owner context's queue holds one timer per server, armed
-  // at the server's earliest key. Writers update the keys, then sync the
+  // FluidLane, which tracks the earliest (FluidLane::next_prediction); the
+  // owner context's queue holds one timer per server, armed at that key.
+  // Writers update the keys, then sync the
   // timer before control returns to the event loop.
 
-  /// Clears \p request's predictions and syncs its server's timer. Every
-  /// detach path calls it while the request is still attached.
-  void cancel_predicted_events(Request& request);
+  /// Re-predicts the three events of the stream in \p server's lane slot
+  /// \p slot (FluidLane::predicted_times) and writes its keys. Each kept
+  /// prediction takes one seq from its owner's queue, in the order
+  /// tx-complete, buffer-full, buffer-low, at its time clamped to the owner
+  /// clock — exactly the seq and time a per-prediction queue entry would
+  /// get. Does not sync the timer.
+  void reschedule_predicted_events(ExecContext& ctx, ServerId server,
+                                   std::size_t slot);
 
-  /// Re-predicts \p request's three events from its lane slot
-  /// (FluidLane::predicted_times; clears them unless it is streaming) and
-  /// writes its keys. Each kept prediction takes one seq from its owner's
-  /// queue, in the order tx-complete, buffer-full, buffer-low, at its time
-  /// clamped to the owner clock — exactly the seq and time a
-  /// per-prediction queue entry would get. Does not sync the timer.
-  void reschedule_predicted_events(ExecContext& ctx, Request& request);
-
-  /// Writes \p request's prediction keys into its lane slot and keeps its
-  /// server's earliest key current: a lower key becomes the earliest;
-  /// overwriting the current holder's keys marks it stale.
-  void set_predictions(Request& request, const PredictionKeys& keys);
-
-  /// Arms \p server's timer at its earliest prediction key (rescanning the
-  /// lane if stale), rekeying it in place when it is already pending, or
-  /// cancels it when no prediction is live.
+  /// Arms \p server's timer at its lane's earliest prediction key,
+  /// rekeying it in place when it is already pending, or cancels it when
+  /// no prediction is live.
   void sync_prediction_timer(ServerId server);
 
   /// The timer's handler: clears the holding prediction, runs its handler
@@ -430,7 +423,8 @@ class VodSimulation {
             VideoId video = -1, double a = 0.0, double b = 0.0);
 
   /// attach/detach wrappers that keep the occupancy statistics current
-  /// (integrated at \p ctx's clock).
+  /// (integrated at \p ctx's clock). detach_from first clears the stream's
+  /// predictions and syncs its server's timer.
   void attach_to(ExecContext& ctx, ServerId server, Request& request);
   void detach_from(ExecContext& ctx, ServerId server, Request& request);
 
@@ -517,14 +511,6 @@ class VodSimulation {
     // Predicted-event timer (DESIGN.md §8), in the owner context's queue.
     EventId timer = kInvalidEventId;
     EventKey armed = kNoEventKey;  ///< the timer's key; none when idle
-    /// The earliest live prediction key in the lane and its holder
-    /// (kNoEventKey / nullptr when none); valid unless `earliest_stale`.
-    EventKey earliest = kNoEventKey;
-    Request* holder = nullptr;
-    Prediction holder_kind = Prediction::kTxComplete;
-    /// The holder's key was overwritten or dropped: the next sync rescans
-    /// the lane's per-slot earliest keys.
-    bool earliest_stale = false;
     /// Inside this server's timer handler, which syncs once when done.
     bool firing = false;
   };

@@ -166,15 +166,64 @@ TEST(InvariantAuditorChecks, PredictionTimerMustSitAtTheEarliestKey) {
 TEST(InvariantAuditorChecks, DetectsPredictionOfNonStreamingRequest) {
   Server server(0, 10.0, 1000.0);
   Request request(0, test_video(), 0.0, test_client());
-  request.begin_streaming(0.0, server.id());
+  // mark_done, mark_tx_complete and begin_migration assert that the request
+  // was detached; a request that never began streaming can still be
+  // attached and then rejected, which leaves it attached and not streaming.
   server.attach(request, /*enforce_capacity=*/false);
-  request.mark_done(0.0);  // finished without being detached
+  request.mark_rejected();
   const EventKey key{30.0, 4};
   server.lane().set_predictions(request.active_index,
                                 {key, kNoEventKey, kNoEventKey});
   // Armed exactly at the key: only the holder's state is wrong.
   EXPECT_THROW(InvariantAuditor::check_prediction_timer(server, key),
                AuditFailure);
+}
+
+// The lane's tracked earliest must name a slot that holds the armed key. A
+// lane keeps that true under every operation the engine uses; this one is
+// fabricated by two slots sharing one key (the engine never reuses a seq)
+// and removing the tracked holder straight from the lane, past
+// Server::detach's no-live-key assert. The duplicate keeps the armed key
+// the lane's earliest, so only the holder check can fail.
+TEST(InvariantAuditorChecks, DetectsTrackedHolderInTheWrongSlot) {
+  Server server(0, 10.0, 1000.0);
+  Request requests[] = {Request(0, test_video(), 0.0, test_client()),
+                        Request(1, test_video(), 0.0, test_client()),
+                        Request(2, test_video(), 0.0, test_client())};
+  for (Request& request : requests) {
+    request.begin_streaming(0.0, server.id());
+    server.attach(request, /*enforce_capacity=*/false);
+  }
+  FluidLane& lane = server.lane();
+  const EventKey early{20.0, 5};
+  const EventKey late{50.0, 9};
+  lane.set_predictions(0, {early, kNoEventKey, kNoEventKey});  // the holder
+  lane.set_predictions(1, {early, kNoEventKey, kNoEventKey});
+  lane.set_predictions(2, {late, kNoEventKey, kNoEventKey});
+  EXPECT_NO_THROW(InvariantAuditor::check_prediction_timer(server, early));
+
+  lane.swap_remove(0);  // slot 0 now holds `late`; the tracking still says 0
+  ASSERT_NE(lane.tracked_prediction(), nullptr);
+  ASSERT_EQ(lane.tracked_prediction()->slot, 0u);
+  ASSERT_EQ(lane.tracked_prediction()->key, early);
+  EXPECT_THROW(InvariantAuditor::check_prediction_timer(server, early),
+               AuditFailure);
+}
+
+TEST(InvariantAuditorChecks, DetectsStalePredictionTracking) {
+  Server server(0, 10.0, 1000.0);
+  Request request(0, test_video(), 0.0, test_client());
+  request.begin_streaming(0.0, server.id());
+  server.attach(request, /*enforce_capacity=*/false);
+  const EventKey key{30.0, 4};
+  server.lane().set_predictions(0, {key, kNoEventKey, kNoEventKey});
+  server.lane().set_predictions(0, {key, kNoEventKey, kNoEventKey});
+  // Rewriting the holder marks the tracking stale until the next query.
+  ASSERT_EQ(server.lane().tracked_prediction(), nullptr);
+  EXPECT_THROW(InvariantAuditor::check_prediction_timer(server, key),
+               AuditFailure);
+  server.lane().next_prediction();
+  EXPECT_NO_THROW(InvariantAuditor::check_prediction_timer(server, key));
 }
 
 // --- paranoid engine runs -------------------------------------------------

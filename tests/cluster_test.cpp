@@ -16,6 +16,7 @@
 #include "vodsim/cluster/server.h"
 #include "vodsim/cluster/video.h"
 #include "vodsim/engine/metrics.h"
+#include "vodsim/util/rng.h"
 #include "vodsim/util/stable_vector.h"
 
 namespace vodsim {
@@ -597,10 +598,21 @@ TEST(FluidLane, ChurnKeepsColdFieldsAndWriteThroughCoherent) {
     // and its buffer bottoms out at 0.
     request->set_allocation(0.0, std::min(6.0, request->receive_bandwidth()));
     request->advance(10.0);
+    // The lane owns an attached stream's rate: the request reads it there.
+    EXPECT_EQ(request->allocation(),
+              server.lane().allocation(request->active_index));
   }
 
+  // A rate written to the lane is the request's rate, and detach takes the
+  // last lane rate home.
+  server.lane().set_allocation(r1.active_index, 4.5);
+  EXPECT_EQ(r1.allocation(), 4.5);
   server.detach(r1);  // r3's slots (all ten arrays) swap into slot 0
+  EXPECT_EQ(r1.allocation(), 4.5);
   const FluidLane& lane = server.lane();
+  for (const Request* request : {&r2, &r3}) {
+    EXPECT_EQ(request->allocation(), lane.allocation(request->active_index));
+  }
   ASSERT_EQ(lane.size(), 2u);
   EXPECT_EQ(lane.receive_bandwidth(r3.active_index), 30.0);
   EXPECT_EQ(lane.receive_bandwidth(r2.active_index), 2.0);
@@ -622,6 +634,107 @@ TEST(FluidLane, ChurnKeepsColdFieldsAndWriteThroughCoherent) {
   // Still draining faster than it fills: a pause misdirected to r2's slot
   // would have banked 2 Mb/s * 10 s instead.
   EXPECT_DOUBLE_EQ(r2.buffer_level(), 0.0);
+}
+
+// The lane's tracked earliest prediction ({key, slot, kind}) against a
+// brute-force scan over every slot's keys, under random key writes, single
+// clears, appends and swap-removes. Removal follows the engine's contract:
+// the slot's keys are cleared first. Two edge cases are forced and counted:
+// removing another slot while the holder sits in the last slot (its keys
+// move to the removed index), and removing the holder itself.
+TEST(FluidLane, TrackedEarliestPredictionSurvivesChurn) {
+  ClientProfile client{120.0, 30.0};
+  StableVector<Request> sources;  // scalars for append; never attached
+  Rng rng(2024);
+  FluidLane lane;
+  std::uint64_t next_seq = 1;
+  int holder_last_removals = 0, holder_removals = 0, rescans = 0;
+
+  const auto brute_force = [&lane] {
+    FluidLane::NextPrediction best;
+    for (std::size_t i = 0; i < lane.size(); ++i) {
+      for (std::size_t k = 0; k < 3; ++k) {
+        const EventKey key = lane.predictions(i)[k];
+        if (key.live() && key < best.key) {
+          best = {key, i, static_cast<Prediction>(k)};
+        }
+      }
+    }
+    return best;
+  };
+  const auto expect_tracked = [&](int step) {
+    const FluidLane::NextPrediction want = brute_force();
+    EXPECT_EQ(lane.earliest_slot(),
+              want.key.live() ? want.slot : lane.size())
+        << "step " << step;
+    // Current tracking must be exact without a rescan; a stale one is
+    // rescanned on every other step, so stale runs span several writes.
+    if (lane.tracked_prediction() == nullptr) {
+      if (rng.uniform_int(2) == 0) return;
+      ++rescans;
+    }
+    const FluidLane::NextPrediction& got = lane.next_prediction();
+    ASSERT_NE(lane.tracked_prediction(), nullptr);
+    EXPECT_EQ(got.key, want.key) << "step " << step;
+    EXPECT_EQ(got.slot, want.slot) << "step " << step;
+    EXPECT_EQ(got.kind, want.kind) << "step " << step;
+  };
+  const auto append = [&] {
+    sources.emplace_back(static_cast<RequestId>(sources.size()),
+                         make_video(0), 0.0, client);
+    lane.append(sources.back());
+  };
+  const auto random_key = [&] {
+    // Few distinct times, so equal times fall back on the seq.
+    return rng.uniform_int(4) == 0
+               ? kNoEventKey
+               : EventKey{1.0 + static_cast<Seconds>(rng.uniform_int(8)),
+                          next_seq++};
+  };
+  // Keys at time 0 with falling seqs: each is below every key before it.
+  std::uint64_t lowest_seq = std::numeric_limits<std::uint64_t>::max() - 1;
+  const auto remove = [&](std::size_t slot, int step) {
+    lane.set_predictions(slot, kNoPredictions);
+    expect_tracked(step);
+    lane.swap_remove(slot);
+    expect_tracked(step);
+  };
+
+  for (int step = 0; step < 20000; ++step) {
+    const std::uint64_t op = rng.uniform_int(10);
+    if (lane.size() < 2 || (op == 0 && lane.size() < 40)) {
+      append();
+    } else if (op <= 4) {
+      lane.set_predictions(rng.uniform_int(lane.size()),
+                           {random_key(), random_key(), random_key()});
+    } else if (op <= 6) {
+      lane.clear_prediction(rng.uniform_int(lane.size()),
+                            static_cast<Prediction>(rng.uniform_int(3)));
+    } else if (op == 7) {
+      remove(rng.uniform_int(lane.size()), step);
+    } else {
+      // The edge cases, from current tracking.
+      const FluidLane::NextPrediction next = lane.next_prediction();
+      if (!next.key.live()) continue;
+      if (op == 8) {
+        ++holder_removals;
+        remove(next.slot, step);
+      } else if (next.slot == lane.size() - 1) {
+        ++holder_last_removals;
+        remove(rng.uniform_int(lane.size() - 1), step);
+      } else {
+        // Make the holder the last slot: give it a key below every other.
+        lane.set_predictions(lane.size() - 1,
+                             {EventKey{0.0, lowest_seq--}, kNoEventKey,
+                              kNoEventKey});
+      }
+    }
+    expect_tracked(step);
+    if (::testing::Test::HasFailure()) return;
+  }
+  EXPECT_GT(holder_removals, 100);
+  EXPECT_GT(holder_last_removals, 100);
+  EXPECT_GT(rescans, 1000);
 }
 
 // The schedulers build their workahead pools from room[i] > 0.0

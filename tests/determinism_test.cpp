@@ -323,6 +323,25 @@ TEST(GoldenDeterminism, TracedRunIsBitIdentical) {
   filtered.trace.enabled = true;
   filtered.trace.categories = kTraceAdmission | kTraceMigration;
   expect_bit_identical(base, run_once(filtered));
+
+  // The allocation category gates the only Request reads in a recompute's
+  // rate loop: with it alone, and with every category but it, an
+  // intermittent run (the scheduler that moves the most rates) matches the
+  // plain run.
+  SimulationConfig intermittent = golden_config(figure6_policies()[3], 11);
+  intermittent.scheduler = SchedulerKind::kIntermittent;
+  const TrialResult intermittent_base = run_once(intermittent);
+  for (const std::uint32_t categories :
+       {std::uint32_t{kTraceAllocation},
+        kTraceAllCategories & ~std::uint32_t{kTraceAllocation}}) {
+    SimulationConfig traced_rates = intermittent;
+    traced_rates.trace.enabled = true;
+    traced_rates.trace.categories = categories;
+    VodSimulation sim(traced_rates);
+    sim.run();
+    ASSERT_GT(sim.trace()->emitted(), 0u) << "categories " << categories;
+    expect_bit_identical(intermittent_base, TrialResult::from(sim));
+  }
 }
 
 TEST(GoldenDeterminism, DistinctSeedsDiverge) {
