@@ -499,7 +499,7 @@ class Oracle {
       const Megabits threshold =
           config_.intermittent_safety_cover * request.view_bandwidth();
       const Megabits level = request.buffer_level();
-      if (level > threshold + StagingBuffer::kLevelTolerance) {
+      if (level > threshold + fluid_detail::kLevelTolerance) {
         const Seconds low_at = now_ + (level - threshold) / -surplus;
         if (low_at < tx_at) p.low_at = low_at;
       }

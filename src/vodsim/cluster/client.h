@@ -8,6 +8,9 @@
 /// buffer (disk) of fixed capacity into which the server may transmit ahead
 /// of the playback point. A client can receive at most `receive_bandwidth`
 /// (30 Mb/s in the paper's staging experiments; unbounded = infinity).
+/// The buffer's state is two scalars on the Request (or its lane slot);
+/// its fill/drain arithmetic is fluid_detail::apply_buffer
+/// (cluster/fluid_lane.h).
 
 #include <limits>
 
@@ -25,54 +28,6 @@ struct ClientProfile {
   /// Maximum rate at which this client can receive data. Infinity models
   /// the unbounded case of Theorem 1.
   Mbps receive_bandwidth = std::numeric_limits<double>::infinity();
-};
-
-/// Fluid staging-buffer state: level rises at (inflow - drain) while
-/// playback is active. Separated from Request so the fill/drain arithmetic
-/// is unit-testable in isolation.
-class StagingBuffer {
- public:
-  StagingBuffer() = default;
-  explicit StagingBuffer(Megabits capacity) : capacity_(capacity) {}
-
-  Megabits capacity() const { return capacity_; }
-  Megabits level() const { return level_; }
-
-  /// True when no further workahead fits (within fluid-model tolerance).
-  bool full() const { return level_ >= capacity_ - kLevelTolerance; }
-
-  /// Megabits of additional workahead the buffer can hold.
-  Megabits headroom() const { return capacity_ > level_ ? capacity_ - level_ : 0.0; }
-
-  /// Applies \p inflow megabits received and \p outflow megabits consumed
-  /// by playback over an interval. Returns the number of megabits by which
-  /// the level would have gone negative (playback continuity violation;
-  /// 0 in normal minimum-flow operation). The level is clamped to
-  /// [0, capacity]; overshoot beyond capacity (possible only through
-  /// floating-point slop, since buffer-full events stop workahead) is
-  /// clamped silently within tolerance. Delegates to the shared
-  /// single-stream kernel (cluster/fluid_lane.h), so the scalar and SoA
-  /// paths run the same arithmetic.
-  Megabits apply(Megabits inflow, Megabits outflow);
-
-  /// Overwrites the level directly: lane synchronization (a request
-  /// detaching from a server copies its SoA slot back here) and the shared
-  /// kernel's scalar path. \p level must already be clamped to
-  /// [0, capacity] — this is a plain store, not an apply().
-  void set_level(Megabits level) {
-    level_ = level;
-  }
-
-  /// Seconds of playback the current level covers at \p view_bandwidth.
-  Seconds playback_cover(Mbps view_bandwidth) const;
-
-  /// Fluid-model tolerance on buffer levels (megabits); about 1e-6 s of a
-  /// 3 Mb/s stream.
-  static constexpr Megabits kLevelTolerance = 1e-6;
-
- private:
-  Megabits capacity_ = 0.0;
-  Megabits level_ = 0.0;
 };
 
 }  // namespace vodsim

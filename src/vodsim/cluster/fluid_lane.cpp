@@ -101,7 +101,7 @@ __attribute__((noinline)) std::uint64_t advance_states(
     const Megabits raw_underflow = std::max(0.0, 0.0 - level);
     buffer_level[i] = std::min(std::max(level, 0.0), buffer_capacity[i]);
     const Megabits underflow =
-        raw_underflow > StagingBuffer::kLevelTolerance ? raw_underflow : 0.0;
+        raw_underflow > fluid_detail::kLevelTolerance ? raw_underflow : 0.0;
     underflow_out[i] = underflow;
     underflow_bits |= std::bit_cast<std::uint64_t>(underflow);
 

@@ -54,7 +54,6 @@
 #include <new>
 #include <vector>
 
-#include "vodsim/cluster/client.h"
 #include "vodsim/des/event_queue.h"
 #include "vodsim/util/units.h"
 
@@ -63,8 +62,8 @@ namespace vodsim {
 class Request;
 
 /// Single-stream fluid formulas, defined exactly once. The scalar path
-/// (Request::advance, StagingBuffer::apply) and the lane's advance_one
-/// call advance_stream directly; the advance kernel (fluid_lane.cpp) is a
+/// (a detached Request::advance) and the lane's advance_one call
+/// advance_stream directly; the advance kernel (fluid_lane.cpp) is a
 /// branchless re-expression of the same operations, proven bit-identical
 /// per stream (the argument is spelled out at the kernel), so restructuring
 /// storage cannot change a single floating-point result per stream. The
@@ -72,9 +71,14 @@ class Request;
 /// projected_finish and predicted_times apply the formulas to one slot.
 namespace fluid_detail {
 
-/// StagingBuffer::apply's arithmetic on raw level storage: applies inflow
-/// and playback outflow, clamps the level into [0, capacity], and returns
-/// the megabits by which playback would have underrun (0 within tolerance).
+/// Fluid-model tolerance on staging-buffer levels (megabits); about 1e-6 s
+/// of a 3 Mb/s stream.
+inline constexpr Megabits kLevelTolerance = 1e-6;
+
+/// A client staging buffer's fill/drain step on raw level storage: applies
+/// inflow and playback outflow, clamps the level into [0, capacity], and
+/// returns the megabits by which playback would have underrun (0 within
+/// tolerance).
 inline Megabits apply_buffer(Megabits& level, Megabits capacity,
                              Megabits inflow, Megabits outflow) {
   level += inflow - outflow;
@@ -88,12 +92,12 @@ inline Megabits apply_buffer(Megabits& level, Megabits capacity,
     // floating-point slop from event-time rounding.
     level = capacity;
   }
-  return underflow > StagingBuffer::kLevelTolerance ? underflow : 0.0;
+  return underflow > kLevelTolerance ? underflow : 0.0;
 }
 
 /// One stream's fluid step from `last_update` to `now`: the exact
-/// arithmetic of Request::advance + StagingBuffer::apply on caller-supplied
-/// storage. Returns megabits of playback underflow over the interval.
+/// arithmetic of Request::advance on caller-supplied storage. Returns
+/// megabits of playback underflow over the interval.
 inline Megabits advance_stream(Seconds now, Seconds& last_update,
                                Megabits& remaining, Megabits& buffer_level,
                                Megabits buffer_capacity, Mbps allocation,
@@ -132,9 +136,9 @@ inline Mbps checked_rate(Mbps rate, Mbps receive_bandwidth) {
 }
 
 /// Request::buffer_full's test on a staging buffer's state: full within
-/// StagingBuffer::kLevelTolerance.
+/// kLevelTolerance.
 inline bool buffer_full(Megabits level, Megabits capacity) {
-  return level >= capacity - StagingBuffer::kLevelTolerance;
+  return level >= capacity - kLevelTolerance;
 }
 
 /// The finish-time order key (EFTF, LFTF, the intermittent scheduler's
@@ -191,7 +195,7 @@ inline PredictedTimes predicted_times(Seconds now, double safety_cover,
     // playback starves. A stream already at or below the threshold is
     // known-urgent to the scheduler; waking it again would only churn.
     const Megabits threshold = safety_cover * view_bandwidth;
-    if (level > threshold + StagingBuffer::kLevelTolerance) {
+    if (level > threshold + kLevelTolerance) {
       const Seconds low_at = now + (level - threshold) / -surplus;
       if (low_at < times.tx_complete) times.buffer_low = low_at;
     }

@@ -16,7 +16,7 @@ Request::Request(RequestId id, const Video& video, Seconds arrival,
       total_size_(video.size()),
       remaining_(video.size()),
       last_update_(arrival),
-      buffer_(client.buffer_capacity) {}
+      buffer_capacity_(client.buffer_capacity) {}
 
 Megabits Request::advance(Seconds now) {
   assert(now >= last_update() - kTimeSyncTolerance);
@@ -26,12 +26,9 @@ Megabits Request::advance(Seconds now) {
   // Detached path: same single-stream formulas (fluid_detail) on the home
   // scalars; the buffer keeps draining while a stream migrates or coasts
   // after transmission completes.
-  Megabits level = buffer_.level();
-  const Megabits underflow = fluid_detail::advance_stream(
-      now, last_update_, remaining_, level, buffer_.capacity(), allocation_,
-      viewing_paused_, arrival_, playback_end_, view_bandwidth_);
-  buffer_.set_level(level);
-  return underflow;
+  return fluid_detail::advance_stream(
+      now, last_update_, remaining_, buffer_level_, buffer_capacity_,
+      allocation_, viewing_paused_, arrival_, playback_end_, view_bandwidth_);
 }
 
 Mbps Request::drain_rate(Seconds now) const {
@@ -141,7 +138,7 @@ void Request::detach_lane() {
   assert(lane_ != nullptr);
   remaining_ = lane_->remaining(active_index);
   last_update_ = lane_->last_update(active_index);
-  buffer_.set_level(lane_->buffer_level(active_index));
+  buffer_level_ = lane_->buffer_level(active_index);
   allocation_ = lane_->allocation(active_index);
   workahead_urgent_ = lane_->urgent(active_index);
   lane_ = nullptr;

@@ -75,23 +75,23 @@ class Request {
   int pause_count() const { return pause_count_; }
 
   // --- staging-buffer view ---------------------------------------------
-  // Scalar accessors rather than a StagingBuffer reference: the level may
-  // live in the lane, so there is no single object to hand out. Arithmetic
-  // is identical to StagingBuffer's (full/headroom/playback_cover).
+  // The client's staging buffer is two scalars: a fixed capacity and a
+  // level that lives in the lane while attached. Fill/drain arithmetic is
+  // fluid_detail::apply_buffer.
   Megabits buffer_level() const {
-    return lane_ != nullptr ? lane_->buffer_level(active_index) : buffer_.level();
+    return lane_ != nullptr ? lane_->buffer_level(active_index) : buffer_level_;
   }
-  Megabits buffer_capacity() const { return buffer_.capacity(); }
+  Megabits buffer_capacity() const { return buffer_capacity_; }
 
   /// True when no further workahead fits (within fluid-model tolerance).
   bool buffer_full() const {
-    return buffer_level() >= buffer_.capacity() - StagingBuffer::kLevelTolerance;
+    return fluid_detail::buffer_full(buffer_level(), buffer_capacity_);
   }
 
   /// Megabits of additional workahead the staging buffer can hold.
   Megabits buffer_headroom() const {
     const Megabits level = buffer_level();
-    return buffer_.capacity() > level ? buffer_.capacity() - level : 0.0;
+    return buffer_capacity_ > level ? buffer_capacity_ - level : 0.0;
   }
 
   /// Seconds of playback the staged data covers at this request's view rate.
@@ -151,8 +151,8 @@ class Request {
   void detach_lane();
 
   /// The owning server's lane while attached (slot = active_index), null
-  /// otherwise. Lets the scheduler hot loops detect that a candidate vector
-  /// is lane-backed and read the SoA arrays directly.
+  /// otherwise. sched_detail::lane_of checks it to confirm that a
+  /// scheduler's input is exactly its server's active list.
   const FluidLane* lane() const { return lane_; }
 
   /// Handle of this request's end-of-playback event on the coordinator
@@ -213,7 +213,8 @@ class Request {
   Megabits remaining_;
   Mbps allocation_ = 0.0;
   Seconds last_update_;
-  StagingBuffer buffer_;
+  Megabits buffer_capacity_;
+  Megabits buffer_level_ = 0.0;
   /// The owning server's fluid lane while attached, nullptr otherwise.
   FluidLane* lane_ = nullptr;
   int hops_ = 0;

@@ -116,11 +116,6 @@ void VodSimulation::build_world() {
   occupancy_.assign(servers_.size(), TimeWeighted(config_.warmup, config_.duration));
   recompute_state_.assign(servers_.size(), ServerRecomputeState{});
 
-  // Request storage: one pool per context, so shard workers stop
-  // interleaving their streams' cache lines in one shared StableVector
-  // (engine/request_arena.h).
-  requests_.reset(1 + static_cast<std::size_t>(shards));
-
   if (!arrivals_) {
     arrivals_ = std::make_unique<RequestGenerator>(
         PoissonProcess(config_.arrival_rate()), *popularity_, seeds.arrival);
@@ -371,16 +366,11 @@ void VodSimulation::handle_arrival(const Arrival& arrival) {
   ctx.metrics->record_arrival(now);
 
   const Video& video = catalog_[arrival.video];
-  note(ctx, TraceEventType::kArrival, kTraceAdmission, kNoServer, next_request_id_,
-       arrival.video);
+  note(ctx, TraceEventType::kArrival, kTraceAdmission, kNoServer,
+       static_cast<RequestId>(requests_.size()), arrival.video);
   const AdmissionDecision decision = decide(arrival.video, video.view_bandwidth);
 
-  // Pool by destination shard (rejected arrivals stay coordinator-side),
-  // so a stream's Request lands in the arena pool of the shard whose
-  // worker will mutate it (engine/request_arena.h).
-  Request& request =
-      requests_.create(owner_index(decision.accepted ? decision.server : kNoServer),
-                       next_request_id_++, video, now, client_profile_);
+  Request& request = create_request(video, now);
 
   if (!decision.accepted) {
     note(ctx, TraceEventType::kReject, kTraceAdmission, kNoServer, request.id(),
@@ -829,10 +819,7 @@ void VodSimulation::process_retries(bool force) {
         finish_migration(request, decision.server);
       } else {
         // A rejected arrival returns: fresh stream, fresh playback window.
-        const Video& video = catalog_[entry.video];
-        Request& request = requests_.create(owner_index(decision.server),
-                                            next_request_id_++, video, now,
-                                            client_profile_);
+        Request& request = create_request(catalog_[entry.video], now);
         note(ctx, TraceEventType::kRetryReadmitted, kTraceFailure, decision.server,
              request.id(), entry.video, static_cast<double>(entry.attempts));
         start_stream(request, decision.server);
@@ -1282,6 +1269,11 @@ void VodSimulation::on_prediction_timer(ExecContext& owner, ServerId server_id) 
   }
   state.firing = false;
   sync_prediction_timer(server_id);
+}
+
+Request& VodSimulation::create_request(const Video& video, Seconds now) {
+  return requests_.emplace_back(static_cast<RequestId>(requests_.size()), video,
+                                now, client_profile_);
 }
 
 std::size_t VodSimulation::owner_index(ServerId server) const {

@@ -43,7 +43,6 @@
 #include "vodsim/des/simulator.h"
 #include "vodsim/engine/config.h"
 #include "vodsim/engine/metrics.h"
-#include "vodsim/engine/request_arena.h"
 #include "vodsim/fault/retry_queue.h"
 #include "vodsim/fault/transition.h"
 #include "vodsim/obs/probes.h"
@@ -136,11 +135,10 @@ class VodSimulation {
   /// VODSIM_PROBE). Observe-only, like the trace recorder.
   const ProbeSet* probes() const { return probes_.get(); }
 
-  /// Every request ever created (terminal states included), in id order;
-  /// audit surface for tests. Sharded runs store requests in per-shard
-  /// pools (engine/request_arena.h) but iteration order is id order either
-  /// way.
-  const RequestArena& requests() const { return requests_; }
+  /// Every request ever created (terminal states included), indexed and
+  /// iterated by id: ids are handed out in creation order, so
+  /// `requests()[id].id() == id`. Audit surface for tests and the auditor.
+  const StableVector<Request>& requests() const { return requests_; }
 
   /// Playback continuity violations observed (should be 0 except under
   /// failure injection or nonzero switch latency). Sums the counters of
@@ -246,10 +244,8 @@ class VodSimulation {
   ExecContext& coordinator() { return *contexts_.front(); }
   const ExecContext& coordinator() const { return *contexts_.front(); }
 
-  /// Index of the context owning \p server — the queue its requests'
-  /// predicted events live in and the RequestArena pool its requests are
-  /// created in (engine/request_arena.h). The coordinator (0) for
-  /// kNoServer.
+  /// Index of the context owning \p server — the queue its server's
+  /// timers live in. The coordinator (0) for kNoServer.
   std::size_t owner_index(ServerId server) const;
 
   /// The context owning \p server. The server's predicted-event timer
@@ -265,6 +261,11 @@ class VodSimulation {
 
   void schedule_next_arrival();
   void handle_arrival(const Arrival& arrival);
+
+  /// Appends a new request for \p video arriving at \p now; its id is its
+  /// index in requests_. Arrivals and retry re-admissions both create
+  /// requests on the coordinator, so ids follow event order.
+  Request& create_request(const Video& video, Seconds now);
 
   /// The controller's decision for an arrival or retry now, at the current
   /// cluster version. With the auditor armed, a rejection served from the
@@ -479,8 +480,9 @@ class VodSimulation {
   std::vector<Seconds> partition_began_;
   std::vector<TimeWeighted> occupancy_;
 
-  RequestArena requests_;
-  RequestId next_request_id_ = 0;
+  /// Every request, at index == id; addresses are stable, since events
+  /// and active lists hold Request pointers.
+  StableVector<Request> requests_;
   /// Present only in paranoid mode (config.paranoid or VODSIM_PARANOID).
   std::unique_ptr<InvariantAuditor> auditor_;
   /// Present only when probing is on (config.probe or VODSIM_PROBE).

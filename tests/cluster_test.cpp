@@ -31,53 +31,62 @@ Video make_video(VideoId id = 0, Seconds duration = 600.0, Mbps view = 3.0) {
 }
 
 // ---------------------------------------------------------------- staging buffer
+// A client's staging buffer is a level and a capacity; its fill/drain step
+// is fluid_detail::apply_buffer, its full test fluid_detail::buffer_full.
 
-TEST(StagingBuffer, FillsAndDrains) {
-  StagingBuffer buffer(100.0);
-  EXPECT_DOUBLE_EQ(buffer.apply(30.0, 10.0), 0.0);
-  EXPECT_DOUBLE_EQ(buffer.level(), 20.0);
-  EXPECT_DOUBLE_EQ(buffer.apply(0.0, 5.0), 0.0);
-  EXPECT_DOUBLE_EQ(buffer.level(), 15.0);
+TEST(ClientBuffer, FillsAndDrains) {
+  Megabits level = 0.0;
+  EXPECT_DOUBLE_EQ(fluid_detail::apply_buffer(level, 100.0, 30.0, 10.0), 0.0);
+  EXPECT_DOUBLE_EQ(level, 20.0);
+  EXPECT_DOUBLE_EQ(fluid_detail::apply_buffer(level, 100.0, 0.0, 5.0), 0.0);
+  EXPECT_DOUBLE_EQ(level, 15.0);
 }
 
-TEST(StagingBuffer, ReportsUnderflow) {
-  StagingBuffer buffer(100.0);
-  buffer.apply(10.0, 0.0);
-  const Megabits underflow = buffer.apply(0.0, 25.0);
+TEST(ClientBuffer, ReportsUnderflow) {
+  Megabits level = 0.0;
+  fluid_detail::apply_buffer(level, 100.0, 10.0, 0.0);
+  const Megabits underflow = fluid_detail::apply_buffer(level, 100.0, 0.0, 25.0);
   EXPECT_DOUBLE_EQ(underflow, 15.0);
-  EXPECT_DOUBLE_EQ(buffer.level(), 0.0);  // clamped
+  EXPECT_DOUBLE_EQ(level, 0.0);  // clamped
 }
 
-TEST(StagingBuffer, ClampsAtCapacity) {
-  StagingBuffer buffer(50.0);
-  buffer.apply(60.0, 0.0);
-  EXPECT_DOUBLE_EQ(buffer.level(), 50.0);
-  EXPECT_TRUE(buffer.full());
-  EXPECT_DOUBLE_EQ(buffer.headroom(), 0.0);
+TEST(ClientBuffer, ClampsAtCapacity) {
+  Megabits level = 0.0;
+  fluid_detail::apply_buffer(level, 50.0, 60.0, 0.0);
+  EXPECT_DOUBLE_EQ(level, 50.0);
+  EXPECT_TRUE(fluid_detail::buffer_full(level, 50.0));
 }
 
-TEST(StagingBuffer, FullWithinTolerance) {
-  StagingBuffer buffer(50.0);
-  buffer.apply(50.0 - 1e-8, 0.0);
-  EXPECT_TRUE(buffer.full());
+TEST(ClientBuffer, FullWithinTolerance) {
+  Megabits level = 0.0;
+  fluid_detail::apply_buffer(level, 50.0, 50.0 - 1e-8, 0.0);
+  EXPECT_TRUE(fluid_detail::buffer_full(level, 50.0));
+  EXPECT_FALSE(fluid_detail::buffer_full(50.0 - 1e-5, 50.0));
 }
 
-TEST(StagingBuffer, PlaybackCover) {
-  StagingBuffer buffer(100.0);
-  buffer.apply(30.0, 0.0);
-  EXPECT_DOUBLE_EQ(buffer.playback_cover(3.0), 10.0);
+TEST(ClientBuffer, PlaybackCover) {
+  // 6 Mb/s in, 3 Mb/s played for 10 s: 30 Mb staged = 10 s of playback.
+  Request request(1, make_video(0, 600.0, 3.0), 0.0, ClientProfile{100.0});
+  request.begin_streaming(0.0, 0);
+  request.set_allocation(0.0, 6.0);
+  EXPECT_DOUBLE_EQ(request.advance(10.0), 0.0);
+  EXPECT_DOUBLE_EQ(request.buffer_level(), 30.0);
+  EXPECT_DOUBLE_EQ(request.buffer_cover(), 10.0);
+  EXPECT_DOUBLE_EQ(request.buffer_headroom(), 70.0);
 }
 
-TEST(StagingBuffer, ZeroCapacityAlwaysFull) {
-  StagingBuffer buffer(0.0);
-  EXPECT_TRUE(buffer.full());
-  EXPECT_DOUBLE_EQ(buffer.headroom(), 0.0);
+TEST(ClientBuffer, ZeroCapacityAlwaysFull) {
+  EXPECT_TRUE(fluid_detail::buffer_full(0.0, 0.0));
+  Request request(1, make_video(), 0.0, ClientProfile{0.0});
+  EXPECT_TRUE(request.buffer_full());
+  EXPECT_DOUBLE_EQ(request.buffer_headroom(), 0.0);
 }
 
-TEST(StagingBuffer, TinyUnderflowIgnored) {
-  StagingBuffer buffer(10.0);
-  buffer.apply(1.0, 0.0);
-  EXPECT_DOUBLE_EQ(buffer.apply(0.0, 1.0 + 1e-9), 0.0);  // below tolerance
+TEST(ClientBuffer, TinyUnderflowIgnored) {
+  Megabits level = 0.0;
+  fluid_detail::apply_buffer(level, 10.0, 1.0, 0.0);
+  // Below tolerance.
+  EXPECT_DOUBLE_EQ(fluid_detail::apply_buffer(level, 10.0, 0.0, 1.0 + 1e-9), 0.0);
 }
 
 // ---------------------------------------------------------------- request
@@ -524,7 +533,7 @@ TEST(FluidLane, PredictedTimesMatchesScalarGates) {
       if (at < times.tx_complete) times.buffer_full = at;
     } else if (surplus < -1e-12) {
       const Megabits threshold = safety_cover * r.view_bandwidth();
-      if (r.buffer_level() > threshold + StagingBuffer::kLevelTolerance) {
+      if (r.buffer_level() > threshold + fluid_detail::kLevelTolerance) {
         const Seconds at = now + (r.buffer_level() - threshold) / -surplus;
         if (at < times.tx_complete) times.buffer_low = at;
       }

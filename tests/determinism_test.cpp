@@ -257,20 +257,25 @@ TEST(GoldenDeterminism, ShardedIsReproducibleAcrossThreadCounts) {
 }
 
 TEST(GoldenDeterminism, ShardedArenaMatchesSingleArenaExactly) {
-  // The request arena's pool split is pure storage: the only difference
-  // from the single-queue run is shard scheduling — so counters must match
-  // exactly and fluid aggregates within merge-order tolerance, same
-  // contract the fuzzer's shard differential enforces.
+  // Sharding changes only which queue runs a server's events, so counters
+  // must match exactly and fluid aggregates within merge-order tolerance,
+  // same contract the fuzzer's shard differential enforces. The request
+  // store must hold the same requests either way: every id at its index,
+  // visited in id order, each ending in the single-queue run's state.
   for (const PolicySpec& policy :
        {figure6_policies().front(), figure6_policies()[3]}) {
     SCOPED_TRACE(policy.label);
     SimulationConfig config = golden_config(policy, 17);
-    const TrialResult single = run_once(config);
+    VodSimulation single_sim(config);
+    single_sim.run();
+    const TrialResult single = TrialResult::from(single_sim);
     ASSERT_GT(single.arrivals, 0u);
 
     config.shards = 4;
     config.shard_threads = 2;
-    const TrialResult sharded = run_once(config);
+    VodSimulation sharded_sim(config);
+    sharded_sim.run();
+    const TrialResult sharded = TrialResult::from(sharded_sim);
 
     EXPECT_EQ(single.arrivals, sharded.arrivals);
     EXPECT_EQ(single.accepts, sharded.accepts);
@@ -283,6 +288,19 @@ TEST(GoldenDeterminism, ShardedArenaMatchesSingleArenaExactly) {
                 1e-9 + 1e-9 * std::abs(single.utilization));
     EXPECT_NEAR(single.rejection_ratio, sharded.rejection_ratio,
                 1e-9 + 1e-9 * std::abs(single.rejection_ratio));
+
+    const auto& requests = sharded_sim.requests();
+    ASSERT_EQ(requests.size(), single_sim.requests().size());
+    RequestId expected = 0;
+    for (const Request& request : requests) {
+      ASSERT_EQ(request.id(), expected) << "requests() out of id order";
+      ++expected;
+    }
+    for (std::size_t id = 0; id < requests.size(); ++id) {
+      EXPECT_EQ(requests[id].id(), static_cast<RequestId>(id));
+      EXPECT_EQ(requests[id].state(), single_sim.requests()[id].state())
+          << "request " << id;
+    }
   }
 }
 

@@ -102,7 +102,7 @@ TEST(Integration, AllExtensionsTogether) {
   for (const Request& request : simulation.requests()) {
     EXPECT_GE(request.buffer_level(), 0.0);
     EXPECT_LE(request.buffer_level(),
-              request.buffer_capacity() + StagingBuffer::kLevelTolerance);
+              request.buffer_capacity() + fluid_detail::kLevelTolerance);
     EXPECT_LE(request.hops(), 3);  // 2 admission hops + possibly 1 recovery
   }
 

@@ -104,7 +104,7 @@ TEST(Interactivity, EngineRunsWithPausesAndStaysContinuous) {
   for (const Request& request : simulation.requests()) {
     EXPECT_GE(request.buffer_level(), 0.0);
     EXPECT_LE(request.buffer_level(),
-              request.buffer_capacity() + StagingBuffer::kLevelTolerance);
+              request.buffer_capacity() + fluid_detail::kLevelTolerance);
   }
 }
 

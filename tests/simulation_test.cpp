@@ -99,7 +99,7 @@ TEST_P(SimulationInvariants, HoldEndToEnd) {
     // Buffers stay within capacity.
     EXPECT_GE(request.buffer_level(), 0.0);
     EXPECT_LE(request.buffer_level(),
-              request.buffer_capacity() + StagingBuffer::kLevelTolerance);
+              request.buffer_capacity() + fluid_detail::kLevelTolerance);
     // Completed requests received all of their data (bit conservation);
     // only horizon truncation leaves data in flight.
     if (request.state() == RequestState::kDone &&

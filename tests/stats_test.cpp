@@ -6,7 +6,6 @@
 #include <cmath>
 
 #include "vodsim/stats/accumulator.h"
-#include "vodsim/stats/batch_means.h"
 #include "vodsim/util/rng.h"
 #include "vodsim/stats/histogram.h"
 #include "vodsim/stats/student_t.h"
@@ -88,99 +87,6 @@ TEST(Accumulator, FormatMeanCi) {
   const std::string text = format_mean_ci(acc, 2);
   EXPECT_NE(text.find("1.50"), std::string::npos);
   EXPECT_NE(text.find("±"), std::string::npos);
-}
-
-// ---------------------------------------------------------------- batch means
-
-TEST(BatchMeans, BatchesAndMean) {
-  BatchMeans bm(/*batch_size=*/4);
-  for (int i = 1; i <= 12; ++i) bm.add(static_cast<double>(i));
-  EXPECT_EQ(bm.batch_count(), 3u);
-  EXPECT_EQ(bm.observations(), 12u);
-  // Batch means: 2.5, 6.5, 10.5 -> grand mean 6.5.
-  EXPECT_DOUBLE_EQ(bm.mean(), 6.5);
-  EXPECT_GT(bm.ci_half_width(), 0.0);
-}
-
-TEST(BatchMeans, WarmupDiscarded) {
-  BatchMeans bm(/*batch_size=*/2, /*warmup=*/4);
-  for (double x : {100.0, 100.0, 100.0, 100.0, 1.0, 3.0}) bm.add(x);
-  EXPECT_EQ(bm.batch_count(), 1u);
-  EXPECT_DOUBLE_EQ(bm.mean(), 2.0);  // warmup spikes excluded
-}
-
-TEST(BatchMeans, PartialTailBatchIgnored) {
-  BatchMeans bm(/*batch_size=*/5);
-  for (int i = 0; i < 9; ++i) bm.add(1.0);
-  EXPECT_EQ(bm.batch_count(), 1u);
-}
-
-TEST(BatchMeans, IidDataHasSmallAutocorrelation) {
-  Rng rng(123);
-  BatchMeans bm(/*batch_size=*/50);
-  for (int i = 0; i < 50000; ++i) bm.add(rng.uniform());
-  EXPECT_EQ(bm.batch_count(), 1000u);
-  EXPECT_NEAR(bm.mean(), 0.5, 0.01);
-  EXPECT_LT(std::fabs(bm.batch_lag1_autocorrelation()), 0.1);
-}
-
-TEST(BatchMeans, CorrelatedDataFlagsItself) {
-  // AR(1) with strong persistence and batch size 1: batch means inherit the
-  // autocorrelation, which the diagnostic must expose.
-  Rng rng(321);
-  BatchMeans bm(/*batch_size=*/1);
-  double x = 0.0;
-  for (int i = 0; i < 20000; ++i) {
-    x = 0.95 * x + rng.uniform(-1.0, 1.0);
-    bm.add(x);
-  }
-  EXPECT_GT(bm.batch_lag1_autocorrelation(), 0.8);
-}
-
-TEST(BatchMeans, TooFewBatchesSafe) {
-  BatchMeans bm(10);
-  bm.add(1.0);
-  EXPECT_DOUBLE_EQ(bm.ci_half_width(), 0.0);
-  EXPECT_DOUBLE_EQ(bm.batch_lag1_autocorrelation(), 0.0);
-}
-
-TEST(BatchMeans, OneCompleteBatchCiIsZero) {
-  // Exactly one batch: a Student-t CI needs >= 2, so the half-width must
-  // degrade to 0 rather than divide by zero degrees of freedom.
-  BatchMeans bm(/*batch_size=*/3);
-  for (double x : {1.0, 2.0, 3.0}) bm.add(x);
-  EXPECT_EQ(bm.batch_count(), 1u);
-  EXPECT_DOUBLE_EQ(bm.mean(), 2.0);
-  EXPECT_DOUBLE_EQ(bm.ci_half_width(), 0.0);
-}
-
-TEST(BatchMeans, NonDivisibleRunLengthExcludesTail) {
-  // 10 observations, batch size 4: the mean covers the first 8 only — the
-  // partial tail must not bias the estimate.
-  BatchMeans bm(/*batch_size=*/4);
-  for (int i = 1; i <= 10; ++i) bm.add(static_cast<double>(i));
-  EXPECT_EQ(bm.batch_count(), 2u);
-  EXPECT_EQ(bm.observations(), 10u);
-  EXPECT_DOUBLE_EQ(bm.mean(), 4.5);  // mean of 1..8, not 1..10
-}
-
-TEST(BatchMeans, ConstantDataHasZeroAutocorrelation) {
-  // Zero variance makes the autocorrelation denominator 0; the diagnostic
-  // must return 0, not NaN.
-  BatchMeans bm(/*batch_size=*/2);
-  for (int i = 0; i < 10; ++i) bm.add(7.0);
-  EXPECT_EQ(bm.batch_count(), 5u);
-  EXPECT_DOUBLE_EQ(bm.batch_lag1_autocorrelation(), 0.0);
-  EXPECT_DOUBLE_EQ(bm.ci_half_width(), 0.0);
-}
-
-TEST(BatchMeans, WarmupLongerThanRunIsSafe) {
-  BatchMeans bm(/*batch_size=*/2, /*warmup=*/100);
-  for (int i = 0; i < 5; ++i) bm.add(1.0);
-  EXPECT_EQ(bm.batch_count(), 0u);
-  EXPECT_EQ(bm.observations(), 5u);
-  EXPECT_DOUBLE_EQ(bm.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(bm.ci_half_width(), 0.0);
 }
 
 // ---------------------------------------------------------------- student t
@@ -397,24 +303,6 @@ TEST(HistogramProperty, QuantilesInvariantUnderBucketPreservingPermutations) {
   for (double q : {0.0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0}) {
     EXPECT_DOUBLE_EQ(original.quantile(q), permuted.quantile(q)) << "q=" << q;
   }
-}
-
-TEST(BatchMeansProperty, CiWidthShrinksWithRunLength) {
-  // Same iid source, geometrically longer runs: the batch-means CI
-  // half-width must shrink (up to Student-t luck, so require monotone
-  // decrease across 16x steps, not adjacent pairs).
-  Rng rng(33);
-  std::vector<double> widths;
-  for (std::uint64_t n : {2000ull, 32000ull, 512000ull}) {
-    BatchMeans bm(/*batch_size=*/n / 20, /*warmup_observations=*/0);
-    for (std::uint64_t i = 0; i < n; ++i) bm.add(rng.uniform(0.0, 1.0));
-    ASSERT_GE(bm.batch_count(), 2u);
-    widths.push_back(bm.ci_half_width());
-  }
-  EXPECT_LT(widths[1], widths[0]);
-  EXPECT_LT(widths[2], widths[1]);
-  // sqrt(n) scaling: 16x the data should cut the width by ~4; accept 2x.
-  EXPECT_LT(widths[2], widths[0] / 2.0);
 }
 
 TEST(TimeWeightedProperty, AgreesWithHandIntegratedStepFunctions) {

@@ -753,6 +753,30 @@ class DocCitationTest(unittest.TestCase):
                 named += 1
         self.assertGreater(named, 0)
 
+    def test_source_paths_in_docs_exist(self):
+        """A <dir>/<file>.h or .cpp path the docs name (`stats/foo.{h,cpp}`
+        names both) must be the suffix of a tracked file, so a deleted
+        source cannot linger in the prose."""
+        listing = subprocess.run(["git", "-C", REPO_DIR, "ls-files"],
+                                 capture_output=True, text=True)
+        if listing.returncode != 0:
+            self.skipTest("not a git checkout")
+        tracked = listing.stdout.split()
+        path = re.compile(r"((?:[\w.-]+/)+[\w.-]+?)\.(h|cpp|\{h,\s*cpp\})"
+                          r"(?![\w{])")
+        cited = 0
+        for name in ("README.md", "DESIGN.md", "EXPERIMENTS.md",
+                     os.path.join(".github", "workflows", "ci.yml")):
+            for stem, ext in path.findall(self.read(name)):
+                for suffix in ("h", "cpp") if ext.startswith("{") else (ext,):
+                    source = f"{stem}.{suffix}"
+                    self.assertTrue(
+                        any(f == source or f.endswith("/" + source)
+                            for f in tracked),
+                        f"{name} cites {source}, which no tracked file is")
+                    cited += 1
+        self.assertGreater(cited, 0)
+
 
 if __name__ == "__main__":
     unittest.main()
