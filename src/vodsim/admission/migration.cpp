@@ -66,14 +66,13 @@ bool hypothetically_admits(const SearchContext& ctx, ServerId server, Mbps rate)
 /// latency, staged data covering the pause (level / view rate, the
 /// Request::buffer_cover quotient). Every active request is streaming
 /// (Server::attach asserts it), so the state needs no test. One branch-free
-/// compaction over the traits and the lane; victims the plan already holds
-/// are struck only when one sits on this server, which takes a chain of 3+
-/// cycling back.
+/// compaction over the lane's traits and fluid state; victims the plan
+/// already holds are struck only when one sits on this server, which takes
+/// a chain of 3+ cycling back.
 const std::vector<std::uint32_t>& ordered_victims(const SearchContext& ctx,
                                                   ServerId server_id, int depth) {
   const Server& server = ctx.servers[static_cast<std::size_t>(server_id)];
   const FluidLane& lane = server.lane();
-  const StreamTraits* traits = server.traits().data();
   const auto n = static_cast<std::uint32_t>(server.active_count());
   std::vector<std::uint32_t>& slots = ctx.victims[static_cast<std::size_t>(depth)];
   slots.resize(n);
@@ -85,13 +84,13 @@ const std::vector<std::uint32_t>& ordered_victims(const SearchContext& ctx,
     for (std::uint32_t i = 0; i < n; ++i) {
       out[count] = i;
       count += static_cast<std::uint32_t>(
-          (traits[i].hops < max_hops) &
+          (lane.traits(i).hops < max_hops) &
           (lane.buffer_level(i) / lane.view_bandwidth(i) >= latency));
     }
   } else {
     for (std::uint32_t i = 0; i < n; ++i) {
       out[count] = i;
-      count += static_cast<std::uint32_t>(traits[i].hops < max_hops);
+      count += static_cast<std::uint32_t>(lane.traits(i).hops < max_hops);
     }
   }
   slots.resize(count);
@@ -138,14 +137,13 @@ const std::vector<std::uint32_t>& ordered_victims(const SearchContext& ctx,
 LeafOutcome walk_last_level(const SearchContext& ctx, ServerId server, Mbps rate) {
   const Server& s = ctx.servers[static_cast<std::size_t>(server)];
   const FluidLane& lane = s.lane();
-  const StreamTraits* traits = s.traits().data();
   const Mbps server_delta = ctx.delta[static_cast<std::size_t>(server)];
   LeafOutcome outcome;
   for (std::uint32_t slot :
        ordered_victims(ctx, server, ctx.config.max_chain_length - 1)) {
     const Mbps moved = lane.view_bandwidth(slot);
     for (ServerId target :
-         ctx.holders_of[static_cast<std::size_t>(traits[slot].video)]) {
+         ctx.holders_of[static_cast<std::size_t>(lane.traits(slot).video)]) {
       if (target == server) continue;
       ++outcome.pairs;
       if (hypothetically_admits(ctx, target, moved) &&
@@ -213,13 +211,12 @@ bool free_room(SearchContext& ctx, ServerId server, Mbps rate,
   }
   const Server& s = ctx.servers[static_cast<std::size_t>(server)];
   const FluidLane& lane = s.lane();
-  const StreamTraits* traits = s.traits().data();
 
   for (std::uint32_t slot : ordered_victims(ctx, server, depth)) {
     const Mbps moved = lane.view_bandwidth(slot);
     // Candidate targets: other holders of the victim's video.
     for (ServerId target :
-         ctx.holders_of[static_cast<std::size_t>(traits[slot].video)]) {
+         ctx.holders_of[static_cast<std::size_t>(lane.traits(slot).video)]) {
       if (target == server) continue;
       if (--ctx.budget < 0) return false;
       const std::size_t plan_before = plan.size();

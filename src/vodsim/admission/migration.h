@@ -161,10 +161,10 @@ struct MigrationSearchScratch {
 ///        same version. kFreshSearch reuses nothing.
 /// Returns nullopt when no chain within the configured length exists.
 ///
-/// The search reads each server's victims from its traits() and lane(),
-/// not from the Requests: a Request pointer is looked up to name a plan
-/// step, and dereferenced only to undo a step that freed too little
-/// (mixed view rates).
+/// The search reads each server's victims from its stream table (the
+/// lane's traits and fluid state), not from the Requests: a Request
+/// pointer is looked up to name a plan step, and dereferenced only to undo
+/// a step that freed too little (mixed view rates).
 std::optional<MigrationPlan> find_migration_plan(
     VideoId video, Mbps view_bandwidth, const MigrationConfig& config,
     const std::vector<Server>& servers,

@@ -92,18 +92,12 @@ void InvariantAuditor::check_server(const Server& server,
     fail("no grants on an unreachable server", d);
   }
 
-  if (server.traits().size() != active.size()) {
-    std::ostringstream d;
-    d << "server " << server.id() << ": " << server.traits().size()
-      << " trait slots for " << active.size() << " active streams";
-    fail("stream traits track the active list", d);
-  }
   Mbps allocated = 0.0;
   Mbps committed = 0.0;
   for (std::size_t i = 0; i < active.size(); ++i) {
     const Request& request = *active[i];
     check_request(request, server, i);
-    const StreamTraits& traits = server.traits()[i];
+    const StreamTraits& traits = server.lane().traits(i);
     if (traits.video != request.video_id() || traits.hops != request.hops()) {
       std::ostringstream d;
       d << "request " << request.id() << " on server " << server.id()

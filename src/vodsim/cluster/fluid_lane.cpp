@@ -267,9 +267,12 @@ FluidLane& FluidLane::operator=(const FluidLane& other) {
     if (other.size_ > 0) std::copy(src[k], src[k] + other.size_, dst[k]);
   }
   size_ = other.size_;
-  urgent_ = other.urgent_;
-  predictions_ = other.predictions_;
-  earliest_time_bits_ = other.earliest_time_bits_;
+  requests_ = other.requests_;
+  std::copy_n(other.traits_.begin(), size_, traits_.begin());
+  std::copy_n(other.urgent_.begin(), size_, urgent_.begin());
+  std::copy_n(other.predictions_.begin(), size_, predictions_.begin());
+  std::copy_n(other.earliest_time_bits_.begin(), size_,
+              earliest_time_bits_.begin());
   next_ = other.next_;
   next_stale_ = other.next_stale_;
   return *this;
@@ -307,18 +310,18 @@ void FluidLane::grow(std::size_t min_capacity) {
   playback_end_ = views[7];
   playing_ = views[8];
   receive_bandwidth_ = views[9];
+  traits_.resize(cap);
+  urgent_.resize(cap);
+  predictions_.resize(cap);
+  earliest_time_bits_.resize(cap);
 }
 
-void FluidLane::reserve(std::size_t n) {
-  if (n > capacity_) grow(n);
-  urgent_.reserve(n);
-  predictions_.reserve(n);
-  earliest_time_bits_.reserve(n);
-}
-
-void FluidLane::append(const Request& request) {
+void FluidLane::append(Request& request) {
   if (size_ == capacity_) grow(size_ + 1);
   const std::size_t i = size_;
+  request.active_index = i;
+  requests_.push_back(&request);
+  traits_[i] = {request.video_id(), request.hops()};
   last_update_[i] = request.last_update();
   remaining_[i] = request.remaining();
   buffer_level_[i] = request.buffer_level();
@@ -329,15 +332,21 @@ void FluidLane::append(const Request& request) {
   playback_end_[i] = request.playback_end();
   playing_[i] = request.viewing_paused() ? 0.0 : 1.0;
   receive_bandwidth_[i] = request.receive_bandwidth();
-  urgent_.push_back(request.workahead_urgent() ? 1 : 0);
-  predictions_.push_back(kNoPredictions);
-  earliest_time_bits_.push_back(std::bit_cast<std::int64_t>(kNoEventKey.time));
+  urgent_[i] = request.workahead_urgent() ? 1 : 0;
+  predictions_[i] = kNoPredictions;
+  earliest_time_bits_[i] = std::bit_cast<std::int64_t>(kNoEventKey.time);
   ++size_;
+  request.attach_lane(this);
 }
 
-void FluidLane::swap_remove(std::size_t index) {
+void FluidLane::remove(std::size_t index) {
   assert(index < size_);
+  requests_[index]->detach_lane();
   const std::size_t last = size_ - 1;
+  requests_[index] = requests_[last];
+  requests_[index]->active_index = index;
+  requests_.pop_back();
+  traits_[index] = traits_[last];
   last_update_[index] = last_update_[last];
   remaining_[index] = remaining_[last];
   buffer_level_[index] = buffer_level_[last];
@@ -349,11 +358,8 @@ void FluidLane::swap_remove(std::size_t index) {
   playing_[index] = playing_[last];
   receive_bandwidth_[index] = receive_bandwidth_[last];
   urgent_[index] = urgent_[last];
-  urgent_.pop_back();
   predictions_[index] = predictions_[last];
-  predictions_.pop_back();
   earliest_time_bits_[index] = earliest_time_bits_[last];
-  earliest_time_bits_.pop_back();
   // Server::detach removes only a slot with no live key, so unless the
   // tracking is stale the holder is not the removed slot; if it was the
   // last slot, it now sits at index.

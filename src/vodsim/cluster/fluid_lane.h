@@ -1,15 +1,18 @@
 #pragma once
 
 /// \file fluid_lane.h
-/// \brief Struct-of-arrays fluid stream state: one lane per server.
+/// \brief A server's stream table: its requests, their traits and their
+/// struct-of-arrays fluid state, one slot per active stream.
 ///
-/// Each server owns a FluidLane holding the fluid-model state of its active
-/// streams in parallel arrays indexed by `Request::active_index`. The lane
-/// is maintained by Server::attach/detach in lock-step with the active
-/// list: attach appends a slot (copying the request's home scalars) and
-/// binds the request to the lane; detach copies the hot fields back and
-/// mirrors the active list's swap-with-last, so slot order always equals
-/// active order.
+/// Each server keeps its streams in one table, its FluidLane: slot i holds
+/// the request with `Request::active_index == i` — its `Request*`, its
+/// StreamTraits, its fluid state in parallel arrays, its urgency latch and
+/// its predicted-event keys. Server::attach appends a slot (copying the
+/// request's home scalars, setting its active_index and binding it to the
+/// lane); Server::detach removes one (copying the hot fields home and
+/// moving the last slot in), so the table is the server's active list.
+/// Every per-slot array grows with the table, on demand, and nothing is
+/// reserved ahead of the traffic.
 ///
 /// Authority model (see DESIGN.md §10):
 ///   - While a request is attached, the lane slot is authoritative for the
@@ -21,18 +24,21 @@
 ///   - While detached (migrating, draining after TxComplete), the home
 ///     scalars are authoritative; detach copies the lane's fields home.
 ///
-/// Storage (PR 9): all arrays live in ONE 64-byte-aligned arena, laid out
-/// hot-to-cold at a shared stride so every array starts on a cache-line
-/// boundary. The batch kernels get aligned, peel-free vector loads; the
-/// single-slot scalar path touches a compact block of lines instead of ten
-/// scattered heap allocations.
+/// Storage: the ten fluid arrays live in ONE 64-byte-aligned arena,
+/// laid out hot-to-cold at a shared stride so every array starts on a
+/// cache-line boundary. The batch kernels get aligned, peel-free vector
+/// loads; the single-slot scalar path touches a compact block of lines
+/// instead of ten scattered heap allocations.
 /// The hot block leads with the three kernel-mutated arrays (last-update,
 /// remaining, buffer level), then the six kernel-read parameters; the cold
 /// tail holds the receive bandwidth, read only by the workahead passes.
-/// The urgency latch is one byte per slot in its own array outside the
-/// double arena: no kernel reads it, and a byte rather than an eleventh
-/// double per stream keeps the lane's footprint where it was. The
-/// predicted-event keys (DESIGN.md §8) are outside the arena too.
+/// The per-slot arrays no kernel reads are vectors outside the arena: the
+/// requests, their traits, the urgency latch (one byte per slot rather than
+/// an eleventh double) and the predicted-event keys (DESIGN.md §8).
+/// One growth rule covers them all: when append finds the table full, the
+/// arena doubles and the arrays beside it are resized to the same
+/// capacity, so the table follows the server's traffic. Only the request
+/// array is kept at size(), since it is the server's active list.
 ///
 /// One fluid path. A server recompute advances all of its streams with
 /// `advance_batch`, which runs the single-stream arithmetic in one
@@ -54,6 +60,7 @@
 #include <new>
 #include <vector>
 
+#include "vodsim/cluster/video.h"
 #include "vodsim/des/event_queue.h"
 #include "vodsim/util/units.h"
 
@@ -214,32 +221,46 @@ using PredictionKeys = std::array<EventKey, 3>;
 inline constexpr PredictionKeys kNoPredictions{kNoEventKey, kNoEventKey,
                                                kNoEventKey};
 
-/// Per-server struct-of-arrays fluid state. Slot i belongs to the request
-/// with active_index == i on the owning server.
+/// The two per-stream facts the DRM victim search (admission/migration.h)
+/// filters and routes on besides the fluid state: the stream's title and
+/// how often it has migrated. Both are fixed while the stream is attached
+/// (a migration detaches it first), so append copies them once.
+struct StreamTraits {
+  VideoId video;
+  int hops;
+};
+
+/// A server's stream table. Slot i belongs to the request with
+/// active_index == i on the owning server.
 class FluidLane {
  public:
   FluidLane() = default;
   FluidLane(FluidLane&&) = default;
   FluidLane& operator=(FluidLane&&) = default;
-  // Deep copies of the arena: Server is copied by the reference oracle,
-  // which clones the engine's freshly built world (lanes empty or not, the
-  // copy is an independent arena — no aliasing).
+  // Deep copies of the table: Server is copied by the reference oracle,
+  // which clones the engine's freshly built world. The copy owns every
+  // array (no aliasing); its request pointers name the same Requests, which
+  // stay bound to the original lane.
   FluidLane(const FluidLane& other) { *this = other; }
   FluidLane& operator=(const FluidLane& other);
 
   std::size_t size() const { return size_; }
 
-  void reserve(std::size_t n);
+  /// Appends \p request as the last slot: copies its home-authoritative
+  /// scalars and its traits, sets its active_index and binds it to this
+  /// lane (Request::attach_lane).
+  void append(Request& request);
 
-  /// Appends \p request's fluid state as the last slot. Reads the home-
-  /// authoritative scalars; call before binding the request to this lane.
-  void append(const Request& request);
-
-  /// Removes slot \p index (no live key) by swap-with-last, mirroring
-  /// Server::detach's active-list swap, so slot order tracks active order.
-  void swap_remove(std::size_t index);
+  /// Removes slot \p index by swap-with-last: copies the slot's
+  /// lane-authoritative fields home and unbinds its request
+  /// (Request::detach_lane), moves the last slot into \p index and sets
+  /// the moved request's active_index.
+  void remove(std::size_t index);
 
   // --- per-slot access (slot = Request::active_index) -------------------
+  /// The attached requests in slot order: Server::active_requests.
+  const std::vector<Request*>& requests() const { return requests_; }
+  const StreamTraits& traits(std::size_t i) const { return traits_[i]; }
   Megabits remaining(std::size_t i) const { return remaining_[i]; }
   Mbps allocation(std::size_t i) const { return allocation_[i]; }
   Seconds last_update(std::size_t i) const { return last_update_[i]; }
@@ -444,9 +465,9 @@ class FluidLane {
   /// Number of parallel arrays in the arena (hot-to-cold order below).
   static constexpr std::size_t kArrays = 10;
 
-  /// Grows the arena to hold at least \p min_capacity slots per array and
-  /// rebinds the named views. Stride is rounded to 8 doubles so every
-  /// array keeps 64-byte alignment.
+  /// Grows the table to hold at least \p min_capacity slots: a new arena
+  /// with rebound views, and the arrays beside it resized to match. Stride
+  /// is rounded to 8 doubles so every array keeps 64-byte alignment.
   void grow(std::size_t min_capacity);
 
   struct AlignedFree {
@@ -479,14 +500,19 @@ class FluidLane {
   // kernel or the predicted-event retime.
   double* receive_bandwidth_ = nullptr;
 
-  /// Urgency latch per slot (0/1), outside the arena; sized with size_.
+  /// The active list: exactly size() entries.
+  std::vector<Request*> requests_;
+  // The other arrays outside the arena hold capacity_ entries (grow()
+  // resizes them with the arena); slots at or past size_ are unused.
+  std::vector<StreamTraits> traits_;
+  /// Urgency latch per slot (0/1).
   std::vector<std::uint8_t> urgent_;
-  /// Predicted-event keys per slot; outside the arena, sized with size_.
+  /// Predicted-event keys per slot.
   std::vector<PredictionKeys> predictions_;
   /// Per slot, the time of its earliest key as an IEEE-754 bit pattern.
   /// Key times are nonnegative (or +inf), and such doubles order exactly
   /// like their bit patterns read as signed integers — whose min reduction
-  /// vectorizes where a double min does not. Sized with size_.
+  /// vectorizes where a double min does not.
   std::vector<std::int64_t> earliest_time_bits_;
 
   /// The lane's earliest live prediction; stale once the holder's keys

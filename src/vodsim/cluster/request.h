@@ -141,18 +141,18 @@ class Request {
   void mark_done(Seconds now);
   void mark_rejected();
 
-  // --- SoA lane binding (Server::attach/detach only) -------------------
-  /// Binds this request to \p lane at slot `active_index`. The caller has
-  /// already appended the home scalars to the lane (FluidLane::append).
+  // --- SoA lane binding (FluidLane::append/remove only) ----------------
+  /// Binds this request to \p lane at slot `active_index`, the last slot
+  /// FluidLane::append just filled.
   void attach_lane(FluidLane* lane);
 
   /// Copies the lane-authoritative fields back into the home scalars and
-  /// unbinds. Call before the lane slot is recycled (swap_remove).
+  /// unbinds. FluidLane::remove calls it before it recycles the slot.
   void detach_lane();
 
   /// The owning server's lane while attached (slot = active_index), null
-  /// otherwise. sched_detail::lane_of checks it to confirm that a
-  /// scheduler's input is exactly its server's active list.
+  /// otherwise. sched_detail::lane_of checks that a scheduler's input is
+  /// this lane's request array.
   const FluidLane* lane() const { return lane_; }
 
   /// Handle of this request's end-of-playback event on the coordinator
@@ -162,8 +162,8 @@ class Request {
   /// (DESIGN.md §8).
   EventId playback_end_event = kInvalidEventId;
 
-  /// Index of this request within its server's active list (engine-managed;
-  /// enables O(1) removal).
+  /// This request's slot in its server's FluidLane (set by
+  /// FluidLane::append and remove; enables O(1) removal).
   std::size_t active_index = 0;
 
   /// Hysteresis latch for the intermittent scheduler: set when staged cover

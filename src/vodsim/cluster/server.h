@@ -2,7 +2,7 @@
 
 /// \file server.h
 /// \brief A data source in the cluster: link bandwidth + disk storage +
-/// replica set + the active requests it is currently streaming.
+/// replica set + the table of the requests it is currently streaming.
 ///
 /// Servers are independent (non-shared storage, §2 of the paper); a request
 /// can only be served by a server that holds a replica of its video, and it
@@ -19,15 +19,6 @@
 #include "vodsim/util/units.h"
 
 namespace vodsim {
-
-/// The two per-stream facts the DRM victim search (admission/migration.h)
-/// filters and routes on that the fluid lane does not hold: the stream's
-/// title and how often it has migrated. Both are fixed while the stream is
-/// attached (a migration detaches it first), so attach copies them once.
-struct StreamTraits {
-  VideoId video;
-  int hops;
-};
 
 class Server {
  public:
@@ -82,23 +73,23 @@ class Server {
   bool can_admit(Mbps view_bandwidth) const;
 
   /// Number of unfinished requests streaming from this server.
-  std::size_t active_count() const { return active_.size(); }
-  const std::vector<Request*>& active_requests() const { return active_; }
+  std::size_t active_count() const { return lane_.size(); }
+  /// The streaming requests in slot order: active_requests()[i] has
+  /// active_index i.
+  const std::vector<Request*>& active_requests() const {
+    return lane_.requests();
+  }
 
-  /// Struct-of-arrays fluid state of the active streams, maintained by
-  /// attach/detach in lock-step with the active list: slot i holds the
-  /// fluid fields of active_requests()[i]. The engine advances streams
-  /// through the lane (cluster/fluid_lane.h).
+  /// The server's stream table (cluster/fluid_lane.h): per slot, the
+  /// request, its victim traits and its struct-of-arrays fluid state. The
+  /// engine advances streams through it, the schedulers read it, and the
+  /// victim search walks its traits instead of the Requests.
   FluidLane& lane() { return lane_; }
   const FluidLane& lane() const { return lane_; }
 
-  /// Slot i's StreamTraits, maintained with the lane in lock-step with the
-  /// active list: traits()[i] are active_requests()[i]'s video and hops.
-  /// The victim search walks these and the lane instead of the Requests.
-  const std::vector<StreamTraits>& traits() const { return traits_; }
-
   // --- active-set maintenance (engine-driven) --------------------------
-  /// Attaches a streaming request; maintains Request::active_index.
+  /// Attaches a streaming request as the table's last slot and commits its
+  /// view bandwidth.
   /// \param enforce_capacity when false (buffer-aware admission), nominal
   ///        commitments may exceed the link; the intermittent scheduler is
   ///        then responsible for rationing actual flow.
@@ -148,10 +139,7 @@ class Server {
   double capacity_factor_ = 1.0;
   std::vector<VideoId> replicas_;
   std::vector<bool> replica_bitmap_;
-  std::vector<Request*> active_;
   FluidLane lane_;
-  /// Not reserved to the link fit as active_ is (attach says why).
-  std::vector<StreamTraits> traits_;
   std::uint64_t total_attached_ = 0;
 };
 

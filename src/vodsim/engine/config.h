@@ -261,7 +261,9 @@ struct SimulationConfig {
 
   /// Worker threads for the sharded drain windows; 0 = hardware
   /// concurrency. Ignored when shards == 1 (there are no shard contexts
-  /// to drain, and no thread pool is created). Any value produces
+  /// to drain, and no thread pool is created) and when the trial runs on a
+  /// pool worker, e.g. an ExperimentRunner trial (its shards drain
+  /// serially). Any value produces
   /// identical bits for a fixed shard count (each shard drains serially;
   /// merges happen in shard-index order).
   int shard_threads = 0;

@@ -218,23 +218,6 @@ void VodSimulation::build_context(int first_server, int end_server,
     ctx->trace = std::make_unique<TraceRecorder>(trace_config, ctx->index - 1);
     ctx->scheduler->set_trace(ctx->trace.get());
   }
-  // Pre-size the per-recompute scratch so the steady-state event loop
-  // never allocates. A server carries at most what its link fits and what
-  // an even share of the horizon's arrivals can reach (25% above the mean
-  // arrival count, plus a floor): a short run on a big cluster never comes
-  // near its link bound. The event queue is not pre-sized: it grows to its
-  // working size during warmup at no measurable cost, while reserving it
-  // for every context up front made world construction page-fault-bound
-  // and set the resident set. Past either estimate the vectors simply grow.
-  const double reachable = 1.25 * config_.arrival_rate() * config_.duration;
-  const std::size_t per_server = std::min(
-      static_cast<std::size_t>(config_.system.server_bandwidth /
-                               config_.system.view_bandwidth) + 8,
-      static_cast<std::size_t>(reachable / config_.system.num_servers + 64.0));
-  ctx->rates_scratch.reserve(per_server);
-  ctx->sched_scratch.order.reserve(per_server);
-  ctx->sched_scratch.aux.reserve(per_server);
-  ctx->underflow_scratch.reserve(per_server);
   contexts_.push_back(std::move(ctx));
 }
 
@@ -290,7 +273,10 @@ const Metrics& VodSimulation::run() {
 void VodSimulation::run_windows() {
   ExecContext& coord = coordinator();
   const std::size_t shards = contexts_.size() - 1;
-  if (shards > 0) {
+  // A trial already running on a pool worker (ExperimentRunner) would get
+  // only caller-only parallel_for calls from a pool of its own, whose
+  // threads would sit idle for the whole run; it drains serially instead.
+  if (shards > 0 && !ThreadPool::on_pool_worker()) {
     shard_pool_ = std::make_unique<ThreadPool>(
         static_cast<std::size_t>(config_.shard_threads));
   }
@@ -328,6 +314,9 @@ void VodSimulation::run_windows() {
     if (busy == 1) {
       // Common small-window case: skip the fan-out/join round-trip.
       drain(last_busy, window_end);
+    } else if (busy > 1 && !shard_pool_) {
+      // The drains commute, so index order gives the pool's result.
+      for (std::size_t k = 1; k <= shards; ++k) drain(k, window_end);
     } else if (busy > 1) {
       // Each shard drains serially on whichever worker picks it up, and the
       // parallel_for join gives every drain a happens-before edge to the

@@ -499,8 +499,9 @@ class VodSimulation {
   /// shards == 1, 1 + shard index otherwise).
   std::vector<int> owner_of_server_;
   /// Workers for the parallel drain windows; created in run() only when
-  /// there are shard contexts, so construct-only call sites and
-  /// single-queue runs never spawn threads.
+  /// there are shard contexts and run() is not itself on a pool worker, so
+  /// construct-only call sites, single-queue runs and sharded trials on an
+  /// ExperimentRunner never spawn threads.
   std::unique_ptr<ThreadPool> shard_pool_;
 
   /// Per-server recompute state.

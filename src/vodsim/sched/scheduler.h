@@ -168,10 +168,9 @@ namespace sched_detail {
 
 /// The FluidLane of the server whose active list \p active is — the one
 /// input every scheduler accepts. An empty vector gets an empty lane. Any
-/// other vector that is not exactly the owning server's active list (slot
-/// i == index i) throws std::invalid_argument; the check is O(1) on the
-/// endpoints (unattached front, size mismatch, endpoints out of slot
-/// order), and Debug builds also assert every slot.
+/// other vector must be the very request array of its front request's lane
+/// (Server::active_requests, FluidLane::requests): an identity test, so a
+/// copy, even an equal one, throws std::invalid_argument.
 const FluidLane& lane_of(const std::vector<Request*>& active);
 
 /// The slack \p capacity leaves after the minimum-flow commitments

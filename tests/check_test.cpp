@@ -202,7 +202,7 @@ TEST(InvariantAuditorChecks, DetectsTrackedHolderInTheWrongSlot) {
   lane.set_predictions(2, {late, kNoEventKey, kNoEventKey});
   EXPECT_NO_THROW(InvariantAuditor::check_prediction_timer(server, early));
 
-  lane.swap_remove(0);  // slot 0 now holds `late`; the tracking still says 0
+  lane.remove(0);  // slot 0 now holds `late`; the tracking still says 0
   ASSERT_NE(lane.tracked_prediction(), nullptr);
   ASSERT_EQ(lane.tracked_prediction()->slot, 0u);
   ASSERT_EQ(lane.tracked_prediction()->key, early);

@@ -8,6 +8,8 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "vodsim/cluster/client.h"
@@ -16,6 +18,7 @@
 #include "vodsim/cluster/server.h"
 #include "vodsim/cluster/video.h"
 #include "vodsim/engine/metrics.h"
+#include "vodsim/sched/scheduler.h"
 #include "vodsim/util/rng.h"
 #include "vodsim/util/stable_vector.h"
 
@@ -288,6 +291,134 @@ TEST(Server, TotalAttachedCounts) {
   Request r2(2, make_video(0), 0.0, client);
   server.attach(r2);
   EXPECT_EQ(server.total_attached(), 2u);
+}
+
+// One server's stream table taken through several arena doublings (past 64,
+// 128 and 256 slots), a scattered detach of a third of its streams and a
+// re-attach of half of those. After every attach and detach each slot must
+// hold its request: the Request*, the request's active_index and lane
+// binding, its traits, and the fluid fields the request carried when it
+// was attached (or that were last written into its slot). A detached
+// request must carry its slot's fields home.
+TEST(Server, StreamTableTracksItsRequestsThroughGrowth) {
+  constexpr int kStreams = 320;
+  Server server(0, 1e6, 1e12);
+  StableVector<Request> requests;
+  // Per request id: the fluid fields its slot must hold.
+  struct Fields {
+    Megabits remaining, buffer_level;
+    Seconds last_update;
+    Mbps allocation, view, receive;
+    bool urgent;
+  };
+  std::vector<Fields> want;
+  const auto fields_of = [](const Request& r) {
+    return Fields{r.remaining(),      r.buffer_level(),
+                  r.last_update(),    r.allocation(),
+                  r.view_bandwidth(), r.receive_bandwidth(),
+                  r.workahead_urgent()};
+  };
+  for (int k = 0; k < kStreams; ++k) {
+    const ClientProfile client{120.0, 30.0 + k % 3};
+    Request& r = requests.emplace_back(
+        static_cast<RequestId>(k), make_video(k, 600.0, 1.0 + (k % 13) * 0.25),
+        0.0, client);
+    for (int hop = 0; hop < k % 5; ++hop) {
+      r.begin_migration(0.0);
+      r.complete_migration(0.0, 0);
+    }
+    r.set_allocation(0.0, 1.0 + (k % 17) * 0.5);
+    r.advance(10.0 + k * 0.01);
+    r.set_workahead_urgent(k % 4 == 0);
+    want.push_back(fields_of(r));
+  }
+
+  // The first slot that disagrees with its request, or "" when none does.
+  const auto mismatch = [&server, &want]() -> std::string {
+    const FluidLane& lane = server.lane();
+    const std::vector<Request*>& active = server.active_requests();
+    if (active.size() != lane.size() || server.active_count() != lane.size()) {
+      return "table size";
+    }
+    for (std::size_t i = 0; i < lane.size(); ++i) {
+      const Request& r = *active[i];
+      const Fields& f = want[static_cast<std::size_t>(r.id())];
+      const std::string slot = "slot " + std::to_string(i) + ": ";
+      if (r.active_index != i || r.lane() != &lane) return slot + "binding";
+      if (lane.traits(i).video != r.video_id() ||
+          lane.traits(i).hops != r.hops() ||
+          r.hops() != static_cast<int>(r.id() % 5)) {
+        return slot + "traits";
+      }
+      if (lane.remaining(i) != f.remaining ||
+          lane.buffer_level(i) != f.buffer_level ||
+          lane.last_update(i) != f.last_update ||
+          lane.allocation(i) != f.allocation ||
+          lane.view_bandwidth(i) != f.view ||
+          lane.receive_bandwidth(i) != f.receive ||
+          lane.urgent(i) != f.urgent) {
+        return slot + "fluid fields";
+      }
+    }
+    return "";
+  };
+
+  for (int k = 0; k < kStreams; ++k) {
+    server.attach(requests[static_cast<std::size_t>(k)]);
+    ASSERT_EQ(mismatch(), "") << "after attaching " << k;
+  }
+  Mbps committed = 0.0;
+  for (const Request* r : server.active_requests()) {
+    committed += r->view_bandwidth();
+  }
+  EXPECT_DOUBLE_EQ(server.committed_bandwidth(), committed);
+
+  // Detach every third request (ids 1, 4, ...), highest id first, so the
+  // removed slots are scattered over the table. Each gets a fresh rate in
+  // its slot first, which detach must carry home.
+  std::size_t detached = 0;
+  for (int k = kStreams - 1; k >= 0; k -= 3, ++detached) {
+    Request& r = requests[static_cast<std::size_t>(k)];
+    const Mbps rate = 0.5 + (k % 7) * 0.125;
+    server.lane().set_allocation(r.active_index, rate);
+    Fields& f = want[static_cast<std::size_t>(k)];
+    f.allocation = rate;
+    server.detach(r);
+    ASSERT_EQ(r.lane(), nullptr);
+    ASSERT_EQ(r.allocation(), rate);
+    ASSERT_EQ(r.remaining(), f.remaining);
+    ASSERT_EQ(r.buffer_level(), f.buffer_level);
+    ASSERT_EQ(r.workahead_urgent(), f.urgent);
+    ASSERT_EQ(mismatch(), "") << "after detaching " << k;
+  }
+  EXPECT_EQ(server.active_count(), kStreams - detached);
+
+  // Re-attach half of the detached ones (ids 1, 7, ...).
+  std::uint64_t reattached = 0;
+  for (int k = 1; k < kStreams; k += 6, ++reattached) {
+    server.attach(requests[static_cast<std::size_t>(k)]);
+    ASSERT_EQ(mismatch(), "") << "after re-attaching " << k;
+  }
+  EXPECT_EQ(server.total_attached(), kStreams + reattached);
+
+  // The schedulers accept the table's own request array and nothing else,
+  // not even an equal copy of it.
+  EXPECT_EQ(&sched_detail::lane_of(server.active_requests()), &server.lane());
+  const std::vector<Request*> copy = server.active_requests();
+  EXPECT_THROW(sched_detail::lane_of(copy), std::invalid_argument);
+
+  // A copied server holds an independent table over the same requests,
+  // which stay bound to the original.
+  Server clone = server;
+  ASSERT_EQ(clone.active_requests(), server.active_requests());
+  EXPECT_NE(&clone.active_requests(), &server.active_requests());
+  EXPECT_THROW(sched_detail::lane_of(clone.active_requests()),
+               std::invalid_argument);
+  const Mbps before = server.lane().allocation(0);
+  clone.lane().set_allocation(0, before + 1.0);
+  EXPECT_EQ(server.lane().allocation(0), before);
+  EXPECT_EQ(clone.lane().allocation(0), before + 1.0);
+  EXPECT_EQ(server.active_requests()[0]->allocation(), before);
 }
 
 // ---------------------------------------------------------------- fluid lane
@@ -589,7 +720,7 @@ TEST(FluidLane, PredictedTimesMatchesScalarGates) {
   }
 }
 
-// Churn across the arena's hot/cold split: swap_remove must move every
+// Churn across the arena's hot/cold split: FluidLane::remove must move every
 // array — including the cold receive-bandwidth tail — as one unit, and the
 // write-through sinks must keep landing in the *moved* slot afterwards.
 TEST(FluidLane, ChurnKeepsColdFieldsAndWriteThroughCoherent) {
@@ -653,7 +784,7 @@ TEST(FluidLane, ChurnKeepsColdFieldsAndWriteThroughCoherent) {
 // move to the removed index), and removing the holder itself.
 TEST(FluidLane, TrackedEarliestPredictionSurvivesChurn) {
   ClientProfile client{120.0, 30.0};
-  StableVector<Request> sources;  // scalars for append; never attached
+  StableVector<Request> sources;  // bound to the lane alone, no server
   Rng rng(2024);
   FluidLane lane;
   std::uint64_t next_seq = 1;
@@ -705,7 +836,7 @@ TEST(FluidLane, TrackedEarliestPredictionSurvivesChurn) {
   const auto remove = [&](std::size_t slot, int step) {
     lane.set_predictions(slot, kNoPredictions);
     expect_tracked(step);
-    lane.swap_remove(slot);
+    lane.remove(slot);
     expect_tracked(step);
   };
 

@@ -29,6 +29,7 @@
 #include "vodsim/engine/policy_matrix.h"
 #include "vodsim/engine/vod_simulation.h"
 #include "vodsim/fault/schedule.h"
+#include "vodsim/util/thread_pool.h"
 
 namespace vodsim {
 namespace {
@@ -79,28 +80,72 @@ TEST(GoldenDeterminism, RepeatedRunsAreBitIdentical) {
 
 TEST(GoldenDeterminism, ThreadedRunnerMatchesDirectRuns) {
   // Two trials through a 2-thread pool must equal the same trials run
-  // directly, trial by trial: worker scheduling cannot affect results.
+  // directly, trial by trial: worker scheduling cannot affect results. A
+  // sharded trial on a runner worker drains its shards serially, where the
+  // direct run drains them on a pool of its own; both give the same bits.
   const PolicySpec policy = figure6_policies().front();
   const std::uint64_t master_seed = 42;
   constexpr int kTrials = 2;
 
-  std::vector<TrialResult> direct;
-  for (int trial = 0; trial < kTrials; ++trial) {
-    SimulationConfig config =
-        golden_config(policy, ExperimentRunner::derive_seed(master_seed, trial));
-    direct.push_back(run_once(config));
-  }
+  for (const int shards : {1, 4}) {
+    SCOPED_TRACE(shards);
+    const auto config_for = [&](std::uint64_t seed) {
+      SimulationConfig config = golden_config(policy, seed);
+      config.shards = shards;
+      config.shard_threads = 2;
+      return config;
+    };
+    std::vector<TrialResult> direct;
+    for (int trial = 0; trial < kTrials; ++trial) {
+      direct.push_back(
+          run_once(config_for(ExperimentRunner::derive_seed(master_seed, trial))));
+    }
 
-  ExperimentRunner runner(2);
-  const ExperimentPoint point =
-      runner.run_point(golden_config(policy, 0), kTrials, master_seed);
-  ASSERT_EQ(point.trials.size(), static_cast<std::size_t>(kTrials));
-  for (int trial = 0; trial < kTrials; ++trial) {
-    SCOPED_TRACE(trial);
-    expect_bit_identical(point.trials[static_cast<std::size_t>(trial)],
-                         direct[static_cast<std::size_t>(trial)]);
+    ExperimentRunner runner(2);
+    const ExperimentPoint point =
+        runner.run_point(config_for(0), kTrials, master_seed);
+    ASSERT_EQ(point.trials.size(), static_cast<std::size_t>(kTrials));
+    for (int trial = 0; trial < kTrials; ++trial) {
+      SCOPED_TRACE(trial);
+      expect_bit_identical(point.trials[static_cast<std::size_t>(trial)],
+                           direct[static_cast<std::size_t>(trial)]);
+    }
   }
 }
+
+#ifdef __linux__
+/// The process's thread count, from /proc/self/status.
+int process_threads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  }
+  return -1;
+}
+
+TEST(GoldenDeterminism, ShardedTrialOnPoolWorkerSpawnsNoThreads) {
+  // A parallel_for from a pool worker runs caller-only, so a shard pool
+  // built there would only hold idle threads for the whole run.
+  SimulationConfig config = golden_config(figure6_policies().front(), 7);
+  config.shards = 4;
+  config.shard_threads = 3;
+  int before = -1, during = -1;
+  std::uint64_t arrivals = 0;
+  ThreadPool pool(1);
+  pool.submit([&] {
+        VodSimulation simulation(config);
+        before = process_threads();
+        simulation.run();
+        during = process_threads();  // the simulation still holds any pool
+        arrivals = simulation.metrics().arrivals();
+      })
+      .get();
+  ASSERT_GT(before, 0);
+  EXPECT_GT(arrivals, 0u);
+  EXPECT_EQ(during, before);
+}
+#endif
 
 // --- feature-config golden runs ------------------------------------------
 // The base matrix above exercises the paper's eight policies; these configs

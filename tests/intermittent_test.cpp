@@ -287,7 +287,7 @@ TEST(Intermittent, UrgencyLatchFollowsTheStreamAcrossLanes) {
   EXPECT_TRUE(source.server.lane().urgent(middle.active_index));
   EXPECT_FALSE(last.workahead_urgent());
 
-  // swap_remove: the last slot moves into the detached one, latch included.
+  // remove: the last slot moves into the detached one, latch included.
   last.set_workahead_urgent(true);
   source.server.detach(first);
   ASSERT_EQ(last.active_index, 0u);

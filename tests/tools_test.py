@@ -721,9 +721,10 @@ class DocCitationTest(unittest.TestCase):
         self.assertGreater(len(named), 0)
 
     def test_code_names_in_docs_exist(self):
-        """A BM_<Name> benchmark or FluidLane::<member> the docs name must
-        still be defined: a BENCHMARK( under bench/, a declaration in
-        fluid_lane.h. Deleted code cannot linger in the prose."""
+        """A BM_<Name> benchmark, FluidLane::<member> or Server::<member>
+        the docs name must still be defined: a BENCHMARK( under bench/, a
+        declaration in the class's header (comments stripped). Deleted code
+        cannot linger in the prose."""
         benchmarks = set()
         for root, _, files in os.walk(os.path.join(REPO_DIR, "bench")):
             for name in files:
@@ -732,8 +733,11 @@ class DocCitationTest(unittest.TestCase):
                               errors="replace") as handle:
                         benchmarks.update(re.findall(r"\bBENCHMARK\((BM_\w+)",
                                                      handle.read()))
-        header = self.read(os.path.join("src", "vodsim", "cluster",
-                                        "fluid_lane.h"))
+        headers = {}
+        for cls, header in (("FluidLane", "fluid_lane.h"),
+                            ("Server", "server.h")):
+            text = self.read(os.path.join("src", "vodsim", "cluster", header))
+            headers[cls] = (header, re.sub(r"//.*", "", text))
         named = 0
         for name in ("README.md", "DESIGN.md", "EXPERIMENTS.md",
                      os.path.join(".github", "workflows", "ci.yml")):
@@ -743,14 +747,17 @@ class DocCitationTest(unittest.TestCase):
                               f"{name} names {benchmark}, which no BENCHMARK( "
                               "under bench/ defines")
                 named += 1
-            for member in set(re.findall(r"\bFluidLane::(\w+)", text)):
-                declared = re.search(
-                    r"\b(?:struct|class|enum|using)\s+" + member + r"\b|"
-                    r"\b" + member + r"\s*\(", header)
-                self.assertIsNotNone(
-                    declared, f"{name} names FluidLane::{member}, which "
-                    "fluid_lane.h does not declare")
-                named += 1
+            for cls, (header, code) in headers.items():
+                for member in set(re.findall(r"\b" + cls + r"::(\w+)", text)):
+                    # A type, a function, or a data member (`name_;`,
+                    # `name_ = ...`, `name_{...}`).
+                    declared = re.search(
+                        r"\b(?:struct|class|enum|using)\s+" + member + r"\b|"
+                        r"\b" + member + r"\s*[(;={]", code)
+                    self.assertIsNotNone(
+                        declared, f"{name} names {cls}::{member}, which "
+                        f"{header} does not declare")
+                    named += 1
         self.assertGreater(named, 0)
 
     def test_source_paths_in_docs_exist(self):
