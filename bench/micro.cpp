@@ -470,18 +470,17 @@ void BM_RecomputeSingleStreamDelta(benchmark::State& state) {
   // The intermittent scheduler's workahead ordering, isolated, under the
   // engine's dominant delta: one stream changed since the previous pass,
   // everyone else is where the last grant left them. incremental=1 is what
-  // ships — sort_by_projected_finish repairing the previous grant order
-  // through a warm SchedCache. incremental=0 is the pre-cache reference: a
-  // full std::sort evaluating projected_finish inside the comparator.
+  // ships — sort_by_projected_finish repairing the previous grant order the
+  // server's lane keeps. incremental=0 clears that order before every pass,
+  // so each pass takes the full std::sort path.
   const auto n = static_cast<std::size_t>(state.range(0));
   const bool incremental = state.range(1) != 0;
   Server server(0, 3.0 * static_cast<double>(n) + 60.0, 1e12);
   std::vector<std::unique_ptr<Request>> owner;
   populate_server(server, n, owner);
   const std::vector<Request*>& active = server.active_requests();
-  const FluidLane& lane = server.lane();
+  FluidLane& lane = server.lane();
   AllocationScratch scratch;
-  SchedCache cache;
   Seconds now = 600.0;
   std::size_t victim = 0;
   auto fill_order = [&] {
@@ -489,7 +488,7 @@ void BM_RecomputeSingleStreamDelta(benchmark::State& state) {
     for (std::size_t i = 0; i < n; ++i) scratch.order.push_back(i);
   };
   fill_order();
-  sched_detail::sort_by_projected_finish(now, active, scratch, &cache);
+  sched_detail::sort_by_projected_finish(now, active, scratch);
 
   const std::uint64_t allocs_before = heap_allocs();
   for (auto _ : state) {
@@ -497,17 +496,8 @@ void BM_RecomputeSingleStreamDelta(benchmark::State& state) {
     active[victim]->advance(now);  // the single delta: one stream moved
     victim = (victim + 1) % n;
     fill_order();
-    if (incremental) {
-      sched_detail::sort_by_projected_finish(now, active, scratch, &cache);
-    } else {
-      std::sort(scratch.order.begin(), scratch.order.end(),
-                [&](std::size_t a, std::size_t b) {
-                  const Seconds fa = lane.projected_finish(a, now);
-                  const Seconds fb = lane.projected_finish(b, now);
-                  if (fa != fb) return fa < fb;
-                  return active[a]->id() < active[b]->id();
-                });
-    }
+    if (!incremental) lane.grant_order().clear();
+    sched_detail::sort_by_projected_finish(now, active, scratch);
     benchmark::DoNotOptimize(scratch.order.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -633,12 +623,13 @@ void BM_RetryBatchDecide(benchmark::State& state) {
   // A forced retry batch: 256 queued re-admissions drawn by theta = -0.5
   // popularity (titles repeat, as they do in a real queue) decided in turn
   // against the saturated cluster, where every one fails after a chain-1
-  // DRM search. version=1 is what ships: the batch runs at one cluster
-  // version, since no rejection changes a server, so a title that already
-  // failed is served from the controller's rejection memo and a walk that
-  // was already taken is replayed. version=0 moves to a new version before
-  // every decide, as if each one had changed the cluster. Decisions are
-  // identical either way.
+  // DRM search. version=1 is what ships: shared decisions
+  // (AdmissionController::decide_shared), all at one cluster version, since
+  // no rejection changes a server, so a title that already failed is served
+  // from the controller's rejection memo and a walk that was already taken
+  // is replayed. version=0 makes fresh decisions, which share nothing, as
+  // if each one had changed the cluster. Decisions are identical either
+  // way.
   const bool one_version = state.range(0) != 0;
   const SaturatedCluster cluster;
   AdmissionConfig config;
@@ -649,16 +640,14 @@ void BM_RetryBatchDecide(benchmark::State& state) {
   std::vector<VideoId> batch(256);
   for (VideoId& video : batch) video = static_cast<VideoId>(zipf.sample(draw));
   Rng rng(1);
-  std::uint64_t version = kFreshSearch;
   auto run_batch = [&] {
-    ++version;
     std::size_t accepted = 0;
     for (const VideoId video : batch) {
-      if (!one_version) ++version;
-      accepted += controller
-                      .decide(0.0, video, cluster.catalog[video].view_bandwidth,
-                              cluster.servers, rng, version)
-                      .accepted;
+      const Mbps rate = cluster.catalog[video].view_bandwidth;
+      accepted +=
+          (one_version ? controller.decide_shared(0.0, video, rate, cluster.servers, rng)
+                       : controller.decide(0.0, video, rate, cluster.servers, rng))
+              .accepted;
     }
     return accepted;
   };
@@ -707,7 +696,7 @@ struct IntermittentServer {
 
 void BM_IntermittentAllocate(benchmark::State& state) {
   // The intermittent scheduler's allocation pass on a lane-backed server,
-  // through a warm SchedCache as recompute_server runs it. slack=1 gives
+  // from the lane's warm grant order as recompute_server runs it. slack=1 gives
   // the link room for every stream at its receive cap, so phase 2 grants
   // every candidate its full room and (with order_free=1, what ships) skips
   // the earliest-finish sort; order_free=0 always sorts, the reference.
@@ -722,11 +711,10 @@ void BM_IntermittentAllocate(benchmark::State& state) {
   const std::vector<Request*>& active = fixture.server.active_requests();
   std::vector<Mbps> rates;
   AllocationScratch scratch;
-  SchedCache cache;
-  scheduler.allocate(fixture.now, capacity, active, rates, scratch, &cache);
+  scheduler.allocate(fixture.now, capacity, active, rates, scratch);
   const std::uint64_t allocs_before = heap_allocs();
   for (auto _ : state) {
-    scheduler.allocate(fixture.now, capacity, active, rates, scratch, &cache);
+    scheduler.allocate(fixture.now, capacity, active, rates, scratch);
     benchmark::DoNotOptimize(rates.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

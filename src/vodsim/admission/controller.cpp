@@ -24,6 +24,7 @@ void ReplicaDirectory::add_holder(VideoId video, ServerId server) {
   }
   if (list.empty() && orphans_ > 0) --orphans_;
   list.push_back(server);
+  ++version_;
 }
 
 AdmissionController::AdmissionController(AdmissionConfig config,
@@ -44,19 +45,32 @@ bool AdmissionController::feasible(const Server& server,
   return need <= server.effective_bandwidth() + 1e-9;
 }
 
-AdmissionDecision AdmissionController::decide(Seconds now, VideoId video,
-                                              Mbps view_bandwidth,
-                                              const std::vector<Server>& servers,
-                                              Rng& rng, std::uint64_t version) const {
+std::uint64_t AdmissionController::cluster_version(
+    const std::vector<Server>& servers) const {
+  std::uint64_t version = kFreshSearch + 1 + directory_.version();
+  for (const Server& server : servers) version += server.version();
+  return version;
+}
+
+AdmissionDecision AdmissionController::decide_impl(
+    Seconds now, VideoId video, Mbps view_bandwidth,
+    const std::vector<Server>& servers, Rng& rng, bool shared) const {
   AdmissionDecision decision;
   const auto index = static_cast<std::size_t>(video);
   const bool trace_search = trace_ != nullptr && trace_->wants(kTraceMigration) &&
                             config_.migration.enabled;
+  // A shared decision's cluster version, derived on first use.
+  std::uint64_t version = kFreshSearch;
+  const auto shared_version = [&] {
+    if (shared && version == kFreshSearch) version = cluster_version(servers);
+    return version;
+  };
 
   // Step 0: a repeat of a rejection at this version.
-  if (version != kFreshSearch && index < rejections_.size()) {
+  if (shared && index < rejections_.size()) {
     const Rejection& memo = rejections_[index];
-    if (memo.version == version && memo.rate == view_bandwidth) {
+    if (memo.version != kFreshSearch && memo.rate == view_bandwidth &&
+        memo.version == shared_version()) {
       decision.search_nodes = memo.search_nodes;
       decision.memoized = true;
       if (trace_search) {
@@ -83,7 +97,8 @@ AdmissionDecision AdmissionController::decide(Seconds now, VideoId video,
 
   // Step 2: all holders full — try dynamic request migration.
   auto plan = find_migration_plan(video, view_bandwidth, config_.migration, servers,
-                                  directory_.all(), search_scratch_, version);
+                                  directory_.all(), search_scratch_,
+                                  shared_version());
   decision.search_nodes = search_scratch_.nodes_explored;
   if (trace_search) {
     trace_->record(now, TraceEventType::kMigrationSearch, kNoServer, -1, video,
@@ -98,9 +113,10 @@ AdmissionDecision AdmissionController::decide(Seconds now, VideoId video,
   }
 
   // Step 3: reject, and remember it for the rest of the version.
-  if (version != kFreshSearch) {
+  if (shared) {
     if (rejections_.size() <= index) rejections_.resize(directory_.num_videos());
-    rejections_[index] = Rejection{version, view_bandwidth, decision.search_nodes};
+    rejections_[index] =
+        Rejection{shared_version(), view_bandwidth, decision.search_nodes};
   }
   return decision;
 }

@@ -42,13 +42,17 @@ class ReplicaDirectory {
   std::size_t orphan_count() const { return orphans_; }
 
   /// Registers a replica created after placement (dynamic replication).
-  /// No-op if the holder is already registered. A caller deciding at a
-  /// cluster version moves it after a registration (decide).
+  /// No-op if the holder is already registered.
   void add_holder(VideoId video, ServerId server);
+
+  /// Holders added so far: the directory's part of the cluster version
+  /// (AdmissionController::cluster_version).
+  std::uint64_t version() const { return version_; }
 
  private:
   std::vector<std::vector<ServerId>> holders_;
   std::size_t orphans_ = 0;
+  std::uint64_t version_ = 0;
 };
 
 struct AdmissionConfig {
@@ -76,8 +80,8 @@ struct AdmissionDecision {
   /// ran); a rejection served from the memo carries the stored count.
   int search_nodes = 0;
   /// A rejection served from the controller's memo: the same (video, rate)
-  /// was rejected at the same cluster version before. The invariant
-  /// auditor re-decides these fresh.
+  /// was rejected at the same cluster version before (decide_shared). The
+  /// invariant auditor re-decides these fresh.
   bool memoized = false;
 
   bool used_migration() const { return !migrations.empty(); }
@@ -92,25 +96,32 @@ class AdmissionController {
   /// simulation time \p now (used only for trace attribution — the decision
   /// itself is time-invariant). Does not mutate any server; the engine
   /// applies the decision. Runs on every arrival, so its working buffers
-  /// are reused across calls (the mutable scratch below) — a controller
-  /// serves exactly one simulation and is not safe to share across threads.
-  ///
-  /// \p version is the cluster version (admission/migration.h): the caller
-  /// moves it whenever a server or the directory changes. Decisions at one
-  /// version share the migration search's last-level walks, and a
-  /// rejection of (video, rate) is remembered for the rest of the version:
-  /// a repeat is served from the memo, tracing the stored search node
-  /// count. Exact because a rejected decide changes no server and draws no
-  /// random number, so deciding it again would retrace the same steps.
-  AdmissionDecision decide(Seconds now, VideoId video, Mbps view_bandwidth,
-                           const std::vector<Server>& servers, Rng& rng,
-                           std::uint64_t version) const;
-
-  /// A decision that shares nothing with any other call (kFreshSearch).
+  /// are reused across calls (the mutable scratch below) — a controller is
+  /// not safe to share across threads. This decision shares nothing with
+  /// any other call (kFreshSearch).
   AdmissionDecision decide(Seconds now, VideoId video, Mbps view_bandwidth,
                            const std::vector<Server>& servers, Rng& rng) const {
-    return decide(now, video, view_bandwidth, servers, rng, kFreshSearch);
+    return decide_impl(now, video, view_bandwidth, servers, rng, /*shared=*/false);
   }
+
+  /// decide, sharing the controller's memo with every other shared
+  /// decision at the same cluster_version of \p servers, which must be the
+  /// same cluster for every call. They share the search's last-level walks,
+  /// and a rejection of (video, rate) is remembered for the rest of the
+  /// version: a repeat is served from the memo, tracing the stored search
+  /// node count. Exact because a rejected decide changes no server and
+  /// draws no random number. The version is derived only to read or write
+  /// a memo (a lookup for a title with an entry, a search, a rejection).
+  AdmissionDecision decide_shared(Seconds now, VideoId video, Mbps view_bandwidth,
+                                  const std::vector<Server>& servers,
+                                  Rng& rng) const {
+    return decide_impl(now, video, view_bandwidth, servers, rng, /*shared=*/true);
+  }
+
+  /// The cluster version (admission/migration.h): 1 + the directory's
+  /// version + every server's (Server::version). The counts only grow, so
+  /// it never repeats, and it stays above kFreshSearch.
+  std::uint64_t cluster_version(const std::vector<Server>& servers) const;
 
   const AdmissionConfig& config() const { return config_; }
 
@@ -123,6 +134,10 @@ class AdmissionController {
   bool feasible(const Server& server, Mbps view_bandwidth) const;
 
  private:
+  AdmissionDecision decide_impl(Seconds now, VideoId video, Mbps view_bandwidth,
+                                const std::vector<Server>& servers, Rng& rng,
+                                bool shared) const;
+
   AdmissionConfig config_;
   const ReplicaDirectory& directory_;
   TraceRecorder* trace_ = nullptr;
@@ -138,7 +153,7 @@ class AdmissionController {
     Mbps rate = 0.0;
     int search_nodes = 0;
   };
-  /// Indexed by video; sized at the first versioned rejection.
+  /// Indexed by video; sized at the first shared rejection.
   mutable std::vector<Rejection> rejections_;
 };
 

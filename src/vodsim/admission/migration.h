@@ -88,12 +88,15 @@ struct MigrationPlan {
   ServerId admit_on = kNoServer;
 };
 
-/// A cluster version: a number the caller moves to a value it never used
-/// before whenever anything a search reads changes — any server's active
-/// set, fluid state, reservations, capacity or reachability, or the
-/// replica directory. Searches at one version see one cluster, so they
-/// share their last-level walks. kFreshSearch asks for a search that shares
-/// nothing with any other; callers' versions start above it.
+/// A cluster version: a number that moves to a value it never had before
+/// whenever anything a search reads changes — any server's active set,
+/// fluid state, reservations, capacity or reachability, or the replica
+/// directory. The servers and the directory count their own changes
+/// (Server::version, ReplicaDirectory::version), and
+/// AdmissionController::cluster_version sums the counts. Searches at one
+/// version see one cluster, so they share their last-level walks.
+/// kFreshSearch asks for a search that shares nothing with any other;
+/// derived versions start above it.
 inline constexpr std::uint64_t kFreshSearch = 0;
 
 /// A victim slot that is none (LeafOutcome::slot of a walk that failed).

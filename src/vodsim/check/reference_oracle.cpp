@@ -462,7 +462,10 @@ class Oracle {
     const std::vector<Request*>& active = s.active_requests();
     for (Request* request : active) advance_request(*request, now_);
 
-    // Fresh vector + throwaway scratch every pass: the brute-force path.
+    // Fresh vector + throwaway scratch every pass, and no remembered grant
+    // order (the copied servers keep their lanes between passes): the
+    // brute-force full-sort path.
+    s.lane().grant_order().clear();
     std::vector<Mbps> rates;
     scheduler_->allocate(now_, s.schedulable_bandwidth(), active, rates);
     for (std::size_t i = 0; i < active.size(); ++i) {

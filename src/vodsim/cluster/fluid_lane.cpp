@@ -275,6 +275,8 @@ FluidLane& FluidLane::operator=(const FluidLane& other) {
               earliest_time_bits_.begin());
   next_ = other.next_;
   next_stale_ = other.next_stale_;
+  grant_order_ = other.grant_order_;
+  version_ = other.version_;
   return *this;
 }
 
@@ -457,6 +459,7 @@ FluidLane::BatchResult FluidLane::advance_batch(
       n, now, last_update_, remaining_, buffer_level_, buffer_capacity_,
       allocation_, view_bandwidth_, arrival_, playback_end_, playing_,
       underflow_scratch.data());
+  version_ += advanced;
   result.advanced = advanced;
   result.any_underflow = underflow_bits != 0;
   return result;

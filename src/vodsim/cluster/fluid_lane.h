@@ -254,8 +254,23 @@ class FluidLane {
   /// Removes slot \p index by swap-with-last: copies the slot's
   /// lane-authoritative fields home and unbinds its request
   /// (Request::detach_lane), moves the last slot into \p index and sets
-  /// the moved request's active_index.
+  /// the moved request's active_index. The grant order is left alone.
   void remove(std::size_t index);
+
+  /// Stream advances with dt > 0 so far: the fluid count in
+  /// Server::version, which counts appends and removals itself (its terms
+  /// count). Between those, what the admission search reads from the table
+  /// (remaining data, buffer levels) changes only with an advance; rates,
+  /// prediction keys, the urgency latch and the pause flag do not count.
+  std::uint64_t version() const { return version_; }
+
+  /// The slots of the intermittent scheduler's previous workahead grant
+  /// order, which sched_detail::sort_by_projected_finish repairs and then
+  /// overwrites. Like the urgency latch, only a hint: any content sorts to
+  /// the same order. Writable through a non-const lane only; the sort
+  /// reaches it through its first request's binding (Request::lane).
+  std::vector<std::uint32_t>& grant_order() { return grant_order_; }
+  const std::vector<std::uint32_t>& grant_order() const { return grant_order_; }
 
   // --- per-slot access (slot = Request::active_index) -------------------
   /// The attached requests in slot order: Server::active_requests.
@@ -365,6 +380,7 @@ class FluidLane {
   /// single-request events): identical formulas to the batch kernel.
   /// Returns playback underflow (Mb).
   Megabits advance_one(std::size_t i, Seconds now) {
+    version_ += static_cast<std::uint64_t>(now > last_update_[i]);
     return fluid_detail::advance_stream(
         now, last_update_[i], remaining_[i], buffer_level_[i],
         buffer_capacity_[i], allocation_[i], playing_[i] == 0.0, arrival_[i],
@@ -519,6 +535,9 @@ class FluidLane {
   /// were overwritten or dropped, until next_prediction rescans.
   NextPrediction next_;
   bool next_stale_ = false;
+
+  std::vector<std::uint32_t> grant_order_;  ///< see grant_order()
+  std::uint64_t version_ = 0;               ///< see version()
 
   /// After a write to slot \p i's keys: its earliest time, and next_. Every
   /// other slot's keys are at or after the lane's earliest, so a lower key

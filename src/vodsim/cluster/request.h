@@ -152,8 +152,10 @@ class Request {
 
   /// The owning server's lane while attached (slot = active_index), null
   /// otherwise. sched_detail::lane_of checks that a scheduler's input is
-  /// this lane's request array.
+  /// this lane's request array; sched_detail::sort_by_projected_finish
+  /// writes the lane's grant order through the non-const overload.
   const FluidLane* lane() const { return lane_; }
+  FluidLane* lane() { return lane_; }
 
   /// Handle of this request's end-of-playback event on the coordinator
   /// queue (engine-managed). Its predicted events — tx-complete,

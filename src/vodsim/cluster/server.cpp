@@ -43,12 +43,14 @@ void Server::reserve_bandwidth(Mbps amount) {
   assert(committed_ + reserved_ + amount <=
          effective_bandwidth() + kBandwidthTolerance);
   reserved_ += amount;
+  ++terms_version_;
 }
 
 void Server::release_reservation(Mbps amount) {
   assert(amount >= 0.0);
   reserved_ -= amount;
   if (reserved_ < 0.0) reserved_ = 0.0;  // fp slop
+  ++terms_version_;
 }
 
 void Server::attach(Request& request, bool enforce_capacity) {
@@ -58,6 +60,7 @@ void Server::attach(Request& request, bool enforce_capacity) {
   lane_.append(request);
   committed_ += request.view_bandwidth();
   ++total_attached_;
+  ++terms_version_;
 }
 
 void Server::detach(Request& request) {
@@ -69,6 +72,7 @@ void Server::detach(Request& request) {
   lane_.remove(index);
   committed_ -= request.view_bandwidth();
   if (committed_ < 0.0) committed_ = 0.0;  // fp slop after many detaches
+  ++terms_version_;
 }
 
 }  // namespace vodsim

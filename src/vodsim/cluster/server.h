@@ -100,7 +100,7 @@ class Server {
 
   // --- availability (failure injection) --------------------------------
   bool available() const { return available_; }
-  void set_available(bool available) { available_ = available; }
+  void set_available(bool available) { available_ = available; ++terms_version_; }
 
   /// Network reachability from the controller (partition injection,
   /// cluster/topology.h). A partitioned server is up — its hardware and
@@ -109,7 +109,7 @@ class Server {
   /// kPartitionEnd transitions flip it, so topology-free runs never
   /// branch differently.
   bool reachable() const { return reachable_; }
-  void set_reachable(bool reachable) { reachable_ = reachable; }
+  void set_reachable(bool reachable) { reachable_ = reachable; ++terms_version_; }
 
   /// The one predicate every placement/admission/migration/replication
   /// decision must gate on: the server is up *and* the controller can
@@ -122,7 +122,14 @@ class Server {
   void set_capacity_factor(double factor) {
     assert(factor > 0.0 && factor <= 1.0);
     capacity_factor_ = factor;
+    ++terms_version_;
   }
+
+  /// Counts the changes the admission search can read here
+  /// (AdmissionController::cluster_version): a terms count — attach,
+  /// detach, reservations, availability, reachability, capacity factor —
+  /// plus the lane's fluid count (FluidLane::version).
+  std::uint64_t version() const { return terms_version_ + lane_.version(); }
 
   // --- diagnostics ------------------------------------------------------
   std::uint64_t total_attached() const { return total_attached_; }
@@ -141,6 +148,7 @@ class Server {
   std::vector<bool> replica_bitmap_;
   FluidLane lane_;
   std::uint64_t total_attached_ = 0;
+  std::uint64_t terms_version_ = 0;  ///< the terms count in version()
 };
 
 }  // namespace vodsim

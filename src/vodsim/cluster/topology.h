@@ -73,10 +73,6 @@ class Topology {
     return zone_first_[static_cast<std::size_t>(zone) + 1];
   }
 
-  /// Dense per-server rack ids (size num_servers); handy for bulk wiring
-  /// (Metrics::set_topology) without per-server virtual calls.
-  const std::vector<int>& rack_of_server() const { return rack_of_server_; }
-
  private:
   bool enabled_ = false;
   int num_servers_ = 0;

@@ -114,7 +114,7 @@ void VodSimulation::build_world() {
   controller_->set_trace(coordinator().trace.get());
 
   occupancy_.assign(servers_.size(), TimeWeighted(config_.warmup, config_.duration));
-  recompute_state_.assign(servers_.size(), ServerRecomputeState{});
+  prediction_timers_.assign(servers_.size(), PredictionTimer{});
 
   if (!arrivals_) {
     arrivals_ = std::make_unique<RequestGenerator>(
@@ -235,14 +235,12 @@ const Metrics& VodSimulation::run() {
   run_windows();
 
   // Flush in-flight transmissions into the measurement window, each server
-  // under its owner context so the tail transmission lands in the owner's
-  // Metrics (merged below).
+  // under its owner context, whose clock run_windows left at the horizon,
+  // so the tail transmission lands in the owner's Metrics (merged below).
   for (const auto& ctx : contexts_) {
+    assert(ctx->sim.now() == config_.duration);
     for (int s = ctx->first_server; s < ctx->end_server; ++s) {
-      const Server& server = servers_[static_cast<std::size_t>(s)];
-      for (Request* request : server.active_requests()) {
-        advance_and_account(*ctx, *request, config_.duration);
-      }
+      batch_advance_server(*ctx, servers_[static_cast<std::size_t>(s)]);
     }
   }
   for (TimeWeighted& occupancy : occupancy_) occupancy.flush(config_.duration);
@@ -326,10 +324,6 @@ void VodSimulation::run_windows() {
         drain(i + 1, window_end);
       });
     }
-    // Drained shard events changed their servers; none of them touches the
-    // cluster version, so the coordinator moves it for all of them.
-    if (busy > 0) ++cluster_version_;
-
     if (!coordinator_has_work) break;
     coord.sim.step();  // exactly one coupling event per window, serially
   }
@@ -396,9 +390,8 @@ void VodSimulation::handle_arrival(const Arrival& arrival) {
 }
 
 AdmissionDecision VodSimulation::decide(VideoId video, Mbps view_bandwidth) {
-  const AdmissionDecision decision =
-      controller_->decide(coordinator().sim.now(), video, view_bandwidth, servers_,
-                          rng_, cluster_version_);
+  const AdmissionDecision decision = controller_->decide_shared(
+      coordinator().sim.now(), video, view_bandwidth, servers_, rng_);
   if (auditor_ && decision.memoized) {
     auditor_->check_memoized_rejection(video, view_bandwidth, decision);
   }
@@ -452,11 +445,9 @@ void VodSimulation::execute_migration(const MigrationStep& step) {
     // competing arrival cannot steal it.
     servers_[static_cast<std::size_t>(step.to)].reserve_bandwidth(
         request.view_bandwidth());
-    mark_server_dirty(ctx, step.to);
     ctx.sim.schedule_in(latency, [this, &ctx, &request, target = step.to](Seconds) {
       servers_[static_cast<std::size_t>(target)].release_reservation(
           request.view_bandwidth());
-      mark_server_dirty(ctx, target);
       if (request.state() != RequestState::kMigrating) return;
       if (servers_[static_cast<std::size_t>(target)].serviceable()) {
         finish_migration(request, target);
@@ -575,7 +566,6 @@ void VodSimulation::apply_fault(const FaultTransition& event) {
   switch (event.kind) {
     case FaultTransitionKind::kDown: {
       if (!server.available()) return;  // idempotent: already down
-      mark_server_dirty(ctx, event.server);
       server.set_available(false);
       settle_capacity_loss(ctx, event.server);
       ctx.metrics->record_server_down(now);
@@ -591,7 +581,6 @@ void VodSimulation::apply_fault(const FaultTransition& event) {
     }
     case FaultTransitionKind::kUp: {
       if (server.available()) return;  // idempotent: already up
-      mark_server_dirty(ctx, event.server);
       server.set_available(true);
       const Seconds down_since = capacity_loss_[s].since;
       settle_capacity_loss(ctx, event.server);
@@ -602,7 +591,6 @@ void VodSimulation::apply_fault(const FaultTransition& event) {
     }
     case FaultTransitionKind::kBrownoutBegin: {
       if (server.capacity_factor() == event.capacity_factor) return;
-      mark_server_dirty(ctx, event.server);
       server.set_capacity_factor(event.capacity_factor);
       settle_capacity_loss(ctx, event.server);
       note(ctx, TraceEventType::kBrownoutBegin, kTraceFailure, event.server, -1, -1,
@@ -615,7 +603,6 @@ void VodSimulation::apply_fault(const FaultTransition& event) {
     }
     case FaultTransitionKind::kBrownoutEnd: {
       if (server.capacity_factor() == 1.0) return;  // idempotent
-      mark_server_dirty(ctx, event.server);
       server.set_capacity_factor(1.0);
       settle_capacity_loss(ctx, event.server);
       note(ctx, TraceEventType::kBrownoutEnd, kTraceFailure, event.server);
@@ -625,7 +612,6 @@ void VodSimulation::apply_fault(const FaultTransition& event) {
     }
     case FaultTransitionKind::kPartitionBegin: {
       if (!server.reachable()) return;  // idempotent: already partitioned
-      mark_server_dirty(ctx, event.server);
       server.set_reachable(false);
       settle_capacity_loss(ctx, event.server);
       partition_began_[s] = now;
@@ -638,7 +624,6 @@ void VodSimulation::apply_fault(const FaultTransition& event) {
     }
     case FaultTransitionKind::kPartitionEnd: {
       if (server.reachable()) return;  // idempotent: already healed
-      mark_server_dirty(ctx, event.server);
       server.set_reachable(true);
       settle_capacity_loss(ctx, event.server);
       ctx.metrics->record_partition_heal(now, now - partition_began_[s]);
@@ -689,9 +674,7 @@ void VodSimulation::shed_overload(Server& server) {
   const Seconds now = ctx.sim.now();
   // Advance everyone first so the buffer levels compared below are current
   // and detached victims carry no stale fluid state.
-  for (Request* request : server.active_requests()) {
-    advance_and_account(ctx, *request, now);
-  }
+  batch_advance_server(ctx, server);
   // 1e-9 Mb/s tolerance, matching the admission arithmetic: commitments a
   // rounding error over the degraded link are not worth an eviction.
   while (server.slack() < -1e-9 && server.active_count() > 0) {
@@ -882,7 +865,6 @@ void VodSimulation::check_repair(ServerId server_id, Seconds down_since) {
 
 void VodSimulation::recompute_server(ExecContext& ctx, ServerId server_id) {
   Server& server = servers_[static_cast<std::size_t>(server_id)];
-  ServerRecomputeState& state = recompute_state_[static_cast<std::size_t>(server_id)];
   // The executing context recomputes at its own clock with its own
   // scheduler instance and scratch arenas. A shard context only ever
   // reaches its own servers; the coordinator may reach any.
@@ -896,7 +878,7 @@ void VodSimulation::recompute_server(ExecContext& ctx, ServerId server_id) {
 
   const std::vector<Mbps>& rates = ctx.rates_scratch;
   ctx.scheduler->allocate(now, server.schedulable_bandwidth(), active,
-                          ctx.rates_scratch, ctx.sched_scratch, &state.sched_cache);
+                          ctx.rates_scratch, ctx.sched_scratch);
 
   // Write the new allocations and re-predict the events of every slot
   // whose rate moved, in ascending slot order, so seqs are taken slot by
@@ -920,19 +902,9 @@ void VodSimulation::recompute_server(ExecContext& ctx, ServerId server_id) {
   sync_prediction_timer(server_id);
 }
 
-void VodSimulation::mark_server_dirty(const ExecContext& ctx, ServerId server_id) {
-  if (server_id == kNoServer) return;
-  // Shard contexts leave the cluster version to run_windows, which bumps it
-  // once after each window in which a shard drained.
-  if (ctx.index == 0) ++cluster_version_;
-}
-
 void VodSimulation::advance_and_account(ExecContext& ctx, Request& request,
                                         Seconds now) {
   if (now <= request.last_update()) return;
-  // Real time elapsed: buffer level and remaining bytes moved, which feeds
-  // eligibility and finish-time ordering on the hosting server.
-  mark_server_dirty(ctx, request.server());
   const Seconds interval_start = request.last_update();
   // A shard context accounts into its own Metrics (merged after the run);
   // the auditor is never active in sharded runs (build_world).
@@ -960,7 +932,6 @@ void VodSimulation::batch_advance_server(ExecContext& ctx, Server& server) {
   const FluidLane::BatchResult batch = server.lane().advance_batch(
       now, config_.warmup, config_.duration, ctx.metrics->transmission_meter(),
       ctx.underflow_scratch);
-  if (batch.advanced > 0) mark_server_dirty(ctx, server.id());
   if (!batch.any_underflow) return;
   // Rare path: per-stream accounting in active order, as
   // advance_and_account would do it stream by stream.
@@ -1024,7 +995,6 @@ void VodSimulation::on_pause(Request& request) {
 
   advance_and_account(ctx, request, now);
   request.pause_viewing(now);
-  mark_server_dirty(ctx, request.server());  // drain stopped; minimum rate may be 0
   ++pauses_started_;
   note(ctx, TraceEventType::kPause, kTraceLifecycle, request.server(), request.id(),
        request.video_id(), request.buffer_level());
@@ -1053,7 +1023,6 @@ void VodSimulation::on_resume(Request& request) {
   const Seconds now = ctx.sim.now();
   advance_and_account(ctx, request, now);
   request.resume_viewing(now);
-  mark_server_dirty(ctx, request.server());  // drain restarted
   note(ctx, TraceEventType::kResume, kTraceLifecycle, request.server(), request.id(),
        request.video_id(), request.buffer_level());
 
@@ -1087,11 +1056,9 @@ void VodSimulation::start_replication_job(const ReplicationJob& planned) {
   // tertiary storage.
   if (!planned.from_tertiary()) {
     servers_[static_cast<std::size_t>(planned.source)].reserve_bandwidth(rate);
-    mark_server_dirty(ctx, planned.source);
     recompute_server(ctx, planned.source);
   }
   destination.reserve_bandwidth(rate);
-  mark_server_dirty(ctx, planned.destination);
   replication_->on_job_started();
   note(ctx, TraceEventType::kReplicationBegin, kTraceReplication,
        planned.destination, -1, planned.video,
@@ -1106,18 +1073,13 @@ void VodSimulation::start_replication_job(const ReplicationJob& planned) {
     Server& dst = servers_[static_cast<std::size_t>(job.destination)];
     if (!job.from_tertiary()) {
       servers_[static_cast<std::size_t>(job.source)].release_reservation(rate);
-      mark_server_dirty(ctx, job.source);
       recompute_server(ctx, job.source);
     }
     dst.release_reservation(rate);
-    mark_server_dirty(ctx, job.destination);
     // Storage was verified when the job was planned; nothing else consumes
     // storage mid-run, so this cannot fail.
     const bool added = dst.add_replica(catalog_[job.video]);
-    if (added) {
-      directory_.add_holder(job.video, job.destination);
-      ++cluster_version_;
-    }
+    if (added) directory_.add_holder(job.video, job.destination);
     ctx.metrics->record_replication(start, end, rate);
     replication_->on_job_finished(job.video);
     note(ctx, TraceEventType::kReplicationEnd, kTraceReplication, job.destination,
@@ -1129,7 +1091,6 @@ void VodSimulation::start_replication_job(const ReplicationJob& planned) {
 void VodSimulation::attach_to(ExecContext& ctx, ServerId server_id,
                               Request& request) {
   Server& server = servers_[static_cast<std::size_t>(server_id)];
-  mark_server_dirty(ctx, server_id);
   server.attach(request, /*enforce_capacity=*/!config_.admission.buffer_aware);
   // Executing-context clock: a shard-context detach (tx-complete) is ahead
   // of the stale coordinator clock, and occupancy integrates real intervals.
@@ -1142,7 +1103,6 @@ void VodSimulation::detach_from(ExecContext& ctx, ServerId server_id,
   Server& server = servers_[static_cast<std::size_t>(server_id)];
   server.lane().set_predictions(request.active_index, kNoPredictions);
   sync_prediction_timer(server_id);
-  mark_server_dirty(ctx, server_id);
   server.detach(request);
   occupancy_[static_cast<std::size_t>(server_id)].update(
       ctx.sim.now(), static_cast<double>(server.active_count()));
@@ -1204,8 +1164,8 @@ void VodSimulation::reschedule_predicted_events(ExecContext& ctx,
 }
 
 void VodSimulation::sync_prediction_timer(ServerId server_id) {
-  ServerRecomputeState& state =
-      recompute_state_[static_cast<std::size_t>(server_id)];
+  PredictionTimer& state =
+      prediction_timers_[static_cast<std::size_t>(server_id)];
   if (state.firing) return;  // on_prediction_timer syncs once, at its end
   const EventKey earliest =
       servers_[static_cast<std::size_t>(server_id)].lane().next_prediction().key;
@@ -1226,8 +1186,8 @@ void VodSimulation::sync_prediction_timer(ServerId server_id) {
 }
 
 void VodSimulation::on_prediction_timer(ExecContext& owner, ServerId server_id) {
-  ServerRecomputeState& state =
-      recompute_state_[static_cast<std::size_t>(server_id)];
+  PredictionTimer& state =
+      prediction_timers_[static_cast<std::size_t>(server_id)];
   state.timer = kInvalidEventId;
   state.armed = kNoEventKey;
   // A sync precedes every return to the event loop, so the lane's tracking

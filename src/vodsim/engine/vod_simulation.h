@@ -29,6 +29,10 @@
 /// each shard context owns a contiguous server block and drains its queue
 /// in parallel with the others between coordinator events. Every handler
 /// receives its executing context explicitly, so one code path serves both.
+///
+/// Servers keep their own books: the admission memo's cluster version
+/// sums their change counts (AdmissionController::decide_shared), and
+/// their lanes keep the grant order (FluidLane::grant_order).
 
 #include <cstdint>
 #include <memory>
@@ -49,7 +53,6 @@
 #include "vodsim/obs/trace.h"
 #include "vodsim/placement/placement.h"
 #include "vodsim/replication/replication.h"
-#include "vodsim/sched/finish_order.h"
 #include "vodsim/sched/scheduler.h"
 #include "vodsim/stats/time_weighted.h"
 #include "vodsim/util/rng.h"
@@ -118,7 +121,7 @@ class VodSimulation {
   /// prediction key in the server's lane; the invariant auditor checks that
   /// (InvariantAuditor::check_prediction_timer).
   EventKey prediction_timer_key(ServerId server) const {
-    return recompute_state_[static_cast<std::size_t>(server)].armed;
+    return prediction_timers_[static_cast<std::size_t>(server)].armed;
   }
 
   /// The attached auditor, or nullptr unless paranoid mode is on.
@@ -146,10 +149,6 @@ class VodSimulation {
   std::uint64_t continuity_violations() const;
 
   // --- sharded engine introspection (DESIGN.md §12) ---------------------
-  /// Configured shard count; 1 = single-queue (the coordinator context
-  /// owns every server).
-  int shard_count() const { return config_.shards; }
-
   /// Shard owning \p server (0 when shards == 1, where the coordinator
   /// context owns every server). Contiguous blocks: consecutive servers
   /// share a shard, aligning with the fault subsystem's correlated
@@ -267,9 +266,10 @@ class VodSimulation {
   /// requests on the coordinator, so ids follow event order.
   Request& create_request(const Video& video, Seconds now);
 
-  /// The controller's decision for an arrival or retry now, at the current
-  /// cluster version. With the auditor armed, a rejection served from the
-  /// controller's memo is re-decided fresh (check_memoized_rejection).
+  /// The controller's shared decision for an arrival or retry now
+  /// (AdmissionController::decide_shared). With the auditor armed, a
+  /// rejection served from the controller's memo is re-decided fresh
+  /// (check_memoized_rejection).
   AdmissionDecision decide(VideoId video, Mbps view_bandwidth);
 
   /// Starts \p request streaming from \p server now: attaches it, schedules
@@ -361,23 +361,15 @@ class VodSimulation {
   /// and reschedules predicted events for requests whose rate changed.
   void recompute_server(ExecContext& ctx, ServerId server);
 
-  /// Records that \p server's allocation inputs changed (active set,
-  /// reservations, pause state, capacity, reachability, or fluid state
-  /// advanced): run by the coordinator (\p ctx), it bumps the cluster
-  /// version, which invalidates the admission search memo; a shard context
-  /// leaves that to run_windows. Safe to call with kNoServer. A spurious
-  /// bump costs one redundant search; a missing bump would reuse a stale
-  /// one — when in doubt, bump.
-  void mark_server_dirty(const ExecContext& ctx, ServerId server);
-
   /// Accounts the transmission interval [request.last_update(), now] to the
   /// metrics and integrates the request's fluid state. For single-request
-  /// events (pause, resume, shed, migrate, ...); recompute_server advances
-  /// a whole server through batch_advance_server instead.
+  /// events (pause, resume, migrate, ...); whole-server steps go through
+  /// batch_advance_server instead.
   void advance_and_account(ExecContext& ctx, Request& request, Seconds now);
 
-  /// recompute_server's fluid step: one batched kernel over the server's
-  /// FluidLane (FluidLane::advance_batch). Bit-identical to calling
+  /// A whole server's fluid step, to \p ctx's clock (recompute_server,
+  /// shed_overload, run()'s horizon flush): one batched kernel over the
+  /// server's FluidLane (FluidLane::advance_batch). Bit-identical to calling
   /// advance_and_account for every active request in active order — state,
   /// metering and underflow accounting alike — which the hexfloat
   /// determinism goldens pin.
@@ -451,13 +443,6 @@ class VodSimulation {
   /// process_retries' batch of due entries, reused across batches.
   std::vector<RetryEntry> retry_due_;
 
-  /// The cluster version (admission/migration.h) the controller decides at.
-  /// Written by the coordinator only: every coordinator-side
-  /// mark_server_dirty, every new replica holder, and once after each
-  /// run_windows window in which a shard drained. Starts above
-  /// kFreshSearch.
-  std::uint64_t cluster_version_ = kFreshSearch + 1;
-
   /// Why a server is losing capacity (settle_capacity_loss gives the
   /// precedence). A partitioned but running server loses its whole link to
   /// the cluster: the hardware runs, the controller cannot use it.
@@ -504,20 +489,16 @@ class VodSimulation {
   /// ExperimentRunner never spawn threads.
   std::unique_ptr<ThreadPool> shard_pool_;
 
-  /// Per-server recompute state.
-  struct ServerRecomputeState {
-    /// This server's grant order from its previous allocation pass; the
-    /// intermittent scheduler repairs it instead of resorting, and the
-    /// other schedulers leave it alone (sched/finish_order.h).
-    SchedCache sched_cache;
-
-    // Predicted-event timer (DESIGN.md §8), in the owner context's queue.
+  /// A server's predicted-event timer (DESIGN.md §8), in the owner
+  /// context's queue.
+  struct PredictionTimer {
     EventId timer = kInvalidEventId;
     EventKey armed = kNoEventKey;  ///< the timer's key; none when idle
     /// Inside this server's timer handler, which syncs once when done.
     bool firing = false;
   };
-  std::vector<ServerRecomputeState> recompute_state_;
+  /// One per server.
+  std::vector<PredictionTimer> prediction_timers_;
 };
 
 }  // namespace vodsim

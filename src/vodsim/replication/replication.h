@@ -122,7 +122,6 @@ class ReplicationManager {
   void on_job_finished(VideoId video);
 
   int in_flight() const { return in_flight_; }
-  int total_started() const { return total_started_; }
 
  private:
   /// Drops window-expired rejections and returns the live count for video.

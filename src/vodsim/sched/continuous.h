@@ -14,8 +14,8 @@ class ContinuousScheduler final : public BandwidthScheduler {
  public:
   using BandwidthScheduler::allocate;
   void allocate(Seconds now, Mbps capacity, const std::vector<Request*>& active,
-                std::vector<Mbps>& rates, AllocationScratch& scratch,
-                SchedCache* cache) const override;
+                std::vector<Mbps>& rates,
+                AllocationScratch& scratch) const override;
 
   std::string name() const override { return "continuous"; }
 };

@@ -18,8 +18,7 @@ constexpr int kScanPicks = 4;
 void FinishTimeScheduler::allocate(Seconds now, Mbps capacity,
                                    const std::vector<Request*>& active,
                                    std::vector<Mbps>& rates,
-                                   AllocationScratch& scratch,
-                                   SchedCache* /*cache*/) const {
+                                   AllocationScratch& scratch) const {
   // One lane pass writes every slot's minimum rate (into rates), its grant
   // room and its order key, and sums the first two in slot order.
   const FluidLane& lane = sched_detail::lane_of(active);

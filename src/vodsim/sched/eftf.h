@@ -20,8 +20,8 @@ namespace vodsim {
 /// (FluidLane::fill_grant_inputs) writes each stream's minimum rate, grant
 /// room and order key; each pick is the least key left (ties broken on
 /// request id), found by a vectorized min pass. Slack usually runs out
-/// after one to three picks, so nothing is sorted, and the persistent
-/// SchedCache goes unused; a longer prefix finishes from a heap after the
+/// after one to three picks, so nothing is sorted, and the lane's grant
+/// order goes unused; a longer prefix finishes from a heap after the
 /// first four picks. When the slack covers every room, the grants do not
 /// depend on the order (sched_detail::grants_are_order_free) and are made
 /// in slot order.
@@ -37,8 +37,8 @@ class FinishTimeScheduler final : public BandwidthScheduler {
 
   using BandwidthScheduler::allocate;
   void allocate(Seconds now, Mbps capacity, const std::vector<Request*>& active,
-                std::vector<Mbps>& rates, AllocationScratch& scratch,
-                SchedCache* cache) const override;
+                std::vector<Mbps>& rates,
+                AllocationScratch& scratch) const override;
 
   std::string name() const override { return earliest_first_ ? "eftf" : "lftf"; }
 

@@ -38,8 +38,12 @@ void insertion_sort_guarded(std::vector<std::size_t>& order, Before before) {
 }  // namespace
 
 void sort_by_projected_finish(Seconds now, const std::vector<Request*>& active,
-                              AllocationScratch& scratch, SchedCache* cache) {
+                              AllocationScratch& scratch) {
+  // No request, no candidates and no lane whose order could be kept.
+  if (active.empty()) return;
   std::vector<std::size_t>& order = scratch.order;
+  const FluidLane& lane = lane_of(active);
+  std::vector<std::uint32_t>& grant_order = active.front()->lane()->grant_order();
 
   // Fresh keys from one vectorized pass over the server's lane
   // (FluidLane::fill_projected_finish). projected_finish is pure in (slot
@@ -50,7 +54,7 @@ void sort_by_projected_finish(Seconds now, const std::vector<Request*>& active,
   // indices. Persisting keys across passes instead would drift in ulps;
   // see the header.
   std::vector<Seconds>& keys = scratch.keys;
-  lane_of(active).fill_projected_finish(now, keys);
+  lane.fill_projected_finish(now, keys);
 
   const auto before = [&](std::size_t a, std::size_t b) {
     if (keys[a] != keys[b]) return keys[a] < keys[b];
@@ -58,7 +62,7 @@ void sort_by_projected_finish(Seconds now, const std::vector<Request*>& active,
   };
 
   bool seeded = false;
-  if (cache != nullptr && !cache->grant_order.empty() && order.size() > 1) {
+  if (!grant_order.empty() && order.size() > 1) {
     // Filter the remembered order by membership in the *current* candidate
     // set, not by re-deriving eligibility: the caller's candidate predicate
     // (which may depend on rates already granted this pass) stays in one
@@ -71,7 +75,7 @@ void sort_by_projected_finish(Seconds now, const std::vector<Request*>& active,
 
     std::vector<std::size_t>& seed = scratch.aux;
     seed.clear();
-    for (const std::size_t index : cache->grant_order) {
+    for (const std::size_t index : grant_order) {
       if (index < active.size() && in_candidates[index] != 0) {
         seed.push_back(index);
         in_candidates[index] = 0;  // consumed; leftovers appended below
@@ -90,9 +94,7 @@ void sort_by_projected_finish(Seconds now, const std::vector<Request*>& active,
     std::sort(order.begin(), order.end(), before);
   }
 
-  if (cache != nullptr) {
-    cache->grant_order.assign(order.begin(), order.end());
-  }
+  grant_order.assign(order.begin(), order.end());
 }
 
 }  // namespace sched_detail

@@ -1,16 +1,17 @@
 #pragma once
 
 /// \file finish_order.h
-/// \brief Persistent per-server finish-time ordering for incremental
-/// scheduler recomputes.
+/// \brief Incremental finish-time ordering for the intermittent
+/// scheduler's recomputes, seeded from the order the server's lane keeps.
 ///
 /// The intermittent scheduler's workahead phase re-derives the same
 /// earliest-finish grant order on almost every recompute: between two
 /// allocation passes, one request arrives or departs and everyone else
-/// keeps their relative position. A SchedCache remembers the previous grant
-/// order so the next pass starts from a nearly-sorted permutation and
-/// repairs it with an adaptive insertion pass — O(n + inversions) instead
-/// of a full O(n log n) resort per event.
+/// keeps their relative position. The server's FluidLane remembers the
+/// previous grant order (FluidLane::grant_order), so the next pass starts
+/// from a nearly-sorted permutation and repairs it with an adaptive
+/// insertion pass — O(n + inversions) instead of a full O(n log n) resort
+/// per event.
 ///
 /// Only that phase sorts. Its greedy pass walks a long prefix of the order
 /// (about 310 of 440 candidates per sort on the sharded_ramp benchmark
@@ -27,21 +28,20 @@
 /// What persists is only the previous *permutation*. Because the order is
 /// total and unique (ties broken on request id), every correct sorting
 /// procedure produces the same permutation for the same keys: seeding from
-/// the cache can change how many comparisons run, never their outcome, so
-/// the grant order — and with it every downstream FP operation — is
-/// byte-identical to the full-resort path.
+/// the remembered order can change how many comparisons run, never their
+/// outcome, so the grant order — and with it every downstream FP operation
+/// — is byte-identical to the full-resort path.
 ///
-/// Lifetime. A SchedCache belongs to one server (the engine keeps one per
-/// ServerRecomputeState) and stores slots only. A pass seeds from each
+/// Staleness. The remembered order is slots only, and the lane leaves it
+/// alone when it appends or removes a slot. A pass seeds from each
 /// remembered slot that is still inside the active list and in the current
-/// candidate set, then appends the candidates the cache missed. A slot that
-/// now holds a different request (detach's swap-with-last moved one in, or
-/// a new arrival took it) seeds at a stale position, which can cost the
-/// repair some shifts but never changes its result: the order is total and
-/// unique, so any seed sorts to the same permutation. No invalidation
-/// hooks are needed anywhere in the engine.
+/// candidate set, then appends the candidates the order missed. A slot
+/// that now holds a different request (FluidLane::remove's swap-with-last
+/// moved one in, or a new arrival took it) seeds at a stale position,
+/// which can cost the repair some shifts but never changes its result: the
+/// order is total and unique, so any seed sorts to the same permutation.
+/// No invalidation hooks are needed anywhere in the engine.
 
-#include <cstdint>
 #include <vector>
 
 #include "vodsim/cluster/request.h"
@@ -51,16 +51,6 @@ namespace vodsim {
 
 struct AllocationScratch;
 
-/// Persistent ordering state for one server. Default-constructed = cold
-/// (first pass falls back to a full sort, then the cache is warm).
-struct SchedCache {
-  /// The active-list slots of the grant order produced by the previous
-  /// sorting pass, earliest projected finish first.
-  std::vector<std::uint32_t> grant_order;
-
-  void clear() { grant_order.clear(); }
-};
-
 namespace sched_detail {
 
 /// Sorts scratch.order — a candidate slot set of \p active, a server's
@@ -69,15 +59,15 @@ namespace sched_detail {
 /// FluidLane::fill_projected_finish into scratch.keys and compared by value.
 /// Throws std::invalid_argument as sched_detail::lane_of does.
 ///
-/// With a warm \p cache, the previous grant order seeds the permutation
-/// (each remembered slot that is a current candidate, then the rest) and
-/// an adaptive insertion pass repairs it; a cold or null cache takes the full
-/// std::sort path. Both paths produce the identical unique permutation.
-/// On return the cache (when non-null) holds the new grant order.
+/// The lane's previous grant order (FluidLane::grant_order), when it names
+/// a current candidate, seeds the permutation (each remembered slot that
+/// is a current candidate, then the rest) and an adaptive insertion pass
+/// repairs it; otherwise the full std::sort path runs. Both paths produce
+/// the identical unique permutation, which the lane then remembers.
 ///
 /// Clobbers scratch.aux, scratch.keys and scratch.in_candidates.
 void sort_by_projected_finish(Seconds now, const std::vector<Request*>& active,
-                              AllocationScratch& scratch, SchedCache* cache);
+                              AllocationScratch& scratch);
 
 }  // namespace sched_detail
 

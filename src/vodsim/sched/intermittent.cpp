@@ -35,8 +35,7 @@ constexpr Seconds kCoverTolerance = 1e-6;
 void IntermittentScheduler::allocate(Seconds now, Mbps capacity,
                                      const std::vector<Request*>& active,
                                      std::vector<Mbps>& rates,
-                                     AllocationScratch& scratch,
-                                     SchedCache* cache) const {
+                                     AllocationScratch& scratch) const {
   // Per-stream reads come from the server's lane. Drain rate, cover and
   // workahead cap come from one vectorized lane pass into the scratch (the
   // pass below never resizes those vectors); the rest from the lane
@@ -145,14 +144,13 @@ void IntermittentScheduler::allocate(Seconds now, Mbps capacity,
   }
   // When `left` covers every room, every candidate gets exactly its room
   // whatever the order (sched_detail::grants_are_order_free), so the slot
-  // order stands and the sort — with its cache repair — is skipped. Else
-  // a cache-seeded repair of the previous workahead order (phase 1's
-  // urgent sort keys on buffer level, which reshuffles every pass over a
-  // small set — not worth caching; this one is the per-event O(n log n)
-  // resort). scratch.aux (the urgent list) is dead by now and is
-  // clobbered here.
+  // order stands and the sort — with its repair — is skipped. Else a
+  // repair of the lane's previous workahead order (phase 1's urgent sort
+  // keys on buffer level, which reshuffles every pass over a small set —
+  // not worth keeping; this one is the per-event O(n log n) resort).
+  // scratch.aux (the urgent list) is dead by now and is clobbered here.
   if (!order_free_grants_ || !sched_detail::grants_are_order_free(room_sum, left)) {
-    sched_detail::sort_by_projected_finish(now, active, scratch, cache);
+    sched_detail::sort_by_projected_finish(now, active, scratch);
   }
   for (std::size_t index : order) {
     if (left <= 0.0) break;

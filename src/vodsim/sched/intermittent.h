@@ -46,8 +46,8 @@ class IntermittentScheduler final : public BandwidthScheduler {
 
   using BandwidthScheduler::allocate;
   void allocate(Seconds now, Mbps capacity, const std::vector<Request*>& active,
-                std::vector<Mbps>& rates, AllocationScratch& scratch,
-                SchedCache* cache) const override;
+                std::vector<Mbps>& rates,
+                AllocationScratch& scratch) const override;
 
   std::string name() const override { return "intermittent"; }
 

@@ -7,12 +7,10 @@ namespace vodsim {
 void ProportionalShareScheduler::allocate(Seconds now, Mbps capacity,
                                           const std::vector<Request*>& active,
                                           std::vector<Mbps>& rates,
-                                          AllocationScratch& scratch,
-                                          SchedCache* /*cache*/) const {
+                                          AllocationScratch& scratch) const {
   // Water-filling iterates the eligible pool in active order and splits
-  // evenly — there is no sorted grant order to make incremental, so the
-  // cache is ignored (its FP operation order is pinned by the slot order
-  // alone). One lane pass writes every slot's minimum rate (into rates)
+  // evenly — there is no sorted grant order to make incremental (its FP
+  // operation order is pinned by the slot order alone). One lane pass writes every slot's minimum rate (into rates)
   // and its grant room; the order keys go unused.
   const FluidLane& lane = sched_detail::lane_of(active);
   const FluidLane::GrantSums sums = lane.fill_grant_inputs(

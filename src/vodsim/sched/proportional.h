@@ -15,8 +15,8 @@ class ProportionalShareScheduler final : public BandwidthScheduler {
  public:
   using BandwidthScheduler::allocate;
   void allocate(Seconds now, Mbps capacity, const std::vector<Request*>& active,
-                std::vector<Mbps>& rates, AllocationScratch& scratch,
-                SchedCache* cache) const override;
+                std::vector<Mbps>& rates,
+                AllocationScratch& scratch) const override;
 
   std::string name() const override { return "proportional"; }
 };

@@ -67,15 +67,8 @@ struct AllocationScratch {
   std::vector<Seconds> cover;      ///< seconds of playback staged
   std::vector<Mbps> cap;           ///< most the client can usefully absorb
   std::vector<std::uint8_t> in_candidates;  ///< membership flags for seeding
-                                            ///< from a SchedCache
+                                            ///< from the lane's grant order
 };
-
-/// Persistent per-server ordering state (sched/finish_order.h): the slots
-/// of the previous workahead grant order. Passing one lets the
-/// intermittent scheduler repair that order instead of resorting from
-/// scratch; a null cache always takes the full-sort path. Either way the
-/// result is bit-identical.
-struct SchedCache;
 
 /// Strategy interface: computes per-request rates for one server.
 class BandwidthScheduler {
@@ -87,41 +80,35 @@ class BandwidthScheduler {
   /// total link \p capacity; any other vector throws std::invalid_argument
   /// (sched_detail::lane_of). Writes one rate per request into \p rates
   /// (resized to active.size()); \p scratch holds reusable working buffers
-  /// (contents are clobbered). \p cache, when non-null, is the calling
-  /// server's persistent ordering state: the intermittent scheduler seeds
-  /// its workahead order from it and writes the new order back, turning the
-  /// per-event resort into a nearly-sorted repair.
-  /// One cache per server — sharing a cache across servers is harmless
-  /// (any seed sorts to the same order) but wastes the hint.
-  /// The other schedulers ignore it: EFTF and LFTF pick their few grants
-  /// straight from the lane (FinishTimeScheduler), and the baselines have
-  /// no sorted grant order.
+  /// (contents are clobbered). The intermittent scheduler seeds its
+  /// workahead order from the lane's previous grant order
+  /// (FluidLane::grant_order) and writes the new order back, turning the
+  /// per-event resort into a nearly-sorted repair. The other schedulers
+  /// leave that order alone: EFTF and LFTF pick their few grants straight
+  /// from the lane (FinishTimeScheduler), and the baselines have no sorted
+  /// grant order.
   ///
   /// Postconditions (enforced by all implementations, checked in tests):
   ///   rates[i] >= active[i]->view_bandwidth()   (minimum flow)
   ///   rates[i] <= active[i]->receive_bandwidth()
   ///   sum(rates) <= capacity (+ tolerance)
-  /// And: results are bit-identical with cache == nullptr, a cold cache, or
-  /// any warm cache (pinned by sched_test and the determinism goldens).
+  /// And: results are bit-identical whatever grant order the lane holds —
+  /// cleared, warm or stale (pinned by sched_test and the determinism
+  /// goldens). The reference oracle clears the order before every pass, so
+  /// its differential test compares the engine's seeded repair against the
+  /// full sort.
   virtual void allocate(Seconds now, Mbps capacity,
                         const std::vector<Request*>& active,
-                        std::vector<Mbps>& rates, AllocationScratch& scratch,
-                        SchedCache* cache) const = 0;
-
-  /// Cache-less overload: the full-sort path, for callers without a
-  /// persistent per-server ordering (tests, the reference oracle).
-  /// (Derived classes re-export this via `using BandwidthScheduler::allocate`.)
-  void allocate(Seconds now, Mbps capacity, const std::vector<Request*>& active,
-                std::vector<Mbps>& rates, AllocationScratch& scratch) const {
-    allocate(now, capacity, active, rates, scratch, nullptr);
-  }
+                        std::vector<Mbps>& rates,
+                        AllocationScratch& scratch) const = 0;
 
   /// Convenience overload with a throwaway scratch, for tests and one-shot
   /// callers. Hot paths must hold a persistent AllocationScratch instead.
+  /// (Derived classes re-export this via `using BandwidthScheduler::allocate`.)
   void allocate(Seconds now, Mbps capacity, const std::vector<Request*>& active,
                 std::vector<Mbps>& rates) const {
     AllocationScratch scratch;
-    allocate(now, capacity, active, rates, scratch, nullptr);
+    allocate(now, capacity, active, rates, scratch);
   }
 
   virtual std::string name() const = 0;

@@ -23,7 +23,6 @@ class Histogram {
   std::uint64_t total_count() const { return total_; }
   std::uint64_t underflow() const { return underflow_; }
   std::uint64_t overflow() const { return overflow_; }
-  std::size_t bin_count() const { return counts_.size(); }
   std::uint64_t bin(std::size_t i) const { return counts_[i]; }
   double bin_lo(std::size_t i) const;
   double bin_hi(std::size_t i) const;

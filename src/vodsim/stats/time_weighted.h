@@ -32,8 +32,6 @@ class TimeWeighted {
   /// Total window-clipped observation time.
   Seconds observed() const { return observed_; }
 
-  double current_value() const { return value_; }
-
  private:
   void accumulate(Seconds from, Seconds to);
 

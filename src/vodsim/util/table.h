@@ -34,8 +34,6 @@ class TablePrinter {
   /// Writes the table. A separator line is drawn under the header.
   void print(std::ostream& out) const;
 
-  std::size_t row_count() const { return rows_.size(); }
-
  private:
   std::vector<std::string> headers_;
   std::vector<Align> aligns_;

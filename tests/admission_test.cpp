@@ -818,23 +818,20 @@ struct VersionedRun {
   int plans = 0;        ///< migration plans found
 };
 
-/// Decides random queries on random clusters through a controller that
-/// decides at the cluster version (and a scratch that searches at it) and
-/// through fresh ones, between random mutations of the cluster. The
-/// version moves with every mutation when \p bump_on_mutation, and with
-/// every new cluster either way. Counts the queries on which the memoizing
-/// side differs from the fresh side: in accepted, server, steps or search
-/// nodes.
-VersionedRun run_versioned_decides(std::uint64_t seed, bool bump_on_mutation) {
+/// Decides random queries on random clusters through a controller's shared
+/// decisions (decide_shared) and through fresh ones, and searches through
+/// a scratch at the cluster version and through fresh ones, between random
+/// mutations of the cluster. The shared searches run at the version the
+/// controller derives now, or, with \p stale_searches, at the one it
+/// derived before the cluster's first mutation. Counts the queries on which
+/// the memoizing side differs from the fresh side: in accepted, server,
+/// steps or search nodes.
+VersionedRun run_versioned_decides(std::uint64_t seed, bool stale_searches) {
   static constexpr VictimStrategy kVictims[] = {
       VictimStrategy::kFirstFit, VictimStrategy::kLeastRemaining,
       VictimStrategy::kMostRemaining, VictimStrategy::kMostBuffered};
   Rng rng(seed);
   VersionedRun run;
-  // One scratch for every cluster: the version must keep one cluster's
-  // walks from leaking into the next.
-  MigrationSearchScratch versioned;
-  std::uint64_t version = kFreshSearch;
   const auto same_steps = [](const std::vector<MigrationStep>& a,
                              const std::vector<MigrationStep>& b) {
     return std::equal(a.begin(), a.end(), b.begin(), b.end(),
@@ -856,15 +853,20 @@ VersionedRun run_versioned_decides(std::uint64_t seed, bool bump_on_mutation) {
     const AdmissionController fresh(config, directory);
     Rng memo_rng(static_cast<std::uint64_t>(trial));
     Rng fresh_rng(static_cast<std::uint64_t>(trial));
-    ++version;
+    // A scratch per cluster, as a controller serves one: derived versions
+    // of two clusters may coincide.
+    MigrationSearchScratch versioned;
+    const std::uint64_t first_version = memoizing.cluster_version(cluster.servers());
     for (int round = 0; round < 6; ++round) {
+      const std::uint64_t version =
+          stale_searches ? first_version : memoizing.cluster_version(cluster.servers());
       // Titles repeat within a round, as queued retries and popular
       // arrivals do.
       for (int query = 0; query < 8; ++query) {
         const auto video = static_cast<VideoId>(rng.uniform_int(cluster.num_videos()));
         const Mbps rate = cluster.video(video).view_bandwidth;
         const AdmissionDecision actual =
-            memoizing.decide(0.0, video, rate, cluster.servers(), memo_rng, version);
+            memoizing.decide_shared(0.0, video, rate, cluster.servers(), memo_rng);
         const AdmissionDecision expected =
             fresh.decide(0.0, video, rate, cluster.servers(), fresh_rng);
         run.memo_hits += actual.memoized;
@@ -889,26 +891,23 @@ VersionedRun run_versioned_decides(std::uint64_t seed, bool bump_on_mutation) {
           ++run.mismatches;
         }
       }
-      // A stale memo may name any slot its walk saw, so a mutation the
-      // version misses must not shrink an active list: that memo would
-      // index past it.
-      if (cluster.mutate(rng, directory, /*may_detach=*/bump_on_mutation) &&
-          bump_on_mutation) {
-        ++version;
-      }
+      // A stale memo may name any slot its walk saw, so a mutation a stale
+      // search misses must not shrink an active list: that memo would index
+      // past it.
+      cluster.mutate(rng, directory, /*may_detach=*/!stale_searches);
     }
   }
   return run;
 }
 
-// Every decision at one cluster version shares the controller's memo: a
-// repeated rejection is served from it, and the search replays last-level
-// walks computed by earlier decisions. Between mutations of every kind the
-// engine bumps on (attach, detach, capacity factor, availability,
-// reservation, a new replica holder), each decision and each search must
-// equal one that starts from nothing.
+// Every shared decision at one cluster version shares the controller's
+// memo: a repeated rejection is served from it, and the search replays
+// last-level walks computed by earlier decisions. Between mutations of
+// every kind the derived version counts (attach, detach, capacity factor,
+// availability, reservation, a new replica holder), each decision and each
+// search must equal one that starts from nothing.
 TEST(Migration, VersionedMemoMatchesFreshDecisions) {
-  const VersionedRun run = run_versioned_decides(1803, /*bump_on_mutation=*/true);
+  const VersionedRun run = run_versioned_decides(1803, /*stale_searches=*/false);
   EXPECT_EQ(run.mismatches, 0);
   // The memo must actually be exercised: repeats served, walks replayed.
   EXPECT_GT(run.memo_hits, 1000);
@@ -916,12 +915,91 @@ TEST(Migration, VersionedMemoMatchesFreshDecisions) {
   EXPECT_GT(run.plans, 100);
 }
 
-// Negative control: the same run with mutations that leave the version
-// alone must disagree with fresh decisions, or the comparison above could
-// not catch a missing bump.
+// Negative control: the same run with searches at a version derived before
+// the mutations must disagree with fresh ones, or the comparison above
+// could not catch a mutation the derived version missed.
 TEST(Migration, VersionedMemoComparisonCatchesAMissingBump) {
-  const VersionedRun run = run_versioned_decides(1803, /*bump_on_mutation=*/false);
+  const VersionedRun run = run_versioned_decides(1803, /*stale_searches=*/true);
   EXPECT_GT(run.mismatches, 0);
+}
+
+// The derived cluster version moves with every change the admission search
+// reads — attach, detach, reservations, availability, reachability,
+// capacity factor, a new replica holder, and a fluid advance over real
+// time — and with nothing else: rates, prediction keys, the urgency latch,
+// the pause flag and the lane's grant order leave it alone.
+TEST(Controller, ClusterVersionMovesWithEveryAdmissionVisibleChange) {
+  World world({10.0, 10.0});
+  world.replicate(0, {0});
+  world.replicate(1, {0});
+  Request& streaming = world.stream(0, 0, 0, 3.0, 100.0);
+  ReplicaDirectory directory = world.directory();
+  const AdmissionController controller(AdmissionConfig{}, directory);
+  std::vector<Server>& servers = world.servers();
+  Server& server = servers[0];
+  std::uint64_t version = controller.cluster_version(servers);
+  EXPECT_GT(version, kFreshSearch);
+  const auto moved = [&] {
+    const std::uint64_t now = controller.cluster_version(servers);
+    const bool changed = now != version;
+    EXPECT_GT(now, kFreshSearch);
+    EXPECT_GE(now, version);
+    version = now;
+    return changed;
+  };
+
+  const Seconds t = streaming.last_update();
+  streaming.set_allocation(t, 2.0);
+  EXPECT_FALSE(moved()) << "rate";
+  server.lane().set_predictions(streaming.active_index,
+                                {EventKey{t + 1.0, 1}, kNoEventKey, kNoEventKey});
+  server.lane().set_predictions(streaming.active_index, kNoPredictions);
+  EXPECT_FALSE(moved()) << "prediction keys";
+  streaming.set_workahead_urgent(!streaming.workahead_urgent());
+  EXPECT_FALSE(moved()) << "urgency latch";
+  server.lane().grant_order().assign({0});
+  EXPECT_FALSE(moved()) << "grant order";
+  streaming.advance(t);
+  EXPECT_FALSE(moved()) << "advance over no time";
+  streaming.pause_viewing(t);
+  EXPECT_FALSE(moved()) << "pause";
+  streaming.advance(t + 1.0);
+  EXPECT_TRUE(moved()) << "advance while paused";
+  streaming.resume_viewing(t + 1.0);
+  EXPECT_FALSE(moved()) << "resume";
+  streaming.advance(t + 2.0);
+  EXPECT_TRUE(moved()) << "advance";
+  Megabits transmitted = 0.0;
+  std::vector<Megabits> underflow;
+  server.lane().advance_batch(t + 2.0, 0.0, 1e9, transmitted, underflow);
+  EXPECT_FALSE(moved()) << "batch advance over no time";
+  server.lane().advance_batch(t + 3.0, 0.0, 1e9, transmitted, underflow);
+  EXPECT_TRUE(moved()) << "batch advance";
+
+  server.reserve_bandwidth(1.0);
+  EXPECT_TRUE(moved()) << "reserve";
+  server.release_reservation(1.0);
+  EXPECT_TRUE(moved()) << "release";
+  servers[1].set_available(false);
+  EXPECT_TRUE(moved()) << "down";
+  servers[1].set_available(true);
+  EXPECT_TRUE(moved()) << "up";
+  servers[1].set_reachable(false);
+  EXPECT_TRUE(moved()) << "partition";
+  servers[1].set_reachable(true);
+  EXPECT_TRUE(moved()) << "heal";
+  server.set_capacity_factor(0.5);
+  EXPECT_TRUE(moved()) << "brownout";
+  server.set_capacity_factor(1.0);
+  EXPECT_TRUE(moved()) << "brownout end";
+  directory.add_holder(0, 1);
+  EXPECT_TRUE(moved()) << "new holder";
+  directory.add_holder(0, 1);
+  EXPECT_FALSE(moved()) << "known holder";
+  Request& other = world.stream(1, 0);
+  EXPECT_TRUE(moved()) << "attach";
+  server.detach(other);
+  EXPECT_TRUE(moved()) << "detach";
 }
 
 // --------------------------------------------------------------- controller

@@ -189,9 +189,9 @@ Mbps workahead_room(const std::vector<Request*>& active, Seconds now) {
 // The order-free grant rule must be a pure shortcut: with `left` swept
 // below, across and above the candidates' summed room — including the
 // rule's own margin boundary and streams with equal sort keys — the rates
-// are bit-identical to a scheduler that always sorts. A fresh SchedCache
-// shows which path ran: the sorting path records its grant order, the
-// shortcut leaves the cache empty.
+// are bit-identical to a scheduler that always sorts. A lane order cleared
+// before each pass shows which path ran: the sorting path records its grant
+// order (FluidLane::grant_order), the shortcut leaves it empty.
 TEST(Intermittent, OrderFreeGrantsMatchSortedGrants) {
   Rng rng(1801);
   const IntermittentScheduler shortcut(10.0);
@@ -229,23 +229,23 @@ TEST(Intermittent, OrderFreeGrantsMatchSortedGrants) {
         1.5 * room,
         4.0 * room,
     };
+    std::vector<std::uint32_t>& order = lane.server.lane().grant_order();
     for (const Mbps capacity : capacities) {
       std::vector<Mbps> expected;
       std::vector<Mbps> actual;
       AllocationScratch scratch;
-      SchedCache sorted_cache;
-      SchedCache shortcut_cache;
-      sorted.allocate(lane.now, capacity, lane.active(), expected, scratch,
-                      &sorted_cache);
-      shortcut.allocate(lane.now, capacity, lane.active(), actual, scratch,
-                        &shortcut_cache);
+      order.clear();
+      sorted.allocate(lane.now, capacity, lane.active(), expected, scratch);
+      const bool sorted_ran = !order.empty();
+      order.clear();
+      shortcut.allocate(lane.now, capacity, lane.active(), actual, scratch);
       ASSERT_EQ(actual.size(), expected.size());
       for (std::size_t i = 0; i < actual.size(); ++i) {
         ASSERT_EQ(actual[i], expected[i])
             << "instance " << instance << " capacity " << capacity << " slot " << i;
       }
-      if (sorted_cache.grant_order.empty()) continue;  // phase 2 never ran
-      if (shortcut_cache.grant_order.empty()) {
+      if (!sorted_ran) continue;  // phase 2 never ran
+      if (order.empty()) {
         ++shortcut_passes;
       } else {
         ++sorted_passes;
@@ -256,14 +256,14 @@ TEST(Intermittent, OrderFreeGrantsMatchSortedGrants) {
     if (!with_urgent) {
       std::vector<Mbps> rates;
       AllocationScratch scratch;
-      SchedCache below;
+      order.clear();
       shortcut.allocate(lane.now, std::nextafter(boundary, 0.0), lane.active(),
-                        rates, scratch, &below);
-      SchedCache at;
+                        rates, scratch);
+      EXPECT_FALSE(order.empty()) << "instance " << instance;
+      order.clear();
       shortcut.allocate(lane.now, boundary * (1.0 + 1e-15), lane.active(), rates,
-                        scratch, &at);
-      EXPECT_FALSE(below.grant_order.empty()) << "instance " << instance;
-      EXPECT_TRUE(at.grant_order.empty()) << "instance " << instance;
+                        scratch);
+      EXPECT_TRUE(order.empty()) << "instance " << instance;
     }
   }
   EXPECT_GT(shortcut_passes, 100);

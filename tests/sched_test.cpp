@@ -105,6 +105,7 @@ class Fixture {
   Seconds now() const { return now_; }
   const std::vector<Request*>& active() const { return server_.active_requests(); }
   const FluidLane& lane() const { return server_.lane(); }
+  FluidLane& lane() { return server_.lane(); }
 
  private:
   Server server_{0, 1e3, 1e12};  // declared first: requests die before it
@@ -372,12 +373,14 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---------------------------------------- incremental-order equivalence
 
-// A SchedCache has one user, the intermittent scheduler's workahead phase
-// (EFTF and LFTF pick their grants without sorting). Each case checks the
-// cache on that scheduler; `kind` names the scheduler whose grants move the
-// buffers between rounds, so the cache is exercised on the lane states each
-// policy produces (EFTF fills the earliest finishers' buffers, LFTF the
-// latest, proportional all evenly, continuous none).
+// The lane's grant order (FluidLane::grant_order) has one user, the
+// intermittent scheduler's workahead phase (EFTF and LFTF pick their grants
+// without sorting). Each case checks the order on that scheduler; `kind`
+// names the scheduler whose grants move the buffers between rounds, so the
+// order is exercised on the lane states each policy produces (EFTF fills
+// the earliest finishers' buffers, LFTF the latest, proportional all
+// evenly, continuous none). The suite keeps the name of the per-server
+// cache object the order replaced.
 struct CacheEquivalenceCase {
   SchedulerKind kind;
   std::uint64_t seed;
@@ -386,12 +389,13 @@ struct CacheEquivalenceCase {
 class SchedCacheEquivalence
     : public ::testing::TestWithParam<CacheEquivalenceCase> {};
 
-// The per-server SchedCache must be a pure accelerator: under arbitrary
-// churn on a real Server (arrivals, Server::detach's swap-with-last moving
-// requests between the slots the cache remembers, buffers filling, time
-// advancing) a warm cache produces bit-identical rates to the cache-less
-// full-sort path. Doubles are compared with EXPECT_EQ on purpose — one ulp
-// of drift in any grant breaks the engine's determinism contract.
+// The lane's grant order must be a pure accelerator: under arbitrary churn
+// on a real Server (arrivals, Server::detach's swap-with-last moving
+// requests between the slots the order remembers, buffers filling, time
+// advancing) a warm order produces bit-identical rates to the full-sort
+// path a cleared order takes. Doubles are compared with EXPECT_EQ on
+// purpose — one ulp of drift in any grant breaks the engine's determinism
+// contract.
 TEST_P(SchedCacheEquivalence, WarmCacheIsBitIdenticalUnderChurn) {
   const auto param = GetParam();
   const IntermittentScheduler scheduler;
@@ -412,12 +416,13 @@ TEST_P(SchedCacheEquivalence, WarmCacheIsBitIdenticalUnderChurn) {
     request->set_allocation(0.0, rng.uniform(kView, request->receive_bandwidth()));
   }
 
-  SchedCache cache;  // persists across rounds, like ServerRecomputeState
+  std::vector<std::uint32_t>& order = fx.lane().grant_order();
+  std::vector<std::uint32_t> previous;  // the order the last round left
   AllocationScratch fresh_scratch;
-  AllocationScratch cached_scratch;
+  AllocationScratch warm_scratch;
   AllocationScratch driver_scratch;
   std::vector<Mbps> fresh_rates;
-  std::vector<Mbps> cached_rates;
+  std::vector<Mbps> warm_rates;
   std::vector<Mbps> driven_rates;
   Seconds now = 10.0;
   int warm_rounds = 0;
@@ -435,19 +440,22 @@ TEST_P(SchedCacheEquivalence, WarmCacheIsBitIdenticalUnderChurn) {
 
     const Mbps capacity =
         kView * static_cast<double>(active.size()) + rng.uniform(5.0, 80.0);
-    // Fresh path first, cached second: the first call may settle the
-    // urgency latch, but latch transitions are idempotent at fixed buffer
-    // state, so the second call sees the same memberships.
-    warm_rounds += !cache.grant_order.empty();
+    // Fresh path first, from a cleared order, then the warm path from the
+    // order the previous round left: the first call may settle the urgency
+    // latch, but latch transitions are idempotent at fixed buffer state, so
+    // the second call sees the same memberships.
+    previous = order;
+    warm_rounds += !previous.empty();
+    order.clear();
     scheduler.allocate(now, capacity, active, fresh_rates, fresh_scratch);
-    scheduler.allocate(now, capacity, active, cached_rates, cached_scratch,
-                       &cache);
+    order = previous;
+    scheduler.allocate(now, capacity, active, warm_rates, warm_scratch);
 
-    ASSERT_EQ(cached_rates.size(), fresh_rates.size());
+    ASSERT_EQ(warm_rates.size(), fresh_rates.size());
     for (std::size_t i = 0; i < fresh_rates.size(); ++i) {
-      ASSERT_EQ(cached_rates[i], fresh_rates[i])
+      ASSERT_EQ(warm_rates[i], fresh_rates[i])
           << driver->name() << " round " << round << " slot " << i
-          << ": cached path diverged";
+          << ": warm order diverged";
     }
 
     driver->allocate(now, capacity, active, driven_rates, driver_scratch);
@@ -455,19 +463,19 @@ TEST_P(SchedCacheEquivalence, WarmCacheIsBitIdenticalUnderChurn) {
       active[i]->set_allocation(now, driven_rates[i]);
     }
   }
-  // The comparison must not be vacuous: a warm cache seeded most passes.
+  // The comparison must not be vacuous: a warm order seeded most passes.
   EXPECT_GT(warm_rounds, 30) << driver->name();
 }
 
 // The lane a real Server keeps under churn must hold exactly the state a
 // lane built from scratch would: Server::detach's swap-with-last moves slots
 // (hot fields, write-through copies and the intermittent urgency latch) and
-// the cache remembers them, so every round the churned server allocates with
-// its warm cache while a twin server — the same requests, mirrored in
-// lock-step as separate objects — is emptied and re-attached in the churned
-// server's active order, and allocates cache-less on that fresh lane. The
-// two must agree bit for bit, and so must the driving scheduler's grants on
-// the two lanes.
+// the grant order remembers them, so every round the churned server
+// allocates from its warm order while a twin server — the same requests,
+// mirrored in lock-step as separate objects — is emptied and re-attached in
+// the churned server's active order, and allocates from a cleared order on
+// that fresh lane. The two must agree bit for bit, and so must the driving
+// scheduler's grants on the two lanes.
 TEST_P(SchedCacheEquivalence, LaneBackedCacheIsBitIdenticalUnderChurn) {
   const auto param = GetParam();
   const IntermittentScheduler scheduler;
@@ -496,10 +504,9 @@ TEST_P(SchedCacheEquivalence, LaneBackedCacheIsBitIdenticalUnderChurn) {
     twin_of[request->id()]->set_allocation(0.0, rate);
   }
 
-  SchedCache cache;
-  AllocationScratch cached_scratch;
+  AllocationScratch warm_scratch;
   AllocationScratch rebuilt_scratch;
-  std::vector<Mbps> cached_rates;
+  std::vector<Mbps> warm_rates;
   std::vector<Mbps> rebuilt_rates;
   std::vector<Mbps> driven_rates;
   std::vector<Mbps> driven_rebuilt_rates;
@@ -531,18 +538,18 @@ TEST_P(SchedCacheEquivalence, LaneBackedCacheIsBitIdenticalUnderChurn) {
 
     const Mbps capacity =
         kView * static_cast<double>(active.size()) + rng.uniform(5.0, 80.0);
-    warm_rounds += !cache.grant_order.empty();
-    scheduler.allocate(now, capacity, active, cached_rates, cached_scratch,
-                       &cache);
+    warm_rounds += !churned.lane().grant_order().empty();
+    twin.lane().grant_order().clear();
+    scheduler.allocate(now, capacity, active, warm_rates, warm_scratch);
     scheduler.allocate(now, capacity, twin.active(), rebuilt_rates,
                        rebuilt_scratch);
-    driver->allocate(now, capacity, active, driven_rates, cached_scratch);
+    driver->allocate(now, capacity, active, driven_rates, warm_scratch);
     driver->allocate(now, capacity, twin.active(), driven_rebuilt_rates,
                      rebuilt_scratch);
 
-    ASSERT_EQ(cached_rates.size(), rebuilt_rates.size());
+    ASSERT_EQ(warm_rates.size(), rebuilt_rates.size());
     for (std::size_t i = 0; i < rebuilt_rates.size(); ++i) {
-      ASSERT_EQ(cached_rates[i], rebuilt_rates[i])
+      ASSERT_EQ(warm_rates[i], rebuilt_rates[i])
           << driver->name() << " round " << round << " request "
           << active[i]->id() << ": churned lane diverged from a rebuilt one";
       ASSERT_EQ(active[i]->workahead_urgent(),
@@ -562,14 +569,15 @@ TEST_P(SchedCacheEquivalence, LaneBackedCacheIsBitIdenticalUnderChurn) {
   EXPECT_GT(warm_rounds, 30) << driver->name();
 }
 
-// The cache stores slots only, so a remembered slot may hold another
-// request by the next pass, or the remembered order may be far from the
-// current one. Either seed must sort to the cold sort's permutation: each
-// round warms a cache on the current list, then (a) reverses its order and
-// (b) rotates the active list by one slot, so every remembered slot holds a
-// different request. Both stale-cache passes must write the grant order a
-// cold cache's full sort writes, and the same rates bit for bit. The
-// scheduler always sorts, so every pass with slack reaches the seeding.
+// The lane's grant order stores slots only, and the lane leaves it alone
+// when it moves slots, so a remembered slot may hold another request by
+// the next pass, or the remembered order may be far from the current one.
+// Either seed must sort to the cold sort's permutation: each round warms
+// the order on the current list, then (a) reverses it and (b) rotates the
+// active list by one slot, so every remembered slot holds a different
+// request. Both stale-order passes must write the grant order a cleared
+// order's full sort writes, and the same rates bit for bit. The scheduler
+// always sorts, so every pass with slack reaches the seeding.
 TEST_P(SchedCacheEquivalence, StaleCacheIsBitIdenticalToColdSort) {
   const auto param = GetParam();
   const IntermittentScheduler scheduler(10.0, /*order_free_grants=*/false);
@@ -589,8 +597,9 @@ TEST_P(SchedCacheEquivalence, StaleCacheIsBitIdenticalToColdSort) {
   }
 
   AllocationScratch scratch;
-  SchedCache cache;  // warmed each round, then made stale
-  SchedCache cold;   // cleared before each pass: the full-sort path
+  std::vector<std::uint32_t>& order = fx.lane().grant_order();
+  std::vector<std::uint32_t> stale;  // warmed each round, then made stale
+  std::vector<std::uint32_t> cold;   // what the full-sort path writes
   std::vector<Mbps> cold_rates;
   std::vector<Mbps> stale_rates;
   std::vector<Mbps> driven_rates;
@@ -599,17 +608,19 @@ TEST_P(SchedCacheEquivalence, StaleCacheIsBitIdenticalToColdSort) {
   const std::vector<Request*>& active = fx.active();
   const auto allocate_both = [&](Seconds at, Mbps capacity, const char* how,
                                  int round) {
-    cold.clear();
-    scheduler.allocate(at, capacity, active, cold_rates, scratch, &cold);
-    scheduler.allocate(at, capacity, active, stale_rates, scratch, &cache);
-    EXPECT_EQ(cache.grant_order, cold.grant_order)
-        << policy->name() << " round " << round << ": " << how
-        << " cache sorted to another order";
+    stale = order;
+    order.clear();
+    scheduler.allocate(at, capacity, active, cold_rates, scratch);
+    cold = order;
+    order = stale;
+    scheduler.allocate(at, capacity, active, stale_rates, scratch);
+    EXPECT_EQ(order, cold) << policy->name() << " round " << round << ": "
+                           << how << " order sorted to another order";
     ASSERT_EQ(stale_rates.size(), cold_rates.size());
     for (std::size_t i = 0; i < cold_rates.size(); ++i) {
       ASSERT_EQ(stale_rates[i], cold_rates[i])
           << policy->name() << " round " << round << " slot " << i << ": "
-          << how << " cache diverged from a cold sort";
+          << how << " order diverged from a cold sort";
     }
   };
 
@@ -623,11 +634,11 @@ TEST_P(SchedCacheEquivalence, StaleCacheIsBitIdenticalToColdSort) {
     const Mbps capacity =
         kView * static_cast<double>(active.size()) + rng.uniform(5.0, 80.0);
 
-    cache.clear();
+    order.clear();
     allocate_both(now, capacity, "warmed", round);
-    if (cache.grant_order.size() > 1) {
+    if (order.size() > 1) {
       ++stale_rounds;
-      std::reverse(cache.grant_order.begin(), cache.grant_order.end());
+      std::reverse(order.begin(), order.end());
       allocate_both(now, capacity, "reversed", round);
 
       // Rotate: slot i now holds what slot i + 1 held.

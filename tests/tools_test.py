@@ -721,8 +721,9 @@ class DocCitationTest(unittest.TestCase):
         self.assertGreater(len(named), 0)
 
     def test_code_names_in_docs_exist(self):
-        """A BM_<Name> benchmark, FluidLane::<member> or Server::<member>
-        the docs name must still be defined: a BENCHMARK( under bench/, a
+        """A BM_<Name> benchmark, or a <Class>::<member> of FluidLane,
+        Server, VodSimulation, AdmissionController or ReplicaDirectory, the
+        docs name must still be defined: a BENCHMARK( under bench/, a
         declaration in the class's header (comments stripped). Deleted code
         cannot linger in the prose."""
         benchmarks = set()
@@ -734,9 +735,12 @@ class DocCitationTest(unittest.TestCase):
                         benchmarks.update(re.findall(r"\bBENCHMARK\((BM_\w+)",
                                                      handle.read()))
         headers = {}
-        for cls, header in (("FluidLane", "fluid_lane.h"),
-                            ("Server", "server.h")):
-            text = self.read(os.path.join("src", "vodsim", "cluster", header))
+        for cls, header in (("FluidLane", "cluster/fluid_lane.h"),
+                            ("Server", "cluster/server.h"),
+                            ("VodSimulation", "engine/vod_simulation.h"),
+                            ("AdmissionController", "admission/controller.h"),
+                            ("ReplicaDirectory", "admission/controller.h")):
+            text = self.read(os.path.join("src", "vodsim", *header.split("/")))
             headers[cls] = (header, re.sub(r"//.*", "", text))
         named = 0
         for name in ("README.md", "DESIGN.md", "EXPERIMENTS.md",
