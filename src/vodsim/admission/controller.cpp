@@ -12,9 +12,6 @@ ReplicaDirectory::ReplicaDirectory(std::size_t num_videos,
       holders_[static_cast<std::size_t>(video)].push_back(server.id());
     }
   }
-  for (const auto& list : holders_) {
-    if (list.empty()) ++orphans_;
-  }
 }
 
 void ReplicaDirectory::add_holder(VideoId video, ServerId server) {
@@ -22,7 +19,6 @@ void ReplicaDirectory::add_holder(VideoId video, ServerId server) {
   for (ServerId existing : list) {
     if (existing == server) return;
   }
-  if (list.empty() && orphans_ > 0) --orphans_;
   list.push_back(server);
   ++version_;
 }

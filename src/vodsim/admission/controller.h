@@ -38,9 +38,6 @@ class ReplicaDirectory {
   const std::vector<std::vector<ServerId>>& all() const { return holders_; }
   std::size_t num_videos() const { return holders_.size(); }
 
-  /// Videos with no replica anywhere (placement shortfall).
-  std::size_t orphan_count() const { return orphans_; }
-
   /// Registers a replica created after placement (dynamic replication).
   /// No-op if the holder is already registered.
   void add_holder(VideoId video, ServerId server);
@@ -51,7 +48,6 @@ class ReplicaDirectory {
 
  private:
   std::vector<std::vector<ServerId>> holders_;
-  std::size_t orphans_ = 0;
   std::uint64_t version_ = 0;
 };
 

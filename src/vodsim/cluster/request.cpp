@@ -47,7 +47,6 @@ void Request::pause_viewing(Seconds now) {
          "advance() before pause");
   viewing_paused_ = true;
   pause_started_ = now;
-  ++pause_count_;
   if (lane_ != nullptr) lane_->set_paused(active_index, true);
 }
 

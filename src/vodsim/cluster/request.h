@@ -72,7 +72,6 @@ class Request {
   }
   int hops() const { return hops_; }
   bool viewing_paused() const { return viewing_paused_; }
-  int pause_count() const { return pause_count_; }
 
   // --- staging-buffer view ---------------------------------------------
   // The client's staging buffer is two scalars: a fixed capacity and a
@@ -223,7 +222,6 @@ class Request {
   bool workahead_urgent_ = false;
   bool viewing_paused_ = false;
   Seconds pause_started_ = 0.0;
-  int pause_count_ = 0;
 };
 
 }  // namespace vodsim

@@ -59,7 +59,6 @@ void Server::attach(Request& request, bool enforce_capacity) {
   (void)enforce_capacity;
   lane_.append(request);
   committed_ += request.view_bandwidth();
-  ++total_attached_;
   ++terms_version_;
 }
 

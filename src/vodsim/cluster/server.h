@@ -131,9 +131,6 @@ class Server {
   /// plus the lane's fluid count (FluidLane::version).
   std::uint64_t version() const { return terms_version_ + lane_.version(); }
 
-  // --- diagnostics ------------------------------------------------------
-  std::uint64_t total_attached() const { return total_attached_; }
-
  private:
   ServerId id_;
   Mbps bandwidth_;
@@ -147,7 +144,6 @@ class Server {
   std::vector<VideoId> replicas_;
   std::vector<bool> replica_bitmap_;
   FluidLane lane_;
-  std::uint64_t total_attached_ = 0;
   std::uint64_t terms_version_ = 0;  ///< the terms count in version()
 };
 

@@ -61,7 +61,6 @@ class Topology {
   ServerId rack_end(int rack) const {
     return rack_first_[static_cast<std::size_t>(rack) + 1];
   }
-  int rack_size(int rack) const { return rack_end(rack) - rack_first(rack); }
 
   /// First server of \p zone (zones cover contiguous rack blocks, hence
   /// contiguous server blocks).

@@ -181,10 +181,6 @@ class EventQueue {
   /// and take_seq() (diagnostic).
   std::uint64_t scheduled_count() const { return scheduled_; }
 
-  /// Heap entries currently held (diagnostic). Eager removal keeps this
-  /// identical to size(); tests pin that no dead ballast accumulates.
-  std::size_t heap_entries() const { return heap_.size(); }
-
  private:
   struct HeapEntry {
     Seconds time;

@@ -211,11 +211,6 @@ double Metrics::rejection_ratio() const {
   return static_cast<double>(rejects_) / static_cast<double>(arrivals_);
 }
 
-double Metrics::acceptance_ratio() const {
-  if (arrivals_ == 0) return 0.0;
-  return static_cast<double>(accepts_) / static_cast<double>(arrivals_);
-}
-
 double Metrics::migrations_per_arrival() const {
   if (arrivals_ == 0) return 0.0;
   return static_cast<double>(migration_steps_) / static_cast<double>(arrivals_);

@@ -134,9 +134,6 @@ class Metrics {
   /// Rejected arrivals / all arrivals in the window.
   double rejection_ratio() const;
 
-  /// Accepted arrivals / all arrivals in the window.
-  double acceptance_ratio() const;
-
   /// Migration steps per arrival in the window.
   double migrations_per_arrival() const;
 

@@ -279,14 +279,10 @@ void VodSimulation::run_windows() {
         static_cast<std::size_t>(config_.shard_threads));
   }
   const Seconds horizon = config_.duration;
-  // Shard k's drain for the window ending at window_end: every pending
-  // event strictly before it.
-  const auto drain = [this](std::size_t k, Seconds window_end) {
-    Simulator& sim = contexts_[k]->sim;
-    if (sim.pending_count() > 0 && sim.peek_time() < window_end) {
-      sim.run_before(window_end);
-    }
-  };
+  // The queues of the shards with a pending event strictly before the
+  // window's end, in shard-index order; reused across windows.
+  std::vector<Simulator*> busy;
+  busy.reserve(shards);
   while (true) {
     // Conservative lookahead: every pending shard event strictly before the
     // next coordinator event is causally independent of it (shard handlers
@@ -300,29 +296,23 @@ void VodSimulation::run_windows() {
     const Seconds window_end =
         coordinator_has_work ? coord.sim.peek_time() : horizon;
 
-    std::size_t busy = 0;
-    std::size_t last_busy = 0;
+    busy.clear();
     for (std::size_t k = 1; k <= shards; ++k) {
-      const Simulator& sim = contexts_[k]->sim;
-      if (sim.pending_count() > 0 && sim.peek_time() < window_end) {
-        ++busy;
-        last_busy = k;
-      }
+      Simulator& sim = contexts_[k]->sim;
+      if (sim.pending_count() > 0 && sim.peek_time() < window_end) busy.push_back(&sim);
     }
-    if (busy == 1) {
-      // Common small-window case: skip the fan-out/join round-trip.
-      drain(last_busy, window_end);
-    } else if (busy > 1 && !shard_pool_) {
-      // The drains commute, so index order gives the pool's result.
-      for (std::size_t k = 1; k <= shards; ++k) drain(k, window_end);
-    } else if (busy > 1) {
-      // Each shard drains serially on whichever worker picks it up, and the
-      // parallel_for join gives every drain a happens-before edge to the
-      // coordinator step below — so the result is bit-identical at any
-      // thread count, and TSan-clean.
-      shard_pool_->parallel_for(shards, [&drain, window_end](std::size_t i) {
-        drain(i + 1, window_end);
+    if (busy.size() > 1 && shard_pool_) {
+      // Only the busy shards fan out. Each drains serially on whichever
+      // strand picks it up, and the parallel_for join gives every drain a
+      // happens-before edge to the coordinator step below — so the result
+      // is bit-identical at any thread count, and TSan-clean.
+      shard_pool_->parallel_for(busy.size(), [&busy, window_end](std::size_t i) {
+        busy[i]->run_before(window_end);
       });
+    } else {
+      // One busy shard skips the fork-join round-trip; with no pool the
+      // drains commute, so index order gives the pool's result.
+      for (Simulator* sim : busy) sim->run_before(window_end);
     }
     if (!coordinator_has_work) break;
     coord.sim.step();  // exactly one coupling event per window, serially

@@ -7,10 +7,7 @@
 namespace vodsim {
 
 bool RetryQueue::push(RetryEntry entry) {
-  if (entries_.size() >= config_.max_queue) {
-    ++overflow_count_;
-    return false;
-  }
+  if (entries_.size() >= config_.max_queue) return false;
   entries_.push_back(entry);
   earliest_ = std::min(earliest_, entry.next_attempt);
   return true;

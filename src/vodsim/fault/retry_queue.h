@@ -12,7 +12,6 @@
 /// the bounded queue are abandoned and counted.
 
 #include <cstddef>
-#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -43,7 +42,7 @@ class RetryQueue {
  public:
   explicit RetryQueue(const RetryConfig& config) : config_(config) {}
 
-  /// Enqueues; returns false (and counts an overflow) when full.
+  /// Enqueues; returns false when full.
   bool push(RetryEntry entry);
 
   /// Removes the entries whose next_attempt has arrived (all entries when
@@ -73,7 +72,6 @@ class RetryQueue {
 
   std::size_t size() const { return entries_.size(); }
   bool empty() const { return entries_.empty(); }
-  std::uint64_t overflow_count() const { return overflow_count_; }
   const RetryConfig& config() const { return config_; }
 
  private:
@@ -83,7 +81,6 @@ class RetryQueue {
   RetryConfig config_;
   std::vector<RetryEntry> entries_;  ///< FIFO (push order)
   Seconds earliest_ = std::numeric_limits<Seconds>::infinity();
-  std::uint64_t overflow_count_ = 0;
 };
 
 }  // namespace vodsim

@@ -6,8 +6,7 @@ namespace vodsim {
 
 ProbeSet::ProbeSet(const ProbeConfig& config, std::size_t num_servers)
     : period_(config.period),
-      next_(config.period),  // t = 0 is the empty cluster; skip it
-      fill_hist_(0.0, 1.0, 20) {
+      next_(config.period) {  // t = 0 is the empty cluster; skip it
   assert(period_ > 0.0);
   committed_.assign(num_servers, TimeWeighted());
 }
@@ -31,7 +30,6 @@ void ProbeSet::finalize(Seconds horizon, const std::vector<Server>& servers,
 
 void ProbeSet::sample(Seconds grid_time, const std::vector<Server>& servers,
                       std::size_t pending_events, std::size_t retry_depth) {
-  ++samples_;
   double total_committed = 0.0;
   double total_reserved = 0.0;
   double total_active = 0.0;
@@ -56,7 +54,6 @@ void ProbeSet::sample(Seconds grid_time, const std::vector<Server>& servers,
       const Megabits capacity = request->buffer_capacity();
       if (capacity <= 0.0) continue;
       const double fill = request->buffer_level() / capacity;
-      fill_hist_.add(fill);
       fill_sum += fill;
       ++with_buffer;
     }

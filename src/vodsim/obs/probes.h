@@ -11,16 +11,13 @@
 /// (pinned by determinism_test). Each grid instant is sampled at the first
 /// event boundary at or after it; the row keeps the grid timestamp.
 ///
-/// On top of the raw rows, the probe maintains the repo's standard stats
-/// machinery: a TimeWeighted mean of committed bandwidth per server (sampled
-/// signal) and a Histogram of per-stream staging fill fractions, so tests
-/// and reports can assert against summaries without replaying the series.
+/// On top of the raw rows, the probe keeps a TimeWeighted mean of committed
+/// bandwidth per server (sampled signal), so tests and reports can assert
+/// against a summary without replaying the series.
 
-#include <cstdint>
 #include <vector>
 
 #include "vodsim/cluster/server.h"
-#include "vodsim/stats/histogram.h"
 #include "vodsim/stats/time_weighted.h"
 #include "vodsim/util/units.h"
 
@@ -74,22 +71,14 @@ class ProbeSet {
   }
   std::size_t num_servers() const { return committed_.size(); }
 
-  /// Distribution of per-stream staging fill fractions across all samples.
-  const Histogram& fill_histogram() const { return fill_hist_; }
-
-  /// Grid instants sampled so far.
-  std::uint64_t samples() const { return samples_; }
-
  private:
   void sample(Seconds grid_time, const std::vector<Server>& servers,
               std::size_t pending_events, std::size_t retry_depth);
 
   Seconds period_;
   Seconds next_ = 0.0;
-  std::uint64_t samples_ = 0;
   std::vector<ProbeRow> rows_;
   std::vector<TimeWeighted> committed_;
-  Histogram fill_hist_;
 };
 
 }  // namespace vodsim

@@ -41,8 +41,6 @@ struct PlacementResult {
   int placed_total = 0;
   /// Copies that could not be placed due to storage exhaustion.
   int shortfall = 0;
-
-  int copies_of(VideoId video) const { return copies[static_cast<std::size_t>(video)]; }
 };
 
 class PlacementPolicy {

@@ -121,8 +121,6 @@ class ReplicationManager {
   void on_job_started();
   void on_job_finished(VideoId video);
 
-  int in_flight() const { return in_flight_; }
-
  private:
   /// Drops window-expired rejections and returns the live count for video.
   int prune_and_count(VideoId video, Seconds now);

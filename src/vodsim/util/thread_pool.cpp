@@ -1,17 +1,57 @@
 #include "vodsim/util/thread_pool.h"
 
 #include <algorithm>
-#include <atomic>
+#include <exception>
 #include <limits>
+#include <mutex>
 
 namespace vodsim {
 
 namespace {
 // Set for the lifetime of every worker thread (workers die with their
-// pool, so no unwinding needed). parallel_for consults it to decide
-// whether submitting helper drains is safe — see the header comment.
+// pool, so no unwinding needed). parallel_for consults it to run nested
+// calls caller-only — see the header comment.
 thread_local bool t_on_pool_worker = false;
 }  // namespace
+
+/// One parallel_for call: strands take chunks of indices from a shared
+/// cursor, so cursor traffic is O(strands), not O(count). Chunks keep the
+/// cursor cold for large counts while staying small enough (>= 8 grabs per
+/// strand) that uneven index durations still load-balance.
+struct ThreadPool::Job {
+  Job(const std::function<void(std::size_t)>& fn, std::size_t count,
+      std::size_t strands)
+      : fn(fn), count(count), chunk(std::max<std::size_t>(1, count / (8 * strands))) {}
+
+  void drain() {
+    for (;;) {
+      const std::size_t begin = next.fetch_add(chunk, std::memory_order_relaxed);
+      if (begin >= count) return;
+      const std::size_t end = std::min(count, begin + chunk);
+      for (std::size_t i = begin; i < end; ++i) {
+        try {
+          fn(i);
+        } catch (...) {
+          // The lowest failing index wins: a deterministic choice, unlike
+          // completion order (pinned by thread_pool_test).
+          std::lock_guard<std::mutex> lock(error_mutex);
+          if (i < error_index) {
+            error_index = i;
+            error = std::current_exception();
+          }
+        }
+      }
+    }
+  }
+
+  const std::function<void(std::size_t)>& fn;
+  const std::size_t count;
+  const std::size_t chunk;
+  std::atomic<std::size_t> next{0};
+  std::mutex error_mutex;
+  std::size_t error_index = std::numeric_limits<std::size_t>::max();
+  std::exception_ptr error;
+};
 
 bool ThreadPool::on_pool_worker() { return t_on_pool_worker; }
 
@@ -26,94 +66,50 @@ ThreadPool::ThreadPool(std::size_t num_threads) {
 }
 
 ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stopping_ = true;
-  }
-  cv_.notify_all();
+  stopping_ = true;
+  epoch_.fetch_add(1, std::memory_order_release);
+  epoch_.notify_all();
   for (auto& worker : workers_) worker.join();
-}
-
-std::future<void> ThreadPool::submit(std::function<void()> task) {
-  std::packaged_task<void()> packaged(std::move(task));
-  std::future<void> future = packaged.get_future();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    tasks_.push(std::move(packaged));
-  }
-  cv_.notify_one();
-  return future;
 }
 
 void ThreadPool::parallel_for(std::size_t count,
                               const std::function<void(std::size_t)>& fn) {
   if (count == 0) return;
-
-  // One shared atomic cursor instead of one queue node + packaged_task +
-  // future per index: each strand grabs a chunk of indices per fetch_add
-  // and runs them locally, so queue/mutex traffic is O(strands), not
-  // O(count). Chunks keep the cursor cold for large counts while staying
-  // small enough (>= 8 grabs per strand) that uneven task durations still
-  // load-balance.
-  // Nested call from a pool worker: run caller-only (strands == 1, no
-  // helper submissions). See the header for the deadlock this prevents.
-  const std::size_t strands =
-      t_on_pool_worker ? 1 : std::min(workers_.size() + 1, count);
-  const std::size_t chunk = std::max<std::size_t>(1, count / (8 * strands));
-  std::atomic<std::size_t> next{0};
-
-  // Exception policy (pinned by thread_pool_test): every index runs even
-  // when some throw, and the exception from the *lowest* failing index is
-  // rethrown — a deterministic choice, unlike completion order.
-  std::mutex error_mutex;
-  std::size_t first_error_index = std::numeric_limits<std::size_t>::max();
-  std::exception_ptr first_error;
-
-  auto drain = [&] {
-    for (;;) {
-      const std::size_t begin = next.fetch_add(chunk, std::memory_order_relaxed);
-      if (begin >= count) return;
-      const std::size_t end = std::min(count, begin + chunk);
-      for (std::size_t i = begin; i < end; ++i) {
-        try {
-          fn(i);
-        } catch (...) {
-          std::lock_guard<std::mutex> lock(error_mutex);
-          if (i < first_error_index) {
-            first_error_index = i;
-            first_error = std::current_exception();
-          }
-        }
-      }
+  // Fork only from an outside thread that wins the job slot; otherwise the
+  // calling strand drains alone (no worker is ever waited on).
+  const bool fork = count > 1 && !t_on_pool_worker &&
+                    !busy_.exchange(true, std::memory_order_acquire);
+  Job job(fn, count, fork ? std::min(workers_.size() + 1, count) : 1);
+  if (fork) {
+    job_ = &job;
+    in_job_.store(static_cast<std::uint32_t>(workers_.size()),
+                  std::memory_order_relaxed);
+    epoch_.fetch_add(1, std::memory_order_release);
+    epoch_.notify_all();
+  }
+  job.drain();
+  if (fork) {
+    // Every worker checks out of every job, so none touches `job` (or
+    // `fn`) after this wait; the acquire gives the caller a happens-before
+    // edge from every index's effects.
+    for (std::uint32_t left = in_job_.load(std::memory_order_acquire); left != 0;
+         left = in_job_.load(std::memory_order_acquire)) {
+      in_job_.wait(left, std::memory_order_acquire);
     }
-  };
-
-  // The calling thread participates: on a single-core host (or a pool busy
-  // with other submissions) the loop still makes progress, and a
-  // parallel_for issued from inside a pool task cannot deadlock waiting for
-  // workers it is itself occupying.
-  std::vector<std::future<void>> helpers;
-  helpers.reserve(strands - 1);
-  for (std::size_t s = 1; s < strands; ++s) helpers.push_back(submit(drain));
-  drain();
-  // Helper futures cannot throw (drain catches); get() is pure completion
-  // sync, so no strand outlives `fn` or the error slots.
-  for (auto& helper : helpers) helper.get();
-  if (first_error) std::rethrow_exception(first_error);
+    busy_.store(false, std::memory_order_release);
+  }
+  if (job.error) std::rethrow_exception(job.error);
 }
 
 void ThreadPool::worker_loop() {
   t_on_pool_worker = true;
-  for (;;) {
-    std::packaged_task<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      cv_.wait(lock, [this] { return stopping_ || !tasks_.empty(); });
-      if (tasks_.empty()) return;  // stopping_ and drained
-      task = std::move(tasks_.front());
-      tasks_.pop();
-    }
-    task();
+  // A job is published only after every worker checked out of the last
+  // one, so the epoch is at most one step past `seen` when a worker parks.
+  for (std::uint32_t seen = 0;; ++seen) {
+    epoch_.wait(seen, std::memory_order_acquire);
+    if (stopping_) return;
+    job_->drain();
+    if (in_job_.fetch_sub(1, std::memory_order_acq_rel) == 1) in_job_.notify_one();
   }
 }
 

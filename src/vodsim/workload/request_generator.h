@@ -42,8 +42,6 @@ class RequestGenerator final : public ArrivalSource {
 
   std::optional<Arrival> next() override;
 
-  Seconds clock() const { return clock_; }
-
  private:
   PoissonProcess process_;
   const PopularityModel& popularity_;

@@ -31,10 +31,4 @@ std::size_t ZipfDistribution::sample(Rng& rng) const {
   return static_cast<std::size_t>(std::distance(cdf_.begin(), it));
 }
 
-double ZipfDistribution::head_mass(std::size_t k) const {
-  k = std::min(k, pmf_.size());
-  if (k == 0) return 0.0;
-  return cdf_[k - 1];
-}
-
 }  // namespace vodsim

@@ -38,9 +38,6 @@ class ZipfDistribution {
   /// Samples a 0-based rank index: O(log n) via CDF binary search.
   std::size_t sample(Rng& rng) const;
 
-  /// Fraction of probability mass on the top \p k items.
-  double head_mass(std::size_t k) const;
-
  private:
   double theta_;
   std::vector<double> pmf_;

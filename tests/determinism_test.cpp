@@ -21,6 +21,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <latch>
 #include <string>
 #include <utility>
 #include <vector>
@@ -132,15 +133,19 @@ TEST(GoldenDeterminism, ShardedTrialOnPoolWorkerSpawnsNoThreads) {
   config.shard_threads = 3;
   int before = -1, during = -1;
   std::uint64_t arrivals = 0;
+  // A 2-index job whose indices meet at a latch runs one index on the
+  // caller and the other on the pool's worker; the worker runs the trial.
   ThreadPool pool(1);
-  pool.submit([&] {
-        VodSimulation simulation(config);
-        before = process_threads();
-        simulation.run();
-        during = process_threads();  // the simulation still holds any pool
-        arrivals = simulation.metrics().arrivals();
-      })
-      .get();
+  std::latch meet(2);
+  pool.parallel_for(2, [&](std::size_t) {
+    meet.arrive_and_wait();
+    if (!ThreadPool::on_pool_worker()) return;
+    VodSimulation simulation(config);
+    before = process_threads();
+    simulation.run();
+    during = process_threads();  // the simulation still holds any pool
+    arrivals = simulation.metrics().arrivals();
+  });
   ASSERT_GT(before, 0);
   EXPECT_GT(arrivals, 0u);
   EXPECT_EQ(during, before);

@@ -548,7 +548,6 @@ TEST(Metrics, RatiosFromCounts) {
   for (int i = 0; i < 2; ++i) metrics.record_rejection(10.0);
   metrics.record_migration_chain(10.0, 2);
   EXPECT_DOUBLE_EQ(metrics.rejection_ratio(), 0.25);
-  EXPECT_DOUBLE_EQ(metrics.acceptance_ratio(), 0.75);
   EXPECT_EQ(metrics.accepts_via_migration(), 3u);
   EXPECT_DOUBLE_EQ(metrics.migrations_per_arrival(), 0.25);
 }

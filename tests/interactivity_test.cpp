@@ -29,7 +29,7 @@ TEST(Interactivity, PauseStopsConsumption) {
   request.pause_viewing(10.0);
   request.advance(20.0);  // inflow 90, no drain
   EXPECT_DOUBLE_EQ(request.buffer_level(), 150.0);
-  EXPECT_EQ(request.pause_count(), 1);
+  EXPECT_TRUE(request.viewing_paused());
 }
 
 TEST(Interactivity, ResumeShiftsDeadline) {
@@ -130,7 +130,7 @@ TEST(Interactivity, DisabledMeansNoPauses) {
   simulation.run();
   EXPECT_EQ(simulation.pauses_started(), 0u);
   for (const Request& request : simulation.requests()) {
-    EXPECT_EQ(request.pause_count(), 0);
+    EXPECT_FALSE(request.viewing_paused());
   }
 }
 

@@ -466,9 +466,9 @@ TEST(Probes, GridTimestampsAndRowShape) {
   const std::size_t servers = simulation.servers().size();
   // Grid: 30, 60, ..., 300 — ten instants, (servers + 1) rows each; the
   // tail instants are filled by finalize() even if no event lands there.
-  EXPECT_EQ(probes.samples(), 10u);
-  ASSERT_EQ(probes.rows().size(), probes.samples() * (servers + 1));
+  ASSERT_EQ(probes.rows().size(), 10 * (servers + 1));
 
+  bool filled = false;
   for (std::size_t i = 0; i < probes.rows().size(); ++i) {
     const ProbeRow& row = probes.rows()[i];
     const auto block = i / (servers + 1);
@@ -483,11 +483,12 @@ TEST(Probes, GridTimestampsAndRowShape) {
     EXPECT_GE(row.active_streams, 0.0);
     EXPECT_GE(row.mean_buffer_fill, 0.0);
     EXPECT_LE(row.mean_buffer_fill, 1.0);
+    filled = filled || row.mean_buffer_fill > 0.0;
   }
 
   // The saturating scenario commits real bandwidth; summaries reflect it.
   EXPECT_GT(probes.committed(0).mean() + probes.committed(1).mean(), 0.0);
-  EXPECT_GT(probes.fill_histogram().total_count(), 0u);
+  EXPECT_TRUE(filled);  // staging buffers were sampled with data in them
 }
 
 TEST(Probes, CsvRoundTrips) {

@@ -115,8 +115,7 @@ TEST(Replication, ConcurrencyCapAndDuplicateSuppression) {
                                     world.directory));
   EXPECT_FALSE(manager.on_rejection(1, 3.0, world.catalog, world.servers,
                                     world.directory));
-  manager.on_job_finished(0);
-  EXPECT_EQ(manager.in_flight(), 0);
+  manager.on_job_finished(0);  // frees the one concurrency slot
   EXPECT_TRUE(manager.on_rejection(1, 4.0, world.catalog, world.servers,
                                    world.directory));
 }
@@ -203,7 +202,7 @@ TEST(Replication, EngineCreatesReplicasUnderSkew) {
   EXPECT_GT(metrics.replications(), 0u);
   // The hottest title gained holders beyond its placed copies.
   EXPECT_GT(simulation.directory().holders(0).size(),
-            static_cast<std::size_t>(simulation.placement_result().copies_of(0)));
+            static_cast<std::size_t>(simulation.placement_result().copies[0]));
   EXPECT_LE(metrics.utilization(), 1.0 + 1e-9);
   EXPECT_EQ(simulation.continuity_violations(), 0u);
 }

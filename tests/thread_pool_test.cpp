@@ -1,15 +1,14 @@
-// ThreadPool failure-path and lifecycle tests. The basics (tasks run,
-// indices cover the range) live in util_test.cpp; this file pins the
-// contracts experiments actually lean on: exception propagation out of
-// parallel_for picks the first failing index, a throw does not poison the
-// pool, the destructor drains every queued task, and concurrent submitters
-// cannot lose work.
+// ThreadPool failure-path and lifecycle tests. The basics (indices run,
+// cover the range) live in util_test.cpp; this file pins the contracts
+// experiments actually lean on: exception propagation out of parallel_for
+// picks the first failing index, a throw does not poison the pool, the
+// destructor joins parked workers, and concurrent callers cannot lose work.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
-#include <future>
+#include <functional>
+#include <latch>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -28,6 +27,17 @@ struct TrialError : std::runtime_error {
         index(index) {}
   std::size_t index;
 };
+
+/// Runs \p on_worker on one of the pool's workers: a 2-index job whose
+/// indices meet at a latch can finish only with one index on the caller
+/// and the other on a worker.
+void run_on_worker(ThreadPool& pool, const std::function<void()>& on_worker) {
+  std::latch meet(2);
+  pool.parallel_for(2, [&](std::size_t) {
+    meet.arrive_and_wait();
+    if (ThreadPool::on_pool_worker()) on_worker();
+  });
+}
 
 TEST(ThreadPoolErrors, ParallelForRethrowsFirstFailingIndex) {
   ThreadPool pool(4);
@@ -87,19 +97,23 @@ TEST(ThreadPoolErrors, PoolSurvivesATaskException) {
   std::atomic<int> counter{0};
   pool.parallel_for(100, [&](std::size_t) { counter.fetch_add(1); });
   EXPECT_EQ(counter.load(), 100);
-
-  auto future = pool.submit([&] { counter.fetch_add(1); });
-  future.get();
-  EXPECT_EQ(counter.load(), 101);
 }
 
-TEST(ThreadPoolErrors, SubmitFutureCarriesTaskException) {
+TEST(ThreadPoolErrors, WorkerExceptionReachesTheCaller) {
   ThreadPool pool(1);
-  auto future = pool.submit([] { throw TrialError(7); });
+  const TrialError* thrown = nullptr;
   try {
-    future.get();
-    FAIL() << "future.get() swallowed the exception";
+    run_on_worker(pool, [&] {
+      try {
+        throw TrialError(7);
+      } catch (const TrialError& error) {
+        thrown = &error;
+        throw;
+      }
+    });
+    FAIL() << "parallel_for swallowed the worker's exception";
   } catch (const TrialError& error) {
+    EXPECT_EQ(&error, thrown);  // the very object the worker threw
     EXPECT_EQ(error.index, 7u);
   }
 }
@@ -116,7 +130,11 @@ TEST(ThreadPoolNesting, NestedParallelForFromWorkerCompletesInline) {
   ThreadPool pool(2);  // fewer workers than outer tasks forces the hazard
   std::vector<std::atomic<int>> hits(kOuter * kInner);
   std::atomic<int> nested_on_worker{0};
+  // Outer indices 0 and 1 meet at a latch, so at least one of them runs on
+  // a worker however fast the caller strand drains the rest.
+  std::latch meet(2);
   pool.parallel_for(kOuter, [&](std::size_t outer) {
+    if (outer < 2) meet.arrive_and_wait();
     if (ThreadPool::on_pool_worker()) nested_on_worker.fetch_add(1);
     pool.parallel_for(kInner, [&](std::size_t inner) {
       hits[outer * kInner + inner].fetch_add(1);
@@ -155,51 +173,59 @@ TEST(ThreadPoolNesting, NestedParallelForKeepsExceptionPolicy) {
 TEST(ThreadPoolNesting, OnPoolWorkerIsFalseOnCallerThread) {
   ThreadPool pool(1);
   EXPECT_FALSE(ThreadPool::on_pool_worker());
-  auto future = pool.submit([] { EXPECT_TRUE(ThreadPool::on_pool_worker()); });
-  future.get();
+  int worker_runs = 0;
+  run_on_worker(pool, [&] {
+    EXPECT_TRUE(ThreadPool::on_pool_worker());
+    ++worker_runs;
+  });
+  EXPECT_EQ(worker_runs, 1);
   EXPECT_FALSE(ThreadPool::on_pool_worker());
 }
 
-TEST(ThreadPoolLifecycle, DestructorDrainsQueuedTasks) {
-  // Queue far more slow-ish tasks than workers, then destroy the pool
-  // immediately: shutdown must run every queued task, not abandon the queue.
+TEST(ThreadPoolLifecycle, DestructorJoinsParkedWorkers) {
+  // A pool that never ran a job: its workers may not even have parked yet.
+  { ThreadPool pool(4); }
+  // Right after a job: the workers have checked out and are parking again.
   std::atomic<int> ran{0};
   {
-    ThreadPool pool(2);
-    for (int i = 0; i < 200; ++i) {
-      pool.submit([&] {
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
-        ran.fetch_add(1);
-      });
-    }
+    ThreadPool pool(3);
+    pool.parallel_for(64, [&](std::size_t) { ran.fetch_add(1); });
   }
-  EXPECT_EQ(ran.load(), 200);
+  EXPECT_EQ(ran.load(), 64);
 }
 
-TEST(ThreadPoolLifecycle, ConcurrentSubmittersLoseNoWork) {
-  // Several threads hammer submit() while workers drain; every future must
-  // resolve and every task must run exactly once.
-  constexpr int kSubmitters = 4;
-  constexpr int kTasksEach = 250;
-  std::atomic<int> ran{0};
+TEST(ThreadPoolLifecycle, ConcurrentCallersLoseNoWork) {
+  // Several outside threads call parallel_for on one pool at once: one
+  // wins the fork, the others run caller-only. Every index of every call
+  // must run exactly once.
+  constexpr std::size_t kCallers = 4;
+  constexpr std::size_t kCount = 250;
   ThreadPool pool(3);
-
-  std::vector<std::thread> submitters;
-  std::vector<std::vector<std::future<void>>> futures(kSubmitters);
-  for (int s = 0; s < kSubmitters; ++s) {
-    submitters.emplace_back([&, s] {
-      futures[static_cast<std::size_t>(s)].reserve(kTasksEach);
-      for (int i = 0; i < kTasksEach; ++i) {
-        futures[static_cast<std::size_t>(s)].push_back(
-            pool.submit([&] { ran.fetch_add(1); }));
-      }
+  std::vector<std::atomic<int>> hits(kCallers * kCount);
+  std::latch start(kCallers);
+  std::vector<std::thread> callers;
+  for (std::size_t c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      start.arrive_and_wait();
+      pool.parallel_for(kCount, [&](std::size_t i) { hits[c * kCount + i].fetch_add(1); });
     });
   }
-  for (auto& submitter : submitters) submitter.join();
-  for (auto& batch : futures) {
-    for (auto& future : batch) future.get();
+  for (auto& caller : callers) caller.join();
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i].load(), 1) << "call " << i / kCount << " index " << i % kCount;
   }
-  EXPECT_EQ(ran.load(), kSubmitters * kTasksEach);
+}
+
+TEST(ThreadPoolLifecycle, BackToBackTinyJobsAllComplete) {
+  // Each job is published by one epoch bump; a worker that missed a wakeup,
+  // or woke twice for one epoch, would hang the join or run a stale job.
+  constexpr int kJobs = 10000;
+  ThreadPool pool(3);
+  std::atomic<long> sum{0};
+  for (int job = 0; job < kJobs; ++job) {
+    pool.parallel_for(4, [&](std::size_t i) { sum.fetch_add(static_cast<long>(i) + 1); });
+  }
+  EXPECT_EQ(sum.load(), 10L * kJobs);
 }
 
 }  // namespace

@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
 """Unit tests for tools/bench_diff.py, tools/validate_trace.py and
 tools/check_vectorized.py, the usage-error and artifact-write contracts of
-vodsim_cli, vodsim_tournament, the example programs and the fuzzer, and the
-bench and flag citations in the docs.
+vodsim_cli, vodsim_tournament, the example programs and the fuzzer, the
+bench and flag citations in the docs, and that no public member of a src/
+header exists only for tests.
 
 Run directly or via ctest (registered as `tools_py`). Stdlib only; the
 tools are exercised as subprocesses, exactly as CI invokes them, so exit
 codes and stderr contracts are part of what is tested.
 """
 
+import collections
 import json
 import os
 import re
@@ -787,6 +789,215 @@ class DocCitationTest(unittest.TestCase):
                         f"{name} cites {source}, which no tracked file is")
                     cited += 1
         self.assertGreater(cited, 0)
+
+
+# --------------------------------------------------------- test-only API
+
+PROGRAM_DIRS = ("src", "examples", "tools", "bench")
+CPP_TOKEN = re.compile(r"[A-Za-z_]\w*|::|>>|\S")
+IDENTIFIER = re.compile(r"[A-Za-z_]\w*$")
+NOT_A_MEMBER = {"using", "friend", "typedef", "static_assert", "enum",
+                "class", "struct", "union", "operator", "alignas", "decltype"}
+ANGLE = {"<": 1, ">": -1, ">>": -2}
+
+# Public members of src/ headers that only tests name, each with the test
+# that needs the hook and what it checks.
+TEST_ONLY_ALLOWLIST = {
+    "VodSimulation::pauses_started":
+        "determinism_test/interactivity_test: pauses fired, and the goldens "
+        "compare the count across runs",
+    "VodSimulation::auditor":
+        "check_test ParanoidMode.*: the auditor is attached only in paranoid "
+        "mode, and its memoized-rejection check throws on a bad memo",
+    "InvariantAuditor::events_audited":
+        "check_test ParanoidMode.GoldenPolicyMatrixPassesTheAuditor: a clean "
+        "paranoid run audited events, so the pass is not vacuous",
+    "InvariantAuditor::checks_run":
+        "check_test ParanoidMode.GoldenPolicyMatrixPassesTheAuditor: a clean "
+        "paranoid run ran more checks than it audited events",
+    "VodSimulation::shard_of_server":
+        "determinism_test run_traced: every predicted event is tagged with "
+        "the shard that owns its server",
+    "EventQueue::scheduled_count":
+        "des_test EventQueue.*: schedule, reschedule and take_seq each take "
+        "one seq, and keyed scheduling and rekey take none",
+    "TimeWeighted::observed":
+        "stats_test TimeWeighted.*: the window-clipped duration mean() "
+        "divides by",
+    "Accumulator::merge":
+        "stats_test Accumulator.Merge*: the pooled mean/variance merge "
+        "matches one sequential pass",
+    "Histogram::bin":
+        "stats_test Histogram.*: binning and edges; no program builds a "
+        "Histogram (ROADMAP 16 keeps its deletion open)",
+    "Histogram::quantile":
+        "stats_test Histogram.*: quantiles from bin midpoints; no program "
+        "builds a Histogram (ROADMAP 16 keeps its deletion open)",
+    "Histogram::total_count":
+        "stats_test Histogram.*: weighted and out-of-range adds count; no "
+        "program builds a Histogram (ROADMAP 16 keeps its deletion open)",
+}
+
+
+def cpp_tokens(text):
+    """C++ tokens with comments, literals, attributes and preprocessor
+    lines removed."""
+    text = re.sub(r'//[^\n]*|/\*.*?\*/|"(?:\\.|[^"\\\n])*"|'
+                  r"'(?:\\.|[^'\\\n])*'|\[\[.*?\]\]|^\s*#[^\n]*",
+                  " ", text, flags=re.DOTALL | re.MULTILINE)
+    return CPP_TOKEN.findall(text)
+
+
+def declared_index(tokens, statement, owner):
+    """Index of the member a class-scope statement (token indices, ending
+    at its `;` or `{`) declares: the name before the first top-level `(`,
+    `=`, `{`, `[`, `:` or `;`. None for constructors, destructors,
+    operators, nested types, using and friend declarations."""
+    if statement and tokens[statement[0]] == "template":
+        depth = 0
+        for at, index in enumerate(statement):
+            depth += ANGLE.get(tokens[index], 0)
+            if at > 0 and depth <= 0:
+                break
+        statement = statement[at + 1:]
+    if not statement or tokens[statement[0]] in NOT_A_MEMBER:
+        return None
+    depth = 0
+    for at, index in enumerate(statement):
+        tok = tokens[index]
+        depth += ANGLE.get(tok, 0)
+        if depth > 0 or tok not in ("(", "=", "{", "[", ":", ";"):
+            continue
+        if at == 0:
+            return None
+        name = tokens[statement[at - 1]]
+        before = tokens[statement[at - 2]] if at >= 2 else ""
+        if (not IDENTIFIER.match(name) or name == owner or name in NOT_A_MEMBER
+                or before in ("~", "operator")):
+            return None
+        return statement[at - 1]
+    return None
+
+
+def scan_cpp(text, definitions, uses, members):
+    """Counts one file's identifiers: a name a class-scope statement
+    declares is neither a definition nor a use; `Qual::name` at namespace
+    scope is a candidate out-of-line definition; everything else is a use.
+    Appends (class, member) for each public member of a public class."""
+    tokens = cpp_tokens(text)
+    # Frames: [kind ("ns", "class", "block"), class name, class reachable
+    # from outside, in a public section, current statement's tokens].
+    frames = [["ns", None, True, True, []]]
+    i = 0
+    while i < len(tokens):
+        tok = tokens[i]
+        frame = frames[-1]
+        kind = frame[0]
+        if tok in ("class", "struct", "union") and (i == 0 or tokens[i - 1] != "enum"):
+            k = i + 2 if i + 1 < len(tokens) and IDENTIFIER.match(tokens[i + 1]) else len(tokens)
+            if k < len(tokens) and tokens[k] == "final":
+                k += 1
+            if k < len(tokens) and tokens[k] in ("{", ":"):
+                while tokens[k] != "{":
+                    k += 1
+                reachable = (frame[2] and frame[3]) if kind == "class" else kind == "ns"
+                frames.append(["class", tokens[i + 1], reachable, tok != "class", []])
+                i = k + 1
+                continue
+        if kind == "class":
+            if tok in ("public", "private", "protected") and tokens[i + 1] == ":":
+                frame[3] = tok == "public"
+                frame[4] = []
+                i += 2
+                continue
+            if tok not in ("{", ";", "}"):
+                frame[4].append(i)
+                i += 1
+                continue
+            if tok != "}":
+                index = declared_index(tokens, frame[4] + [i], frame[1])
+                if index is not None and frame[2] and frame[3]:
+                    members.append((frame[1], tokens[index]))
+                for other in frame[4]:
+                    if other != index and IDENTIFIER.match(tokens[other]):
+                        uses[tokens[other]] += 1
+                frame[4] = []
+        if tok == "{":
+            opens_namespace = "namespace" in tokens[max(0, i - 2):i]
+            frames.append(["ns" if kind == "ns" and opens_namespace else "block",
+                           None, False, False, []])
+        elif tok == "}":
+            if len(frames) > 1:
+                frames.pop()
+        elif IDENTIFIER.match(tok):
+            if (kind == "ns" and i >= 2 and tokens[i - 1] == "::" and
+                    IDENTIFIER.match(tokens[i - 2])):
+                definitions[(tokens[i - 2], tok)] += 1
+            else:
+                uses[tok] += 1
+        i += 1
+
+
+def test_only_members(root, edits=None):
+    """`Class::member` for each public member of a src/ header whose name
+    appears in no src/, examples/, tools/ or bench/ C++ file apart from its
+    declaration and its out-of-line definition. \p edits maps a path
+    relative to \p root to text that replaces the file's."""
+    edits = edits or {}
+    definitions, uses = collections.Counter(), collections.Counter()
+    members = []
+    for top in PROGRAM_DIRS:
+        for directory, _, files in sorted(os.walk(os.path.join(root, top))):
+            for name in sorted(files):
+                if not name.endswith((".h", ".cpp")):
+                    continue
+                path = os.path.join(directory, name)
+                relative = os.path.relpath(path, root)
+                if relative in edits:
+                    text = edits[relative]
+                else:
+                    with open(path, encoding="utf-8", errors="replace") as handle:
+                        text = handle.read()
+                found = []
+                scan_cpp(text, definitions, uses, found)
+                if top == "src" and name.endswith(".h"):
+                    members.extend(found)
+    owners = collections.defaultdict(set)
+    for owner, name in members:
+        owners[name].add(owner)
+    unused = set()
+    for owner, name in members:
+        # A qualifier that does not declare the name makes it a use.
+        qualified_uses = sum(count for (qualifier, member), count in definitions.items()
+                             if member == name and qualifier not in owners[name])
+        if uses[name] + qualified_uses == 0:
+            unused.add(f"{owner}::{name}")
+    return unused
+
+
+class TestOnlyApiTest(unittest.TestCase):
+    """No public member of a src/ header exists only for tests, apart from
+    the allowlisted hooks."""
+
+    def test_no_src_member_is_test_only(self):
+        found = test_only_members(REPO_DIR)
+        self.assertEqual(sorted(found - TEST_ONLY_ALLOWLIST.keys()), [],
+                         "src/ members that only tests name")
+        self.assertEqual(sorted(TEST_ONLY_ALLOWLIST.keys() - found), [],
+                         "allowlisted members a program now names, or gone")
+
+    def test_a_scratch_accessor_fails_the_check(self):
+        relative = os.path.join("src", "vodsim", "cluster", "topology.h")
+        with open(os.path.join(REPO_DIR, relative), encoding="utf-8") as handle:
+            text = handle.read()
+        anchor = "  bool enabled() const"
+        self.assertIn(anchor, text)
+        doctored = text.replace(
+            anchor, "  int scratch_accessor() const { return 0; }\n" + anchor, 1)
+        found = test_only_members(REPO_DIR, {relative: doctored})
+        self.assertIn("Topology::scratch_accessor", found)
+        self.assertEqual(found - {"Topology::scratch_accessor"},
+                         test_only_members(REPO_DIR))
 
 
 if __name__ == "__main__":

@@ -68,7 +68,7 @@ TEST(TopologyMapping, BlockFormulaIsContiguousAndNearEven) {
   int min_size = 8, max_size = 0;
   for (int r = 0; r < 3; ++r) {
     EXPECT_EQ(topology.rack_first(r), covered);
-    const int size = topology.rack_size(r);
+    const int size = topology.rack_end(r) - topology.rack_first(r);
     EXPECT_GT(size, 0);
     min_size = std::min(min_size, size);
     max_size = std::max(max_size, size);
@@ -106,7 +106,7 @@ TEST(TopologyMapping, OneRackPerServerIsIdentity) {
   for (ServerId s = 0; s < 5; ++s) {
     EXPECT_EQ(topology.rack_of(s), s);
     EXPECT_EQ(topology.zone_of(s), s);
-    EXPECT_EQ(topology.rack_size(s), 1);
+    EXPECT_EQ(topology.rack_end(s) - topology.rack_first(s), 1);
   }
 }
 
@@ -150,7 +150,7 @@ TEST(DomainSchedule, RackOutageTakesWholeRacksDownTogether) {
   }
   for (const auto& [key, servers] : cohorts) {
     const int rack = topology.rack_of(*servers.begin());
-    EXPECT_EQ(static_cast<int>(servers.size()), topology.rack_size(rack))
+    EXPECT_EQ(static_cast<int>(servers.size()), topology.rack_end(rack) - topology.rack_first(rack))
         << "cohort at t=" << key.first << " is not a whole rack";
     for (ServerId s : servers) EXPECT_EQ(topology.rack_of(s), rack);
   }
@@ -224,7 +224,7 @@ TEST(DomainSchedule, PartitionsPairBeginEndPerRack) {
   }
   for (const auto& [time, servers] : begins) {
     const int rack = topology.rack_of(*servers.begin());
-    EXPECT_EQ(static_cast<int>(servers.size()), topology.rack_size(rack));
+    EXPECT_EQ(static_cast<int>(servers.size()), topology.rack_end(rack) - topology.rack_first(rack));
   }
 }
 
@@ -401,13 +401,13 @@ TEST(DomainSpread, MultiCopyTitlesNeverConcentrateInOneRack) {
 
   EXPECT_EQ(result.shortfall, 0);
   for (VideoId v = 0; v < 10; ++v) {
-    if (result.copies_of(v) < 2) continue;
+    if (result.copies[static_cast<std::size_t>(v)] < 2) continue;
     std::set<int> racks;
     for (const Server& server : servers) {
       if (server.holds(v)) racks.insert(topology.rack_of(server.id()));
     }
     EXPECT_GE(racks.size(), 2u)
-        << "video " << v << " has " << result.copies_of(v)
+        << "video " << v << " has " << result.copies[static_cast<std::size_t>(v)]
         << " copies all in one rack";
   }
 }
@@ -426,9 +426,9 @@ TEST(DomainSpread, UsesEvenCopyCounts) {
 
   int total = 0, min_copies = 1 << 30, max_copies = 0;
   for (VideoId v = 0; v < 9; ++v) {
-    total += result.copies_of(v);
-    min_copies = std::min(min_copies, result.copies_of(v));
-    max_copies = std::max(max_copies, result.copies_of(v));
+    total += result.copies[static_cast<std::size_t>(v)];
+    min_copies = std::min(min_copies, result.copies[static_cast<std::size_t>(v)]);
+    max_copies = std::max(max_copies, result.copies[static_cast<std::size_t>(v)]);
   }
   EXPECT_EQ(total, placement_detail::copy_budget(9, 2.5));
   EXPECT_LE(max_copies - min_copies, 1);

@@ -412,12 +412,6 @@ TEST(ThreadPool, IndicesCoverRange) {
   for (auto& hit : hits) EXPECT_EQ(hit.load(), 1);
 }
 
-TEST(ThreadPool, SubmitFuture) {
-  ThreadPool pool(1);
-  auto future = pool.submit([] {});
-  future.get();  // completes without throwing
-}
-
 TEST(StableVector, AddressesSurviveGrowth) {
   // The engine captures Request& in pending event callbacks, so elements
   // must never relocate — across as many chunk boundaries as we care to
