@@ -639,14 +639,14 @@ void BM_RetryBatchDecide(benchmark::State& state) {
   Rng draw(7);
   std::vector<VideoId> batch(256);
   for (VideoId& video : batch) video = static_cast<VideoId>(zipf.sample(draw));
-  Rng rng(1);
+  Rng unused(1);
   auto run_batch = [&] {
     std::size_t accepted = 0;
     for (const VideoId video : batch) {
       const Mbps rate = cluster.catalog[video].view_bandwidth;
       accepted +=
-          (one_version ? controller.decide_shared(0.0, video, rate, cluster.servers, rng)
-                       : controller.decide(0.0, video, rate, cluster.servers, rng))
+          (one_version ? controller.decide_shared(0.0, video, rate, cluster.servers)
+                       : controller.decide(0.0, video, rate, cluster.servers, unused))
               .accepted;
     }
     return accepted;

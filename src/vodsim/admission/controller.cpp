@@ -37,7 +37,7 @@ bool AdmissionController::feasible(const Server& server,
   // the server's lane, whose slot order is active order, so the sum is the
   // per-request scan's bit for bit.
   const Mbps need = server.lane().add_near_term_need(
-      view_bandwidth + server.reserved_bandwidth(), config_.buffer_aware_horizon);
+      view_bandwidth + server.reserved_bandwidth(), kNearTermHorizon);
   return need <= server.effective_bandwidth() + 1e-9;
 }
 
@@ -50,7 +50,7 @@ std::uint64_t AdmissionController::cluster_version(
 
 AdmissionDecision AdmissionController::decide_impl(
     Seconds now, VideoId video, Mbps view_bandwidth,
-    const std::vector<Server>& servers, Rng& rng, bool shared) const {
+    const std::vector<Server>& servers, bool shared) const {
   AdmissionDecision decision;
   const auto index = static_cast<std::size_t>(video);
   const bool trace_search = trace_ != nullptr && trace_->wants(kTraceMigration) &&
@@ -77,17 +77,21 @@ AdmissionDecision AdmissionController::decide_impl(
     }
   }
 
-  // Step 1: direct assignment to a feasible replica holder.
-  std::vector<ServerId>& candidates = candidates_scratch_;
-  candidates.clear();
+  // Step 1: direct assignment to the least-loaded feasible replica holder,
+  // lowest id on ties.
+  std::size_t best_load = 0;
   for (ServerId holder : directory_.holders(video)) {
-    if (feasible(servers[static_cast<std::size_t>(holder)], view_bandwidth)) {
-      candidates.push_back(holder);
+    const Server& server = servers[static_cast<std::size_t>(holder)];
+    if (!feasible(server, view_bandwidth)) continue;
+    const std::size_t load = server.active_count();
+    if (decision.server == kNoServer || load < best_load ||
+        (load == best_load && holder < decision.server)) {
+      decision.server = holder;
+      best_load = load;
     }
   }
-  if (!candidates.empty()) {
+  if (decision.server != kNoServer) {
     decision.accepted = true;
-    decision.server = pick_server(config_.assignment, candidates, servers, rng);
     return decision;
   }
 

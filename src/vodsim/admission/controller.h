@@ -17,11 +17,11 @@
 #include <cstdint>
 #include <vector>
 
-#include "vodsim/admission/assignment.h"
 #include "vodsim/admission/migration.h"
 #include "vodsim/cluster/server.h"
 #include "vodsim/cluster/video.h"
 #include "vodsim/obs/trace.h"
+#include "vodsim/util/rng.h"
 
 namespace vodsim {
 
@@ -52,18 +52,17 @@ class ReplicaDirectory {
 };
 
 struct AdmissionConfig {
-  AssignmentKind assignment = AssignmentKind::kLeastLoaded;
   MigrationConfig migration;
 
   /// Buffer-aware admission (intermittent-transmission extension): a server
   /// is considered feasible when the streams that will actually need flow
-  /// soon — those whose staged data covers less than `buffer_aware_horizon`
-  /// seconds of playback — fit in the link, ignoring streams coasting on
-  /// fat buffers. More aggressive than the paper's minimum-flow rule; may
-  /// over-commit and cause continuity violations in a drain crunch (the
-  /// engine counts them). Requires SchedulerKind::kIntermittent.
+  /// soon — those whose staged data covers less than
+  /// AdmissionController::kNearTermHorizon seconds of playback — fit in the
+  /// link, ignoring streams coasting on fat buffers. More aggressive than
+  /// the paper's minimum-flow rule; may over-commit and cause continuity
+  /// violations in a drain crunch (the engine counts them). Requires
+  /// SchedulerKind::kIntermittent.
   bool buffer_aware = false;
-  Seconds buffer_aware_horizon = 30.0;
 };
 
 /// The controller's verdict for one arrival.
@@ -85,19 +84,27 @@ struct AdmissionDecision {
 
 class AdmissionController {
  public:
+  /// Buffer-aware admission ignores streams whose staged data covers more
+  /// than this much playback.
+  static constexpr Seconds kNearTermHorizon = 30.0;
+
   /// \param directory must outlive the controller.
   AdmissionController(AdmissionConfig config, const ReplicaDirectory& directory);
 
   /// Decides the fate of an arrival for \p video at \p view_bandwidth, at
   /// simulation time \p now (used only for trace attribution — the decision
   /// itself is time-invariant). Does not mutate any server; the engine
-  /// applies the decision. Runs on every arrival, so its working buffers
-  /// are reused across calls (the mutable scratch below) — a controller is
-  /// not safe to share across threads. This decision shares nothing with
-  /// any other call (kFreshSearch).
+  /// applies the decision. A direct assignment goes to the feasible holder
+  /// with the fewest active streams, lowest id on ties (the paper's
+  /// least-loaded rule). Runs on every arrival, so its working buffers are
+  /// reused across calls (the mutable scratch below) — a controller is not
+  /// safe to share across threads. This decision shares nothing with any
+  /// other call (kFreshSearch). No decision draws a random number: the
+  /// unnamed Rng& stays only because the bench suite's replay calls this
+  /// signature.
   AdmissionDecision decide(Seconds now, VideoId video, Mbps view_bandwidth,
-                           const std::vector<Server>& servers, Rng& rng) const {
-    return decide_impl(now, video, view_bandwidth, servers, rng, /*shared=*/false);
+                           const std::vector<Server>& servers, Rng& /*unused*/) const {
+    return decide_impl(now, video, view_bandwidth, servers, /*shared=*/false);
   }
 
   /// decide, sharing the controller's memo with every other shared
@@ -105,13 +112,12 @@ class AdmissionController {
   /// same cluster for every call. They share the search's last-level walks,
   /// and a rejection of (video, rate) is remembered for the rest of the
   /// version: a repeat is served from the memo, tracing the stored search
-  /// node count. Exact because a rejected decide changes no server and
-  /// draws no random number. The version is derived only to read or write
-  /// a memo (a lookup for a title with an entry, a search, a rejection).
+  /// node count. Exact because a rejected decide changes no server. The
+  /// version is derived only to read or write a memo (a lookup for a title
+  /// with an entry, a search, a rejection).
   AdmissionDecision decide_shared(Seconds now, VideoId video, Mbps view_bandwidth,
-                                  const std::vector<Server>& servers,
-                                  Rng& rng) const {
-    return decide_impl(now, video, view_bandwidth, servers, rng, /*shared=*/true);
+                                  const std::vector<Server>& servers) const {
+    return decide_impl(now, video, view_bandwidth, servers, /*shared=*/true);
   }
 
   /// The cluster version (admission/migration.h): 1 + the directory's
@@ -131,15 +137,13 @@ class AdmissionController {
 
  private:
   AdmissionDecision decide_impl(Seconds now, VideoId video, Mbps view_bandwidth,
-                                const std::vector<Server>& servers, Rng& rng,
-                                bool shared) const;
+                                const std::vector<Server>& servers, bool shared) const;
 
   AdmissionConfig config_;
   const ReplicaDirectory& directory_;
   TraceRecorder* trace_ = nullptr;
   /// Reused across decide() calls; after warmup the admission hot path
   /// performs no heap allocations.
-  mutable std::vector<ServerId> candidates_scratch_;
   mutable MigrationSearchScratch search_scratch_;
 
   /// The last rejection of a video: at which version, at which rate, and

@@ -63,8 +63,8 @@ bool hypothetically_admits(const SearchContext& ctx, ServerId server, Mbps rate)
 
 /// The eligible victims on \p server in the strategy's order, as active
 /// slots. A victim is eligible when it has hops left and, with a switch
-/// latency, staged data covering the pause (level / view rate, the
-/// Request::buffer_cover quotient). Every active request is streaming
+/// latency, staged data covering the pause (level / view rate, in seconds
+/// of playback). Every active request is streaming
 /// (Server::attach asserts it), so the state needs no test. One branch-free
 /// compaction over the lane's traits and fluid state; victims the plan
 /// already holds are struck only when one sits on this server, which takes

@@ -86,11 +86,6 @@ SimulationConfig random_scenario(Rng& rng) {
     config.placement.kind = PlacementKind::kDomainSpread;
   }
 
-  constexpr AssignmentKind kAssignments[] = {
-      AssignmentKind::kLeastLoaded, AssignmentKind::kRandom,
-      AssignmentKind::kFirstFit, AssignmentKind::kMostLoaded};
-  config.admission.assignment = kAssignments[rng.uniform_int(4)];
-
   if (rng.uniform() < 0.6) {
     config.admission.migration.enabled = true;
     config.admission.migration.max_chain_length =
@@ -190,7 +185,6 @@ SimulationConfig random_scenario(Rng& rng) {
     config.replication.window = rng.uniform(60.0, 600.0);
     config.replication.transfer_bandwidth = rng.uniform(4.0, 12.0);
     config.replication.max_concurrent = 1 + static_cast<int>(rng.uniform_int(2));
-    config.replication.allow_tertiary_source = rng.uniform() < 0.5;
   }
   if (rng.uniform() < 0.25) {
     config.drift.enabled = true;
@@ -831,10 +825,7 @@ SimulationConfig shrink_scenario(SimulationConfig config) {
         c.system.bandwidth_profile.clear();
         c.system.storage_profile.clear();
       },
-      [](SimulationConfig& c) {
-        c.placement.kind = PlacementKind::kEven;
-        c.admission.assignment = AssignmentKind::kLeastLoaded;
-      },
+      [](SimulationConfig& c) { c.placement.kind = PlacementKind::kEven; },
       [](SimulationConfig& c) {
         c.admission.migration.victim = VictimStrategy::kFirstFit;
       },

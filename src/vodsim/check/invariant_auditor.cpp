@@ -230,12 +230,11 @@ void InvariantAuditor::check_memoized_rejection(
     VideoId video, Mbps view_bandwidth, const AdmissionDecision& memoized) const {
   ++checks_run_;
   // A controller of its own shares no memo with the engine's, and carries
-  // no trace recorder. A rejection draws no random number; a fresh
-  // acceptance fails the check whatever it draws.
+  // no trace recorder.
   const AdmissionController fresh(sim_.controller().config(), sim_.directory());
-  Rng rng(0);
+  Rng unused(0);
   const AdmissionDecision decision =
-      fresh.decide(0.0, video, view_bandwidth, sim_.servers(), rng);
+      fresh.decide(0.0, video, view_bandwidth, sim_.servers(), unused);
   if (decision.accepted || decision.search_nodes != memoized.search_nodes) {
     std::ostringstream d;
     d << "video " << video << " at " << view_bandwidth << " Mb/s: memo rejects after "

@@ -42,7 +42,6 @@ class Oracle {
         trace_(trace),
         step_(max_step > 0.0 ? max_step : 1.0),
         duration_(config.duration),
-        rng_(SeedPlan::derive(config.seed).decision),
         metrics_(config.warmup, config.duration, config.system.total_bandwidth()) {
     // Borrow the engine's own world construction instead of re-deriving it:
     // a throwaway VodSimulation builds catalog, placement, replica
@@ -254,9 +253,10 @@ class Oracle {
   void handle_arrival(const Arrival& arrival) {
     metrics_.record_arrival(now_);
     const Video& video = catalog_[arrival.video];
+    Rng unused(0);
     const AdmissionDecision decision =
         controller_->decide(now_, arrival.video, video.view_bandwidth, servers_,
-                            rng_);
+                            unused);
 
     requests_.emplace_back(next_request_id_++, video, now_, profile_);
     preds_.emplace_back();
@@ -541,7 +541,6 @@ class Oracle {
   const RequestTrace& trace_;
   Seconds step_;
   Seconds duration_;
-  Rng rng_;
   Metrics metrics_;
 
   VideoCatalog catalog_;

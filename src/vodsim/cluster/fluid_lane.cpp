@@ -490,7 +490,8 @@ Mbps FluidLane::add_near_term_need(Mbps need, Seconds horizon) const {
   for (std::size_t i = 0; i < n; ++i) {
     // Branch-free: a coasting slot adds +0.0, which leaves the running sum's
     // bits unchanged (it starts positive, so it is never -0.0) — the same
-    // result as skipping the slot. Cover is Request::buffer_cover.
+    // result as skipping the slot. Cover is the seconds of playback the
+    // staged data holds: level / view rate.
     const bool near = buffer_level_[i] / view_bandwidth_[i] < horizon;
     need += near ? view_bandwidth_[i] : 0.0;
   }

@@ -462,7 +462,8 @@ class FluidLane {
 
   /// The per-slot inputs of the intermittent scheduler's passes, in one
   /// vectorized pass: drain[i] = Request::drain_rate(now), cover[i] =
-  /// Request::buffer_cover(), and cap[i] = min(receive_bandwidth,
+  /// buffer_level / view_bandwidth (seconds of staged playback), and
+  /// cap[i] = min(receive_bandwidth,
   /// drain + buffer_headroom / \p absorption_horizon), the most the client
   /// can usefully absorb. Each value is the scalar formula's bit for bit
   /// (the kernel spells out the argument). All three outputs are resized to

@@ -50,7 +50,6 @@ class Request {
   Seconds playback_end() const { return playback_end_; }
   Mbps view_bandwidth() const { return view_bandwidth_; }
   Mbps receive_bandwidth() const { return receive_bandwidth_; }
-  Megabits total_size() const { return total_size_; }
 
   // --- dynamic state --------------------------------------------------
   // While attached to a server, the fluid fields (remaining data, staging
@@ -92,9 +91,6 @@ class Request {
     const Megabits level = buffer_level();
     return buffer_capacity_ > level ? buffer_capacity_ - level : 0.0;
   }
-
-  /// Seconds of playback the staged data covers at this request's view rate.
-  Seconds buffer_cover() const { return buffer_level() / view_bandwidth_; }
 
   /// Rate at which the client consumes data right now (0 while paused or
   /// after the video ends).

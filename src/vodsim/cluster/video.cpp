@@ -5,15 +5,12 @@
 namespace vodsim {
 
 VideoCatalog::VideoCatalog(std::vector<Video> videos) : videos_(std::move(videos)) {
-  double total_duration = 0.0;
   double total_size = 0.0;
   for (std::size_t i = 0; i < videos_.size(); ++i) {
     assert(videos_[i].id == static_cast<VideoId>(i) && "catalog ids must be dense");
-    total_duration += videos_[i].duration;
     total_size += videos_[i].size();
   }
   if (!videos_.empty()) {
-    mean_duration_ = total_duration / static_cast<double>(videos_.size());
     mean_size_ = total_size / static_cast<double>(videos_.size());
   }
 }

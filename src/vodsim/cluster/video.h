@@ -34,15 +34,11 @@ class VideoCatalog {
   const Video& operator[](VideoId id) const { return videos_[static_cast<std::size_t>(id)]; }
   const std::vector<Video>& videos() const { return videos_; }
 
-  /// Mean object duration across the catalog (seconds).
-  Seconds mean_duration() const { return mean_duration_; }
-
   /// Mean object size across the catalog (megabits).
   Megabits mean_size() const { return mean_size_; }
 
  private:
   std::vector<Video> videos_;
-  Seconds mean_duration_ = 0.0;
   Megabits mean_size_ = 0.0;
 };
 

@@ -17,7 +17,9 @@ SeedPlan SeedPlan::derive(std::uint64_t master_seed) {
   plan.catalog = master.fork_seed();
   plan.placement = master.fork_seed();
   plan.arrival = master.fork_seed();
-  plan.decision = master.fork_seed();
+  // The retired decision stream's draw: skipping it would move every later
+  // seed, and with it every golden.
+  master.fork_seed();
   plan.failure = master.fork_seed();
   plan.interactivity = master.fork_seed();
   return plan;

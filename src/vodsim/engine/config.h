@@ -242,7 +242,7 @@ struct SimulationConfig {
 
   /// Shard count for the parallel sharded engine (DESIGN.md §12). The
   /// engine runs on execution contexts, each an event queue with its own
-  /// Metrics, scheduler instance, trace recorder and scratch arenas; the
+  /// Metrics, trace recorder and scratch arenas (sharing one scheduler); the
   /// coordinator context executes every coupling event (arrivals,
   /// admission, migration, replication, faults, retry, pause/resume,
   /// playback end) serially in global time order. 1 (the default) is the
@@ -312,7 +312,6 @@ struct SeedPlan {
   std::uint64_t catalog = 0;
   std::uint64_t placement = 0;
   std::uint64_t arrival = 0;
-  std::uint64_t decision = 0;
   std::uint64_t failure = 0;
   std::uint64_t interactivity = 0;
 

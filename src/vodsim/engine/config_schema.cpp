@@ -153,8 +153,6 @@ constexpr ConfigField kFields[] = {
     row(FIELD(placement.kind), kAny, nullptr, flag("placement", "even", "placement")),
     row(FIELD(placement.partial_head_fraction), FieldRange{0.0, 1.0, true, false}),
     row(FIELD(placement.partial_tail_shift), FieldRange{0.0, 1.0, false, true}),
-    row(FIELD(admission.assignment), kAny, nullptr,
-        flag("assignment", "least-loaded", "server choice")),
     row(FIELD(admission.migration.enabled), kAny, nullptr,
         flag("migration", "true", "dynamic request migration on/off")),
     row(FIELD(admission.migration.max_chain_length), at_least(0), nullptr,
@@ -169,7 +167,6 @@ constexpr ConfigField kFields[] = {
     row(FIELD(admission.buffer_aware), kAny, nullptr,
         flag("buffer-aware", "false",
              "aggressive admission (needs --scheduler intermittent)")),
-    row(FIELD(admission.buffer_aware_horizon), kPositive),
     row(FIELD(scheduler), kAny, nullptr, flag("scheduler", "eftf", "scheduler")),
     row(FIELD(intermittent_safety_cover), kNonNegative),
     // Faults. A "0 = off" flag switches on its gate and the gates above it.
@@ -255,8 +252,6 @@ constexpr ConfigField kFields[] = {
     row(FIELD(replication.window), kPositive, "replication.enabled"),
     row(FIELD(replication.transfer_bandwidth), kPositive, "replication.enabled"),
     row(FIELD(replication.max_concurrent), at_least(1), "replication.enabled"),
-    row(FIELD(replication.max_total)),
-    row(FIELD(replication.allow_tertiary_source)),
     row(FIELD(interactivity.enabled)),
     row(FIELD(interactivity.pauses_per_hour), kPositive, "interactivity.enabled",
         flag("pauses-per-hour", "0", "viewer pause rate (0 = off)", kNone, kOff)),

@@ -64,15 +64,7 @@ void Metrics::record_replication(Seconds t0, Seconds t1, Mbps rate) {
   ++replications_;
 }
 
-void Metrics::record_server_down(Seconds t) {
-  // Infrastructure events, like replications: counted regardless of the
-  // window (a warmup crash shapes the measured window's whole trajectory).
-  (void)t;
-  ++server_downs_;
-}
-
-void Metrics::record_server_recovery(Seconds t, Seconds downtime) {
-  (void)t;
+void Metrics::record_server_recovery(Seconds downtime) {
   ++server_recoveries_;
   recovery_time_.add(downtime);
 }
@@ -112,8 +104,7 @@ void Metrics::record_capacity_loss(Seconds t0, Seconds t1, Mbps lost_mbps,
   }
 }
 
-void Metrics::record_shed(Seconds t, bool migrated) {
-  (void)t;
+void Metrics::record_shed(bool migrated) {
   ++sheds_;
   if (migrated) ++sheds_migrated_;
 }
@@ -141,13 +132,7 @@ void Metrics::record_glitch_seconds(Seconds t, Seconds seconds, ServerId server)
   }
 }
 
-void Metrics::record_partition_begin(Seconds t) {
-  (void)t;
-  ++partitions_;
-}
-
-void Metrics::record_partition_heal(Seconds t, Seconds duration) {
-  (void)t;
+void Metrics::record_partition_heal(Seconds duration) {
   ++partition_heals_;
   partition_time_.add(duration);
 }
@@ -170,26 +155,6 @@ void Metrics::merge_shard(const Metrics& shard) {
        ++z) {
     zone_glitch_seconds_[z] += shard.zone_glitch_seconds_[z];
   }
-}
-
-void Metrics::record_retry_enqueued(Seconds t) {
-  (void)t;
-  ++retry_enqueued_;
-}
-
-void Metrics::record_readmission(Seconds t) {
-  (void)t;
-  ++readmissions_;
-}
-
-void Metrics::record_retry_abandoned(Seconds t) {
-  (void)t;
-  ++retry_abandoned_;
-}
-
-void Metrics::record_repair(Seconds t) {
-  (void)t;
-  ++repairs_;
 }
 
 void Metrics::set_bounds(double utilization_upper, double rejection_lower) {

@@ -55,11 +55,14 @@ class Metrics {
   void record_replication(Seconds t0, Seconds t1, Mbps rate);
 
   // --- resilience (fault-injection runs) -------------------------------
-  /// A server crashed at \p t.
-  void record_server_down(Seconds t);
+  /// A server crashed. Counted regardless of the window, like
+  /// replications: a warmup crash shapes the measured window's whole
+  /// trajectory.
+  void record_server_down() { ++server_downs_; }
 
-  /// A server came back at \p t after \p downtime seconds down.
-  void record_server_recovery(Seconds t, Seconds downtime);
+  /// A server came back after \p downtime seconds down. Counted regardless
+  /// of the window.
+  void record_server_recovery(Seconds downtime);
 
   /// Attaches the failure-domain tree so capacity loss and glitches are
   /// additionally attributed per rack and per zone. \p server_bandwidth
@@ -80,8 +83,8 @@ class Metrics {
 
   /// A stream evicted by brownout load shedding; \p migrated tells whether
   /// it moved to another holder (true) or left the server entirely (false:
-  /// parked for retry or dropped).
-  void record_shed(Seconds t, bool migrated);
+  /// parked for retry or dropped). Counted regardless of the window.
+  void record_shed(bool migrated);
 
   /// Playback interruption: the client starved for \p seconds of playback
   /// (glitch-seconds, the viewer-facing face of an underflow). \p server
@@ -97,16 +100,17 @@ class Metrics {
   /// Network-partition bookkeeping: a rack (or scripted server set) became
   /// unreachable / healed after \p duration seconds. Infrastructure events,
   /// counted regardless of the window like server downs.
-  void record_partition_begin(Seconds t);
-  void record_partition_heal(Seconds t, Seconds duration);
+  void record_partition_begin() { ++partitions_; }
+  void record_partition_heal(Seconds duration);
 
-  /// Retry-queue bookkeeping.
-  void record_retry_enqueued(Seconds t);
-  void record_readmission(Seconds t);
-  void record_retry_abandoned(Seconds t);
+  /// Retry-queue bookkeeping, counted regardless of the window.
+  void record_retry_enqueued() { ++retry_enqueued_; }
+  void record_readmission() { ++readmissions_; }
+  void record_retry_abandoned() { ++retry_abandoned_; }
 
   /// A repair re-replication was planned for a long-down server's video.
-  void record_repair(Seconds t);
+  /// Counted regardless of the window.
+  void record_repair() { ++repairs_; }
 
   /// Folds in the fields a sharded run's per-shard Metrics write — the
   /// transmission meter and the client-side starvation accounting

@@ -33,7 +33,6 @@ void VodSimulation::build_world() {
   // Independent deterministic streams for each stochastic component, so
   // e.g. changing the placement policy does not perturb the arrival stream.
   const SeedPlan seeds = SeedPlan::derive(config_.seed);
-  rng_ = Rng(seeds.decision);
   interactivity_rng_ = Rng(seeds.interactivity);
 
   Rng catalog_rng(seeds.catalog);
@@ -75,6 +74,7 @@ void VodSimulation::build_world() {
                            directory_, servers_);
 
   controller_ = std::make_unique<AdmissionController>(config_.admission, directory_);
+  scheduler_ = make_scheduler(config_.scheduler, config_.intermittent_safety_cover);
   replication_ = std::make_unique<ReplicationManager>(config_.replication);
   replication_->set_topology(&topology_);
 
@@ -158,7 +158,7 @@ void VodSimulation::build_world() {
   // mid-window-lag; disabled there (documented in DESIGN.md §12), like the
   // auditor.
   if (!sharded && probe_config.enabled) {
-    probes_ = std::make_unique<ProbeSet>(probe_config, servers_.size());
+    probes_ = std::make_unique<ProbeSet>(probe_config);
   }
 
   if (auditor_ || probes_) {
@@ -213,10 +213,9 @@ void VodSimulation::build_context(int first_server, int end_server,
     }
     ctx->metrics->set_topology(&topology_, server_bandwidth);
   }
-  ctx->scheduler = make_scheduler(config_.scheduler, config_.intermittent_safety_cover);
   if (trace_config.enabled) {
     ctx->trace = std::make_unique<TraceRecorder>(trace_config, ctx->index - 1);
-    ctx->scheduler->set_trace(ctx->trace.get());
+    ctx->sched_scratch.trace = ctx->trace.get();
   }
   contexts_.push_back(std::move(ctx));
 }
@@ -363,7 +362,7 @@ void VodSimulation::handle_arrival(const Arrival& arrival) {
       entry.attempts = 0;
       entry.next_attempt = now + retry_queue_->backoff(0);
       if (retry_queue_->push(entry)) {
-        ctx.metrics->record_retry_enqueued(now);
+        ctx.metrics->record_retry_enqueued();
         note(ctx, TraceEventType::kRetryEnqueued, kTraceFailure, kNoServer, -1,
              arrival.video, static_cast<double>(retry_queue_->size()));
         arm_retry_tick();
@@ -381,7 +380,7 @@ void VodSimulation::handle_arrival(const Arrival& arrival) {
 
 AdmissionDecision VodSimulation::decide(VideoId video, Mbps view_bandwidth) {
   const AdmissionDecision decision = controller_->decide_shared(
-      coordinator().sim.now(), video, view_bandwidth, servers_, rng_);
+      coordinator().sim.now(), video, view_bandwidth, servers_);
   if (auditor_ && decision.memoized) {
     auditor_->check_memoized_rejection(video, view_bandwidth, decision);
   }
@@ -529,7 +528,7 @@ void VodSimulation::on_playback_end(Request& request) {
         // a permanent loss, not a completion.
         note(ctx, TraceEventType::kRetryAbandoned, kTraceFailure, kNoServer,
              request.id(), request.video_id());
-        ctx.metrics->record_retry_abandoned(now);
+        ctx.metrics->record_retry_abandoned();
         request.mark_done(now);
         ctx.metrics->record_drop(now);
         break;
@@ -558,7 +557,7 @@ void VodSimulation::apply_fault(const FaultTransition& event) {
       if (!server.available()) return;  // idempotent: already down
       server.set_available(false);
       settle_capacity_loss(ctx, event.server);
-      ctx.metrics->record_server_down(now);
+      ctx.metrics->record_server_down();
       note(ctx, TraceEventType::kServerDown, kTraceFailure, event.server);
       recover_streams_of_failed_server(server);
       if (config_.failure.repair.enabled) {
@@ -574,7 +573,7 @@ void VodSimulation::apply_fault(const FaultTransition& event) {
       server.set_available(true);
       const Seconds down_since = capacity_loss_[s].since;
       settle_capacity_loss(ctx, event.server);
-      ctx.metrics->record_server_recovery(now, now - down_since);
+      ctx.metrics->record_server_recovery(now - down_since);
       note(ctx, TraceEventType::kServerUp, kTraceFailure, event.server);
       process_retries(/*force=*/true);
       break;
@@ -605,7 +604,7 @@ void VodSimulation::apply_fault(const FaultTransition& event) {
       server.set_reachable(false);
       settle_capacity_loss(ctx, event.server);
       partition_began_[s] = now;
-      ctx.metrics->record_partition_begin(now);
+      ctx.metrics->record_partition_begin();
       note(ctx, TraceEventType::kPartitionBegin, kTraceFailure, event.server);
       // An up server the controller lost: every active stream is cut off
       // from its client, exactly like a crash.
@@ -616,7 +615,7 @@ void VodSimulation::apply_fault(const FaultTransition& event) {
       if (server.reachable()) return;  // idempotent: already healed
       server.set_reachable(true);
       settle_capacity_loss(ctx, event.server);
-      ctx.metrics->record_partition_heal(now, now - partition_began_[s]);
+      ctx.metrics->record_partition_heal(now - partition_began_[s]);
       note(ctx, TraceEventType::kPartitionEnd, kTraceFailure, event.server);
       if (server.available()) recompute_server(ctx, event.server);
       process_retries(/*force=*/true);
@@ -687,7 +686,7 @@ void VodSimulation::shed_overload(Server& server) {
     const ServerId target = least_loaded_holder(request, server.id());
     note(ctx, TraceEventType::kStreamShed, kTraceFailure, server.id(), request.id(),
          request.video_id(), buffered);
-    ctx.metrics->record_shed(now, /*migrated=*/target != kNoServer);
+    ctx.metrics->record_shed(/*migrated=*/target != kNoServer);
     if (target != kNoServer) {
       request.begin_migration(now);
       finish_migration(request, target);
@@ -746,7 +745,7 @@ void VodSimulation::park_or_drop(ExecContext& ctx, Request& request, ServerId lo
     // A stream stranded by its migration target crashing mid-switch is
     // already in the migrating state.
     if (request.state() == RequestState::kStreaming) request.begin_migration(now);
-    ctx.metrics->record_retry_enqueued(now);
+    ctx.metrics->record_retry_enqueued();
     note(ctx, TraceEventType::kRetryEnqueued, kTraceFailure, kNoServer, request.id(),
          request.video_id(), static_cast<double>(retry_queue_->size()));
     arm_retry_tick();
@@ -770,7 +769,7 @@ void VodSimulation::process_retries(bool force) {
     const AdmissionDecision decision = decide(entry.video, entry.view_bandwidth);
     if (decision.accepted) {
       execute_migrations(decision);
-      ctx.metrics->record_readmission(now);
+      ctx.metrics->record_readmission();
       if (entry.request != kNoRetryRequest) {
         // Re-admit the parked orphan where capacity opened up.
         Request& request = requests_[static_cast<std::size_t>(entry.request)];
@@ -789,7 +788,7 @@ void VodSimulation::process_retries(bool force) {
     } else {
       ++entry.attempts;
       if (entry.attempts >= config_.failure.retry.max_attempts) {
-        ctx.metrics->record_retry_abandoned(now);
+        ctx.metrics->record_retry_abandoned();
         note(ctx, TraceEventType::kRetryAbandoned, kTraceFailure, kNoServer,
              entry.request, entry.video, static_cast<double>(entry.attempts));
         if (entry.request != kNoRetryRequest) {
@@ -832,7 +831,6 @@ void VodSimulation::check_repair(ServerId server_id, Seconds down_since) {
   // threshold timer); this timer belongs to the old one.
   if (capacity_loss_[s].since != down_since) return;
   ExecContext& ctx = coordinator();
-  const Seconds now = ctx.sim.now();
   // Re-replicate the titles this outage left with no available holder.
   for (VideoId video : servers_[s].replicas()) {
     bool reachable = false;
@@ -846,7 +844,7 @@ void VodSimulation::check_repair(ServerId server_id, Seconds down_since) {
     if (reachable) continue;
     auto job = replication_->plan_repair(video, catalog_, servers_, directory_);
     if (!job) continue;
-    ctx.metrics->record_repair(now);
+    ctx.metrics->record_repair();
     note(ctx, TraceEventType::kRepairPlanned, kTraceFailure, job->destination, -1,
          video, static_cast<double>(server_id));
     start_replication_job(*job);
@@ -856,8 +854,9 @@ void VodSimulation::check_repair(ServerId server_id, Seconds down_since) {
 void VodSimulation::recompute_server(ExecContext& ctx, ServerId server_id) {
   Server& server = servers_[static_cast<std::size_t>(server_id)];
   // The executing context recomputes at its own clock with its own
-  // scheduler instance and scratch arenas. A shard context only ever
-  // reaches its own servers; the coordinator may reach any.
+  // scratch arenas and trace recorder; the one scheduler is const and
+  // holds no state. A shard context only ever reaches its own servers; the
+  // coordinator may reach any.
   assert(ctx.index == 0 ||
          owner_index(server_id) == static_cast<std::size_t>(ctx.index));
   const Seconds now = ctx.sim.now();
@@ -867,8 +866,8 @@ void VodSimulation::recompute_server(ExecContext& ctx, ServerId server_id) {
   batch_advance_server(ctx, server);
 
   const std::vector<Mbps>& rates = ctx.rates_scratch;
-  ctx.scheduler->allocate(now, server.schedulable_bandwidth(), active,
-                          ctx.rates_scratch, ctx.sched_scratch);
+  scheduler_->allocate(now, server.schedulable_bandwidth(), active,
+                       ctx.rates_scratch, ctx.sched_scratch);
 
   // Write the new allocations and re-predict the events of every slot
   // whose rate moved, in ascending slot order, so seqs are taken slot by

@@ -22,9 +22,10 @@
 /// rate change writes a key instead of sifting the event heap.
 ///
 /// Execution contexts (DESIGN.md §12): events run on a context — an event
-/// queue with its own metrics, trace recorder, scheduler instance and
-/// scratch arenas. The coordinator context runs every cross-server event;
-/// a request's predicted events run on the context owning its server.
+/// queue with its own metrics, trace recorder and scratch arenas; the one
+/// scheduler is shared, and traces through the context's scratch. The
+/// coordinator context runs every cross-server event; a request's
+/// predicted events run on the context owning its server.
 /// With shards == 1 the coordinator owns every server; with shards > 1
 /// each shard context owns a contiguous server block and drains its queue
 /// in parallel with the others between coordinator events. Every handler
@@ -93,28 +94,21 @@ class VodSimulation {
   /// context's counters folded in at the end of run().
   const Metrics& metrics() const { return *coordinator().metrics; }
 
-  /// The failure-domain tree (cluster/topology.h). Trivial (1 rack, 1 zone)
-  /// unless config.topology.enabled.
-  const Topology& topology() const { return topology_; }
-
   /// Analytic achievability envelope for this configuration, computed from
   /// the realized catalog/placement at world construction (analysis/
   /// bounds.h). Pure annotation: runs are bit-identical with or without
   /// reading it. The invariant auditor checks the run against it.
   const BoundsReport& bounds() const { return bounds_; }
 
-  /// The coordinator context's event queue and scheduler instance.
+  /// The coordinator context's event queue, and the run's one scheduler.
   const Simulator& simulator() const { return coordinator().sim; }
-  const BandwidthScheduler& scheduler() const { return *coordinator().scheduler; }
+  const BandwidthScheduler& scheduler() const { return *scheduler_; }
   const AdmissionController& controller() const { return *controller_; }
   /// The pre-generated fault schedule (empty unless failure injection or
   /// scripted faults are configured). Sorted by (time, server, kind).
   const std::vector<FaultTransition>& failure_timeline() const {
     return failure_timeline_;
   }
-
-  /// The retry queue, or nullptr unless failure.retry.enabled.
-  const RetryQueue* retry_queue() const { return retry_queue_.get(); }
 
   /// The key \p server's predicted-event timer is armed at, kNoEventKey
   /// when no timer is pending. Between events it equals the earliest live
@@ -195,13 +189,12 @@ class VodSimulation {
  private:
   /// One execution context (DESIGN.md §12): an event queue plus everything
   /// the events it runs account into — a Metrics instance, a trace
-  /// recorder, a scheduler instance, a continuity counter and scratch
-  /// arenas — and the contiguous server block [first_server, end_server)
-  /// whose predicted per-stream events (tx-complete, buffer-full,
-  /// buffer-low) it runs. contexts_[0] is the coordinator: it runs every
-  /// cross-server event (admission, migration, replication, faults,
-  /// retries, pause/resume, playback end) and, with shards == 1, owns
-  /// every server. With shards > 1, contexts_[1..K] own the shard blocks
+  /// recorder, a continuity counter and scratch arenas — and the
+  /// contiguous server block [first_server, end_server) whose predicted
+  /// per-stream events (tx-complete, buffer-full, buffer-low) it runs.
+  /// contexts_[0] is the coordinator: it runs every cross-server event
+  /// (admission, migration, replication, faults, retries, pause/resume,
+  /// playback end) and, with shards == 1, owns every server. With shards > 1, contexts_[1..K] own the shard blocks
   /// and the coordinator owns none; between coordinator events each shard
   /// context drains its queue with no shared mutable state, so the drains
   /// parallelize with no locks.
@@ -218,14 +211,11 @@ class VodSimulation {
     std::unique_ptr<Metrics> metrics;
     /// Present only when tracing is on; tagged index - 1 (-1 = coordinator).
     std::unique_ptr<TraceRecorder> trace;
-    /// allocate() is const and deterministic, so every context's instance
-    /// produces identical rates; one per context keeps its trace emission
-    /// on the context's own recorder.
-    std::unique_ptr<BandwidthScheduler> scheduler;
     std::uint64_t continuity_violations = 0;
     /// Scratch buffers for scheduler output and working sets (reused
     /// across events; the steady-state loop performs no per-event heap
-    /// allocations).
+    /// allocations). sched_scratch.trace is this context's recorder, so
+    /// the shared scheduler traces into the context it runs on.
     std::vector<Mbps> rates_scratch;
     AllocationScratch sched_scratch;
     /// Per-slot playback underflow from the last fluid batch (written
@@ -354,8 +344,8 @@ class VodSimulation {
 
   // The helpers below take the executing context: the coordinator for
   // coordinator events, the owner for a shard context's predicted events.
-  // It supplies the clock, the metrics and trace sinks, the scheduler and
-  // the scratch arenas, so the same code serves every context.
+  // It supplies the clock, the metrics and trace sinks and the scratch
+  // arenas, so the same code serves every context.
 
   /// Advances all active requests on \p server to now, reallocates rates,
   /// and reschedules predicted events for requests whose rate changed.
@@ -422,7 +412,6 @@ class VodSimulation {
   void detach_from(ExecContext& ctx, ServerId server, Request& request);
 
   SimulationConfig config_;
-  Rng rng_;                ///< decision randomness (assignment ties etc.)
   Rng interactivity_rng_;  ///< pause/resume timing
 
   VideoCatalog catalog_;
@@ -433,6 +422,9 @@ class VodSimulation {
   BoundsReport bounds_;
   std::unique_ptr<const PopularityModel> popularity_;
   std::unique_ptr<AdmissionController> controller_;
+  /// The one scheduler: allocate() is const and holds no state, so every
+  /// context shares it; each context's AllocationScratch carries its trace.
+  std::unique_ptr<BandwidthScheduler> scheduler_;
   std::unique_ptr<ReplicationManager> replication_;
   std::unique_ptr<ArrivalSource> arrivals_;
   ClientProfile client_profile_;

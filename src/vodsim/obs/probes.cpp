@@ -4,11 +4,10 @@
 
 namespace vodsim {
 
-ProbeSet::ProbeSet(const ProbeConfig& config, std::size_t num_servers)
+ProbeSet::ProbeSet(const ProbeConfig& config)
     : period_(config.period),
       next_(config.period) {  // t = 0 is the empty cluster; skip it
   assert(period_ > 0.0);
-  committed_.assign(num_servers, TimeWeighted());
 }
 
 void ProbeSet::on_event(Seconds now, const std::vector<Server>& servers,
@@ -25,7 +24,6 @@ void ProbeSet::finalize(Seconds horizon, const std::vector<Server>& servers,
     sample(next_, servers, pending_events, retry_depth);
     next_ += period_;
   }
-  for (TimeWeighted& tw : committed_) tw.flush(horizon);
 }
 
 void ProbeSet::sample(Seconds grid_time, const std::vector<Server>& servers,
@@ -60,9 +58,6 @@ void ProbeSet::sample(Seconds grid_time, const std::vector<Server>& servers,
     row.mean_buffer_fill =
         with_buffer > 0 ? fill_sum / static_cast<double>(with_buffer) : 0.0;
     rows_.push_back(row);
-
-    committed_[static_cast<std::size_t>(server.id())].update(
-        grid_time, row.committed_mbps);
 
     total_committed += row.committed_mbps;
     total_reserved += row.reserved_mbps;

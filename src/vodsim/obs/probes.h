@@ -10,15 +10,10 @@
 /// simulator, so enabling probes cannot perturb event order or results
 /// (pinned by determinism_test). Each grid instant is sampled at the first
 /// event boundary at or after it; the row keeps the grid timestamp.
-///
-/// On top of the raw rows, the probe keeps a TimeWeighted mean of committed
-/// bandwidth per server (sampled signal), so tests and reports can assert
-/// against a summary without replaying the series.
 
 #include <vector>
 
 #include "vodsim/cluster/server.h"
-#include "vodsim/stats/time_weighted.h"
 #include "vodsim/util/units.h"
 
 namespace vodsim {
@@ -48,7 +43,7 @@ struct ProbeRow {
 
 class ProbeSet {
  public:
-  ProbeSet(const ProbeConfig& config, std::size_t num_servers);
+  explicit ProbeSet(const ProbeConfig& config);
 
   /// Engine post-event hook: emits one sample block per grid instant in
   /// (last_event, now]. Cheap when no grid point was crossed (one compare).
@@ -56,20 +51,12 @@ class ProbeSet {
   void on_event(Seconds now, const std::vector<Server>& servers,
                 std::size_t pending_events, std::size_t retry_depth = 0);
 
-  /// Emits the grid instants between the last event and the horizon, then
-  /// closes the time-weighted summaries. Call once, at end of run.
+  /// Emits the grid instants between the last event and the horizon. Call
+  /// once, at end of run.
   void finalize(Seconds horizon, const std::vector<Server>& servers,
                 std::size_t pending_events, std::size_t retry_depth = 0);
 
-  Seconds period() const { return period_; }
   const std::vector<ProbeRow>& rows() const { return rows_; }
-
-  /// Time-weighted mean committed bandwidth of \p server over the sampled
-  /// series.
-  const TimeWeighted& committed(std::size_t server) const {
-    return committed_[server];
-  }
-  std::size_t num_servers() const { return committed_.size(); }
 
  private:
   void sample(Seconds grid_time, const std::vector<Server>& servers,
@@ -78,7 +65,6 @@ class ProbeSet {
   Seconds period_;
   Seconds next_ = 0.0;
   std::vector<ProbeRow> rows_;
-  std::vector<TimeWeighted> committed_;
 };
 
 }  // namespace vodsim

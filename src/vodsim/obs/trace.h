@@ -163,7 +163,6 @@ class TraceRecorder {
   /// Events currently retained, oldest first.
   std::size_t size() const { return ring_.size(); }
   bool empty() const { return ring_.empty(); }
-  std::size_t capacity() const { return capacity_; }
 
   /// i-th retained event, oldest first (0 <= i < size()).
   const TraceEvent& operator[](std::size_t i) const {

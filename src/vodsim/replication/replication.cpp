@@ -46,9 +46,6 @@ std::optional<ReplicationJob> ReplicationManager::plan_copy(
     VideoId video, const VideoCatalog& catalog,
     const std::vector<Server>& servers, const ReplicaDirectory& directory) {
   if (in_flight_ >= config_.max_concurrent) return std::nullopt;
-  if (config_.max_total >= 0 && total_started_ >= config_.max_total) {
-    return std::nullopt;
-  }
   if (std::find(copying_.begin(), copying_.end(), video) != copying_.end()) {
     return std::nullopt;  // copy already in flight for this title
   }
@@ -58,7 +55,7 @@ std::optional<ReplicationJob> ReplicationManager::plan_copy(
   // Source: the holder with the most slack (available, and able to spare
   // the transfer bandwidth without displacing committed streams). If none
   // qualifies — typical, since the title is hot exactly because its holders
-  // are saturated — fall back to tertiary storage when permitted.
+  // are saturated — fall back to tertiary storage.
   ServerId source = kNoServer;
   for (ServerId holder : directory.holders(video)) {
     const Server& s = servers[static_cast<std::size_t>(holder)];
@@ -69,7 +66,6 @@ std::optional<ReplicationJob> ReplicationManager::plan_copy(
       source = holder;
     }
   }
-  if (source == kNoServer && !config_.allow_tertiary_source) return std::nullopt;
 
   // Destination: best non-holder with storage for the object. Without a
   // topology the sole criterion is slack; with one, domain spread comes
@@ -125,10 +121,7 @@ std::optional<ReplicationJob> ReplicationManager::plan_copy(
   return job;
 }
 
-void ReplicationManager::on_job_started() {
-  ++in_flight_;
-  ++total_started_;
-}
+void ReplicationManager::on_job_started() { ++in_flight_; }
 
 void ReplicationManager::on_job_finished(VideoId video) {
   assert(in_flight_ > 0);

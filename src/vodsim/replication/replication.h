@@ -55,21 +55,14 @@ struct ReplicationConfig {
 
   /// Cluster-wide cap on in-flight copies.
   int max_concurrent = 2;
-
-  /// Optional cap on total replicas created during a run (-1 = unlimited).
-  int max_total = -1;
-
-  /// When no on-line holder has the slack to source the copy (the common
-  /// case — a title is being replicated precisely because its holders are
-  /// saturated), stream it from the cluster's tertiary storage instead
-  /// (paper §2: the architecture includes tertiary storage holding the full
-  /// catalog). A tertiary-sourced copy consumes link bandwidth only at the
-  /// destination.
-  bool allow_tertiary_source = true;
 };
 
 /// A planned copy of `video` from `source` to `destination`.
-/// source == kNoServer means the copy streams from tertiary storage.
+/// source == kNoServer means the copy streams from the cluster's tertiary
+/// storage (paper §2: it holds the full catalog), consuming link bandwidth
+/// only at the destination. That is the common case: a title is replicated
+/// precisely because its holders are saturated, so none has the slack to
+/// source it.
 struct ReplicationJob {
   VideoId video = -1;
   ServerId source = kNoServer;
@@ -108,10 +101,9 @@ class ReplicationManager {
   /// Plans a repair copy of \p video — a long-down server's title the fault
   /// subsystem found with no available holder. Bypasses the rejection
   /// trigger and the `enabled` flag (repair is driven by the failure
-  /// config), but honors the concurrency/total caps and the per-title
-  /// in-flight dedup. Source selection works like on_rejection; with no
-  /// available holder the copy necessarily streams from tertiary storage,
-  /// so allow_tertiary_source=false makes repair a no-op.
+  /// config), but honors the concurrency cap and the per-title in-flight
+  /// dedup. Source selection works like on_rejection; with no available
+  /// holder the copy streams from tertiary storage.
   std::optional<ReplicationJob> plan_repair(VideoId video,
                                             const VideoCatalog& catalog,
                                             const std::vector<Server>& servers,
@@ -142,7 +134,6 @@ class ReplicationManager {
   /// Videos already being copied (suppress duplicate jobs).
   std::vector<VideoId> copying_;
   int in_flight_ = 0;
-  int total_started_ = 0;
 };
 
 }  // namespace vodsim

@@ -84,11 +84,12 @@ void IntermittentScheduler::allocate(Seconds now, Mbps capacity,
     if (is_urgent != was_urgent) {
       Request& request = *active[i];
       request.set_workahead_urgent(is_urgent);
-      if (trace_ != nullptr && trace_->wants(kTraceSched)) {
-        trace_->record(now,
-                       is_urgent ? TraceEventType::kUrgentOn
-                                 : TraceEventType::kUrgentOff,
-                       request.server(), request.id(), request.video_id(), cover);
+      if (scratch.trace != nullptr && scratch.trace->wants(kTraceSched)) {
+        scratch.trace->record(now,
+                              is_urgent ? TraceEventType::kUrgentOn
+                                        : TraceEventType::kUrgentOff,
+                              request.server(), request.id(), request.video_id(),
+                              cover);
       }
     }
     if (is_urgent) {

@@ -68,6 +68,10 @@ struct AllocationScratch {
   std::vector<Mbps> cap;           ///< most the client can usefully absorb
   std::vector<std::uint8_t> in_candidates;  ///< membership flags for seeding
                                             ///< from the lane's grant order
+  /// The executing context's trace recorder (observe-only; null = off).
+  /// Schedulers emit pathology signals through it under kTraceSched —
+  /// today the intermittent scheduler's urgency-latch transitions.
+  TraceRecorder* trace = nullptr;
 };
 
 /// Strategy interface: computes per-request rates for one server.
@@ -119,14 +123,6 @@ class BandwidthScheduler {
   /// its defining feature — which tells the invariant auditor not to assert
   /// the per-request lower bound.
   virtual bool minimum_flow() const { return true; }
-
-  /// Attaches a trace recorder (observe-only; null detaches). Schedulers
-  /// emit pathology signals under kTraceSched — today the intermittent
-  /// scheduler's urgency-latch transitions.
-  void set_trace(TraceRecorder* trace) { trace_ = trace; }
-
- protected:
-  TraceRecorder* trace_ = nullptr;
 };
 
 /// Scheduler registry keys (used by engine::Config and the CLI).

@@ -18,9 +18,6 @@ class Accumulator {
  public:
   void add(double value);
 
-  /// Merges another accumulator (Chan et al. parallel combination).
-  void merge(const Accumulator& other);
-
   std::uint64_t count() const { return count_; }
   double mean() const { return count_ ? mean_ : 0.0; }
 
@@ -29,7 +26,6 @@ class Accumulator {
   double stddev() const;
   double min() const { return count_ ? min_ : 0.0; }
   double max() const { return count_ ? max_ : 0.0; }
-  double sum() const { return mean_ * static_cast<double>(count_); }
 
   /// Half-width of the two-sided confidence interval at the given level
   /// using the Student-t distribution with count-1 degrees of freedom.

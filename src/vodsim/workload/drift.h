@@ -29,8 +29,6 @@ class PopularityModel {
 
   /// Probability vector over video ids at time \p now (sums to 1).
   virtual std::vector<double> probabilities(Seconds now) const = 0;
-
-  virtual std::size_t catalog_size() const = 0;
 };
 
 /// Static Zipf: video id i permanently holds popularity rank i.
@@ -40,9 +38,6 @@ class StaticZipfPopularity final : public PopularityModel {
 
   VideoId sample(Seconds now, Rng& rng) const override;
   std::vector<double> probabilities(Seconds now) const override;
-  std::size_t catalog_size() const override { return zipf_.size(); }
-
-  const ZipfDistribution& zipf() const { return zipf_; }
 
  private:
   ZipfDistribution zipf_;
@@ -61,7 +56,6 @@ class DriftingZipfPopularity final : public PopularityModel {
 
   VideoId sample(Seconds now, Rng& rng) const override;
   std::vector<double> probabilities(Seconds now) const override;
-  std::size_t catalog_size() const override { return zipf_.size(); }
 
   /// Video holding rank \p rank at time \p now.
   VideoId video_at_rank(Seconds now, std::size_t rank) const;

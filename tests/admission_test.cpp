@@ -1,4 +1,4 @@
-// Tests for admission control: assignment policies, the replica directory,
+// Tests for admission control: least-loaded assignment, the replica directory,
 // dynamic request migration plans, and the controller's decision logic.
 
 #include <gtest/gtest.h>
@@ -8,7 +8,6 @@
 #include <optional>
 #include <vector>
 
-#include "vodsim/admission/assignment.h"
 #include "vodsim/admission/controller.h"
 #include "vodsim/admission/migration.h"
 
@@ -107,6 +106,8 @@ TEST(ReplicaDirectory, CountsOrphans) {
 }
 
 // --------------------------------------------------------------- assignment
+// Step 1 of a decision: the feasible holder with the fewest active streams,
+// lowest id on ties (the paper's least-loaded rule).
 
 TEST(Assignment, LeastLoadedPicksFewestActive) {
   World world({100.0, 100.0, 100.0});
@@ -114,56 +115,37 @@ TEST(Assignment, LeastLoadedPicksFewestActive) {
   world.stream(0, 0);
   world.stream(0, 0);
   world.stream(0, 1);
-  Rng rng(1);
-  const ServerId chosen = pick_server(AssignmentKind::kLeastLoaded, {0, 1, 2},
-                                      world.servers(), rng);
-  EXPECT_EQ(chosen, 2);
+  const ReplicaDirectory directory = world.directory();
+  const AdmissionController controller(AdmissionConfig{}, directory);
+  const auto decision = controller.decide_shared(0.0, 0, kView, world.servers());
+  EXPECT_TRUE(decision.accepted);
+  EXPECT_EQ(decision.server, 2);
 }
 
 TEST(Assignment, LeastLoadedTieBreaksByLowestId) {
+  // Server 0 gains its copy after the directory is built, so the holder
+  // list runs {1, 0}: the tie goes by id, not by list order.
   World world({100.0, 100.0});
-  world.replicate(0, {0, 1});
-  Rng rng(1);
-  EXPECT_EQ(pick_server(AssignmentKind::kLeastLoaded, {1, 0}, world.servers(), rng), 0);
-}
-
-TEST(Assignment, MostLoadedPicksBusiest) {
-  World world({100.0, 100.0});
-  world.replicate(0, {0, 1});
-  world.stream(0, 1);
-  Rng rng(1);
-  EXPECT_EQ(pick_server(AssignmentKind::kMostLoaded, {0, 1}, world.servers(), rng), 1);
-}
-
-TEST(Assignment, FirstFitPicksLowestId) {
-  World world({100.0, 100.0, 100.0});
-  Rng rng(1);
-  EXPECT_EQ(pick_server(AssignmentKind::kFirstFit, {2, 1}, world.servers(), rng), 1);
-}
-
-TEST(Assignment, RandomStaysInCandidates) {
-  World world({100.0, 100.0, 100.0});
-  Rng rng(5);
-  for (int i = 0; i < 100; ++i) {
-    const ServerId s =
-        pick_server(AssignmentKind::kRandom, {0, 2}, world.servers(), rng);
-    EXPECT_TRUE(s == 0 || s == 2);
-  }
+  world.replicate(0, {1});
+  ReplicaDirectory directory = world.directory();
+  world.replicate(0, {0});
+  directory.add_holder(0, 0);
+  ASSERT_EQ(directory.holders(0), (std::vector<ServerId>{1, 0}));
+  const AdmissionController controller(AdmissionConfig{}, directory);
+  EXPECT_EQ(controller.decide_shared(0.0, 0, kView, world.servers()).server, 0);
 }
 
 TEST(Assignment, EmptyCandidatesGivesNoServer) {
-  World world({100.0});
-  Rng rng(1);
-  EXPECT_EQ(pick_server(AssignmentKind::kLeastLoaded, {}, world.servers(), rng),
-            kNoServer);
-}
-
-TEST(Assignment, NameRoundTrip) {
-  for (AssignmentKind kind : {AssignmentKind::kLeastLoaded, AssignmentKind::kRandom,
-                              AssignmentKind::kFirstFit, AssignmentKind::kMostLoaded}) {
-    EXPECT_EQ(assignment_kind_from_string(to_string(kind)), kind);
-  }
-  EXPECT_THROW(assignment_kind_from_string("bogus"), std::invalid_argument);
+  // No holder is feasible and migration is off: no server is picked.
+  World world({kView, kView});
+  world.replicate(0, {0, 1});
+  world.stream(0, 0);
+  world.stream(0, 1);
+  const ReplicaDirectory directory = world.directory();
+  const AdmissionController controller(AdmissionConfig{}, directory);
+  const auto decision = controller.decide_shared(0.0, 0, kView, world.servers());
+  EXPECT_FALSE(decision.accepted);
+  EXPECT_EQ(decision.server, kNoServer);
 }
 
 // --------------------------------------------------------------- migration
@@ -413,7 +395,8 @@ bool eligible(const Search& search, const Request& request) {
     return false;
   }
   if (search.config.switch_latency > 0.0 &&
-      request.buffer_cover() < search.config.switch_latency) {
+      request.buffer_level() / request.view_bandwidth() <
+          search.config.switch_latency) {
     return false;
   }
   return std::find(search.used.begin(), search.used.end(), &request) ==
@@ -851,8 +834,7 @@ VersionedRun run_versioned_decides(std::uint64_t seed, bool stale_searches) {
     config.migration.switch_latency = rng.uniform() < 0.5 ? 0.0 : 1.0;
     const AdmissionController memoizing(config, directory);
     const AdmissionController fresh(config, directory);
-    Rng memo_rng(static_cast<std::uint64_t>(trial));
-    Rng fresh_rng(static_cast<std::uint64_t>(trial));
+    Rng unused(0);
     // A scratch per cluster, as a controller serves one: derived versions
     // of two clusters may coincide.
     MigrationSearchScratch versioned;
@@ -866,9 +848,9 @@ VersionedRun run_versioned_decides(std::uint64_t seed, bool stale_searches) {
         const auto video = static_cast<VideoId>(rng.uniform_int(cluster.num_videos()));
         const Mbps rate = cluster.video(video).view_bandwidth;
         const AdmissionDecision actual =
-            memoizing.decide_shared(0.0, video, rate, cluster.servers(), memo_rng);
+            memoizing.decide_shared(0.0, video, rate, cluster.servers());
         const AdmissionDecision expected =
-            fresh.decide(0.0, video, rate, cluster.servers(), fresh_rng);
+            fresh.decide(0.0, video, rate, cluster.servers(), unused);
         run.memo_hits += actual.memoized;
         if (actual.accepted != expected.accepted || actual.server != expected.server ||
             actual.search_nodes != expected.search_nodes ||
@@ -1059,7 +1041,8 @@ TEST(Controller, RejectsVideoWithNoReplica) {
 
 // Buffer-aware feasibility sums the near-term need over the server's lane.
 // On random servers — view rates drawn so that the sum rounds, buffers
-// from empty to 8 s of cover, some servers down or holding a reservation —
+// from empty to twice the near-term horizon of cover, some servers down or
+// holding a reservation —
 // it must match the per-request scan over the active list it replaced, sum
 // bits and verdict alike.
 TEST(Controller, BufferAwareLaneScanMatchesRequestScan) {
@@ -1080,7 +1063,9 @@ TEST(Controller, BufferAwareLaneScanMatchesRequestScan) {
                                                   0.0, ClientProfile{1e9, 1e9}));
       Request& request = *streams.back();
       request.begin_streaming(0.0, 0);
-      const Megabits level = rng.uniform(0.0, 8.0) * video.view_bandwidth;
+      const Megabits level =
+          rng.uniform(0.0, 2.0 * AdmissionController::kNearTermHorizon) *
+          video.view_bandwidth;
       request.set_allocation(0.0, level + video.view_bandwidth);
       request.advance(1.0);
       request.set_allocation(1.0, 0.0);
@@ -1089,18 +1074,18 @@ TEST(Controller, BufferAwareLaneScanMatchesRequestScan) {
     const ReplicaDirectory directory(1, servers);
     AdmissionConfig config;
     config.buffer_aware = true;
-    config.buffer_aware_horizon = rng.uniform(0.0, 8.0);
     const AdmissionController controller(config, directory);
 
     const Mbps rate = rng.uniform(1.0, 5.0);
+    const Seconds horizon = AdmissionController::kNearTermHorizon;
     Mbps need = rate + server.reserved_bandwidth();
     for (const Request* request : server.active_requests()) {
-      if (request->buffer_cover() < config.buffer_aware_horizon) {
+      if (request->buffer_level() / request->view_bandwidth() < horizon) {
         need += request->view_bandwidth();
       }
     }
     ASSERT_EQ(server.lane().add_near_term_need(rate + server.reserved_bandwidth(),
-                                               config.buffer_aware_horizon),
+                                               horizon),
               need)
         << "trial " << trial;
     const bool expected =

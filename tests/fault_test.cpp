@@ -558,13 +558,16 @@ TEST(RetryAcceptance, FlappingRackKeepsRetryAccountingExact) {
     }
   }
   // No leaked kMigrating streams: every request still parked at the end is
-  // backed by a live retry-queue entry.
+  // backed by a live retry-queue entry, one enqueued and neither readmitted
+  // nor abandoned.
   std::size_t migrating = 0;
   for (const Request& request : simulation.requests()) {
     if (request.state() == RequestState::kMigrating) ++migrating;
   }
-  ASSERT_NE(simulation.retry_queue(), nullptr);
-  EXPECT_LE(migrating, simulation.retry_queue()->size());
+  ASSERT_GE(metrics.retry_enqueued(),
+            metrics.readmissions() + metrics.retry_abandoned());
+  EXPECT_LE(migrating, metrics.retry_enqueued() - metrics.readmissions() -
+                           metrics.retry_abandoned());
   // Per-orphan conservation: every stream that was ever parked ends the run
   // readmitted (streaming/finished), abandoned (kDone via the drop path),
   // or still legitimately queued (kMigrating, bounded by the queue above).

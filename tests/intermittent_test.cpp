@@ -349,7 +349,6 @@ SimulationConfig buffer_aware_config(std::uint64_t seed) {
   config.client.receive_bandwidth = 30.0;
   config.scheduler = SchedulerKind::kIntermittent;
   config.admission.buffer_aware = true;
-  config.admission.buffer_aware_horizon = 30.0;
   return config;
 }
 
@@ -370,7 +369,6 @@ TEST(BufferAware, FeasibilityIgnoresCoastingStreams) {
   ReplicaDirectory directory(1, servers);
   AdmissionConfig config;
   config.buffer_aware = true;
-  config.buffer_aware_horizon = 30.0;
   AdmissionController aggressive(config, directory);
   AdmissionConfig conservative_config;
   AdmissionController conservative(conservative_config, directory);

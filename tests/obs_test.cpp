@@ -469,6 +469,7 @@ TEST(Probes, GridTimestampsAndRowShape) {
   ASSERT_EQ(probes.rows().size(), 10 * (servers + 1));
 
   bool filled = false;
+  bool committed = false;
   for (std::size_t i = 0; i < probes.rows().size(); ++i) {
     const ProbeRow& row = probes.rows()[i];
     const auto block = i / (servers + 1);
@@ -479,6 +480,7 @@ TEST(Probes, GridTimestampsAndRowShape) {
     } else {
       EXPECT_EQ(row.server, static_cast<ServerId>(offset));
       EXPECT_LE(row.committed_mbps, simulation.servers()[offset].bandwidth());
+      committed = committed || row.committed_mbps > 0.0;
     }
     EXPECT_GE(row.active_streams, 0.0);
     EXPECT_GE(row.mean_buffer_fill, 0.0);
@@ -486,8 +488,8 @@ TEST(Probes, GridTimestampsAndRowShape) {
     filled = filled || row.mean_buffer_fill > 0.0;
   }
 
-  // The saturating scenario commits real bandwidth; summaries reflect it.
-  EXPECT_GT(probes.committed(0).mean() + probes.committed(1).mean(), 0.0);
+  // The saturating scenario commits real bandwidth; the rows show it.
+  EXPECT_TRUE(committed);
   EXPECT_TRUE(filled);  // staging buffers were sampled with data in them
 }
 
@@ -571,7 +573,10 @@ TEST(EnvOverride, ProbePeriodForcesProbing) {
   VodSimulation simulation(config);
   ::unsetenv("VODSIM_PROBE");
   ASSERT_NE(simulation.probes(), nullptr);
-  EXPECT_DOUBLE_EQ(simulation.probes()->period(), 15.0);
+  simulation.run();
+  // The grid runs at the variable's period: the first instant is t = 15.
+  ASSERT_FALSE(simulation.probes()->rows().empty());
+  EXPECT_DOUBLE_EQ(simulation.probes()->rows().front().time, 15.0);
 }
 
 TEST(EnvOverride, TraceCapacityOverride) {
@@ -582,7 +587,10 @@ TEST(EnvOverride, TraceCapacityOverride) {
   ::unsetenv("VODSIM_TRACE");
   ::unsetenv("VODSIM_TRACE_CAPACITY");
   ASSERT_NE(simulation.trace(), nullptr);
-  EXPECT_EQ(simulation.trace()->capacity(), 128u);
+  simulation.run();
+  // A run that emits more than 128 events keeps only the last 128.
+  EXPECT_GT(simulation.trace()->emitted(), 128u);
+  EXPECT_EQ(simulation.trace()->size(), 128u);
 }
 
 }  // namespace

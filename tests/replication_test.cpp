@@ -120,19 +120,6 @@ TEST(Replication, ConcurrencyCapAndDuplicateSuppression) {
                                    world.directory));
 }
 
-TEST(Replication, MaxTotalCapsLifetimeCopies) {
-  TinyWorld world;
-  ReplicationConfig config = config_on(1);
-  config.max_total = 1;
-  ReplicationManager manager(config);
-  ASSERT_TRUE(manager.on_rejection(0, 1.0, world.catalog, world.servers,
-                                   world.directory));
-  manager.on_job_started();
-  manager.on_job_finished(0);
-  EXPECT_FALSE(manager.on_rejection(1, 2.0, world.catalog, world.servers,
-                                    world.directory));
-}
-
 TEST(Replication, NeedsStorageAtDestination) {
   VideoCatalog catalog = tiny_catalog(2);
   std::vector<Server> servers;
@@ -158,21 +145,6 @@ TEST(Replication, SaturatedSourceFallsBackToTertiary) {
   ASSERT_TRUE(job.has_value());
   EXPECT_TRUE(job->from_tertiary());
   EXPECT_EQ(job->destination, 1);
-}
-
-TEST(Replication, NoTertiaryMeansSlackRequiredAtSource) {
-  VideoCatalog catalog = tiny_catalog(2);
-  std::vector<Server> servers;
-  servers.emplace_back(0, 12.0, 1e7);
-  servers.emplace_back(1, 100.0, 1e7);
-  ASSERT_TRUE(servers[0].add_replica(catalog[0]));
-  servers[0].reserve_bandwidth(5.0);
-  const ReplicaDirectory directory(catalog.size(), servers);
-
-  ReplicationConfig config = config_on(1);
-  config.allow_tertiary_source = false;
-  ReplicationManager manager(config);
-  EXPECT_FALSE(manager.on_rejection(0, 1.0, catalog, servers, directory));
 }
 
 TEST(Replication, DirectoryAddHolderIdempotent) {

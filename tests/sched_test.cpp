@@ -59,7 +59,7 @@ class Fixture {
         next_id_++, make_video(0, duration), 0.0, ClientProfile{buffer_cap, receive});
     Request& ref = *request;
     ref.begin_streaming(0.0, 0);
-    const Megabits prefix = ref.total_size() - remaining;
+    const Megabits prefix = ref.remaining() - remaining;  // all of it remains
     if (prefix > 0.0) {
       const Seconds dt = level > 0.0 ? kStageTime : prefix / kView;
       const Mbps rate = prefix / dt;
